@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,9 +31,9 @@ from .flag import (appendix_table, flag_balanced, flag_bidegree_part, flag_conj,
                    integrability_obstruction, nearly_kahler_check,
                    structural_ddbar)
 from .manifold import BUILTIN_NAMES, HermitianSurface, SpecSyntaxError, builtin, parse_surface_spec
-from .twistor import (LAMBDA_MIN, CoframeSweep, condition_report, dK_formula,
-                      normalize_connection, sample_twistor_points,
-                      twistor_coframe)
+from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
+                      condition_report, dK_formula, normalize_connection,
+                      sample_twistor_points, twistor_coframe)
 
 __all__ = ["main", "build_parser"]
 
@@ -780,7 +781,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     thread_cap()          # reject a malformed TWISTORLAB_THREADS up front
     handlers = {"report": cmd_report, "verify": cmd_verify,
                 "scan": cmd_scan, "appendix": cmd_appendix}
-    return handlers[args.command](args, parser)
+    held: List[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as held:
+            return handlers[args.command](args, parser)
+    except DegenerateCoframeError as exc:
+        held = []       # the numerical warnings leading up to a breakdown are noise
+        print(f"twistorlab: {exc}", file=sys.stderr)
+        raise SystemExit(3)
+    finally:
+        for w in held:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ __all__ = [
     "conformal_rescale", "conformal_compare", "principal_angles",
     "fiber_coordinate_on_bundle", "projective_bundle_form",
     "bundle_chart_compare", "lambda_zero_crossing", "evaluate_metric",
-    "condition_report", "sample_twistor_points",
+    "condition_report", "sample_twistor_points", "DegenerateCoframeError",
 ]
 
 # smallest admissible fiber-metric parameter; below this the metrics are
@@ -67,6 +67,17 @@ _J_ROWS = {1: (0, 4, 2), 2: (0, 4, 5), 3: (0, 1, 2), 4: (0, 1, 5)}
 # (+ for i in {1,3}) in K_i = i(l1^2 W1 + e2 l2^2 W2 + e3 l3^2 W3)
 _EPS2 = {1: 1.0, 2: 1.0, 3: -1.0, 4: -1.0}
 _EPS3 = {1: 1.0, 2: -1.0, 3: 1.0, 4: -1.0}
+
+# the (1,0) rows of an adapted coframe carry eigenvalue +i, the rest -i
+_D = np.diag([1j, 1j, 1j, -1j, -1j, -1j])
+
+
+class DegenerateCoframeError(ValueError):
+    """A numerical breakdown of the coframe or of a J_i, naming the chart point."""
+
+    def __init__(self, y: Optional[np.ndarray], reason: str):
+        where = "" if y is None else f" at bundle point {[float(v) for v in y]}"
+        super().__init__(f"surface invariant violation{where}: {reason}")
 
 
 # ======================================================================
@@ -199,6 +210,25 @@ def _mobius12(P: np.ndarray, zeta: complex) -> np.ndarray:
     return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - zb * zb * P[1, 0]) / N2
 
 
+def _base_data(M: HermitianSurface, t: float, x: np.ndarray, seeds=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(eta, psi) at x: the adapted (1,0)-coframe and the D^t connection matrix."""
+    om_t, _, fr = omega_tilde_coord(M, x, t, seeds=seeds)
+    return fr.eta, complex_connection_matrix(om_t)
+
+
+def _assemble_rows(eta: np.ndarray, psi: np.ndarray, zeta: complex) -> np.ndarray:
+    """The coframe matrix B from base data (eta, psi) and the fiber coordinate."""
+    N2 = 1.0 + abs(zeta) ** 2
+    N = math.sqrt(N2)
+    B = np.zeros((3, 6), dtype=complex)
+    B[0, :4] = (eta[0] + np.conj(zeta) * eta[1]) / N
+    B[1, :4] = (-zeta * eta[0] + eta[1]) / N
+    B[2, :4] = _mobius12(psi, zeta)
+    B[2, 4] = -1.0 / N2
+    B[2, 5] = 1j / N2
+    return B
+
+
 def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np.ndarray:
     """The complex coframe matrix B at chart point y = (x, Re zeta, Im zeta).
 
@@ -209,19 +239,7 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np
     is -d conj(zeta) / (1 + |zeta|^2).
     """
     y = np.asarray(y, dtype=float)
-    x = y[:4]
-    zeta = complex(y[4], y[5])
-    N2 = 1.0 + abs(zeta) ** 2
-    N = math.sqrt(N2)
-    om_t, _, fr = omega_tilde_coord(M, x, t, seeds=seeds)
-    psi = complex_connection_matrix(om_t)          # (2, 2, 4)
-    B = np.zeros((3, 6), dtype=complex)
-    B[0, :4] = (fr.eta[0] + np.conj(zeta) * fr.eta[1]) / N
-    B[1, :4] = (-zeta * fr.eta[0] + fr.eta[1]) / N
-    B[2, :4] = _mobius12(psi, zeta)
-    B[2, 4] = -1.0 / N2
-    B[2, 5] = 1j / N2
-    return B
+    return _assemble_rows(*_base_data(M, t, y[:4], seeds), complex(y[4], y[5]))
 
 
 def _row_form(row: np.ndarray) -> ComplexForm:
@@ -316,6 +334,8 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 
     Raises:
         ValueError: for a fiber coordinate outside the chart.
+        DegenerateCoframeError: when the Gram determinant of the coframe is
+           near zero or not finite.
     """
     t, label = normalize_connection(conn)
     chart = chart or TwistorChart(M)
@@ -328,17 +348,9 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     lc = levi_civita(M, x, seeds=seeds)
     fr = lc.frame
     om_t, om_lc, _ = omega_tilde_coord(M, x, t, seeds=seeds, lc=lc)
-    psi = complex_connection_matrix(om_t)
-    N2 = 1.0 + abs(zeta) ** 2
-    B = np.zeros((3, 6), dtype=complex)
-    B[0, :4] = (fr.eta[0] + np.conj(zeta) * fr.eta[1]) / math.sqrt(N2)
-    B[1, :4] = (-zeta * fr.eta[0] + fr.eta[1]) / math.sqrt(N2)
-    B[2, :4] = _mobius12(psi, zeta)
-    B[2, 4] = -1.0 / N2
-    B[2, 5] = 1j / N2
-
-    det = np.linalg.det(np.vstack([B, np.conj(B)]))
-    assert abs(det) > 1e-8, "coframe degenerated (Gram determinant ~ 0)"
+    B = _assemble_rows(fr.eta, complex_connection_matrix(om_t), zeta)
+    if not abs(np.linalg.det(np.vstack([B, np.conj(B)]))) > 1e-8:
+        raise DegenerateCoframeError(y, "coframe degenerated (Gram determinant ~ 0)")
 
     mu_coord = mu_from_omega(om_lc)
     mu6 = ComplexForm(6, 1, {(m,): mu_coord[m] for m in range(4) if mu_coord[m] != 0.0})
@@ -405,18 +417,28 @@ def _adapted_rows(i: int, B: np.ndarray) -> np.ndarray:
     return np.vstack([top, np.conj(top)])
 
 
+def _real_part(A: np.ndarray, y: Optional[np.ndarray], what: str) -> np.ndarray:
+    """Re A, after checking that the imaginary residue of A is roundoff."""
+    if not np.max(np.abs(np.imag(A))) < 1e-9:
+        raise DegenerateCoframeError(y, f"complex residue in {what}")
+    return np.real(A)
+
+
+def _structure(i: int, B: np.ndarray, y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(C, J_i): the adapted rows of B and the real endomorphism C^-1 D C."""
+    C = _adapted_rows(i, B)
+    return C, _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
+
+
 def acs_endomorphism(i: int, coframe: Union[TwistorCoframe, np.ndarray]) -> np.ndarray:
     """The endomorphism J_i of the chart tangent space (6x6 real).
 
     J_i multiplies the selected (1,0)-rows by +i; J_3 uses (phi^1, phi^2,
     phi^3), J_1 conjugates phi^2, J_4 conjugates phi^3, J_2 conjugates both.
+    Raises DegenerateCoframeError when J_i has a complex residue.
     """
-    B = coframe.B if isinstance(coframe, TwistorCoframe) else coframe
-    C = _adapted_rows(i, B)
-    D = np.diag([1j, 1j, 1j, -1j, -1j, -1j])
-    J = np.linalg.solve(C, D @ C)
-    assert np.max(np.abs(np.imag(J))) < 1e-9, "complex residue in an almost complex structure"
-    return np.real(J)
+    B, y = (coframe.B, coframe.y) if isinstance(coframe, TwistorCoframe) else (coframe, None)
+    return _structure(i, B, y)[1]
 
 
 def h_lambda_matrix(coframe: TwistorCoframe, lam: Union[float, Sequence[float]]) -> np.ndarray:
@@ -596,12 +618,14 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # ======================================================================
 
 class CoframeSweep:
-    """One order-4 FD sweep of the coframe field around a bundle point.
+    """One FD sweep of the coframe field around a bundle point.
 
     From B and its six partials, the exterior derivatives of the three
-    building-block 2-forms follow by the product rule; every dK_i(lambda)
-    and K_i ^ dK_i oracle value is then an algebraic combination, so the
-    whole (i, lambda) grid shares a single sweep.
+    building-block 2-forms follow by the product rule and J_i with its
+    partials from the adapted rows; every dK_i(lambda), K_i ^ dK_i, zero
+    crossing and Nijenhuis value is then algebraic in one sweep.  The
+    fiber-direction stencil points sit at the base point x0 bit for bit,
+    so they share its base data (frame and connection matrix).
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
@@ -611,9 +635,11 @@ class CoframeSweep:
         self.M = M
         self.y0 = z.chart_coordinates()
         be = backend or M.backend
+        base0 = _base_data(M, t, self.y0[:4], seeds)
+        fiber = lambda y: _assemble_rows(*base0, complex(y[4], y[5]))  # noqa: E731
         field = lambda y: coframe_rows(M, t, y, seeds=seeds)  # noqa: E731
-        self.B0 = field(self.y0)
-        self.dB = np.stack([be.partial(field, self.y0, p) for p in range(6)])
+        self.B0 = fiber(self.y0)
+        self.dB = np.stack([be.partial(field if p < 4 else fiber, self.y0, p) for p in range(6)])
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
@@ -659,8 +685,19 @@ class CoframeSweep:
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return wedge(self.K(i, lam), self.dK(i, lam))
 
-    def acs(self, i: int) -> np.ndarray:
-        return acs_endomorphism(i, self.B0)
+    def nijenhuis(self, i: int) -> float:
+        """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs.
+
+        N(X, Y) = [J X, J Y] - J[J X, Y] - J[X, J Y] - [X, Y] on coordinate
+        fields, whose own brackets vanish.  J = C^-1 D C for the adapted rows
+        C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).
+        """
+        C, J = _structure(i, self.B0, self.y0)
+        dC = np.stack([_adapted_rows(i, dBp) for dBp in self.dB])
+        dJ = _real_part(np.linalg.solve(C, _D @ dC - dC @ J), self.y0, f"the derivative of J_{i}")
+        # S[a, b] = J-contraction terms of N(d_a, d_b); N is its antisymmetric part
+        S = np.einsum("pa,pmb->abm", J, dJ) + np.einsum("mn,bna->abm", J, dJ)
+        return float(np.max(np.linalg.norm(S - S.transpose(1, 0, 2), axis=2)))
 
 
 def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
@@ -680,23 +717,10 @@ def nijenhuis_oracle(i: int, M: HermitianSurface, conn: Union[str, float],
                      backend: Optional[DiffBackend] = None) -> float:
     """Max norm of the Nijenhuis tensor of J_i over the 15 coordinate pairs.
 
-    N(X, Y) = [J X, J Y] - J[J X, Y] - J[X, J Y] - [X, Y] evaluated on
-    coordinate fields (whose own brackets vanish), with the J-field
-    differentiated by finite differences.
+    A standalone `CoframeSweep(...).nijenhuis(i)`: the same single sweep
+    that serves dK, K ^ dK and the zero crossings at the point.
     """
-    t, _ = normalize_connection(conn)
-    y0 = z.chart_coordinates()
-    be = backend or M.backend
-    field = lambda y: acs_endomorphism(i, coframe_rows(M, t, y, seeds=seeds))  # noqa: E731
-    J = field(y0)
-    dJ = np.stack([be.partial(field, y0, p) for p in range(6)])
-    worst = 0.0
-    for a in range(6):
-        for b in range(a + 1, 6):
-            comm = np.einsum("p,pm->m", J[:, a], dJ[:, :, b]) - np.einsum("p,pm->m", J[:, b], dJ[:, :, a])
-            corr = J @ dJ[b][:, a] - J @ dJ[a][:, b]
-            worst = max(worst, float(np.linalg.norm(comm + corr)))
-    return worst
+    return CoframeSweep(M, conn, z, seeds=seeds, backend=backend).nijenhuis(i)
 
 
 def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> ComplexForm:
@@ -728,7 +752,7 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         return np.array([proj.terms.get(k, 0.0) for k in keys], dtype=complex)
 
     be = M.backend.with_step(outer_step)
-    g0 = dbar_vec(y0)           # noqa: F841  (forces an in-domain evaluation first)
+    B0 = coframe_rows(M, t, y0, seeds=seeds)      # an in-domain evaluation first
     dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
     coeff: Dict[Tuple[int, ...], complex] = {}
     for kidx, (a, b, c) in enumerate(keys):
@@ -740,7 +764,6 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
             sign = (-1.0) ** pos
             coeff[key] = coeff.get(key, 0.0) + sign * dg[p][kidx]
     dG = ComplexForm(6, 4, coeff)
-    B0 = coframe_rows(M, t, y0, seeds=seeds)
     return _bidegree_project6(dG, _adapted_rows(i, B0), 2) * 1j
 
 
@@ -1055,8 +1078,7 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     coframes = [twistor_coframe(M, conn, z, seeds=seeds, with_structure=formula_ok)
                 for z in points]
     flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
-    nij = {i: max(nijenhuis_oracle(i, M, conn, z, seeds=seeds) for z in points)
-           for i in (1, 2, 3, 4)}
+    nij = {i: max(sw.nijenhuis(i) for sw in sweeps) for i in (1, 2, 3, 4)}
     crossings = {i: [lambda_zero_crossing(i, M, conn, z, sweep=sw)
                      for z, sw in zip(points, sweeps)]
                  for i in (1, 2, 3, 4)}

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twistorlab
 from twistorlab import __version__
 from twistorlab.cli import dump_json, main
 
@@ -23,6 +27,11 @@ J standard
 """
 
 BAD_SURFACE = GOOD_SURFACE.replace("g 1 1 = 1", "g 1 1 = -1")
+
+# passes the 16-point validation but is singular on the hyperplane x1 = 0,
+# where the first seed-0 sample point of a five-point report lies
+SINGULAR_SURFACE = (GOOD_SURFACE.replace("g 1 1 = 1", "g 1 1 = 1/x1^2")
+                    .replace("g 2 2 = 1", "g 2 2 = 1/x1^2"))
 
 
 def run_cli(argv, capsys):
@@ -319,6 +328,23 @@ def test_surface_invariant_violation_exits_three(tmp_path, capsys):
         main(["report", "--surface", str(path), "--points", "1"])
     assert err.value.code == 3
     assert "surface invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degenerate_coframe_exits_three_with_one_line(tmp_path, flags):
+    path = tmp_path / "singular.surf"
+    path.write_text(SINGULAR_SURFACE)
+    src = os.path.dirname(os.path.dirname(twistorlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "twistorlab.cli", "report",
+         "--surface", str(path), "--points", "5"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("twistorlab: surface invariant violation at bundle point [0.0, ")
+    assert "Gram determinant" in lines[0]
 
 
 def test_surface_syntax_error_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 almost-complex structures, the closed-form derivative displays, and the
 finite-difference oracles that back them."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
 from twistorlab.exterior import wedge
-from twistorlab.manifold import builtin, coordinate_fundamental_matrix, parse_surface_spec
+from twistorlab.manifold import (HermitianSurface, builtin, coordinate_fundamental_matrix,
+                                 parse_surface_spec)
 
 BASE_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -236,6 +238,79 @@ def test_nijenhuis_oracle(name, conn, i, integrable):
         assert v < 1e-6
     else:
         assert v > 0.1
+
+
+def _nijenhuis_reference(i, M, conn, z):
+    """The Nijenhuis defect with the J_i field itself differentiated by FD."""
+    t, _ = tw.normalize_connection(conn)
+    y0 = z.chart_coordinates()
+    field = lambda y: tw.acs_endomorphism(i, tw.coframe_rows(M, t, y))  # noqa: E731
+    J = field(y0)
+    dJ = np.stack([M.backend.partial(field, y0, p) for p in range(6)])
+    worst = 0.0
+    for a in range(6):
+        for b in range(a + 1, 6):
+            comm = np.einsum("p,pm->m", J[:, a], dJ[:, :, b]) - np.einsum("p,pm->m", J[:, b], dJ[:, :, a])
+            corr = J @ dJ[b][:, a] - J @ dJ[a][:, b]
+            worst = max(worst, float(np.linalg.norm(comm + corr)))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+def test_sweep_nijenhuis_matches_J_field_reference(name, conn):
+    for i in (1, 2, 3, 4):
+        ref = _nijenhuis_reference(i, surface(name), conn, zpt(name))
+        assert abs(sweep(name, conn).nijenhuis(i) - ref) <= 1e-8 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
+def test_sweep_partials_match_the_coframe_field(name, conn):
+    M, y0 = surface(name), zpt(name).chart_coordinates()
+    t, _ = tw.normalize_connection(conn)
+    field = lambda y: tw.coframe_rows(M, t, y)  # noqa: E731
+    assert np.array_equal(sweep(name, conn).B0, field(y0))
+    for p in range(6):
+        assert np.array_equal(sweep(name, conn).dB[p], M.backend.partial(field, y0, p))
+
+
+def test_one_coframe_sweep_per_bundle_point():
+    base = surface("cp2_fs")
+    calls = [0]
+
+    def metric(x):
+        calls[0] += 1
+        return base.metric(x)
+
+    M = HermitianSurface(base.chart, metric, base.J, name=base.name,
+                         params=base.params, backend=base.backend)
+
+    def evaluations(fn, *args):
+        before = calls[0]
+        fn(*args)
+        return calls[0] - before
+
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    field = evaluations(tw.coframe_rows, M, 0.0, pts[0].chart_coordinates())
+    # the 8 fiber-direction stencil points reuse the base data of the point
+    assert evaluations(tw.CoframeSweep, M, "lichnerowicz", pts[0]) == 17 * field
+    assert evaluations(tw.nijenhuis_oracle, 1, M, "lichnerowicz", pts[0]) == 17 * field
+    parts = sum(evaluations(tw.CoframeSweep, M, "lichnerowicz", z)
+                + evaluations(tw.twistor_coframe, M, "lichnerowicz", z)
+                + evaluations(condition_flags, M, z.x) for z in pts)
+    assert evaluations(tw.condition_report, M, "lichnerowicz", [1.0, SQ2], pts) == parts
+
+
+def test_complex_residue_is_a_typed_error():
+    # phi^1 within 1e-11 of phi^2: J_3 is ill-conditioned far beyond the bound
+    co = coframe("hopf", "chern")
+    B = co.B.copy()
+    B[0] = B[1] + 1e-11 * B[0]
+    with pytest.raises(tw.DegenerateCoframeError, match="^surface invariant violation: complex residue"):
+        tw.acs_endomorphism(3, B)
+    with pytest.raises(tw.DegenerateCoframeError) as err:
+        tw.acs_endomorphism(3, dataclasses.replace(co, B=B))
+    assert str(err.value).startswith(f"surface invariant violation at bundle point {co.y.tolist()}: ")
 
 
 # ======================================================================

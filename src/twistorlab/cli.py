@@ -198,6 +198,23 @@ def load_surface(args, parser: argparse.ArgumentParser) -> HermitianSurface:
     raise AssertionError("unreachable")
 
 
+def check_numbers(args, parser: argparse.ArgumentParser) -> None:
+    """Reject sample counts below 1, non-finite fiber scales and non-positive
+    or non-finite tolerances; every test is written so that NaN fails it."""
+    points = getattr(args, "points", None)
+    if points is not None and not points >= 1:
+        parser.error(f"--points must be at least 1, got {points}")
+    scales = [("--lambda", v) for v in getattr(args, "lam", None) or []]
+    scales += [(f"--lambda{n}", getattr(args, f"lambda{n}", None)) for n in (1, 2, 3)]
+    for flag, v in scales:
+        if v is not None and not math.isfinite(v):
+            parser.error(f"{flag} must be a finite number, got {v}")
+    for flag, dest in (("--tol", "tol"), ("--nijenhuis-tol", "nijenhuis_tol")):
+        v = getattr(args, dest, None)
+        if v is not None and not (v > 0.0 and math.isfinite(v)):
+            parser.error(f"{flag} must be a positive finite number, got {v}")
+
+
 def resolve_connection(args, parser: argparse.ArgumentParser) -> Union[str, float]:
     if args.connection == "gauduchon":
         if args.t is None:
@@ -221,7 +238,7 @@ def _lambda_args(args, parser: argparse.ArgumentParser,
     if not scalars and triple is None and default is not None:
         scalars = [default]
     for v in scalars + list(triple or ()):
-        if v <= LAMBDA_MIN:
+        if not v > LAMBDA_MIN:
             parser.error(f"metric parameter {v:g} is below the positivity floor {LAMBDA_MIN:g}")
     return scalars, triple
 
@@ -393,6 +410,8 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             parser.error(f"--lambda-range must look like LO:HI, got {args.lambda_range!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            parser.error(f"--lambda-range bounds must be finite, got {args.lambda_range!r}")
         if not lo < hi:
             parser.error("--lambda-range bounds must satisfy LO < HI")
         if args.grid < 2:
@@ -401,7 +420,7 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     if not grid:
         parser.error("empty grid: give --lambda values and/or --lambda-range")
     grid = sorted(set(grid))
-    if grid[0] <= LAMBDA_MIN:
+    if not grid[0] > LAMBDA_MIN:
         parser.error(f"grid value {grid[0]:g} is below the positivity floor {LAMBDA_MIN:g}")
 
     structures = [args.i] if args.i else [1, 2, 3, 4]
@@ -411,8 +430,9 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     rows = []
     for i in structures:
         for lam in grid:
-            sym = max((sw.dK(i, lam).norm() for sw in sweeps))
-            bal = max((wedge(sw.K(i, lam), sw.dK(i, lam)).norm() for sw in sweeps))
+            dKs = [sw.dK(i, lam) for sw in sweeps]
+            sym = max(dK.norm() for dK in dKs)
+            bal = max(wedge(sw.K(i, lam), dK).norm() for sw, dK in zip(sweeps, dKs))
             rows.append({"i": i, "lambda": lam,
                          "symplectic_defect": sym, "balanced_defect": bal})
 
@@ -778,6 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    check_numbers(args, parser)
     thread_cap()          # reject a malformed TWISTORLAB_THREADS up front
     handlers = {"report": cmd_report, "verify": cmd_verify,
                 "scan": cmd_scan, "appendix": cmd_appendix}

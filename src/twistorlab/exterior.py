@@ -15,6 +15,7 @@ Conventions
 * Basis indices are 0-based everywhere in code.
 """
 
+import functools
 import itertools
 import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -34,7 +35,8 @@ def _sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
     """
     idx = list(indices)
     sign = 1
-    # plain bubble sort; tuples have length <= 8 so this is never hot
+    # plain bubble sort over at most 8 indices; form construction and wedge
+    # reach it through the memoized _canonical_key
     for i in range(len(idx)):
         for j in range(len(idx) - 1 - i):
             if idx[j] > idx[j + 1]:
@@ -43,6 +45,22 @@ def _sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
             elif idx[j] == idx[j + 1]:
                 return None, 0
     return tuple(idx), sign
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_key(raw_key: Tuple[int, ...], dim: int, degree: int) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """(sorted key, sign) of a term key in a degree-`degree` form over `dim`
+    covectors; (None, 0) when an index repeats, which drops the term before
+    the length and range checks run.  Rejected keys raise and are not cached.
+    """
+    key, sign = _sort_with_sign(raw_key)
+    if sign == 0:
+        return None, 0
+    if len(raw_key) != degree:
+        raise ValueError(f"index tuple {raw_key} has length {len(raw_key)}, expected degree {degree}")
+    if not all(0 <= i < dim for i in raw_key):
+        raise ValueError(f"index tuple {raw_key} out of range for dimension {dim}")
+    return key, sign
 
 
 class ComplexForm:
@@ -66,13 +84,9 @@ class ComplexForm:
         self.degree = degree
         canon: Dict[Tuple[int, ...], complex] = {}
         for raw_key, coeff in (terms or {}).items():
-            key, sign = _sort_with_sign(raw_key)
+            key, sign = _canonical_key(raw_key, dim, degree)
             if sign == 0:
                 continue
-            if len(raw_key) != degree:
-                raise ValueError(f"index tuple {raw_key} has length {len(raw_key)}, expected degree {degree}")
-            if not all(0 <= i < dim for i in raw_key):
-                raise ValueError(f"index tuple {raw_key} out of range for dimension {dim}")
             canon[key] = canon.get(key, 0.0) + sign * complex(coeff)
         self.terms = {k: v for k, v in canon.items() if abs(v) >= ZERO_EPS}
 
@@ -215,7 +229,7 @@ def wedge(a: ComplexForm, b: ComplexForm) -> ComplexForm:
     out: Dict[Tuple[int, ...], complex] = {}
     for ka, va in a.terms.items():
         for kb, vb in b.terms.items():
-            key, sign = _sort_with_sign(ka + kb)
+            key, sign = _canonical_key(ka + kb, a.dim, total)
             if sign == 0:
                 continue
             out[key] = out.get(key, 0.0) + sign * va * vb

@@ -25,6 +25,7 @@ formula paths and the oracle paths share only the coframe itself, so their
 agreement is a genuine cross-check of the structure data.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -242,6 +243,13 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np
     return _assemble_rows(*_base_data(M, t, y[:4], seeds), complex(y[4], y[5]))
 
 
+def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
+    """Raise DegenerateCoframeError unless the Gram determinant of the
+    coframe rows B and their conjugates is finite and clear of zero."""
+    if not abs(np.linalg.det(np.vstack([B, np.conj(B)]))) > 1e-8:
+        raise DegenerateCoframeError(y, "coframe degenerated (Gram determinant ~ 0)")
+
+
 def _row_form(row: np.ndarray) -> ComplexForm:
     return ComplexForm(6, 1, {(m,): row[m] for m in range(6) if row[m] != 0.0})
 
@@ -349,8 +357,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     fr = lc.frame
     om_t, om_lc, _ = omega_tilde_coord(M, x, t, seeds=seeds, lc=lc)
     B = _assemble_rows(fr.eta, complex_connection_matrix(om_t), zeta)
-    if not abs(np.linalg.det(np.vstack([B, np.conj(B)]))) > 1e-8:
-        raise DegenerateCoframeError(y, "coframe degenerated (Gram determinant ~ 0)")
+    _check_gram(B, y)
 
     mu_coord = mu_from_omega(om_lc)
     mu6 = ComplexForm(6, 1, {(m,): mu_coord[m] for m in range(4) if mu_coord[m] != 0.0})
@@ -626,6 +633,14 @@ class CoframeSweep:
     crossing and Nijenhuis value is then algebraic in one sweep.  The
     fiber-direction stencil points sit at the base point x0 bit for bit,
     so they share its base data (frame and connection matrix).
+
+    The building-block forms `W_forms` and `dW_forms` do not depend on i
+    or lambda; each is built once, on first use, and shared by every K, dK,
+    K ^ dK and zero crossing of the sweep.  Callers must not mutate them;
+    the assembled K and dK are fresh forms.
+
+    Raises DegenerateCoframeError when the Gram determinant of B at the
+    point is near zero or not finite, or when dB is not finite.
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
@@ -639,13 +654,15 @@ class CoframeSweep:
         fiber = lambda y: _assemble_rows(*base0, complex(y[4], y[5]))  # noqa: E731
         field = lambda y: coframe_rows(M, t, y, seeds=seeds)  # noqa: E731
         self.B0 = fiber(self.y0)
+        _check_gram(self.B0, self.y0)
         self.dB = np.stack([be.partial(field if p < 4 else fiber, self.y0, p) for p in range(6)])
+        if not np.all(np.isfinite(self.dB)):
+            raise DegenerateCoframeError(self.y0, "coframe derivative not finite")
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
-    def _W(self, a: int, B: Optional[np.ndarray] = None) -> np.ndarray:
-        B = self.B0 if B is None else B
-        r = B[a]
+    def _W(self, a: int) -> np.ndarray:
+        r = self.B0[a]
         out = np.einsum("m,n->mn", r, np.conj(r))
         out = out - out.T
         return -out if a == 1 else out     # W_2 = conj(phi^2) ^ phi^2
@@ -656,10 +673,17 @@ class CoframeSweep:
         out = out - out.T
         return -out if a == 1 else out
 
-    def W_form(self, a: int) -> ComplexForm:
-        return _matrix_two_form(self._W(a))
+    @functools.cached_property
+    def W_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+        """(W_1, W_2, W_3) at the bundle point, built on first use."""
+        return tuple(_matrix_two_form(self._W(a)) for a in range(3))
 
-    def dW_form(self, a: int) -> ComplexForm:
+    @functools.cached_property
+    def dW_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+        """(dW_1, dW_2, dW_3) by the product rule, built on first use."""
+        return tuple(self._dW_form(a) for a in range(3))
+
+    def _dW_form(self, a: int) -> ComplexForm:
         dWp = [self._dW_partial(p, a) for p in range(6)]
         terms = {}
         for p in range(6):
@@ -674,13 +698,13 @@ class CoframeSweep:
 
     def K(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         l1, l2, l3 = _lambdas(lam)
-        return (self.W_form(0) * (l1 ** 2) + self.W_form(1) * (_EPS2[i] * l2 ** 2)
-                + self.W_form(2) * (_EPS3[i] * l3 ** 2)) * 1j
+        W1, W2, W3 = self.W_forms
+        return (W1 * (l1 ** 2) + W2 * (_EPS2[i] * l2 ** 2) + W3 * (_EPS3[i] * l3 ** 2)) * 1j
 
     def dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         l1, l2, l3 = _lambdas(lam)
-        return (self.dW_form(0) * (l1 ** 2) + self.dW_form(1) * (_EPS2[i] * l2 ** 2)
-                + self.dW_form(2) * (_EPS3[i] * l3 ** 2)) * 1j
+        dW1, dW2, dW3 = self.dW_forms
+        return (dW1 * (l1 ** 2) + dW2 * (_EPS2[i] * l2 ** 2) + dW3 * (_EPS3[i] * l3 ** 2)) * 1j
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return wedge(self.K(i, lam), self.dK(i, lam))
@@ -936,8 +960,9 @@ def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
     defect is lambda-independent and `residual` reports |A|).
     """
     sw = sweep or CoframeSweep(M, conn, z, seeds=seeds)
-    A = (sw.dW_form(0) + sw.dW_form(1) * _EPS2[i]) * 1j
-    Bf = sw.dW_form(2) * (1j * _EPS3[i])
+    dW1, dW2, dW3 = sw.dW_forms
+    A = (dW1 + dW2 * _EPS2[i]) * 1j
+    Bf = dW3 * (1j * _EPS3[i])
     keys = set(A.terms) | set(Bf.terms)
     av = np.array([A.terms.get(k, 0.0) for k in sorted(keys)])
     bv = np.array([Bf.terms.get(k, 0.0) for k in sorted(keys)])

@@ -235,6 +235,23 @@ def test_scan_accepts_explicit_grid_values(capsys):
     assert doc["grid"] == [1.0, 2.0]
 
 
+def test_scan_takes_one_dK_per_structure_parameter_and_point(monkeypatch, capsys):
+    from twistorlab.twistor import CoframeSweep
+    calls = [0]
+    dK = CoframeSweep.dK
+
+    def counted(self, i, lam):
+        calls[0] += 1
+        return dK(self, i, lam)
+
+    monkeypatch.setattr(CoframeSweep, "dK", counted)
+    code, doc = run_json(["scan", "--surface", "hopf", "--connection", "chern",
+                          "--lambda-range", "0.5:2", "--grid", "5", "--points", "2"], capsys)
+    assert code == 0
+    # one per (i, lambda, point) for the rows, two per (i, point) for the crossing
+    assert calls[0] == 4 * 5 * 2 + 4 * 2 * 2
+
+
 def test_scan_rejects_an_empty_grid(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scan", "--surface", "flat_c2"])
@@ -330,21 +347,60 @@ def test_surface_invariant_violation_exits_three(tmp_path, capsys):
     assert "surface invariant violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_degenerate_coframe_exits_three_with_one_line(tmp_path, flags):
+def assert_singular_surface_exits_three(tmp_path, flags, argv):
     path = tmp_path / "singular.surf"
     path.write_text(SINGULAR_SURFACE)
     src = os.path.dirname(os.path.dirname(twistorlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "twistorlab.cli", "report",
-         "--surface", str(path), "--points", "5"],
+        [sys.executable, *flags, "-m", "twistorlab.cli", argv[0],
+         "--surface", str(path), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 3
+    assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("twistorlab: surface invariant violation at bundle point [0.0, ")
     assert "Gram determinant" in lines[0]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degenerate_coframe_exits_three_with_one_line(tmp_path, flags):
+    assert_singular_surface_exits_three(tmp_path, flags, ["report", "--points", "5"])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_scan_on_a_singular_surface_exits_three_with_one_line(tmp_path, flags):
+    assert_singular_surface_exits_three(
+        tmp_path, flags, ["scan", "--lambda-range", "1:2", "--grid", "3", "--points", "5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--surface", "cp2_fs", "--points", "0"],
+    ["report", "--surface", "cp2_fs", "--points", "-1"],
+    ["scan", "--surface", "cp2_fs", "--lambda", "1", "--points", "0"],
+    ["verify", "--suite", "oracle", "--points", "0"],
+    ["report", "--surface", "cp2_fs", "--lambda", "nan"],
+    ["report", "--surface", "cp2_fs", "--lambda", "inf"],
+    ["report", "--surface", "cp2_fs", "--lambda1", "1", "--lambda2", "nan", "--lambda3", "1"],
+    ["scan", "--surface", "cp2_fs", "--lambda", "nan"],
+    ["scan", "--surface", "cp2_fs", "--lambda-range", "1:inf"],
+    ["scan", "--surface", "cp2_fs", "--lambda-range", "nan:2"],
+    ["appendix", "--lambda", "nan"],
+    ["report", "--surface", "cp2_fs", "--tol", "nan"],
+    ["report", "--surface", "cp2_fs", "--tol", "0"],
+    ["report", "--surface", "cp2_fs", "--nijenhuis-tol", "nan"],
+    ["report", "--surface", "cp2_fs", "--nijenhuis-tol", "-0.5"],
+    ["scan", "--surface", "cp2_fs", "--lambda", "1", "--tol", "inf"],
+    ["verify", "--suite", "algebra", "--tol", "nan"],
+])
+def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "twistorlab: error: " in captured.err
 
 
 def test_surface_syntax_error_is_a_usage_error(tmp_path, capsys):

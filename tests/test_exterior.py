@@ -65,6 +65,99 @@ def test_unsorted_key_canonicalization():
     assert ComplexForm(4, 2, {(1, 1): 5.0}).terms == {}
 
 
+# the uncached canonicalization path, kept verbatim as the reference for
+# the memoized one: a repeated index drops the term before the length and
+# range checks run
+def _reference_sort(indices):
+    idx = list(indices)
+    sign = 1
+    for i in range(len(idx)):
+        for j in range(len(idx) - 1 - i):
+            if idx[j] > idx[j + 1]:
+                idx[j], idx[j + 1] = idx[j + 1], idx[j]
+                sign = -sign
+            elif idx[j] == idx[j + 1]:
+                return None, 0
+    return tuple(idx), sign
+
+
+def _reference_terms(dim, degree, terms):
+    canon = {}
+    for raw_key, coeff in terms.items():
+        key, sign = _reference_sort(raw_key)
+        if sign == 0:
+            continue
+        if len(raw_key) != degree:
+            raise ValueError(f"index tuple {raw_key} has length {len(raw_key)}, expected degree {degree}")
+        if not all(0 <= i < dim for i in raw_key):
+            raise ValueError(f"index tuple {raw_key} out of range for dimension {dim}")
+        canon[key] = canon.get(key, 0.0) + sign * complex(coeff)
+    return {k: v for k, v in canon.items() if abs(v) >= 1e-14}
+
+
+def _reference_wedge_terms(a, b):
+    total = a.degree + b.degree
+    if total > a.dim:
+        return _reference_terms(a.dim, a.dim, {})
+    out = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            key, sign = _reference_sort(ka + kb)
+            if sign == 0:
+                continue
+            out[key] = out.get(key, 0.0) + sign * va * vb
+    return _reference_terms(a.dim, total, out)
+
+
+def _bits(terms):
+    """Terms in insertion order with coefficients as exact hex strings."""
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in terms.items()]
+
+
+def _outcome(build):
+    try:
+        return "ok", _bits(build())
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_coeffs = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _raw_terms(draw, dim, degree, valid):
+    """Term dicts with unsorted and repeated keys; unless `valid`, also keys
+    of the wrong length or with out-of-range indices."""
+    if valid:
+        index, size = st.integers(0, dim - 1), st.just(degree)
+    else:
+        index, size = st.integers(-1, dim), st.integers(max(0, degree - 1), degree + 1)
+    n = draw(size)
+    keys = st.lists(index, min_size=n, max_size=n).map(tuple)
+    return draw(st.dictionaries(keys, _coeffs, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([4, 6, 8]), st.booleans())
+def test_canonicalization_matches_the_uncached_path(data, dim, valid):
+    degree = data.draw(st.integers(0, min(dim, 4)))
+    terms = data.draw(_raw_terms(dim, degree, valid))
+    want = _outcome(lambda: _reference_terms(dim, degree, terms))
+    for _ in range(2):                # a cache miss, then a hit
+        assert _outcome(lambda: ComplexForm(dim, degree, terms).terms) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([4, 6, 8]))
+def test_wedge_matches_the_uncached_path(data, dim):
+    p, q = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a = ComplexForm(dim, p, data.draw(_raw_terms(dim, p, True)))
+    b = ComplexForm(dim, q, data.draw(_raw_terms(dim, q, True)))
+    want = _bits(_reference_wedge_terms(a, b))
+    assert _bits(wedge(a, b).terms) == want
+    assert _bits(wedge(a, b).terms) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]))
 def test_wedge_associativity(seed, degrees):

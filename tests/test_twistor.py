@@ -301,6 +301,39 @@ def test_one_coframe_sweep_per_bundle_point():
     assert evaluations(tw.condition_report, M, "lichnerowicz", [1.0, SQ2], pts) == parts
 
 
+def test_sweep_builds_each_building_block_once(monkeypatch):
+    calls = [0]
+    partial = tw.CoframeSweep._dW_partial
+
+    def counted(self, p, a):
+        calls[0] += 1
+        return partial(self, p, a)
+
+    monkeypatch.setattr(tw.CoframeSweep, "_dW_partial", counted)
+    sw = tw.CoframeSweep(surface("hopf"), "chern", zpt("hopf"))
+    for i in (1, 2, 3, 4):
+        for lam in (0.5, 1.0, (1.3, 0.7, 2.1)):
+            sw.K(i, lam)
+            sw.dK(i, lam)
+            sw.K_wedge_dK(i, lam)
+        tw.lambda_zero_crossing(i, sw.M, "chern", zpt("hopf"), sweep=sw)
+    assert calls[0] == 6 * 3          # six partials for each of the three blocks
+
+
+@pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
+def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
+    sw = tw.CoframeSweep(surface(name), conn, zpt(name))
+    first = sw.dK(3, SQ2)
+    first.terms.clear()                       # a caller scribbling on its result
+    sw.K(3, SQ2).terms.clear()
+    fresh = tw.CoframeSweep(surface(name), conn, zpt(name))
+    for i in (1, 2, 3, 4):
+        for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
+            assert sw.dK(i, lam).terms == fresh.dK(i, lam).terms
+            assert sw.K(i, lam).terms == fresh.K(i, lam).terms
+    assert sw.dK(3, SQ2).terms == fresh.dK(3, SQ2).terms != {}
+
+
 def test_complex_residue_is_a_typed_error():
     # phi^1 within 1e-11 of phi^2: J_3 is ill-conditioned far beyond the bound
     co = coframe("hopf", "chern")

@@ -7,8 +7,9 @@ input; 3 surface invariant violation (the offending check is named).
 Reports are emitted as versioned JSON (``schema: 1``) with every float
 printed to 17 significant digits, or as aligned text tables.  File output is
 written to a temporary file and renamed, so a crashed run never leaves a
-truncated report behind.  ``TWISTORLAB_THREADS`` caps the worker pool used
-for the independent per-surface jobs.
+truncated report behind.  ``TWISTORLAB_THREADS`` sets the worker pool used
+for the independent per-surface jobs; it defaults to 1, because the jobs
+hold the interpreter lock and a pool only adds overhead.
 """
 
 import argparse
@@ -137,7 +138,7 @@ def _envelope(command: str, payload: Dict[str, object]) -> Dict[str, object]:
 def thread_cap() -> int:
     raw = os.environ.get("TWISTORLAB_THREADS", "").strip()
     if not raw:
-        return min(4, os.cpu_count() or 1)
+        return 1
     try:
         cap = int(raw)
     except ValueError:
@@ -199,13 +200,15 @@ def load_surface(args, parser: argparse.ArgumentParser) -> HermitianSurface:
 
 
 def check_numbers(args, parser: argparse.ArgumentParser) -> None:
-    """Reject sample counts below 1, non-finite fiber scales and non-positive
-    or non-finite tolerances; every test is written so that NaN fails it."""
+    """Reject sample counts below 1, non-finite fiber scales and family
+    parameters, and non-positive or non-finite tolerances; every test is
+    written so that NaN fails it."""
     points = getattr(args, "points", None)
     if points is not None and not points >= 1:
         parser.error(f"--points must be at least 1, got {points}")
     scales = [("--lambda", v) for v in getattr(args, "lam", None) or []]
     scales += [(f"--lambda{n}", getattr(args, f"lambda{n}", None)) for n in (1, 2, 3)]
+    scales.append(("--t", getattr(args, "t", None)))
     for flag, v in scales:
         if v is not None and not math.isfinite(v):
             parser.error(f"{flag} must be a finite number, got {v}")
@@ -553,26 +556,30 @@ def _suite_appendix() -> List[Dict[str, object]]:
     return checks
 
 
-def _oracle_job(job) -> Dict[str, object]:
-    surface, conn, n_points, seed, tol = job
+def _oracle_job(job) -> List[Dict[str, object]]:
+    """The Lichnerowicz and Chern checks of one surface, built once so that
+    both connections share its point memo."""
+    surface, n_points, seed, tol = job
     M = builtin(surface, c=2.0) if surface in ("cp2_fs", "ch2") else builtin(surface)
     points = sample_twistor_points(M, n_points, seed=seed)
-    worst = 0.0
-    for z in points:
-        sw = CoframeSweep(M, conn, z)
-        co = twistor_coframe(M, conn, z, with_structure=True)
-        for i in (1, 2, 3, 4):
-            for lam in (0.5, 1.0, math.sqrt(2.0)):
-                worst = max(worst, (dK_formula(i, lam, co) - sw.dK(i, lam)).norm())
-    return _check(f"oracle:{surface}:{conn}", worst, tol,
-                  detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}")
+    checks = []
+    for conn in ("lichnerowicz", "chern"):
+        worst = 0.0
+        for z in points:
+            sw = CoframeSweep(M, conn, z)
+            co = twistor_coframe(M, conn, z, with_structure=True)
+            for i in (1, 2, 3, 4):
+                for lam in (0.5, 1.0, math.sqrt(2.0)):
+                    worst = max(worst, (dK_formula(i, lam, co) - sw.dK(i, lam)).norm())
+        checks.append(_check(f"oracle:{surface}:{conn}", worst, tol,
+                             detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
+    return checks
 
 
 def _suite_oracle(n_points: int, seed: int, tol: float) -> List[Dict[str, object]]:
-    jobs = [(surface, conn, n_points, seed, tol)
-            for surface in ("flat_c2", "cp2_fs", "ch2", "hopf")
-            for conn in ("lichnerowicz", "chern")]
-    return _parallel_map(_oracle_job, jobs)
+    jobs = [(surface, n_points, seed, tol)
+            for surface in ("flat_c2", "cp2_fs", "ch2", "hopf")]
+    return [check for checks in _parallel_map(_oracle_job, jobs) for check in checks]
 
 
 def _random_form(rng: np.random.Generator, dim: int, degree: int) -> ComplexForm:

@@ -33,6 +33,7 @@ from twistorlab.manifold import (
     coordinate_fundamental_matrix,
     dF_form,
     lee_form,
+    point_memo,
 )
 
 CONNECTION_T = {"lichnerowicz": 0.0, "chern": 1.0, "bismut": -1.0}
@@ -92,6 +93,7 @@ def complexify(tensor: np.ndarray, pattern: str) -> complex:
 # Levi-Civita connection
 # ======================================================================
 
+@point_memo
 def christoffel(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma[mu, nu, rho] = Gamma^mu_{nu rho} at x (FD of the metric)."""
     x = np.asarray(x, dtype=float)
@@ -258,6 +260,7 @@ def mu_from_omega(omega_coord: np.ndarray) -> np.ndarray:
                   - 1j * (omega_coord[1, 2] + omega_coord[0, 3]))
 
 
+@point_memo
 def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
                       lc: Optional[LeviCivitaData] = None) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
     """(omega_tilde, lc_omega, frame) at x: D^t and Levi-Civita forms in coordinates."""

@@ -22,7 +22,7 @@ with the diagonal generators mapped to their own negatives.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -173,16 +173,17 @@ def structure_equation_residual(g: Union[SU3Element, np.ndarray],
     def sigma(s: float, t: float) -> np.ndarray:
         return g.g @ _expm_su3(s * X) @ _expm_su3(t * Y)
 
+    def central(f: Callable[[float], np.ndarray]) -> np.ndarray:
+        # order-4 central difference at 0, with the weights of DiffBackend
+        return (-f(2 * h) + 8.0 * f(h) - 8.0 * f(-h) + f(-2 * h)) / (12.0 * h)
+
     def w_ds(s: float, t: float) -> np.ndarray:
-        d = (sigma(s + h, t) - sigma(s - h, t)) / (2.0 * h)
-        return np.conj(sigma(s, t).T) @ d
+        return np.conj(sigma(s, t).T) @ central(lambda e: sigma(s + e, t))
 
     def w_dt(s: float, t: float) -> np.ndarray:
-        d = (sigma(s, t + h) - sigma(s, t - h)) / (2.0 * h)
-        return np.conj(sigma(s, t).T) @ d
+        return np.conj(sigma(s, t).T) @ central(lambda e: sigma(s, t + e))
 
-    dw = (w_dt(h, 0.0) - w_dt(-h, 0.0)) / (2.0 * h) \
-        - (w_ds(0.0, h) - w_ds(0.0, -h)) / (2.0 * h)
+    dw = central(lambda e: w_dt(e, 0.0)) - central(lambda e: w_ds(0.0, e))
     ws, wt = w_ds(0.0, 0.0), w_dt(0.0, 0.0)
     return float(np.max(np.abs(dw + (ws @ wt - wt @ ws))))
 

@@ -25,6 +25,8 @@ Expression grammar:
     func   := sin | cos | exp | log | sqrt | tanh
 """
 
+import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -261,13 +263,73 @@ class DiffBackend:
         return DiffBackend(order=self.order, step=step, scheme=self.scheme)
 
 
+# entries a surface's point memo holds before it is cleared; a two-point
+# report, scan or verify oracle job leaves fewer than 900 on its surface
+POINT_MEMO_LIMIT = 4096
+
+
+def _freeze(value):
+    """Make every array in a result read-only: arrays, tuples and frozen
+    dataclasses of them."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _freeze(getattr(value, field.name))
+    return value
+
+
+def point_memo(fn):
+    """Memoize a pure point function fn(M, x, *params) in the memo of M.
+
+    The key is (fn, the bytes of x as float, params), so a value is computed
+    once per surface and exact point, however many FD stencils reach it.
+    The first call computes it with the same operations in the same order
+    as an unmemoized call; the stored result is made read-only and later
+    calls return it as is.  Exceptions are not stored, so every check runs
+    until a point has been evaluated successfully.  A call with a keyword
+    option that is not None (explicit `seeds`, a supplied `lc`) bypasses
+    the memo.  The memo is only read with `get`, written by item assignment
+    and cleared whole when it reaches POINT_MEMO_LIMIT entries; it is never
+    iterated, so threads may share a surface.
+    """
+    @functools.wraps(fn)
+    def memoized(M, x, *params, **options):
+        if any(v is not None for v in options.values()):
+            return fn(M, x, *params, **options)
+        x = np.array(x, dtype=float)
+        key = (fn, x.tobytes(), *params)
+        memo = M._point_memo
+        value = memo.get(key)
+        if value is None:
+            value = _freeze(fn(M, x, *params))
+            if len(memo) >= POINT_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = value
+        return value
+    return memoized
+
+
 class HermitianSurface:
     """A Hermitian surface on a chart: metric field + complex-structure field.
 
-    Instances are immutable and all evaluation is pure; sampling in parallel
-    is safe.  Construction validates the Hermitian-surface invariants on a
+    Construction validates the Hermitian-surface invariants on a
     deterministic 16-point Latin-hypercube sample and raises with the
     offending point and check on failure.
+
+    Each surface owns a private point memo (`point_memo`): the metric, the
+    adapted frame, the coordinate fundamental matrix, the Christoffel
+    symbols and the D^t connection forms are computed once per exact point
+    and stored read-only.  This relies on the surface being immutable: its
+    chart, metric and J callables and backend must not be replaced after
+    construction, and the callables must be pure.  The metric stores its own
+    copy, so an array returned by the metric callable is never frozen.  The
+    memo lives and dies with the surface, is cleared whole when it reaches
+    POINT_MEMO_LIMIT entries and is safe to share between threads, so
+    sampling in parallel is safe.
     """
 
     def __init__(self, chart: ChartSpec,
@@ -284,10 +346,12 @@ class HermitianSurface:
         self.params = dict(params or {})
         self.backend = backend or DiffBackend()
         self.source_text = source_text
+        self._point_memo: Dict[tuple, object] = {}
         self._validate_samples()
 
+    @point_memo
     def metric(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._metric(np.asarray(x, dtype=float)), dtype=float)
+        return np.array(self._metric(x), dtype=float)
 
     def J(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._J(np.asarray(x, dtype=float)), dtype=float)
@@ -563,6 +627,7 @@ class UnitaryFrame:
     eta: np.ndarray      # (2, 4) complex, rows eta^1, eta^2
 
 
+@point_memo
 def adapted_frame(M: HermitianSurface, x: np.ndarray,
                   seeds: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> UnitaryFrame:
     """Modified Gram-Schmidt construction of a J-adapted orthonormal frame.
@@ -619,6 +684,7 @@ def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) ->
     return ComplexForm(4, 2, {(0, 1): 1.0, (2, 3): 1.0})
 
 
+@point_memo
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates."""
     g = M.metric(x)

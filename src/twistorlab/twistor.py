@@ -211,12 +211,6 @@ def _mobius12(P: np.ndarray, zeta: complex) -> np.ndarray:
     return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - zb * zb * P[1, 0]) / N2
 
 
-def _base_data(M: HermitianSurface, t: float, x: np.ndarray, seeds=None) -> Tuple[np.ndarray, np.ndarray]:
-    """(eta, psi) at x: the adapted (1,0)-coframe and the D^t connection matrix."""
-    om_t, _, fr = omega_tilde_coord(M, x, t, seeds=seeds)
-    return fr.eta, complex_connection_matrix(om_t)
-
-
 def _assemble_rows(eta: np.ndarray, psi: np.ndarray, zeta: complex) -> np.ndarray:
     """The coframe matrix B from base data (eta, psi) and the fiber coordinate."""
     N2 = 1.0 + abs(zeta) ** 2
@@ -240,7 +234,8 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np
     is -d conj(zeta) / (1 + |zeta|^2).
     """
     y = np.asarray(y, dtype=float)
-    return _assemble_rows(*_base_data(M, t, y[:4], seeds), complex(y[4], y[5]))
+    om_t, _, fr = omega_tilde_coord(M, y[:4], t, seeds=seeds)
+    return _assemble_rows(fr.eta, complex_connection_matrix(om_t), complex(y[4], y[5]))
 
 
 def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
@@ -288,6 +283,11 @@ class TwistorCoframe:
     (v_1, v_2), which is the frame the derivative formulas are written in;
     `mu` needs no rotation (the fiber rotation acts trivially on that part
     of the connection and contributes no fiber components).
+
+    The building-block forms `W_forms` and their closed-form derivatives
+    `dW_forms` do not depend on i or lambda; each is built once, on first
+    use, and shared by every `K_form` and `dK_formula` of the coframe.
+    Callers must not mutate them; the assembled K and dK are fresh forms.
     """
 
     surface: HermitianSurface
@@ -322,6 +322,16 @@ class TwistorCoframe:
 
     def h_matrix(self, lam: Union[float, Sequence[float]]) -> np.ndarray:
         return h_lambda_matrix(self, lam)
+
+    @functools.cached_property
+    def W_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+        """(W_1, W_2, W_3) from the coframe rows, built on first use."""
+        return _W_forms(self.B)
+
+    @functools.cached_property
+    def dW_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+        """(dW_1, dW_2, dW_3) from the structure data, built on first use."""
+        return _structure_dW(self)
 
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
@@ -468,7 +478,7 @@ def _W_forms(B: np.ndarray) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
 def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:
     """The fundamental 2-form K_i(lambda) over the chart coordinates."""
     l1, l2, l3 = _lambdas(lam)
-    W1, W2, W3 = _W_forms(coframe.B)
+    W1, W2, W3 = coframe.W_forms
     return (W1 * (l1 ** 2) + W2 * (_EPS2[i] * l2 ** 2) + W3 * (_EPS3[i] * l3 ** 2)) * 1j
 
 
@@ -516,7 +526,7 @@ def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCofra
     member has no displayed closed form and is served by `dK_oracle`.
     """
     l1, l2, l3 = _lambdas(lam)
-    dW1, dW2, dW3 = _structure_dW(coframe)
+    dW1, dW2, dW3 = coframe.dW_forms
     return (dW1 * (l1 ** 2) + dW2 * (_EPS2[i] * l2 ** 2) + dW3 * (_EPS3[i] * l3 ** 2)) * 1j
 
 
@@ -632,7 +642,7 @@ class CoframeSweep:
     partials from the adapted rows; every dK_i(lambda), K_i ^ dK_i, zero
     crossing and Nijenhuis value is then algebraic in one sweep.  The
     fiber-direction stencil points sit at the base point x0 bit for bit,
-    so they share its base data (frame and connection matrix).
+    so the surface's point memo serves them the base data of x0.
 
     The building-block forms `W_forms` and `dW_forms` do not depend on i
     or lambda; each is built once, on first use, and shared by every K, dK,
@@ -650,12 +660,10 @@ class CoframeSweep:
         self.M = M
         self.y0 = z.chart_coordinates()
         be = backend or M.backend
-        base0 = _base_data(M, t, self.y0[:4], seeds)
-        fiber = lambda y: _assemble_rows(*base0, complex(y[4], y[5]))  # noqa: E731
         field = lambda y: coframe_rows(M, t, y, seeds=seeds)  # noqa: E731
-        self.B0 = fiber(self.y0)
+        self.B0 = field(self.y0)
         _check_gram(self.B0, self.y0)
-        self.dB = np.stack([be.partial(field if p < 4 else fiber, self.y0, p) for p in range(6)])
+        self.dB = np.stack([be.partial(field, self.y0, p) for p in range(6)])
         if not np.all(np.isfinite(self.dB)):
             raise DegenerateCoframeError(self.y0, "coframe derivative not finite")
 

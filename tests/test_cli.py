@@ -11,7 +11,7 @@ import pytest
 
 import twistorlab
 from twistorlab import __version__
-from twistorlab.cli import dump_json, main
+from twistorlab.cli import dump_json, main, thread_cap
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -299,6 +299,11 @@ def test_verify_respects_thread_cap(capsys, monkeypatch):
     assert code == 0
 
 
+def test_thread_cap_defaults_to_one(monkeypatch):
+    monkeypatch.delenv("TWISTORLAB_THREADS", raising=False)
+    assert thread_cap() == 1
+
+
 def test_malformed_thread_cap_is_rejected(capsys, monkeypatch):
     monkeypatch.setenv("TWISTORLAB_THREADS", "zero")
     with pytest.raises(SystemExit) as err:
@@ -393,6 +398,8 @@ def test_scan_on_a_singular_surface_exits_three_with_one_line(tmp_path, flags):
     ["report", "--surface", "cp2_fs", "--nijenhuis-tol", "-0.5"],
     ["scan", "--surface", "cp2_fs", "--lambda", "1", "--tol", "inf"],
     ["verify", "--suite", "algebra", "--tol", "nan"],
+    ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "nan", "--points", "1"],
+    ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "inf", "--points", "1"],
 ])
 def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:

@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from twistorlab import connection as cn
 from twistorlab import manifold as mf
+from twistorlab import twistor as tw
 from twistorlab.exterior import ComplexForm
 
 
@@ -341,3 +346,120 @@ def test_backend_validation():
         mf.DiffBackend(order=3)
     with pytest.raises(ValueError, match="step must be positive"):
         mf.DiffBackend(step=0.0)
+
+
+# ----------------------------------------------------------------------
+# the per-surface point memo
+# ----------------------------------------------------------------------
+
+class ForgetfulMemo(dict):
+    """A memo cleared before every lookup: every call recomputes."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+def _memo_results(M, x, zeta=0.3 + 0.2j):
+    """Arrays from every memoized layer and from the stacks built on them."""
+    fr = mf.adapted_frame(M, x)
+    om_t, om_lc, fr_t = cn.omega_tilde_coord(M, x, 1.0)
+    z = tw.TwistorPoint.from_zeta(x, zeta)
+    sw = tw.CoframeSweep(M, "chern", z)
+    co = tw.twistor_coframe(M, "chern", z)
+    return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
+            fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta,
+            cn.levi_civita(M, x).R, sw.B0, sw.dB, co.B,
+            tw.dK_formula(3, 1.5, co).to_array(), sw.dK(3, 1.5).to_array()]
+
+
+@pytest.mark.parametrize("name,x", [("cp2_fs", [0.21, -0.13, 0.08, 0.17]),
+                                    ("hopf", [0.62, 0.55, 0.71, 0.68])])
+def test_memoized_results_are_bit_identical_to_recomputed_ones(name, x):
+    x = np.array(x)
+    memoized = mf.builtin(name)
+    recomputed = mf.builtin(name)
+    recomputed._point_memo = ForgetfulMemo()
+    for twice in range(2):          # the second pass is served from the memo
+        for a, b in zip(_memo_results(memoized, x), _memo_results(recomputed, x)):
+            assert np.array_equal(a, b)
+
+
+def test_stored_arrays_are_read_only_and_inputs_stay_writable():
+    G = 2.0 * np.eye(4)
+    M = mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                            lambda x: G, lambda x: mf.J_STANDARD)
+    x = np.array([0.1, 0.2, -0.3, 0.4])
+    fr = mf.adapted_frame(M, x)
+    stored = [M.metric(x), cn.christoffel(M, x), mf.coordinate_fundamental_matrix(M, x),
+              fr.point, fr.E, fr.theta, fr.U, fr.eta, *cn.omega_tilde_coord(M, x, 0.0)[:2]]
+    for arr in stored:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert G.flags.writeable and M.metric(x) is not G      # the callable's array
+    assert x.flags.writeable and fr.point is not x          # the caller's point
+    x[0] = 0.5
+    assert mf.adapted_frame(M, np.array([0.1, 0.2, -0.3, 0.4])) is fr
+
+
+def test_overflowing_the_memo_clears_it_and_results_stay_correct(monkeypatch):
+    x = np.array([0.21, -0.13, 0.08, 0.17])
+    expected = cn.levi_civita(mf.builtin("cp2_fs"), x).R
+    monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 8)
+    M = mf.builtin("cp2_fs")
+    sizes = []
+    metric = M._metric
+    M._metric = lambda p: (sizes.append(len(M._point_memo)), metric(p))[1]
+    assert np.array_equal(cn.levi_civita(M, x).R, expected)
+    assert max(sizes) == 8 and len(M._point_memo) <= 8
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))   # cleared
+
+
+def test_explicit_seeds_and_supplied_data_bypass_the_memo():
+    M = mf.builtin("hopf")
+    x = np.array([0.62, 0.55, 0.71, 0.68])
+    memoized = mf.adapted_frame(M, x)
+    size = len(M._point_memo)
+    seeded = mf.adapted_frame(M, x, seeds=mf.DEFAULT_SEEDS)
+    assert seeded is not memoized and seeded.E.flags.writeable
+    assert np.array_equal(seeded.E, memoized.E)
+    assert len(M._point_memo) == size
+    lc = cn.levi_civita(M, x)
+    stored = cn.omega_tilde_coord(M, x, 1.0)
+    size = len(M._point_memo)
+    om_t, om_lc, _ = cn.omega_tilde_coord(M, x, 1.0, lc=lc)
+    assert om_t.flags.writeable and om_lc is lc.omega_coord
+    assert len(M._point_memo) == size
+    assert np.array_equal(om_t, stored[0])
+
+
+def test_threads_sharing_a_surface_get_the_serial_results(monkeypatch):
+    points = mf.builtin("hopf").chart.interior_points(6, seed=3)
+    expected = [cn.christoffel(mf.builtin("hopf"), x) for x in points]
+    monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 16)     # clears race with stores
+    M = mf.builtin("hopf")
+    errors, mismatches = [], []
+
+    def work(k):
+        try:
+            for n in range(len(points)):
+                j = (n + k) % len(points)
+                if not np.array_equal(cn.christoffel(M, points[j]), expected[j]):
+                    mismatches.append(j)
+        except Exception as exc:    # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and mismatches == []
+    assert len(M._point_memo) <= 16 + len(threads)

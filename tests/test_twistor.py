@@ -274,31 +274,59 @@ def test_sweep_partials_match_the_coframe_field(name, conn):
         assert np.array_equal(sweep(name, conn).dB[p], M.backend.partial(field, y0, p))
 
 
-def test_one_coframe_sweep_per_bundle_point():
-    base = surface("cp2_fs")
-    calls = [0]
+def counting_surface(name):
+    """A fresh copy of a built-in surface whose metric callable records the
+    bytes of every point that reaches it."""
+    base = surface(name)
+    seen = []
 
     def metric(x):
-        calls[0] += 1
-        return base.metric(x)
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return base._metric(x)
 
     M = HermitianSurface(base.chart, metric, base.J, name=base.name,
                          params=base.params, backend=base.backend)
+    return M, seen
 
-    def evaluations(fn, *args):
-        before = calls[0]
-        fn(*args)
-        return calls[0] - before
 
-    pts = tw.sample_twistor_points(M, 2, seed=0)
-    field = evaluations(tw.coframe_rows, M, 0.0, pts[0].chart_coordinates())
-    # the 8 fiber-direction stencil points reuse the base data of the point
-    assert evaluations(tw.CoframeSweep, M, "lichnerowicz", pts[0]) == 17 * field
-    assert evaluations(tw.nijenhuis_oracle, 1, M, "lichnerowicz", pts[0]) == 17 * field
-    parts = sum(evaluations(tw.CoframeSweep, M, "lichnerowicz", z)
-                + evaluations(tw.twistor_coframe, M, "lichnerowicz", z)
-                + evaluations(condition_flags, M, z.x) for z in pts)
-    assert evaluations(tw.condition_report, M, "lichnerowicz", [1.0, SQ2], pts) == parts
+def test_one_coframe_sweep_per_bundle_point(monkeypatch):
+    pts = tw.sample_twistor_points(surface("cp2_fs"), 2, seed=0)
+    report = lambda M: tw.condition_report(M, "lichnerowicz", [1.0, SQ2], pts)  # noqa: E731
+
+    # (a) the report builds exactly one sweep per bundle point
+    built = []
+    init = tw.CoframeSweep.__init__
+
+    def counted(self, M, conn, z, *args, **kwargs):
+        built.append(tuple(z.chart_coordinates()))
+        init(self, M, conn, z, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tw.CoframeSweep, "__init__", counted)
+        report(counting_surface("cp2_fs")[0])
+    assert sorted(built) == sorted(tuple(z.chart_coordinates()) for z in pts)
+
+    # (b) no point reaches the metric callable twice, whichever layer asks
+    M, seen = counting_surface("cp2_fs")
+    tw.coframe_rows(M, 0.0, pts[0].chart_coordinates())
+    for z in pts:
+        tw.CoframeSweep(M, "lichnerowicz", z)
+        tw.nijenhuis_oracle(1, M, "lichnerowicz", z)
+        tw.twistor_coframe(M, "lichnerowicz", z, with_structure=True)
+    report(M)
+    assert len(seen) == len(set(seen))
+
+    # (c) the report evaluates exactly what its parts evaluate together
+    M_parts, parts = counting_surface("cp2_fs")
+    parts.clear()
+    for z in pts:
+        tw.CoframeSweep(M_parts, "lichnerowicz", z)
+        tw.twistor_coframe(M_parts, "lichnerowicz", z)
+        condition_flags(M_parts, z.x)
+    M_report, whole = counting_surface("cp2_fs")
+    whole.clear()
+    report(M_report)
+    assert len(whole) == len(parts) > 0
 
 
 def test_sweep_builds_each_building_block_once(monkeypatch):
@@ -332,6 +360,20 @@ def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
             assert sw.dK(i, lam).terms == fresh.dK(i, lam).terms
             assert sw.K(i, lam).terms == fresh.K(i, lam).terms
     assert sw.dK(3, SQ2).terms == fresh.dK(3, SQ2).terms != {}
+
+
+@pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
+def test_formula_results_do_not_alias_the_shared_forms(name, conn):
+    co = tw.twistor_coframe(surface(name), conn, zpt(name))
+    tw.dK_formula(3, SQ2, co).terms.clear()   # a caller scribbling on its result
+    tw.K_form(3, SQ2, co).terms.clear()
+    fresh = tw.twistor_coframe(surface(name), conn, zpt(name))
+    for i in (1, 2, 3, 4):
+        for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
+            assert tw.dK_formula(i, lam, co).terms == tw.dK_formula(i, lam, fresh).terms
+            assert tw.K_form(i, lam, co).terms == tw.K_form(i, lam, fresh).terms
+    assert co.dW_forms is co.dW_forms and co.W_forms is co.W_forms
+    assert tw.dK_formula(3, SQ2, co).terms == tw.dK_formula(3, SQ2, fresh).terms != {}
 
 
 def test_complex_residue_is_a_typed_error():

@@ -33,8 +33,8 @@ from .flag import (appendix_table, flag_balanced, flag_bidegree_part, flag_conj,
                    structural_ddbar)
 from .manifold import BUILTIN_NAMES, HermitianSurface, SpecSyntaxError, builtin, parse_surface_spec
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
-                      condition_report, dK_formula, normalize_connection,
-                      sample_twistor_points, twistor_coframe)
+                      condition_report, dK_formula, lambda_zero_crossing,
+                      normalize_connection, sample_twistor_points, twistor_coframe)
 
 __all__ = ["main", "build_parser"]
 
@@ -364,44 +364,6 @@ def _render_report_text(doc: Dict[str, object]) -> str:
 # scan
 # ======================================================================
 
-def _affine_dK_family(sw: CoframeSweep, i: int):
-    """Coefficient vectors (P, Q) with dK_i(λ) = P + λ² Q, from two sweeps."""
-    at1 = sw.dK(i, 1.0)
-    at2 = sw.dK(i, math.sqrt(2.0))
-    keys = sorted(set(at1.terms) | set(at2.terms))
-    v1 = np.array([at1.terms.get(k, 0.0) for k in keys])
-    v2 = np.array([at2.terms.get(k, 0.0) for k in keys])
-    Q = v2 - v1
-    P = 2.0 * v1 - v2
-    return P, Q
-
-
-def _bisect_crossing(P: np.ndarray, Q: np.ndarray, lo: float, hi: float,
-                     xtol: float = 1e-6) -> Optional[float]:
-    """Root of the signed fiber coefficient <P + uQ, Q> over u = λ² ∈ [lo, hi]."""
-    qq = float(np.real(np.vdot(Q, Q)))
-    if qq < 1e-18:
-        return None
-    f = lambda u: float(np.real(np.vdot(Q, P))) + u * qq  # noqa: E731
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     M = load_surface(args, parser)
     conn = resolve_connection(args, parser)
@@ -443,13 +405,11 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     crossings: Dict[str, object] = {}
     for i in structures:
         per_point = []
-        for sw in sweeps:
-            P, Q = _affine_dK_family(sw, i)
-            root = _bisect_crossing(P, Q, u_lo, u_hi)
-            if root is None:
+        for z, sw in zip(points, sweeps):
+            root, resid = lambda_zero_crossing(i, M, conn, z, sweep=sw)
+            if root is None or not u_lo <= root <= u_hi:
                 per_point.append(None)
                 continue
-            resid = float(np.linalg.norm(P + root * Q))
             per_point.append({"lambda_sq": root, "lambda": math.sqrt(root),
                               "residual": resid})
         found = [c for c in per_point if c is not None and c["residual"] < args.tol]
@@ -484,7 +444,7 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
         for r in rows:
             lines.append(f"  {r['i']}  {r['lambda']:<10.6g}  {r['symplectic_defect']:<17.6e}"
                          f"  {r['balanced_defect']:.6e}")
-        lines.append("zero crossings (bisection on the fiber coefficient):")
+        lines.append("zero crossings (closed-form root of the fiber coefficient):")
         for i in structures:
             c = crossings[str(i)]
             if c is None:

@@ -31,7 +31,7 @@ from twistorlab.manifold import (
     UnitaryFrame,
     adapted_frame,
     coordinate_fundamental_matrix,
-    dF_form,
+    dF_array,
     lee_form,
     point_memo,
 )
@@ -95,14 +95,14 @@ def complexify(tensor: np.ndarray, pattern: str) -> complex:
 
 @point_memo
 def christoffel(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[mu, nu, rho] = Gamma^mu_{nu rho} at x (FD of the metric)."""
-    x = np.asarray(x, dtype=float)
+    """Christoffel symbols Gamma[mu, nu, rho] = Gamma^mu_{nu rho} (FD of the metric)
+    at an (n, 4) stack of points; `point_memo` serves one point or any stack."""
     g = M.metric(x)
     ginv = np.linalg.inv(g)
-    dg = np.stack([M.backend.partial(M.metric, x, k) for k in range(4)])  # dg[k] = d_k g
+    dg = M.backend.partials(M.metric, x)    # dg[:, k] = d_k g, one metric call for every stencil
     # Gamma^mu_{nu rho} = 1/2 g^{mu la} (d_nu g_{la rho} + d_rho g_{la nu} - d_la g_{nu rho})
-    return 0.5 * np.einsum("ml,nlr->mnr", ginv, dg + np.transpose(dg, (2, 1, 0))
-                           - np.transpose(dg, (1, 0, 2)))
+    return 0.5 * np.einsum("zml,znlr->zmnr", ginv, dg + np.transpose(dg, (0, 3, 2, 1))
+                           - np.transpose(dg, (0, 2, 1, 3)))
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,16 @@ class LeviCivitaData:
         }
 
 
-def _frame_derivatives(M: HermitianSurface, x: np.ndarray,
-                       seeds=None) -> np.ndarray:
-    """dE[nu, mu, j] = d_nu E[mu, j] of the canonical frame field (FD)."""
-    def E_of(p):
-        return adapted_frame(M, p, seeds=seeds).E
-    return np.stack([M.backend.partial(E_of, x, nu) for nu in range(4)])
+def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray,
+              seeds=None) -> np.ndarray:
+    """omega[z, i, j, nu] = h(grad_{d_nu} e_j, e_i) at an (n, 4) stack of points
+    x with metrics g and frames E (n, 4, 4), against the canonical frame field."""
+    Gm = christoffel(M, x)
+    # dE[z, nu, mu, j] = d_nu E[mu, j], one frame call for every stencil
+    dE = M.backend.partials(lambda p: adapted_frame(M, p, seeds=seeds).E, x)
+    # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
+    nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
+    return np.einsum("zml,zmnj,zli->zijn", g, nabla, E)
 
 
 def levi_civita(M: HermitianSurface, x: np.ndarray, seeds=None) -> LeviCivitaData:
@@ -157,50 +161,46 @@ def levi_civita(M: HermitianSurface, x: np.ndarray, seeds=None) -> LeviCivitaDat
 
     Christoffels come from one FD pass over the metric; the curvature comes
     from a second FD pass over the Christoffel field; frame components are
-    produced against the canonical Gram-Schmidt frame field.
+    produced against the canonical Gram-Schmidt frame field.  Both passes
+    evaluate their whole stencil as one stack, and x is the stack of one.
     """
     x = np.asarray(x, dtype=float)
     fr = adapted_frame(M, x, seeds=seeds)
-    g = M.metric(x)
-    Gm = christoffel(M, x)
-
-    dE = _frame_derivatives(M, x, seeds=seeds)
-    # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
-    nabla = np.einsum("nmj->mnj", dE.copy()) + np.einsum("mnr,rj->mnj", Gm, fr.E)
-    omega_coord = np.einsum("ml,mnj,li->ijn", g, nabla, fr.E)
-    omega_frame = np.einsum("ijn,nk->ijk", omega_coord, fr.E)
+    X, E = x[None], fr.E[None]
+    g = M.metric(X)
+    Gm = christoffel(M, X)
+    omega_coord = _lc_forms(M, X, g, E, seeds=seeds)
+    omega_frame = np.einsum("zijn,znk->zijk", omega_coord, E)
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
-    dG = np.stack([M.backend.partial(lambda p: christoffel(M, p), x, k) for k in range(4)])
-    Rup = (np.einsum("rmsn->mnrs", dG) - np.einsum("smrn->mnrs", dG)
-           + np.einsum("mrl,lsn->mnrs", Gm, Gm) - np.einsum("msl,lrn->mnrs", Gm, Gm))
+    dG = M.backend.partials(lambda p: christoffel(M, p), X)     # dG[z, k] = d_k Gamma
+    Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
+           + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
-    Rdn = np.einsum("ml,lnrs->mnrs", g, Rup)
-    Rfr = np.einsum("mnrs,mi,nj,rk,sl->ijkl", Rdn, fr.E, fr.E, fr.E, fr.E)
-    return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=omega_coord,
-                          omega_frame=omega_frame, R=Rfr)
+    Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
+    Rfr = np.einsum("zmnrs,zmi,znj,zrk,zsl->zijkl", Rdn, E, E, E, E)
+    return LeviCivitaData(point=x, frame=fr, Gamma=Gm[0], omega_coord=omega_coord[0],
+                          omega_frame=omega_frame[0], R=Rfr[0])
 
 
 # ======================================================================
 # the Gauduchon family D^t
 # ======================================================================
 
-def _df_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    return dF_form(M, x).to_array().real
-
-
 def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
-    """A[nu, rho, la] = h(D^t - grad)(d_nu, d_rho, d_la) from the dF correction."""
+    """A[..., nu, rho, la] = h(D^t - grad)(d_nu, d_rho, d_la) from the dF
+    correction, at a point or a stack of points x (..., 4)."""
     x = np.asarray(x, dtype=float)
-    Jm = M.J(x)
-    dF3 = _df_array(M, x)
+    X = x.reshape(-1, 4)
+    Jm = M.J(X)
+    dF3 = dF_array(M, X)
     c1 = (1.0 - t) / 4.0
     c2 = (1.0 + t) / 4.0
     # c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z)
-    JdF_all = np.einsum("abc,an,br,cl->nrl", dF3, Jm, Jm, Jm)
-    JdF_first = np.einsum("abc,an->nbc", dF3, Jm)
-    return c1 * JdF_all - c2 * JdF_first
+    JdF_all = np.einsum("zabc,zan,zbr,zcl->znrl", dF3, Jm, Jm, Jm)
+    JdF_first = np.einsum("zabc,zan->znbc", dF3, Jm)
+    return (c1 * JdF_all - c2 * JdF_first).reshape(x.shape[:-1] + (4, 4, 4))
 
 
 @dataclass(frozen=True)
@@ -244,13 +244,15 @@ class HermitianConnectionData:
 
 
 def complex_connection_matrix(omega_coord: np.ndarray) -> np.ndarray:
-    """psi^a_b(.) = 1/2[(om^{2a-1}_{2b-1} + om^{2a}_{2b}) + i(om^{2a}_{2b-1} - om^{2a-1}_{2b})]."""
-    psi = np.empty((2, 2, omega_coord.shape[2]), dtype=complex)
+    """psi^a_b(.) = 1/2[(om^{2a-1}_{2b-1} + om^{2a}_{2b}) + i(om^{2a}_{2b-1} - om^{2a-1}_{2b})],
+    for omega (..., 4, 4, m) -> psi (..., 2, 2, m)."""
+    om = omega_coord
+    psi = np.empty(om.shape[:-3] + (2, 2, om.shape[-1]), dtype=complex)
     for a in range(2):
         for b in range(2):
             ra, rb = 2 * a, 2 * b
-            psi[a, b] = 0.5 * ((omega_coord[ra, rb] + omega_coord[ra + 1, rb + 1])
-                               + 1j * (omega_coord[ra + 1, rb] - omega_coord[ra, rb + 1]))
+            psi[..., a, b, :] = 0.5 * ((om[..., ra, rb, :] + om[..., ra + 1, rb + 1, :])
+                                       + 1j * (om[..., ra + 1, rb, :] - om[..., ra, rb + 1, :]))
     return psi
 
 
@@ -260,29 +262,38 @@ def mu_from_omega(omega_coord: np.ndarray) -> np.ndarray:
                   - 1j * (omega_coord[1, 2] + omega_coord[0, 3]))
 
 
+def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) -> np.ndarray:
+    """A(d_nu, e_j, e_i) at an (n, 4) stack of points x with frames E: the D^t
+    correction om~^i_j(d_nu) - om^i_j(d_nu)."""
+    A = torsion_correction(M, x, t)
+    return np.einsum("znrl,zrj,zli->zijn", A, E, E)
+
+
 @point_memo
+def _omega_tilde(M: HermitianSurface, x: np.ndarray, t: float,
+                 seeds=None) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
+    fr = adapted_frame(M, x, seeds=seeds)
+    omega_coord = _lc_forms(M, x, M.metric(x), fr.E, seeds=seeds)
+    return omega_coord + _torsion_forms(M, x, t, fr.E), omega_coord, fr
+
+
 def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
                       lc: Optional[LeviCivitaData] = None) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
-    """(omega_tilde, lc_omega, frame) at x: D^t and Levi-Civita forms in coordinates."""
-    x = np.asarray(x, dtype=float)
+    """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates,
+    at one point or at every point of a stack x (..., 4), each field with the
+    point axes in front.  The stack's frames, Christoffels and frame and dF
+    stencils are each evaluated in one call, through the surface's point
+    memo.  Levi-Civita data `lc` at the single point x serves its part."""
     if lc is None or not np.allclose(lc.point, x):
-        fr = adapted_frame(M, x, seeds=seeds)
-        g = M.metric(x)
-        Gm = christoffel(M, x)
-        dE = _frame_derivatives(M, x, seeds=seeds)
-        nabla = np.einsum("nmj->mnj", dE.copy()) + np.einsum("mnr,rj->mnj", Gm, fr.E)
-        omega_coord = np.einsum("ml,mnj,li->ijn", g, nabla, fr.E)
-    else:
-        fr = lc.frame
-        omega_coord = lc.omega_coord
-    A = torsion_correction(M, x, t)
-    # om~^i_j(d_nu) = om^i_j(d_nu) + A(d_nu, e_j, e_i)
-    corr = np.einsum("nrl,rj,li->ijn", A, fr.E, fr.E)
-    return omega_coord + corr, omega_coord, fr
+        return _omega_tilde(M, x, t, seeds=seeds)
+    x = np.asarray(x, dtype=float)
+    corr = _torsion_forms(M, x[None], t, lc.frame.E[None])[0]
+    return lc.omega_coord + corr, lc.omega_coord, lc.frame
 
 
 def psi_field(M: HermitianSurface, t: float, seeds=None) -> Callable[[np.ndarray], np.ndarray]:
-    """The complex connection-matrix field p -> psi_coord(p) for D^t."""
+    """The complex connection-matrix field p -> psi_coord(p) for D^t, at a point
+    or a stack of points."""
     def field(p: np.ndarray) -> np.ndarray:
         om_t, _, _ = omega_tilde_coord(M, p, t, seeds=seeds)
         return complex_connection_matrix(om_t)
@@ -404,7 +415,7 @@ def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float, seeds=None) -
     fr = adapted_frame(M, x, seeds=seeds)
     field = psi_field(M, t, seeds=seeds)
     psi0 = field(x)
-    dpsi = np.stack([M.backend.partial(field, x, nu) for nu in range(4)])  # [nu, a, b, rho]
+    dpsi = M.backend.partials(field, x)     # [nu, a, b, rho], one stack for the stencil
     Psi: List[List[ComplexForm]] = [[None, None], [None, None]]
     for a in range(2):
         for b in range(2):

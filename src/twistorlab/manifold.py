@@ -27,6 +27,7 @@ Expression grammar:
 
 import dataclasses
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ComplexForm, hodge_star_4, substitute
+from twistorlab.exterior import ZERO_EPS, ComplexForm, hodge_star_4, substitute
 
 # standard complex structure J0:  J(d1)=d2, J(d2)=-d1, J(d3)=d4, J(d4)=-d3
 J_STANDARD = np.array([
@@ -72,6 +73,31 @@ _FUNCS: Dict[str, Callable[[float], float]] = {
 }
 
 
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    """Apply a `math` function to every entry of an array (or to a scalar),
+    so a stack of points keeps math's bits and its errors, such as
+    "math domain error"; numpy's exp, log and tanh round differently."""
+    def apply(a):
+        if np.ndim(a) == 0:
+            return fn(a)
+        return np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+    return apply
+
+
+def _power(a, n: int):
+    """a ** n entry by entry with the C library's pow, as for a scalar; numpy's
+    array power (x * x for n = 2) differs from it in the last bit.  0 ** -n
+    and overflow give inf with a warning, as for a numpy scalar."""
+    if np.ndim(a) == 0:
+        return a ** n
+    flat = np.ravel(a).tolist()
+    try:
+        out = [v ** n for v in flat]
+    except (ZeroDivisionError, OverflowError):
+        out = [np.float64(v) ** n for v in flat]
+    return np.array(out).reshape(np.shape(a))
+
+
 def _tokenize_expr(text: str, line_no: int, col_offset: int) -> List[Tuple[str, str, int]]:
     """Tokenize one expression; returns (kind, value, column) triples."""
     out = []
@@ -86,18 +112,57 @@ def _tokenize_expr(text: str, line_no: int, col_offset: int) -> List[Tuple[str, 
     return out
 
 
-class _ExprParser:
-    """Recursive-descent parser producing a compiled python expression string.
+class _Program:
+    """Straight-line python for a set of expressions over a stack of points.
 
-    Compiling straight to source (evaluated once into a closure) keeps the
-    per-point cost of metric evaluation down to a plain function call, which
-    matters because the FD oracles evaluate metrics tens of thousands of times.
+    Every distinct subexpression becomes one statement, so entries that
+    share a subexpression (the denominator of cp2_fs, say) evaluate it once.
+    Coordinates read `x[..., i]`, so one call evaluates a whole stack of
+    points x (..., 4), with the same floating-point operations on every
+    point as for a single point.
     """
 
-    def __init__(self, tokens: List[Tuple[str, str, int]], coords: Sequence[str], line_no: int):
+    def __init__(self, coords: Sequence[str]):
+        self.coords = {name: i for i, name in enumerate(coords)}
+        self.names: Dict[str, str] = {}     # statement source -> its temporary
+        self.lines: List[str] = []
+
+    def let(self, src: str) -> str:
+        name = self.names.get(src)
+        if name is None:
+            name = self.names[src] = f"_v{len(self.names)}"
+            self.lines.append(f"    {name} = {src}")
+        return name
+
+    def add(self, text: str, line_no: int, col_offset: int) -> str:
+        """Parse one expression; returns the temporary (or literal) holding it."""
+        tokens = _tokenize_expr(text, line_no, col_offset)
+        if not tokens:
+            raise SpecSyntaxError("empty expression", line_no, col_offset + 1)
+        return _ExprParser(tokens, self, line_no).parse()
+
+    def compile(self, outputs: Sequence[str]) -> Callable[[np.ndarray], tuple]:
+        """x -> the tuple of the values of `outputs`."""
+        body = self.lines + [f"    return ({''.join(out + ', ' for out in outputs)})"]
+        env = {f"_f_{name}": _elementwise(fn) for name, fn in _FUNCS.items()}
+        env["_f_pow"] = _power
+        exec("def program(x):\n" + "\n".join(body), env)  # noqa: S102 - source is built by our own parser
+        return env["program"]
+
+
+class _ExprParser:
+    """Recursive-descent parser that emits one `_Program` statement per node.
+
+    Each method returns the temporary (or numeric literal) holding its
+    value.  Evaluating a whole stack of points in one call keeps the cost
+    per point far below a python call per point, which matters because the
+    FD oracles evaluate metrics at hundreds of points per bundle point.
+    """
+
+    def __init__(self, tokens: List[Tuple[str, str, int]], program: _Program, line_no: int):
         self.toks = tokens
         self.pos = 0
-        self.coords = {name: i for i, name in enumerate(coords)}
+        self.program = program
         self.line_no = line_no
 
     def _peek(self):
@@ -127,14 +192,14 @@ class _ExprParser:
         src = self.term()
         while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
             self._next()
-            src = f"({src} {tok[1]} {self.term()})"
+            src = self.program.let(f"{src} {tok[1]} {self.term()}")
         return src
 
     def term(self) -> str:
         src = self.factor()
         while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
             self._next()
-            src = f"({src} {tok[1]} {self.factor()})"
+            src = self.program.let(f"{src} {tok[1]} {self.factor()}")
         return src
 
     def factor(self) -> str:
@@ -148,7 +213,7 @@ class _ExprParser:
                 nxt = self._next()
             if nxt[0] != "num" or any(ch in nxt[1] for ch in ".eE"):
                 raise SpecSyntaxError("exponent must be an integer", self.line_no, nxt[2])
-            src = f"({src} ** {sign}{nxt[1]})"
+            src = self.program.let(f"_f_pow({src}, {sign}{nxt[1]})")
         return src
 
     def base(self) -> str:
@@ -157,30 +222,28 @@ class _ExprParser:
         if kind == "num":
             return value
         if kind == "op" and value == "-":
-            return f"(-{self.base()})"
+            return self.program.let(f"-{self.base()}")
         if kind == "op" and value == "(":
             src = self.expr()
             self._expect_op(")")
-            return f"({src})"
+            return src
         if kind == "name":
             if value in _FUNCS:
                 self._expect_op("(")
                 src = self.expr()
                 self._expect_op(")")
-                return f"_f_{value}({src})"
-            if value in self.coords:
-                return f"x[{self.coords[value]}]"
+                return self.program.let(f"_f_{value}({src})")
+            if value in self.program.coords:
+                return self.program.let(f"x[..., {self.program.coords[value]}]")
             raise SpecSyntaxError(f"unknown name {value!r}", self.line_no, col)
         raise SpecSyntaxError(f"unexpected token {value!r}", self.line_no, col)
 
 
-def _compile_expr(text: str, coords: Sequence[str], line_no: int, col_offset: int) -> Callable[[np.ndarray], float]:
-    tokens = _tokenize_expr(text, line_no, col_offset)
-    if not tokens:
-        raise SpecSyntaxError("empty expression", line_no, col_offset + 1)
-    src = _ExprParser(tokens, coords, line_no).parse()
-    env = {f"_f_{name}": fn for name, fn in _FUNCS.items()}
-    return eval(f"lambda x: {src}", env)  # noqa: S307 - source is built by our own parser
+def _compile_expr(text: str, coords: Sequence[str], line_no: int, col_offset: int) -> Callable[[np.ndarray], object]:
+    """One expression as a function of a point or of a stack of points (..., 4)."""
+    program = _Program(coords)
+    run = program.compile([program.add(text, line_no, col_offset)])
+    return lambda x: run(x)[0]
 
 
 # ======================================================================
@@ -200,9 +263,14 @@ class ChartSpec:
         if not np.all(box[:, 1] > box[:, 0]):
             raise ValueError("chart domain has empty interior")
 
-    def margin_to_boundary(self, x: np.ndarray) -> float:
+    def margin_to_boundary(self, x: np.ndarray):
+        """Distance to the boundary in the max norm: a float for one point,
+        an array for a stack of points (..., 4)."""
         x = np.asarray(x, dtype=float)
-        return float(min(np.min(x - self.box[:, 0]), np.min(self.box[:, 1] - x)))
+        lo = np.min(x - self.box[:, 0], axis=-1)
+        hi = np.min(self.box[:, 1] - x, axis=-1)
+        margin = np.where(hi < lo, hi, lo)
+        return float(margin) if margin.ndim == 0 else margin
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         return self.margin_to_boundary(x) >= margin
@@ -223,10 +291,18 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class DiffBackend:
-    """Central finite differences of order 2 or 4.
+    """Central finite differences of order 2 or 4: the one FD rule.
 
     step may be a scalar or a per-coordinate array; the stencil reaches
     step (order 2) or 2*step (order 4) from the evaluation point.
+
+    The rule has two halves.  `stencil` lays out the points of every
+    partial at every point of a stack, and `combine` weighs the values of a
+    function there: (f(x+h) - f(x-h)) / 2h, or (-f(x+2h) + 8 f(x+h)
+    - 8 f(x-h) + f(x-2h)) / 12h, in that order of operations.  `partials`
+    differentiates a function that evaluates stacks with one call on the
+    whole stencil; `partial` is the one-direction case for a function of
+    one point.
     """
     order: int = 4
     step: float = 1e-3
@@ -248,16 +324,43 @@ class DiffBackend:
         s = float(np.max(np.asarray(self.step)))
         return 2.0 * s if self.order == 4 else s
 
-    def partial(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, k: int):
-        """d f / d x_k at x, for scalar- or array-valued f."""
+    def _steps(self, dirs: Sequence[int], ndim: int) -> np.ndarray:
+        return np.array([self.step_for(k) for k in dirs]).reshape((-1,) + (1,) * ndim)
+
+    def stencil(self, x: np.ndarray, dirs: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The stencil points of the partials along `dirs` (default: every
+        coordinate) at every point of x (..., n): shape (len(dirs), m, ..., n)
+        with m = order offsets, ordered x + 2h, x + h, x - h, x - 2h (order 4)
+        or x + h, x - h (order 2)."""
         x = np.asarray(x, dtype=float)
-        h = self.step_for(k)
-        ek = np.zeros_like(x)
-        ek[k] = 1.0
+        n = x.shape[-1]
+        dirs = range(n) if dirs is None else dirs
+        e = np.eye(n)[list(dirs)].reshape((-1,) + (1,) * (x.ndim - 1) + (n,))
+        h = self._steps(dirs, x.ndim)
         if self.order == 2:
-            return (f(x + h * ek) - f(x - h * ek)) / (2.0 * h)
-        return (-f(x + 2 * h * ek) + 8.0 * f(x + h * ek)
-                - 8.0 * f(x - h * ek) + f(x - 2 * h * ek)) / (12.0 * h)
+            return np.stack([x + h * e, x - h * e], axis=1)
+        return np.stack([x + 2 * h * e, x + h * e, x - h * e, x - 2 * h * e], axis=1)
+
+    def combine(self, values: np.ndarray, dirs: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The partials from values[d, j] = f(stencil[d, j]): shape (len(dirs), ...)."""
+        v = np.asarray(values)
+        h = self._steps(range(v.shape[0]) if dirs is None else dirs, v.ndim - 2)
+        if self.order == 2:
+            return (v[:, 0] - v[:, 1]) / (2.0 * h)
+        return (-v[:, 0] + 8.0 * v[:, 1] - 8.0 * v[:, 2] + v[:, 3]) / (12.0 * h)
+
+    def partials(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Every partial of f at every point of x (..., n), from one call of f
+        on the whole stencil; f must evaluate stacks of points.  Shape
+        (..., n) + the shape of f's value: the direction follows the point axes."""
+        x = np.asarray(x, dtype=float)
+        d = self.combine(f(self.stencil(x)))
+        return np.ascontiguousarray(np.moveaxis(d, 0, x.ndim - 1))
+
+    def partial(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, k: int):
+        """d f / d x_k at x, for scalar- or array-valued f of one point."""
+        points = self.stencil(x, [k])[0]
+        return self.combine(np.array([f(p) for p in points])[None], [k])[0]
 
     def with_step(self, step: float) -> "DiffBackend":
         return DiffBackend(order=self.order, step=step, scheme=self.scheme)
@@ -282,39 +385,154 @@ def _freeze(value):
     return value
 
 
+def _map_arrays(fn, value):
+    """fn applied to every array of a result, rebuilding its tuples and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(_map_arrays(fn, item) for item in value)
+    return type(value)(**{field.name: _map_arrays(fn, getattr(value, field.name))
+                          for field in dataclasses.fields(value)})
+
+
+def _unstack(value, shape: Tuple[int, ...]):
+    """A result for an (n, 4) stack reshaped to the point axes `shape`."""
+    return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), value)
+
+
+class _Row:
+    """The stored result of one point: row j of the read-only batch result it
+    was computed in.  `value()` builds the point's own result once."""
+    __slots__ = ("batch", "j", "_value")
+
+    def __init__(self, batch, j: int):
+        self.batch, self.j, self._value = batch, j, None
+
+    def value(self):
+        if self._value is None:
+            self._value = _map_arrays(lambda a: a[self.j], self.batch)
+        return self._value
+
+
+def _merge(parts: list, n: int):
+    """Interleave (batch result, positions, rows) parts into one result of n points."""
+    first = parts[0][0]
+    if isinstance(first, np.ndarray):
+        out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+        for batch, positions, rows in parts:
+            out[positions] = batch[rows]
+        return out
+    if isinstance(first, tuple):
+        return tuple(_merge([(batch[i], pos, rows) for batch, pos, rows in parts], n)
+                     for i in range(len(first)))
+    return type(first)(**{field.name: _merge([(getattr(batch, field.name), pos, rows)
+                                              for batch, pos, rows in parts], n)
+                          for field in dataclasses.fields(first)})
+
+
+def _gather(rows: List[_Row], shape: Tuple[int, ...]):
+    """The results of `rows` stacked over the point axes `shape`, with one
+    fancy index per batch and array."""
+    parts: Dict[int, tuple] = {}
+    for position, row in enumerate(rows):
+        part = parts.get(id(row.batch))
+        if part is None:
+            part = parts[id(row.batch)] = (row.batch, [], [])
+        part[1].append(position)
+        part[2].append(row.j)
+    return _unstack(_merge(list(parts.values()), len(rows)), shape)
+
+
+def _evaluate_rows(fn, M, rows: np.ndarray, params: tuple, options: dict):
+    """fn on a stack of points; when that raises, fn on one point at a time,
+    so the error is the one a point-by-point evaluation meets first."""
+    try:
+        return fn(M, rows, *params, **options)
+    except Exception:
+        if len(rows) > 1:
+            for r in range(len(rows)):
+                fn(M, rows[r:r + 1], *params, **options)
+        raise
+
+
 def point_memo(fn):
     """Memoize a pure point function fn(M, x, *params) in the memo of M.
 
-    The key is (fn, the bytes of x as float, params), so a value is computed
-    once per surface and exact point, however many FD stencils reach it.
-    The first call computes it with the same operations in the same order
-    as an unmemoized call; the stored result is made read-only and later
-    calls return it as is.  Exceptions are not stored, so every check runs
-    until a point has been evaluated successfully.  A call with a keyword
-    option that is not None (explicit `seeds`, a supplied `lc`) bypasses
-    the memo.  The memo is only read with `get`, written by item assignment
-    and cleared whole when it reaches POINT_MEMO_LIMIT entries; it is never
-    iterated, so threads may share a surface.
+    fn is written for a stack of points x of shape (n, 4); the memoized
+    function takes one point (4,) or a stack (..., 4) and answers with the
+    same point axes, so a single point is the stack of one.  Each point of
+    the stack is looked up under the key (fn, the bytes of the point as
+    float, params); the distinct points not found, duplicates within the
+    stack included, are computed in one call of fn, and each point's result
+    is stored read-only.  A value is therefore computed once per surface and
+    exact point, however many FD stencils reach it, and does not depend on
+    the other points of its stack.  Exceptions are not stored: every check
+    runs until a point has been evaluated successfully, and when a stack
+    fails, its points are evaluated one at a time so the error is that of
+    the first failing point.  A call with a keyword option that is not None
+    (explicit `seeds`) bypasses the memo.  The memo is only read with
+    `get`, written by item assignment and cleared whole when an insert
+    finds POINT_MEMO_LIMIT entries; it is never iterated, so threads may
+    share a surface.
     """
     @functools.wraps(fn)
     def memoized(M, x, *params, **options):
+        x = np.array(x, dtype=float)        # a private copy
+        shape, points = x.shape[:-1], x.reshape(-1, 4)
         if any(v is not None for v in options.values()):
-            return fn(M, x, *params, **options)
-        x = np.array(x, dtype=float)
-        key = (fn, x.tobytes(), *params)
+            return _unstack(_evaluate_rows(fn, M, points, params, options), shape)
         memo = M._point_memo
-        value = memo.get(key)
-        if value is None:
-            value = _freeze(fn(M, x, *params))
-            if len(memo) >= POINT_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = value
-        return value
+        keys = [(fn, point.tobytes(), *params) for point in points]
+        stored = [memo.get(key) for key in keys]
+        misses: Dict[tuple, int] = {}       # key -> index of its first point
+        for r, (key, row) in enumerate(zip(keys, stored)):
+            if row is None and key not in misses:
+                misses[key] = r
+        if misses:
+            every = len(misses) == len(points)
+            batch = _freeze(_evaluate_rows(fn, M, points if every else points[list(misses.values())],
+                                           params, {}))
+            fresh = {}
+            for j, key in enumerate(misses):
+                fresh[key] = _Row(batch, j)
+                if len(memo) >= POINT_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = fresh[key]
+            if every and shape:
+                return _unstack(batch, shape)
+            stored = [fresh[key] if row is None else row for key, row in zip(keys, stored)]
+        return _gather(stored, shape) if shape else stored[0].value()
     return memoized
+
+
+def stack_field(fn):
+    """Mark a field callable as evaluating a whole stack of points x (..., 4)
+    in one call, giving (..., 4, 4).  Compiled surface descriptions and a
+    surface's own `metric` and `J` are stack fields; any other callable is
+    evaluated point by point."""
+    fn.stacks = True
+    return fn
+
+
+def _field(fn, x: np.ndarray) -> np.ndarray:
+    """A (4, 4) field at every point of x (..., 4), as a fresh float array."""
+    if getattr(fn, "stacks", False):
+        return np.array(fn(x), dtype=float)
+    values = [np.asarray(fn(p), dtype=float) for p in x.reshape(-1, 4)]
+    return np.array(values).reshape(x.shape[:-1] + (4, 4))
 
 
 class HermitianSurface:
     """A Hermitian surface on a chart: metric field + complex-structure field.
+
+    The fields take a point with its four coordinates on the last axis.
+    `metric` and `J` accept one point (4,) or a stack of points (..., 4) and
+    answer (4, 4) or (..., 4, 4).  The callables given to the constructor
+    are evaluated point by point, one call per point, as are the metrics
+    of `conformal_rescale` with a python callable f; a callable marked with
+    `stack_field` (compiled surface descriptions, the built-ins, and the
+    `metric` and `J` of another surface) is handed a whole stack in one
+    call.  The choice follows from how the surface was built.
 
     Construction validates the Hermitian-surface invariants on a
     deterministic 16-point Latin-hypercube sample and raises with the
@@ -349,15 +567,21 @@ class HermitianSurface:
         self._point_memo: Dict[tuple, object] = {}
         self._validate_samples()
 
+    @stack_field
     @point_memo
     def metric(self, x: np.ndarray) -> np.ndarray:
-        return np.array(self._metric(x), dtype=float)
+        return _field(self._metric, x)
 
+    @stack_field
     def J(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._J(np.asarray(x, dtype=float)), dtype=float)
+        return _field(self._J, np.asarray(x, dtype=float))
 
     def _validate_samples(self, n: int = 16, tol: float = 1e-10):
         pts = self.chart.interior_points(n, seed=2024)
+        try:
+            self.metric(pts)        # one stacked evaluation fills the point memo
+        except Exception:           # noqa: BLE001 - the loop meets the error at its point
+            pass
         for pt in pts:
             g = self.metric(pt)
             Jm = self.J(pt)
@@ -374,6 +598,21 @@ class HermitianSurface:
 # ======================================================================
 # parsing surface descriptions
 # ======================================================================
+
+def _matrix_field(program: _Program, entries: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack field x (..., 4) -> (..., 4, 4) whose row-major entries are
+    the program values (or literals) named by `entries`."""
+    run = program.compile(entries)
+
+    @stack_field
+    def field(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (16,))
+        for k, value in enumerate(run(x)):
+            out[..., k] = value
+        return out.reshape(x.shape[:-1] + (4, 4))
+    return field
+
 
 def parse_surface_spec(text: str, name: str = "custom",
                        params: Optional[Dict[str, float]] = None,
@@ -393,8 +632,10 @@ def parse_surface_spec(text: str, name: str = "custom",
     """
     coords: Optional[Tuple[str, ...]] = None
     domains: Dict[str, Tuple[float, float]] = {}
-    g_exprs: Dict[Tuple[int, int], Callable] = {}
-    j_exprs: Dict[Tuple[int, int], Callable] = {}
+    # each entry is the temporary of its expression in the g or J program
+    programs: Dict[str, _Program] = {}
+    g_exprs: Dict[Tuple[int, int], str] = {}
+    j_exprs: Dict[Tuple[int, int], str] = {}
     j_standard = False
 
     lines = text.splitlines()
@@ -415,6 +656,7 @@ def parse_surface_spec(text: str, name: str = "custom",
             if len(set(words[1:])) != 4:
                 raise SpecSyntaxError("coordinate names must be distinct", line_no, indent + 1)
             coords = tuple(words[1:])
+            programs = {"g": _Program(coords), "J": _Program(coords)}
             continue
 
         if coords is None:
@@ -450,11 +692,11 @@ def parse_surface_spec(text: str, name: str = "custom",
                 raise SpecSyntaxError("matrix indices must be integers", line_no, indent + 1) from None
             if not (1 <= i <= 4 and 1 <= j <= 4):
                 raise SpecSyntaxError("matrix indices must be in 1..4", line_no, indent + 1)
-            fn = _compile_expr(line[eq + 1:], coords, line_no, eq + 1)
+            src = programs[head].add(line[eq + 1:], line_no, eq + 1)
             target = g_exprs if head == "g" else j_exprs
             if (i, j) in target:
                 raise SpecSyntaxError(f"duplicate entry {head} {i} {j}", line_no, indent + 1)
-            target[(i, j)] = fn
+            target[(i, j)] = src
             continue
 
         raise SpecSyntaxError(f"unknown directive {head!r}", line_no, indent + 1)
@@ -465,30 +707,18 @@ def parse_surface_spec(text: str, name: str = "custom",
     box = np.array([domains.get(c, (-1.0, 1.0)) for c in coords])
     chart = ChartSpec(names=coords, box=box)
 
-    def metric_fn(x: np.ndarray, _entries=g_exprs) -> np.ndarray:
-        g = np.empty((4, 4))
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if (i, j) in _entries:
-                    g[i - 1, j - 1] = _entries[(i, j)](x)
-                elif (j, i) in _entries:
-                    g[i - 1, j - 1] = _entries[(j, i)](x)
-                else:
-                    g[i - 1, j - 1] = 1.0 if i == j else 0.0
-        return g
+    slots = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    metric_fn = _matrix_field(programs["g"], [
+        g_exprs.get((i, j)) or g_exprs.get((j, i)) or ("1.0" if i == j else "0.0")
+        for i, j in slots])
 
     if j_exprs and j_standard:
         raise SpecSyntaxError("both 'J standard' and explicit J entries given", len(lines), 1)
 
     if j_exprs:
-        def j_fn(x: np.ndarray, _entries=j_exprs) -> np.ndarray:
-            Jm = np.zeros((4, 4))
-            for (i, j), fn in _entries.items():
-                Jm[i - 1, j - 1] = fn(x)
-            return Jm
+        j_fn = _matrix_field(programs["J"], [j_exprs.get(slot, "0.0") for slot in slots])
     else:
-        def j_fn(x: np.ndarray) -> np.ndarray:
-            return J_STANDARD
+        j_fn = stack_field(lambda x: np.broadcast_to(J_STANDARD, np.shape(x)[:-1] + (4, 4)))
 
     return HermitianSurface(chart, metric_fn, j_fn, name=name, params=params,
                             backend=backend, source_text=text)
@@ -618,7 +848,8 @@ class UnitaryFrame:
     E[:, i] holds the coordinate components of e_{i+1}; e2 = J e1 and
     e4 = J e3 exactly.  theta = E^{-1} (rows are the dual coframe).
     U[:, a] = (e_{2a+1} - i e_{2a+2})/sqrt2 spans T^{1,0}; eta rows are its
-    dual (1,0)-coframe.
+    dual (1,0)-coframe.  The frames of a stack of points hold the same
+    fields with the point axes in front.
     """
     point: np.ndarray
     E: np.ndarray        # (4, 4) real, columns e_1..e_4
@@ -636,33 +867,43 @@ def adapted_frame(M: HermitianSurface, x: np.ndarray,
     e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3.
     Deterministic given the seeds; with the default seeds this defines a
     smooth frame field wherever the construction stays nondegenerate.
+
+    x is an (n, 4) stack of points; `point_memo` serves one point or any
+    stack.  Each degeneracy check raises for the first failing point.
     """
-    x = np.asarray(x, dtype=float)
     s1, s2 = seeds if seeds is not None else DEFAULT_SEEDS
     g = M.metric(x)
     Jm = M.J(x)
 
-    def dot(a, b):
-        return float(a @ g @ b)
+    def dot(a, b):      # h(a, b) at every point; a and b are (4,) or (n, 4)
+        a = np.broadcast_to(a, x.shape)[:, None, :]
+        b = np.broadcast_to(b, x.shape)[:, :, None]
+        return (a @ g @ b)[:, 0, 0]
 
     n1 = dot(s1, s1)
-    if n1 < 1e-16:
-        raise ValueError(f"seed degenerate at point {x.tolist()}")
-    e1 = s1 / math.sqrt(n1)
-    e2 = Jm @ e1
-    r = s2 - dot(s2, e1) * e1 - dot(s2, e2) * e2
+    _raise_at_first(n1 < 1e-16, x, "seed degenerate at point {}")
+    e1 = s1 / np.sqrt(n1)[:, None]
+    e2 = (Jm @ e1[:, :, None])[:, :, 0]
+    r = s2 - dot(s2, e1)[:, None] * e1 - dot(s2, e2)[:, None] * e2
     rn = dot(r, r)
-    if rn < 1e-16 or math.sqrt(rn) < 1e-8:
-        raise ValueError(f"seed degenerate at point {x.tolist()}")
-    e3 = r / math.sqrt(rn)
-    e4 = Jm @ e3
+    small = rn < 1e-16
+    _raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, "seed degenerate at point {}")
+    e3 = r / np.sqrt(rn)[:, None]
+    e4 = (Jm @ e3[:, :, None])[:, :, 0]
 
-    E = np.column_stack([e1, e2, e3, e4])
+    E = np.stack([e1, e2, e3, e4], axis=-1)
     theta = np.linalg.inv(E)
-    U = np.column_stack([(e1 - 1j * e2) / math.sqrt(2.0), (e3 - 1j * e4) / math.sqrt(2.0)])
-    eta = np.vstack([(theta[0] + 1j * theta[1]) / math.sqrt(2.0),
-                     (theta[2] + 1j * theta[3]) / math.sqrt(2.0)])
+    U = np.stack([(e1 - 1j * e2) / math.sqrt(2.0), (e3 - 1j * e4) / math.sqrt(2.0)], axis=-1)
+    eta = np.stack([(theta[:, 0] + 1j * theta[:, 1]) / math.sqrt(2.0),
+                    (theta[:, 2] + 1j * theta[:, 3]) / math.sqrt(2.0)], axis=1)
     return UnitaryFrame(point=x, E=E, theta=theta, U=U, eta=eta)
+
+
+def _raise_at_first(bad: np.ndarray, x: np.ndarray, message: str) -> None:
+    """ValueError naming the first point of the stack x where `bad` holds."""
+    bad = np.ravel(bad)
+    if bad.any():
+        raise ValueError(message.format(np.reshape(x, (-1, 4))[np.argmax(bad)].tolist()))
 
 
 def frame_field(M: HermitianSurface,
@@ -686,29 +927,48 @@ def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) ->
 
 @point_memo
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates."""
+    """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates,
+    at an (n, 4) stack of points."""
     g = M.metric(x)
     Jm = M.J(x)
-    return Jm.T @ g
+    return np.swapaxes(Jm, 1, 2) @ g
 
 
 def _check_stencil_inside(M: HermitianSurface, x: np.ndarray, factor: float = 1.0):
-    if M.chart.margin_to_boundary(np.asarray(x, dtype=float)) < factor * M.backend.reach():
-        raise ValueError(f"point too close to boundary for FD stencil: {np.asarray(x).tolist()}")
+    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < factor * M.backend.reach()), x,
+                    "point too close to boundary for FD stencil: {}")
+
+
+# the six orderings of a < b < c with their signs
+_ORDERINGS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+              ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
+
+
+def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """dF at a point or a stack of points x (..., 4), by FD of F's components:
+    the full antisymmetric array dF[..., a, b, c] = dF(d_a, d_b, d_c).
+
+    The coefficient of dx^a ^ dx^b ^ dx^c (a < b < c) is
+    (d_a F_bc - d_b F_ac) + d_c F_ab, and coefficients below ZERO_EPS are
+    cut, as in a ComplexForm.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_stencil_inside(M, x)
+    dF = M.backend.partials(lambda p: coordinate_fundamental_matrix(M, p), x)   # [..., k] = d_k F
+    out = np.zeros(x.shape[:-1] + (4, 4, 4))
+    for a, b, c in itertools.combinations(range(4), 3):
+        v = dF[..., a, b, c] - dF[..., b, a, c] + dF[..., c, a, b]
+        keep = np.abs(v) >= ZERO_EPS
+        for order, sign in _ORDERINGS:
+            i, j, k = ((a, b, c)[o] for o in order)
+            out[..., i, j, k] = np.where(keep, v if sign > 0 else -v, 0.0)
+    return out
 
 
 def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
     """dF as a 3-form over the coordinate coframe, by FD of F's components."""
-    x = np.asarray(x, dtype=float)
-    _check_stencil_inside(M, x)
-    raw: Dict[Tuple[int, ...], complex] = {}
-    for k in range(4):
-        dFk = M.backend.partial(lambda p: coordinate_fundamental_matrix(M, p), x, k)
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                raw[(k, mu, nu)] = dFk[mu, nu]
-    # the ComplexForm constructor canonicalizes and merges the raw triples
-    return ComplexForm(4, 3, raw)
+    A = dF_array(M, x)
+    return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
 
 
 def lee_form(M: HermitianSurface, x: np.ndarray, frame: Optional[UnitaryFrame] = None) -> ComplexForm:

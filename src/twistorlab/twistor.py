@@ -34,8 +34,8 @@ import numpy as np
 
 from .exterior import ComplexForm, wedge, wedge_all, substitute
 from .manifold import (DiffBackend, HermitianSurface, UnitaryFrame,
-                       _compile_expr, adapted_frame,
-                       coordinate_fundamental_matrix, dF_form)
+                       _compile_expr, _elementwise, adapted_frame,
+                       coordinate_fundamental_matrix, dF_form, stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, direct_curvature,
                          gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
 from .curvature_analysis import (ConditionFlags, condition_flags,
@@ -203,39 +203,52 @@ def _su2(zeta: complex) -> np.ndarray:
     return np.array([[1.0, -np.conj(zeta)], [zeta, 1.0]], dtype=complex) / N
 
 
-def _mobius12(P: np.ndarray, zeta: complex) -> np.ndarray:
+# 1 + |zeta|^2 and conj(zeta)^2 entry by entry with python's scalar
+# arithmetic, which numpy's array abs, square and complex product do not
+# reproduce bit for bit
+_norm2 = _elementwise(lambda z: 1.0 + abs(z) ** 2)
+_square = _elementwise(lambda z: z * z)
+
+
+def _mobius12(P: np.ndarray, zeta) -> np.ndarray:
     """(A* P A)[0, 1] for A = _su2(zeta): the rotated off-diagonal entry of a
-    2x2 matrix of components (trailing axes carried along)."""
+    2x2 matrix of components (trailing axes carried along; zeta is a number
+    or an array that broadcasts against them)."""
     zb = np.conj(zeta)
-    N2 = 1.0 + abs(zeta) ** 2
-    return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - zb * zb * P[1, 0]) / N2
+    return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - _square(zb) * P[1, 0]) / _norm2(zeta)
 
 
-def _assemble_rows(eta: np.ndarray, psi: np.ndarray, zeta: complex) -> np.ndarray:
-    """The coframe matrix B from base data (eta, psi) and the fiber coordinate."""
-    N2 = 1.0 + abs(zeta) ** 2
-    N = math.sqrt(N2)
-    B = np.zeros((3, 6), dtype=complex)
-    B[0, :4] = (eta[0] + np.conj(zeta) * eta[1]) / N
-    B[1, :4] = (-zeta * eta[0] + eta[1]) / N
-    B[2, :4] = _mobius12(psi, zeta)
-    B[2, 4] = -1.0 / N2
-    B[2, 5] = 1j / N2
+def _assemble_rows(eta: np.ndarray, psi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """The coframe matrices B (n, 3, 6) from base data eta (n, 2, 4) and
+    psi (n, 2, 2, 4) and the fiber coordinates zeta (n,)."""
+    N2 = _norm2(zeta)[:, None]
+    N = np.sqrt(N2)
+    B = np.zeros(zeta.shape + (3, 6), dtype=complex)
+    B[:, 0, :4] = (eta[:, 0] + np.conj(zeta)[:, None] * eta[:, 1]) / N
+    B[:, 1, :4] = (-zeta[:, None] * eta[:, 0] + eta[:, 1]) / N
+    B[:, 2, :4] = _mobius12(np.moveaxis(psi, 0, 2), zeta[:, None])
+    B[:, 2, 4:5] = -1.0 / N2
+    B[:, 2, 5:6] = 1j / N2
     return B
 
 
 def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np.ndarray:
-    """The complex coframe matrix B at chart point y = (x, Re zeta, Im zeta).
+    """The complex coframe matrix B at chart point y = (x, Re zeta, Im zeta),
+    or at every point of a stack y (..., 6), giving (..., 3, 6).
 
     Rows hold the coordinate components of phi^1, phi^2, phi^3 over
     (dx^1..dx^4, d zeta_re, d zeta_im).  phi^1 and phi^2 are the rotated
     (1,0)-coframe pulled back from the base; phi^3 is the off-diagonal
     connection entry along the rotated frame section, whose pure fiber part
-    is -d conj(zeta) / (1 + |zeta|^2).
+    is -d conj(zeta) / (1 + |zeta|^2).  The base data of the whole stack
+    come from one `omega_tilde_coord` call.
     """
     y = np.asarray(y, dtype=float)
-    om_t, _, fr = omega_tilde_coord(M, y[:4], t, seeds=seeds)
-    return _assemble_rows(fr.eta, complex_connection_matrix(om_t), complex(y[4], y[5]))
+    Y = y.reshape(-1, 6)
+    om_t, _, fr = omega_tilde_coord(M, Y[:, :4], t, seeds=seeds)
+    zeta = np.ascontiguousarray(Y[:, 4:]).view(complex)[:, 0]
+    B = _assemble_rows(fr.eta, complex_connection_matrix(om_t), zeta)
+    return B.reshape(y.shape[:-1] + (3, 6))
 
 
 def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
@@ -333,6 +346,12 @@ class TwistorCoframe:
         """(dW_1, dW_2, dW_3) from the structure data, built on first use."""
         return _structure_dW(self)
 
+    @functools.cached_property
+    def balanced_forms(self) -> Tuple[ComplexForm, ComplexForm]:
+        """The lambda-independent 5-forms of the K_i ^ dK_i displays, one for
+        i in {1, 2} and one for i in {3, 4}, built on first use."""
+        return _balanced_forms(self)
+
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
                     seeds=None, chart: Optional[TwistorChart] = None,
@@ -365,8 +384,8 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 
     lc = levi_civita(M, x, seeds=seeds)
     fr = lc.frame
-    om_t, om_lc, _ = omega_tilde_coord(M, x, t, seeds=seeds, lc=lc)
-    B = _assemble_rows(fr.eta, complex_connection_matrix(om_t), zeta)
+    _, om_lc, _ = omega_tilde_coord(M, x, t, seeds=seeds)
+    B = coframe_rows(M, t, y, seeds=seeds)
     _check_gram(B, y)
 
     mu_coord = mu_from_omega(om_lc)
@@ -503,11 +522,10 @@ def _structure_dW(coframe: TwistorCoframe) -> Tuple[ComplexForm, ComplexForm, Co
         mu, mub = coframe.mu, coframe.mu.conj()
         torsion1 = wedge_all(mub, p1, p2) - wedge_all(mu, b1, b2)
         torsion2 = torsion1 * (-1.0)
-        assert coframe.tau3 is not None, "coframe was built without structure data"
+        _require_structure(coframe.tau3)
         dW3 = wedge(coframe.tau3, b3) - wedge(coframe.tau3.conj(), p3)
     elif abs(coframe.t - 1.0) < 1e-12:
-        assert coframe.T_hat is not None and coframe.Psi_hat is not None, \
-            "coframe was built without structure data"
+        _require_structure(coframe.T_hat, coframe.Psi_hat)
         T1, T2 = coframe.T_hat
         torsion1 = wedge(T1, b1) - wedge(T1.conj(), p1)
         torsion2 = wedge(T2.conj(), p2) - wedge(T2, b2)
@@ -530,46 +548,65 @@ def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCofra
     return (dW1 * (l1 ** 2) + dW2 * (_EPS2[i] * l2 ** 2) + dW3 * (_EPS3[i] * l3 ** 2)) * 1j
 
 
-def balanced_defect_formula(i: int, lam: float, coframe: TwistorCoframe) -> ComplexForm:
-    """K_i ^ dK_i from the closed-form displays (a 5-form; zero iff balanced)."""
+def _require_structure(*fields) -> None:
+    if any(f is None for f in fields):
+        raise ValueError("coframe was built without structure data")
+
+
+def _one_parameter(lam, what: str) -> float:
+    """lambda^2 of a one-parameter family member; a lambda triple is refused."""
     (l1, l2, l3) = _lambdas(lam)
-    assert l1 == 1.0 and l2 == 1.0, "the product displays are stated for the one-parameter family"
-    lam2 = l3 ** 2
+    if not (l1 == 1.0 and l2 == 1.0):
+        raise ValueError(f"{what} stated for the one-parameter family")
+    return l3 ** 2
+
+
+def balanced_defect_formula(i: int, lam: float, coframe: TwistorCoframe) -> ComplexForm:
+    """K_i ^ dK_i from the closed-form displays (a 5-form; zero iff balanced),
+    a scaling of one of the coframe's two `balanced_forms`."""
+    lam2 = _one_parameter(lam, "the product displays are")
+    f12, f34 = coframe.balanced_forms
+    if abs(coframe.t) < 1e-12:
+        if i in (1, 2):
+            out = f12 * (lam2)
+            return out if i == 1 else out * (-1.0)
+        out = f34 * (-lam2)
+        return out if i == 3 else out * (-1.0)
+    if i in (1, 2):
+        return f12 * (-lam2) if i == 1 else f12 * (lam2)
+    return f34 * (-lam2) if i == 3 else f34 * (lam2)
+
+
+def _balanced_forms(coframe: TwistorCoframe) -> Tuple[ComplexForm, ComplexForm]:
+    """The brackets of the K_i ^ dK_i displays, before their lambda scaling."""
     p1 = coframe.phi_form(1)
     p2 = coframe.phi_form(2)
     p3 = coframe.phi_form(3)
     b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
     if abs(coframe.t) < 1e-12:
-        assert coframe.R_hat is not None, "coframe was built without structure data"
+        _require_structure(coframe.R_hat)
         r22 = coframe.R_hat["1*222*"]
         r11 = coframe.R_hat["1*211*"]
-        if i in (1, 2):
-            base = wedge_all(p1, b1, b2, p2)
-            c = r22 - r11
-            out = (wedge(base, b3) * c + wedge(base, p3) * np.conj(c)) * (lam2)
-            return out if i == 1 else out * (-1.0)
+        base = wedge_all(p1, b1, b2, p2)
+        c = r22 - r11
+        f12 = wedge(base, b3) * c + wedge(base, p3) * np.conj(c)
         base = wedge_all(p1, b1, p2, b2)
         c = r22 + r11
         mu, mub = coframe.mu, coframe.mu.conj()
         mu_term = wedge_all(wedge(mub, p1) , p2, p3, b3) - wedge_all(wedge(mu, b1), b2, p3, b3)
-        out = (wedge(base, b3) * c + wedge(base, p3) * np.conj(c) + mu_term * 2.0) * (-lam2)
-        return out if i == 3 else out * (-1.0)
+        return f12, wedge(base, b3) * c + wedge(base, p3) * np.conj(c) + mu_term * 2.0
     if abs(coframe.t - 1.0) < 1e-12:
-        assert coframe.T_hat is not None and coframe.Psi_hat is not None, \
-            "coframe was built without structure data"
+        _require_structure(coframe.T_hat, coframe.Psi_hat)
         T1, T2 = coframe.T_hat
         P12 = coframe.Psi_hat[0][1]
         psi_pair = wedge(P12, b3) - wedge(P12.conj(), p3)
         W3 = wedge(p3, b3)
-        if i in (1, 2):
-            front = wedge(p1, b1) + wedge(b2, p2)
-            tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2.conj(), p2) - wedge(T2, b2)
-            bracket = wedge(front, psi_pair) + wedge(tor, W3)
-            return bracket * (-lam2) if i == 1 else bracket * (lam2)
+        front = wedge(p1, b1) + wedge(b2, p2)
+        tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2.conj(), p2) - wedge(T2, b2)
+        f12 = wedge(front, psi_pair) + wedge(tor, W3)
         front = wedge(p1, b1) + wedge(p2, b2)
         tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2, b2) - wedge(T2.conj(), p2)
-        bracket = wedge(front, psi_pair) + wedge(tor, W3)
-        return bracket * (-lam2) if i == 3 else bracket * (lam2)
+        return f12, wedge(front, psi_pair) + wedge(tor, W3)
     raise ValueError("no closed-form derivative display for the general "
                      "canonical-family connection; use the finite-difference oracle")
 
@@ -584,9 +621,7 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
     tensor; (i in {3, 4}, t = 1) unconditionally.  Everything else is served
     by the finite-difference oracle.
     """
-    (l1, l2, l3) = _lambdas(lam)
-    assert l1 == 1.0 and l2 == 1.0, "the displays are stated for the one-parameter family"
-    lam2 = l3 ** 2
+    lam2 = _one_parameter(lam, "the displays are")
     p1 = coframe.phi_form(1)
     p2 = coframe.phi_form(2)
     p3 = coframe.phi_form(3)
@@ -594,7 +629,7 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
     if flags is None:
         flags = condition_flags(coframe.surface, coframe.y[:4])
     if abs(coframe.t) < 1e-12:
-        assert coframe.tau3 is not None and coframe.omega_diff is not None
+        _require_structure(coframe.tau3, coframe.omega_diff)
         fiber = (wedge(coframe.omega_diff, wedge(p3, b3)) - wedge(coframe.tau3, coframe.tau3.conj())) * lam2
         if i == 1:
             if not flags.self_dual:
@@ -617,7 +652,7 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
         if i not in (3, 4):
             raise ValueError("no second-derivative display for i = 1, 2 with the Chern "
                              "connection; use the finite-difference oracle")
-        assert coframe.Psi_hat is not None and coframe.T_hat is not None
+        _require_structure(coframe.Psi_hat, coframe.T_hat)
         P = coframe.Psi_hat
         T1, T2 = coframe.T_hat
         fiber = (wedge(P[0][1], P[0][1].conj())
@@ -640,9 +675,11 @@ class CoframeSweep:
     From B and its six partials, the exterior derivatives of the three
     building-block 2-forms follow by the product rule and J_i with its
     partials from the adapted rows; every dK_i(lambda), K_i ^ dK_i, zero
-    crossing and Nijenhuis value is then algebraic in one sweep.  The
-    fiber-direction stencil points sit at the base point x0 bit for bit,
-    so the surface's point memo serves them the base data of x0.
+    crossing and Nijenhuis value is then algebraic in one sweep.  B at the
+    point and at its 24 stencil points is one `coframe_rows` stack: the
+    fiber-direction stencil points sit at the base point x0 bit for bit, so
+    the stack holds 17 distinct base points, and the stencils under them
+    are evaluated as stacks too.
 
     The building-block forms `W_forms` and `dW_forms` do not depend on i
     or lambda; each is built once, on first use, and shared by every K, dK,
@@ -660,10 +697,17 @@ class CoframeSweep:
         self.M = M
         self.y0 = z.chart_coordinates()
         be = backend or M.backend
-        field = lambda y: coframe_rows(M, t, y, seeds=seeds)  # noqa: E731
-        self.B0 = field(self.y0)
+        stencil = be.stencil(self.y0)            # (6, m, 6)
+        try:
+            B = coframe_rows(M, t, np.concatenate([self.y0[None], stencil.reshape(-1, 6)]),
+                             seeds=seeds)
+        except Exception:
+            # a point-by-point sweep builds and checks B at y0 before any stencil point
+            _check_gram(coframe_rows(M, t, self.y0, seeds=seeds), self.y0)
+            raise
+        self.B0 = B[0]
         _check_gram(self.B0, self.y0)
-        self.dB = np.stack([be.partial(field, self.y0, p) for p in range(6)])
+        self.dB = be.combine(B[1:].reshape(stencil.shape[:2] + (3, 6)))
         if not np.all(np.isfinite(self.dB)):
             raise DegenerateCoframeError(self.y0, "coframe derivative not finite")
 
@@ -803,12 +847,22 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
 # conformal comparison
 # ======================================================================
 
+_exp = _elementwise(math.exp)
+
+
 def conformal_rescale(M: HermitianSurface, f_expr: Union[str, Callable[[np.ndarray], float]]) -> HermitianSurface:
-    """The surface with metric e^{2f} h and the same complex structure."""
-    f = _compile_expr(f_expr, ("x1", "x2", "x3", "x4"), 1, 0) if isinstance(f_expr, str) else f_expr
-    scaled = lambda x: math.exp(2.0 * f(x)) * M.metric(x)  # noqa: E731
-    return HermitianSurface(M.chart, scaled, M.J, name=f"{M.name}+conformal",
-                            params=dict(M.params), backend=M.backend)
+    """The surface with metric e^{2f} h and the same complex structure.
+
+    A string f is compiled and, like M's metric, evaluated on a whole stack
+    of points in one call; a python callable f is evaluated point by point.
+    """
+    compiled = isinstance(f_expr, str)
+    f = _compile_expr(f_expr, ("x1", "x2", "x3", "x4"), 1, 0) if compiled else f_expr
+
+    def scaled(x: np.ndarray) -> np.ndarray:
+        return np.asarray(_exp(2.0 * f(x)))[..., None, None] * M.metric(x)
+    return HermitianSurface(M.chart, stack_field(scaled) if compiled else scaled, M.J,
+                            name=f"{M.name}+conformal", params=dict(M.params), backend=M.backend)
 
 
 def conformal_compare(M: HermitianSurface, f_expr: Union[str, Callable[[np.ndarray], float]],

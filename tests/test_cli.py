@@ -248,8 +248,8 @@ def test_scan_takes_one_dK_per_structure_parameter_and_point(monkeypatch, capsys
     code, doc = run_json(["scan", "--surface", "hopf", "--connection", "chern",
                           "--lambda-range", "0.5:2", "--grid", "5", "--points", "2"], capsys)
     assert code == 0
-    # one per (i, lambda, point) for the rows, two per (i, point) for the crossing
-    assert calls[0] == 4 * 5 * 2 + 4 * 2 * 2
+    # one per (i, lambda, point) for the rows; the closed-form crossing takes none
+    assert calls[0] == 4 * 5 * 2
 
 
 def test_scan_rejects_an_empty_grid(capsys):
@@ -408,6 +408,17 @@ def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "twistorlab: error: " in captured.err
+
+
+def test_log_of_a_negative_coordinate_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "log.surf"
+    path.write_text(GOOD_SURFACE.replace("g 1 1 = 1", "g 1 1 = 2 + log(x1)^2")
+                    .replace("g 2 2 = 1", "g 2 2 = 2 + log(x1)^2"))
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--surface", str(path), "--points", "1"])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["twistorlab: error: math domain error"]
 
 
 def test_surface_syntax_error_is_a_usage_error(tmp_path, capsys):

@@ -463,3 +463,151 @@ def test_threads_sharing_a_surface_get_the_serial_results(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and mismatches == []
     assert len(M._point_memo) <= 16 + len(threads)
+
+
+# ----------------------------------------------------------------------
+# stacks of points
+# ----------------------------------------------------------------------
+
+# the sin/cos/tanh/exp/sqrt surface of test_parse_expressions_and_comments
+FUNCTIONS_SPEC = """\
+coords a b c d
+domain a 0.5 2
+g 1 1 = 1/(1 + a^2)
+g 2 2 = 1/(1 + a^2)
+g 3 3 = sqrt(4) + sin(c)*cos(c) - tanh(exp(0 - d^2))
+g 4 4 = sqrt(4) + sin(c)*cos(c) - tanh(exp(0 - d^2))
+J standard
+"""
+
+
+def stack_surface(name):
+    """A fresh surface, so that its memo holds nothing yet."""
+    return mf.parse_surface_spec(FUNCTIONS_SPEC) if name == "functions" else mf.builtin(name)
+
+
+def _stack(M):
+    """Seven interior points and a repeat of two of them, as a (3, 3, 4) stack."""
+    pts = M.chart.interior_points(7, seed=5)
+    return np.concatenate([pts, pts[[2, 4]]]).reshape(3, 3, 4)
+
+
+def _point_results(M, x):
+    fr = mf.adapted_frame(M, x)
+    om_t, om_lc, fr_t = cn.omega_tilde_coord(M, x, 1.0)
+    return [M.metric(x), M.J(x), fr.point, fr.E, fr.theta, fr.U, fr.eta,
+            cn.christoffel(M, x), om_t, om_lc, fr_t.E, fr_t.eta]
+
+
+@pytest.mark.parametrize("name", [*mf.BUILTIN_NAMES, "functions"])
+def test_a_stack_gives_the_results_of_its_points_one_at_a_time(name):
+    pts = _stack(stack_surface(name))
+    stacked = _point_results(stack_surface(name), pts)
+    single = stack_surface(name)
+    for a in range(3):
+        for b in range(3):
+            for whole, one in zip(stacked, _point_results(single, pts[a, b])):
+                assert whole.shape == (3, 3) + one.shape
+                assert np.array_equal(whole[a, b], one)
+
+
+@pytest.mark.parametrize("name", [*mf.BUILTIN_NAMES, "functions"])
+def test_compiled_descriptions_keep_the_bits_of_scalar_evaluation(name):
+    M = stack_surface(name)
+    pts = _stack(M).reshape(-1, 4)
+    g = M._metric(pts)
+    for p, gp in zip(pts, g):
+        assert np.array_equal(gp, M._metric(p))     # numpy scalars on one point
+
+
+def test_a_failing_stack_names_the_point_met_first_one_at_a_time():
+    # at p the second seed check fails (s2 in span(e1, J e1)); at q the first
+    # (h(e1, e1) ~ 0), which the stack checks for all its points first
+    def metric(x):
+        return np.diag([1e-20, 1.0, 1.0, 1.0]) if x[0] == 0.5 else np.eye(4)
+    M = mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                            metric, lambda x: mf.J_STANDARD)
+    seeds = (np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.3, 0.8, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^seed degenerate at point \[0\.1, 0\.0, 0\.0, 0\.0\]$"):
+        mf.adapted_frame(M, np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]), seeds=seeds)
+
+
+def test_duplicates_in_a_stack_reach_a_pointwise_metric_once():
+    G = 2.0 * np.eye(4)
+    seen = []
+    M = mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                            lambda x: (seen.append(np.shape(x)), G)[1], lambda x: mf.J_STANDARD)
+    pts = M.chart.interior_points(5, seed=3)
+    seen.clear()
+    g = M.metric(np.concatenate([pts, pts[::-1]]))
+    assert seen == [(4,)] * 5                        # point by point, each point once
+    assert np.array_equal(g, np.broadcast_to(G, (10, 4, 4)))
+    assert np.array_equal(M.J(pts), np.broadcast_to(mf.J_STANDARD, (5, 4, 4)))
+    fr = mf.adapted_frame(M, pts)
+    other = mf.HermitianSurface(M.chart, lambda x: G, lambda x: mf.J_STANDARD)
+    for k, p in enumerate(pts):
+        assert np.array_equal(fr.E[k], mf.adapted_frame(other, p).E)
+        assert np.array_equal(cn.christoffel(M, pts)[k], cn.christoffel(other, p))
+
+
+def test_conformal_rescale_with_a_callable_is_evaluated_point_by_point():
+    base = mf.builtin("hopf")
+    seen = []
+
+    def f(x):
+        seen.append(np.shape(x))
+        return 0.1 * x[0]
+
+    pointwise = tw.conformal_rescale(base, f)
+    compiled = tw.conformal_rescale(mf.builtin("hopf"), "0.1*x1")
+    pts = base.chart.interior_points(6, seed=4)
+    seen.clear()
+    g = pointwise.metric(pts)
+    assert seen == [(4,)] * 6
+    assert np.array_equal(g, compiled.metric(pts))
+    for k, p in enumerate(pts):
+        assert np.array_equal(cn.christoffel(pointwise, pts)[k], cn.christoffel(compiled, p))
+
+
+def test_partials_match_partial_direction_by_direction():
+    M = mf.builtin("cp2_fs")
+    pts = M.chart.interior_points(3, seed=8)
+    for be in (mf.DiffBackend(), mf.DiffBackend(order=2, step=[1e-3, 2e-3, 3e-3, 4e-3])):
+        d = be.partials(M.metric, pts)
+        assert d.shape == (3, 4, 4, 4)
+        for n, p in enumerate(pts):
+            for k in range(4):
+                assert np.array_equal(d[n, k], be.partial(M.metric, p, k))
+
+
+def test_threads_sharing_a_surface_get_the_serial_results_for_stacks(monkeypatch):
+    points = mf.builtin("hopf").chart.interior_points(6, seed=3)
+    stacks = [np.roll(points, k, axis=0)[:4] for k in range(len(points))]
+    serial = mf.builtin("hopf")
+    expected = [(cn.christoffel(serial, s), mf.adapted_frame(serial, s).E) for s in stacks]
+    monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 16)     # clears race with stores
+    M = mf.builtin("hopf")
+    errors, mismatches = [], []
+
+    def work(k):
+        try:
+            for n in range(len(stacks)):
+                j = (n + k) % len(stacks)
+                Gm, E = cn.christoffel(M, stacks[j]), mf.adapted_frame(M, stacks[j]).E
+                if not (np.array_equal(Gm, expected[j][0]) and np.array_equal(E, expected[j][1])):
+                    mismatches.append(j)
+        except Exception as exc:    # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and mismatches == []

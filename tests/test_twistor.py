@@ -6,6 +6,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
 from twistorlab.exterior import wedge
 from twistorlab.manifold import (HermitianSurface, builtin, coordinate_fundamental_matrix,
-                                 parse_surface_spec)
+                                 parse_surface_spec, stack_field)
 
 BASE_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -329,6 +332,26 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     assert len(whole) == len(parts) > 0
 
 
+def test_sweep_evaluates_its_stencils_as_stacks():
+    M = builtin("cp2_fs", c=2.0)
+    calls = []
+    compiled = M._metric
+    M._metric = stack_field(lambda x: (calls.append(np.asarray(x).reshape(-1, 4)), compiled(x))[1])
+    tw.CoframeSweep(M, "lichnerowicz", tw.sample_twistor_points(M, 1, seed=0)[0])
+    # the 17 base points, then the distinct points of every stencil under them
+    assert [len(c) for c in calls] == [17, 112]
+    assert len({p.tobytes() for c in calls for p in c}) == 129
+
+
+def test_sweep_checks_its_base_point_before_its_stencil():
+    # B is degenerate at the base point (x1 = 0), and a stencil point lies
+    # too close to the boundary; a point-by-point sweep meets the first
+    M = parse_surface_spec("coords x1 x2 x3 x4\ng 1 1 = 1/x1^2\ng 2 2 = 1/x1^2\nJ standard\n")
+    z = tw.TwistorPoint.from_zeta([0.0, 1.0 - 1.5 * M.backend.reach(), 0.1, 0.2], 0.2)
+    with np.errstate(all="ignore"), pytest.raises(tw.DegenerateCoframeError, match="Gram determinant"):
+        tw.CoframeSweep(M, "lichnerowicz", z)
+
+
 def test_sweep_builds_each_building_block_once(monkeypatch):
     calls = [0]
     partial = tw.CoframeSweep._dW_partial
@@ -367,13 +390,67 @@ def test_formula_results_do_not_alias_the_shared_forms(name, conn):
     co = tw.twistor_coframe(surface(name), conn, zpt(name))
     tw.dK_formula(3, SQ2, co).terms.clear()   # a caller scribbling on its result
     tw.K_form(3, SQ2, co).terms.clear()
+    tw.balanced_defect_formula(3, SQ2, co).terms.clear()
+    tw.balanced_defect_formula(1, SQ2, co).terms.clear()
     fresh = tw.twistor_coframe(surface(name), conn, zpt(name))
     for i in (1, 2, 3, 4):
         for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
             assert tw.dK_formula(i, lam, co).terms == tw.dK_formula(i, lam, fresh).terms
             assert tw.K_form(i, lam, co).terms == tw.K_form(i, lam, fresh).terms
+        for lam in (0.5, SQ2):
+            assert (tw.balanced_defect_formula(i, lam, co).terms
+                    == tw.balanced_defect_formula(i, lam, fresh).terms)
     assert co.dW_forms is co.dW_forms and co.W_forms is co.W_forms
+    assert co.balanced_forms is co.balanced_forms
     assert tw.dK_formula(3, SQ2, co).terms == tw.dK_formula(3, SQ2, fresh).terms != {}
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_coframe_rows_of_a_stack_are_those_of_its_points(name, t):
+    pts = tw.sample_twistor_points(surface(name), 4, seed=9)
+    ys = np.stack([z.chart_coordinates() for z in pts] + [pts[1].chart_coordinates()])
+    fresh = lambda: builtin(name, c=2.0) if name == "cp2_fs" else builtin(name)  # noqa: E731
+    B = tw.coframe_rows(fresh(), t, ys.reshape(5, 1, 6))
+    single = fresh()
+    assert B.shape == (5, 1, 3, 6)
+    for k, y in enumerate(ys):
+        assert np.array_equal(B[k, 0], tw.coframe_rows(single, t, y))
+
+
+# a lambda triple, and coframes built without structure data, handed to the
+# closed-form displays: each refusal must survive python -O
+_REFUSALS = """
+from twistorlab import twistor as tw
+from twistorlab.manifold import builtin
+M = builtin("cp2_fs", c=2.0)
+z = tw.sample_twistor_points(M, 1, seed=0)[0]
+co = tw.twistor_coframe(M, "lichnerowicz", z)
+bare = [tw.twistor_coframe(M, conn, z, with_structure=False) for conn in ("lichnerowicz", "chern")]
+calls = [lambda: tw.balanced_defect_formula(3, (1.3, 0.7, 2.1), co),
+         lambda: tw.ddbar_formula(3, (1.3, 0.7, 2.1), co)]
+for b in bare:
+    calls += [lambda b=b: tw.dK_formula(3, 1.0, b), lambda b=b: tw.balanced_defect_formula(3, 1.0, b),
+              lambda b=b: tw.ddbar_formula(3, 1.0, b)]
+for call in calls:
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_formula_refusals_hold_under_python_O(flags):
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _REFUSALS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    bare = "ValueError: coframe was built without structure data"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: the product displays are stated for the one-parameter family",
+        "ValueError: the displays are stated for the one-parameter family",
+    ] + [bare] * 6
 
 
 def test_complex_residue_is_a_typed_error():

@@ -578,10 +578,6 @@ class HermitianSurface:
 
     def _validate_samples(self, n: int = 16, tol: float = 1e-10):
         pts = self.chart.interior_points(n, seed=2024)
-        try:
-            self.metric(pts)        # one stacked evaluation fills the point memo
-        except Exception:           # noqa: BLE001 - the loop meets the error at its point
-            pass
         for pt in pts:
             g = self.metric(pt)
             Jm = self.J(pt)
@@ -599,18 +595,25 @@ class HermitianSurface:
 # parsing surface descriptions
 # ======================================================================
 
-def _matrix_field(program: _Program, entries: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """The stack field x (..., 4) -> (..., 4, 4) whose row-major entries are
-    the program values (or literals) named by `entries`."""
-    run = program.compile(entries)
+def _matrix_field(coords: Sequence[str], entries: Dict[Tuple[int, int], tuple],
+                  fill: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack field x (..., 4) -> (..., 4, 4): `fill` with each 1-based
+    slot of `entries` set to its expression, given as (text, line, column).
+    The expressions enter one program in the order of `entries`, so where
+    two of them fail at one point the error is that of the first, as when
+    each entry is evaluated in turn."""
+    program = _Program(coords)
+    names = [program.add(*expr) for expr in entries.values()]
+    run = program.compile(names)
+    slots = [(i - 1, j - 1) for i, j in entries]
 
     @stack_field
     def field(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (16,))
-        for k, value in enumerate(run(x)):
-            out[..., k] = value
-        return out.reshape(x.shape[:-1] + (4, 4))
+        out = np.array(np.broadcast_to(fill, x.shape[:-1] + (4, 4)))
+        for (i, j), value in zip(slots, run(x)):
+            out[..., i, j] = value
+        return out
     return field
 
 
@@ -632,10 +635,9 @@ def parse_surface_spec(text: str, name: str = "custom",
     """
     coords: Optional[Tuple[str, ...]] = None
     domains: Dict[str, Tuple[float, float]] = {}
-    # each entry is the temporary of its expression in the g or J program
-    programs: Dict[str, _Program] = {}
-    g_exprs: Dict[Tuple[int, int], str] = {}
-    j_exprs: Dict[Tuple[int, int], str] = {}
+    # each entry is its expression as (text, line, column)
+    g_exprs: Dict[Tuple[int, int], tuple] = {}
+    j_exprs: Dict[Tuple[int, int], tuple] = {}
     j_standard = False
 
     lines = text.splitlines()
@@ -656,7 +658,6 @@ def parse_surface_spec(text: str, name: str = "custom",
             if len(set(words[1:])) != 4:
                 raise SpecSyntaxError("coordinate names must be distinct", line_no, indent + 1)
             coords = tuple(words[1:])
-            programs = {"g": _Program(coords), "J": _Program(coords)}
             continue
 
         if coords is None:
@@ -692,11 +693,12 @@ def parse_surface_spec(text: str, name: str = "custom",
                 raise SpecSyntaxError("matrix indices must be integers", line_no, indent + 1) from None
             if not (1 <= i <= 4 and 1 <= j <= 4):
                 raise SpecSyntaxError("matrix indices must be in 1..4", line_no, indent + 1)
-            src = programs[head].add(line[eq + 1:], line_no, eq + 1)
+            expr = (line[eq + 1:], line_no, eq + 1)
+            _Program(coords).add(*expr)     # a syntax error surfaces at its line
             target = g_exprs if head == "g" else j_exprs
             if (i, j) in target:
                 raise SpecSyntaxError(f"duplicate entry {head} {i} {j}", line_no, indent + 1)
-            target[(i, j)] = src
+            target[(i, j)] = expr
             continue
 
         raise SpecSyntaxError(f"unknown directive {head!r}", line_no, indent + 1)
@@ -707,16 +709,20 @@ def parse_surface_spec(text: str, name: str = "custom",
     box = np.array([domains.get(c, (-1.0, 1.0)) for c in coords])
     chart = ChartSpec(names=coords, box=box)
 
-    slots = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-    metric_fn = _matrix_field(programs["g"], [
-        g_exprs.get((i, j)) or g_exprs.get((j, i)) or ("1.0" if i == j else "0.0")
-        for i, j in slots])
+    # the metric's entries in slot order, slot (i, j) taking the entry
+    # written for (i, j), else the one for (j, i); J's in the order written
+    metric_entries = {}
+    for i, j in itertools.product(range(1, 5), repeat=2):
+        expr = g_exprs.get((i, j)) or g_exprs.get((j, i))
+        if expr is not None:
+            metric_entries[(i, j)] = expr
+    metric_fn = _matrix_field(coords, metric_entries, np.eye(4))
 
     if j_exprs and j_standard:
         raise SpecSyntaxError("both 'J standard' and explicit J entries given", len(lines), 1)
 
     if j_exprs:
-        j_fn = _matrix_field(programs["J"], [j_exprs.get(slot, "0.0") for slot in slots])
+        j_fn = _matrix_field(coords, j_exprs, np.zeros((4, 4)))
     else:
         j_fn = stack_field(lambda x: np.broadcast_to(J_STANDARD, np.shape(x)[:-1] + (4, 4)))
 

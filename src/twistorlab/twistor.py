@@ -384,8 +384,10 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 
     lc = levi_civita(M, x, seeds=seeds)
     fr = lc.frame
-    _, om_lc, _ = omega_tilde_coord(M, x, t, seeds=seeds)
-    B = coframe_rows(M, t, y, seeds=seeds)
+    # B (as coframe_rows makes it) and the Levi-Civita forms from one D^t evaluation
+    om_t, om_lc, fr_t = omega_tilde_coord(M, x[None], t, seeds=seeds)
+    B = _assemble_rows(fr_t.eta, complex_connection_matrix(om_t), np.array([zeta]))[0]
+    om_lc = om_lc[0]
     _check_gram(B, y)
 
     mu_coord = mu_from_omega(om_lc)

@@ -532,6 +532,20 @@ def test_a_failing_stack_names_the_point_met_first_one_at_a_time():
         mf.adapted_frame(M, np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]), seeds=seeds)
 
 
+def test_entries_written_out_of_order_fail_in_slot_order():
+    # at x1 = -1 both kinds of entry fail; g 1 1 comes first in slot order
+    M = mf.parse_surface_spec("coords x1 x2 x3 x4\ndomain x1 0.5 1\n"
+                              "g 3 3 = 2 + log(x1)^2\ng 4 4 = 2 + log(x1)^2\n"
+                              "g 1 1 = 1 + exp(-1000*x1)\ng 2 2 = 1 + exp(-1000*x1)\nJ standard\n")
+    both, log_only = [-1.0, 0.0, 0.0, 0.0], [-0.001, 0.0, 0.0, 0.0]
+    for x, error, message in [([both], OverflowError, "math range error"),
+                              ([both, log_only], OverflowError, "math range error"),
+                              ([log_only, both], ValueError, "math domain error")]:
+        for stack in (np.array(x), np.array(x)[None]):
+            with pytest.raises(error, match=f"^{message}$"):
+                M.metric(stack)
+
+
 def test_duplicates_in_a_stack_reach_a_pointwise_metric_once():
     G = 2.0 * np.eye(4)
     seen = []

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
 from twistorlab.exterior import wedge
-from twistorlab.manifold import (HermitianSurface, builtin, coordinate_fundamental_matrix,
-                                 parse_surface_spec, stack_field)
+from twistorlab.manifold import (DEFAULT_SEEDS, HermitianSurface, builtin,
+                                 coordinate_fundamental_matrix, parse_surface_spec, stack_field)
 
 BASE_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -168,6 +168,23 @@ def test_coframe_rows_match_object():
     B = tw.coframe_rows(surface("hopf"), 1.0, zpt("hopf").chart_coordinates())
     assert np.max(np.abs(co.B - B)) < 1e-12
     assert co.label == "chern" and co.t == 1.0
+
+
+@pytest.mark.parametrize("seeds", [None, DEFAULT_SEEDS])
+def test_coframe_rows_and_levi_civita_forms_come_from_one_evaluation(monkeypatch, seeds):
+    # explicit seeds bypass the point memo, so only sharing one result keeps it to one
+    from twistorlab import connection as cn
+    calls = []
+    real = cn._omega_tilde
+
+    def counting(M, x, t, seeds=None):
+        calls.append(np.shape(x))
+        return real(M, x, t, seeds=seeds)
+    monkeypatch.setattr(cn, "_omega_tilde", counting)
+    M, z = builtin("hopf"), zpt("hopf")
+    co = tw.twistor_coframe(M, "lichnerowicz", z, seeds=seeds)
+    assert calls == [(1, 4)]
+    assert np.array_equal(co.B, tw.coframe_rows(builtin("hopf"), 0.0, z.chart_coordinates()))
 
 
 def test_zeta_out_of_chart_raises():

@@ -6,10 +6,10 @@ Run from the repository root, with the other tree checked out beside it (a
     python3 tools/compare_outputs.py ../parent/src src
 
 Every invocation runs as `python -m twistorlab.cli ...` in a fresh
-interpreter, once per tree.  The list holds two ops of each benchmark
-workload (perfbench/workloads.py, seed 0), `report` on the four built-ins
-with the lichnerowicz, chern and bismut connections, a lambda triple, the
-gauduchon member t = 0.5, `appendix` and a text `scan`.
+interpreter, once per tree, one after another.  The list holds two ops of
+each benchmark workload (perfbench/workloads.py, seed 0), `report` on the
+four built-ins with the lichnerowicz, chern and bismut connections, a
+lambda triple, the gauduchon member t = 0.5, `appendix` and a text `scan`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -26,7 +26,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -127,13 +126,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old_src", help="src directory of the reference tree")
     ap.add_argument("new_src", help="src directory of the tree under test")
-    ap.add_argument("--jobs", type=int, default=2, help="concurrent invocations (default: 2)")
     args = ap.parse_args(argv)
 
     cases = argv_list()
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        olds = list(pool.map(lambda a: run(args.old_src, a), cases))
-        news = list(pool.map(lambda a: run(args.new_src, a), cases))
+    olds = [run(args.old_src, case) for case in cases]
+    news = [run(args.new_src, case) for case in cases]
 
     identical, failed = 0, False
     worst, worst_rel = (0.0, None), (0.0, None)

@@ -250,58 +250,25 @@ def _lambda_args(args, parser: argparse.ArgumentParser,
 # report
 # ======================================================================
 
-def _aggregate_triple_rows(M, conn, points, triple, tol):
-    t, _ = normalize_connection(conn)
-    formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
-    rows = []
-    sweeps = [CoframeSweep(M, conn, z) for z in points]
-    coframes = [twistor_coframe(M, conn, z, with_structure=formula_ok) for z in points]
-    for i in (1, 2, 3, 4):
-        sym = bal = 0.0
-        res: Optional[float] = None
-        for sw, co in zip(sweeps, coframes):
-            dKo = sw.dK(i, triple)
-            bo = wedge(sw.K(i, triple), dKo)
-            sym = max(sym, dKo.norm())
-            bal = max(bal, bo.norm())
-            if formula_ok:
-                r = (dK_formula(i, triple, co) - dKo).norm()
-                res = r if res is None else max(res, r)
-        rows.append({
-            "i": i, "lambdas": list(triple),
-            "symplectic": {"holds": sym < tol, "defect": sym},
-            "balanced": {"holds": bal < tol, "defect": bal},
-            "formula_residual": res,
-        })
-    return rows
-
-
 def cmd_report(args, parser: argparse.ArgumentParser) -> int:
     M = load_surface(args, parser)
     conn = resolve_connection(args, parser)
     scalars, triple = _lambda_args(args, parser, default=1.0)
     points = sample_twistor_points(M, args.points, seed=args.seed)
 
+    rep = condition_report(M, conn, scalars + ([] if triple is None else [triple]), points,
+                           tol=args.tol, nijenhuis_tol=args.nijenhuis_tol)
     payload: Dict[str, object] = {"seed": args.seed}
-    rep = None
+    payload.update(rep.as_dict())
     if scalars:
-        rep = condition_report(M, conn, scalars, points, tol=args.tol,
-                               nijenhuis_tol=args.nijenhuis_tol)
-        payload.update(rep.as_dict())
-    else:
-        t, label = normalize_connection(conn)
-        payload.update({"surface": M.name, "params": dict(M.params),
-                        "connection": label, "t": t, "tolerance": args.tol,
-                        "nijenhuis_tolerance": args.nijenhuis_tol})
-    if triple is not None:
-        payload["triple_rows"] = _aggregate_triple_rows(M, conn, points, triple, args.tol)
-
-    if rep is not None:
         payload["summary"] = {
             "symplectic": [[r.i, r.lam] for r in rep.rows if r.symplectic],
             "balanced": [[r.i, r.lam] for r in rep.rows if r.balanced],
             "integrable": sorted({r.i for r in rep.rows if r.integrable}),
         }
+    else:       # a triple alone reports its rows under the header only
+        for key in ("lambda_grid", "points", "rows", "base_flags", "zero_crossings"):
+            del payload[key]
 
     doc = _envelope("report", payload)
     if args.format == "json":
@@ -520,7 +487,7 @@ def _oracle_job(job) -> List[Dict[str, object]]:
     """The Lichnerowicz and Chern checks of one surface, built once so that
     both connections share its point memo."""
     surface, n_points, seed, tol = job
-    M = builtin(surface, c=2.0) if surface in ("cp2_fs", "ch2") else builtin(surface)
+    M = builtin(surface)
     points = sample_twistor_points(M, n_points, seed=seed)
     checks = []
     for conn in ("lichnerowicz", "chern"):
@@ -581,20 +548,18 @@ def _suite_algebra(seed: int) -> List[Dict[str, object]]:
     star = max(star, (hodge_star_4(minus) + minus).norm())
     checks.append(_check("algebra:hodge-star", star, 1e-12))
 
+    # the built-ins, with c = 2 for cp2_fs and ch2 (builtin's default)
+    surfaces = {name: builtin(name) for name in _SURFACE_POINTS}
     curv = 0.0
-    names = []
-    for surface, x in _SURFACE_POINTS.items():
-        M = builtin(surface, c=2.0) if surface in ("cp2_fs", "ch2") else builtin(surface)
-        defects = levi_civita(M, np.array(x)).defects()
+    for name, x in _SURFACE_POINTS.items():
+        defects = levi_civita(surfaces[name], np.array(x)).defects()
         curv = max(curv, max(defects.values()))
-        names.append(surface)
     checks.append(_check("algebra:curvature-symmetries", curv, 1e-6,
                          detail="omega antisymmetry, pair symmetry, Bianchi on "
-                                + ", ".join(names)))
+                                + ", ".join(surfaces)))
 
     herm = 0.0
-    for surface in names:
-        M = builtin(surface, c=2.0) if surface in ("cp2_fs", "ch2") else builtin(surface)
+    for M in surfaces.values():
         for x in M.chart.interior_points(6, seed=seed):
             g = M.metric(x)
             Jm = M.J(x)

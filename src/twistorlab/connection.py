@@ -24,15 +24,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ComplexForm, wedge
+from twistorlab.exterior import ComplexForm
 from twistorlab.manifold import (
-    DiffBackend,
     HermitianSurface,
     UnitaryFrame,
     adapted_frame,
     coordinate_fundamental_matrix,
     dF_array,
-    lee_form,
+    lee_components,
     point_memo,
 )
 
@@ -156,32 +155,33 @@ def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray,
     return np.einsum("zml,zmnj,zli->zijn", g, nabla, E)
 
 
+@point_memo
 def levi_civita(M: HermitianSurface, x: np.ndarray, seeds=None) -> LeviCivitaData:
-    """Levi-Civita connection forms and curvature at x.
+    """Levi-Civita connection forms and curvature at an (n, 4) stack of points;
+    `point_memo` serves one point or any stack.
 
     Christoffels come from one FD pass over the metric; the curvature comes
     from a second FD pass over the Christoffel field; frame components are
     produced against the canonical Gram-Schmidt frame field.  Both passes
-    evaluate their whole stencil as one stack, and x is the stack of one.
+    evaluate their whole stencil as one stack.
     """
-    x = np.asarray(x, dtype=float)
     fr = adapted_frame(M, x, seeds=seeds)
-    X, E = x[None], fr.E[None]
-    g = M.metric(X)
-    Gm = christoffel(M, X)
-    omega_coord = _lc_forms(M, X, g, E, seeds=seeds)
+    E = fr.E
+    g = M.metric(x)
+    Gm = christoffel(M, x)
+    omega_coord = _lc_forms(M, x, g, E, seeds=seeds)
     omega_frame = np.einsum("zijn,znk->zijk", omega_coord, E)
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
-    dG = M.backend.partials(lambda p: christoffel(M, p), X)     # dG[z, k] = d_k Gamma
+    dG = M.backend.partials(lambda p: christoffel(M, p), x)     # dG[z, k] = d_k Gamma
     Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
     Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
     Rfr = np.einsum("zmnrs,zmi,znj,zrk,zsl->zijkl", Rdn, E, E, E, E)
-    return LeviCivitaData(point=x, frame=fr, Gamma=Gm[0], omega_coord=omega_coord[0],
-                          omega_frame=omega_frame[0], R=Rfr[0])
+    return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=omega_coord,
+                          omega_frame=omega_frame, R=Rfr)
 
 
 # ======================================================================
@@ -343,11 +343,8 @@ def structure_equation_defect(M: HermitianSurface, data: HermitianConnectionData
     the identity is exact, so the residual is pure FD noise.
     """
     x = data.point
-
-    def eta_of(p):
-        return adapted_frame(M, p, seeds=seeds).eta
-    eta0 = eta_of(x)
-    deta = np.stack([M.backend.partial(eta_of, x, nu) for nu in range(4)])  # [nu, a, rho]
+    eta0 = adapted_frame(M, x, seeds=seeds).eta
+    deta = M.backend.partials(lambda p: adapted_frame(M, p, seeds=seeds).eta, x)  # [nu, a, rho]
     psi = data.psi_coord
     T = data.torsion_coord
     worst = 0.0
@@ -452,24 +449,18 @@ class TorsionAuxiliary:
     grad_alpha_J_wedge_F: np.ndarray  # (4, 4, 4, 4): [dir, slots...] frame components
 
 
-def _alpha_coord_field(M: HermitianSurface, seeds=None) -> Callable[[np.ndarray], np.ndarray]:
-    def field(p: np.ndarray) -> np.ndarray:
-        fr = adapted_frame(M, p, seeds=seeds)
-        a = lee_form(M, p, frame=fr)
-        comps = np.array([a.terms.get((i,), 0.0) for i in range(4)]).real
-        return comps @ fr.theta
-    return field
-
-
-def _alpha_J_wedge_F_coord(M: HermitianSurface, p: np.ndarray, alpha_field) -> np.ndarray:
-    """(alpha o J) ^ F as a full antisymmetric coordinate array at p."""
-    ac = alpha_field(p)
-    Jm = M.J(p)
-    aJ = ac @ Jm                       # (alpha o J)(d_nu) = alpha(J d_nu)
-    Fc = coordinate_fundamental_matrix(M, p)
-    form = ComplexForm(4, 1, {(i,): aJ[i] for i in range(4)})
-    Fform = ComplexForm(4, 2, {(i, j): Fc[i, j] for i in range(4) for j in range(i + 1, 4)})
-    return wedge(form, Fform).to_array().real
+def _lee_fields(M: HermitianSurface, p: np.ndarray, seeds=None) -> np.ndarray:
+    """alpha, alpha o J and (alpha o J) ^ F in chart coordinates at a stack of
+    points p (..., 4), as one array (..., 72): 4 + 4 components and the full
+    antisymmetric (4, 4, 4) array, flattened."""
+    fr = adapted_frame(M, p, seeds=seeds)
+    alpha = np.einsum("...i,...im->...m", lee_components(M, p, fr.E), fr.theta)
+    aJ = np.einsum("...m,...mn->...n", alpha, M.J(p))      # (alpha o J)(d_n) = alpha(J d_n)
+    F = coordinate_fundamental_matrix(M, p)
+    # the 1-form aJ wedged with the 2-form F: aJ_a F_bc + aJ_b F_ca + aJ_c F_ab
+    B3 = (np.einsum("...a,...bc->...abc", aJ, F) + np.einsum("...b,...ca->...abc", aJ, F)
+          + np.einsum("...c,...ab->...abc", aJ, F))
+    return np.concatenate([alpha, aJ, B3.reshape(B3.shape[:-3] + (64,))], axis=-1)
 
 
 def torsion_auxiliary(M: HermitianSurface, x: np.ndarray, seeds=None,
@@ -482,31 +473,25 @@ def torsion_auxiliary(M: HermitianSurface, x: np.ndarray, seeds=None,
     else:
         fr = lc.frame
         Gm = lc.Gamma
-    alpha_field = _alpha_coord_field(M, seeds=seeds)
-    ac = alpha_field(x)
-    Jm = M.J(x)
-    aJ_field = lambda p: alpha_field(p) @ M.J(p)
+    fields = lambda p: _lee_fields(M, p, seeds=seeds)  # noqa: E731
+    values, d = fields(x), M.backend.partials(fields, x)     # d[nu] = d_nu of the fields
+    ac, B3 = values[:4], values[8:].reshape(4, 4, 4)
 
     # grad alpha in coordinates: (grad alpha)_{nu rho} = d_nu a_rho - Gm^mu_{nu rho} a_mu
-    da = np.stack([M.backend.partial(alpha_field, x, nu) for nu in range(4)])
-    grad_a = da - np.einsum("mnr,m->nr", Gm, ac)
+    grad_a = d[:, :4] - np.einsum("mnr,m->nr", Gm, ac)
     L_coord = grad_a + 0.5 * np.outer(ac, ac)
     L = fr.E.T @ L_coord @ fr.E
 
     # d(alpha o J) as a coordinate 2-form
-    daJ = np.stack([M.backend.partial(aJ_field, x, nu) for nu in range(4)])
-    daJ2 = daJ - daJ.T
-    d_alpha_J = fr.E.T @ daJ2 @ fr.E
+    daJ = d[:, 4:8]
+    d_alpha_J = fr.E.T @ (daJ - daJ.T) @ fr.E
 
     alpha_frame = ac @ fr.E  # alpha(e_i)
     alpha_sq = float(np.dot(alpha_frame, alpha_frame))
-
-    B3 = _alpha_J_wedge_F_coord(M, x, alpha_field)
     B3_frame = np.einsum("abc,ai,bj,ck->ijk", B3, fr.E, fr.E, fr.E)
 
     # covariant derivative of the 3-form in coordinates, then frame components
-    dB3 = np.stack([M.backend.partial(lambda p: _alpha_J_wedge_F_coord(M, p, alpha_field), x, nu)
-                    for nu in range(4)])
+    dB3 = d[:, 8:].reshape(4, 4, 4, 4)
     gradB3 = (dB3
               - np.einsum("mna,mbc->nabc", Gm, B3)
               - np.einsum("mnb,amc->nabc", Gm, B3)

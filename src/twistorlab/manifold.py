@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ZERO_EPS, ComplexForm, hodge_star_4, substitute
+from twistorlab.exterior import ZERO_EPS, ComplexForm
 
 # standard complex structure J0:  J(d1)=d2, J(d2)=-d1, J(d3)=d4, J(d4)=-d3
 J_STANDARD = np.array([
@@ -301,8 +301,14 @@ class DiffBackend:
     function there: (f(x+h) - f(x-h)) / 2h, or (-f(x+2h) + 8 f(x+h)
     - 8 f(x-h) + f(x-2h)) / 12h, in that order of operations.  `partials`
     differentiates a function that evaluates stacks with one call on the
-    whole stencil; `partial` is the one-direction case for a function of
-    one point.
+    whole stencil; it is the one FD entry point of the package, nested
+    derivatives included (`partials` of a field that itself calls
+    `partials`), and only `CoframeSweep` calls its two halves directly, to
+    put the bundle point in its stencil's stack.  `partial` is the
+    one-direction case for a function of one point, evaluated point by
+    point; the package does not call it, and it stays as the independent
+    per-point reference that tests hold `partials` and the coframe sweeps
+    against.
     """
     order: int = 4
     step: float = 1e-3
@@ -577,18 +583,33 @@ class HermitianSurface:
         return _field(self._J, np.asarray(x, dtype=float))
 
     def _validate_samples(self, n: int = 16, tol: float = 1e-10):
+        """Check the invariants at n sample points, evaluated as one stack,
+        and raise for the first failing point with its first failing check."""
         pts = self.chart.interior_points(n, seed=2024)
-        for pt in pts:
-            g = self.metric(pt)
-            Jm = self.J(pt)
-            if not np.allclose(g, g.T, atol=tol):
-                raise ValueError(f"surface invariant violation at sample point {pt.tolist()}: metric not symmetric")
-            if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) <= 1e-10:
-                raise ValueError(f"surface invariant violation at sample point {pt.tolist()}: metric not positive-definite")
-            if not np.allclose(Jm @ Jm, -np.eye(4), atol=tol):
-                raise ValueError(f"surface invariant violation at sample point {pt.tolist()}: J*J != -Id")
-            if not np.allclose(Jm.T @ g @ Jm, g, atol=tol):
-                raise ValueError(f"surface invariant violation at sample point {pt.tolist()}: metric not J-invariant")
+        g = self.metric(pts)
+        Jm = self.J(pts)
+        gT = np.swapaxes(g, 1, 2)
+
+        def close(a, b):    # np.allclose at each point
+            return np.all(np.isclose(a, b, atol=tol), axis=(1, 2))
+        # a metric that is not finite at a point is kept from eigvalsh, which may
+        # fail to converge on it for the whole stack; the positive-definite check
+        # passes there, as it does where eigvalsh returns NaN
+        finite = np.all(np.isfinite(g), axis=(1, 2))[:, None, None]
+        h = np.where(finite, 0.5 * (g + gT), np.eye(4))
+        bad = np.stack([~close(g, gT),
+                        np.min(np.linalg.eigvalsh(h), axis=1) <= 1e-10,
+                        ~close(Jm @ Jm, -np.eye(4)),
+                        ~close(np.swapaxes(Jm, 1, 2) @ g @ Jm, g)], axis=1)
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=1)))
+            raise ValueError(f"surface invariant violation at sample point {pts[k].tolist()}: "
+                             f"{_INVARIANTS[int(np.argmax(bad[k]))]}")
+
+
+# the checks of HermitianSurface._validate_samples, in the order they are made
+_INVARIANTS = ("metric not symmetric", "metric not positive-definite",
+               "J*J != -Id", "metric not J-invariant")
 
 
 # ======================================================================
@@ -977,23 +998,27 @@ def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
     return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
 
 
-def lee_form(M: HermitianSurface, x: np.ndarray, frame: Optional[UnitaryFrame] = None) -> ComplexForm:
-    """The Lee form of (M, J, h) at x, over the adapted coframe of `frame`.
+def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The Lee form's components over the adapted coframe, at a point or a
+    stack of points x (..., 4) with frames E (..., 4, 4): (..., 4).
 
     Uses delta = -*d* on 2-forms and *F = F, so the Lee form is the J-image of
-    -*dF with no nested differentiation.
-
-    Returns:
-        A 1-form over the adapted coframe (theta basis).
+    -*dF with no nested differentiation; dF of the whole stack comes from one
+    `dF_array`.
     """
+    # dF over the adapted coframe: dx^mu = sum_i E[mu, i] theta^i
+    dF = np.einsum("...abc,...ai,...bj,...ck->...ijk", dF_array(M, x), E, E, E)
+    # -*dF, with *(theta^a ^ theta^b ^ theta^c) = sign(a, b, c, d) theta^d
+    b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
+    # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4
+    return np.stack([-b[..., 1], b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
+
+
+def lee_form(M: HermitianSurface, x: np.ndarray, frame: Optional[UnitaryFrame] = None) -> ComplexForm:
+    """The Lee form of (M, J, h) at x, over the adapted coframe of `frame`:
+    the 1-form (theta basis) of `lee_components`."""
     x = np.asarray(x, dtype=float)
     if frame is None:
         frame = adapted_frame(M, x)
-    dF_coord = dF_form(M, x)
-    # rewrite in the adapted coframe: dx^mu = sum_i E[mu, i] theta^i
-    dF_theta = substitute(dF_coord, frame.E)
-    delta_F = -1.0 * hodge_star_4(dF_theta)   # 1-form, theta components
-    b = [delta_F.terms.get((i,), 0.0) for i in range(4)]
-    # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4
-    alpha = {(0,): -b[1], (1,): b[0], (2,): -b[3], (3,): b[2]}
-    return ComplexForm(4, 1, alpha)
+    alpha = lee_components(M, x, frame.E)
+    return ComplexForm(4, 1, {(i,): alpha[i] for i in range(4)})

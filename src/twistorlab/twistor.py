@@ -33,9 +33,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exterior import ComplexForm, wedge, wedge_all, substitute
-from .manifold import (DiffBackend, HermitianSurface, UnitaryFrame,
+from .manifold import (J_STANDARD, DiffBackend, HermitianSurface, UnitaryFrame,
                        _compile_expr, _elementwise, adapted_frame,
-                       coordinate_fundamental_matrix, dF_form, stack_field)
+                       coordinate_fundamental_matrix, dF_array, stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, direct_curvature,
                          gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
 from .curvature_analysis import (ConditionFlags, condition_flags,
@@ -185,7 +185,8 @@ def _lambdas(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
         lams = (1.0, 1.0, float(lam))
     else:
         lams = tuple(float(v) for v in lam)
-        assert len(lams) == 3, "expected one fiber parameter or three scale parameters"
+        if len(lams) != 3:
+            raise ValueError("expected one fiber parameter or three scale parameters")
     for v in lams:
         if v < LAMBDA_MIN:
             raise ValueError(f"metric parameter {v:g} below the positivity floor {LAMBDA_MIN:g}")
@@ -823,15 +824,18 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
     y0 = z.chart_coordinates()
     keys = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
 
-    def dbar_vec(y: np.ndarray) -> np.ndarray:
-        zp = TwistorPoint.from_zeta(y[:4], complex(y[4], y[5]))
-        sw = CoframeSweep(M, t, zp, seeds=seeds)
-        proj = _bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1)
-        return np.array([proj.terms.get(k, 0.0) for k in keys], dtype=complex)
+    def dbar_vecs(Y: np.ndarray) -> np.ndarray:
+        """The (1,2)-part coefficients at every point of a stack Y (..., 6),
+        one coframe sweep per point."""
+        out = []
+        for y in Y.reshape(-1, 6):
+            sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])), seeds=seeds)
+            proj = _bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1)
+            out.append([proj.terms.get(k, 0.0) for k in keys])
+        return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (len(keys),))
 
-    be = M.backend.with_step(outer_step)
     B0 = coframe_rows(M, t, y0, seeds=seeds)      # an in-domain evaluation first
-    dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
+    dg = M.backend.with_step(outer_step).partials(dbar_vecs, y0)    # [p, key]
     coeff: Dict[Tuple[int, ...], complex] = {}
     for kidx, (a, b, c) in enumerate(keys):
         for p in range(6):
@@ -906,37 +910,42 @@ def principal_angles(J_a: np.ndarray, J_b: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 def _check_kahler(M: HermitianSurface, x: np.ndarray, tol: float = 1e-8):
-    if dF_form(M, x).norm() > tol:
+    """Refuse a non-Kahler base or a non-standard J at any point of a stack x (n, 4)."""
+    # the coefficient norm of the 3-form dF at each point; each coefficient
+    # fills six slots of the antisymmetric array
+    if np.any(np.sqrt(np.sum(dF_array(M, x) ** 2, axis=(1, 2, 3)) / 6.0) > tol):
         raise ValueError("projective-bundle comparison requires a Kahler base (dF != 0)")
-    J0 = M.J(x)
-    Jstd = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
-    if np.max(np.abs(J0 - Jstd)) > tol:
+    if np.max(np.abs(M.J(x) - J_STANDARD)) > tol:
         raise ValueError("the bundle chart needs the standard constant complex structure")
 
 
-def _hermitian_G(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """G[a, b] = h(d/dz^a, d/d conj(z)^b) for z^a = x^{2a-1} + i x^{2a}."""
-    g = M.metric(x)
-    G = np.empty((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            ra, sa, rb, sb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-            G[a, b] = 0.25 * (g[ra, rb] + g[sa, sb] + 1j * (g[ra, sb] - g[sa, rb]))
-    return G
+def _hermitian_G(A: np.ndarray) -> np.ndarray:
+    """G[..., a, b] = A(d/dz^a, d/d conj(z)^b) for a real bilinear form
+    A (..., 2m, 2m) over coordinates with z^a = x^{2a-1} + i x^{2a}."""
+    return 0.25 * (A[..., 0::2, 0::2] + A[..., 1::2, 1::2]
+                   + 1j * (A[..., 0::2, 1::2] - A[..., 1::2, 0::2]))
+
+
+def _fiber_coordinates(M: HermitianSurface, x: np.ndarray, zeta: np.ndarray, seeds=None) -> np.ndarray:
+    """The bundle fiber coordinates w (n,) of the twistor points with base
+    points x (n, 4) and fiber coordinates zeta (n,), every point checked."""
+    _check_kahler(M, x)
+    U = adapted_frame(M, x, seeds=seeds).U
+    V = U[:, :, 0] + U[:, :, 1] * zeta[:, None]         # u_1 + zeta u_2
+    A = V[:, 0] + 1j * V[:, 1]
+    if np.any(np.abs(A) < 1e-10):
+        raise ValueError("fiber coordinate out of chart")
+    return (V[:, 2] + 1j * V[:, 3]) / A
 
 
 def fiber_coordinate_on_bundle(M: HermitianSurface, z: TwistorPoint, seeds=None) -> complex:
     """The projectivised-tangent coordinate w with [u_1 + zeta u_2] =
     [d/dz^1 + w d/dz^2] (Kahler bases with the standard structure only)."""
-    _check_kahler(M, z.x)
-    fr = adapted_frame(M, z.x, seeds=seeds)
-    V = fr.U @ np.array([1.0, z.zeta], dtype=complex)
-    A = V[0] + 1j * V[1]
-    Bc = V[2] + 1j * V[3]
-    if abs(A) < 1e-10:
-        raise ValueError("fiber coordinate out of chart")
-    return complex(Bc / A)
+    return complex(_fiber_coordinates(M, z.x[None], np.array([z.zeta]), seeds=seeds)[0])
+
+
+_abs2 = _elementwise(lambda w: abs(w) ** 2)
+_log = _elementwise(math.log)
 
 
 def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint,
@@ -951,39 +960,25 @@ def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint,
     if lam < LAMBDA_MIN:
         raise ValueError(f"metric parameter {lam:g} below the positivity floor {LAMBDA_MIN:g}")
     x = z.x
-    _check_kahler(M, x)
     w0 = fiber_coordinate_on_bundle(M, z, seeds=seeds)
     y0 = np.concatenate([x, [w0.real, w0.imag]])
 
-    def logh(y: np.ndarray) -> float:
-        G = _hermitian_G(M, y[:4])
-        w = complex(y[4], y[5])
-        val = G[0, 0] + w * G[1, 0] + np.conj(w) * G[0, 1] + abs(w) ** 2 * G[1, 1]
-        return math.log(float(np.real(val)))
+    def logh(y: np.ndarray) -> np.ndarray:      # at a stack of points y (..., 6)
+        G = _hermitian_G(M.metric(y[..., :4]))
+        w = y[..., 4] + 1j * y[..., 5]
+        val = G[..., 0, 0] + w * G[..., 1, 0] + np.conj(w) * G[..., 0, 1] + _abs2(w) * G[..., 1, 1]
+        return _log(np.real(val))
 
     be = M.backend
-    Hr = np.empty((6, 6))
-    for p in range(6):
-        gp = lambda y, _p=p: be.partial(logh, y, _p)  # noqa: E731
-        for q in range(6):
-            Hr[p, q] = be.partial(gp, y0, q)
+    Hr = be.partials(lambda y: be.partials(logh, y), y0)     # the real Hessian
     Hr = 0.5 * (Hr + Hr.T)
 
     # complex Hessian over (z^1, z^2, w) and the induced real 2-form
-    pairs = [(0, 1), (2, 3), (4, 5)]
-    H = np.empty((3, 3), dtype=complex)
-    for a, (ra, sa) in enumerate(pairs):
-        for b, (rb, sb) in enumerate(pairs):
-            H[a, b] = 0.25 * (Hr[ra, rb] + Hr[sa, sb] + 1j * (Hr[ra, sb] - Hr[sa, rb]))
-    D = np.zeros((3, 6), dtype=complex)
-    for a, (ra, sa) in enumerate(pairs):
-        D[a, ra] = 1.0
-        D[a, sa] = 1j
+    H = _hermitian_G(Hr)
+    D = np.kron(np.eye(3), [1.0, 1j])       # dz^a over the real coordinates
     ddbar = 1j * (np.einsum("ab,am,bn->mn", H, D, np.conj(D))
                   - np.einsum("ab,an,bm->mn", H, D, np.conj(D)))
-    assert np.max(np.abs(np.imag(ddbar))) < 1e-9
-
-    out = np.real(ddbar)
+    out = _real_part(ddbar, z.chart_coordinates(), "the projective-bundle Hessian")
     out[:4, :4] += lam * coordinate_fundamental_matrix(M, x)
     return out
 
@@ -996,14 +991,12 @@ def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint,
     co = twistor_coframe(M, "chern", z, seeds=seeds, with_structure=False)
     Kmat = np.real(K_form(3, lam, co).to_array())
 
-    def transition(y: np.ndarray) -> np.ndarray:
-        zp = TwistorPoint.from_zeta(y[:4], complex(y[4], y[5]))
-        w = fiber_coordinate_on_bundle(M, zp, seeds=seeds)
-        return np.concatenate([y[:4], [w.real, w.imag]])
+    def transition(y: np.ndarray) -> np.ndarray:    # (x, zeta) -> (x, w) on a stack y (..., 6)
+        Y = y.reshape(-1, 6)
+        w = _fiber_coordinates(M, Y[:, :4], Y[:, 4] + 1j * Y[:, 5], seeds=seeds)
+        return np.column_stack([Y[:, :4], w.real, w.imag]).reshape(y.shape)
 
-    y0 = z.chart_coordinates()
-    be = M.backend
-    Jac = np.stack([be.partial(transition, y0, p) for p in range(6)], axis=1)
+    Jac = M.backend.partials(transition, z.chart_coordinates()).T   # Jac[m, p] = d_p of entry m
     omega = projective_bundle_form(M, lam, z, seeds=seeds)
     pulled = Jac.T @ omega @ Jac
     return float(np.max(np.abs(pulled - Kmat)))
@@ -1094,10 +1087,11 @@ def evaluate_metric(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 
 @dataclass(frozen=True)
 class MetricConditionRow:
-    """Aggregated condition data for one (structure, fiber parameter)."""
+    """Aggregated condition data for one (structure, fiber parameter); `lam`
+    is a scalar lambda or a (lambda_1, lambda_2, lambda_3) triple."""
 
     i: int
-    lam: float
+    lam: Union[float, Tuple[float, float, float]]
     symplectic_defect: float
     symplectic: bool
     balanced_defect: float
@@ -1107,13 +1101,17 @@ class MetricConditionRow:
     formula_residual: Optional[float]
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "i": self.i, "lambda": self.lam,
+        """A triple's row leaves out the lambda-independent integrability verdict."""
+        scalar = np.ndim(self.lam) == 0
+        out = {
+            "i": self.i, **({"lambda": self.lam} if scalar else {"lambdas": list(self.lam)}),
             "symplectic": {"holds": self.symplectic, "defect": self.symplectic_defect},
             "balanced": {"holds": self.balanced, "defect": self.balanced_defect},
-            "integrable": {"holds": self.integrable, "defect": self.nijenhuis_defect},
-            "formula_residual": self.formula_residual,
         }
+        if scalar:
+            out["integrable"] = {"holds": self.integrable, "defect": self.nijenhuis_defect}
+        out["formula_residual"] = self.formula_residual
+        return out
 
 
 @dataclass(frozen=True)
@@ -1129,9 +1127,10 @@ class TwistorConditionReport:
     rows: List[MetricConditionRow]
     base_flags: List[Dict[str, object]]
     zero_crossings: Dict[int, List[Tuple[Optional[float], float]]]
+    triple_rows: Tuple[MetricConditionRow, ...] = ()
 
     def as_dict(self) -> Dict[str, object]:
-        return {
+        out = {
             "surface": self.surface,
             "params": self.params,
             "connection": self.connection,
@@ -1147,20 +1146,29 @@ class TwistorConditionReport:
                                         for v, r in vals]
                                for i, vals in self.zero_crossings.items()},
         }
+        if self.triple_rows:
+            out["triple_rows"] = [r.as_dict() for r in self.triple_rows]
+        return out
 
 
 def condition_report(M: HermitianSurface, conn: Union[str, float],
-                     lambdas: Sequence[float], points: Sequence[TwistorPoint],
+                     lambdas: Sequence[Union[float, Sequence[float]]],
+                     points: Sequence[TwistorPoint],
                      tol: float = 1e-6, nijenhuis_tol: float = 1e-4,
                      seeds=None) -> TwistorConditionReport:
     """Survey symplectic/balanced/integrability defects over a parameter grid.
 
     Work fans out conceptually over (point, i, lambda); results are merged
     deterministically in sorted key order, with defects aggregated by max
-    over the points, so the report is independent of evaluation order.
+    over the points, so the report is independent of evaluation order.  The
+    scalar entries of `lambdas` form the sorted grid of `rows`; each lambda
+    triple among them gets a row per structure in `triple_rows`, in the
+    order given, whose formula residual is that of dK alone (the K ^ dK
+    displays are stated for the one-parameter family).
     """
     t, label = normalize_connection(conn)
-    grid = tuple(sorted(float(v) for v in lambdas))
+    grid = tuple(sorted(float(v) for v in lambdas if np.ndim(v) == 0))
+    triples = [tuple(float(u) for u in v) for v in lambdas if np.ndim(v) != 0]
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
     sweeps = [CoframeSweep(M, conn, z, seeds=seeds) for z in points]
@@ -1172,28 +1180,28 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
                      for z, sw in zip(points, sweeps)]
                  for i in (1, 2, 3, 4)}
 
-    rows = []
-    for i in (1, 2, 3, 4):
-        for lam in grid:
-            sym = bal = 0.0
-            res: Optional[float] = None
-            for sw, co in zip(sweeps, coframes):
-                dKo = sw.dK(i, lam)
-                bo = wedge(sw.K(i, lam), dKo)
-                sym = max(sym, dKo.norm())
-                bal = max(bal, bo.norm())
-                if formula_ok:
-                    r = (dK_formula(i, lam, co) - dKo).norm()
+    def row(i: int, lam) -> MetricConditionRow:
+        sym = bal = 0.0
+        res: Optional[float] = None
+        for sw, co in zip(sweeps, coframes):
+            dKo = sw.dK(i, lam)
+            bo = wedge(sw.K(i, lam), dKo)
+            sym = max(sym, dKo.norm())
+            bal = max(bal, bo.norm())
+            if formula_ok:
+                r = (dK_formula(i, lam, co) - dKo).norm()
+                if np.ndim(lam) == 0:
                     r = max(r, (balanced_defect_formula(i, lam, co) - bo).norm())
-                    res = r if res is None else max(res, r)
-            rows.append(MetricConditionRow(
-                i=i, lam=lam, symplectic_defect=sym, symplectic=sym < tol,
-                balanced_defect=bal, balanced=bal < tol,
-                nijenhuis_defect=nij[i], integrable=nij[i] < nijenhuis_tol,
-                formula_residual=res))
+                res = r if res is None else max(res, r)
+        return MetricConditionRow(
+            i=i, lam=lam, symplectic_defect=sym, symplectic=sym < tol,
+            balanced_defect=bal, balanced=bal < tol,
+            nijenhuis_defect=nij[i], integrable=nij[i] < nijenhuis_tol,
+            formula_residual=res)
 
     return TwistorConditionReport(
         surface=M.name, params=dict(M.params), connection=label, t=t,
         tolerance=tol, nijenhuis_tolerance=nijenhuis_tol, lambda_grid=grid,
-        points=list(points), rows=rows, base_flags=flags,
-        zero_crossings=crossings)
+        points=list(points), rows=[row(i, lam) for i in (1, 2, 3, 4) for lam in grid],
+        base_flags=flags, zero_crossings=crossings,
+        triple_rows=tuple(row(i, lam) for i in (1, 2, 3, 4) for lam in triples))

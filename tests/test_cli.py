@@ -174,6 +174,24 @@ def test_report_triple_parameters(capsys):
     assert "rows" not in doc
 
 
+def test_report_with_lambdas_and_a_triple_builds_one_sweep_and_coframe_per_point(monkeypatch, capsys):
+    from twistorlab import cli
+    from twistorlab import twistor as tw
+    built = []
+    for name in ("CoframeSweep", "twistor_coframe"):
+        orig = getattr(tw, name)
+        counted = lambda *a, _orig=orig, _name=name, **k: (built.append(_name), _orig(*a, **k))[1]  # noqa: E731
+        for module in (tw, cli):
+            monkeypatch.setattr(module, name, counted)
+    code, doc = run_json(["report", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
+                          "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
+                          "--points", "2"], capsys)
+    assert code == 0
+    assert sorted(built) == ["CoframeSweep"] * 2 + ["twistor_coframe"] * 2
+    assert [row["i"] for row in doc["triple_rows"]] == [1, 2, 3, 4]
+    assert list(doc)[-2:] == ["triple_rows", "summary"]
+
+
 def test_report_output_is_byte_stable(capsys):
     argv = ["report", "--surface", "cp2_fs", "--params", "c=2", "--lambda",
             "1.2", "--points", "2", "--format", "json"]
@@ -282,6 +300,16 @@ def test_verify_algebra_suite(capsys):
     names = {c["name"] for c in doc["checks"]}
     assert "algebra:wedge-laws" in names
     assert "algebra:curvature-symmetries" in names
+
+
+def test_verify_algebra_suite_builds_each_builtin_once(monkeypatch, capsys):
+    from twistorlab import cli
+    built = []
+    builtin = cli.builtin
+    monkeypatch.setattr(cli, "builtin", lambda name, **k: (built.append(name), builtin(name, **k))[1])
+    assert main(["verify", "--suite", "algebra"]) == 0
+    capsys.readouterr()
+    assert built == ["flat_c2", "cp2_fs", "ch2", "hopf"]
 
 
 def test_verify_oracle_suite(capsys):

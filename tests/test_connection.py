@@ -21,7 +21,8 @@ from twistorlab.connection import (
     structure_equation_defect,
     torsion_auxiliary,
 )
-from twistorlab.manifold import builtin
+from twistorlab.exterior import ComplexForm, wedge
+from twistorlab.manifold import adapted_frame, builtin, coordinate_fundamental_matrix, lee_form
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -265,6 +266,32 @@ def test_structure_equation_consistency(t):
     assert structure_equation_defect(M, hd) < 1e-7
 
 
+def _structure_equation_reference(M, data):
+    """structure_equation_defect with d eta taken by the per-point partial."""
+    x = data.point
+    eta_of = lambda p: adapted_frame(M, p).eta  # noqa: E731
+    eta0 = eta_of(x)
+    deta = np.stack([M.backend.partial(eta_of, x, nu) for nu in range(4)])
+    worst = 0.0
+    for a in range(2):
+        for mu in range(4):
+            for nu in range(mu + 1, 4):
+                val = deta[mu, a, nu] - deta[nu, a, mu]
+                for b in range(2):
+                    val += data.psi_coord[a, b, mu] * eta0[b, nu] - data.psi_coord[a, b, nu] * eta0[b, mu]
+                val -= np.dot(eta0[a], data.torsion_coord[:, mu, nu])
+                worst = max(worst, abs(val))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["cp2_fs", "hopf"])
+def test_structure_equation_defect_matches_the_per_point_reference(name):
+    M = builtin(name)
+    for t in (1.0, 0.0, -1.0):
+        hd = gauduchon(M, RNG_POINTS[name], t)
+        assert structure_equation_defect(M, hd) == _structure_equation_reference(M, hd)
+
+
 def test_mu_is_t_independent():
     M = builtin("hopf")
     x = RNG_POINTS["hopf"]
@@ -285,6 +312,43 @@ def test_torsion_auxiliary_vanishes_on_kahler():
     assert aux.alpha_sq < 1e-7
     assert np.max(np.abs(aux.alpha_J_wedge_F)) < 1e-7
     assert np.max(np.abs(aux.grad_alpha_J_wedge_F)) < 1e-6
+
+
+def _torsion_auxiliary_reference(M, x):
+    """L, d(alpha o J), alpha, (alpha o J) ^ F and its covariant derivative,
+    in frame components, from the Lee form as a ComplexForm, the wedge of
+    the exterior algebra and the per-point partial."""
+    fr, Gm, be = adapted_frame(M, x), christoffel(M, x), M.backend
+
+    def alpha(p):
+        a = lee_form(M, p)
+        return np.array([a.terms.get((i,), 0.0) for i in range(4)]).real @ adapted_frame(M, p).theta
+
+    def B3(p):
+        aJ = alpha(p) @ M.J(p)
+        F = coordinate_fundamental_matrix(M, p)
+        return wedge(ComplexForm(4, 1, {(i,): aJ[i] for i in range(4)}),
+                     ComplexForm(4, 2, {(i, j): F[i, j] for i in range(4) for j in range(i + 1, 4)})
+                     ).to_array().real
+
+    ac, B = alpha(x), B3(x)
+    da = np.stack([be.partial(alpha, x, nu) for nu in range(4)])
+    L = fr.E.T @ (da - np.einsum("mnr,m->nr", Gm, ac) + 0.5 * np.outer(ac, ac)) @ fr.E
+    daJ = np.stack([be.partial(lambda p: alpha(p) @ M.J(p), x, nu) for nu in range(4)])
+    dB = np.stack([be.partial(B3, x, nu) for nu in range(4)])
+    gradB = (dB - np.einsum("mna,mbc->nabc", Gm, B) - np.einsum("mnb,amc->nabc", Gm, B)
+             - np.einsum("mnc,abm->nabc", Gm, B))
+    return {"L": L, "d_alpha_J": fr.E.T @ (daJ - daJ.T) @ fr.E, "alpha_frame": ac @ fr.E,
+            "alpha_J_wedge_F": np.einsum("abc,ai,bj,ck->ijk", B, fr.E, fr.E, fr.E),
+            "grad_alpha_J_wedge_F": np.einsum("nabc,nd,ai,bj,ck->dijk", gradB, fr.E, fr.E, fr.E, fr.E)}
+
+
+@pytest.mark.parametrize("name", ["cp2_fs", "hopf"])
+def test_torsion_auxiliary_matches_the_per_point_reference(name):
+    M = builtin(name)
+    aux = torsion_auxiliary(M, RNG_POINTS[name])
+    for field, ref in _torsion_auxiliary_reference(M, RNG_POINTS[name]).items():
+        assert np.max(np.abs(getattr(aux, field) - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_hopf_lee_square_norm():

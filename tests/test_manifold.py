@@ -7,7 +7,7 @@ import pytest
 from twistorlab import connection as cn
 from twistorlab import manifold as mf
 from twistorlab import twistor as tw
-from twistorlab.exterior import ComplexForm
+from twistorlab.exterior import ComplexForm, hodge_star_4, substitute
 
 
 def interior_points(M, n, seed):
@@ -238,6 +238,62 @@ def test_frame_field_is_deterministic():
     np.testing.assert_array_equal(field(x).E, field(x).E)
 
 
+def _first_failure_point_by_point(chart, metric, J, tol=1e-10):
+    """The invariant checks at one sample point at a time, in order: the
+    first failing (point, check), or None."""
+    for pt in chart.interior_points(16, seed=2024):
+        g, Jm = np.asarray(metric(pt), dtype=float), np.asarray(J(pt), dtype=float)
+        if not np.allclose(g, g.T, atol=tol):
+            return pt.tolist(), "metric not symmetric"
+        if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) <= 1e-10:
+            return pt.tolist(), "metric not positive-definite"
+        if not np.allclose(Jm @ Jm, -np.eye(4), atol=tol):
+            return pt.tolist(), "J*J != -Id"
+        if not np.allclose(Jm.T @ g @ Jm, g, atol=tol):
+            return pt.tolist(), "metric not J-invariant"
+    return None
+
+
+_ASYMMETRIC = np.eye(4) + 0.5 * np.eye(4, k=1)     # also not J-invariant
+_INDEFINITE = np.diag([-1.0, 1.0, 1.0, 1.0])         # also not J-invariant
+_STRETCHED = np.diag([1.0, 2.0, 1.0, 1.0])           # only not J-invariant
+
+
+@pytest.mark.parametrize("bad_metric,bad_J,expected", [
+    ({13: _ASYMMETRIC, 15: _INDEFINITE}, {}, (13, "metric not symmetric")),
+    ({11: _INDEFINITE, 14: _ASYMMETRIC}, {}, (11, "metric not positive-definite")),
+    ({13: _ASYMMETRIC}, {12: 2.0 * mf.J_STANDARD}, (12, "J*J != -Id")),
+    ({15: _STRETCHED}, {}, (15, "metric not J-invariant")),
+])
+def test_validation_names_the_first_failing_point_and_check(bad_metric, bad_J, expected):
+    chart = mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
+    pts = chart.interior_points(16, seed=2024)
+
+    def at(table, default):
+        def field(x):
+            for k, value in table.items():
+                if np.array_equal(x, pts[k]):
+                    return value
+            return default
+        return field
+    metric, J = at(bad_metric, np.eye(4)), at(bad_J, mf.J_STANDARD)
+    k, check = expected
+    assert _first_failure_point_by_point(chart, metric, J) == (pts[k].tolist(), check)
+    with pytest.raises(ValueError) as err:
+        mf.HermitianSurface(chart, metric, J)
+    assert str(err.value) == f"surface invariant violation at sample point {pts[k].tolist()}: {check}"
+
+
+def test_validation_names_the_point_of_an_infinite_metric():
+    # LAPACK does not converge on diag(inf, inf, 1, 1); the check after it names the point
+    chart = mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
+    late = chart.interior_points(16, seed=2024)[14]
+    metric = lambda x: np.diag([np.inf, np.inf, 1.0, 1.0]) if np.array_equal(x, late) else np.eye(4)  # noqa: E731
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        mf.HermitianSurface(chart, metric, lambda x: mf.J_STANDARD)
+    assert str(err.value) == f"surface invariant violation at sample point {late.tolist()}: metric not J-invariant"
+
+
 # ----------------------------------------------------------------------
 # fundamental form and Lee form
 # ----------------------------------------------------------------------
@@ -263,6 +319,27 @@ def test_kahler_builtins_have_zero_lee_form(name):
     for x in interior_points(M, 5, seed=21):
         assert mf.dF_form(M, x).norm() < 1e-8
         assert mf.lee_form(M, x).norm() < 1e-8
+
+
+def _lee_form_reference(M, x):
+    """The Lee form through the exterior algebra: J(-*dF) over the adapted coframe."""
+    frame = mf.adapted_frame(M, x)
+    b = hodge_star_4(substitute(mf.dF_form(M, x), frame.E)) * (-1.0)
+    b = [b.terms.get((i,), 0.0) for i in range(4)]
+    return ComplexForm(4, 1, {(0,): -b[1], (1,): b[0], (2,): -b[3], (3,): b[2]})
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+def test_lee_form_matches_the_exterior_algebra_reference(name):
+    M = mf.builtin(name)
+    for x in interior_points(M, 3, seed=5):
+        alpha = mf.lee_form(M, x)
+        assert (alpha - _lee_form_reference(M, x)).norm() <= 1e-13 * max(1.0, alpha.norm())
+    stack = interior_points(M, 3, seed=5)
+    E = mf.adapted_frame(M, stack).E
+    stacked = mf.lee_components(M, stack, E)
+    for k, x in enumerate(stack):
+        assert np.array_equal(stacked[k], mf.lee_components(M, x, E[k]))
 
 
 def test_hopf_lee_form_homogeneity():
@@ -369,7 +446,8 @@ def _memo_results(M, x, zeta=0.3 + 0.2j):
     co = tw.twistor_coframe(M, "chern", z)
     return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
             fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta,
-            cn.levi_civita(M, x).R, sw.B0, sw.dB, co.B,
+            cn.levi_civita(M, x).R, cn.levi_civita(M, x).Gamma, cn.levi_civita(M, x).omega_frame,
+            cn.levi_civita(M, np.stack([x, x + 0.01])).R, sw.B0, sw.dB, co.B,
             tw.dK_formula(3, 1.5, co).to_array(), sw.dK(3, 1.5).to_array()]
 
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistorlab import connection as cn
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
-from twistorlab.exterior import wedge
+from twistorlab.exterior import ComplexForm, wedge
 from twistorlab.manifold import (DEFAULT_SEEDS, HermitianSurface, builtin,
                                  coordinate_fundamental_matrix, parse_surface_spec, stack_field)
 
@@ -470,6 +471,41 @@ def test_formula_refusals_hold_under_python_O(flags):
     ] + [bare] * 6
 
 
+# a lambda tuple of the wrong length, and a projective-bundle Hessian that is
+# not finite (the metric is infinite beyond x1 = 0.9025, which the nested
+# Hessian stencil at x1 = 0.9 reaches and the dF stencil does not): each is
+# a typed error, also under python -O
+_TYPED_ERRORS = """
+import numpy as np
+from twistorlab import twistor as tw
+from twistorlab.manifold import J_STANDARD, ChartSpec, HermitianSurface, builtin
+z = tw.TwistorPoint.from_zeta(np.array([0.9, 0.0, 0.1, 0.0]), 0.3)
+co = tw.twistor_coframe(builtin("flat_c2"), "lichnerowicz", z, with_structure=False)
+M = HermitianSurface(ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                     lambda x: np.diag([1.0, 1.0, 1.0, 1.0] if x[0] < 0.9025 else [np.inf, np.inf, 1.0, 1.0]),
+                     lambda x: J_STANDARD)
+with np.errstate(all="ignore"):
+    for call in (lambda: tw.K_form(1, (1.0, 2.0), co), lambda: tw.projective_bundle_form(M, 1.0, z)):
+        try:
+            print("returned", call())
+        except ValueError as exc:
+            print(type(exc).__name__ + ":", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_lambda_length_and_hessian_residue_are_typed_errors_under_python_O(flags):
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _TYPED_ERRORS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: expected one fiber parameter or three scale parameters",
+        "DegenerateCoframeError: surface invariant violation at bundle point "
+        "[0.9, 0.0, 0.1, 0.0, 0.3, 0.0]: complex residue in the projective-bundle Hessian",
+    ]
+
+
 def test_complex_residue_is_a_typed_error():
     # phi^1 within 1e-11 of phi^2: J_3 is ill-conditioned far beyond the bound
     co = coframe("hopf", "chern")
@@ -773,6 +809,82 @@ def test_bundle_differs_from_twistor_form(name):
     assert tw.bundle_chart_compare(surface(name), 1.0, zpt(name)) > 0.01
 
 
+def _projective_bundle_reference(M, lam, z):
+    """projective_bundle_form with the Hessian of log h by the nested per-point partial."""
+    be, x = M.backend, z.x
+    w0 = tw.fiber_coordinate_on_bundle(M, z)
+    y0 = np.concatenate([x, [w0.real, w0.imag]])
+
+    def logh(y):
+        g = M.metric(y[:4])
+        G = [[0.25 * (g[2 * a, 2 * b] + g[2 * a + 1, 2 * b + 1] + 1j * (g[2 * a, 2 * b + 1] - g[2 * a + 1, 2 * b]))
+              for b in range(2)] for a in range(2)]
+        w = complex(y[4], y[5])
+        return math.log(float(np.real(G[0][0] + w * G[1][0] + np.conj(w) * G[0][1] + abs(w) ** 2 * G[1][1])))
+    Hr = np.array([[be.partial(lambda y, p=p: be.partial(logh, y, p), y0, q) for q in range(6)]
+                   for p in range(6)])
+    Hr = 0.5 * (Hr + Hr.T)
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    H = np.array([[0.25 * (Hr[ra, rb] + Hr[sa, sb] + 1j * (Hr[ra, sb] - Hr[sa, rb]))
+                   for rb, sb in pairs] for ra, sa in pairs])
+    D = np.zeros((3, 6), dtype=complex)
+    for a, (ra, sa) in enumerate(pairs):
+        D[a, ra], D[a, sa] = 1.0, 1j
+    out = np.real(1j * (np.einsum("ab,am,bn->mn", H, D, np.conj(D))
+                        - np.einsum("ab,an,bm->mn", H, D, np.conj(D))))
+    out[:4, :4] += lam * coordinate_fundamental_matrix(M, x)
+    return out
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs"])
+def test_projective_bundle_form_matches_the_nested_per_point_reference(name):
+    M, z = surface(name), zpt(name)
+    assert np.array_equal(tw.projective_bundle_form(M, 1.7, z), _projective_bundle_reference(M, 1.7, z))
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs"])
+def test_bundle_chart_compare_matches_the_per_point_reference(name):
+    M, z = surface(name), zpt(name)
+
+    def transition(y):
+        w = tw.fiber_coordinate_on_bundle(M, tw.TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
+        return np.concatenate([y[:4], [w.real, w.imag]])
+    y0 = z.chart_coordinates()
+    Jac = np.stack([M.backend.partial(transition, y0, p) for p in range(6)], axis=1)
+    K = np.real(tw.K_form(3, 1.0, tw.twistor_coframe(M, "chern", z, with_structure=False)).to_array())
+    ref = float(np.max(np.abs(Jac.T @ tw.projective_bundle_form(M, 1.0, z) @ Jac - K)))
+    assert tw.bundle_chart_compare(M, 1.0, z) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def _ddbar_reference(i, lam, M, conn, z, outer_step=2e-3):
+    """ddbar_oracle with its outer pass by the per-point partial, direction by direction."""
+    t, _ = tw.normalize_connection(conn)
+    y0 = z.chart_coordinates()
+    keys = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
+
+    def dbar_vec(y):
+        sw = tw.CoframeSweep(M, t, tw.TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
+        proj = tw._bidegree_project6(sw.dK(i, lam), tw._adapted_rows(i, sw.B0), 1)
+        return np.array([proj.terms.get(k, 0.0) for k in keys], dtype=complex)
+    be = M.backend.with_step(outer_step)
+    dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
+    coeff = {}
+    for kidx, (a, b, c) in enumerate(keys):
+        for p in range(6):
+            if p not in (a, b, c):
+                key = tuple(sorted((p, a, b, c)))
+                coeff[key] = coeff.get(key, 0.0) + (-1.0) ** key.index(p) * dg[p][kidx]
+    B0 = tw.coframe_rows(M, t, y0)
+    return tw._bidegree_project6(ComplexForm(6, 4, coeff), tw._adapted_rows(i, B0), 2) * 1j
+
+
+@pytest.mark.parametrize("name,conn,i", [("flat_c2", "lichnerowicz", 1), ("hopf", "chern", 3)])
+def test_ddbar_oracle_matches_the_per_point_outer_reference(name, conn, i):
+    M, z = surface(name), zpt(name)
+    assert np.array_equal(tw.ddbar_oracle(i, 1.1, M, conn, z).to_array(),
+                          _ddbar_reference(i, 1.1, M, conn, z).to_array())
+
+
 def test_bundle_requires_kahler():
     with pytest.raises(ValueError, match="Kahler base"):
         tw.projective_bundle_form(surface("hopf"), 1.0, zpt("hopf"))
@@ -793,6 +905,33 @@ def test_evaluate_metric_record():
     ev3 = tw.evaluate_metric(surface("hopf"), "chern", zpt("hopf"), 1, (0.8, 1.2, 0.6))
     assert ev3.balanced_formula is None       # product display is one-parameter
     assert ev3.dK_residual < 1e-7
+
+
+def test_condition_report_runs_the_levi_civita_body_once_per_point(monkeypatch):
+    M = builtin("hopf")         # a fresh memo
+    pts = tw.sample_twistor_points(M, 3, seed=0)
+    sizes = []
+    data = cn.LeviCivitaData
+    monkeypatch.setattr(cn, "LeviCivitaData", lambda **kw: (sizes.append(len(kw["point"])), data(**kw))[1])
+    tw.condition_report(M, "lichnerowicz", [1.0, 1.5], pts)
+    assert sizes == [1, 1, 1]
+
+
+def test_condition_report_rows_for_a_lambda_triple():
+    M, triple = surface("cp2_fs"), (1.3, 0.7, 2.1)
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    both = tw.condition_report(M, "chern", [1.5, triple, 1.0], pts)
+    alone = tw.condition_report(M, "chern", [triple], pts)
+    scalars = tw.condition_report(M, "chern", [1.0, 1.5], pts)
+    assert both.lambda_grid == (1.0, 1.5) and both.rows == scalars.rows
+    assert both.triple_rows == alone.triple_rows and [r.i for r in both.triple_rows] == [1, 2, 3, 4]
+    sweeps = [tw.CoframeSweep(M, "chern", z) for z in pts]
+    for r in both.triple_rows:
+        assert r.lam == triple
+        assert r.symplectic_defect == max(sw.dK(r.i, triple).norm() for sw in sweeps)
+    assert "triple_rows" not in scalars.as_dict()
+    assert list(both.as_dict()["triple_rows"][0]) == ["i", "lambdas", "symplectic", "balanced",
+                                                       "formula_residual"]
 
 
 def test_condition_report_cp2():

@@ -9,7 +9,8 @@ Every invocation runs as `python -m twistorlab.cli ...` in a fresh
 interpreter, once per tree, one after another.  The list holds two ops of
 each benchmark workload (perfbench/workloads.py, seed 0), `report` on the
 four built-ins with the lichnerowicz, chern and bismut connections, a
-lambda triple, the gauduchon member t = 0.5, `appendix` and a text `scan`.
+lambda triple alone and together with --lambda values (json and text), the
+gauduchon member t = 0.5, `appendix` and a text `scan`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -47,6 +48,12 @@ def argv_list():
     out += [
         ["report", "--surface", "hopf", "--connection", "chern", "--lambda1", "1.3",
          "--lambda2", "0.7", "--lambda3", "2.1", "--points", "2", "--format", "json"],
+        ["report", "--surface", "cp2_fs", "--connection", "chern", "--lambda", "1",
+         "--lambda", "1.5", "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
+         "--points", "2", "--format", "json"],
+        ["report", "--surface", "hopf", "--connection", "lichnerowicz", "--lambda", "0.8",
+         "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1", "--points", "2",
+         "--format", "text"],
         ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "0.5",
          "--lambda", "1.2", "--points", "2", "--format", "json"],
         ["appendix", "--format", "json"],

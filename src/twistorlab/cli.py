@@ -26,15 +26,16 @@ import numpy as np
 
 from . import __version__
 from .connection import levi_civita
-from .exterior import ComplexForm, hodge_star_4, sd_asd_split, wedge
+from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge
 from .flag import (appendix_table, flag_balanced, flag_bidegree_part, flag_conj,
                    flag_d, flag_dK, flag_ddbar, flag_K, generator_form,
                    integrability_obstruction, nearly_kahler_check,
                    structural_ddbar)
 from .manifold import BUILTIN_NAMES, HermitianSurface, SpecSyntaxError, builtin, parse_surface_spec
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
-                      condition_report, dK_formula, lambda_zero_crossing,
-                      normalize_connection, sample_twistor_points, twistor_coframe)
+                      condition_report, lambda_weights, lambda_zero_crossing,
+                      normalize_connection, sample_twistor_points, twistor_coframe,
+                      weighted_sum)
 
 __all__ = ["main", "build_parser"]
 
@@ -170,9 +171,12 @@ def _parse_params(raw: Optional[str], parser: argparse.ArgumentParser) -> Dict[s
             parser.error(f"--params entries must look like key=value, got {piece!r}")
         key, _, value = piece.partition("=")
         try:
-            params[key.strip()] = float(value)
+            number = float(value)
         except ValueError:
             parser.error(f"--params value for {key.strip()!r} is not a number: {value!r}")
+        if not math.isfinite(number):
+            parser.error(f"--params value for {key.strip()!r} must be finite, got {value!r}")
+        params[key.strip()] = number
     return params
 
 
@@ -359,14 +363,15 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     points = sample_twistor_points(M, args.points, seed=args.seed)
     sweeps = [CoframeSweep(M, conn, z) for z in points]
 
-    rows = []
-    for i in structures:
-        for lam in grid:
-            dKs = [sw.dK(i, lam) for sw in sweeps]
-            sym = max(dK.norm() for dK in dKs)
-            bal = max(wedge(sw.K(i, lam), dK).norm() for sw, dK in zip(sweeps, dKs))
-            rows.append({"i": i, "lambda": lam,
-                         "symplectic_defect": sym, "balanced_defect": bal})
+    # the defects of every (i, lambda) row at one point from one weighted sum
+    pairs = [(i, lam) for i in structures for lam in grid]
+    weights = lambda_weights(pairs)
+    sym, bal = np.zeros(len(pairs)), np.zeros(len(pairs))
+    for sw in sweeps:
+        dK, KdK = sw.defect_rows(weights)
+        sym, bal = np.maximum(sym, norms(dK)), np.maximum(bal, norms(KdK))
+    rows = [{"i": i, "lambda": lam, "symplectic_defect": float(s), "balanced_defect": float(b)}
+            for (i, lam), s, b in zip(pairs, sym, bal)]
 
     u_lo, u_hi = grid[0] ** 2, grid[-1] ** 2
     crossings: Dict[str, object] = {}
@@ -490,14 +495,14 @@ def _oracle_job(job) -> List[Dict[str, object]]:
     M = builtin(surface)
     points = sample_twistor_points(M, n_points, seed=seed)
     checks = []
+    weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
     for conn in ("lichnerowicz", "chern"):
         worst = 0.0
         for z in points:
             sw = CoframeSweep(M, conn, z)
             co = twistor_coframe(M, conn, z, with_structure=True)
-            for i in (1, 2, 3, 4):
-                for lam in (0.5, 1.0, math.sqrt(2.0)):
-                    worst = max(worst, (dK_formula(i, lam, co) - sw.dK(i, lam)).norm())
+            resid = cut(weighted_sum(weights, co.dW_coeffs) - weighted_sum(weights, sw.dW_coeffs))
+            worst = max(worst, float(np.max(norms(resid))))
         checks.append(_check(f"oracle:{surface}:{conn}", worst, tol,
                              detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
     return checks

@@ -1,11 +1,22 @@
-"""Sparse complex exterior algebra over a small ordered coframe.
+"""Dense complex exterior algebra over a small ordered coframe.
 
 Everything downstream (frames, connections, twistor coframes) manipulates
 differential forms pointwise, i.e. as elements of the exterior algebra of a
-4- or 6-dimensional cotangent space with complex coefficients.  This module
-is that kernel: forms are {strictly-increasing index tuple: coefficient}
-maps with a hard zero threshold, so identities that should hold exactly
-(antisymmetry, basis wedges, star eigenvalues) are testable without fuzz.
+4-, 6- or 8-dimensional cotangent space with complex coefficients.  This
+module is that kernel: a degree-p form over `dim` covectors is a dense
+complex vector over the C(dim, p) strictly increasing index tuples, in
+lexicographic order (the "slots" of that degree).  Entries below ZERO_EPS
+are set to exactly 0 after every operation, so identities that should hold
+exactly (antisymmetry, basis wedges, star eigenvalues) are testable without
+fuzz.
+
+The wedge product reads a signed slot table per (dim, p, q), built on first
+use and cached: for each output slot, the C(p+q, p) pairs of input slots
+whose index tuples merge into it, with the sign of the merge.  Products are
+formed with real arithmetic and summed in slot-pair order, which is the
+order of a term-by-term loop over two forms in slot order, so a dense
+wedge has the bits of that loop.  `wedge_vectors` applies the same table to
+stacks of coefficient rows.
 
 Conventions
 -----------
@@ -17,12 +28,13 @@ Conventions
 
 import functools
 import itertools
+import math
 import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-# Coefficients below this modulus are dropped after every operation.
+# Coefficients below this modulus are set to exactly 0 after every operation.
 ZERO_EPS = 1e-14
 
 _ALLOWED_DIMS = (4, 6, 8)
@@ -35,8 +47,7 @@ def _sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
     """
     idx = list(indices)
     sign = 1
-    # plain bubble sort over at most 8 indices; form construction and wedge
-    # reach it through the memoized _canonical_key
+    # plain bubble sort over at most 8 indices
     for i in range(len(idx)):
         for j in range(len(idx) - 1 - i):
             if idx[j] > idx[j + 1]:
@@ -47,20 +58,52 @@ def _sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
     return tuple(idx), sign
 
 
-@functools.lru_cache(maxsize=4096)
-def _canonical_key(raw_key: Tuple[int, ...], dim: int, degree: int) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """(sorted key, sign) of a term key in a degree-`degree` form over `dim`
-    covectors; (None, 0) when an index repeats, which drops the term before
-    the length and range checks run.  Rejected keys raise and are not cached.
-    """
-    key, sign = _sort_with_sign(raw_key)
-    if sign == 0:
-        return None, 0
-    if len(raw_key) != degree:
-        raise ValueError(f"index tuple {raw_key} has length {len(raw_key)}, expected degree {degree}")
-    if not all(0 <= i < dim for i in raw_key):
-        raise ValueError(f"index tuple {raw_key} out of range for dimension {dim}")
-    return key, sign
+@functools.lru_cache(maxsize=None)
+def slot_keys(dim: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
+    """The index tuples of the degree-`degree` slots, in slot order."""
+    return tuple(itertools.combinations(range(dim), degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_index(dim: int, degree: int) -> Dict[Tuple[int, ...], int]:
+    return {key: s for s, key in enumerate(slot_keys(dim, degree))}
+
+
+def _modulus(v: np.ndarray) -> np.ndarray:
+    # hypot, as abs() of a python complex computes it
+    return np.hypot(v.real, v.imag)
+
+
+_ZERO = np.complex128(0.0)
+
+# above this many pairs of nonzero coefficients a wedge is one array computation
+_TERM_LOOP_PAIRS = 64
+
+
+def cut(v: np.ndarray) -> np.ndarray:
+    """A complex copy of v with the entries below ZERO_EPS set to 0."""
+    out = np.array(v, dtype=complex)
+    np.putmask(out, _modulus(out) < ZERO_EPS, _ZERO)
+    return out
+
+
+def _scale(v: np.ndarray, c: complex) -> np.ndarray:
+    """c * v, with the bits of the python complex product per entry (the
+    textbook formula; numpy's vector loop may fuse its multiply and add)."""
+    c = complex(c)
+    if c.imag == 0.0:
+        return v * c.real
+    out = np.empty(v.shape, dtype=complex)
+    out.real = c.real * v.real - c.imag * v.imag
+    out.imag = c.real * v.imag + c.imag * v.real
+    return out
+
+
+def norms(vecs: np.ndarray) -> np.ndarray:
+    """Coefficient 2-norms of the rows of a coefficient stack (..., n),
+    the moduli squared and summed in slot order."""
+    m = _modulus(vecs)
+    return np.sqrt(np.cumsum(m * m, axis=-1)[..., -1])
 
 
 class ComplexForm:
@@ -69,26 +112,57 @@ class ComplexForm:
     Attributes:
         dim: basis dimension, 4, 6 or 8.
         degree: form degree, 0..dim.
-        terms: map from strictly increasing index tuples to complex
-            coefficients; coefficients with |c| < ZERO_EPS are never stored.
+        vec: the C(dim, degree) complex coefficients in slot order
+            (`slot_keys`); entries with |c| < ZERO_EPS are exactly 0.
+            Operations build new forms and never write to it.
     """
 
-    __slots__ = ("dim", "degree", "terms")
+    __slots__ = ("dim", "degree", "vec")
 
-    def __init__(self, dim: int, degree: int, terms: Optional[Dict[Tuple[int, ...], complex]] = None):
+    def __init__(self, dim: int, degree: int,
+                 terms: Union[None, Mapping[Tuple[int, ...], complex], np.ndarray] = None):
+        """`terms` is a map from index tuples (any order; a repeated index
+        drops the term) to coefficients, or a coefficient vector in slot
+        order."""
         if dim not in _ALLOWED_DIMS:
             raise ValueError(f"basis dimension must be 4, 6 or 8, got {dim}")
         if not 0 <= degree <= dim:
             raise ValueError(f"degree {degree} out of range for dimension {dim}")
         self.dim = dim
         self.degree = degree
-        canon: Dict[Tuple[int, ...], complex] = {}
+        if isinstance(terms, np.ndarray):
+            n = math.comb(dim, degree)
+            if terms.shape != (n,):
+                raise ValueError(f"coefficient vector of shape {terms.shape}, "
+                                 f"expected ({n},) for degree {degree} over {dim}")
+            self.vec = cut(terms)
+            return
+        index = _slot_index(dim, degree)
+        canon: Dict[int, complex] = {}
         for raw_key, coeff in (terms or {}).items():
-            key, sign = _canonical_key(raw_key, dim, degree)
-            if sign == 0:
-                continue
-            canon[key] = canon.get(key, 0.0) + sign * complex(coeff)
-        self.terms = {k: v for k, v in canon.items() if abs(v) >= ZERO_EPS}
+            slot, sign = index.get(raw_key), 1
+            if slot is None:
+                key, sign = _sort_with_sign(raw_key)
+                if sign == 0:
+                    continue
+                if len(raw_key) != degree:
+                    raise ValueError(f"index tuple {raw_key} has length {len(raw_key)}, expected degree {degree}")
+                if not all(0 <= i < dim for i in raw_key):
+                    raise ValueError(f"index tuple {raw_key} out of range for dimension {dim}")
+                slot = index[key]
+            canon[slot] = canon.get(slot, 0.0) + sign * complex(coeff)
+        vec = np.zeros(len(index), dtype=complex)
+        for slot, v in canon.items():
+            if not abs(v) < ZERO_EPS:
+                vec[slot] = v
+        self.vec = vec
+
+    @property
+    def terms(self) -> Dict[Tuple[int, ...], complex]:
+        """The nonzero coefficients by index tuple, in slot order (a fresh dict)."""
+        keys = slot_keys(self.dim, self.degree)
+        vals = (self.vec + 0.0).tolist()         # + 0.0 clears negative zeros
+        return {keys[s]: vals[s] for s in self.vec.nonzero()[0].tolist()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -119,25 +193,23 @@ class ComplexForm:
 
     def __add__(self, other: "ComplexForm") -> "ComplexForm":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return ComplexForm(self.dim, self.degree, out)
+        return ComplexForm(self.dim, self.degree, self.vec + other.vec)
 
     def __sub__(self, other: "ComplexForm") -> "ComplexForm":
-        return self + (-1.0) * other
+        self._check_compatible(other)
+        return ComplexForm(self.dim, self.degree, self.vec - other.vec)
 
     def __neg__(self) -> "ComplexForm":
-        return (-1.0) * self
+        return ComplexForm(self.dim, self.degree, -self.vec)
 
     def __mul__(self, scalar: complex) -> "ComplexForm":
-        return ComplexForm(self.dim, self.degree, {k: scalar * v for k, v in self.terms.items()})
+        return ComplexForm(self.dim, self.degree, _scale(self.vec, scalar))
 
     __rmul__ = __mul__
 
     def conj(self) -> "ComplexForm":
         """Complex-conjugate the coefficients (basis covectors taken real)."""
-        return ComplexForm(self.dim, self.degree, {k: np.conj(v) for k, v in self.terms.items()})
+        return ComplexForm(self.dim, self.degree, self.vec.conj())
 
     def map_basis(self, index_map: Sequence[int], signs: Optional[Sequence[float]] = None,
                   conjugate_coeffs: bool = False) -> "ComplexForm":
@@ -166,8 +238,8 @@ class ComplexForm:
     def evaluate(self, vectors: np.ndarray) -> complex:
         """Evaluate on `degree` tangent vectors (rows of a (degree, dim) array)."""
         vectors = np.asarray(vectors)
-        assert vectors.shape == (self.degree, self.dim), (
-            f"expected {(self.degree, self.dim)} vector array, got {vectors.shape}")
+        if vectors.shape != (self.degree, self.dim):
+            raise ValueError(f"expected {(self.degree, self.dim)} vector array, got {vectors.shape}")
         total = 0.0 + 0.0j
         for key, coeff in self.terms.items():
             minor = vectors[:, list(key)]
@@ -185,13 +257,12 @@ class ComplexForm:
 
     def norm(self) -> float:
         """Coefficient 2-norm (= induced norm for an orthonormal coframe)."""
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.terms.values())))
+        return float(norms(self.vec))
 
     def isclose(self, other: "ComplexForm", tol: float = 1e-12) -> bool:
         if self.dim != other.dim or self.degree != other.degree:
             return False
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
+        return bool(np.all(_modulus(self.vec - other.vec) <= tol))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ComplexForm):
@@ -201,15 +272,65 @@ class ComplexForm:
     __hash__ = None  # mutable-free, but tolerance-based equality forbids hashing
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return f"ComplexForm(dim={self.dim}, degree={self.degree}, 0)"
-        body = " + ".join(f"({v:.6g})e{''.join(str(i) for i in k)}" for k, v in sorted(self.terms.items()))
+        body = " + ".join(f"({v:.6g})e{''.join(str(i) for i in k)}" for k, v in terms.items())
         return f"ComplexForm({body})"
 
 
 # ======================================================================
 # wedge product
 # ======================================================================
+
+@functools.lru_cache(maxsize=None)
+def _wedge_pairs(dim: int, p: int, q: int) -> Tuple[Dict[int, Tuple[int, int]], ...]:
+    """merge[ia][ib] = (slot, sign): the p-slot ia and the q-slot ib with
+    disjoint index tuples merge into that slot of degree p+q, with that sign."""
+    index = _slot_index(dim, p + q)
+    merge = []
+    for ka in slot_keys(dim, p):
+        row = {}
+        for ib, kb in enumerate(slot_keys(dim, q)):
+            key, sign = _sort_with_sign(ka + kb)
+            if sign:
+                row[ib] = (index[key], sign)
+        merge.append(row)
+    return tuple(merge)
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(dim: int, p: int, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot table of `_wedge_pairs` grouped by output slot: (ia, ib, sign)
+    of shapes (T, k), (T, k), (T, k, 1) for the T = C(dim, p+q) slots of
+    degree p+q and k = C(p+q, p); row r lists the pairs that merge into
+    slot r, in slot-pair order."""
+    pairs = [(slot, ia, ib, sign) for ia, row in enumerate(_wedge_pairs(dim, p, q))
+             for ib, (slot, sign) in row.items()]
+    pairs.sort(key=lambda row: row[0])          # stable: slot-pair order per output slot
+    table = np.array(pairs).reshape(math.comb(dim, p + q), -1, 4)
+    return table[..., 1], table[..., 2], table[..., 3:].astype(float)
+
+
+def _parts(v: np.ndarray) -> np.ndarray:
+    """The real view (..., n, 2) of a complex stack v (..., n)."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return v.view(np.float64).reshape(v.shape + (2,))
+
+
+def wedge_vectors(va: np.ndarray, vb: np.ndarray, dim: int, p: int, q: int) -> np.ndarray:
+    """The coefficients of a ^ b for stacks of degree-p rows va (..., C(dim, p))
+    and degree-q rows vb (..., C(dim, q)), with p + q <= dim; not cut."""
+    ia, ib, sign = _wedge_table(dim, p, q)
+    A, B = _parts(va)[..., ia, :] * sign, _parts(vb)[..., ib, :]
+    # Q[..., u, v] = part u of +-a times part v of b; the textbook complex product
+    Q = A[..., :, None] * B[..., None, :]
+    prod = np.empty(Q.shape[:-1])
+    np.subtract(Q[..., 0, 0], Q[..., 1, 1], out=prod[..., 0])
+    np.add(Q[..., 0, 1], Q[..., 1, 0], out=prod[..., 1])
+    # summed one pair after the other, as a term loop adds them
+    return np.ascontiguousarray(np.cumsum(prod, axis=-2)[..., -1, :]).view(complex)[..., 0]
+
 
 def wedge(a: ComplexForm, b: ComplexForm) -> ComplexForm:
     """The exterior product a ^ b.
@@ -220,25 +341,39 @@ def wedge(a: ComplexForm, b: ComplexForm) -> ComplexForm:
     Returns:
         A form of degree a.degree + b.degree; the zero form when the total
         degree exceeds the basis dimension.
+
+    Few nonzero pairs are multiplied term by term over the slot table; more
+    go through `wedge_vectors`.  Both sum in slot-pair order, with the same
+    bits.
     """
     if a.dim != b.dim:
         raise ValueError("basis dimension mismatch")
     total = a.degree + b.degree
     if total > a.dim:
         return ComplexForm.zero(a.dim, a.dim)
-    out: Dict[Tuple[int, ...], complex] = {}
-    for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
-            key, sign = _canonical_key(ka + kb, a.dim, total)
-            if sign == 0:
-                continue
-            out[key] = out.get(key, 0.0) + sign * va * vb
-    return ComplexForm(a.dim, total, out)
+    ia, ib = a.vec.nonzero()[0].tolist(), b.vec.nonzero()[0].tolist()
+    if len(ia) * len(ib) > _TERM_LOOP_PAIRS:
+        return ComplexForm(a.dim, total, wedge_vectors(a.vec, b.vec, a.dim, a.degree, b.degree))
+    merge = _wedge_pairs(a.dim, a.degree, b.degree)
+    va, vb = a.vec.tolist(), b.vec.tolist()
+    out: Dict[int, complex] = {}
+    for i in ia:
+        row, x = merge[i], va[i]
+        for j in ib:
+            hit = row.get(j)
+            if hit:
+                slot, sign = hit
+                out[slot] = out.get(slot, 0.0) + sign * x * vb[j]
+    vec = np.zeros(math.comb(a.dim, total), dtype=complex)
+    for slot, v in out.items():
+        vec[slot] = v
+    return ComplexForm(a.dim, total, vec)
 
 
 def wedge_all(*forms: ComplexForm) -> ComplexForm:
     """Left-fold wedge of several forms."""
-    assert forms, "wedge_all needs at least one form"
+    if not forms:
+        raise ValueError("wedge_all needs at least one form")
     acc = forms[0]
     for f in forms[1:]:
         acc = wedge(acc, f)
@@ -252,24 +387,42 @@ def substitute(a: ComplexForm, rows: np.ndarray) -> ComplexForm:
     dimension; basis p-forms pick up p x p minors of `rows`.
     """
     rows = np.asarray(rows, dtype=complex)
-    assert rows.shape == (a.dim, a.dim), f"need a {a.dim}x{a.dim} matrix, got {rows.shape}"
+    if rows.shape != (a.dim, a.dim):
+        raise ValueError(f"need a {a.dim}x{a.dim} matrix, got {rows.shape}")
     p = a.degree
     if p == 0:
         return a
-    out: Dict[Tuple[int, ...], complex] = {}
-    for key, coeff in a.terms.items():
-        sub = rows[list(key), :]
-        for new_key in itertools.combinations(range(a.dim), p):
-            minor = np.linalg.det(sub[:, list(new_key)])
-            if abs(minor) < ZERO_EPS:
-                continue
-            out[new_key] = out.get(new_key, 0.0) + coeff * minor
+    keys = np.array(slot_keys(a.dim, p))                 # (n, p)
+    used = a.vec.nonzero()[0]
+    # minors[u, s] = det of the rows of old slot used[u] restricted to the columns of new slot s
+    sub = rows[keys[used]]                                # (m, p, dim)
+    minors = np.linalg.det(sub[:, :, keys].transpose(0, 2, 1, 3))
+    c = a.vec[used, None]
+    re = c.real * minors.real - c.imag * minors.imag
+    im = c.real * minors.imag + c.imag * minors.real
+    small = _modulus(minors) < ZERO_EPS                   # such minors are skipped
+    out = np.zeros(len(keys), dtype=complex)
+    if len(used):
+        out.real = np.cumsum(np.where(small, 0.0, re), axis=0)[-1]
+        out.imag = np.cumsum(np.where(small, 0.0, im), axis=0)[-1]
     return ComplexForm(a.dim, p, out)
 
 
 # ======================================================================
 # Hodge star and the self-dual / anti-self-dual splitting (dim 4 only)
 # ======================================================================
+
+@functools.lru_cache(maxsize=None)
+def _star_table(degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(source slot, sign) for each slot of degree 4 - degree: the star of
+    e_K is sign(K, K^c) e_{K^c} for the complement K^c of K."""
+    src, signs = [], []
+    for comp in slot_keys(4, 4 - degree):
+        key = tuple(i for i in range(4) if i not in comp)
+        src.append(_slot_index(4, degree)[key])
+        signs.append(float(_sort_with_sign(key + comp)[1]))
+    return np.array(src, dtype=int), np.array(signs)
+
 
 def hodge_star_4(a: ComplexForm, orientation: int = 1) -> ComplexForm:
     """Hodge star against an orthonormal 4-dim coframe.
@@ -286,13 +439,8 @@ def hodge_star_4(a: ComplexForm, orientation: int = 1) -> ComplexForm:
         raise ValueError("hodge star defined only on 4-dim basis")
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
-    out: Dict[Tuple[int, ...], complex] = {}
-    full = set(range(4))
-    for key, coeff in a.terms.items():
-        comp = tuple(sorted(full - set(key)))
-        _, sign = _sort_with_sign(key + comp)
-        out[comp] = out.get(comp, 0.0) + orientation * sign * coeff
-    return ComplexForm(4, 4 - a.degree, out)
+    src, signs = _star_table(a.degree)
+    return ComplexForm(4, 4 - a.degree, a.vec[src] * (orientation * signs))
 
 
 def sd_asd_split(a: ComplexForm) -> Tuple[ComplexForm, ComplexForm]:
@@ -322,7 +470,8 @@ class SdAsdBasis:
     """
 
     def __init__(self, plus: List[ComplexForm], minus: List[ComplexForm]):
-        assert len(plus) == 3 and len(minus) == 3, "need three forms per eigenspace"
+        if len(plus) != 3 or len(minus) != 3:
+            raise ValueError("need three forms per eigenspace")
         self.plus = plus
         self.minus = minus
 
@@ -367,9 +516,5 @@ def bidegree_project(a: ComplexForm, complex_pairing: Iterable[Tuple[int, int]],
     if p + q != a.degree:
         warnings.warn(f"bidegree ({p},{q}) does not sum to form degree {a.degree}; returning empty form")
         return ComplexForm.zero(a.dim, a.degree)
-    out = {}
-    for key, coeff in a.terms.items():
-        n_holo = sum(1 for i in key if i in holo)
-        if n_holo == p:
-            out[key] = coeff
-    return ComplexForm(a.dim, a.degree, out)
+    keep = np.array([sum(1 for i in key if i in holo) == p for key in slot_keys(a.dim, a.degree)])
+    return ComplexForm(a.dim, a.degree, np.where(keep, a.vec, 0j))

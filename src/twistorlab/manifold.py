@@ -592,12 +592,12 @@ class HermitianSurface:
 
         def close(a, b):    # np.allclose at each point
             return np.all(np.isclose(a, b, atol=tol), axis=(1, 2))
-        # a metric that is not finite at a point is kept from eigvalsh, which may
-        # fail to converge on it for the whole stack; the positive-definite check
-        # passes there, as it does where eigvalsh returns NaN
-        finite = np.all(np.isfinite(g), axis=(1, 2))[:, None, None]
-        h = np.where(finite, 0.5 * (g + gT), np.eye(4))
-        bad = np.stack([~close(g, gT),
+        # a metric that is not finite at a point fails the first check and is
+        # kept from eigvalsh, which may fail to converge on it for the whole stack
+        finite = np.all(np.isfinite(g), axis=(1, 2))
+        h = np.where(finite[:, None, None], 0.5 * (g + gT), np.eye(4))
+        bad = np.stack([~finite,
+                        ~close(g, gT),
                         np.min(np.linalg.eigvalsh(h), axis=1) <= 1e-10,
                         ~close(Jm @ Jm, -np.eye(4)),
                         ~close(np.swapaxes(Jm, 1, 2) @ g @ Jm, g)], axis=1)
@@ -608,7 +608,7 @@ class HermitianSurface:
 
 
 # the checks of HermitianSurface._validate_samples, in the order they are made
-_INVARIANTS = ("metric not symmetric", "metric not positive-definite",
+_INVARIANTS = ("metric not finite", "metric not symmetric", "metric not positive-definite",
                "J*J != -Id", "metric not J-invariant")
 
 
@@ -977,7 +977,7 @@ def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
 
     The coefficient of dx^a ^ dx^b ^ dx^c (a < b < c) is
     (d_a F_bc - d_b F_ac) + d_c F_ab, and coefficients below ZERO_EPS are
-    cut, as in a ComplexForm.
+    set to 0, as in a ComplexForm; one that is not finite stays.
     """
     x = np.asarray(x, dtype=float)
     _check_stencil_inside(M, x)
@@ -985,7 +985,7 @@ def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (4, 4, 4))
     for a, b, c in itertools.combinations(range(4), 3):
         v = dF[..., a, b, c] - dF[..., b, a, c] + dF[..., c, a, b]
-        keep = np.abs(v) >= ZERO_EPS
+        keep = ~(np.abs(v) < ZERO_EPS)
         for order, sign in _ORDERINGS:
             i, j, k = ((a, b, c)[o] for o in order)
             out[..., i, j, k] = np.where(keep, v if sign > 0 else -v, 0.0)

@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import ComplexForm, wedge, wedge_all, substitute
+from .exterior import (ComplexForm, bidegree_project, cut, norms, slot_keys, substitute,
+                       wedge, wedge_all, wedge_vectors)
 from .manifold import (J_STANDARD, DiffBackend, HermitianSurface, UnitaryFrame,
                        _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, stack_field)
@@ -64,10 +65,9 @@ _DEFAULT_ZETA_MAX = 4.0
 # indices 0..2 are phi^1..phi^3, indices 3..5 their conjugates
 _J_ROWS = {1: (0, 4, 2), 2: (0, 4, 5), 3: (0, 1, 2), 4: (0, 1, 5)}
 
-# sign of the phi^2-type term (+ for i in {1,2}) and of the fiber term
-# (+ for i in {1,3}) in K_i = i(l1^2 W1 + e2 l2^2 W2 + e3 l3^2 W3)
-_EPS2 = {1: 1.0, 2: 1.0, 3: -1.0, 4: -1.0}
-_EPS3 = {1: 1.0, 2: -1.0, 3: 1.0, 4: -1.0}
+# signs (1, e2, e3) of the building blocks in K_i = i(l1^2 W1 + e2 l2^2 W2 + e3 l3^2 W3):
+# the phi^2-type term is + for i in {1,2}, the fiber term + for i in {1,3}
+_WEIGHT_SIGNS = {1: (1.0, 1.0, 1.0), 2: (1.0, 1.0, -1.0), 3: (1.0, -1.0, 1.0), 4: (1.0, -1.0, -1.0)}
 
 # the (1,0) rows of an adapted coframe carry eigenvalue +i, the rest -i
 _D = np.diag([1j, 1j, 1j, -1j, -1j, -1j])
@@ -260,22 +260,21 @@ def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
 
 
 def _row_form(row: np.ndarray) -> ComplexForm:
-    return ComplexForm(6, 1, {(m,): row[m] for m in range(6) if row[m] != 0.0})
+    return ComplexForm(6, 1, np.asarray(row, dtype=complex))
 
 
 def _lift(form4: ComplexForm) -> ComplexForm:
     """Reinterpret a base form (over dx) on the six-coordinate chart."""
-    assert form4.dim == 4
-    return ComplexForm(6, form4.degree, dict(form4.terms))
+    if form4.dim != 4:
+        raise ValueError(f"only a form over the 4-dim base lifts, got dimension {form4.dim}")
+    return ComplexForm(6, form4.degree, form4.terms)
 
 
 def _matrix_two_form(mat: np.ndarray, dim: int = 6) -> ComplexForm:
-    terms = {}
-    for p in range(mat.shape[0]):
-        for q in range(p + 1, mat.shape[1]):
-            if mat[p, q] != 0.0:
-                terms[(p, q)] = mat[p, q]
-    return ComplexForm(dim, 2, terms)
+    """The 2-form with coefficients mat[p, q], p < q (mat may be smaller than dim x dim)."""
+    full = np.zeros((dim, dim), dtype=complex)
+    full[:mat.shape[0], :mat.shape[1]] = mat
+    return ComplexForm(dim, 2, full[np.triu_indices(dim, 1)])
 
 
 def _complexify_rows(R: np.ndarray, rows: np.ndarray, pattern: Sequence[Tuple[int, bool]]) -> complex:
@@ -348,6 +347,16 @@ class TwistorCoframe:
         return _structure_dW(self)
 
     @functools.cached_property
+    def W_coeffs(self) -> np.ndarray:
+        """The coefficient rows (3, 15) of `W_forms`."""
+        return np.stack([f.vec for f in self.W_forms])
+
+    @functools.cached_property
+    def dW_coeffs(self) -> np.ndarray:
+        """The coefficient rows (3, 20) of `dW_forms`."""
+        return np.stack([f.vec for f in self.dW_forms])
+
+    @functools.cached_property
     def balanced_forms(self) -> Tuple[ComplexForm, ComplexForm]:
         """The lambda-independent 5-forms of the K_i ^ dK_i displays, one for
         i in {1, 2} and one for i in {3, 4}, built on first use."""
@@ -392,7 +401,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     _check_gram(B, y)
 
     mu_coord = mu_from_omega(om_lc)
-    mu6 = ComplexForm(6, 1, {(m,): mu_coord[m] for m in range(4) if mu_coord[m] != 0.0})
+    mu6 = ComplexForm(6, 1, np.concatenate([mu_coord, [0.0, 0.0]]).astype(complex))
 
     dec = decompose(curvature_operator(lc))
 
@@ -497,11 +506,30 @@ def _W_forms(B: np.ndarray) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
     return W1, W2, W3
 
 
+def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -> np.ndarray:
+    """The weight table (n, 3): row r holds (l1^2, e2 l2^2, e3 l3^2), the
+    weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda)."""
+    out = np.empty((len(pairs), 3))
+    for r, (i, lam) in enumerate(pairs):
+        l1, l2, l3 = _lambdas(lam)
+        out[r] = np.array(_WEIGHT_SIGNS[i]) * (l1 ** 2, l2 ** 2, l3 ** 2)
+    return out
+
+
+def weighted_sum(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """i (w_1 C_1 + w_2 C_2 + w_3 C_3) for the building-block coefficient rows
+    C (3, n) and each row of a weight table (..., 3): the one weighted sum
+    behind every K_i and dK_i.  Each step is cut as form arithmetic cuts it,
+    so a row has the bits of ((W1 * w1 + W2 * w2) + W3 * w3) * 1j on forms
+    (the factor 1j keeps every modulus, so its cut is a no-op)."""
+    w = np.asarray(weights)[..., None]
+    total = cut(cut(coeffs[0] * w[..., 0, :]) + cut(coeffs[1] * w[..., 1, :]))
+    return cut(total + cut(coeffs[2] * w[..., 2, :])) * 1j
+
+
 def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:
     """The fundamental 2-form K_i(lambda) over the chart coordinates."""
-    l1, l2, l3 = _lambdas(lam)
-    W1, W2, W3 = coframe.W_forms
-    return (W1 * (l1 ** 2) + W2 * (_EPS2[i] * l2 ** 2) + W3 * (_EPS3[i] * l3 ** 2)) * 1j
+    return ComplexForm(6, 2, weighted_sum(lambda_weights([(i, lam)])[0], coframe.W_coeffs))
 
 
 # ======================================================================
@@ -546,9 +574,7 @@ def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCofra
     Only available for the t = 0 and t = 1 connections; the general family
     member has no displayed closed form and is served by `dK_oracle`.
     """
-    l1, l2, l3 = _lambdas(lam)
-    dW1, dW2, dW3 = coframe.dW_forms
-    return (dW1 * (l1 ** 2) + dW2 * (_EPS2[i] * l2 ** 2) + dW3 * (_EPS3[i] * l3 ** 2)) * 1j
+    return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], coframe.dW_coeffs))
 
 
 def _require_structure(*fields) -> None:
@@ -684,10 +710,11 @@ class CoframeSweep:
     the stack holds 17 distinct base points, and the stencils under them
     are evaluated as stacks too.
 
-    The building-block forms `W_forms` and `dW_forms` do not depend on i
-    or lambda; each is built once, on first use, and shared by every K, dK,
-    K ^ dK and zero crossing of the sweep.  Callers must not mutate them;
-    the assembled K and dK are fresh forms.
+    The coefficient rows `W_coeffs` (3, 15) and `dW_coeffs` (3, 20) of the
+    building blocks do not depend on i or lambda; each is built once, on
+    first use, and shared by every K, dK, K ^ dK and zero crossing of the
+    sweep.  A whole (i, lambda) grid is one weighted sum of those rows
+    (`defect_rows`).
 
     Raises DegenerateCoframeError when the Gram determinant of B at the
     point is near zero or not finite, or when dB is not finite.
@@ -729,37 +756,35 @@ class CoframeSweep:
         return -out if a == 1 else out
 
     @functools.cached_property
-    def W_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-        """(W_1, W_2, W_3) at the bundle point, built on first use."""
-        return tuple(_matrix_two_form(self._W(a)) for a in range(3))
+    def W_coeffs(self) -> np.ndarray:
+        """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point."""
+        return cut(np.stack([self._W(a)[np.triu_indices(6, 1)] for a in range(3)]))
 
     @functools.cached_property
-    def dW_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-        """(dW_1, dW_2, dW_3) by the product rule, built on first use."""
-        return tuple(self._dW_form(a) for a in range(3))
-
-    def _dW_form(self, a: int) -> ComplexForm:
-        dWp = [self._dW_partial(p, a) for p in range(6)]
-        terms = {}
-        for p in range(6):
-            for q in range(p + 1, 6):
-                for r in range(q + 1, 6):
-                    v = dWp[p][q, r] - dWp[q][p, r] + dWp[r][p, q]
-                    if v != 0.0:
-                        terms[(p, q, r)] = v
-        return ComplexForm(6, 3, terms)
+    def dW_coeffs(self) -> np.ndarray:
+        """The coefficients (3, 20) of dW_1, dW_2, dW_3 by the product rule:
+        (dW)_pqr = d_p W_qr - d_q W_pr + d_r W_pq."""
+        p, q, r = np.array(slot_keys(6, 3)).T
+        rows = []
+        for a in range(3):
+            D = np.stack([self._dW_partial(s, a) for s in range(6)])
+            rows.append(D[p, q, r] - D[q, p, r] + D[r, p, q])
+        return cut(np.stack(rows))
 
     # -- assembled oracle values ------------------------------------------
 
     def K(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-        l1, l2, l3 = _lambdas(lam)
-        W1, W2, W3 = self.W_forms
-        return (W1 * (l1 ** 2) + W2 * (_EPS2[i] * l2 ** 2) + W3 * (_EPS3[i] * l3 ** 2)) * 1j
+        return ComplexForm(6, 2, weighted_sum(lambda_weights([(i, lam)])[0], self.W_coeffs))
 
     def dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-        l1, l2, l3 = _lambdas(lam)
-        dW1, dW2, dW3 = self.dW_forms
-        return (dW1 * (l1 ** 2) + dW2 * (_EPS2[i] * l2 ** 2) + dW3 * (_EPS3[i] * l3 ** 2)) * 1j
+        return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], self.dW_coeffs))
+
+    def defect_rows(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The coefficients of dK (n, 20) and of K ^ dK (n, 6) for each row
+        of a weight table (n, 3) (`lambda_weights`): row r has the bits of
+        `dK(i, lam).vec` and `wedge(K(i, lam), dK(i, lam)).vec`."""
+        dK = weighted_sum(weights, self.dW_coeffs)
+        return dK, cut(wedge_vectors(weighted_sum(weights, self.W_coeffs), dK, 6, 2, 3))
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return wedge(self.K(i, lam), self.dK(i, lam))
@@ -806,8 +831,8 @@ def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> Complex
     """Project a chart form onto the terms with `p_holo` factors from the
     (1,0)-rows of C (rows 0..2) and the rest from their conjugates."""
     over_phi = substitute(form, np.linalg.inv(C))
-    kept = {k: v for k, v in over_phi.terms.items() if sum(1 for idx in k if idx < 3) == p_holo}
-    return substitute(ComplexForm(6, form.degree, kept), C)
+    kept = bidegree_project(over_phi, [(0, 3), (1, 4), (2, 5)], p_holo, form.degree - p_holo)
+    return substitute(kept, C)
 
 
 def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
@@ -822,7 +847,7 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
     """
     t, _ = normalize_connection(conn)
     y0 = z.chart_coordinates()
-    keys = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
+    keys = slot_keys(6, 3)
 
     def dbar_vecs(Y: np.ndarray) -> np.ndarray:
         """The (1,2)-part coefficients at every point of a stack Y (..., 6),
@@ -830,8 +855,7 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         out = []
         for y in Y.reshape(-1, 6):
             sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])), seeds=seeds)
-            proj = _bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1)
-            out.append([proj.terms.get(k, 0.0) for k in keys])
+            out.append(_bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1).vec)
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (len(keys),))
 
     B0 = coframe_rows(M, t, y0, seeds=seeds)      # an in-domain evaluation first
@@ -910,12 +934,17 @@ def principal_angles(J_a: np.ndarray, J_b: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 def _check_kahler(M: HermitianSurface, x: np.ndarray, tol: float = 1e-8):
-    """Refuse a non-Kahler base or a non-standard J at any point of a stack x (n, 4)."""
+    """Refuse a non-Kahler base or a non-standard J at any point of a stack x
+    (n, 4); a dF or J that is not finite is refused too."""
     # the coefficient norm of the 3-form dF at each point; each coefficient
     # fills six slots of the antisymmetric array
-    if np.any(np.sqrt(np.sum(dF_array(M, x) ** 2, axis=(1, 2, 3)) / 6.0) > tol):
+    dF = np.sqrt(np.sum(dF_array(M, x) ** 2, axis=(1, 2, 3)) / 6.0)
+    if not np.all(np.isfinite(dF)):
+        raise ValueError("projective-bundle comparison: dF is not finite "
+                         "(the base metric is not finite near the point)")
+    if np.any(dF > tol):
         raise ValueError("projective-bundle comparison requires a Kahler base (dF != 0)")
-    if np.max(np.abs(M.J(x) - J_STANDARD)) > tol:
+    if not np.all(np.abs(M.J(x) - J_STANDARD) <= tol):      # a NaN J fails too
         raise ValueError("the bundle chart needs the standard constant complex structure")
 
 
@@ -1017,12 +1046,10 @@ def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
     defect is lambda-independent and `residual` reports |A|).
     """
     sw = sweep or CoframeSweep(M, conn, z, seeds=seeds)
-    dW1, dW2, dW3 = sw.dW_forms
-    A = (dW1 + dW2 * _EPS2[i]) * 1j
-    Bf = dW3 * (1j * _EPS3[i])
-    keys = set(A.terms) | set(Bf.terms)
-    av = np.array([A.terms.get(k, 0.0) for k in sorted(keys)])
-    bv = np.array([Bf.terms.get(k, 0.0) for k in sorted(keys)])
+    # dK_i at lambda^2 = 0 and the coefficient of lambda^2
+    A, Bf = weighted_sum(np.array(_WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], sw.dW_coeffs)
+    used = (A != 0) | (Bf != 0)
+    av, bv = A[used], Bf[used]
     bb = float(np.real(np.vdot(bv, bv)))
     if bb < 1e-18:
         return None, float(np.linalg.norm(av))
@@ -1059,7 +1086,7 @@ def evaluate_metric(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     co = coframe or twistor_coframe(M, conn, z, seeds=seeds)
     sw = sweep or CoframeSweep(M, conn, z, seeds=seeds)
     K = K_form(i, lams, co)
-    reality = max((abs(np.imag(v)) for v in K.terms.values()), default=0.0)
+    reality = float(np.max(np.abs(K.vec.imag)))
     # K^3/3! against the ordered (1,0)-pair volume of J_i
     vol = wedge_all(K, K, K) * (1.0 / 6.0)
     rows = _adapted_rows(i, co.B)
@@ -1180,28 +1207,30 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
                      for z, sw in zip(points, sweeps)]
                  for i in (1, 2, 3, 4)}
 
-    def row(i: int, lam) -> MetricConditionRow:
-        sym = bal = 0.0
-        res: Optional[float] = None
-        for sw, co in zip(sweeps, coframes):
-            dKo = sw.dK(i, lam)
-            bo = wedge(sw.K(i, lam), dKo)
-            sym = max(sym, dKo.norm())
-            bal = max(bal, bo.norm())
-            if formula_ok:
-                r = (dK_formula(i, lam, co) - dKo).norm()
+    # every (i, lambda) row of every point from one weighted sum per sweep
+    pairs = [(i, lam) for lams in (grid, triples) for i in (1, 2, 3, 4) for lam in lams]
+    weights = lambda_weights(pairs)
+    sym, bal = np.zeros(len(pairs)), np.zeros(len(pairs))
+    res: Optional[np.ndarray] = None
+    for sw, co in zip(sweeps, coframes):
+        dKo, bo = sw.defect_rows(weights)
+        sym, bal = np.maximum(sym, norms(dKo)), np.maximum(bal, norms(bo))
+        if formula_ok:
+            r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dKo))
+            for n, (i, lam) in enumerate(pairs):
                 if np.ndim(lam) == 0:
-                    r = max(r, (balanced_defect_formula(i, lam, co) - bo).norm())
-                res = r if res is None else max(res, r)
-        return MetricConditionRow(
-            i=i, lam=lam, symplectic_defect=sym, symplectic=sym < tol,
-            balanced_defect=bal, balanced=bal < tol,
-            nijenhuis_defect=nij[i], integrable=nij[i] < nijenhuis_tol,
-            formula_residual=res)
+                    r[n] = max(r[n], norms(cut(balanced_defect_formula(i, lam, co).vec - bo[n])))
+            res = r if res is None else np.maximum(res, r)
 
+    rows = [MetricConditionRow(
+        i=i, lam=lam, symplectic_defect=float(sym[n]), symplectic=bool(sym[n] < tol),
+        balanced_defect=float(bal[n]), balanced=bool(bal[n] < tol),
+        nijenhuis_defect=nij[i], integrable=nij[i] < nijenhuis_tol,
+        formula_residual=None if res is None else float(res[n]))
+        for n, (i, lam) in enumerate(pairs)]
     return TwistorConditionReport(
         surface=M.name, params=dict(M.params), connection=label, t=t,
         tolerance=tol, nijenhuis_tolerance=nijenhuis_tol, lambda_grid=grid,
-        points=list(points), rows=[row(i, lam) for i in (1, 2, 3, 4) for lam in grid],
+        points=list(points), rows=rows[:4 * len(grid)],
         base_flags=flags, zero_crossings=crossings,
-        triple_rows=tuple(row(i, lam) for i in (1, 2, 3, 4) for lam in triples))
+        triple_rows=tuple(rows[4 * len(grid):]))

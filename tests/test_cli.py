@@ -253,21 +253,46 @@ def test_scan_accepts_explicit_grid_values(capsys):
     assert doc["grid"] == [1.0, 2.0]
 
 
-def test_scan_takes_one_dK_per_structure_parameter_and_point(monkeypatch, capsys):
+def test_scan_takes_one_weighted_sum_per_point(monkeypatch, capsys):
     from twistorlab.twistor import CoframeSweep
-    calls = [0]
-    dK = CoframeSweep.dK
+    calls, tables = [0], []
+    dK, defect_rows = CoframeSweep.dK, CoframeSweep.defect_rows
 
-    def counted(self, i, lam):
+    def counted_dK(self, i, lam):
         calls[0] += 1
         return dK(self, i, lam)
 
-    monkeypatch.setattr(CoframeSweep, "dK", counted)
+    def counted_rows(self, weights):
+        tables.append(weights.shape)
+        return defect_rows(self, weights)
+
+    monkeypatch.setattr(CoframeSweep, "dK", counted_dK)
+    monkeypatch.setattr(CoframeSweep, "defect_rows", counted_rows)
     code, doc = run_json(["scan", "--surface", "hopf", "--connection", "chern",
                           "--lambda-range", "0.5:2", "--grid", "5", "--points", "2"], capsys)
     assert code == 0
-    # one per (i, lambda, point) for the rows; the closed-form crossing takes none
-    assert calls[0] == 4 * 5 * 2
+    # one weight table of all (i, lambda) rows per point; no per-row dK, and
+    # the closed-form crossing takes none either
+    assert tables == [(4 * 5, 3)] * 2
+    assert calls[0] == 0
+
+
+def test_scan_rows_agree_with_the_per_row_forms(capsys):
+    from twistorlab.exterior import wedge
+    from twistorlab.manifold import builtin
+    from twistorlab.twistor import CoframeSweep, sample_twistor_points
+    code, doc = run_json(["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda", "1.4142135623730951",
+                          "--lambda-range", "0.5:2.5", "--grid", "7", "--points", "2"], capsys)
+    assert code == 0
+    M = builtin("cp2_fs", c=2.0)
+    sweeps = [CoframeSweep(M, "lichnerowicz", z) for z in sample_twistor_points(M, 2, seed=doc["seed"])]
+    assert len(doc["rows"]) == 4 * 8
+    for row in doc["rows"]:
+        i, lam = row["i"], row["lambda"]
+        sym = max(sw.dK(i, lam).norm() for sw in sweeps)
+        bal = max(wedge(sw.K(i, lam), sw.dK(i, lam)).norm() for sw in sweeps)
+        assert abs(row["symplectic_defect"] - sym) <= 1e-13
+        assert abs(row["balanced_defect"] - bal) <= 1e-13
 
 
 def test_scan_rejects_an_empty_grid(capsys):
@@ -428,6 +453,8 @@ def test_scan_on_a_singular_surface_exits_three_with_one_line(tmp_path, flags):
     ["verify", "--suite", "algebra", "--tol", "nan"],
     ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "nan", "--points", "1"],
     ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "inf", "--points", "1"],
+    ["report", "--surface", "cp2_fs", "--params", "c=nan", "--points", "1"],
+    ["scan", "--surface", "cp2_fs", "--params", "c=inf", "--lambda", "1"],
 ])
 def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -436,6 +463,14 @@ def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "twistorlab: error: " in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_surface_parameter_is_named(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--surface", "cp2_fs", "--params", f"c={value}", "--points", "1"])
+    assert err.value.code == 2
+    assert f"--params value for 'c' must be finite, got '{value}'" in capsys.readouterr().err
 
 
 def test_log_of_a_negative_coordinate_is_a_usage_error(tmp_path, capsys):

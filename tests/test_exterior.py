@@ -1,8 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistorlab
 from twistorlab.exterior import (
     ComplexForm,
     SdAsdBasis,
@@ -12,11 +18,11 @@ from twistorlab.exterior import (
     substitute,
     wedge,
     wedge_all,
+    wedge_vectors,
 )
 
 
 def random_form(rng, dim, degree, nterms=3):
-    import itertools
     keys = list(itertools.combinations(range(dim), degree))
     picks = rng.choice(len(keys), size=min(nterms, len(keys)), replace=False)
     terms = {keys[i]: complex(rng.standard_normal(), rng.standard_normal()) for i in picks}
@@ -110,8 +116,9 @@ def _reference_wedge_terms(a, b):
 
 
 def _bits(terms):
-    """Terms in insertion order with coefficients as exact hex strings."""
-    return [(k, v.real.hex(), v.imag.hex()) for k, v in terms.items()]
+    """Terms as a map from key to the coefficient's exact hex strings (a
+    dense form has slot order, not the insertion order of a term loop)."""
+    return {k: (v.real.hex(), v.imag.hex()) for k, v in terms.items()}
 
 
 def _outcome(build):
@@ -158,6 +165,48 @@ def test_wedge_matches_the_uncached_path(data, dim):
     assert _bits(wedge(a, b).terms) == want
 
 
+def _dense_wedge_bits(a, b):
+    """The bits of a ^ b from the stacked slot-table path."""
+    p, q = a.degree, b.degree
+    return _bits(ComplexForm(a.dim, p + q, wedge_vectors(a.vec, b.vec, a.dim, p, q)).terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([4, 6, 8]))
+def test_dense_wedge_matches_the_term_loop_for_every_degree_pair(data, dim):
+    # any number of terms, up to every slot, so that both the term loop over
+    # the slot table and the stacked path of `wedge` are taken
+    p = data.draw(st.integers(0, dim))
+    q = data.draw(st.integers(0, dim - p))
+    a, b = (ComplexForm(dim, d, data.draw(st.dictionaries(
+        st.sampled_from(list(itertools.combinations(range(dim), d))), _coeffs,
+        max_size=len(list(itertools.combinations(range(dim), d))))))
+        for d in (p, q))
+    want = _bits(_reference_wedge_terms(a, b))
+    assert _bits(wedge(a, b).terms) == want
+    assert _dense_wedge_bits(a, b) == want
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_dense_wedge_of_full_forms_matches_the_term_loop(dim):
+    rng = np.random.default_rng(dim)
+    for p in range(dim + 1):
+        for q in range(dim - p + 1):
+            a, b = (random_form(rng, dim, d, nterms=10 ** 3) for d in (p, q))
+            want = _bits(_reference_wedge_terms(a, b))
+            assert _bits(wedge(a, b).terms) == want, (p, q)
+            assert _dense_wedge_bits(a, b) == want, (p, q)
+
+
+def test_importing_the_cli_builds_no_wedge_table():
+    probe = ("import twistorlab.cli; from twistorlab import exterior as e; "
+             "print(e._wedge_pairs.cache_info().currsize, e._wedge_table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twistorlab.__file__))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]))
 def test_wedge_associativity(seed, degrees):
@@ -202,7 +251,6 @@ def test_star_on_sd_asd_basis():
 
 
 def test_star_squared_identity_on_two_forms():
-    import itertools
     for key in itertools.combinations(range(4), 2):
         f = ComplexForm.basis(4, key)
         assert hodge_star_4(hodge_star_4(f)).isclose(f, tol=1e-14)
@@ -361,3 +409,39 @@ def test_zero_threshold_drops_dust():
     assert f.terms == {}
     g = ComplexForm.basis(4, (0,)) - ComplexForm(4, 1, {(0,): 1.0 + 1e-16})
     assert g.terms == {}
+
+
+# ----------------------------------------------------------------------
+# argument errors, the same under python -O
+# ----------------------------------------------------------------------
+
+_ARGUMENT_ERRORS = """
+import numpy as np
+from twistorlab import twistor as tw
+from twistorlab.exterior import ComplexForm, SdAsdBasis, substitute, wedge_all
+f = ComplexForm.basis(4, (0, 1))
+for call in (lambda: f.evaluate(np.zeros((3, 4))), lambda: wedge_all(),
+             lambda: substitute(f, np.eye(3)), lambda: SdAsdBasis([f], [f]),
+             lambda: tw._lift(ComplexForm.basis(6, (0,))),
+             lambda: ComplexForm(4, 2, np.zeros(5))):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_argument_errors_are_value_errors_under_python_O(flags):
+    src = os.path.dirname(os.path.dirname(twistorlab.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _ARGUMENT_ERRORS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: expected (2, 4) vector array, got (3, 4)",
+        "ValueError: wedge_all needs at least one form",
+        "ValueError: need a 4x4 matrix, got (3, 3)",
+        "ValueError: need three forms per eigenspace",
+        "ValueError: only a form over the 4-dim base lifts, got dimension 6",
+        "ValueError: coefficient vector of shape (5,), expected (6,) for degree 2 over 4",
+    ]

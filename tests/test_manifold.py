@@ -243,6 +243,8 @@ def _first_failure_point_by_point(chart, metric, J, tol=1e-10):
     first failing (point, check), or None."""
     for pt in chart.interior_points(16, seed=2024):
         g, Jm = np.asarray(metric(pt), dtype=float), np.asarray(J(pt), dtype=float)
+        if not np.all(np.isfinite(g)):
+            return pt.tolist(), "metric not finite"
         if not np.allclose(g, g.T, atol=tol):
             return pt.tolist(), "metric not symmetric"
         if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) <= 1e-10:
@@ -285,13 +287,30 @@ def test_validation_names_the_first_failing_point_and_check(bad_metric, bad_J, e
 
 
 def test_validation_names_the_point_of_an_infinite_metric():
-    # LAPACK does not converge on diag(inf, inf, 1, 1); the check after it names the point
+    # LAPACK does not converge on diag(inf, inf, 1, 1); the finiteness check names the point first
     chart = mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
     late = chart.interior_points(16, seed=2024)[14]
     metric = lambda x: np.diag([np.inf, np.inf, 1.0, 1.0]) if np.array_equal(x, late) else np.eye(4)  # noqa: E731
     with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
         mf.HermitianSurface(chart, metric, lambda x: mf.J_STANDARD)
-    assert str(err.value) == f"surface invariant violation at sample point {late.tolist()}: metric not J-invariant"
+    assert str(err.value) == f"surface invariant violation at sample point {late.tolist()}: metric not finite"
+
+
+@pytest.mark.parametrize("bad", [np.diag([np.inf, np.inf, 1.0, 1.0]), np.full((4, 4), np.inf)])
+def test_validation_refuses_an_infinite_metric_with_a_J_without_zero_entries(bad):
+    # a constant J = P J0 P^-1 with no zero entry, orthogonal for g = P^-T P^-1:
+    # no 0 * inf of J^T g J can stand in for the finiteness check
+    chart = mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
+    late = chart.interior_points(16, seed=2024)[14]
+    P = np.array([[1.0, 0.3, 0.2, 0.1], [0.1, 1.0, 0.4, 0.2], [0.3, 0.1, 1.0, 0.5], [0.2, 0.6, 0.1, 1.0]])
+    J = P @ mf.J_STANDARD @ np.linalg.inv(P)
+    g = np.linalg.inv(P).T @ np.linalg.inv(P)
+    assert np.all(J != 0.0) and np.allclose(J.T @ g @ J, g)
+    metric = lambda x: bad if np.array_equal(x, late) else g  # noqa: E731
+    assert _first_failure_point_by_point(chart, metric, lambda x: J) == (late.tolist(), "metric not finite")
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        mf.HermitianSurface(chart, metric, lambda x: J)
+    assert str(err.value) == f"surface invariant violation at sample point {late.tolist()}: metric not finite"
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from twistorlab import connection as cn
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
 from twistorlab.exterior import ComplexForm, wedge
-from twistorlab.manifold import (DEFAULT_SEEDS, HermitianSurface, builtin,
+from twistorlab.manifold import (DEFAULT_SEEDS, J_STANDARD, ChartSpec, HermitianSurface, builtin,
                                  coordinate_fundamental_matrix, parse_surface_spec, stack_field)
 
 BASE_POINTS = {
@@ -390,6 +390,18 @@ def test_sweep_builds_each_building_block_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
+def test_defect_rows_have_the_bits_of_the_per_row_forms(name, conn):
+    sw = tw.CoframeSweep(surface(name), conn, zpt(name))
+    pairs = [(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, SQ2, 2.5, (1.3, 0.7, 2.1))]
+    dK, KdK = sw.defect_rows(tw.lambda_weights(pairs))
+    assert dK.shape == (len(pairs), 20) and KdK.shape == (len(pairs), 6)
+    for n, (i, lam) in enumerate(pairs):
+        assert np.array_equal(dK[n], sw.dK(i, lam).vec)
+        assert np.array_equal(KdK[n], wedge(sw.K(i, lam), sw.dK(i, lam)).vec)
+        assert np.array_equal(KdK[n], sw.K_wedge_dK(i, lam).vec)
+
+
+@pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
 def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
     sw = tw.CoframeSweep(surface(name), conn, zpt(name))
     first = sw.dK(3, SQ2)
@@ -504,6 +516,25 @@ def test_lambda_length_and_hessian_residue_are_typed_errors_under_python_O(flags
         "DegenerateCoframeError: surface invariant violation at bundle point "
         "[0.9, 0.0, 0.1, 0.0, 0.3, 0.0]: complex residue in the projective-bundle Hessian",
     ]
+
+
+def test_kahler_check_refuses_a_dF_or_J_that_is_not_finite():
+    chart = ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
+    x0 = np.array([0.9, 0.0, 0.1, 0.0])
+    z = tw.TwistorPoint.from_zeta(x0, 0.3)
+    # the metric is NaN beyond x1 = 0.9005, which the dF stencil at x1 = 0.9 reaches
+    nan_metric = HermitianSurface(chart, lambda x: np.eye(4) if x[0] < 0.9005 else np.full((4, 4), np.nan),
+                                  lambda x: J_STANDARD)
+    # J is NaN at the base point alone, which the central dF stencil skips
+    nan_J = HermitianSurface(chart, lambda x: np.eye(4),
+                             lambda x: np.full((4, 4), np.nan) if np.array_equal(x, x0) else J_STANDARD)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="dF is not finite"):
+            tw.fiber_coordinate_on_bundle(nan_metric, z)
+        with pytest.raises(ValueError, match="standard constant complex structure"):
+            tw.fiber_coordinate_on_bundle(nan_J, z)
+        with pytest.raises(ValueError, match="dF is not finite"):
+            tw.projective_bundle_form(nan_metric, 1.0, z)
 
 
 def test_complex_residue_is_a_typed_error():

@@ -10,7 +10,9 @@ interpreter, once per tree, one after another.  The list holds two ops of
 each benchmark workload (perfbench/workloads.py, seed 0), `report` on the
 four built-ins with the lichnerowicz, chern and bismut connections, a
 lambda triple alone and together with --lambda values (json and text), the
-gauduchon member t = 0.5, `appendix` and a text `scan`.
+gauduchon member t = 0.5, `appendix`, a text `scan`, a json `scan` of the
+hopf/chern pair whose grid holds lambda = 1 and sqrt 2, and a text
+`verify --suite algebra`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -60,6 +62,10 @@ def argv_list():
         ["appendix", "--lambda", "1.2", "--format", "text"],
         ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "1:2",
          "--grid", "9", "--format", "text"],
+        ["scan", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
+         "--lambda", "1.4142135623730951", "--lambda-range", "0.5:2.5", "--grid", "7",
+         "--format", "json"],
+        ["verify", "--suite", "algebra", "--format", "text"],
     ]
     return out
 

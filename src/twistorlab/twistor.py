@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import (ComplexForm, bidegree_project, cut, norms, slot_keys, substitute,
-                       wedge, wedge_all, wedge_vectors)
+from .exterior import (ComplexForm, bidegree_project, cut, norms, read_only, slot_keys,
+                       substitute, wedge, wedge_all, wedge_vectors)
 from .manifold import (J_STANDARD, DiffBackend, HermitianSurface, UnitaryFrame,
                        _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, stack_field)
@@ -348,13 +348,13 @@ class TwistorCoframe:
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
-        """The coefficient rows (3, 15) of `W_forms`."""
-        return np.stack([f.vec for f in self.W_forms])
+        """The coefficient rows (3, 15) of `W_forms` (read-only)."""
+        return read_only(np.stack([f.vec for f in self.W_forms]))
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
-        """The coefficient rows (3, 20) of `dW_forms`."""
-        return np.stack([f.vec for f in self.dW_forms])
+        """The coefficient rows (3, 20) of `dW_forms` (read-only)."""
+        return read_only(np.stack([f.vec for f in self.dW_forms]))
 
     @functools.cached_property
     def balanced_forms(self) -> Tuple[ComplexForm, ComplexForm]:
@@ -757,19 +757,20 @@ class CoframeSweep:
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
-        """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point."""
-        return cut(np.stack([self._W(a)[np.triu_indices(6, 1)] for a in range(3)]))
+        """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point
+        (read-only)."""
+        return read_only(cut(np.stack([self._W(a)[np.triu_indices(6, 1)] for a in range(3)])))
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
         """The coefficients (3, 20) of dW_1, dW_2, dW_3 by the product rule:
-        (dW)_pqr = d_p W_qr - d_q W_pr + d_r W_pq."""
+        (dW)_pqr = d_p W_qr - d_q W_pr + d_r W_pq (read-only)."""
         p, q, r = np.array(slot_keys(6, 3)).T
         rows = []
         for a in range(3):
             D = np.stack([self._dW_partial(s, a) for s in range(6)])
             rows.append(D[p, q, r] - D[q, p, r] + D[r, p, q])
-        return cut(np.stack(rows))
+        return read_only(cut(np.stack(rows)))
 
     # -- assembled oracle values ------------------------------------------
 

@@ -174,8 +174,7 @@ def _dense_wedge_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from([4, 6, 8]))
 def test_dense_wedge_matches_the_term_loop_for_every_degree_pair(data, dim):
-    # any number of terms, up to every slot, so that both the term loop over
-    # the slot table and the stacked path of `wedge` are taken
+    # any number of terms, up to every slot
     p = data.draw(st.integers(0, dim))
     q = data.draw(st.integers(0, dim - p))
     a, b = (ComplexForm(dim, d, data.draw(st.dictionaries(
@@ -196,6 +195,22 @@ def test_dense_wedge_of_full_forms_matches_the_term_loop(dim):
             want = _bits(_reference_wedge_terms(a, b))
             assert _bits(wedge(a, b).terms) == want, (p, q)
             assert _dense_wedge_bits(a, b) == want, (p, q)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1, float("-inf"))])
+def test_a_non_finite_coefficient_reaches_only_the_slots_it_merges_into(bad):
+    # both paths multiply only pairs of nonzero terms: the bad coefficient of
+    # e01 meets e2 and e3 of b, and no zero slot of b
+    a = ComplexForm(6, 2, {(0, 1): bad, (2, 4): 0.5 - 2j})
+    b = ComplexForm(6, 1, {(2,): 1.5, (3,): -0.25j, (5,): 2.0})
+    assert np.isnan(a.vec).any() or np.isinf(a.vec).any()
+    loop = wedge(a, b)
+    assert _bits(loop.terms) == _dense_wedge_bits(a, b)
+    finite = {k for k, v in loop.terms.items() if np.isfinite(v)}
+    assert set(loop.terms) - finite == {(0, 1, 2), (0, 1, 3), (0, 1, 5)}
+    assert finite == {(2, 3, 4), (2, 4, 5)}
+    stacked = wedge_vectors(np.stack([a.vec, a.vec]), np.stack([b.vec, b.vec]), 6, 2, 1)
+    assert _bits(ComplexForm(6, 3, stacked[1]).terms) == _bits(loop.terms)
 
 
 def test_importing_the_cli_builds_no_wedge_table():

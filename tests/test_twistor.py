@@ -405,8 +405,11 @@ def test_defect_rows_have_the_bits_of_the_per_row_forms(name, conn):
 def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
     sw = tw.CoframeSweep(surface(name), conn, zpt(name))
     first = sw.dK(3, SQ2)
-    first.terms.clear()                       # a caller scribbling on its result
-    sw.K(3, SQ2).terms.clear()
+    for shared in (first.vec, sw.K(3, SQ2).vec, sw.W_coeffs, sw.dW_coeffs):
+        with pytest.raises(ValueError):
+            shared[:] = 0                     # a caller scribbling on its result
+    first.terms.clear()                       # a fresh dict on every read
+    assert first.terms
     fresh = tw.CoframeSweep(surface(name), conn, zpt(name))
     for i in (1, 2, 3, 4):
         for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
@@ -418,10 +421,12 @@ def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
 @pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
 def test_formula_results_do_not_alias_the_shared_forms(name, conn):
     co = tw.twistor_coframe(surface(name), conn, zpt(name))
-    tw.dK_formula(3, SQ2, co).terms.clear()   # a caller scribbling on its result
-    tw.K_form(3, SQ2, co).terms.clear()
-    tw.balanced_defect_formula(3, SQ2, co).terms.clear()
-    tw.balanced_defect_formula(1, SQ2, co).terms.clear()
+    results = [tw.dK_formula(3, SQ2, co), tw.K_form(3, SQ2, co),
+               tw.balanced_defect_formula(3, SQ2, co), tw.balanced_defect_formula(1, SQ2, co)]
+    shared = [f.vec for f in results + list(co.W_forms) + list(co.dW_forms)]
+    for vec in shared + [co.W_coeffs, co.dW_coeffs]:
+        with pytest.raises(ValueError):
+            vec[:] = 0                        # a caller scribbling on its result
     fresh = tw.twistor_coframe(surface(name), conn, zpt(name))
     for i in (1, 2, 3, 4):
         for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):

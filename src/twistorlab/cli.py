@@ -31,7 +31,8 @@ from .flag import (appendix_table, flag_balanced, flag_bidegree_part, flag_conj,
                    flag_d, flag_dK, flag_ddbar, flag_K, generator_form,
                    integrability_obstruction, nearly_kahler_check,
                    structural_ddbar)
-from .manifold import BUILTIN_NAMES, HermitianSurface, SpecSyntaxError, builtin, parse_surface_spec
+from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, SpecSyntaxError,
+                       builtin, parse_surface_spec)
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
                       condition_report, lambda_weights, lambda_zero_crossing,
                       normalize_connection, sample_twistor_points, twistor_coframe,
@@ -743,7 +744,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as held:
             return handlers[args.command](args, parser)
-    except DegenerateCoframeError as exc:
+    except (DegenerateCoframeError, DegenerateFrameError) as exc:
         held = []       # the numerical warnings leading up to a breakdown are noise
         print(f"twistorlab: {exc}", file=sys.stderr)
         raise SystemExit(3)

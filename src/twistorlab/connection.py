@@ -20,7 +20,7 @@ parsed one slot at a time (digit, optional '*' for conjugation).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -72,18 +72,21 @@ def flip_pattern(pattern: str) -> str:
     return "".join(out)
 
 
-def complexify(tensor: np.ndarray, pattern: str) -> complex:
+def complexify(tensor: np.ndarray, pattern: str, rows: np.ndarray = _B_FRAME) -> complex:
     """Insert u_a / conj(u_a) into the four slots of a frame-component tensor.
 
     Args:
         tensor: real (or complex) 4x4x4x4 array of adapted-frame components.
         pattern: e.g. '1*212' for (conj u_1, u_2, u_1, u_2).
+        rows: (2, 4) frame components of u_1, u_2; by default those of the
+           adapted frame, u_a = (e_{2a-1} - i e_{2a})/sqrt2.
     """
     tensor = np.asarray(tensor)
-    assert tensor.shape == (4, 4, 4, 4), f"need frame components of shape (4,4,4,4), got {tensor.shape}"
+    if tensor.shape != (4, 4, 4, 4):
+        raise ValueError(f"need frame components of shape (4,4,4,4), got {tensor.shape}")
     vecs = []
     for idx, conj in parse_pattern(pattern):
-        v = _B_FRAME[idx]
+        v = rows[idx]
         vecs.append(np.conj(v) if conj else v)
     return complex(np.einsum("ijkl,i,j,k,l->", tensor, *vecs))
 
@@ -143,20 +146,19 @@ class LeviCivitaData:
         }
 
 
-def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray,
-              seeds=None) -> np.ndarray:
+def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
     """omega[z, i, j, nu] = h(grad_{d_nu} e_j, e_i) at an (n, 4) stack of points
     x with metrics g and frames E (n, 4, 4), against the canonical frame field."""
     Gm = christoffel(M, x)
     # dE[z, nu, mu, j] = d_nu E[mu, j], one frame call for every stencil
-    dE = M.backend.partials(lambda p: adapted_frame(M, p, seeds=seeds).E, x)
+    dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
     # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
     nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
     return np.einsum("zml,zmnj,zli->zijn", g, nabla, E)
 
 
 @point_memo
-def levi_civita(M: HermitianSurface, x: np.ndarray, seeds=None) -> LeviCivitaData:
+def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
     """Levi-Civita connection forms and curvature at an (n, 4) stack of points;
     `point_memo` serves one point or any stack.
 
@@ -165,11 +167,11 @@ def levi_civita(M: HermitianSurface, x: np.ndarray, seeds=None) -> LeviCivitaDat
     produced against the canonical Gram-Schmidt frame field.  Both passes
     evaluate their whole stencil as one stack.
     """
-    fr = adapted_frame(M, x, seeds=seeds)
+    fr = adapted_frame(M, x)
     E = fr.E
     g = M.metric(x)
     Gm = christoffel(M, x)
-    omega_coord = _lc_forms(M, x, g, E, seeds=seeds)
+    omega_coord = _lc_forms(M, x, g, E)
     omega_frame = np.einsum("zijn,znk->zijk", omega_coord, E)
 
     # coordinate Riemann from the Christoffel field:
@@ -270,38 +272,27 @@ def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) 
 
 
 @point_memo
-def _omega_tilde(M: HermitianSurface, x: np.ndarray, t: float,
-                 seeds=None) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
-    fr = adapted_frame(M, x, seeds=seeds)
-    omega_coord = _lc_forms(M, x, M.metric(x), fr.E, seeds=seeds)
+def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
+    """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates
+    at an (n, 4) stack of points; `point_memo` serves one point or any stack
+    (..., 4), each field with the point axes in front.  The stack's frames,
+    Christoffels and frame and dF stencils are each evaluated in one call,
+    through the surface's point memo."""
+    fr = adapted_frame(M, x)
+    omega_coord = _lc_forms(M, x, M.metric(x), fr.E)
     return omega_coord + _torsion_forms(M, x, t, fr.E), omega_coord, fr
 
 
-def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
-                      lc: Optional[LeviCivitaData] = None) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
-    """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates,
-    at one point or at every point of a stack x (..., 4), each field with the
-    point axes in front.  The stack's frames, Christoffels and frame and dF
-    stencils are each evaluated in one call, through the surface's point
-    memo.  Levi-Civita data `lc` at the single point x serves its part."""
-    if lc is None or not np.allclose(lc.point, x):
-        return _omega_tilde(M, x, t, seeds=seeds)
-    x = np.asarray(x, dtype=float)
-    corr = _torsion_forms(M, x[None], t, lc.frame.E[None])[0]
-    return lc.omega_coord + corr, lc.omega_coord, lc.frame
-
-
-def psi_field(M: HermitianSurface, t: float, seeds=None) -> Callable[[np.ndarray], np.ndarray]:
+def psi_field(M: HermitianSurface, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """The complex connection-matrix field p -> psi_coord(p) for D^t, at a point
     or a stack of points."""
     def field(p: np.ndarray) -> np.ndarray:
-        om_t, _, _ = omega_tilde_coord(M, p, t, seeds=seeds)
+        om_t, _, _ = omega_tilde_coord(M, p, t)
         return complex_connection_matrix(om_t)
     return field
 
 
-def gauduchon(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
-              lc: Optional[LeviCivitaData] = None) -> HermitianConnectionData:
+def gauduchon(M: HermitianSurface, x: np.ndarray, t: float) -> HermitianConnectionData:
     """The canonical Hermitian connection D^t at x, with torsion.
 
     Torsion comes from the coefficient antisymmetrization
@@ -310,7 +301,7 @@ def gauduchon(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
     (1,0)-frame vectors and conjugates.
     """
     x = np.asarray(x, dtype=float)
-    om_t, om_lc, fr = omega_tilde_coord(M, x, t, seeds=seeds, lc=lc)
+    om_t, om_lc, fr = omega_tilde_coord(M, x, t)
     psi = complex_connection_matrix(om_t)
     mu = mu_from_omega(om_lc)
 
@@ -335,16 +326,15 @@ def gauduchon(M: HermitianSurface, x: np.ndarray, t: float, seeds=None,
     )
 
 
-def structure_equation_defect(M: HermitianSurface, data: HermitianConnectionData,
-                              seeds=None) -> float:
+def structure_equation_defect(M: HermitianSurface, data: HermitianConnectionData) -> float:
     """Max coefficient of d eta^a + psi^a_b ^ eta^b - T^a over the chart coframe.
 
     Validates that psi and the torsion really belong to the same connection:
     the identity is exact, so the residual is pure FD noise.
     """
     x = data.point
-    eta0 = adapted_frame(M, x, seeds=seeds).eta
-    deta = M.backend.partials(lambda p: adapted_frame(M, p, seeds=seeds).eta, x)  # [nu, a, rho]
+    eta0 = adapted_frame(M, x).eta
+    deta = M.backend.partials(lambda p: adapted_frame(M, p).eta, x)  # [nu, a, rho]
     psi = data.psi_coord
     T = data.torsion_coord
     worst = 0.0
@@ -406,11 +396,11 @@ class GauduchonCurvature:
         return out
 
 
-def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float, seeds=None) -> GauduchonCurvature:
+def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float) -> GauduchonCurvature:
     """Curvature of D^t from FD of the connection-matrix field plus psi ^ psi."""
     x = np.asarray(x, dtype=float)
-    fr = adapted_frame(M, x, seeds=seeds)
-    field = psi_field(M, t, seeds=seeds)
+    fr = adapted_frame(M, x)
+    field = psi_field(M, t)
     psi0 = field(x)
     dpsi = M.backend.partials(field, x)     # [nu, a, b, rho], one stack for the stencil
     Psi: List[List[ComplexForm]] = [[None, None], [None, None]]
@@ -449,11 +439,11 @@ class TorsionAuxiliary:
     grad_alpha_J_wedge_F: np.ndarray  # (4, 4, 4, 4): [dir, slots...] frame components
 
 
-def _lee_fields(M: HermitianSurface, p: np.ndarray, seeds=None) -> np.ndarray:
+def _lee_fields(M: HermitianSurface, p: np.ndarray) -> np.ndarray:
     """alpha, alpha o J and (alpha o J) ^ F in chart coordinates at a stack of
     points p (..., 4), as one array (..., 72): 4 + 4 components and the full
     antisymmetric (4, 4, 4) array, flattened."""
-    fr = adapted_frame(M, p, seeds=seeds)
+    fr = adapted_frame(M, p)
     alpha = np.einsum("...i,...im->...m", lee_components(M, p, fr.E), fr.theta)
     aJ = np.einsum("...m,...mn->...n", alpha, M.J(p))      # (alpha o J)(d_n) = alpha(J d_n)
     F = coordinate_fundamental_matrix(M, p)
@@ -463,17 +453,12 @@ def _lee_fields(M: HermitianSurface, p: np.ndarray, seeds=None) -> np.ndarray:
     return np.concatenate([alpha, aJ, B3.reshape(B3.shape[:-3] + (64,))], axis=-1)
 
 
-def torsion_auxiliary(M: HermitianSurface, x: np.ndarray, seeds=None,
-                      lc: Optional[LeviCivitaData] = None) -> TorsionAuxiliary:
+def torsion_auxiliary(M: HermitianSurface, x: np.ndarray) -> TorsionAuxiliary:
     """Assemble the Lee-form auxiliaries used by the curvature relations."""
     x = np.asarray(x, dtype=float)
-    if lc is None or not np.allclose(lc.point, x):
-        fr = adapted_frame(M, x, seeds=seeds)
-        Gm = christoffel(M, x)
-    else:
-        fr = lc.frame
-        Gm = lc.Gamma
-    fields = lambda p: _lee_fields(M, p, seeds=seeds)  # noqa: E731
+    fr = adapted_frame(M, x)
+    Gm = christoffel(M, x)
+    fields = lambda p: _lee_fields(M, p)  # noqa: E731
     values, d = fields(x), M.backend.partials(fields, x)     # d[nu] = d_nu of the fields
     ac, B3 = values[:4], values[8:].reshape(4, 4, 4)
 
@@ -528,7 +513,7 @@ _F_FRAME = np.array([
 _H_FRAME = np.eye(4)
 
 
-def chern_curvature_relation(lc: LeviCivitaData, aux: TorsionAuxiliary) -> CurvatureTensor:
+def chern_curvature_relation(levi: LeviCivitaData, aux: TorsionAuxiliary) -> CurvatureTensor:
     """Chern curvature K from Levi-Civita curvature plus Lee-form corrections.
 
     K(X1..X4) = R + 1/2 d(alpha o J)(X3, X4) F(X1, X2)
@@ -536,8 +521,9 @@ def chern_curvature_relation(lc: LeviCivitaData, aux: TorsionAuxiliary) -> Curva
                 - 1/2 [L(X3, X2) h(X4, X1) + L(X4, X1) h(X3, X2)]
                 + |alpha|^2/4 [h(X3, X2) h(X4, X1) - h(X4, X2) h(X3, X1)]
     """
-    assert np.allclose(lc.point, aux.point), "relation inputs evaluated at different points"
-    R = lc.R
+    if not np.allclose(levi.point, aux.point):
+        raise ValueError("relation inputs evaluated at different points")
+    R = levi.R
     L = aux.L
     h = _H_FRAME
     K = (R
@@ -545,18 +531,19 @@ def chern_curvature_relation(lc: LeviCivitaData, aux: TorsionAuxiliary) -> Curva
          + 0.5 * (np.einsum("lj,ki->ijkl", L, h) + np.einsum("ki,lj->ijkl", L, h))
          - 0.5 * (np.einsum("kj,li->ijkl", L, h) + np.einsum("li,kj->ijkl", L, h))
          + 0.25 * aux.alpha_sq * (np.einsum("kj,li->ijkl", h, h) - np.einsum("lj,ki->ijkl", h, h)))
-    return CurvatureTensor(which="chern_relation", point=lc.point, array=K)
+    return CurvatureTensor(which="chern_relation", point=levi.point, array=K)
 
 
-def bismut_curvature_relation(lc: LeviCivitaData, aux: TorsionAuxiliary) -> CurvatureTensor:
+def bismut_curvature_relation(levi: LeviCivitaData, aux: TorsionAuxiliary) -> CurvatureTensor:
     """Bismut curvature K~ from Levi-Civita curvature plus (alpha o J) ^ F terms.
 
     K~(X1..X4) = R + 1/2 (grad_{X3}(aJ^F))(X4, X2, X1) - 1/2 (grad_{X4}(aJ^F))(X3, X2, X1)
                  + 1/4 sum_m (aJ^F)(X4, X1, e_m)(aJ^F)(X3, X2, e_m)
                  - 1/4 sum_m (aJ^F)(X3, X1, e_m)(aJ^F)(X4, X2, e_m)
     """
-    assert np.allclose(lc.point, aux.point), "relation inputs evaluated at different points"
-    R = lc.R
+    if not np.allclose(levi.point, aux.point):
+        raise ValueError("relation inputs evaluated at different points")
+    R = levi.R
     B = aux.alpha_J_wedge_F
     GB = aux.grad_alpha_J_wedge_F
     K = (R
@@ -564,4 +551,4 @@ def bismut_curvature_relation(lc: LeviCivitaData, aux: TorsionAuxiliary) -> Curv
          - 0.5 * np.einsum("lkji->ijkl", GB)
          + 0.25 * np.einsum("lim,kjm->ijkl", B, B)
          - 0.25 * np.einsum("kim,ljm->ijkl", B, B))
-    return CurvatureTensor(which="bismut_relation", point=lc.point, array=K)
+    return CurvatureTensor(which="bismut_relation", point=levi.point, array=K)

@@ -55,7 +55,7 @@ class CurvatureOperator6:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def curvature_operator(lc: LeviCivitaData, basis: Optional[SdAsdBasis] = None) -> CurvatureOperator6:
+def curvature_operator(levi: LeviCivitaData, basis: Optional[SdAsdBasis] = None) -> CurvatureOperator6:
     """The curvature operator matrix in the unit-norm SD/ASD basis.
 
     Entry (a, b) is the ordered-pair contraction of R_ijkl against basis
@@ -66,8 +66,8 @@ def curvature_operator(lc: LeviCivitaData, basis: Optional[SdAsdBasis] = None) -
     M = np.empty((6, 6))
     for a in range(6):
         for b in range(6):
-            M[a, b] = _pair(lc.R, arrs[a], arrs[b])
-    return CurvatureOperator6(point=lc.point, matrix=M)
+            M[a, b] = _pair(levi.R, arrs[a], arrs[b])
+    return CurvatureOperator6(point=levi.point, matrix=M)
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def decompose(op: CurvatureOperator6) -> WeylDecomposition:
 # Ricci tensor and predicates
 # ======================================================================
 
-def ricci_tensor(lc: LeviCivitaData) -> np.ndarray:
+def ricci_tensor(levi: LeviCivitaData) -> np.ndarray:
     """Ric[j, l] = sum_i R[i, j, i, l] in adapted-frame components."""
-    return np.einsum("ijil->jl", lc.R)
+    return np.einsum("ijil->jl", levi.R)
 
 
 def trace_free_ricci(ric: np.ndarray) -> np.ndarray:
@@ -176,12 +176,10 @@ def predicates(dec: WeylDecomposition, ricci: np.ndarray, kahler_defect: float,
     )
 
 
-def condition_flags(M: HermitianSurface, x: np.ndarray, tol: float = DEFAULT_PREDICATE_TOL,
-                    lc: Optional[LeviCivitaData] = None) -> ConditionFlags:
+def condition_flags(M: HermitianSurface, x: np.ndarray, tol: float = DEFAULT_PREDICATE_TOL) -> ConditionFlags:
     """One-call predicate evaluation at a chart point."""
     x = np.asarray(x, dtype=float)
-    if lc is None or not np.allclose(lc.point, x):
-        lc = levi_civita(M, x)
+    lc = levi_civita(M, x)
     dec = decompose(curvature_operator(lc))
     ric = ricci_tensor(lc)
     kdef = dF_form(M, x).norm()

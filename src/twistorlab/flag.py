@@ -317,7 +317,8 @@ def _params(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
         lams = (1.0, 1.0, float(lam))
     else:
         lams = tuple(float(v) for v in lam)
-        assert len(lams) == 3, "expected one scale parameter or three"
+        if len(lams) != 3:
+            raise ValueError(f"expected one scale parameter or three, got {len(lams)}")
     if any(v <= 0.0 for v in lams):
         raise ValueError("scale parameters must be positive")
     return lams  # type: ignore[return-value]

@@ -259,7 +259,8 @@ class ChartSpec:
     def __post_init__(self):
         box = np.asarray(self.box, dtype=float)
         object.__setattr__(self, "box", box)
-        assert box.shape == (4, 2), f"domain box must be 4x2, got {box.shape}"
+        if box.shape != (4, 2):
+            raise ValueError(f"domain box must be 4x2, got {box.shape}")
         if not np.all(box[:, 1] > box[:, 0]):
             raise ValueError("chart domain has empty interior")
 
@@ -449,15 +450,15 @@ def _gather(rows: List[_Row], shape: Tuple[int, ...]):
     return _unstack(_merge(list(parts.values()), len(rows)), shape)
 
 
-def _evaluate_rows(fn, M, rows: np.ndarray, params: tuple, options: dict):
+def _evaluate_rows(fn, M, rows: np.ndarray, params: tuple):
     """fn on a stack of points; when that raises, fn on one point at a time,
     so the error is the one a point-by-point evaluation meets first."""
     try:
-        return fn(M, rows, *params, **options)
+        return fn(M, rows, *params)
     except Exception:
         if len(rows) > 1:
             for r in range(len(rows)):
-                fn(M, rows[r:r + 1], *params, **options)
+                fn(M, rows[r:r + 1], *params)
         raise
 
 
@@ -475,18 +476,14 @@ def point_memo(fn):
     the other points of its stack.  Exceptions are not stored: every check
     runs until a point has been evaluated successfully, and when a stack
     fails, its points are evaluated one at a time so the error is that of
-    the first failing point.  A call with a keyword option that is not None
-    (explicit `seeds`) bypasses the memo.  The memo is only read with
-    `get`, written by item assignment and cleared whole when an insert
-    finds POINT_MEMO_LIMIT entries; it is never iterated, so threads may
-    share a surface.
+    the first failing point.  The memo is only read with `get`, written by
+    item assignment and cleared whole when an insert finds POINT_MEMO_LIMIT
+    entries; it is never iterated, so threads may share a surface.
     """
     @functools.wraps(fn)
-    def memoized(M, x, *params, **options):
+    def memoized(M, x, *params):
         x = np.array(x, dtype=float)        # a private copy
         shape, points = x.shape[:-1], x.reshape(-1, 4)
-        if any(v is not None for v in options.values()):
-            return _unstack(_evaluate_rows(fn, M, points, params, options), shape)
         memo = M._point_memo
         keys = [(fn, point.tobytes(), *params) for point in points]
         stored = [memo.get(key) for key in keys]
@@ -497,7 +494,7 @@ def point_memo(fn):
         if misses:
             every = len(misses) == len(points)
             batch = _freeze(_evaluate_rows(fn, M, points if every else points[list(misses.values())],
-                                           params, {}))
+                                           params))
             fresh = {}
             for j, key in enumerate(misses):
                 fresh[key] = _Row(batch, j)
@@ -546,14 +543,14 @@ class HermitianSurface:
 
     Each surface owns a private point memo (`point_memo`): the metric, the
     adapted frame, the coordinate fundamental matrix, the Christoffel
-    symbols and the D^t connection forms are computed once per exact point
-    and stored read-only.  This relies on the surface being immutable: its
-    chart, metric and J callables and backend must not be replaced after
-    construction, and the callables must be pure.  The metric stores its own
-    copy, so an array returned by the metric callable is never frozen.  The
-    memo lives and dies with the surface, is cleared whole when it reaches
-    POINT_MEMO_LIMIT entries and is safe to share between threads, so
-    sampling in parallel is safe.
+    symbols, the Levi-Civita data and the D^t connection forms are computed
+    once per exact point and stored read-only.  This relies on the surface
+    being immutable: its chart, metric and J callables and backend must not
+    be replaced after construction, and the callables must be pure.  The
+    metric stores its own copy, so an array returned by the metric callable
+    is never frozen.  The memo lives and dies with the surface, is cleared
+    whole when it reaches POINT_MEMO_LIMIT entries and is safe to share
+    between threads, so sampling in parallel is safe.
     """
 
     def __init__(self, chart: ChartSpec,
@@ -885,20 +882,29 @@ class UnitaryFrame:
     eta: np.ndarray      # (2, 4) complex, rows eta^1, eta^2
 
 
+class DegenerateFrameError(ValueError):
+    """DEFAULT_SEEDS give no adapted frame at a point: under the surface's
+    metric and J, seed1 has norm ~ 0 or seed2 lies in span(e1, J e1)."""
+
+    def __init__(self, point):
+        super().__init__(f"seed degenerate at point {point}: the fixed Gram-Schmidt "
+                         f"start vectors give no J-adapted frame for this metric and J")
+
+
 @point_memo
-def adapted_frame(M: HermitianSurface, x: np.ndarray,
-                  seeds: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> UnitaryFrame:
+def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
     """Modified Gram-Schmidt construction of a J-adapted orthonormal frame.
 
     e1 = normalize(seed1), e2 = J e1,
-    e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3.
-    Deterministic given the seeds; with the default seeds this defines a
-    smooth frame field wherever the construction stays nondegenerate.
+    e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3,
+    with (seed1, seed2) = DEFAULT_SEEDS; this defines a smooth frame field
+    wherever the construction stays nondegenerate.
 
     x is an (n, 4) stack of points; `point_memo` serves one point or any
-    stack.  Each degeneracy check raises for the first failing point.
+    stack.  Each degeneracy check raises DegenerateFrameError for the first
+    failing point.
     """
-    s1, s2 = seeds if seeds is not None else DEFAULT_SEEDS
+    s1, s2 = DEFAULT_SEEDS
     g = M.metric(x)
     Jm = M.J(x)
 
@@ -908,13 +914,13 @@ def adapted_frame(M: HermitianSurface, x: np.ndarray,
         return (a @ g @ b)[:, 0, 0]
 
     n1 = dot(s1, s1)
-    _raise_at_first(n1 < 1e-16, x, "seed degenerate at point {}")
+    _raise_at_first(n1 < 1e-16, x, DegenerateFrameError)
     e1 = s1 / np.sqrt(n1)[:, None]
     e2 = (Jm @ e1[:, :, None])[:, :, 0]
     r = s2 - dot(s2, e1)[:, None] * e1 - dot(s2, e2)[:, None] * e2
     rn = dot(r, r)
     small = rn < 1e-16
-    _raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, "seed degenerate at point {}")
+    _raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, DegenerateFrameError)
     e3 = r / np.sqrt(rn)[:, None]
     e4 = (Jm @ e3[:, :, None])[:, :, 0]
 
@@ -926,20 +932,11 @@ def adapted_frame(M: HermitianSurface, x: np.ndarray,
     return UnitaryFrame(point=x, E=E, theta=theta, U=U, eta=eta)
 
 
-def _raise_at_first(bad: np.ndarray, x: np.ndarray, message: str) -> None:
-    """ValueError naming the first point of the stack x where `bad` holds."""
+def _raise_at_first(bad: np.ndarray, x: np.ndarray, error: Callable[[list], Exception]) -> None:
+    """Raise error(point) for the first point of the stack x where `bad` holds."""
     bad = np.ravel(bad)
     if bad.any():
-        raise ValueError(message.format(np.reshape(x, (-1, 4))[np.argmax(bad)].tolist()))
-
-
-def frame_field(M: HermitianSurface,
-                seeds: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Callable[[np.ndarray], UnitaryFrame]:
-    """The frame as a function of the point, with seeds held fixed so that
-    finite differences of the field are well defined."""
-    def field(x: np.ndarray) -> UnitaryFrame:
-        return adapted_frame(M, x, seeds=seeds)
-    return field
+        raise error(np.reshape(x, (-1, 4))[np.argmax(bad)].tolist())
 
 
 # ======================================================================
@@ -948,7 +945,8 @@ def frame_field(M: HermitianSurface,
 
 def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) -> ComplexForm:
     """F = h(J., .) expressed in the adapted coframe: theta^1^theta^2 + theta^3^theta^4."""
-    assert np.allclose(frame.point, np.asarray(x, dtype=float)), "frame was built at a different point"
+    if not np.allclose(frame.point, np.asarray(x, dtype=float)):
+        raise ValueError("frame was built at a different point")
     return ComplexForm(4, 2, {(0, 1): 1.0, (2, 3): 1.0})
 
 
@@ -963,7 +961,7 @@ def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndar
 
 def _check_stencil_inside(M: HermitianSurface, x: np.ndarray, factor: float = 1.0):
     _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < factor * M.backend.reach()), x,
-                    "point too close to boundary for FD stencil: {}")
+                    lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
 
 
 # the six orderings of a < b < c with their signs

@@ -37,7 +37,7 @@ from .exterior import (ComplexForm, bidegree_project, cut, norms, read_only, slo
 from .manifold import (J_STANDARD, DiffBackend, HermitianSurface, UnitaryFrame,
                        _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, stack_field)
-from .connection import (CONNECTION_T, complex_connection_matrix, direct_curvature,
+from .connection import (CONNECTION_T, complex_connection_matrix, complexify, direct_curvature,
                          gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
 from .curvature_analysis import (ConditionFlags, condition_flags,
                                  curvature_operator, decompose)
@@ -48,7 +48,7 @@ __all__ = [
     "normalize_connection", "coframe_rows", "twistor_coframe",
     "acs_endomorphism", "h_lambda_matrix", "K_form", "dK_formula",
     "balanced_defect_formula", "ddbar_formula", "CoframeSweep", "dK_oracle",
-    "balanced_defect_oracle", "nijenhuis_oracle", "ddbar_oracle",
+    "nijenhuis_oracle", "ddbar_oracle",
     "conformal_rescale", "conformal_compare", "principal_angles",
     "fiber_coordinate_on_bundle", "projective_bundle_form",
     "bundle_chart_compare", "lambda_zero_crossing", "evaluate_metric",
@@ -99,7 +99,9 @@ class TwistorPoint:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         line = np.asarray(self.line, dtype=complex)
-        assert x.shape == (4,) and line.shape == (2,)
+        if x.shape != (4,) or line.shape != (2,):
+            raise ValueError(f"a twistor point needs a base point of shape (4,) and a line of "
+                             f"shape (2,), got {x.shape} and {line.shape}")
         n = np.linalg.norm(line)
         if n < 1e-14:
             raise ValueError("twistor line must be nonzero")
@@ -219,21 +221,7 @@ def _mobius12(P: np.ndarray, zeta) -> np.ndarray:
     return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - _square(zb) * P[1, 0]) / _norm2(zeta)
 
 
-def _assemble_rows(eta: np.ndarray, psi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """The coframe matrices B (n, 3, 6) from base data eta (n, 2, 4) and
-    psi (n, 2, 2, 4) and the fiber coordinates zeta (n,)."""
-    N2 = _norm2(zeta)[:, None]
-    N = np.sqrt(N2)
-    B = np.zeros(zeta.shape + (3, 6), dtype=complex)
-    B[:, 0, :4] = (eta[:, 0] + np.conj(zeta)[:, None] * eta[:, 1]) / N
-    B[:, 1, :4] = (-zeta[:, None] * eta[:, 0] + eta[:, 1]) / N
-    B[:, 2, :4] = _mobius12(np.moveaxis(psi, 0, 2), zeta[:, None])
-    B[:, 2, 4:5] = -1.0 / N2
-    B[:, 2, 5:6] = 1j / N2
-    return B
-
-
-def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np.ndarray:
+def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray) -> np.ndarray:
     """The complex coframe matrix B at chart point y = (x, Re zeta, Im zeta),
     or at every point of a stack y (..., 6), giving (..., 3, 6).
 
@@ -246,9 +234,17 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray, seeds=None) -> np
     """
     y = np.asarray(y, dtype=float)
     Y = y.reshape(-1, 6)
-    om_t, _, fr = omega_tilde_coord(M, Y[:, :4], t, seeds=seeds)
+    om_t, _, fr = omega_tilde_coord(M, Y[:, :4], t)
+    eta, psi = fr.eta, complex_connection_matrix(om_t)
     zeta = np.ascontiguousarray(Y[:, 4:]).view(complex)[:, 0]
-    B = _assemble_rows(fr.eta, complex_connection_matrix(om_t), zeta)
+    N2 = _norm2(zeta)[:, None]
+    N = np.sqrt(N2)
+    B = np.zeros(zeta.shape + (3, 6), dtype=complex)
+    B[:, 0, :4] = (eta[:, 0] + np.conj(zeta)[:, None] * eta[:, 1]) / N
+    B[:, 1, :4] = (-zeta[:, None] * eta[:, 0] + eta[:, 1]) / N
+    B[:, 2, :4] = _mobius12(np.moveaxis(psi, 0, 2), zeta[:, None])
+    B[:, 2, 4:5] = -1.0 / N2
+    B[:, 2, 5:6] = 1j / N2
     return B.reshape(y.shape[:-1] + (3, 6))
 
 
@@ -275,16 +271,6 @@ def _matrix_two_form(mat: np.ndarray, dim: int = 6) -> ComplexForm:
     full = np.zeros((dim, dim), dtype=complex)
     full[:mat.shape[0], :mat.shape[1]] = mat
     return ComplexForm(dim, 2, full[np.triu_indices(dim, 1)])
-
-
-def _complexify_rows(R: np.ndarray, rows: np.ndarray, pattern: Sequence[Tuple[int, bool]]) -> complex:
-    """Contract a frame 4-tensor with (1,0)-frame vectors given by `rows`
-    (rows[a] = frame components of the a-th vector), conjugating per slot."""
-    vecs = []
-    for idx, conj in pattern:
-        v = rows[idx]
-        vecs.append(np.conj(v) if conj else v)
-    return complex(np.einsum("ijkl,i,j,k,l->", R, *vecs))
 
 
 @dataclass(frozen=True)
@@ -364,9 +350,12 @@ class TwistorCoframe:
 
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                    seeds=None, chart: Optional[TwistorChart] = None,
+                    chart: Optional[TwistorChart] = None,
                     with_structure: bool = True) -> TwistorCoframe:
     """Build the pulled-back coframe and its formula inputs at a bundle point.
+
+    B comes from `coframe_rows`, and mu from the Levi-Civita forms of the
+    same memoized D^t evaluation (`omega_tilde_coord`).
 
     Args:
         M: the base surface.
@@ -374,7 +363,6 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
         z: the twistor point; its fiber coordinate must satisfy
            |zeta| < chart.zeta_max (the section degenerates as the line
            approaches the antipode of the frame's own structure).
-        seeds: optional Gram-Schmidt seeds, forwarded to the frame.
         chart: optional chart whose zeta_max bound is enforced.
         with_structure: also assemble curvature/torsion data for the
            closed-form derivative expressions.
@@ -392,15 +380,12 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     x = z.x
     y = z.chart_coordinates()
 
-    lc = levi_civita(M, x, seeds=seeds)
+    lc = levi_civita(M, x)
     fr = lc.frame
-    # B (as coframe_rows makes it) and the Levi-Civita forms from one D^t evaluation
-    om_t, om_lc, fr_t = omega_tilde_coord(M, x[None], t, seeds=seeds)
-    B = _assemble_rows(fr_t.eta, complex_connection_matrix(om_t), np.array([zeta]))[0]
-    om_lc = om_lc[0]
+    B = coframe_rows(M, t, y)
     _check_gram(B, y)
 
-    mu_coord = mu_from_omega(om_lc)
+    mu_coord = mu_from_omega(omega_tilde_coord(M, x, t)[1])
     mu6 = ComplexForm(6, 1, np.concatenate([mu_coord, [0.0, 0.0]]).astype(complex))
 
     dec = decompose(curvature_operator(lc))
@@ -423,19 +408,16 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
         Om_rot = np.einsum("mi,nj,mnpq->ijpq", Q, Q, Om)
         omega_diff = _matrix_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3]))
 
-        R_hat = {
-            "1*222*": _complexify_rows(lc.R, Vrows, [(0, True), (1, False), (1, False), (1, True)]),
-            "1*211*": _complexify_rows(lc.R, Vrows, [(0, True), (1, False), (0, False), (0, True)]),
-        }
+        R_hat = {p: complexify(lc.R, p, Vrows) for p in ("1*222*", "1*211*")}
 
         if abs(t) > 1e-12:
-            hd = gauduchon(M, x, t, seeds=seeds, lc=lc)
+            hd = gauduchon(M, x, t)
             Tm = np.einsum("am,mnr->anr", B[:2, :4], hd.torsion_coord)
             T_hat = [_matrix_two_form(Tm[a]) for a in range(2)]
             V = fr.U @ A      # coordinate components of v_1, v_2
             T_comp = np.array([np.einsum("nr,n,r->", Tm[a], V[:, 0], V[:, 1]) for a in range(2)])
         if abs(t - 1.0) < 1e-12:
-            dc = direct_curvature(M, x, 1.0, seeds=seeds)
+            dc = direct_curvature(M, x, 1.0)
             Psi_hat = [[None, None], [None, None]]
             for a in range(2):
                 for b in range(2):
@@ -721,7 +703,7 @@ class CoframeSweep:
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                 seeds=None, backend: Optional[DiffBackend] = None):
+                 backend: Optional[DiffBackend] = None):
         t, label = normalize_connection(conn)
         self.t, self.label = t, label
         self.M = M
@@ -729,11 +711,10 @@ class CoframeSweep:
         be = backend or M.backend
         stencil = be.stencil(self.y0)            # (6, m, 6)
         try:
-            B = coframe_rows(M, t, np.concatenate([self.y0[None], stencil.reshape(-1, 6)]),
-                             seeds=seeds)
+            B = coframe_rows(M, t, np.concatenate([self.y0[None], stencil.reshape(-1, 6)]))
         except Exception:
             # a point-by-point sweep builds and checks B at y0 before any stencil point
-            _check_gram(coframe_rows(M, t, self.y0, seeds=seeds), self.y0)
+            _check_gram(coframe_rows(M, t, self.y0), self.y0)
             raise
         self.B0 = B[0]
         _check_gram(self.B0, self.y0)
@@ -806,26 +787,19 @@ class CoframeSweep:
 
 
 def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
-              conn: Union[str, float], z: TwistorPoint, seeds=None) -> ComplexForm:
+              conn: Union[str, float], z: TwistorPoint) -> ComplexForm:
     """dK_i(lambda) by order-4 finite differences of the coframe field."""
-    return CoframeSweep(M, conn, z, seeds=seeds).dK(i, lam)
-
-
-def balanced_defect_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
-                           conn: Union[str, float], z: TwistorPoint, seeds=None) -> ComplexForm:
-    """K_i ^ dK_i with the derivative taken by finite differences."""
-    return CoframeSweep(M, conn, z, seeds=seeds).K_wedge_dK(i, lam)
+    return CoframeSweep(M, conn, z).dK(i, lam)
 
 
 def nijenhuis_oracle(i: int, M: HermitianSurface, conn: Union[str, float],
-                     z: TwistorPoint, seeds=None,
-                     backend: Optional[DiffBackend] = None) -> float:
+                     z: TwistorPoint, backend: Optional[DiffBackend] = None) -> float:
     """Max norm of the Nijenhuis tensor of J_i over the 15 coordinate pairs.
 
     A standalone `CoframeSweep(...).nijenhuis(i)`: the same single sweep
     that serves dK, K ^ dK and the zero crossings at the point.
     """
-    return CoframeSweep(M, conn, z, seeds=seeds, backend=backend).nijenhuis(i)
+    return CoframeSweep(M, conn, z, backend=backend).nijenhuis(i)
 
 
 def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> ComplexForm:
@@ -837,7 +811,7 @@ def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> Complex
 
 
 def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
-                 conn: Union[str, float], z: TwistorPoint, seeds=None,
+                 conn: Union[str, float], z: TwistorPoint,
                  outer_step: float = 2e-3) -> ComplexForm:
     """i del dbar K_i by nested finite differences.
 
@@ -855,11 +829,11 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         one coframe sweep per point."""
         out = []
         for y in Y.reshape(-1, 6):
-            sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])), seeds=seeds)
+            sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
             out.append(_bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1).vec)
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (len(keys),))
 
-    B0 = coframe_rows(M, t, y0, seeds=seeds)      # an in-domain evaluation first
+    B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
     dg = M.backend.with_step(outer_step).partials(dbar_vecs, y0)    # [p, key]
     coeff: Dict[Tuple[int, ...], complex] = {}
     for kidx, (a, b, c) in enumerate(keys):
@@ -897,18 +871,18 @@ def conformal_rescale(M: HermitianSurface, f_expr: Union[str, Callable[[np.ndarr
 
 
 def conformal_compare(M: HermitianSurface, f_expr: Union[str, Callable[[np.ndarray], float]],
-                      conn: Union[str, float], z: TwistorPoint, seeds=None) -> Dict[int, float]:
+                      conn: Union[str, float], z: TwistorPoint) -> Dict[int, float]:
     """Max-norm differences of each J_i between h and e^{2f} h.
 
     The Gram-Schmidt frame of the rescaled metric is e^{-f} times the
-    original for the same seeds, so the same chart point names the same
-    fiber line on both sides and the endomorphisms compare directly.
+    original (both start from DEFAULT_SEEDS), so the same chart point names
+    the same fiber line on both sides and the endomorphisms compare directly.
     """
     t, _ = normalize_connection(conn)
     Ms = conformal_rescale(M, f_expr)
     y = z.chart_coordinates()
-    B1 = coframe_rows(M, t, y, seeds=seeds)
-    B2 = coframe_rows(Ms, t, y, seeds=seeds)
+    B1 = coframe_rows(M, t, y)
+    B2 = coframe_rows(Ms, t, y)
     out = {}
     for i in (1, 2, 3, 4):
         J1 = acs_endomorphism(i, B1)
@@ -956,11 +930,11 @@ def _hermitian_G(A: np.ndarray) -> np.ndarray:
                    + 1j * (A[..., 0::2, 1::2] - A[..., 1::2, 0::2]))
 
 
-def _fiber_coordinates(M: HermitianSurface, x: np.ndarray, zeta: np.ndarray, seeds=None) -> np.ndarray:
+def _fiber_coordinates(M: HermitianSurface, x: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """The bundle fiber coordinates w (n,) of the twistor points with base
     points x (n, 4) and fiber coordinates zeta (n,), every point checked."""
     _check_kahler(M, x)
-    U = adapted_frame(M, x, seeds=seeds).U
+    U = adapted_frame(M, x).U
     V = U[:, :, 0] + U[:, :, 1] * zeta[:, None]         # u_1 + zeta u_2
     A = V[:, 0] + 1j * V[:, 1]
     if np.any(np.abs(A) < 1e-10):
@@ -968,18 +942,17 @@ def _fiber_coordinates(M: HermitianSurface, x: np.ndarray, zeta: np.ndarray, see
     return (V[:, 2] + 1j * V[:, 3]) / A
 
 
-def fiber_coordinate_on_bundle(M: HermitianSurface, z: TwistorPoint, seeds=None) -> complex:
+def fiber_coordinate_on_bundle(M: HermitianSurface, z: TwistorPoint) -> complex:
     """The projectivised-tangent coordinate w with [u_1 + zeta u_2] =
     [d/dz^1 + w d/dz^2] (Kahler bases with the standard structure only)."""
-    return complex(_fiber_coordinates(M, z.x[None], np.array([z.zeta]), seeds=seeds)[0])
+    return complex(_fiber_coordinates(M, z.x[None], np.array([z.zeta]))[0])
 
 
 _abs2 = _elementwise(lambda w: abs(w) ** 2)
 _log = _elementwise(math.log)
 
 
-def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint,
-                           seeds=None) -> np.ndarray:
+def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint) -> np.ndarray:
     """The Kahler-quotient 2-form of the projectivised (1,0)-bundle.
 
     Components over the chart (x^1..x^4, Re w, Im w), evaluated at the image
@@ -990,7 +963,7 @@ def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint,
     if lam < LAMBDA_MIN:
         raise ValueError(f"metric parameter {lam:g} below the positivity floor {LAMBDA_MIN:g}")
     x = z.x
-    w0 = fiber_coordinate_on_bundle(M, z, seeds=seeds)
+    w0 = fiber_coordinate_on_bundle(M, z)
     y0 = np.concatenate([x, [w0.real, w0.imag]])
 
     def logh(y: np.ndarray) -> np.ndarray:      # at a stack of points y (..., 6)
@@ -1013,21 +986,20 @@ def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint,
     return out
 
 
-def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint,
-                         seeds=None) -> float:
+def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint) -> float:
     """Max-norm difference, on the fiber chart, between the projectivised-
     bundle form (pulled back through the coordinate transition) and the
     twistor form K_3 of the Chern connection at the same parameter."""
-    co = twistor_coframe(M, "chern", z, seeds=seeds, with_structure=False)
+    co = twistor_coframe(M, "chern", z, with_structure=False)
     Kmat = np.real(K_form(3, lam, co).to_array())
 
     def transition(y: np.ndarray) -> np.ndarray:    # (x, zeta) -> (x, w) on a stack y (..., 6)
         Y = y.reshape(-1, 6)
-        w = _fiber_coordinates(M, Y[:, :4], Y[:, 4] + 1j * Y[:, 5], seeds=seeds)
+        w = _fiber_coordinates(M, Y[:, :4], Y[:, 4] + 1j * Y[:, 5])
         return np.column_stack([Y[:, :4], w.real, w.imag]).reshape(y.shape)
 
     Jac = M.backend.partials(transition, z.chart_coordinates()).T   # Jac[m, p] = d_p of entry m
-    omega = projective_bundle_form(M, lam, z, seeds=seeds)
+    omega = projective_bundle_form(M, lam, z)
     pulled = Jac.T @ omega @ Jac
     return float(np.max(np.abs(pulled - Kmat)))
 
@@ -1037,7 +1009,7 @@ def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint,
 # ======================================================================
 
 def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
-                         z: TwistorPoint, seeds=None,
+                         z: TwistorPoint,
                          sweep: Optional[CoframeSweep] = None) -> Tuple[Optional[float], float]:
     """Least-squares root of dK_i(lambda^2) = A + lambda^2 B over the fiber
     parameter: returns (lambda^2_*, residual at the root).
@@ -1046,7 +1018,7 @@ def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
     coefficient vectors; None when the fiber block B vanishes (then the
     defect is lambda-independent and `residual` reports |A|).
     """
-    sw = sweep or CoframeSweep(M, conn, z, seeds=seeds)
+    sw = sweep or CoframeSweep(M, conn, z)
     # dK_i at lambda^2 = 0 and the coefficient of lambda^2
     A, Bf = weighted_sum(np.array(_WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], sw.dW_coeffs)
     used = (A != 0) | (Bf != 0)
@@ -1079,13 +1051,13 @@ class TwistorMetricEval:
 
 
 def evaluate_metric(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                    i: int, lam: Union[float, Sequence[float]], seeds=None,
+                    i: int, lam: Union[float, Sequence[float]],
                     coframe: Optional[TwistorCoframe] = None,
                     sweep: Optional[CoframeSweep] = None) -> TwistorMetricEval:
     """Evaluate K_i(lambda) with both the formula and the oracle paths."""
     lams = _lambdas(lam)
-    co = coframe or twistor_coframe(M, conn, z, seeds=seeds)
-    sw = sweep or CoframeSweep(M, conn, z, seeds=seeds)
+    co = coframe or twistor_coframe(M, conn, z)
+    sw = sweep or CoframeSweep(M, conn, z)
     K = K_form(i, lams, co)
     reality = float(np.max(np.abs(K.vec.imag)))
     # K^3/3! against the ordered (1,0)-pair volume of J_i
@@ -1182,8 +1154,7 @@ class TwistorConditionReport:
 def condition_report(M: HermitianSurface, conn: Union[str, float],
                      lambdas: Sequence[Union[float, Sequence[float]]],
                      points: Sequence[TwistorPoint],
-                     tol: float = 1e-6, nijenhuis_tol: float = 1e-4,
-                     seeds=None) -> TwistorConditionReport:
+                     tol: float = 1e-6, nijenhuis_tol: float = 1e-4) -> TwistorConditionReport:
     """Survey symplectic/balanced/integrability defects over a parameter grid.
 
     Work fans out conceptually over (point, i, lambda); results are merged
@@ -1199,9 +1170,8 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     triples = [tuple(float(u) for u in v) for v in lambdas if np.ndim(v) != 0]
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
-    sweeps = [CoframeSweep(M, conn, z, seeds=seeds) for z in points]
-    coframes = [twistor_coframe(M, conn, z, seeds=seeds, with_structure=formula_ok)
-                for z in points]
+    sweeps = [CoframeSweep(M, conn, z) for z in points]
+    coframes = [twistor_coframe(M, conn, z, with_structure=formula_ok) for z in points]
     flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
     nij = {i: max(sw.nijenhuis(i) for sw in sweeps) for i in (1, 2, 3, 4)}
     crossings = {i: [lambda_zero_crossing(i, M, conn, z, sweep=sw)

@@ -1,5 +1,7 @@
 """Tests for the command-line front end: flags, exit codes, serialization."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -32,6 +34,10 @@ BAD_SURFACE = GOOD_SURFACE.replace("g 1 1 = 1", "g 1 1 = -1")
 # where the first seed-0 sample point of a five-point report lies
 SINGULAR_SURFACE = (GOOD_SURFACE.replace("g 1 1 = 1", "g 1 1 = 1/x1^2")
                     .replace("g 2 2 = 1", "g 2 2 = 1/x1^2"))
+
+# passes the validation, but its J sends d1 to the second Gram-Schmidt seed
+# d3, so the adapted frame is degenerate everywhere
+SWAPPED_J_SURFACE = GOOD_SURFACE.replace("J standard\n", "J 3 1 = 1\nJ 1 3 = -1\nJ 4 2 = 1\nJ 2 4 = -1\n")
 
 
 def run_cli(argv, capsys):
@@ -405,9 +411,10 @@ def test_surface_invariant_violation_exits_three(tmp_path, capsys):
     assert "surface invariant violation" in capsys.readouterr().err
 
 
-def assert_singular_surface_exits_three(tmp_path, flags, argv):
-    path = tmp_path / "singular.surf"
-    path.write_text(SINGULAR_SURFACE)
+def exit_three_line(tmp_path, flags, surface, argv):
+    """The one stderr line of a CLI run on the surface text that exits 3."""
+    path = tmp_path / "case.surf"
+    path.write_text(surface)
     src = os.path.dirname(os.path.dirname(twistorlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -418,8 +425,13 @@ def assert_singular_surface_exits_three(tmp_path, flags, argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("twistorlab: surface invariant violation at bundle point [0.0, ")
-    assert "Gram determinant" in lines[0]
+    return lines[0]
+
+
+def assert_singular_surface_exits_three(tmp_path, flags, argv):
+    line = exit_three_line(tmp_path, flags, SINGULAR_SURFACE, argv)
+    assert line.startswith("twistorlab: surface invariant violation at bundle point [0.0, ")
+    assert "Gram determinant" in line
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -431,6 +443,14 @@ def test_degenerate_coframe_exits_three_with_one_line(tmp_path, flags):
 def test_scan_on_a_singular_surface_exits_three_with_one_line(tmp_path, flags):
     assert_singular_surface_exits_three(
         tmp_path, flags, ["scan", "--lambda-range", "1:2", "--grid", "3", "--points", "5"])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [["report", "--points", "1"],
+                                  ["scan", "--lambda-range", "1:2", "--grid", "3", "--points", "1"]])
+def test_a_surface_without_an_adapted_frame_exits_three_with_one_line(tmp_path, flags, argv):
+    line = exit_three_line(tmp_path, flags, SWAPPED_J_SURFACE, argv)
+    assert line.startswith("twistorlab: seed degenerate at point [0.0, 0.0, 0.0, 0.0]: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -506,3 +526,20 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_every_traced_benchmark_boundary_resolves():
+    # perfbench/tracer.py patches these names from outside the package; a
+    # name that no longer resolves would break a traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    assert traced
+    for module, path in traced:
+        obj = importlib.import_module(f"twistorlab.{module}")
+        for attr in path.split("."):
+            assert hasattr(obj, attr), f"twistorlab.{module}.{path}"
+            obj = getattr(obj, attr)
+        assert callable(obj), f"twistorlab.{module}.{path}"

@@ -202,7 +202,7 @@ def test_kahler_family_collapses_to_levi_civita(name):
     x = RNG_POINTS[name]
     lc = levi_civita(M, x)
     for t in (1.0, 0.0, -1.0, 0.37):
-        hd = gauduchon(M, x, t, lc=lc)
+        hd = gauduchon(M, x, t)
         assert np.max(np.abs(hd.omega_tilde_coord - lc.omega_coord)) < 1e-7
         assert np.max(np.abs(hd.torsion_coord)) < 1e-7
 
@@ -210,9 +210,8 @@ def test_kahler_family_collapses_to_levi_civita(name):
 def test_hopf_family_is_hermitian():
     M = builtin("hopf")
     x = RNG_POINTS["hopf"]
-    lc = levi_civita(M, x)
     for t in (1.0, 0.0, -1.0, 0.6):
-        hd = gauduchon(M, x, t, lc=lc)
+        hd = gauduchon(M, x, t)
         assert hd.skew_hermitian_defect() < 1e-8
         assert hd.j_commutation_defect() < 1e-8
 
@@ -234,7 +233,7 @@ def test_lichnerowicz_matrix_is_u2_projection():
     M = builtin("hopf")
     x = RNG_POINTS["hopf"]
     lc = levi_civita(M, x)
-    hd = gauduchon(M, x, CONNECTION_T["lichnerowicz"], lc=lc)
+    hd = gauduchon(M, x, CONNECTION_T["lichnerowicz"])
     assert np.max(np.abs(hd.psi_coord - complex_connection_matrix(lc.omega_coord))) < 1e-8
 
 
@@ -248,11 +247,10 @@ def test_mu_vanishes_exactly_when_kahler():
 def test_family_is_affine_in_t():
     M = builtin("hopf")
     x = RNG_POINTS["hopf"]
-    lc = levi_civita(M, x)
-    h0 = gauduchon(M, x, 0.0, lc=lc)
-    h1 = gauduchon(M, x, 1.0, lc=lc)
+    h0 = gauduchon(M, x, 0.0)
+    h1 = gauduchon(M, x, 1.0)
     for t in (-1.0, 0.25, 0.7, 2.3):
-        ht = gauduchon(M, x, t, lc=lc)
+        ht = gauduchon(M, x, t)
         blend_psi = (1 - t) * h0.psi_coord + t * h1.psi_coord
         blend_om = (1 - t) * h0.omega_tilde_coord + t * h1.omega_tilde_coord
         assert np.max(np.abs(ht.psi_coord - blend_psi)) < 1e-9
@@ -390,7 +388,7 @@ def test_chern_relation_on_hopf():
     M = builtin("hopf")
     for x in M.chart.interior_points(10, seed=31):
         lc = levi_civita(M, x)
-        aux = torsion_auxiliary(M, x, lc=lc)
+        aux = torsion_auxiliary(M, x)
         rel = chern_curvature_relation(lc, aux)
         direct = direct_curvature(M, x, CONNECTION_T["chern"]).real_tensor()
         assert np.max(np.abs(rel.array - direct)) < 1e-5
@@ -401,7 +399,7 @@ def test_bismut_relation_on_hopf():
     M = builtin("hopf")
     for x in M.chart.interior_points(10, seed=32):
         lc = levi_civita(M, x)
-        aux = torsion_auxiliary(M, x, lc=lc)
+        aux = torsion_auxiliary(M, x)
         rel = bismut_curvature_relation(lc, aux)
         direct = direct_curvature(M, x, CONNECTION_T["bismut"]).real_tensor()
         assert np.max(np.abs(rel.array - direct)) < 1e-4
@@ -411,7 +409,7 @@ def test_relations_collapse_to_levi_civita_on_kahler():
     M = builtin("ch2", c=2.0)
     x = RNG_POINTS["ch2"]
     lc = levi_civita(M, x)
-    aux = torsion_auxiliary(M, x, lc=lc)
+    aux = torsion_auxiliary(M, x)
     assert np.max(np.abs(chern_curvature_relation(lc, aux).array - lc.R)) < 1e-6
     assert np.max(np.abs(bismut_curvature_relation(lc, aux).array - lc.R)) < 1e-6
 

@@ -19,7 +19,7 @@ from twistorlab import connection as cn
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
 from twistorlab.exterior import ComplexForm, wedge
-from twistorlab.manifold import (DEFAULT_SEEDS, J_STANDARD, ChartSpec, HermitianSurface, builtin,
+from twistorlab.manifold import (J_STANDARD, ChartSpec, HermitianSurface, builtin,
                                  coordinate_fundamental_matrix, parse_surface_spec, stack_field)
 
 BASE_POINTS = {
@@ -171,19 +171,18 @@ def test_coframe_rows_match_object():
     assert co.label == "chern" and co.t == 1.0
 
 
-@pytest.mark.parametrize("seeds", [None, DEFAULT_SEEDS])
-def test_coframe_rows_and_levi_civita_forms_come_from_one_evaluation(monkeypatch, seeds):
-    # explicit seeds bypass the point memo, so only sharing one result keeps it to one
+def test_coframe_rows_and_levi_civita_forms_come_from_one_evaluation(monkeypatch):
+    # B and the Levi-Civita forms share one D^t evaluation at the base point
     from twistorlab import connection as cn
     calls = []
-    real = cn._omega_tilde
+    real = cn._torsion_forms
 
-    def counting(M, x, t, seeds=None):
+    def counting(M, x, t, E):
         calls.append(np.shape(x))
-        return real(M, x, t, seeds=seeds)
-    monkeypatch.setattr(cn, "_omega_tilde", counting)
+        return real(M, x, t, E)
+    monkeypatch.setattr(cn, "_torsion_forms", counting)
     M, z = builtin("hopf"), zpt("hopf")
-    co = tw.twistor_coframe(M, "lichnerowicz", z, seeds=seeds)
+    co = tw.twistor_coframe(M, "lichnerowicz", z)
     assert calls == [(1, 4)]
     assert np.array_equal(co.B, tw.coframe_rows(builtin("hopf"), 0.0, z.chart_coordinates()))
 
@@ -521,6 +520,44 @@ def test_lambda_length_and_hessian_residue_are_typed_errors_under_python_O(flags
         "DegenerateCoframeError: surface invariant violation at bundle point "
         "[0.9, 0.0, 0.1, 0.0, 0.3, 0.0]: complex residue in the projective-bundle Hessian",
     ]
+
+
+# malformed arguments to the public constructors and checks of manifold,
+# connection, flag and twistor: each is a ValueError, also under python -O
+_INPUT_CHECKS = """
+import numpy as np
+from twistorlab import connection as cn, manifold as mf, twistor as tw
+from twistorlab.flag import flag_K
+M = mf.builtin("flat_c2")
+x, y = np.array([0.1, 0.2, -0.3, 0.05]), np.array([0.2, 0.2, -0.3, 0.05])
+for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
+             lambda: flag_K(1, (1.0, 2.0)),
+             lambda: cn.complexify(np.zeros((4, 4, 4)), "1*212*"),
+             lambda: mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 3),
+             lambda: mf.fundamental_form(M, x, mf.adapted_frame(M, y)),
+             lambda: cn.chern_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y)),
+             lambda: cn.bismut_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y))):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print(type(exc).__name__ + ":", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_input_checks_are_value_errors_under_python_O(flags):
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _INPUT_CHECKS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: a twistor point needs a base point of shape (4,) and a line of shape (2,), "
+        "got (3,) and (2,)",
+        "ValueError: expected one scale parameter or three, got 2",
+        "ValueError: need frame components of shape (4,4,4,4), got (4, 4, 4)",
+        "ValueError: domain box must be 4x2, got (3, 2)",
+        "ValueError: frame was built at a different point",
+    ] + ["ValueError: relation inputs evaluated at different points"] * 2
 
 
 def test_kahler_check_refuses_a_dF_or_J_that_is_not_finite():

@@ -2,7 +2,7 @@
 
 Subpackages
 -----------
-exterior            sparse complex exterior algebra, Hodge star, SD/ASD split
+exterior            dense complex exterior algebra, Hodge star, SD/ASD split
 manifold            metric DSL, chart surfaces, unitary frames, Lee form
 connection          Levi-Civita and the canonical Hermitian connection family
 curvature_analysis  6x6 curvature operator, Weyl blocks, geometric condition flags

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .connection import levi_civita
 from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge
-from .flag import (appendix_table, flag_balanced, flag_bidegree_part, flag_conj,
+from .flag import (appendix_table, flag_balanced, flag_bidegree_part,
                    flag_d, flag_dK, flag_ddbar, flag_K, generator_form,
                    integrability_obstruction, nearly_kahler_check,
                    structural_ddbar)
@@ -41,6 +41,11 @@ from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
 __all__ = ["main", "build_parser"]
 
 _CONNECTION_CHOICES = ("lichnerowicz", "chern", "bismut", "gauduchon")
+
+# the largest fiber scale accepted: the K ^ dK coefficients carry lambda^4
+# and their norms square them, so lambda^8 = 1e240 leaves the surface's own
+# coefficients 1e68 of double range before a defect overflows to inf or NaN
+_LAMBDA_MAX = 1e30
 
 # verification surfaces with a chart point known to sit well inside each box
 _SURFACE_POINTS = {
@@ -205,18 +210,23 @@ def load_surface(args, parser: argparse.ArgumentParser) -> HermitianSurface:
 
 
 def check_numbers(args, parser: argparse.ArgumentParser) -> None:
-    """Reject sample counts below 1, non-finite fiber scales and family
-    parameters, and non-positive or non-finite tolerances; every test is
-    written so that NaN fails it."""
+    """Reject sample counts below 1, negative seeds, non-finite fiber scales
+    and family parameters, fiber scales above _LAMBDA_MAX, and non-positive
+    or non-finite tolerances; every test is written so that NaN fails it."""
     points = getattr(args, "points", None)
     if points is not None and not points >= 1:
         parser.error(f"--points must be at least 1, got {points}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        parser.error(f"--seed must be non-negative, got {seed}")
     scales = [("--lambda", v) for v in getattr(args, "lam", None) or []]
     scales += [(f"--lambda{n}", getattr(args, f"lambda{n}", None)) for n in (1, 2, 3)]
-    scales.append(("--t", getattr(args, "t", None)))
-    for flag, v in scales:
+    for flag, v in scales + [("--t", getattr(args, "t", None))]:
         if v is not None and not math.isfinite(v):
             parser.error(f"{flag} must be a finite number, got {v}")
+    for flag, v in scales:
+        if v is not None and v > _LAMBDA_MAX:
+            parser.error(f"{flag} {v:g} is above the fiber-scale ceiling {_LAMBDA_MAX:g}")
     for flag, dest in (("--tol", "tol"), ("--nijenhuis-tol", "nijenhuis_tol")):
         v = getattr(args, dest, None)
         if v is not None and not (v > 0.0 and math.isfinite(v)):
@@ -349,6 +359,8 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--lambda-range must look like LO:HI, got {args.lambda_range!r}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             parser.error(f"--lambda-range bounds must be finite, got {args.lambda_range!r}")
+        if hi > _LAMBDA_MAX:
+            parser.error(f"--lambda-range bound {hi:g} is above the fiber-scale ceiling {_LAMBDA_MAX:g}")
         if not lo < hi:
             parser.error("--lambda-range bounds must satisfy LO < HI")
         if args.grid < 2:

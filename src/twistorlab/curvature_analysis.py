@@ -20,7 +20,6 @@ a report can never silently hide how close the call was.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -55,14 +54,14 @@ class CurvatureOperator6:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
-def curvature_operator(levi: LeviCivitaData, basis: Optional[SdAsdBasis] = None) -> CurvatureOperator6:
+def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
     """The curvature operator matrix in the unit-norm SD/ASD basis.
 
     Entry (a, b) is the ordered-pair contraction of R_ijkl against basis
     forms a and b; because the basis is orthonormal these are the operator
     matrix entries of the block decomposition directly.
     """
-    arrs = _basis_arrays(basis or SdAsdBasis.standard())
+    arrs = _basis_arrays(SdAsdBasis.standard())
     M = np.empty((6, 6))
     for a in range(6):
         for b in range(6):

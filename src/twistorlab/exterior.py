@@ -213,26 +213,6 @@ class ComplexForm:
         """Complex-conjugate the coefficients (basis covectors taken real)."""
         return ComplexForm(self.dim, self.degree, self.vec.conj())
 
-    def map_basis(self, index_map: Sequence[int], signs: Optional[Sequence[float]] = None,
-                  conjugate_coeffs: bool = False) -> "ComplexForm":
-        """Relabel basis covectors: e_i -> signs[i] * e_{index_map[i]}.
-
-        Used for conjugation in a complex coframe, where conjugating the form
-        also swaps holomorphic and antiholomorphic basis elements.
-        """
-        out: Dict[Tuple[int, ...], complex] = {}
-        for key, coeff in self.terms.items():
-            c = np.conj(coeff) if conjugate_coeffs else coeff
-            if signs is not None:
-                for i in key:
-                    c *= signs[i]
-            new_key = tuple(index_map[i] for i in key)
-            k, s = _sort_with_sign(new_key)
-            if s == 0:
-                continue
-            out[k] = out.get(k, 0.0) + s * c
-        return ComplexForm(self.dim, self.degree, out)
-
     # ------------------------------------------------------------------
     # metric-free evaluation and comparison
     # ------------------------------------------------------------------

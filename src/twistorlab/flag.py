@@ -22,7 +22,7 @@ with the diagonal generators mapped to their own negatives.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class SU3Element:
         det = np.linalg.det(q)
         return cls(q / det ** (1.0 / 3.0))
 
-    def translate(self, X: np.ndarray, t: float) -> "SU3Element":
-        """The point g exp(t X) on the left-translated one-parameter curve."""
-        return SU3Element(self.g @ _expm_su3(t * _check_su3_algebra(X)))
-
 
 def maurer_cartan(g: Union[SU3Element, np.ndarray],
                   direction: Union[int, np.ndarray]) -> np.ndarray:
@@ -136,7 +132,8 @@ class MaurerCartanEval:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        assert v.shape == (3, 3, 8)
+        if v.shape != (3, 3, 8):
+            raise ValueError(f"form values must have shape (3, 3, 8), got {v.shape}")
         for k in range(8):
             slab = v[:, :, k]
             if np.max(np.abs(slab + np.conj(slab.T))) > 1e-12 \
@@ -236,7 +233,8 @@ def _d_table() -> Tuple[ComplexForm, ...]:
 def flag_d(form: ComplexForm) -> ComplexForm:
     """Exterior derivative of an invariant form by Leibniz over the
     generator derivatives; exact, no differencing."""
-    assert form.dim == 8
+    if form.dim != 8:
+        raise ValueError(f"an invariant form lives over the 8 generators, got dimension {form.dim}")
     table = _d_table()
     out = ComplexForm(8, form.degree + 1, {})
     for key, coeff in form.terms.items():
@@ -443,9 +441,11 @@ def normalization_crosscheck(c: float = 2.0, conn: str = "lichnerowicz",
     M = builtin("cp2_fs", c=c)
     z = sample_twistor_points(M, 1, seed=seed)[0]
     root, _resid = lambda_zero_crossing(1, M, conn, z)
-    assert root is not None
+    if root is None:
+        raise ValueError(f"the first structure has no fiber-scale root on cp2_fs with c = {c:g}")
     flag_root = 2.0
-    assert abs(_dK_coefficient(1, (1.0, 1.0, math.sqrt(flag_root)))) < 1e-12
+    if not abs(_dK_coefficient(1, (1.0, 1.0, math.sqrt(flag_root)))) < 1e-12:
+        raise RuntimeError("the invariant coefficient does not vanish at its root 2")
     return float(root), flag_root
 
 

@@ -273,16 +273,14 @@ class ChartSpec:
         margin = np.where(hi < lo, hi, lo)
         return float(margin) if margin.ndim == 0 else margin
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return self.margin_to_boundary(x) >= margin
-
-    def interior_points(self, n: int, seed: int, margin_frac: float = 0.08) -> np.ndarray:
-        """Deterministic Latin-hypercube sample of n interior points."""
+    def interior_points(self, n: int, seed: int) -> np.ndarray:
+        """Deterministic Latin-hypercube sample of n interior points, kept
+        off each face of the box by 8% of its width."""
         rng = np.random.default_rng(seed)
         lo = self.box[:, 0]
         w = self.box[:, 1] - self.box[:, 0]
-        lo_eff = lo + margin_frac * w
-        w_eff = (1.0 - 2.0 * margin_frac) * w
+        lo_eff = lo + 0.08 * w
+        w_eff = (1.0 - 2.0 * 0.08) * w
         pts = np.empty((n, 4))
         for k in range(4):
             strata = (rng.permutation(n) + 0.5) / n
@@ -313,11 +311,8 @@ class DiffBackend:
     """
     order: int = 4
     step: float = 1e-3
-    scheme: str = "central"
 
     def __post_init__(self):
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.order not in (2, 4):
             raise ValueError(f"FD order must be 2 or 4, got {self.order}")
         if np.any(np.asarray(self.step) <= 0):
@@ -370,7 +365,7 @@ class DiffBackend:
         return self.combine(np.array([f(p) for p in points])[None], [k])[0]
 
     def with_step(self, step: float) -> "DiffBackend":
-        return DiffBackend(order=self.order, step=step, scheme=self.scheme)
+        return DiffBackend(order=self.order, step=step)
 
 
 # entries a surface's point memo holds before it is cleared; a two-point
@@ -579,16 +574,16 @@ class HermitianSurface:
     def J(self, x: np.ndarray) -> np.ndarray:
         return _field(self._J, np.asarray(x, dtype=float))
 
-    def _validate_samples(self, n: int = 16, tol: float = 1e-10):
-        """Check the invariants at n sample points, evaluated as one stack,
+    def _validate_samples(self):
+        """Check the invariants at 16 sample points, evaluated as one stack,
         and raise for the first failing point with its first failing check."""
-        pts = self.chart.interior_points(n, seed=2024)
+        pts = self.chart.interior_points(16, seed=2024)
         g = self.metric(pts)
         Jm = self.J(pts)
         gT = np.swapaxes(g, 1, 2)
 
         def close(a, b):    # np.allclose at each point
-            return np.all(np.isclose(a, b, atol=tol), axis=(1, 2))
+            return np.all(np.isclose(a, b, atol=1e-10), axis=(1, 2))
         # a metric that is not finite at a point fails the first check and is
         # kept from eigvalsh, which may fail to converge on it for the whole stack
         finite = np.all(np.isfinite(g), axis=(1, 2))
@@ -959,8 +954,8 @@ def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndar
     return np.swapaxes(Jm, 1, 2) @ g
 
 
-def _check_stencil_inside(M: HermitianSurface, x: np.ndarray, factor: float = 1.0):
-    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < factor * M.backend.reach()), x,
+def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
+    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < M.backend.reach()), x,
                     lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
 
 

@@ -34,13 +34,11 @@ import numpy as np
 
 from .exterior import (ComplexForm, bidegree_project, cut, norms, read_only, slot_keys,
                        substitute, wedge, wedge_all, wedge_vectors)
-from .manifold import (J_STANDARD, DiffBackend, HermitianSurface, UnitaryFrame,
-                       _compile_expr, _elementwise, adapted_frame,
+from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, direct_curvature,
                          gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
-from .curvature_analysis import (ConditionFlags, condition_flags,
-                                 curvature_operator, decompose)
+from .curvature_analysis import ConditionFlags, condition_flags
 
 __all__ = [
     "LAMBDA_MIN", "TwistorPoint", "TwistorChart", "TwistorCoframe",
@@ -59,7 +57,11 @@ __all__ = [
 # numerically degenerate and every downstream solve loses accuracy
 LAMBDA_MIN = 1e-3
 
-_DEFAULT_ZETA_MAX = 4.0
+# the chart's fiber bound |zeta| < _ZETA_MAX (the rotated frame section
+# degenerates as the line approaches the antipode of the frame's own
+# structure), and the radius of the disc the sample points are drawn from
+_ZETA_MAX = 4.0
+_SAMPLE_RADIUS = 0.7
 
 # rows of the full complex coframe that are (1,0) for each structure:
 # indices 0..2 are phi^1..phi^3, indices 3..5 their conjugates
@@ -130,10 +132,9 @@ class TwistorPoint:
 
 @dataclass(frozen=True)
 class TwistorChart:
-    """The product chart (base box) x (|zeta| < zeta_max) of the bundle."""
+    """The product chart (base box) x (|zeta| < 4) of the bundle."""
 
     surface: HermitianSurface
-    zeta_max: float = _DEFAULT_ZETA_MAX
 
     @property
     def coords(self) -> Tuple[str, ...]:
@@ -147,24 +148,23 @@ class TwistorChart:
             zeta = z.zeta
         except ValueError:
             return False
-        return abs(zeta) < self.zeta_max
+        return abs(zeta) < _ZETA_MAX
 
-    def sample_points(self, n: int, seed: int, zeta_scale: float = 0.7) -> List[TwistorPoint]:
+    def sample_points(self, n: int, seed: int) -> List[TwistorPoint]:
         """Deterministic interior sample: Latin-hypercube base points with
-        fiber coordinates in the disc of radius zeta_scale."""
+        fiber coordinates in the disc of radius 0.7."""
         xs = self.surface.chart.interior_points(n, seed=seed)
         rng = np.random.default_rng(seed + 7)
         out = []
         for k in range(n):
-            r = zeta_scale * math.sqrt(rng.uniform(0.05, 1.0))
+            r = _SAMPLE_RADIUS * math.sqrt(rng.uniform(0.05, 1.0))
             a = rng.uniform(0.0, 2.0 * math.pi)
             out.append(TwistorPoint.from_zeta(xs[k], r * complex(math.cos(a), math.sin(a))))
         return out
 
 
-def sample_twistor_points(M: HermitianSurface, n: int, seed: int,
-                          zeta_scale: float = 0.7) -> List[TwistorPoint]:
-    return TwistorChart(M).sample_points(n, seed, zeta_scale)
+def sample_twistor_points(M: HermitianSurface, n: int, seed: int) -> List[TwistorPoint]:
+    return TwistorChart(M).sample_points(n, seed)
 
 
 def normalize_connection(conn: Union[str, float]) -> Tuple[float, str]:
@@ -266,11 +266,11 @@ def _lift(form4: ComplexForm) -> ComplexForm:
     return ComplexForm(6, form4.degree, form4.terms)
 
 
-def _matrix_two_form(mat: np.ndarray, dim: int = 6) -> ComplexForm:
-    """The 2-form with coefficients mat[p, q], p < q (mat may be smaller than dim x dim)."""
-    full = np.zeros((dim, dim), dtype=complex)
+def _matrix_two_form(mat: np.ndarray) -> ComplexForm:
+    """The chart 2-form with coefficients mat[p, q], p < q (mat may be smaller than 6 x 6)."""
+    full = np.zeros((6, 6), dtype=complex)
     full[:mat.shape[0], :mat.shape[1]] = mat
-    return ComplexForm(dim, 2, full[np.triu_indices(dim, 1)])
+    return ComplexForm(6, 2, full[np.triu_indices(6, 1)])
 
 
 @dataclass(frozen=True)
@@ -283,8 +283,9 @@ class TwistorCoframe:
     `mu` needs no rotation (the fiber rotation acts trivially on that part
     of the connection and contributes no fiber components).
 
-    The building-block forms `W_forms` and their closed-form derivatives
-    `dW_forms` do not depend on i or lambda; each is built once, on first
+    The coefficient rows of the building blocks W_a (`W_coeffs`, from
+    `_W_coeffs` as in `CoframeSweep`) and of their closed-form derivatives
+    (`dW_coeffs`) do not depend on i or lambda; each is built once, on first
     use, and shared by every `K_form` and `dK_formula` of the coframe.
     Callers must not mutate them; the assembled K and dK are fresh forms.
     """
@@ -295,10 +296,7 @@ class TwistorCoframe:
     y: np.ndarray                      # (6,)
     zeta: complex
     B: np.ndarray                      # (3, 6) complex
-    frame: UnitaryFrame
     mu: ComplexForm                    # dim-6 1-form
-    s: float
-    sstar: float
     tau3: Optional[ComplexForm] = None           # dim-6 2-form (Levi-Civita data)
     omega_diff: Optional[ComplexForm] = None     # i(Om^1_2 - Om^3_4), rotated, dim-6
     R_hat: Optional[Dict[str, complex]] = None   # rotated curvature components
@@ -319,14 +317,6 @@ class TwistorCoframe:
     def gram_determinant(self) -> complex:
         return complex(np.linalg.det(self.full_rows()))
 
-    def h_matrix(self, lam: Union[float, Sequence[float]]) -> np.ndarray:
-        return h_lambda_matrix(self, lam)
-
-    @functools.cached_property
-    def W_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-        """(W_1, W_2, W_3) from the coframe rows, built on first use."""
-        return _W_forms(self.B)
-
     @functools.cached_property
     def dW_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
         """(dW_1, dW_2, dW_3) from the structure data, built on first use."""
@@ -334,8 +324,8 @@ class TwistorCoframe:
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
-        """The coefficient rows (3, 15) of `W_forms` (read-only)."""
-        return read_only(np.stack([f.vec for f in self.W_forms]))
+        """The coefficient rows (3, 15) of W_1, W_2, W_3 (read-only)."""
+        return _W_coeffs(self.B)
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
@@ -350,7 +340,6 @@ class TwistorCoframe:
 
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                    chart: Optional[TwistorChart] = None,
                     with_structure: bool = True) -> TwistorCoframe:
     """Build the pulled-back coframe and its formula inputs at a bundle point.
 
@@ -360,10 +349,9 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     Args:
         M: the base surface.
         conn: connection choice (name or family parameter t).
-        z: the twistor point; its fiber coordinate must satisfy
-           |zeta| < chart.zeta_max (the section degenerates as the line
-           approaches the antipode of the frame's own structure).
-        chart: optional chart whose zeta_max bound is enforced.
+        z: the twistor point; its fiber coordinate must satisfy |zeta| < 4
+           (the section degenerates as the line approaches the antipode of
+           the frame's own structure).
         with_structure: also assemble curvature/torsion data for the
            closed-form derivative expressions.
 
@@ -373,9 +361,8 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
            near zero or not finite.
     """
     t, label = normalize_connection(conn)
-    chart = chart or TwistorChart(M)
     zeta = z.zeta
-    if abs(zeta) >= chart.zeta_max:
+    if abs(zeta) >= _ZETA_MAX:
         raise ValueError("fiber coordinate out of chart")
     x = z.x
     y = z.chart_coordinates()
@@ -387,8 +374,6 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 
     mu_coord = mu_from_omega(omega_tilde_coord(M, x, t)[1])
     mu6 = ComplexForm(6, 1, np.concatenate([mu_coord, [0.0, 0.0]]).astype(complex))
-
-    dec = decompose(curvature_operator(lc))
 
     tau3 = omega_diff = R_hat = Psi_hat = T_hat = T_comp = None
     if with_structure:
@@ -429,8 +414,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
                                 acc = acc + _lift(dc.Psi[c][d]) * w
                     Psi_hat[a][b] = acc
 
-    return TwistorCoframe(surface=M, label=label, t=t, y=y, zeta=zeta, B=B,
-                          frame=fr, mu=mu6, s=dec.s, sstar=dec.sstar,
+    return TwistorCoframe(surface=M, label=label, t=t, y=y, zeta=zeta, B=B, mu=mu6,
                           tau3=tau3, omega_diff=omega_diff, R_hat=R_hat,
                           Psi_hat=Psi_hat, T_hat=T_hat, T_components=T_comp)
 
@@ -480,12 +464,21 @@ def h_lambda_matrix(coframe: TwistorCoframe, lam: Union[float, Sequence[float]])
     return G
 
 
-def _W_forms(B: np.ndarray) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-    p1, p2, p3 = (_row_form(B[a]) for a in range(3))
-    W1 = wedge(p1, p1.conj())
-    W2 = wedge(p2.conj(), p2)
-    W3 = wedge(p3, p3.conj())
-    return W1, W2, W3
+def _W_coeffs(B: np.ndarray) -> np.ndarray:
+    """The coefficient rows (3, 15) of W_1 = phi^1 ^ conj(phi^1),
+    W_2 = conj(phi^2) ^ phi^2 and W_3 = phi^3 ^ conj(phi^3) for the coframe
+    rows B (read-only): the one source of both coframes' `W_coeffs`."""
+    rows = []
+    for a in range(3):
+        out = np.einsum("m,n->mn", B[a], np.conj(B[a]))
+        out = out - out.T
+        rows.append((-out if a == 1 else out)[np.triu_indices(6, 1)])
+    return read_only(cut(np.stack(rows)))
+
+
+def _check_index(i: int) -> None:
+    if i not in _WEIGHT_SIGNS:
+        raise ValueError(f"structure index must lie in 1..4, got {i!r}")
 
 
 def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -> np.ndarray:
@@ -493,6 +486,7 @@ def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -
     weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda)."""
     out = np.empty((len(pairs), 3))
     for r, (i, lam) in enumerate(pairs):
+        _check_index(i)
         l1, l2, l3 = _lambdas(lam)
         out[r] = np.array(_WEIGHT_SIGNS[i]) * (l1 ** 2, l2 ** 2, l3 ** 2)
     return out
@@ -572,20 +566,25 @@ def _one_parameter(lam, what: str) -> float:
     return l3 ** 2
 
 
+# signs (i = 1..4) of lambda^2 in K_i ^ dK_i = +-lambda^2 (bracket), the
+# bracket being the first of `balanced_forms` for i in {1, 2} and the second
+# for i in {3, 4}; keyed by the connection parameter t of the display
+_BALANCED_SIGNS = {0.0: np.array([1.0, -1.0, -1.0, 1.0]), 1.0: np.array([-1.0, 1.0, -1.0, 1.0])}
+
+
+def _balanced_rows(coframe: TwistorCoframe, i: np.ndarray, lam2: np.ndarray) -> np.ndarray:
+    """The coefficients (n, 6) of the K_i ^ dK_i displays for structures
+    i (n,) at lambda^2 = lam2 (n,) of the one-parameter family."""
+    brackets = np.stack([f.vec for f in coframe.balanced_forms])
+    return cut(brackets[(i > 2).astype(int)] * (_BALANCED_SIGNS[coframe.t][i - 1] * lam2)[:, None])
+
+
 def balanced_defect_formula(i: int, lam: float, coframe: TwistorCoframe) -> ComplexForm:
     """K_i ^ dK_i from the closed-form displays (a 5-form; zero iff balanced),
     a scaling of one of the coframe's two `balanced_forms`."""
+    _check_index(i)
     lam2 = _one_parameter(lam, "the product displays are")
-    f12, f34 = coframe.balanced_forms
-    if abs(coframe.t) < 1e-12:
-        if i in (1, 2):
-            out = f12 * (lam2)
-            return out if i == 1 else out * (-1.0)
-        out = f34 * (-lam2)
-        return out if i == 3 else out * (-1.0)
-    if i in (1, 2):
-        return f12 * (-lam2) if i == 1 else f12 * (lam2)
-    return f34 * (-lam2) if i == 3 else f34 * (lam2)
+    return ComplexForm(6, 5, _balanced_rows(coframe, np.array([i]), np.array([lam2]))[0])
 
 
 def _balanced_forms(coframe: TwistorCoframe) -> Tuple[ComplexForm, ComplexForm]:
@@ -646,7 +645,7 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
             if not flags.self_dual:
                 raise ValueError("the i = 1 display requires a self-dual base with constant "
                                  "scalar curvature (self-duality predicate failed); use the oracle")
-            s = coframe.s
+            s = flags.s
             combo = (wedge_all(p1, b1, b2, p2) * (-s / 12.0)
                      + wedge_all(b2, p2, p3, b3) + wedge_all(p3, b3, p1, b1))
             return combo * (-(2.0 - lam2 * s / 6.0)) + fiber
@@ -655,7 +654,7 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
                 raise ValueError("the i = 3, 4 displays require a J-invariant Ricci tensor "
                                  "(predicate failed); use the oracle")
             mu, mub = coframe.mu, coframe.mu.conj()
-            base = wedge_all(p1, b1, p2, b2) * (0.25 * (coframe.s - coframe.sstar))
+            base = wedge_all(p1, b1, p2, b2) * (0.25 * (flags.s - flags.sstar))
             mu_term = wedge(wedge(mu, mub), wedge(p1, b1) + wedge(p2, b2)) * (-2.0)
             return base + mu_term + fiber
         raise ValueError("no second-derivative display for i = 2; use the finite-difference oracle")
@@ -702,13 +701,12 @@ class CoframeSweep:
     point is near zero or not finite, or when dB is not finite.
     """
 
-    def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                 backend: Optional[DiffBackend] = None):
+    def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint):
         t, label = normalize_connection(conn)
         self.t, self.label = t, label
         self.M = M
         self.y0 = z.chart_coordinates()
-        be = backend or M.backend
+        be = M.backend
         stencil = be.stencil(self.y0)            # (6, m, 6)
         try:
             B = coframe_rows(M, t, np.concatenate([self.y0[None], stencil.reshape(-1, 6)]))
@@ -724,23 +722,17 @@ class CoframeSweep:
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
-    def _W(self, a: int) -> np.ndarray:
-        r = self.B0[a]
-        out = np.einsum("m,n->mn", r, np.conj(r))
-        out = out - out.T
-        return -out if a == 1 else out     # W_2 = conj(phi^2) ^ phi^2
-
     def _dW_partial(self, p: int, a: int) -> np.ndarray:
         r, dr = self.B0[a], self.dB[p][a]
         out = np.einsum("m,n->mn", dr, np.conj(r)) + np.einsum("m,n->mn", r, np.conj(dr))
         out = out - out.T
-        return -out if a == 1 else out
+        return -out if a == 1 else out     # W_2 = conj(phi^2) ^ phi^2
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
         """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point
         (read-only)."""
-        return read_only(cut(np.stack([self._W(a)[np.triu_indices(6, 1)] for a in range(3)])))
+        return _W_coeffs(self.B0)
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
@@ -793,13 +785,13 @@ def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
 
 
 def nijenhuis_oracle(i: int, M: HermitianSurface, conn: Union[str, float],
-                     z: TwistorPoint, backend: Optional[DiffBackend] = None) -> float:
+                     z: TwistorPoint) -> float:
     """Max norm of the Nijenhuis tensor of J_i over the 15 coordinate pairs.
 
     A standalone `CoframeSweep(...).nijenhuis(i)`: the same single sweep
     that serves dK, K ^ dK and the zero crossings at the point.
     """
-    return CoframeSweep(M, conn, z, backend=backend).nijenhuis(i)
+    return CoframeSweep(M, conn, z).nijenhuis(i)
 
 
 def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> ComplexForm:
@@ -908,7 +900,7 @@ def principal_angles(J_a: np.ndarray, J_b: np.ndarray) -> np.ndarray:
 # projectivised-bundle comparison (Kahler bases)
 # ======================================================================
 
-def _check_kahler(M: HermitianSurface, x: np.ndarray, tol: float = 1e-8):
+def _check_kahler(M: HermitianSurface, x: np.ndarray):
     """Refuse a non-Kahler base or a non-standard J at any point of a stack x
     (n, 4); a dF or J that is not finite is refused too."""
     # the coefficient norm of the 3-form dF at each point; each coefficient
@@ -917,9 +909,9 @@ def _check_kahler(M: HermitianSurface, x: np.ndarray, tol: float = 1e-8):
     if not np.all(np.isfinite(dF)):
         raise ValueError("projective-bundle comparison: dF is not finite "
                          "(the base metric is not finite near the point)")
-    if np.any(dF > tol):
+    if np.any(dF > 1e-8):
         raise ValueError("projective-bundle comparison requires a Kahler base (dF != 0)")
-    if not np.all(np.abs(M.J(x) - J_STANDARD) <= tol):      # a NaN J fails too
+    if not np.all(np.abs(M.J(x) - J_STANDARD) <= 1e-8):      # a NaN J fails too
         raise ValueError("the bundle chart needs the standard constant complex structure")
 
 
@@ -1171,26 +1163,29 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
     sweeps = [CoframeSweep(M, conn, z) for z in points]
-    coframes = [twistor_coframe(M, conn, z, with_structure=formula_ok) for z in points]
+    coframes = [twistor_coframe(M, conn, z) if formula_ok else None for z in points]
     flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
     nij = {i: max(sw.nijenhuis(i) for sw in sweeps) for i in (1, 2, 3, 4)}
     crossings = {i: [lambda_zero_crossing(i, M, conn, z, sweep=sw)
                      for z, sw in zip(points, sweeps)]
                  for i in (1, 2, 3, 4)}
 
-    # every (i, lambda) row of every point from one weighted sum per sweep
+    # every (i, lambda) row of every point from one weighted sum per sweep;
+    # the scalar rows come first, and their K ^ dK displays are checked too
     pairs = [(i, lam) for lams in (grid, triples) for i in (1, 2, 3, 4) for lam in lams]
     weights = lambda_weights(pairs)
+    n_scalar = 4 * len(grid)
+    scalar_i = np.repeat([1, 2, 3, 4], len(grid))
+    scalar_lam2 = np.abs(weights[:n_scalar, 2])      # +-lambda^2 in the fiber column
     sym, bal = np.zeros(len(pairs)), np.zeros(len(pairs))
     res: Optional[np.ndarray] = None
     for sw, co in zip(sweeps, coframes):
         dKo, bo = sw.defect_rows(weights)
         sym, bal = np.maximum(sym, norms(dKo)), np.maximum(bal, norms(bo))
-        if formula_ok:
+        if co is not None:
             r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dKo))
-            for n, (i, lam) in enumerate(pairs):
-                if np.ndim(lam) == 0:
-                    r[n] = max(r[n], norms(cut(balanced_defect_formula(i, lam, co).vec - bo[n])))
+            bf = _balanced_rows(co, scalar_i, scalar_lam2)
+            r[:n_scalar] = np.maximum(r[:n_scalar], norms(cut(bf - bo[:n_scalar])))
             res = r if res is None else np.maximum(res, r)
 
     rows = [MetricConditionRow(
@@ -1202,6 +1197,6 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     return TwistorConditionReport(
         surface=M.name, params=dict(M.params), connection=label, t=t,
         tolerance=tol, nijenhuis_tolerance=nijenhuis_tol, lambda_grid=grid,
-        points=list(points), rows=rows[:4 * len(grid)],
+        points=list(points), rows=rows[:n_scalar],
         base_flags=flags, zero_crossings=crossings,
-        triple_rows=tuple(rows[4 * len(grid):]))
+        triple_rows=tuple(rows[n_scalar:]))

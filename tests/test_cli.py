@@ -475,6 +475,16 @@ def test_a_surface_without_an_adapted_frame_exits_three_with_one_line(tmp_path, 
     ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "inf", "--points", "1"],
     ["report", "--surface", "cp2_fs", "--params", "c=nan", "--points", "1"],
     ["scan", "--surface", "cp2_fs", "--params", "c=inf", "--lambda", "1"],
+    ["report", "--surface", "cp2_fs", "--seed", "-1"],
+    ["scan", "--surface", "cp2_fs", "--lambda", "1", "--seed", "-1"],
+    ["verify", "--suite", "oracle", "--seed", "-1"],
+    ["verify", "--suite", "algebra", "--seed", "-1"],
+    ["scan", "--surface", "hopf", "--lambda", "1e160"],
+    ["scan", "--surface", "cp2_fs", "--lambda-range", "0.5:1e300", "--grid", "2"],
+    ["report", "--surface", "cp2_fs", "--lambda1", "1", "--lambda2", "1", "--lambda3", "1e200"],
+    ["appendix", "--lambda", "1e200"],
+    ["report", "--surface", "cp2_fs", "--lambda", "1e100"],
+    ["report", "--surface", "cp2_fs", "--lambda", "1e100", "--format", "json"],
 ])
 def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -543,3 +553,23 @@ def test_every_traced_benchmark_boundary_resolves():
             assert hasattr(obj, attr), f"twistorlab.{module}.{path}"
             obj = getattr(obj, attr)
         assert callable(obj), f"twistorlab.{module}.{path}"
+
+
+def test_every_imported_name_is_used_or_exported():
+    # an import that the module neither reads nor lists in __all__ is a name
+    # a reader has to rule out
+    package = os.path.dirname(twistorlab.__file__)
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "__all__" for elt in node.value.elts}
+        unused += [f"{filename}: {name}" for name in sorted(imported - used - exported)]
+    assert unused == []

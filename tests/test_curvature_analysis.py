@@ -13,7 +13,6 @@ from twistorlab.curvature_analysis import (
     ricci_tensor,
     trace_free_ricci,
 )
-from twistorlab.exterior import SdAsdBasis
 from twistorlab.manifold import builtin
 
 POINTS = {
@@ -55,13 +54,6 @@ def test_cp2_operator_anchor_values():
     assert np.linalg.norm(op.matrix[:3, :3] - np.diag([3.0, 0.0, 0.0])) < 1e-6
     assert np.linalg.norm(op.matrix[:3, 3:]) < 1e-6
     assert np.linalg.norm(op.matrix[3:, 3:] - np.eye(3)) < 1e-6
-
-
-def test_operator_diagonalizes_in_custom_basis_order():
-    # passing the basis explicitly must agree with the default
-    _, lc, op = make_operator("hopf")
-    op2 = curvature_operator(lc, SdAsdBasis.standard())
-    assert np.max(np.abs(op.matrix - op2.matrix)) < 1e-14
 
 
 # ======================================================================

@@ -412,13 +412,6 @@ def test_substitute_respects_wedge():
     assert lhs.isclose(rhs, tol=1e-10)
 
 
-def test_map_basis_conjugation():
-    # in the order (phi1, phi2, phi3, conj1, conj2, conj3), conjugation swaps halves
-    f = ComplexForm(6, 2, {(0, 4): 2.0 + 1.0j})
-    g = f.map_basis([3, 4, 5, 0, 1, 2], conjugate_coeffs=True)
-    assert g.isclose(ComplexForm(6, 2, {(3, 1): 2.0 - 1.0j}), tol=1e-14)
-
-
 def test_zero_threshold_drops_dust():
     f = ComplexForm(4, 1, {(0,): 1e-15})
     assert f.terms == {}

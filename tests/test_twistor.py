@@ -422,7 +422,7 @@ def test_formula_results_do_not_alias_the_shared_forms(name, conn):
     co = tw.twistor_coframe(surface(name), conn, zpt(name))
     results = [tw.dK_formula(3, SQ2, co), tw.K_form(3, SQ2, co),
                tw.balanced_defect_formula(3, SQ2, co), tw.balanced_defect_formula(1, SQ2, co)]
-    shared = [f.vec for f in results + list(co.W_forms) + list(co.dW_forms)]
+    shared = [f.vec for f in results + list(co.dW_forms)]
     for vec in shared + [co.W_coeffs, co.dW_coeffs]:
         with pytest.raises(ValueError):
             vec[:] = 0                        # a caller scribbling on its result
@@ -434,7 +434,7 @@ def test_formula_results_do_not_alias_the_shared_forms(name, conn):
         for lam in (0.5, SQ2):
             assert (tw.balanced_defect_formula(i, lam, co).terms
                     == tw.balanced_defect_formula(i, lam, fresh).terms)
-    assert co.dW_forms is co.dW_forms and co.W_forms is co.W_forms
+    assert co.dW_forms is co.dW_forms and co.W_coeffs is co.W_coeffs
     assert co.balanced_forms is co.balanced_forms
     assert tw.dK_formula(3, SQ2, co).terms == tw.dK_formula(3, SQ2, fresh).terms != {}
 
@@ -450,6 +450,18 @@ def test_coframe_rows_of_a_stack_are_those_of_its_points(name, t):
     assert B.shape == (5, 1, 3, 6)
     for k, y in enumerate(ys):
         assert np.array_equal(B[k, 0], tw.coframe_rows(single, t, y))
+
+
+def test_a_report_without_closed_form_displays_builds_no_coframe(monkeypatch):
+    M = surface("hopf")
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    calls = []
+    build = tw.twistor_coframe
+    monkeypatch.setattr(tw, "twistor_coframe", lambda *a, **k: calls.append(a) or build(*a, **k))
+    rep = tw.condition_report(M, "bismut", [1.0, SQ2], pts)
+    assert calls == [] and all(r.formula_residual is None for r in rep.rows)
+    tw.condition_report(M, "chern", [1.0, SQ2], pts)
+    assert len(calls) == len(pts)
 
 
 # a lambda triple, and coframes built without structure data, handed to the
@@ -527,7 +539,8 @@ def test_lambda_length_and_hessian_residue_are_typed_errors_under_python_O(flags
 _INPUT_CHECKS = """
 import numpy as np
 from twistorlab import connection as cn, manifold as mf, twistor as tw
-from twistorlab.flag import flag_K
+from twistorlab.exterior import ComplexForm
+from twistorlab.flag import MaurerCartanEval, SU3Element, flag_K, flag_d
 M = mf.builtin("flat_c2")
 x, y = np.array([0.1, 0.2, -0.3, 0.05]), np.array([0.2, 0.2, -0.3, 0.05])
 for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
@@ -536,7 +549,9 @@ for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
              lambda: mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 3),
              lambda: mf.fundamental_form(M, x, mf.adapted_frame(M, y)),
              lambda: cn.chern_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y)),
-             lambda: cn.bismut_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y))):
+             lambda: cn.bismut_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y)),
+             lambda: flag_d(ComplexForm.basis(6, (0,))),
+             lambda: MaurerCartanEval(SU3Element.identity(), np.zeros((3, 3, 7)))):
     try:
         print("returned", call())
     except ValueError as exc:
@@ -557,7 +572,10 @@ def test_input_checks_are_value_errors_under_python_O(flags):
         "ValueError: need frame components of shape (4,4,4,4), got (4, 4, 4)",
         "ValueError: domain box must be 4x2, got (3, 2)",
         "ValueError: frame was built at a different point",
-    ] + ["ValueError: relation inputs evaluated at different points"] * 2
+    ] + ["ValueError: relation inputs evaluated at different points"] * 2 + [
+        "ValueError: an invariant form lives over the 8 generators, got dimension 6",
+        "ValueError: form values must have shape (3, 3, 8), got (3, 3, 7)",
+    ]
 
 
 def test_kahler_check_refuses_a_dF_or_J_that_is_not_finite():
@@ -669,7 +687,10 @@ def test_balanced_display_consistent_with_dK():
             assert (direct - composed).norm() < 1e-8
 
 
-@pytest.mark.parametrize("name,conn", [("hopf", "lichnerowicz"), ("cp2_fs", "chern")])
+# the product surface is the one whose first K ^ dK bracket is of order 1
+# for the Levi-Civita displays, so each sign of the display table shows
+@pytest.mark.parametrize("name,conn", [("hopf", "lichnerowicz"), ("cp2_fs", "chern"),
+                                       ("sphere_plane", "lichnerowicz")])
 def test_balanced_formula_matches_oracle(name, conn):
     co, sw = coframe(name, conn), sweep(name, conn)
     for i in (1, 2, 3, 4):
@@ -1022,6 +1043,28 @@ def test_condition_report_cp2():
         assert root == pytest.approx(2.0, abs=1e-5) and resid < 1e-7
     blob = json.dumps(rep.as_dict())
     assert json.loads(blob)["surface"] == "cp2_fs"
+
+
+def test_a_structure_index_outside_1_to_4_is_refused():
+    co, sw = coframe("hopf", "lichnerowicz"), sweep("hopf", "lichnerowicz")
+    for call in (lambda: tw.balanced_defect_formula(0, 1.0, co), lambda: tw.dK_formula(5, 1.0, co),
+                 lambda: tw.K_form(0, 1.0, co), lambda: sw.dK(-1, 1.0)):
+        with pytest.raises(ValueError, match="structure index must lie in 1..4"):
+            call()
+
+
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+def test_report_checks_every_balanced_display(conn):
+    # both K ^ dK brackets are of order 1 on the product surface, so a wrong
+    # display sign would give a residual of order 1
+    M = surface("sphere_plane")
+    pts = tw.sample_twistor_points(M, 2, seed=4)
+    rep = tw.condition_report(M, conn, [0.8, 1.3], pts)
+    assert max(r.formula_residual for r in rep.rows) < 1e-7
+    for r in rep.rows:
+        assert r.formula_residual >= max(
+            (tw.balanced_defect_formula(r.i, r.lam, tw.twistor_coframe(M, conn, z))
+             - tw.CoframeSweep(M, conn, z).K_wedge_dK(r.i, r.lam)).norm() for z in pts)
 
 
 def test_condition_report_flat():

@@ -689,14 +689,21 @@ def _add_lambda_options(sp: argparse.ArgumentParser) -> None:
                         help=f"component {n} of a three-parameter scale triple")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"twistorlab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistorlab",
         description="Condition reports, verification suites, and parameter scans "
                     "for almost-Hermitian twistor structures.")
     parser.add_argument("--version", action="version",
                         version=f"twistorlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     rp = sub.add_parser("report", help="survey symplectic/balanced/integrability "
                                        "conditions on a surface")

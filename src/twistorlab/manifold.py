@@ -30,6 +30,7 @@ import functools
 import itertools
 import math
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -368,9 +369,12 @@ class DiffBackend:
         return DiffBackend(order=self.order, step=step)
 
 
-# entries a surface's point memo holds before it is cleared; a two-point
-# report, scan or verify oracle job leaves fewer than 900 on its surface
+# points a surface's point memo stores, over all its functions, before it is
+# cleared; a two-point report, scan or verify oracle job stores fewer than 900
 POINT_MEMO_LIMIT = 4096
+
+# held while a batch of results is appended to a table of any surface
+_APPEND_LOCK = threading.Lock()
 
 
 def _freeze(value):
@@ -387,65 +391,64 @@ def _freeze(value):
     return value
 
 
-def _map_arrays(fn, value):
-    """fn applied to every array of a result, rebuilding its tuples and dataclasses."""
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _map_arrays(fn, value, *others):
+    """fn applied to every array of a result, and to the arrays in the same
+    place of `others` (results of the same structure), rebuilding its tuples
+    and dataclasses."""
     if isinstance(value, np.ndarray):
-        return fn(value)
+        return fn(value, *others)
     if isinstance(value, tuple):
-        return tuple(_map_arrays(fn, item) for item in value)
-    return type(value)(**{field.name: _map_arrays(fn, getattr(value, field.name))
-                          for field in dataclasses.fields(value)})
+        return tuple(_map_arrays(fn, *items) for items in zip(value, *others))
+    return type(value)(**{name: _map_arrays(fn, getattr(value, name),
+                                            *(getattr(other, name) for other in others))
+                          for name in _field_names(type(value))})
 
 
-def _unstack(value, shape: Tuple[int, ...]):
-    """A result for an (n, 4) stack reshaped to the point axes `shape`."""
-    return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), value)
+def _take(a: np.ndarray, rows) -> np.ndarray:
+    """The rows of a stored array, as a read-only array."""
+    out = a[rows]
+    out.setflags(write=False)
+    return out
 
 
-class _Row:
-    """The stored result of one point: row j of the read-only batch result it
-    was computed in.  `value()` builds the point's own result once."""
-    __slots__ = ("batch", "j", "_value")
+class _Table:
+    """The stored results of one memoized function with one tuple of params.
 
-    def __init__(self, batch, j: int):
-        self.batch, self.j, self._value = batch, j, None
+    `store` is a read-only result of the function's own structure whose
+    arrays hold `size` rows, one per stored point, in the order they were
+    computed; `index` maps the 32 bytes of a point to its row; `single`
+    keeps the result of each point looked up on its own.  Rows are only
+    ever appended, so a row read from `index` is valid in every `store`
+    from then on.
+    """
+    __slots__ = ("index", "store", "size", "single")
 
-    def value(self):
-        if self._value is None:
-            self._value = _map_arrays(lambda a: a[self.j], self.batch)
-        return self._value
-
-
-def _merge(parts: list, n: int):
-    """Interleave (batch result, positions, rows) parts into one result of n points."""
-    first = parts[0][0]
-    if isinstance(first, np.ndarray):
-        out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
-        for batch, positions, rows in parts:
-            out[positions] = batch[rows]
-        return out
-    if isinstance(first, tuple):
-        return tuple(_merge([(batch[i], pos, rows) for batch, pos, rows in parts], n)
-                     for i in range(len(first)))
-    return type(first)(**{field.name: _merge([(getattr(batch, field.name), pos, rows)
-                                              for batch, pos, rows in parts], n)
-                          for field in dataclasses.fields(first)})
+    def __init__(self):
+        self.index: Dict[bytes, int] = {}
+        self.store = None
+        self.size = 0
+        self.single: Dict[bytes, object] = {}
 
 
-def _gather(rows: List[_Row], shape: Tuple[int, ...]):
-    """The results of `rows` stacked over the point axes `shape`, with one
-    fancy index per batch and array."""
-    parts: Dict[int, tuple] = {}
-    for position, row in enumerate(rows):
-        part = parts.get(id(row.batch))
-        if part is None:
-            part = parts[id(row.batch)] = (row.batch, [], [])
-        part[1].append(position)
-        part[2].append(row.j)
-    return _unstack(_merge(list(parts.values()), len(rows)), shape)
+def _stored(memo: dict) -> int:
+    """The number of points stored in a memo, over all its tables."""
+    return sum(table.size for table in list(memo.values()))
 
 
-def _evaluate_rows(fn, M, rows: np.ndarray, params: tuple):
+class PointMemo(dict):
+    """The point memo of a surface: one `_Table` per (fn, params).  Its
+    length is the number of points stored, over all tables."""
+
+    def __len__(self):
+        return _stored(self)
+
+
+def _evaluate_rows(fn, params: tuple, M, rows: np.ndarray):
     """fn on a stack of points; when that raises, fn on one point at a time,
     so the error is the one a point-by-point evaluation meets first."""
     try:
@@ -457,49 +460,101 @@ def _evaluate_rows(fn, M, rows: np.ndarray, params: tuple):
         raise
 
 
+def _append(memo: dict, name: tuple, table: _Table, fresh: Dict[bytes, None], batch):
+    """Append batch, the results of the points `fresh`, to `table` of memo.
+
+    Returns the table's store with the batch appended and the row of the
+    batch's first point in it, which answer the caller whatever is kept.
+    The points are stored as if one at a time, the memo being cleared
+    whole whenever it holds POINT_MEMO_LIMIT points: when the batch does
+    not fit, the memo is cleared and a new table keeps the batch's last
+    points.  The store is replaced before the index entries of its new
+    rows are published, so a reader that finds a row finds it in the
+    store it reads next.
+    """
+    n = len(fresh)
+    with _APPEND_LOCK:
+        base = table.size
+        store = batch if base == 0 else _map_arrays(lambda a, b: np.concatenate((a, b)),
+                                                    table.store, batch)
+        total = _stored(memo) + n
+        if total <= POINT_MEMO_LIMIT:
+            table.store, table.size = store, base + n
+            table.index.update(zip(fresh, range(base, base + n)))
+        else:
+            memo.clear()
+            kept = (total - 1) % POINT_MEMO_LIMIT + 1
+            tail = memo[name] = _Table()
+            tail.store, tail.size = _map_arrays(lambda a: a[n - kept:], batch), kept
+            tail.index.update(zip(itertools.islice(fresh, n - kept, None), range(kept)))
+    return store, base
+
+
+def _lookup(M, memo: dict, name: tuple, table: _Table, points: np.ndarray,
+            shape: Tuple[int, ...]):
+    """The results of fn(M, points, *params), name = (fn, params), over the
+    point axes `shape`: one index pass over the table, one call of fn for
+    the distinct points it lacks, and one fancy index per result array."""
+    keys = points.view("V32").ravel().tolist()     # the 32 bytes of each point
+    n = len(keys)
+    rows = np.fromiter(map(table.index.get, keys, itertools.repeat(-1, n)), np.intp, n)
+    missing = rows < 0
+    if missing.any():
+        missed = list(itertools.compress(keys, missing.tolist()))
+        fresh = dict.fromkeys(missed)
+        every = len(fresh) == n
+        misses = points if every else np.frombuffer(b"".join(fresh)).reshape(-1, 4).copy()
+        batch = _freeze(_evaluate_rows(*name, M, misses))
+        store, base = _append(memo, name, table, fresh, batch)
+        if every:
+            return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
+        new = dict(zip(fresh, range(base, base + len(fresh))))
+        rows[missing] = list(map(new.__getitem__, missed))
+    else:
+        store = table.store
+    rows = rows.reshape(shape)
+    return _map_arrays(lambda a: _take(a, rows), store)
+
+
 def point_memo(fn):
     """Memoize a pure point function fn(M, x, *params) in the memo of M.
 
     fn is written for a stack of points x of shape (n, 4); the memoized
     function takes one point (4,) or a stack (..., 4) and answers with the
-    same point axes, so a single point is the stack of one.  Each point of
-    the stack is looked up under the key (fn, the bytes of the point as
-    float, params); the distinct points not found, duplicates within the
-    stack included, are computed in one call of fn, and each point's result
-    is stored read-only.  A value is therefore computed once per surface and
-    exact point, however many FD stencils reach it, and does not depend on
-    the other points of its stack.  Exceptions are not stored: every check
-    runs until a point has been evaluated successfully, and when a stack
-    fails, its points are evaluated one at a time so the error is that of
-    the first failing point.  The memo is only read with `get`, written by
-    item assignment and cleared whole when an insert finds POINT_MEMO_LIMIT
-    entries; it is never iterated, so threads may share a surface.
+    same point axes, so a single point is the stack of one.  The memo of
+    M (`PointMemo`) holds one table per (fn, params): a dict from the bytes
+    of a point as float to a row number, and one read-only store with the
+    structure of fn's result whose arrays hold the rows.  A call looks up
+    every point of its stack in one pass; the distinct points not found,
+    duplicates within the stack included, are computed in one call of fn
+    and appended to the store as one batch; the answer is one fancy index
+    per result array, read-only.  A value is therefore computed once per
+    surface and exact point, however many FD stencils reach it, and does
+    not depend on the other points of its stack.  A point looked up on its
+    own gets the same result object every time.  Exceptions are not
+    stored: every check runs until a point has been evaluated
+    successfully, and when a stack fails, its points are evaluated one at
+    a time so the error is that of the first failing point.  The memo is
+    cleared whole when an append would take it past POINT_MEMO_LIMIT
+    points.  Threads may share a surface: lookups take no lock, appends
+    take `_APPEND_LOCK`, and stores only grow.
     """
     @functools.wraps(fn)
     def memoized(M, x, *params):
         x = np.array(x, dtype=float)        # a private copy
         shape, points = x.shape[:-1], x.reshape(-1, 4)
-        memo = M._point_memo
-        keys = [(fn, point.tobytes(), *params) for point in points]
-        stored = [memo.get(key) for key in keys]
-        misses: Dict[tuple, int] = {}       # key -> index of its first point
-        for r, (key, row) in enumerate(zip(keys, stored)):
-            if row is None and key not in misses:
-                misses[key] = r
-        if misses:
-            every = len(misses) == len(points)
-            batch = _freeze(_evaluate_rows(fn, M, points if every else points[list(misses.values())],
-                                           params))
-            fresh = {}
-            for j, key in enumerate(misses):
-                fresh[key] = _Row(batch, j)
-                if len(memo) >= POINT_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = fresh[key]
-            if every and shape:
-                return _unstack(batch, shape)
-            stored = [fresh[key] if row is None else row for key, row in zip(keys, stored)]
-        return _gather(stored, shape) if shape else stored[0].value()
+        memo, name = M._point_memo, (fn, params)
+        table = memo.get(name)
+        if table is None:
+            table = memo[name] = _Table()
+        if shape:
+            return _lookup(M, memo, name, table, points, shape)
+        key = points.tobytes()
+        value = table.single.get(key)
+        if value is None:
+            value = table.single[key] = _map_arrays(lambda a: a[0],
+                                                    _lookup(M, memo, name, table, points, (1,)))
+        return value
     return memoized
 
 
@@ -544,7 +599,7 @@ class HermitianSurface:
     be replaced after construction, and the callables must be pure.  The
     metric stores its own copy, so an array returned by the metric callable
     is never frozen.  The memo lives and dies with the surface, is cleared
-    whole when it reaches POINT_MEMO_LIMIT entries and is safe to share
+    whole when it reaches POINT_MEMO_LIMIT points and is safe to share
     between threads, so sampling in parallel is safe.
     """
 
@@ -562,7 +617,7 @@ class HermitianSurface:
         self.params = dict(params or {})
         self.backend = backend or DiffBackend()
         self.source_text = source_text
-        self._point_memo: Dict[tuple, object] = {}
+        self._point_memo = PointMemo()
         self._validate_samples()
 
     @stack_field

@@ -694,8 +694,8 @@ class CoframeSweep:
     The coefficient rows `W_coeffs` (3, 15) and `dW_coeffs` (3, 20) of the
     building blocks do not depend on i or lambda; each is built once, on
     first use, and shared by every K, dK, K ^ dK and zero crossing of the
-    sweep.  A whole (i, lambda) grid is one weighted sum of those rows
-    (`defect_rows`).
+    sweep.  A whole (i, lambda) grid is one weighted sum of those rows and
+    one weighted sum of the blocks W_a ^ dW_b (`defect_rows`).
 
     Raises DegenerateCoframeError when the Gram determinant of B at the
     point is near zero or not finite, or when dB is not finite.
@@ -753,15 +753,27 @@ class CoframeSweep:
     def dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], self.dW_coeffs))
 
+    @functools.cached_property
+    def W_wedge_dW(self) -> np.ndarray:
+        """The blocks W_a ^ dW_b (3, 3, 6), with W_3 ^ dW_3 set to 0: it
+        vanishes identically (each of its terms repeats phi^3 or
+        conj(phi^3)), but wedged from FD rows it leaves roundoff, which
+        K ^ dK would weight by lambda^4 (read-only)."""
+        blocks = wedge_vectors(self.W_coeffs[:, None], self.dW_coeffs[None], 6, 2, 3)
+        blocks[2, 2] = 0.0
+        return read_only(cut(blocks))
+
     def defect_rows(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The coefficients of dK (n, 20) and of K ^ dK (n, 6) for each row
-        of a weight table (n, 3) (`lambda_weights`): row r has the bits of
-        `dK(i, lam).vec` and `wedge(K(i, lam), dK(i, lam)).vec`."""
-        dK = weighted_sum(weights, self.dW_coeffs)
-        return dK, cut(wedge_vectors(weighted_sum(weights, self.W_coeffs), dK, 6, 2, 3))
+        of a weight table (n, 3) (`lambda_weights`).  Row r of dK has the
+        bits of `dK(i, lam).vec`; K ^ dK = -sum_ab w_a w_b W_a ^ dW_b is
+        the block sum of `W_wedge_dW`."""
+        w = np.asarray(weights)
+        KdK = -np.einsum("na,nb,abs->ns", w, w, self.W_wedge_dW)
+        return weighted_sum(w, self.dW_coeffs), cut(KdK)
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-        return wedge(self.K(i, lam), self.dK(i, lam))
+        return ComplexForm(6, 5, self.defect_rows(lambda_weights([(i, lam)]))[1][0])
 
     def nijenhuis(self, i: int) -> float:
         """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs.

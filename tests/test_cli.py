@@ -453,7 +453,7 @@ def test_a_surface_without_an_adapted_frame_exits_three_with_one_line(tmp_path, 
     assert line.startswith("twistorlab: seed degenerate at point [0.0, 0.0, 0.0, 0.0]: ")
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     ["report", "--surface", "cp2_fs", "--points", "0"],
     ["report", "--surface", "cp2_fs", "--points", "-1"],
     ["scan", "--surface", "cp2_fs", "--lambda", "1", "--points", "0"],
@@ -485,14 +485,41 @@ def test_a_surface_without_an_adapted_frame_exits_three_with_one_line(tmp_path, 
     ["appendix", "--lambda", "1e200"],
     ["report", "--surface", "cp2_fs", "--lambda", "1e100"],
     ["report", "--surface", "cp2_fs", "--lambda", "1e100", "--format", "json"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_bad_counts_and_non_finite_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "twistorlab: error: " in captured.err
+    assert captured.err.startswith("twistorlab: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["verify", "--bogus"],
+                                  ["report", "--surface", "cp2_fs", "--points", "abc"],
+                                  ["scan", "--surface", "cp2_fs", "--i", "5"]])
+def test_an_error_argparse_finds_is_one_stderr_line(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("twistorlab: error: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [["report", "--surface", "cp2_fs", "--seed", "-1"],
+                                  ["report", "--surface", "cp2_fs", "--points", "abc"]])
+def test_a_usage_error_is_one_stderr_line_in_a_fresh_interpreter(flags, argv):
+    src = os.path.dirname(os.path.dirname(twistorlab.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-m", "twistorlab.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("twistorlab: error: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -543,6 +546,66 @@ def test_threads_sharing_a_surface_get_the_serial_results(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and mismatches == []
     assert len(M._point_memo) <= 16 + len(threads)
+
+
+def _arrays(value):
+    """Every array of a memoized result, in field order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return [a for field in dataclasses.fields(value) for a in _arrays(getattr(value, field.name))]
+
+
+def test_duplicates_within_a_stack_reach_fn_once():
+    G = 2.0 * np.eye(4)
+    batches = []
+    M = mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                            mf.stack_field(lambda x: (batches.append(x.copy()),
+                                                      np.broadcast_to(G, x.shape[:-1] + (4, 4)))[1]),
+                            lambda x: mf.J_STANDARD)
+    pts = M.chart.interior_points(6, seed=7)
+    M.metric(pts[:3])
+    batches.clear()
+    g = M.metric(pts[[1, 4, 4, 5, 1, 5, 0, 4]].reshape(2, 4, 4))
+    assert len(batches) == 1 and np.array_equal(batches[0], pts[[4, 5]])
+    assert g.shape == (2, 4, 4, 4) and np.array_equal(g, np.broadcast_to(G, g.shape))
+
+
+@pytest.mark.parametrize("layer", [
+    mf.adapted_frame,
+    lambda M, x: cn.omega_tilde_coord(M, x, 1.0),
+    cn.levi_civita,
+])
+def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(layer):
+    memoized, recomputed = mf.builtin("hopf"), mf.builtin("hopf")
+    recomputed._point_memo = ForgetfulMemo()
+    pts = memoized.chart.interior_points(7, seed=11)
+    layer(memoized, pts[:3])                 # two earlier batches
+    layer(memoized, pts[3:5])
+    stack = pts[[4, 0, 6, 2, 6, 5]].reshape(2, 3, 4)     # and two new points, one twice
+    got, want = _arrays(layer(memoized, stack)), _arrays(layer(recomputed, stack))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape[:2] == (2, 3) and np.array_equal(a, b) and not a.flags.writeable
+
+
+def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_stores(monkeypatch):
+    monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 40)
+    M = mf.builtin("cp2_fs")
+    assert len(M._point_memo) == 16          # the metric at the 16 validation points
+    pts = M.chart.interior_points(10, seed=9)
+    M.metric(pts)
+    mf.coordinate_fundamental_matrix(M, pts)
+    assert len(M._point_memo) == 36 == sum(table.size for table in M._point_memo.values())
+    stores = [weakref.ref(table.store) for table in M._point_memo.values()]
+    mf.adapted_frame(M, pts)                 # 46 points would pass the limit: cleared
+    assert len(M._point_memo) == (46 - 1) % 40 + 1 == 6
+    assert [table.size for table in M._point_memo.values() if table.size] == [6]
+    gc.collect()
+    assert all(ref() is None for ref in stores)
+    frame = mf.adapted_frame(mf.builtin("cp2_fs"), pts)
+    assert np.array_equal(mf.adapted_frame(M, pts).E, frame.E)
 
 
 # ----------------------------------------------------------------------

@@ -396,8 +396,27 @@ def test_defect_rows_have_the_bits_of_the_per_row_forms(name, conn):
     assert dK.shape == (len(pairs), 20) and KdK.shape == (len(pairs), 6)
     for n, (i, lam) in enumerate(pairs):
         assert np.array_equal(dK[n], sw.dK(i, lam).vec)
-        assert np.array_equal(KdK[n], wedge(sw.K(i, lam), sw.dK(i, lam)).vec)
         assert np.array_equal(KdK[n], sw.K_wedge_dK(i, lam).vec)
+        # the wedge of the whole forms holds W_3 ^ dW_3 too: roundoff at these lambda
+        assert np.max(np.abs(wedge(sw.K(i, lam), sw.dK(i, lam)).vec - KdK[n])) < 1e-13
+    for a in range(3):
+        for b in range(3):
+            block = wedge(ComplexForm(6, 2, sw.W_coeffs[a]), ComplexForm(6, 3, sw.dW_coeffs[b]))
+            assert np.array_equal(sw.W_wedge_dW[a, b], np.zeros(6) if a == b == 2 else block.vec)
+
+
+def test_balanced_verdict_and_formula_residual_hold_at_large_lambda():
+    # the balanced defect of J_1 on cp2_fs is FD error; the left-out block
+    # W_3 ^ dW_3 made it grow as lambda^4 and fail at lambda = 3000.  What
+    # remains grows as lambda^2: the FD error of the cross blocks, which
+    # reaches verify's 1e-4 near lambda = 1300.
+    M = surface("cp2_fs")
+    points = tw.sample_twistor_points(M, 2, seed=0)
+    rep = tw.condition_report(M, "lichnerowicz", [1000.0, 3000.0], points, tol=1e-3)
+    rows = {r.lam: r for r in rep.rows if r.i == 1}
+    assert rows[1000.0].balanced and rows[3000.0].balanced
+    assert rows[1000.0].formula_residual < 1e-4
+    assert rows[3000.0].formula_residual < 1e-4 * 3.0 ** 2
 
 
 @pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])

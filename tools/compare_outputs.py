@@ -10,9 +10,10 @@ interpreter, once per tree, one after another.  The list holds two ops of
 each benchmark workload (perfbench/workloads.py, seed 0), `report` on the
 four built-ins with the lichnerowicz, chern and bismut connections, a
 lambda triple alone and together with --lambda values (json and text), the
-gauduchon member t = 0.5, `appendix`, a text `scan`, a json `scan` of the
-hopf/chern pair whose grid holds lambda = 1 and sqrt 2, and a text
-`verify --suite algebra`.
+gauduchon member t = 0.5, `report` on cp2_fs at lambda = 1000 (json and
+text), where the roundoff of the K ^ dK oracle is weighted by powers of
+lambda, `appendix`, a text `scan`, a json `scan` of the hopf/chern pair
+whose grid holds lambda = 1 and sqrt 2, and a text `verify --suite algebra`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -58,6 +59,8 @@ def argv_list():
          "--format", "text"],
         ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "0.5",
          "--lambda", "1.2", "--points", "2", "--format", "json"],
+        *(["report", "--surface", "cp2_fs", "--params", "c=2", "--lambda", "1000",
+            "--points", "2", "--format", fmt] for fmt in ("json", "text")),
         ["appendix", "--format", "json"],
         ["appendix", "--lambda", "1.2", "--format", "text"],
         ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "1:2",

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ComplexForm
+from twistorlab.exterior import ComplexForm, d_rows, wedge_vectors
 from twistorlab.manifold import (
     HermitianSurface,
     UnitaryFrame,
@@ -335,18 +335,11 @@ def structure_equation_defect(M: HermitianSurface, data: HermitianConnectionData
     x = data.point
     eta0 = adapted_frame(M, x).eta
     deta = M.backend.partials(lambda p: adapted_frame(M, p).eta, x)  # [nu, a, rho]
-    psi = data.psi_coord
-    T = data.torsion_coord
-    worst = 0.0
-    for a in range(2):
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                val = deta[mu, a, nu] - deta[nu, a, mu]
-                for b in range(2):
-                    val += psi[a, b, mu] * eta0[b, nu] - psi[a, b, nu] * eta0[b, mu]
-                val -= np.dot(eta0[a], T[:, mu, nu])
-                worst = max(worst, abs(val))
-    return worst
+    pe = wedge_vectors(data.psi_coord, eta0, 4, 1, 1)       # [a, b] = psi^a_b ^ eta^b
+    m, n = np.triu_indices(4, 1)
+    val = (d_rows(np.moveaxis(deta, 0, 1), 4, 1) + pe[:, 0] + pe[:, 1]
+           - eta0 @ data.torsion_coord[:, m, n])
+    return float(np.max(np.hypot(val.real, val.imag)))     # abs() of each, bit for bit
 
 
 # ======================================================================
@@ -403,17 +396,9 @@ def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float) -> GauduchonC
     field = psi_field(M, t)
     psi0 = field(x)
     dpsi = M.backend.partials(field, x)     # [nu, a, b, rho], one stack for the stencil
-    Psi: List[List[ComplexForm]] = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            raw: Dict[Tuple[int, ...], complex] = {}
-            for mu in range(4):
-                for nu in range(mu + 1, 4):
-                    val = dpsi[mu, a, b, nu] - dpsi[nu, a, b, mu]
-                    for c in range(2):
-                        val += psi0[a, c, mu] * psi0[c, b, nu] - psi0[a, c, nu] * psi0[c, b, mu]
-                    raw[(mu, nu)] = val
-            Psi[a][b] = ComplexForm(4, 2, raw)
+    pp = wedge_vectors(psi0[:, :, None], psi0[None], 4, 1, 1)     # [a, c, b] = psi^a_c ^ psi^c_b
+    rows = d_rows(np.moveaxis(dpsi, 0, 2), 4, 1) + pp[:, 0] + pp[:, 1]
+    Psi = [[ComplexForm(4, 2, rows[a, b]) for b in range(2)] for a in range(2)]
     return GauduchonCurvature(point=x, t=t, frame=fr, Psi=Psi)
 
 

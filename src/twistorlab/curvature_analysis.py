@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from twistorlab.connection import LeviCivitaData, levi_civita
-from twistorlab.exterior import SdAsdBasis
+from twistorlab.exterior import SdAsdBasis, antisymmetric_array
 from twistorlab.manifold import HermitianSurface, J_STANDARD, dF_form
 
 DEFAULT_PREDICATE_TOL = 1e-6
@@ -36,7 +36,7 @@ DEFAULT_PREDICATE_TOL = 1e-6
 
 def _basis_arrays(basis: SdAsdBasis) -> np.ndarray:
     """Stack the six basis 2-forms as full antisymmetric 4x4 component arrays."""
-    return np.stack([f.to_array().real for f in basis.all_forms()])
+    return antisymmetric_array(np.stack([f.vec for f in basis.all_forms()]), 4, 2).real
 
 
 def _pair(R: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:

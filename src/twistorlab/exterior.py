@@ -108,6 +108,20 @@ def norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.cumsum(m * m, axis=-1)[..., -1])
 
 
+def antisymmetric_array(rows: np.ndarray, dim: int, p: int) -> np.ndarray:
+    """The full antisymmetric component arrays (..., dim, ..., dim) of a stack
+    of degree-p rows (..., C(dim, p)): A[..., i1, ..., ip] = the coefficient
+    of the slot of sorted(i1..ip) times the sign of that sort, 0 on repeated
+    indices.  An odd ordering holds 0.0 - c, so a zero stays +0.0."""
+    rows = np.asarray(rows)
+    keys = np.array(slot_keys(dim, p), dtype=int).reshape(math.comb(dim, p), p)
+    place = dim ** np.arange(p - 1, -1, -1)
+    out = np.zeros(rows.shape[:-1] + (dim ** p,), dtype=rows.dtype)
+    for perm in itertools.permutations(range(p)):
+        out[..., keys[:, list(perm)] @ place] = 0.0 - rows if _sort_with_sign(perm)[1] < 0 else rows
+    return out.reshape(rows.shape[:-1] + (dim,) * p)
+
+
 class ComplexForm:
     """A homogeneous complex-valued form over an ordered coframe basis.
 
@@ -230,12 +244,7 @@ class ComplexForm:
 
     def to_array(self) -> np.ndarray:
         """Full antisymmetric component array A[i1, ..., ip] = form(e_{i1}, ..., e_{ip})."""
-        arr = np.zeros((self.dim,) * self.degree, dtype=complex)
-        for key, coeff in self.terms.items():
-            for perm in itertools.permutations(range(self.degree)):
-                _, sign = _sort_with_sign(perm)
-                arr[tuple(key[p] for p in perm)] = sign * coeff
-        return arr
+        return antisymmetric_array(self.vec, self.dim, self.degree)
 
     def norm(self) -> float:
         """Coefficient 2-norm (= induced norm for an orthonormal coframe)."""
@@ -319,6 +328,18 @@ def wedge_vectors(va: np.ndarray, vb: np.ndarray, dim: int, p: int, q: int) -> n
     np.copyto(prod, 0.0, where=skip[..., None])
     # summed one pair after the other, as a term loop adds them
     return np.ascontiguousarray(np.cumsum(prod, axis=-2)[..., -1, :]).view(complex)[..., 0]
+
+
+def d_rows(partials: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """The exterior derivative of a stack of degree-k rows from their partials:
+    partials[..., p, s] is the p-th partial of the coefficient of slot s,
+    shape (..., dim, C(dim, k)); returns the (..., C(dim, k + 1)) rows of
+    d = sum_p e_p ^ d_p.  Each coefficient reads the slot table of
+    `wedge_vectors` and is summed in its slot-pair order, p ascending; not
+    cut.  The one statement of d's sign rule."""
+    ia, ib, sign = _wedge_table(dim, 1, k)
+    terms = _parts(partials)[..., ia, ib, :] * sign
+    return np.ascontiguousarray(np.cumsum(terms, axis=-2)[..., -1, :]).view(complex)[..., 0]
 
 
 def wedge(a: ComplexForm, b: ComplexForm) -> ComplexForm:

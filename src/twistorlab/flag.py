@@ -26,12 +26,12 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import ComplexForm, substitute, wedge, wedge_all
+from .exterior import ComplexForm, norms, read_only, slot_keys, substitute, wedge, wedge_all
 
 __all__ = [
     "SU3_BASIS", "GENERATOR_NAMES", "SU3Element", "MaurerCartanEval",
     "maurer_cartan", "maurer_cartan_eval", "structure_equation_residual",
-    "generator_form", "flag_conj", "flag_d", "flag_bidegree_part",
+    "generator_form", "flag_conj", "d_matrix", "flag_d", "flag_bidegree_part",
     "flag_acs", "integrability_obstruction", "flag_K", "flag_dK",
     "flag_balanced", "flag_ddbar", "structural_ddbar", "nearly_kahler_check",
     "normalization_crosscheck", "appendix_table",
@@ -230,19 +230,28 @@ def _d_table() -> Tuple[ComplexForm, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def d_matrix(k: int) -> np.ndarray:
+    """D_k, the integer matrix (C(8, k + 1), C(8, k)) of d on invariant
+    k-forms (read-only; D_8 has no rows).  Column S is d e_S by Leibniz over
+    the generator derivatives: sum_pos (-1)^pos d(e_S[pos]) ^ e_(S without
+    S[pos]), each 2-form d(e_g) moved to the front past pos 1-forms with no
+    sign."""
+    table = _d_table()
+    D = np.zeros((math.comb(8, k + 1), math.comb(8, k)), dtype=int)
+    for s, key in enumerate(slot_keys(8, k) if k < 8 else ()):
+        for pos, g in enumerate(key):
+            rest = ComplexForm.basis(8, key[:pos] + key[pos + 1:])
+            D[:, s] += (-1) ** pos * wedge(table[g], rest).vec.real.astype(int)
+    return read_only(D)
+
+
 def flag_d(form: ComplexForm) -> ComplexForm:
-    """Exterior derivative of an invariant form by Leibniz over the
-    generator derivatives; exact, no differencing."""
+    """Exterior derivative of an invariant form: one product with the
+    integer matrix D_k of its degree; exact, no differencing."""
     if form.dim != 8:
         raise ValueError(f"an invariant form lives over the 8 generators, got dimension {form.dim}")
-    table = _d_table()
-    out = ComplexForm(8, form.degree + 1, {})
-    for key, coeff in form.terms.items():
-        for pos, gidx in enumerate(key):
-            factors = [table[g] if j == pos else generator_form(g)
-                       for j, g in enumerate(key)]
-            out = out + wedge_all(*factors) * (coeff * (-1.0) ** pos)
-    return out
+    return ComplexForm(8, form.degree + 1, d_matrix(form.degree) @ form.vec)
 
 
 # (1,0)-generator sets of the four distinguished structures; the conjugate
@@ -258,18 +267,23 @@ def _holo_antiholo(i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return (base, anti) if i <= 4 else (anti, base)
 
 
+@functools.lru_cache(maxsize=None)
+def _holo_counts(i: int, degree: int) -> np.ndarray:
+    """The number of holomorphic generators of structure i in each slot of
+    the degree, or -1 where a diagonal generator occurs."""
+    holo, _ = _holo_antiholo(i)
+    return np.array([-1 if max(key, default=0) >= 6 else sum(g in holo for g in key)
+                     for key in slot_keys(8, degree)])
+
+
 def flag_bidegree_part(form: ComplexForm, i: int, p_holo: int) -> ComplexForm:
     """Keep the monomials with exactly `p_holo` holomorphic generators with
     respect to structure i.  The diagonal generators carry no bidegree, so
     forms that do not descend to the quotient are rejected."""
-    holo, _ = _holo_antiholo(i)
-    kept = {}
-    for key, coeff in form.terms.items():
-        if any(g >= 6 for g in key):
-            raise ValueError("form has diagonal components; no quotient bidegree")
-        if sum(1 for g in key if g in holo) == p_holo:
-            kept[key] = coeff
-    return ComplexForm(8, form.degree, kept)
+    count = _holo_counts(i, form.degree)
+    if np.any(form.vec[count < 0] != 0):
+        raise ValueError("form has diagonal components; no quotient bidegree")
+    return ComplexForm(8, form.degree, np.where(count == p_holo, form.vec, 0j))
 
 
 _SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -296,14 +310,9 @@ def integrability_obstruction(i: int) -> float:
     value is assembled from structure constants, so the six integrable
     structures give literal zero.
     """
-    holo, anti = _holo_antiholo(i)
-    table = _d_table()
-    worst = 0.0
-    for gidx in holo:
-        bad = {key: c for key, c in table[gidx].terms.items()
-               if all(g in anti for g in key)}
-        worst = max(worst, ComplexForm(8, 2, bad).norm())
-    return worst
+    holo, _ = _holo_antiholo(i)
+    zero_two = d_matrix(1)[_holo_counts(i, 2) == 0]
+    return float(np.max(norms(zero_two[:, list(holo)].T.astype(float))))
 
 
 # ======================================================================
@@ -317,14 +326,38 @@ def _params(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
         lams = tuple(float(v) for v in lam)
         if len(lams) != 3:
             raise ValueError(f"expected one scale parameter or three, got {len(lams)}")
-    if any(v <= 0.0 for v in lams):
-        raise ValueError("scale parameters must be positive")
+    for v in lams:
+        if not 0.0 < v < math.inf:          # false for nan too
+            raise ValueError(f"scale parameters must be positive and finite, got {v:g}")
     return lams  # type: ignore[return-value]
 
 
+@functools.lru_cache(maxsize=1)
 def _coframe_forms() -> Tuple[ComplexForm, ...]:
+    """w12, w13, w23 and their conjugates, built once like the monomials below."""
     a, b, c = generator_form(0), generator_form(1), generator_form(2)
     return a, b, c, flag_conj(a), flag_conj(b), flag_conj(c)
+
+
+@functools.lru_cache(maxsize=1)
+def _three_forms() -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+    """The invariant 3-form of every dK_i, and the real and imaginary parts
+    of the (3,0)-form of the nearly-Kahler identities."""
+    a, b, c, ab, bb, cb = _coframe_forms()
+    rho = wedge_all(a, bb, c) * (1j) ** 3
+    return (wedge_all(ab, b, cb) - wedge_all(a, bb, c),
+            (rho + flag_conj(rho)) * 0.5, (rho - flag_conj(rho)) * (1.0 / 2j))
+
+
+@functools.lru_cache(maxsize=None)
+def _ddbar_monomials(i: int) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+    """The three 4-forms of the second-derivative display of i in {1, 3, 4}."""
+    a, b, c, ab, bb, cb = _coframe_forms()
+    if i == 1:
+        return wedge_all(a, ab, bb, b), wedge_all(bb, b, cb, c), wedge_all(cb, c, a, ab)
+    if i == 3:
+        return wedge_all(a, ab, b, bb), wedge_all(b, bb, cb, c), wedge_all(cb, c, a, ab)
+    return wedge_all(a, ab, b, bb), wedge_all(b, bb, c, cb), wedge_all(c, cb, a, ab)
 
 
 def flag_K(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -357,9 +390,7 @@ def flag_dK(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
     lams = _params(lam)
     if i not in (1, 2, 3, 4):
         raise ValueError("structure index must lie in 1..4")
-    a, b, c, ab, bb, cb = _coframe_forms()
-    cubic = wedge_all(ab, b, cb) - wedge_all(a, bb, c)
-    return cubic * (1j * _dK_coefficient(i, lams))
+    return _three_forms()[0] * (1j * _dK_coefficient(i, lams))
 
 
 def flag_balanced(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -382,20 +413,8 @@ def flag_ddbar(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         raise ValueError("structure index must lie in 1..4")
     (c1, c2, c3), (t1, t2, t3) = _DDBAR_SIGNS[i]
     coeff = c1 * lams[0] ** 2 + c2 * lams[1] ** 2 + c3 * lams[2] ** 2
-    a, b, c, ab, bb, cb = _coframe_forms()
-    if i == 1:
-        terms = (wedge_all(a, ab, bb, b) * t1
-                 + wedge_all(bb, b, cb, c) * t2
-                 + wedge_all(cb, c, a, ab) * t3)
-    elif i == 3:
-        terms = (wedge_all(a, ab, b, bb) * t1
-                 + wedge_all(b, bb, cb, c) * t2
-                 + wedge_all(cb, c, a, ab) * t3)
-    else:
-        terms = (wedge_all(a, ab, b, bb) * t1
-                 + wedge_all(b, bb, c, cb) * t2
-                 + wedge_all(c, cb, a, ab) * t3)
-    return terms * ((1j) ** 2 * coeff)
+    m1, m2, m3 = _ddbar_monomials(i)
+    return (m1 * t1 + m2 * t2 + m3 * t3) * ((1j) ** 2 * coeff)
 
 
 def structural_ddbar(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -412,10 +431,7 @@ def nearly_kahler_check() -> Tuple[float, float]:
     the derivative of its imaginary part against minus twice K ^ K."""
     s = 1.0 / math.sqrt(2.0)
     K = flag_K(2, (s, s, s))
-    a, b, c, ab, bb, cb = _coframe_forms()
-    rho = wedge_all(a, bb, c) * (1j) ** 3
-    re_rho = (rho + flag_conj(rho)) * 0.5
-    im_rho = (rho - flag_conj(rho)) * (1.0 / 2j)
+    _, re_rho, im_rho = _three_forms()
     r1 = (flag_d(K) - re_rho * 3.0).norm()
     r2 = (flag_d(im_rho) + wedge(K, K) * 2.0).norm()
     return r1, r2

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ZERO_EPS, ComplexForm
+from twistorlab.exterior import ZERO_EPS, ComplexForm, antisymmetric_array, d_rows
 
 # standard complex structure J0:  J(d1)=d2, J(d2)=-d1, J(d3)=d4, J(d4)=-d3
 J_STANDARD = np.array([
@@ -304,7 +304,9 @@ class DiffBackend:
     whole stencil; it is the one FD entry point of the package, nested
     derivatives included (`partials` of a field that itself calls
     `partials`), and only `CoframeSweep` calls its two halves directly, to
-    put the bundle point in its stencil's stack.  `partial` is the
+    put the bundle point in its stencil's stack.  The partials of a form's
+    coefficients become its exterior derivative in one place,
+    `exterior.d_rows`.  `partial` is the
     one-direction case for a function of one point, evaluated point by
     point; the package does not call it, and it stays as the independent
     per-point reference that tests hold `partials` and the coframe sweeps
@@ -1014,30 +1016,18 @@ def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
                     lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
 
 
-# the six orderings of a < b < c with their signs
-_ORDERINGS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-              ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
-
-
 def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """dF at a point or a stack of points x (..., 4), by FD of F's components:
     the full antisymmetric array dF[..., a, b, c] = dF(d_a, d_b, d_c).
 
-    The coefficient of dx^a ^ dx^b ^ dx^c (a < b < c) is
-    (d_a F_bc - d_b F_ac) + d_c F_ab, and coefficients below ZERO_EPS are
-    set to 0, as in a ComplexForm; one that is not finite stays.
+    The slot coefficients come from `d_rows`; those below ZERO_EPS are set
+    to 0, as in a ComplexForm, and one that is not finite stays.
     """
     x = np.asarray(x, dtype=float)
     _check_stencil_inside(M, x)
     dF = M.backend.partials(lambda p: coordinate_fundamental_matrix(M, p), x)   # [..., k] = d_k F
-    out = np.zeros(x.shape[:-1] + (4, 4, 4))
-    for a, b, c in itertools.combinations(range(4), 3):
-        v = dF[..., a, b, c] - dF[..., b, a, c] + dF[..., c, a, b]
-        keep = ~(np.abs(v) < ZERO_EPS)
-        for order, sign in _ORDERINGS:
-            i, j, k = ((a, b, c)[o] for o in order)
-            out[..., i, j, k] = np.where(keep, v if sign > 0 else -v, 0.0)
-    return out
+    v = d_rows(dF[(...,) + np.triu_indices(4, 1)], 4, 2).real
+    return antisymmetric_array(np.where(np.abs(v) < ZERO_EPS, 0.0, v), 4, 3)
 
 
 def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import (ComplexForm, bidegree_project, cut, norms, read_only, slot_keys,
-                       substitute, wedge, wedge_all, wedge_vectors)
+from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, substitute,
+                       wedge, wedge_all, wedge_vectors)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, direct_curvature,
@@ -190,6 +190,8 @@ def _lambdas(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
         if len(lams) != 3:
             raise ValueError("expected one fiber parameter or three scale parameters")
     for v in lams:
+        if not v < math.inf:                 # true for nan
+            raise ValueError(f"metric parameter {v:g} is not finite")
         if v < LAMBDA_MIN:
             raise ValueError(f"metric parameter {v:g} below the positivity floor {LAMBDA_MIN:g}")
     return lams  # type: ignore[return-value]
@@ -722,12 +724,6 @@ class CoframeSweep:
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
-    def _dW_partial(self, p: int, a: int) -> np.ndarray:
-        r, dr = self.B0[a], self.dB[p][a]
-        out = np.einsum("m,n->mn", dr, np.conj(r)) + np.einsum("m,n->mn", r, np.conj(dr))
-        out = out - out.T
-        return -out if a == 1 else out     # W_2 = conj(phi^2) ^ phi^2
-
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
         """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point
@@ -736,14 +732,17 @@ class CoframeSweep:
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
-        """The coefficients (3, 20) of dW_1, dW_2, dW_3 by the product rule:
-        (dW)_pqr = d_p W_qr - d_q W_pr + d_r W_pq (read-only)."""
-        p, q, r = np.array(slot_keys(6, 3)).T
-        rows = []
-        for a in range(3):
-            D = np.stack([self._dW_partial(s, a) for s in range(6)])
-            rows.append(D[p, q, r] - D[q, p, r] + D[r, p, q])
-        return read_only(cut(np.stack(rows)))
+        """The coefficients (3, 20) of dW_1, dW_2, dW_3: `d_rows` of the slot
+        rows of their partials, each by the product rule
+        d_s(phi ^ conj(phi)) = d_s phi ^ conj(phi) + phi ^ d_s conj(phi)
+        (read-only)."""
+        r, dr = self.B0, self.dB                      # (3, 6) and (6 partials, 3, 6)
+        # S[a, s, m, n] = d_s(phi^a)_m conj(phi^a)_n + phi^a_m d_s(conj(phi^a))_n
+        S = np.einsum("sam,an->asmn", dr, np.conj(r)) + np.einsum("am,san->asmn", r, np.conj(dr))
+        m, n = np.triu_indices(6, 1)
+        P = S[..., m, n] - S[..., n, m]
+        P[1] = -P[1]                       # W_2 = conj(phi^2) ^ phi^2
+        return read_only(cut(d_rows(P, 6, 2)))
 
     # -- assembled oracle values ------------------------------------------
 
@@ -826,7 +825,6 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
     """
     t, _ = normalize_connection(conn)
     y0 = z.chart_coordinates()
-    keys = slot_keys(6, 3)
 
     def dbar_vecs(Y: np.ndarray) -> np.ndarray:
         """The (1,2)-part coefficients at every point of a stack Y (..., 6),
@@ -835,20 +833,11 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         for y in Y.reshape(-1, 6):
             sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
             out.append(_bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1).vec)
-        return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (len(keys),))
+        return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (-1,))
 
     B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
     dg = M.backend.with_step(outer_step).partials(dbar_vecs, y0)    # [p, key]
-    coeff: Dict[Tuple[int, ...], complex] = {}
-    for kidx, (a, b, c) in enumerate(keys):
-        for p in range(6):
-            if p in (a, b, c):
-                continue
-            key = tuple(sorted((p, a, b, c)))
-            pos = key.index(p)
-            sign = (-1.0) ** pos
-            coeff[key] = coeff.get(key, 0.0) + sign * dg[p][kidx]
-    dG = ComplexForm(6, 4, coeff)
+    dG = ComplexForm(6, 4, d_rows(dg, 6, 3))
     return _bidegree_project6(dG, _adapted_rows(i, B0), 2) * 1j
 
 
@@ -963,9 +952,7 @@ def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint) -> 
     of `z`: lambda times the pulled-back fundamental form plus the complex
     Hessian term of log h(v, v) for the section v = d/dz^1 + w d/dz^2.
     """
-    lam = float(lam)
-    if lam < LAMBDA_MIN:
-        raise ValueError(f"metric parameter {lam:g} below the positivity floor {LAMBDA_MIN:g}")
+    lam = _lambdas(float(lam))[2]
     x = z.x
     w0 = fiber_coordinate_on_bundle(M, z)
     y0 = np.concatenate([x, [w0.real, w0.imag]])
@@ -1074,7 +1061,7 @@ def evaluate_metric(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     volume_coefficient = float(np.real(vol_c / orient_c)) if abs(orient_c) > 0 else float("nan")
 
     dKo = sw.dK(i, lams)
-    bo = wedge(sw.K(i, lams), dKo)
+    bo = sw.K_wedge_dK(i, lams)
     formula_ok = abs(co.t) < 1e-12 or abs(co.t - 1.0) < 1e-12
     dKf = dK_formula(i, lams, co) if formula_ok else None
     dK_res = (dKf - dKo).norm() if dKf is not None else None

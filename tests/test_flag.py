@@ -14,6 +14,7 @@ from twistorlab.flag import (
     SU3_BASIS,
     SU3Element,
     appendix_table,
+    d_matrix,
     flag_acs,
     flag_balanced,
     flag_bidegree_part,
@@ -31,6 +32,7 @@ from twistorlab.flag import (
     structure_equation_residual,
     structural_ddbar,
 )
+from twistorlab.exterior import ComplexForm, wedge_all
 from twistorlab.flag import _d_table, _displayed_structure_equations
 
 SQ2 = math.sqrt(2.0)
@@ -57,6 +59,47 @@ def test_d_squared_vanishes_on_every_generator():
     table = _d_table()
     for k in range(8):
         assert flag_d(table[k]).norm() == 0.0
+
+
+def _leibniz_d(form):
+    """d of an invariant form term by term and position by position: the
+    generator derivative at that position, wedged in place with the other
+    generators."""
+    table = _d_table()
+    out = ComplexForm(8, form.degree + 1, {})
+    for key, coeff in form.terms.items():
+        for pos in range(len(key)):
+            factors = [table[g] if j == pos else generator_form(g) for j, g in enumerate(key)]
+            out = out + wedge_all(*factors) * (coeff * (-1.0) ** pos)
+    return out
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_d_matrix_columns_are_the_leibniz_derivatives(k):
+    D = d_matrix(k)
+    assert D.dtype.kind == "i" and D.shape == (math.comb(8, k + 1), math.comb(8, k))
+    for s in range(D.shape[1]):
+        e = ComplexForm(8, k, np.eye(D.shape[1])[s])
+        want = _leibniz_d(e).vec
+        assert np.array_equal(D[:, s], want.real) and not want.imag.any()
+        assert np.array_equal(flag_d(e).vec, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 10 ** 6))
+def test_flag_d_of_random_invariant_forms_is_the_leibniz_derivative(k, seed):
+    # dyadic coefficients keep every product and sum exact, so the bits
+    # cannot depend on the order of summation
+    rng = np.random.default_rng(seed)
+    n = math.comb(8, k)
+    v = (rng.integers(-16, 17, n) + 1j * rng.integers(-16, 17, n)) / 8.0
+    form = ComplexForm(8, k, np.where(rng.random(n) < 0.5, v, 0.0))
+    assert np.array_equal(flag_d(form).vec, _leibniz_d(form).vec)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_d_squared_is_zero_as_integer_matrices(k):
+    assert not np.any(d_matrix(k + 1) @ d_matrix(k))
 
 
 def test_d_commutes_with_conjugation():
@@ -237,6 +280,14 @@ def test_balanced_condition_is_exact(i, lam):
 def test_nonpositive_parameters_rejected(bad):
     with pytest.raises(ValueError, match="positive"):
         flag_K(1, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1.0, math.nan, 1.0),
+                                 (math.inf, 1.0, 1.0), (1.0, 1.0, -math.inf)])
+def test_non_finite_parameters_rejected(bad):
+    for call in (lambda: flag_K(1, bad), lambda: flag_dK(1, bad), lambda: appendix_table(bad)):
+        with pytest.raises(ValueError, match=r"positive and finite, got -?(nan|inf)$"):
+            call()
 
 
 @pytest.mark.parametrize("i", [0, 5, 9])

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import sys
 import threading
 import weakref
@@ -10,7 +11,7 @@ import pytest
 from twistorlab import connection as cn
 from twistorlab import manifold as mf
 from twistorlab import twistor as tw
-from twistorlab.exterior import ComplexForm, hodge_star_4, substitute
+from twistorlab.exterior import ZERO_EPS, ComplexForm, hodge_star_4, substitute
 
 
 def interior_points(M, n, seed):
@@ -736,6 +737,33 @@ def test_partials_match_partial_direction_by_direction():
         for n, p in enumerate(pts):
             for k in range(4):
                 assert np.array_equal(d[n, k], be.partial(M.metric, p, k))
+
+
+def _dF_array_reference(M, x):
+    """dF at one point by the per-point partial of F's components, each
+    coefficient (d_a F_bc - d_b F_ac) + d_c F_ab written to its six orderings."""
+    F = lambda p: mf.coordinate_fundamental_matrix(M, p)  # noqa: E731
+    dF = np.stack([M.backend.partial(F, x, k) for k in range(4)])
+    out = np.zeros((4, 4, 4))
+    for a, b, c in itertools.combinations(range(4), 3):
+        v = dF[a, b, c] - dF[b, a, c] + dF[c, a, b]
+        v = 0.0 if abs(v) < ZERO_EPS else v
+        for (i, j, k), sign in ((((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+                                 ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1))):
+            out[i, j, k] = v if sign > 0 or v == 0.0 else -v
+    return out
+
+
+@pytest.mark.parametrize("name", ["hopf", "cp2_fs", "flat_c2"])
+def test_dF_array_matches_the_per_point_reference(name):
+    M = mf.builtin(name)
+    pts = M.chart.interior_points(4, seed=5)
+    stacked = mf.dF_array(M, pts)
+    for n, x in enumerate(pts):
+        want = _dF_array_reference(M, x)
+        assert np.array_equal(stacked[n], want) and np.array_equal(mf.dF_array(M, x), want)
+        assert np.array_equal(np.signbit(stacked[n]), np.signbit(want))
+        assert np.array_equal(mf.dF_form(M, x).to_array(), want)
 
 
 def test_threads_sharing_a_surface_get_the_serial_results_for_stacks(monkeypatch):

@@ -4,6 +4,7 @@ finite-difference oracles that back them."""
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -371,13 +372,13 @@ def test_sweep_checks_its_base_point_before_its_stencil():
 
 def test_sweep_builds_each_building_block_once(monkeypatch):
     calls = [0]
-    partial = tw.CoframeSweep._dW_partial
+    d_rows = tw.d_rows
 
-    def counted(self, p, a):
+    def counted(*args):
         calls[0] += 1
-        return partial(self, p, a)
+        return d_rows(*args)
 
-    monkeypatch.setattr(tw.CoframeSweep, "_dW_partial", counted)
+    monkeypatch.setattr(tw, "d_rows", counted)
     sw = tw.CoframeSweep(surface("hopf"), "chern", zpt("hopf"))
     for i in (1, 2, 3, 4):
         for lam in (0.5, 1.0, (1.3, 0.7, 2.1)):
@@ -385,7 +386,7 @@ def test_sweep_builds_each_building_block_once(monkeypatch):
             sw.dK(i, lam)
             sw.K_wedge_dK(i, lam)
         tw.lambda_zero_crossing(i, sw.M, "chern", zpt("hopf"), sweep=sw)
-    assert calls[0] == 6 * 3          # six partials for each of the three blocks
+    assert calls[0] == 1              # one d for the partials of all three blocks
 
 
 @pytest.mark.parametrize("name,conn", [("cp2_fs", "lichnerowicz"), ("hopf", "chern")])
@@ -559,11 +560,15 @@ _INPUT_CHECKS = """
 import numpy as np
 from twistorlab import connection as cn, manifold as mf, twistor as tw
 from twistorlab.exterior import ComplexForm
-from twistorlab.flag import MaurerCartanEval, SU3Element, flag_K, flag_d
+from twistorlab.flag import MaurerCartanEval, SU3Element, appendix_table, flag_K, flag_d
 M = mf.builtin("flat_c2")
 x, y = np.array([0.1, 0.2, -0.3, 0.05]), np.array([0.2, 0.2, -0.3, 0.05])
+z = tw.TwistorPoint.from_zeta(x, 0.3)
 for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
              lambda: flag_K(1, (1.0, 2.0)),
+             lambda: flag_K(1, float("nan")),
+             lambda: appendix_table((1.0, float("inf"), 1.0)),
+             lambda: tw.condition_report(M, "lichnerowicz", [float("nan")], [z]),
              lambda: cn.complexify(np.zeros((4, 4, 4)), "1*212*"),
              lambda: mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 3),
              lambda: mf.fundamental_form(M, x, mf.adapted_frame(M, y)),
@@ -588,6 +593,9 @@ def test_input_checks_are_value_errors_under_python_O(flags):
         "ValueError: a twistor point needs a base point of shape (4,) and a line of shape (2,), "
         "got (3,) and (2,)",
         "ValueError: expected one scale parameter or three, got 2",
+        "ValueError: scale parameters must be positive and finite, got nan",
+        "ValueError: scale parameters must be positive and finite, got inf",
+        "ValueError: metric parameter nan is not finite",
         "ValueError: need frame components of shape (4,4,4,4), got (4, 4, 4)",
         "ValueError: domain box must be 4x2, got (3, 2)",
         "ValueError: frame was built at a different point",
@@ -982,11 +990,10 @@ def _ddbar_reference(i, lam, M, conn, z, outer_step=2e-3):
     be = M.backend.with_step(outer_step)
     dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
     coeff = {}
-    for kidx, (a, b, c) in enumerate(keys):
-        for p in range(6):
-            if p not in (a, b, c):
-                key = tuple(sorted((p, a, b, c)))
-                coeff[key] = coeff.get(key, 0.0) + (-1.0) ** key.index(p) * dg[p][kidx]
+    for key in itertools.combinations(range(6), 4):     # p ascending within each key
+        for pos, p in enumerate(key):
+            rest = keys.index(key[:pos] + key[pos + 1:])
+            coeff[key] = coeff.get(key, 0.0) + (-1.0) ** pos * dg[p][rest]
     B0 = tw.coframe_rows(M, t, y0)
     return tw._bidegree_project6(ComplexForm(6, 4, coeff), tw._adapted_rows(i, B0), 2) * 1j
 
@@ -1018,6 +1025,28 @@ def test_evaluate_metric_record():
     ev3 = tw.evaluate_metric(surface("hopf"), "chern", zpt("hopf"), 1, (0.8, 1.2, 0.6))
     assert ev3.balanced_formula is None       # product display is one-parameter
     assert ev3.dK_residual < 1e-7
+
+
+@pytest.mark.parametrize("lam", [1.0, 1000.0, 3000.0])
+def test_evaluate_metric_balanced_defect_has_the_bits_of_condition_report(lam):
+    # both read K ^ dK from the sweep's blocks, without the W_3 ^ dW_3 roundoff
+    M = surface("cp2_fs")
+    z = tw.sample_twistor_points(M, 1, seed=0)[0]
+    ev = tw.evaluate_metric(M, "lichnerowicz", z, 1, lam)
+    row = tw.condition_report(M, "lichnerowicz", [lam], [z]).rows[0]
+    assert row.i == 1 and ev.balanced_defect == row.balanced_defect
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1.0, math.nan, 1.0),
+                                 (math.inf, 1.0, 1.0), (1.0, 1.0, -math.inf)])
+def test_non_finite_fiber_parameters_are_refused(bad):
+    M, z = surface("cp2_fs"), zpt("cp2_fs")
+    calls = (lambda: tw.condition_report(M, "lichnerowicz", [bad], [z]),
+             lambda: tw.K_form(1, bad, coframe("cp2_fs", "lichnerowicz")),
+             lambda: tw.evaluate_metric(M, "lichnerowicz", z, 1, bad))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"metric parameter -?(nan|inf) (is not finite|below)"):
+            call()
 
 
 def test_condition_report_runs_the_levi_civita_body_once_per_point(monkeypatch):

@@ -12,8 +12,10 @@ four built-ins with the lichnerowicz, chern and bismut connections, a
 lambda triple alone and together with --lambda values (json and text), the
 gauduchon member t = 0.5, `report` on cp2_fs at lambda = 1000 (json and
 text), where the roundoff of the K ^ dK oracle is weighted by powers of
-lambda, `appendix`, a text `scan`, a json `scan` of the hopf/chern pair
-whose grid holds lambda = 1 and sqrt 2, and a text `verify --suite algebra`.
+lambda, `appendix` at the default scales, at lambda = 1.2 and at a scale
+triple, a text `verify --suite appendix`, a text `scan`, a json `scan` of
+the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, and a text
+`verify --suite algebra`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -63,6 +65,8 @@ def argv_list():
             "--points", "2", "--format", fmt] for fmt in ("json", "text")),
         ["appendix", "--format", "json"],
         ["appendix", "--lambda", "1.2", "--format", "text"],
+        ["appendix", "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1", "--format", "json"],
+        ["verify", "--suite", "appendix", "--format", "text"],
         ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "1:2",
          "--grid", "9", "--format", "text"],
         ["scan", "--surface", "hopf", "--connection", "chern", "--lambda", "1",

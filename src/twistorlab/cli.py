@@ -65,51 +65,46 @@ def _format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _emit_json(obj, out: List[str], level: int) -> None:
+_quote = json.encoder.encode_basestring_ascii     # the bytes of json.dumps(str)
+
+
+def _json_text(obj, pad: str) -> str:
     # hand-rolled so floats carry 17 significant digits; the stdlib encoder
-    # always uses shortest-roundtrip repr and offers no hook to change it
-    pad = "  " * level
+    # always uses shortest-roundtrip repr and offers no hook to change it.
+    # Every container is one join of its items, which are indented by pad + "  "
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is str:
+        return _quote(obj)
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for n, item in enumerate(obj):
-            out.append(pad + "  ")
-            _emit_json(item, out, level + 1)
-            out.append(",\n" if n + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
+            return "[]"
+        items = [_json_text(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for n, (key, value) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit_json(value, out, level + 1)
-            out.append(",\n" if n + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            return "{}"
+        items = [_quote(str(key)) + ": " + _json_text(value, inner) for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:
-    out: List[str] = []
-    _emit_json(obj, out, 0)
-    return "".join(out) + "\n"
+    return _json_text(obj, "") + "\n"
 
 
 def write_output(text: str, out_path: Optional[str]) -> None:
@@ -373,15 +368,12 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
 
     structures = [args.i] if args.i else [1, 2, 3, 4]
     points = sample_twistor_points(M, args.points, seed=args.seed)
-    sweeps = [CoframeSweep(M, conn, z) for z in points]
+    sw = CoframeSweep.stack(M, conn, points)
 
-    # the defects of every (i, lambda) row at one point from one weighted sum
+    # the defects of every (i, lambda) row at every point from one weighted sum
     pairs = [(i, lam) for i in structures for lam in grid]
-    weights = lambda_weights(pairs)
-    sym, bal = np.zeros(len(pairs)), np.zeros(len(pairs))
-    for sw in sweeps:
-        dK, KdK = sw.defect_rows(weights)
-        sym, bal = np.maximum(sym, norms(dK)), np.maximum(bal, norms(KdK))
+    dK, KdK = sw.defect_rows(lambda_weights(pairs))
+    sym, bal = norms(dK).max(axis=0), norms(KdK).max(axis=0)
     rows = [{"i": i, "lambda": lam, "symplectic_defect": float(s), "balanced_defect": float(b)}
             for (i, lam), s, b in zip(pairs, sym, bal)]
 
@@ -389,8 +381,7 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     crossings: Dict[str, object] = {}
     for i in structures:
         per_point = []
-        for z, sw in zip(points, sweeps):
-            root, resid = lambda_zero_crossing(i, M, conn, z, sweep=sw)
+        for root, resid in lambda_zero_crossing(i, M, conn, points, sweep=sw):
             if root is None or not u_lo <= root <= u_hi:
                 per_point.append(None)
                 continue
@@ -502,28 +493,28 @@ def _suite_appendix() -> List[Dict[str, object]]:
 
 
 def _oracle_job(job) -> List[Dict[str, object]]:
-    """The Lichnerowicz and Chern checks of one surface, built once so that
-    both connections share its point memo."""
-    surface, n_points, seed, tol = job
-    M = builtin(surface)
+    """The Lichnerowicz and Chern checks of one built-in surface; both
+    connections use the one surface object, so they share its point memo,
+    and each builds one sweep of all the points."""
+    name, surfaces, n_points, seed, tol = job
+    M = surfaces.pop(name)
     points = sample_twistor_points(M, n_points, seed=seed)
     checks = []
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
     for conn in ("lichnerowicz", "chern"):
-        worst = 0.0
-        for z in points:
-            sw = CoframeSweep(M, conn, z)
-            co = twistor_coframe(M, conn, z, with_structure=True)
-            resid = cut(weighted_sum(weights, co.dW_coeffs) - weighted_sum(weights, sw.dW_coeffs))
-            worst = max(worst, float(np.max(norms(resid))))
-        checks.append(_check(f"oracle:{surface}:{conn}", worst, tol,
+        oracle = weighted_sum(weights, CoframeSweep.stack(M, conn, points).dW_coeffs)
+        formula = np.stack([twistor_coframe(M, conn, z, with_structure=True).dW_coeffs for z in points])
+        worst = float(np.max(norms(cut(weighted_sum(weights, formula) - oracle))))
+        checks.append(_check(f"oracle:{name}:{conn}", worst, tol,
                              detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
     return checks
 
 
-def _suite_oracle(n_points: int, seed: int, tol: float) -> List[Dict[str, object]]:
-    jobs = [(surface, n_points, seed, tol)
-            for surface in ("flat_c2", "cp2_fs", "ch2", "hopf")]
+def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: int,
+                  tol: float) -> List[Dict[str, object]]:
+    # each job takes its surface out of `surfaces`, so that the surface and
+    # its point memo are released when the job ends
+    jobs = [(name, surfaces, n_points, seed, tol) for name in list(surfaces)]
     return [check for checks in _parallel_map(_oracle_job, jobs) for check in checks]
 
 
@@ -537,7 +528,7 @@ def _random_form(rng: np.random.Generator, dim: int, degree: int) -> ComplexForm
     return ComplexForm(dim, degree, terms)
 
 
-def _suite_algebra(seed: int) -> List[Dict[str, object]]:
+def _suite_algebra(surfaces: Dict[str, HermitianSurface], seed: int) -> List[Dict[str, object]]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (4, 6):
@@ -566,8 +557,6 @@ def _suite_algebra(seed: int) -> List[Dict[str, object]]:
     star = max(star, (hodge_star_4(minus) + minus).norm())
     checks.append(_check("algebra:hodge-star", star, 1e-12))
 
-    # the built-ins, with c = 2 for cp2_fs and ch2 (builtin's default)
-    surfaces = {name: builtin(name) for name in _SURFACE_POINTS}
     curv = 0.0
     for name, x in _SURFACE_POINTS.items():
         defects = levi_civita(surfaces[name], np.array(x)).defects()
@@ -593,10 +582,13 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     checks: List[Dict[str, object]] = []
     if args.suite in ("appendix", "all"):
         checks.extend(_suite_appendix())
+    # the built-ins, with c = 2 for cp2_fs and ch2 (builtin's default),
+    # built once for both suites that use them
+    surfaces = {} if args.suite == "appendix" else {name: builtin(name) for name in _SURFACE_POINTS}
     if args.suite in ("algebra", "all"):
-        checks.extend(_suite_algebra(args.seed))
+        checks.extend(_suite_algebra(surfaces, args.seed))
     if args.suite in ("oracle", "all"):
-        checks.extend(_suite_oracle(args.points, args.seed, args.tol))
+        checks.extend(_suite_oracle(surfaces, args.points, args.seed, args.tol))
 
     passed = all(c["passed"] for c in checks)
     doc = _envelope("verify", {"suite": args.suite, "seed": args.seed,

@@ -329,6 +329,8 @@ def _params(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
     for v in lams:
         if not 0.0 < v < math.inf:          # false for nan too
             raise ValueError(f"scale parameters must be positive and finite, got {v:g}")
+        if v * v == math.inf:
+            raise ValueError(f"scale parameter {v:g} is too large: its square overflows")
     return lams  # type: ignore[return-value]
 
 

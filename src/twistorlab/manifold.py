@@ -304,7 +304,7 @@ class DiffBackend:
     whole stencil; it is the one FD entry point of the package, nested
     derivatives included (`partials` of a field that itself calls
     `partials`), and only `CoframeSweep` calls its two halves directly, to
-    put the bundle point in its stencil's stack.  The partials of a form's
+    put its bundle points in their stencils' stack.  The partials of a form's
     coefficients become its exterior derivative in one place,
     `exterior.d_rows`.  `partial` is the
     one-direction case for a function of one point, evaluated point by

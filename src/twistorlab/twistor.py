@@ -194,6 +194,8 @@ def _lambdas(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
             raise ValueError(f"metric parameter {v:g} is not finite")
         if v < LAMBDA_MIN:
             raise ValueError(f"metric parameter {v:g} below the positivity floor {LAMBDA_MIN:g}")
+        if v * v == math.inf:
+            raise ValueError(f"metric parameter {v:g} is too large: its square overflows")
     return lams  # type: ignore[return-value]
 
 
@@ -426,22 +428,26 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 # ======================================================================
 
 def _adapted_rows(i: int, B: np.ndarray) -> np.ndarray:
-    """6x6 complex matrix whose first three rows are the J_i-(1,0) coframe."""
-    full = np.vstack([B, np.conj(B)])
-    idx = _J_ROWS[i]
-    top = full[list(idx)]
-    return np.vstack([top, np.conj(top)])
+    """The 6x6 complex matrices (..., 6, 6) whose first three rows are the
+    J_i-(1,0) coframe, for coframe rows B (..., 3, 6)."""
+    top = np.concatenate([B, np.conj(B)], axis=-2)[..., list(_J_ROWS[i]), :]
+    return np.concatenate([top, np.conj(top)], axis=-2)
 
 
 def _real_part(A: np.ndarray, y: Optional[np.ndarray], what: str) -> np.ndarray:
-    """Re A, after checking that the imaginary residue of A is roundoff."""
-    if not np.max(np.abs(np.imag(A))) < 1e-9:
-        raise DegenerateCoframeError(y, f"complex residue in {what}")
+    """Re A, after checking that the imaginary residue of A is roundoff.  A
+    holds one block per point of the stack y (..., 6), or one block when y
+    is None; the error names the first failing point."""
+    ok = np.max(np.abs(np.imag(A)).reshape(np.shape(y)[:-1] + (-1,)), axis=-1) < 1e-9
+    if not np.all(ok):
+        raise DegenerateCoframeError(None if y is None else np.reshape(y, (-1, 6))[np.argmin(ok)],
+                                     f"complex residue in {what}")
     return np.real(A)
 
 
 def _structure(i: int, B: np.ndarray, y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """(C, J_i): the adapted rows of B and the real endomorphism C^-1 D C."""
+    """(C, J_i): the adapted rows of B (..., 3, 6) and the real endomorphisms
+    C^-1 D C (..., 6, 6)."""
     C = _adapted_rows(i, B)
     return C, _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
 
@@ -467,15 +473,15 @@ def h_lambda_matrix(coframe: TwistorCoframe, lam: Union[float, Sequence[float]])
 
 
 def _W_coeffs(B: np.ndarray) -> np.ndarray:
-    """The coefficient rows (3, 15) of W_1 = phi^1 ^ conj(phi^1),
+    """The coefficient rows (..., 3, 15) of W_1 = phi^1 ^ conj(phi^1),
     W_2 = conj(phi^2) ^ phi^2 and W_3 = phi^3 ^ conj(phi^3) for the coframe
-    rows B (read-only): the one source of both coframes' `W_coeffs`."""
-    rows = []
-    for a in range(3):
-        out = np.einsum("m,n->mn", B[a], np.conj(B[a]))
-        out = out - out.T
-        rows.append((-out if a == 1 else out)[np.triu_indices(6, 1)])
-    return read_only(cut(np.stack(rows)))
+    rows B (..., 3, 6) (read-only): the one source of both coframes'
+    `W_coeffs`."""
+    out = np.einsum("...am,...an->...amn", B, np.conj(B))
+    out = out - np.swapaxes(out, -1, -2)
+    out[..., 1, :, :] = -out[..., 1, :, :]
+    m, n = np.triu_indices(6, 1)
+    return read_only(cut(out[..., m, n]))
 
 
 def _check_index(i: int) -> None:
@@ -496,13 +502,16 @@ def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -
 
 def weighted_sum(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """i (w_1 C_1 + w_2 C_2 + w_3 C_3) for the building-block coefficient rows
-    C (3, n) and each row of a weight table (..., 3): the one weighted sum
-    behind every K_i and dK_i.  Each step is cut as form arithmetic cuts it,
-    so a row has the bits of ((W1 * w1 + W2 * w2) + W3 * w3) * 1j on forms
-    (the factor 1j keeps every modulus, so its cut is a no-op)."""
+    C (..., 3, m) and each row of a weight table (n, 3), or one row (3,),
+    with the shape of weights @ coeffs: the one weighted sum behind every
+    K_i and dK_i.  Each step is cut as form arithmetic cuts it, so a row has
+    the bits of ((W1 * w1 + W2 * w2) + W3 * w3) * 1j on forms (the factor 1j
+    keeps every modulus, so its cut is a no-op)."""
     w = np.asarray(weights)[..., None]
-    total = cut(cut(coeffs[0] * w[..., 0, :]) + cut(coeffs[1] * w[..., 1, :]))
-    return cut(total + cut(coeffs[2] * w[..., 2, :])) * 1j
+    c = np.asarray(coeffs)
+    c = c[..., None, :, :] if w.ndim == 3 else c
+    total = cut(cut(c[..., 0, :] * w[..., 0, :]) + cut(c[..., 1, :] * w[..., 1, :]))
+    return cut(total + cut(c[..., 2, :] * w[..., 2, :])) * 1j
 
 
 def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:
@@ -682,66 +691,100 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # ======================================================================
 
 class CoframeSweep:
-    """One FD sweep of the coframe field around a bundle point.
+    """FD sweeps of the coframe field around a stack of bundle points.
 
     From B and its six partials, the exterior derivatives of the three
     building-block 2-forms follow by the product rule and J_i with its
     partials from the adapted rows; every dK_i(lambda), K_i ^ dK_i, zero
-    crossing and Nijenhuis value is then algebraic in one sweep.  B at the
-    point and at its 24 stencil points is one `coframe_rows` stack: the
-    fiber-direction stencil points sit at the base point x0 bit for bit, so
-    the stack holds 17 distinct base points, and the stencils under them
-    are evaluated as stacks too.
+    crossing and Nijenhuis value is then algebraic in one sweep.
+    `CoframeSweep.stack(M, conn, points)` sweeps n bundle points at once:
+    B at every point and at its 24 stencil points is one `coframe_rows`
+    stack of n x 25 chart points, in point order (the fiber-direction
+    stencil points sit at the base point bit for bit, so a point adds 17
+    distinct base points, and the stencils under them are evaluated as
+    stacks too).  `CoframeSweep(M, conn, z)` is the same build for the one
+    point z.  The arrays carry the point axes of the input, as
+    `coframe_rows` does: `B0` (n, 3, 6) and `dB` (n, 6, 3, 6) for a stack,
+    (3, 6) and (6, 3, 6) for one point, and each point's values have the
+    bits of its own one-point sweep.
 
-    The coefficient rows `W_coeffs` (3, 15) and `dW_coeffs` (3, 20) of the
-    building blocks do not depend on i or lambda; each is built once, on
-    first use, and shared by every K, dK, K ^ dK and zero crossing of the
-    sweep.  A whole (i, lambda) grid is one weighted sum of those rows and
-    one weighted sum of the blocks W_a ^ dW_b (`defect_rows`).
+    The coefficient rows `W_coeffs` (n, 3, 15) and `dW_coeffs` (n, 3, 20) of
+    the building blocks, and their blocks `W_wedge_dW` (n, 3, 3, 6), do not
+    depend on i or lambda; each is built once, on first use, and shared by
+    every K, dK, K ^ dK and zero crossing of the sweep.  A whole (i, lambda)
+    grid of every point is one weighted sum of those rows and one weighted
+    sum of the blocks (`defect_rows`).  `K`, `dK` and `K_wedge_dK` give the
+    forms of a one-point sweep.
 
-    Raises DegenerateCoframeError when the Gram determinant of B at the
-    point is near zero or not finite, or when dB is not finite.
+    Raises DegenerateCoframeError, naming the first failing point in stack
+    order as a point-by-point sweep does, when the Gram determinant of B at
+    a point is near zero or not finite, or when its dB is not finite.
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint):
+        self._sweep(M, conn, z.chart_coordinates())
+
+    @classmethod
+    def stack(cls, M: HermitianSurface, conn: Union[str, float],
+              points: Sequence[TwistorPoint]) -> "CoframeSweep":
+        """One sweep of every point of `points` (at least one)."""
+        if not len(points):
+            raise ValueError("a coframe sweep needs at least one bundle point")
+        sweep = cls.__new__(cls)
+        sweep._sweep(M, conn, np.array([z.chart_coordinates() for z in points]))
+        return sweep
+
+    def _sweep(self, M: HermitianSurface, conn: Union[str, float], y0: np.ndarray) -> None:
         t, label = normalize_connection(conn)
         self.t, self.label = t, label
         self.M = M
-        self.y0 = z.chart_coordinates()
+        self.y0 = y0                             # (..., 6)
         be = M.backend
-        stencil = be.stencil(self.y0)            # (6, m, 6)
+        # each point followed by its stencil, (..., 1 + 6 m, 6)
+        stencil = np.moveaxis(be.stencil(y0), (0, 1), (-3, -2))      # (..., 6, m, 6)
+        Y = np.concatenate([y0[..., None, :], stencil.reshape(y0.shape[:-1] + (-1, 6))], axis=-2)
         try:
-            B = coframe_rows(M, t, np.concatenate([self.y0[None], stencil.reshape(-1, 6)]))
+            B = coframe_rows(M, t, Y)
         except Exception:
-            # a point-by-point sweep builds and checks B at y0 before any stencil point
-            _check_gram(coframe_rows(M, t, self.y0), self.y0)
+            # the error a point-by-point sweep meets first: each point's
+            # checks in stack order, B at a point before its stencil
+            if y0.ndim > 1:
+                for y in y0:
+                    CoframeSweep.__new__(CoframeSweep)._sweep(M, conn, y)
+            else:
+                _check_gram(coframe_rows(M, t, y0), y0)
             raise
-        self.B0 = B[0]
-        _check_gram(self.B0, self.y0)
-        self.dB = be.combine(B[1:].reshape(stencil.shape[:2] + (3, 6)))
-        if not np.all(np.isfinite(self.dB)):
-            raise DegenerateCoframeError(self.y0, "coframe derivative not finite")
+        self.B0 = B[..., 0, :, :]
+        values = np.moveaxis(B[..., 1:, :, :].reshape(stencil.shape[:-1] + (3, 6)),
+                             (-4, -3), (0, 1))                      # (6, m, ..., 3, 6)
+        self.dB = np.moveaxis(be.combine(values), 0, -3)              # (..., 6, 3, 6)
+        finite = np.all(np.isfinite(self.dB), axis=(-3, -2, -1))
+        for B0, ok, y in zip(self.B0.reshape(-1, 3, 6), finite.ravel(), y0.reshape(-1, 6)):
+            _check_gram(B0, y)
+            if not ok:
+                raise DegenerateCoframeError(y, "coframe derivative not finite")
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
-        """The coefficients (3, 15) of W_1, W_2, W_3 at the bundle point
-        (read-only)."""
+        """The coefficients (..., 3, 15) of W_1, W_2, W_3 at the bundle
+        points (read-only)."""
         return _W_coeffs(self.B0)
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
-        """The coefficients (3, 20) of dW_1, dW_2, dW_3: `d_rows` of the slot
-        rows of their partials, each by the product rule
+        """The coefficients (..., 3, 20) of dW_1, dW_2, dW_3: `d_rows` of the
+        slot rows of their partials, each by the product rule
         d_s(phi ^ conj(phi)) = d_s phi ^ conj(phi) + phi ^ d_s conj(phi)
         (read-only)."""
-        r, dr = self.B0, self.dB                      # (3, 6) and (6 partials, 3, 6)
-        # S[a, s, m, n] = d_s(phi^a)_m conj(phi^a)_n + phi^a_m d_s(conj(phi^a))_n
-        S = np.einsum("sam,an->asmn", dr, np.conj(r)) + np.einsum("am,san->asmn", r, np.conj(dr))
+        r, dr = self.B0, self.dB                      # (..., 3, 6) and (..., 6 partials, 3, 6)
+        # S[..., a, s, m, n] = d_s(phi^a)_m conj(phi^a)_n + phi^a_m d_s(conj(phi^a))_n
+        S = (np.einsum("...sam,...an->...asmn", dr, np.conj(r))
+             + np.einsum("...am,...san->...asmn", r, np.conj(dr)))
         m, n = np.triu_indices(6, 1)
         P = S[..., m, n] - S[..., n, m]
-        P[1] = -P[1]                       # W_2 = conj(phi^2) ^ phi^2
+        P[..., 1, :, :] = -P[..., 1, :, :]            # W_2 = conj(phi^2) ^ phi^2
         return read_only(cut(d_rows(P, 6, 2)))
 
     # -- assembled oracle values ------------------------------------------
@@ -754,39 +797,43 @@ class CoframeSweep:
 
     @functools.cached_property
     def W_wedge_dW(self) -> np.ndarray:
-        """The blocks W_a ^ dW_b (3, 3, 6), with W_3 ^ dW_3 set to 0: it
+        """The blocks W_a ^ dW_b (..., 3, 3, 6), with W_3 ^ dW_3 set to 0: it
         vanishes identically (each of its terms repeats phi^3 or
         conj(phi^3)), but wedged from FD rows it leaves roundoff, which
         K ^ dK would weight by lambda^4 (read-only)."""
-        blocks = wedge_vectors(self.W_coeffs[:, None], self.dW_coeffs[None], 6, 2, 3)
-        blocks[2, 2] = 0.0
+        blocks = wedge_vectors(self.W_coeffs[..., :, None, :], self.dW_coeffs[..., None, :, :], 6, 2, 3)
+        blocks[..., 2, 2, :] = 0.0
         return read_only(cut(blocks))
 
     def defect_rows(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The coefficients of dK (n, 20) and of K ^ dK (n, 6) for each row
-        of a weight table (n, 3) (`lambda_weights`).  Row r of dK has the
-        bits of `dK(i, lam).vec`; K ^ dK = -sum_ab w_a w_b W_a ^ dW_b is
-        the block sum of `W_wedge_dW`."""
+        """The coefficients of dK (..., n, 20) and of K ^ dK (..., n, 6) at
+        each bundle point for each row of a weight table (n, 3)
+        (`lambda_weights`).  Row r of dK has the bits of `dK(i, lam).vec`;
+        K ^ dK = -sum_ab w_a w_b W_a ^ dW_b is the block sum of
+        `W_wedge_dW`."""
         w = np.asarray(weights)
-        KdK = -np.einsum("na,nb,abs->ns", w, w, self.W_wedge_dW)
+        KdK = -np.einsum("na,nb,...abs->...ns", w, w, self.W_wedge_dW)
         return weighted_sum(w, self.dW_coeffs), cut(KdK)
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return ComplexForm(6, 5, self.defect_rows(lambda_weights([(i, lam)]))[1][0])
 
-    def nijenhuis(self, i: int) -> float:
-        """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs.
+    def nijenhuis(self, i: int):
+        """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs,
+        at each bundle point: a float for a one-point sweep, (n,) for a stack.
 
         N(X, Y) = [J X, J Y] - J[J X, Y] - J[X, J Y] - [X, Y] on coordinate
         fields, whose own brackets vanish.  J = C^-1 D C for the adapted rows
         C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).
         """
         C, J = _structure(i, self.B0, self.y0)
-        dC = np.stack([_adapted_rows(i, dBp) for dBp in self.dB])
-        dJ = _real_part(np.linalg.solve(C, _D @ dC - dC @ J), self.y0, f"the derivative of J_{i}")
+        dC = _adapted_rows(i, self.dB)
+        dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
+                        self.y0, f"the derivative of J_{i}")
         # S[a, b] = J-contraction terms of N(d_a, d_b); N is its antisymmetric part
-        S = np.einsum("pa,pmb->abm", J, dJ) + np.einsum("mn,bna->abm", J, dJ)
-        return float(np.max(np.linalg.norm(S - S.transpose(1, 0, 2), axis=2)))
+        S = np.einsum("...pa,...pmb->...abm", J, dJ) + np.einsum("...mn,...bna->...abm", J, dJ)
+        worst = np.max(np.linalg.norm(S - np.swapaxes(S, -3, -2), axis=-1), axis=(-2, -1))
+        return float(worst) if worst.ndim == 0 else worst
 
 
 def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
@@ -818,21 +865,23 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
                  outer_step: float = 2e-3) -> ComplexForm:
     """i del dbar K_i by nested finite differences.
 
-    The inner pass produces the (1,2)-part of dK at each stencil point (a
-    fresh coframe sweep per point, projected with the J_i bidegree of that
-    point); the outer pass differentiates those coefficients and keeps the
-    (2,2)-part.  Only meaningful when J_i is integrable.
+    The inner pass produces the (1,2)-part of dK at each stencil point (one
+    coframe sweep of the whole outer stencil, each point projected with
+    the J_i bidegree of that point); the outer pass differentiates those
+    coefficients and keeps the (2,2)-part.  Only meaningful when J_i is
+    integrable.
     """
     t, _ = normalize_connection(conn)
     y0 = z.chart_coordinates()
 
     def dbar_vecs(Y: np.ndarray) -> np.ndarray:
         """The (1,2)-part coefficients at every point of a stack Y (..., 6),
-        one coframe sweep per point."""
-        out = []
-        for y in Y.reshape(-1, 6):
-            sw = CoframeSweep(M, t, TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
-            out.append(_bidegree_project6(sw.dK(i, lam), _adapted_rows(i, sw.B0), 1).vec)
+        from one stacked coframe sweep."""
+        sw = CoframeSweep.stack(M, t, [TwistorPoint.from_zeta(y[:4], complex(y[4], y[5]))
+                                       for y in Y.reshape(-1, 6)])
+        dK = weighted_sum(lambda_weights([(i, lam)])[0], sw.dW_coeffs)
+        out = [_bidegree_project6(ComplexForm(6, 3, v), _adapted_rows(i, B0), 1).vec
+               for v, B0 in zip(dK, sw.B0)]
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (-1,))
 
     B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
@@ -1000,26 +1049,32 @@ def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint) -> fl
 # ======================================================================
 
 def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
-                         z: TwistorPoint,
-                         sweep: Optional[CoframeSweep] = None) -> Tuple[Optional[float], float]:
+                         z: Union[TwistorPoint, Sequence[TwistorPoint]],
+                         sweep: Optional[CoframeSweep] = None):
     """Least-squares root of dK_i(lambda^2) = A + lambda^2 B over the fiber
-    parameter: returns (lambda^2_*, residual at the root).
+    parameter: returns (lambda^2_*, residual at the root) for one bundle
+    point z, or a list of these pairs for a stack of points, from one
+    stacked sweep (`sweep`, when given, is the sweep of z).
 
     The sweep is linear in lambda^2, so the root is -<A, B>/<B, B> on the
     coefficient vectors; None when the fiber block B vanishes (then the
     defect is lambda-independent and `residual` reports |A|).
     """
-    sw = sweep or CoframeSweep(M, conn, z)
-    # dK_i at lambda^2 = 0 and the coefficient of lambda^2
-    A, Bf = weighted_sum(np.array(_WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], sw.dW_coeffs)
-    used = (A != 0) | (Bf != 0)
-    av, bv = A[used], Bf[used]
-    bb = float(np.real(np.vdot(bv, bv)))
-    if bb < 1e-18:
-        return None, float(np.linalg.norm(av))
-    root = -float(np.real(np.vdot(bv, av))) / bb
-    resid = float(np.linalg.norm(av + root * bv))
-    return root, resid
+    one = isinstance(z, TwistorPoint)
+    sw = sweep or (CoframeSweep(M, conn, z) if one else CoframeSweep.stack(M, conn, z))
+    # dK_i at lambda^2 = 0 and the coefficient of lambda^2, at each point
+    rows = weighted_sum(np.array(_WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], sw.dW_coeffs)
+    out = []
+    for A, Bf in rows.reshape(-1, 2, rows.shape[-1]):
+        used = (A != 0) | (Bf != 0)
+        av, bv = A[used], Bf[used]
+        bb = float(np.real(np.vdot(bv, bv)))
+        if bb < 1e-18:
+            out.append((None, float(np.linalg.norm(av))))
+            continue
+        root = -float(np.real(np.vdot(bv, av))) / bb
+        out.append((root, float(np.linalg.norm(av + root * bv))))
+    return out[0] if one else out
 
 
 @dataclass(frozen=True)
@@ -1161,30 +1216,28 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     triples = [tuple(float(u) for u in v) for v in lambdas if np.ndim(v) != 0]
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
-    sweeps = [CoframeSweep(M, conn, z) for z in points]
+    sw = CoframeSweep.stack(M, conn, points)
     coframes = [twistor_coframe(M, conn, z) if formula_ok else None for z in points]
     flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
-    nij = {i: max(sw.nijenhuis(i) for sw in sweeps) for i in (1, 2, 3, 4)}
-    crossings = {i: [lambda_zero_crossing(i, M, conn, z, sweep=sw)
-                     for z, sw in zip(points, sweeps)]
-                 for i in (1, 2, 3, 4)}
+    nij = {i: max(sw.nijenhuis(i).tolist()) for i in (1, 2, 3, 4)}
+    crossings = {i: lambda_zero_crossing(i, M, conn, points, sweep=sw) for i in (1, 2, 3, 4)}
 
-    # every (i, lambda) row of every point from one weighted sum per sweep;
-    # the scalar rows come first, and their K ^ dK displays are checked too
+    # every (i, lambda) row of every point from one weighted sum of the
+    # sweep; the scalar rows come first, and their K ^ dK displays are
+    # checked too
     pairs = [(i, lam) for lams in (grid, triples) for i in (1, 2, 3, 4) for lam in lams]
     weights = lambda_weights(pairs)
     n_scalar = 4 * len(grid)
     scalar_i = np.repeat([1, 2, 3, 4], len(grid))
     scalar_lam2 = np.abs(weights[:n_scalar, 2])      # +-lambda^2 in the fiber column
-    sym, bal = np.zeros(len(pairs)), np.zeros(len(pairs))
+    dKo, bo = sw.defect_rows(weights)
+    sym, bal = norms(dKo).max(axis=0), norms(bo).max(axis=0)
     res: Optional[np.ndarray] = None
-    for sw, co in zip(sweeps, coframes):
-        dKo, bo = sw.defect_rows(weights)
-        sym, bal = np.maximum(sym, norms(dKo)), np.maximum(bal, norms(bo))
+    for dK_k, b_k, co in zip(dKo, bo, coframes):
         if co is not None:
-            r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dKo))
+            r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dK_k))
             bf = _balanced_rows(co, scalar_i, scalar_lam2)
-            r[:n_scalar] = np.maximum(r[:n_scalar], norms(cut(bf - bo[:n_scalar])))
+            r[:n_scalar] = np.maximum(r[:n_scalar], norms(cut(bf - b_k[:n_scalar])))
             res = r if res is None else np.maximum(res, r)
 
     rows = [MetricConditionRow(

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistorlab
 from twistorlab import __version__
@@ -59,6 +61,98 @@ def test_json_floats_carry_seventeen_significant_digits():
     text = dump_json({"v": 1.0 / 3.0})
     assert '"v": 0.33333333333333331' in text
     assert json.loads(text)["v"] == 1.0 / 3.0
+
+
+def _reference_dump_json(obj) -> str:
+    """The recursive emitter dump_json replaced: one call per value, and
+    json.dumps for every string and key."""
+    out = []
+
+    def emit(obj, level):
+        pad = "  " * level
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, (int, np.integer)):
+            out.append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            if not math.isfinite(obj):
+                raise ValueError("non-finite number in report")
+            out.append(format(float(obj), ".17g"))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj))
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                out.append("[]")
+                return
+            out.append("[\n")
+            for n, item in enumerate(obj):
+                out.append(pad + "  ")
+                emit(item, level + 1)
+                out.append(",\n" if n + 1 < len(obj) else "\n")
+            out.append(pad + "]")
+        elif isinstance(obj, dict):
+            if not obj:
+                out.append("{}")
+                return
+            out.append("{\n")
+            items = list(obj.items())
+            for n, (key, value) in enumerate(items):
+                out.append(pad + "  " + json.dumps(str(key)) + ": ")
+                emit(value, level + 1)
+                out.append(",\n" if n + 1 < len(items) else "\n")
+            out.append(pad + "}")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    emit(obj, 0)
+    return "".join(out) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--surface", "cp2_fs", "--params", "c=2", "--lambda", "1", "--lambda1", "1.3",
+     "--lambda2", "0.7", "--lambda3", "2.1", "--points", "2"],
+    ["scan", "--surface", "hopf", "--connection", "chern", "--lambda-range", "0.5:2.5", "--grid", "7"],
+    ["verify", "--suite", "all"],
+    ["appendix"],
+])
+def test_dump_json_has_the_bytes_of_the_reference_emitter(argv, monkeypatch, capsys):
+    from twistorlab import cli
+    docs = []
+    monkeypatch.setattr(cli, "dump_json", lambda doc: (docs.append(doc), dump_json(doc))[1])
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(docs) == 1
+    assert dump_json(docs[0]) == _reference_dump_json(docs[0])
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text() | st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32)
+            | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+            | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+            | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32))
+_DOCUMENTS = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text() | st.integers(), inner, max_size=5)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_dump_json_matches_the_reference_emitter_on_nested_documents(doc):
+    assert dump_json(doc) == _reference_dump_json(doc)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ([1.0, {"a": float("nan")}], ValueError), ({"a": [np.float64("inf")]}, ValueError),
+    ({"a": [1, {2, 3}]}, TypeError), ([np.bool_(True)], TypeError), ([b"bytes"], TypeError),
+])
+def test_dump_json_refuses_what_the_reference_emitter_refuses(bad, error):
+    for emitter in (dump_json, _reference_dump_json):
+        with pytest.raises(error):
+            emitter(bad)
 
 
 def test_json_handles_the_document_vocabulary():
@@ -181,19 +275,23 @@ def test_report_triple_parameters(capsys):
 
 
 def test_report_with_lambdas_and_a_triple_builds_one_sweep_and_coframe_per_point(monkeypatch, capsys):
+    # one stacked sweep that holds each bundle point once, and one formula
+    # coframe per point
     from twistorlab import cli
     from twistorlab import twistor as tw
     built = []
-    for name in ("CoframeSweep", "twistor_coframe"):
-        orig = getattr(tw, name)
-        counted = lambda *a, _orig=orig, _name=name, **k: (built.append(_name), _orig(*a, **k))[1]  # noqa: E731
-        for module in (tw, cli):
-            monkeypatch.setattr(module, name, counted)
+    build, coframe = tw.CoframeSweep._sweep, tw.twistor_coframe
+    monkeypatch.setattr(tw.CoframeSweep, "_sweep",
+                        lambda self, M, conn, y0: (built.append(("sweep", len(y0))),
+                                                   build(self, M, conn, y0))[1])
+    counted = lambda *a, **k: (built.append(("twistor_coframe", 1)), coframe(*a, **k))[1]  # noqa: E731
+    for module in (tw, cli):
+        monkeypatch.setattr(module, "twistor_coframe", counted)
     code, doc = run_json(["report", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
                           "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
                           "--points", "2"], capsys)
     assert code == 0
-    assert sorted(built) == ["CoframeSweep"] * 2 + ["twistor_coframe"] * 2
+    assert built == [("sweep", 2)] + [("twistor_coframe", 1)] * 2
     assert [row["i"] for row in doc["triple_rows"]] == [1, 2, 3, 4]
     assert list(doc)[-2:] == ["triple_rows", "summary"]
 
@@ -277,9 +375,9 @@ def test_scan_takes_one_weighted_sum_per_point(monkeypatch, capsys):
     code, doc = run_json(["scan", "--surface", "hopf", "--connection", "chern",
                           "--lambda-range", "0.5:2", "--grid", "5", "--points", "2"], capsys)
     assert code == 0
-    # one weight table of all (i, lambda) rows per point; no per-row dK, and
-    # the closed-form crossing takes none either
-    assert tables == [(4 * 5, 3)] * 2
+    # one weight table of all (i, lambda) rows for the stack of both points;
+    # no per-row dK, and the closed-form crossing takes none either
+    assert tables == [(4 * 5, 3)]
     assert calls[0] == 0
 
 

@@ -290,6 +290,14 @@ def test_non_finite_parameters_rejected(bad):
             call()
 
 
+@pytest.mark.parametrize("big", [1e200, 1.4e154, (1.0, 1e200, 1.0)])
+def test_scales_whose_square_overflows_are_refused(big):
+    for call in (lambda: flag_K(1, big), lambda: flag_dK(1, big), lambda: appendix_table(big)):
+        with pytest.raises(ValueError, match=r"scale parameter \S+ is too large: its square overflows$"):
+            call()
+    flag_K(1, 1.3e154)                # its square, 1.69e308, is finite
+
+
 @pytest.mark.parametrize("i", [0, 5, 9])
 def test_bad_structure_index_rejected(i):
     with pytest.raises(ValueError, match="1..4"):

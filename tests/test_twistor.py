@@ -314,18 +314,19 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     pts = tw.sample_twistor_points(surface("cp2_fs"), 2, seed=0)
     report = lambda M: tw.condition_report(M, "lichnerowicz", [1.0, SQ2], pts)  # noqa: E731
 
-    # (a) the report builds exactly one sweep per bundle point
+    # (a) the report builds one stacked sweep that holds each bundle point once
     built = []
-    init = tw.CoframeSweep.__init__
+    build = tw.CoframeSweep._sweep
 
-    def counted(self, M, conn, z, *args, **kwargs):
-        built.append(tuple(z.chart_coordinates()))
-        init(self, M, conn, z, *args, **kwargs)
+    def counted(self, M, conn, y0):
+        built.append(np.array(y0))
+        build(self, M, conn, y0)
 
     with monkeypatch.context() as mp:
-        mp.setattr(tw.CoframeSweep, "__init__", counted)
+        mp.setattr(tw.CoframeSweep, "_sweep", counted)
         report(counting_surface("cp2_fs")[0])
-    assert sorted(built) == sorted(tuple(z.chart_coordinates()) for z in pts)
+    assert len(built) == 1
+    assert np.array_equal(built[0], [z.chart_coordinates() for z in pts])
 
     # (b) no point reaches the metric callable twice, whichever layer asks
     M, seen = counting_surface("cp2_fs")
@@ -368,6 +369,75 @@ def test_sweep_checks_its_base_point_before_its_stencil():
     z = tw.TwistorPoint.from_zeta([0.0, 1.0 - 1.5 * M.backend.reach(), 0.1, 0.2], 0.2)
     with np.errstate(all="ignore"), pytest.raises(tw.DegenerateCoframeError, match="Gram determinant"):
         tw.CoframeSweep(M, "lichnerowicz", z)
+
+
+STACK_POINTS = {name: tw.sample_twistor_points(surface(name), 5, seed=11) for name in
+                ("flat_c2", "cp2_fs", "ch2", "hopf")}
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern", "bismut"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_sweep_has_the_bits_of_one_point_sweeps(name, conn, n):
+    # each on a fresh surface, so neither reads what the other stored
+    fresh = lambda: builtin(name, c=2.0) if name == "cp2_fs" else builtin(name)  # noqa: E731
+    pts = STACK_POINTS[name][:n]
+    stacked = tw.CoframeSweep.stack(fresh(), conn, pts)
+    M = fresh()
+    singles = [tw.CoframeSweep(M, conn, z) for z in pts]
+    weights = tw.lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, SQ2, 2.5, (1.3, 0.7, 2.1))])
+    rows = stacked.defect_rows(weights)
+    crossings = {i: tw.lambda_zero_crossing(i, M, conn, pts, sweep=stacked) for i in (1, 2, 3, 4)}
+    nij = {i: stacked.nijenhuis(i) for i in (1, 2, 3, 4)}
+    assert stacked.y0.shape == (n, 6) and all(v.shape == (n,) for v in nij.values())
+    for k, sw in enumerate(singles):
+        for attr in ("y0", "B0", "dB", "W_coeffs", "dW_coeffs", "W_wedge_dW"):
+            assert np.array_equal(getattr(stacked, attr)[k], getattr(sw, attr)), attr
+        for got, want in zip(rows, sw.defect_rows(weights)):
+            assert np.array_equal(got[k], want)
+        for i in (1, 2, 3, 4):
+            assert nij[i][k] == sw.nijenhuis(i)
+            assert crossings[i][k] == tw.lambda_zero_crossing(i, M, conn, pts[k], sweep=sw)
+
+
+_DEGENERATE_AT_X1_0 = "coords x1 x2 x3 x4\ng 1 1 = 1/x1^2\ng 2 2 = 1/x1^2\nJ standard\n"
+
+
+@pytest.mark.parametrize("second,error", [
+    # B degenerate at the point, its stencil inside the domain
+    ([0.0, 0.3, 0.1, 0.2], tw.DegenerateCoframeError),
+    # B degenerate at the point, a stencil point too close to the boundary
+    ([0.0, 0.997, 0.1, 0.2], tw.DegenerateCoframeError),
+    # the point itself too close to the boundary for the base FD stencils
+    ([0.0, 0.9995, 0.1, 0.2], ValueError),
+])
+def test_stacked_sweep_raises_the_error_the_point_by_point_loop_meets_first(second, error):
+    pts = [tw.TwistorPoint.from_zeta([0.5, 0.2, 0.1, 0.2], 0.2),
+           tw.TwistorPoint.from_zeta(second, 0.2), tw.TwistorPoint.from_zeta([0.0, 0.5, 0.1, 0.2], 0.3)]
+    with np.errstate(all="ignore"):
+        with pytest.raises(Exception) as per_point:
+            M = parse_surface_spec(_DEGENERATE_AT_X1_0)
+            for z in pts:
+                tw.CoframeSweep(M, "lichnerowicz", z)
+        with pytest.raises(Exception) as stacked:
+            tw.CoframeSweep.stack(parse_surface_spec(_DEGENERATE_AT_X1_0), "lichnerowicz", pts)
+    assert per_point.type is stacked.type is error
+    assert str(stacked.value) == str(per_point.value)
+    assert str(second)[:-1] in str(stacked.value)      # the second point is named
+
+
+def test_an_empty_stack_is_refused():
+    with pytest.raises(ValueError, match="at least one bundle point"):
+        tw.CoframeSweep.stack(surface("flat_c2"), "lichnerowicz", [])
+
+
+def test_ddbar_oracle_reaches_the_metric_less_often_than_per_point_sweeps():
+    # the outer pass sweeps its 24 stencil points as one stack; with one
+    # sweep per point, memo clears let 1 370 points reach the metric callable
+    M, seen = counting_surface("cp2_fs")
+    tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", zpt("cp2_fs"))
+    assert len(seen) <= 1370
+    assert len(seen) == len(set(seen))
 
 
 def test_sweep_builds_each_building_block_once(monkeypatch):
@@ -569,6 +639,9 @@ for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
              lambda: flag_K(1, float("nan")),
              lambda: appendix_table((1.0, float("inf"), 1.0)),
              lambda: tw.condition_report(M, "lichnerowicz", [float("nan")], [z]),
+             lambda: appendix_table(1e200),
+             lambda: flag_K(1, 1e200),
+             lambda: tw.lambda_weights([(1, 1e200)]),
              lambda: cn.complexify(np.zeros((4, 4, 4)), "1*212*"),
              lambda: mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 3),
              lambda: mf.fundamental_form(M, x, mf.adapted_frame(M, y)),
@@ -596,6 +669,9 @@ def test_input_checks_are_value_errors_under_python_O(flags):
         "ValueError: scale parameters must be positive and finite, got nan",
         "ValueError: scale parameters must be positive and finite, got inf",
         "ValueError: metric parameter nan is not finite",
+        "ValueError: scale parameter 1e+200 is too large: its square overflows",
+        "ValueError: scale parameter 1e+200 is too large: its square overflows",
+        "ValueError: metric parameter 1e+200 is too large: its square overflows",
         "ValueError: need frame components of shape (4,4,4,4), got (4, 4, 4)",
         "ValueError: domain box must be 4x2, got (3, 2)",
         "ValueError: frame was built at a different point",
@@ -1047,6 +1123,19 @@ def test_non_finite_fiber_parameters_are_refused(bad):
     for call in calls:
         with pytest.raises(ValueError, match=r"metric parameter -?(nan|inf) (is not finite|below)"):
             call()
+
+
+@pytest.mark.parametrize("big", [1e200, 1.4e154, (1.0, 1e200, 1.0)])
+def test_fiber_parameters_whose_square_overflows_are_refused(big):
+    M, z = surface("cp2_fs"), zpt("cp2_fs")
+    calls = (lambda: tw.condition_report(M, "lichnerowicz", [big], [z]),
+             lambda: tw.lambda_weights([(1, big)]),
+             lambda: tw.K_form(1, big, coframe("cp2_fs", "lichnerowicz")),
+             lambda: tw.evaluate_metric(M, "lichnerowicz", z, 1, big))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"metric parameter \S+ is too large: its square overflows"):
+            call()
+    assert tw.lambda_weights([(1, 1.3e154)])[0, 2] < math.inf
 
 
 def test_condition_report_runs_the_levi_civita_body_once_per_point(monkeypatch):

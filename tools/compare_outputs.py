@@ -14,8 +14,11 @@ gauduchon member t = 0.5, `report` on cp2_fs at lambda = 1000 (json and
 text), where the roundoff of the K ^ dK oracle is weighted by powers of
 lambda, `appendix` at the default scales, at lambda = 1.2 and at a scale
 triple, a text `verify --suite appendix`, a text `scan`, a json `scan` of
-the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, and a text
-`verify --suite algebra`.
+the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, a text
+`verify --suite algebra`, and invocations whose coframe sweeps stack more
+than two bundle points: `report --points 5` on cp2_fs (c=2) and on
+hopf/chern, `scan --points 4` on cp2_fs and `verify --suite oracle
+--points 3`.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -73,6 +76,11 @@ def argv_list():
          "--lambda", "1.4142135623730951", "--lambda-range", "0.5:2.5", "--grid", "7",
          "--format", "json"],
         ["verify", "--suite", "algebra", "--format", "text"],
+        ["report", "--surface", "cp2_fs", "--params", "c=2", "--points", "5", "--format", "json"],
+        ["report", "--surface", "hopf", "--connection", "chern", "--points", "5", "--format", "json"],
+        ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "0.5:2.5",
+         "--grid", "9", "--points", "4", "--format", "json"],
+        ["verify", "--suite", "oracle", "--points", "3", "--format", "json"],
     ]
     return out
 

@@ -33,6 +33,7 @@ from twistorlab.manifold import (
     dF_array,
     lee_components,
     point_memo,
+    push_slots,
 )
 
 CONNECTION_T = {"lichnerowicz": 0.0, "chern": 1.0, "bismut": -1.0}
@@ -84,11 +85,10 @@ def complexify(tensor: np.ndarray, pattern: str, rows: np.ndarray = _B_FRAME) ->
     tensor = np.asarray(tensor)
     if tensor.shape != (4, 4, 4, 4):
         raise ValueError(f"need frame components of shape (4,4,4,4), got {tensor.shape}")
-    vecs = []
-    for idx, conj in parse_pattern(pattern):
-        v = rows[idx]
-        vecs.append(np.conj(v) if conj else v)
-    return complex(np.einsum("ijkl,i,j,k,l->", tensor, *vecs))
+    out = tensor
+    for idx, conj in reversed(parse_pattern(pattern)):     # the last slot first
+        out = out @ (np.conj(rows[idx]) if conj else rows[idx])
+    return complex(out)
 
 
 # ======================================================================
@@ -154,7 +154,8 @@ def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray) 
     dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
     # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
     nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
-    return np.einsum("zml,zmnj,zli->zijn", g, nabla, E)
+    # h(grad_{d_nu} e_j, e_i) = (g E)[mu, i] (grad_{d_nu} e_j)^mu
+    return np.einsum("zmi,zmnj->zijn", push_slots(g, E, (1,)), nabla)
 
 
 @point_memo
@@ -181,7 +182,7 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
     Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
-    Rfr = np.einsum("zmnrs,zmi,znj,zrk,zsl->zijkl", Rdn, E, E, E, E)
+    Rfr = push_slots(Rdn, E, (0, 1, 2, 3))
     return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=omega_coord,
                           omega_frame=omega_frame, R=Rfr)
 
@@ -196,12 +197,12 @@ def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarr
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, 4)
     Jm = M.J(X)
-    dF3 = dF_array(M, X)
     c1 = (1.0 - t) / 4.0
     c2 = (1.0 + t) / 4.0
-    # c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z)
-    JdF_all = np.einsum("zabc,zan,zbr,zcl->znrl", dF3, Jm, Jm, Jm)
-    JdF_first = np.einsum("zabc,zan->znbc", dF3, Jm)
+    # c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z), the first term being the second
+    # pushed through J in its last two slots
+    JdF_first = push_slots(dF_array(M, X), Jm, (0,))
+    JdF_all = push_slots(JdF_first, Jm, (1, 2))
     return (c1 * JdF_all - c2 * JdF_first).reshape(x.shape[:-1] + (4, 4, 4))
 
 
@@ -268,7 +269,7 @@ def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) 
     """A(d_nu, e_j, e_i) at an (n, 4) stack of points x with frames E: the D^t
     correction om~^i_j(d_nu) - om^i_j(d_nu)."""
     A = torsion_correction(M, x, t)
-    return np.einsum("znrl,zrj,zli->zijn", A, E, E)
+    return np.transpose(push_slots(A, E, (1, 2)), (0, 3, 2, 1))
 
 
 @point_memo
@@ -313,11 +314,10 @@ def gauduchon(M: HermitianSurface, x: np.ndarray, t: float) -> HermitianConnecti
 
     U = fr.U
     Ubar = np.conj(U)
-    eta = fr.eta
+    Tu = push_slots(T, fr.eta.T, (0,))      # T^a(X, Y) = eta^a( T(X, Y) )
+
     def tcomp(vb, vc):
-        # T^a(X, Y) = eta^a( T(X, Y) )
-        vec = np.einsum("mnr,nb,rc->mbc", T, vb, vc)
-        return np.einsum("am,mbc->abc", eta, vec)
+        return push_slots(push_slots(Tu, vb, (1,)), vc, (2,))
     return HermitianConnectionData(
         point=x, t=t, frame=fr,
         omega_tilde_coord=om_t, psi_coord=psi, mu_coord=mu,
@@ -458,7 +458,7 @@ def torsion_auxiliary(M: HermitianSurface, x: np.ndarray) -> TorsionAuxiliary:
 
     alpha_frame = ac @ fr.E  # alpha(e_i)
     alpha_sq = float(np.dot(alpha_frame, alpha_frame))
-    B3_frame = np.einsum("abc,ai,bj,ck->ijk", B3, fr.E, fr.E, fr.E)
+    B3_frame = push_slots(B3, fr.E, (0, 1, 2))
 
     # covariant derivative of the 3-form in coordinates, then frame components
     dB3 = d[:, 8:].reshape(4, 4, 4, 4)
@@ -466,7 +466,7 @@ def torsion_auxiliary(M: HermitianSurface, x: np.ndarray) -> TorsionAuxiliary:
               - np.einsum("mna,mbc->nabc", Gm, B3)
               - np.einsum("mnb,amc->nabc", Gm, B3)
               - np.einsum("mnc,abm->nabc", Gm, B3))
-    gradB3_frame = np.einsum("nabc,nd,ai,bj,ck->dijk", gradB3, fr.E, fr.E, fr.E, fr.E)
+    gradB3_frame = push_slots(gradB3, fr.E, (0, 1, 2, 3))
 
     return TorsionAuxiliary(point=x, frame=fr, alpha_frame=alpha_frame, L=L,
                             d_alpha_J=d_alpha_J, alpha_sq=alpha_sq,

@@ -25,7 +25,7 @@ import numpy as np
 
 from twistorlab.connection import LeviCivitaData, levi_civita
 from twistorlab.exterior import SdAsdBasis, antisymmetric_array
-from twistorlab.manifold import HermitianSurface, J_STANDARD, dF_form
+from twistorlab.manifold import HermitianSurface, J_STANDARD, dF_form, push_slots
 
 DEFAULT_PREDICATE_TOL = 1e-6
 
@@ -37,11 +37,6 @@ DEFAULT_PREDICATE_TOL = 1e-6
 def _basis_arrays(basis: SdAsdBasis) -> np.ndarray:
     """Stack the six basis 2-forms as full antisymmetric 4x4 component arrays."""
     return antisymmetric_array(np.stack([f.vec for f in basis.all_forms()]), 4, 2).real
-
-
-def _pair(R: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    """Sum over ordered index pairs: sum_{i<j,k<l} A_ij R_ijkl B_kl."""
-    return 0.25 * float(np.einsum("ij,ijkl,kl->", A, R, B))
 
 
 @dataclass(frozen=True)
@@ -61,11 +56,10 @@ def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
     forms a and b; because the basis is orthonormal these are the operator
     matrix entries of the block decomposition directly.
     """
-    arrs = _basis_arrays(SdAsdBasis.standard())
-    M = np.empty((6, 6))
-    for a in range(6):
-        for b in range(6):
-            M[a, b] = _pair(levi.R, arrs[a], arrs[b])
+    # sum over ordered index pairs: sum_{i<j,k<l} A_ij R_ijkl B_kl, with R
+    # as a matrix over the index pairs (ij), (kl)
+    arrs = _basis_arrays(SdAsdBasis.standard()).reshape(6, 16)
+    M = 0.25 * push_slots(levi.R.reshape(16, 16), arrs.T, (0, 1))
     return CurvatureOperator6(point=levi.point, matrix=M)
 
 

@@ -991,6 +991,21 @@ def _raise_at_first(bad: np.ndarray, x: np.ndarray, error: Callable[[list], Exce
         raise error(np.reshape(x, (-1, 4))[np.argmax(bad)].tolist())
 
 
+def push_slots(T: np.ndarray, P: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+    """T with each listed slot pushed through the matrix P, one slot at a time:
+    out[..., i, ...] = sum_a T[..., a, ...] P[..., a, i].
+
+    P's point axes (all but its last two) lead T as well; `slots` count T's
+    remaining axes from 0.  Each slot is one two-operand einsum, because
+    numpy runs a multi-operand einsum as one loop over every index
+    combination.
+    """
+    idx = "abcdefgh"[:T.ndim - P.ndim + 2]
+    for s in slots:
+        T = np.einsum(f"...{idx},...{idx[s]}z->...{idx[:s]}z{idx[s + 1:]}", T, P)
+    return T
+
+
 # ======================================================================
 # fundamental form, dF, Lee form
 # ======================================================================
@@ -1045,7 +1060,7 @@ def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndar
     `dF_array`.
     """
     # dF over the adapted coframe: dx^mu = sum_i E[mu, i] theta^i
-    dF = np.einsum("...abc,...ai,...bj,...ck->...ijk", dF_array(M, x), E, E, E)
+    dF = push_slots(dF_array(M, x), E, (0, 1, 2))
     # -*dF, with *(theta^a ^ theta^b ^ theta^c) = sign(a, b, c, d) theta^d
     b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
     # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4

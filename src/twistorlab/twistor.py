@@ -35,7 +35,7 @@ import numpy as np
 from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, substitute,
                        wedge, wedge_all, wedge_vectors)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, adapted_frame,
-                       coordinate_fundamental_matrix, dF_array, stack_field)
+                       coordinate_fundamental_matrix, dF_array, push_slots, stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, direct_curvature,
                          gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
 from .curvature_analysis import ConditionFlags, condition_flags
@@ -383,7 +383,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     if with_structure:
         # Levi-Civita curvature forms in coordinates, then their u(2)-matrix
         # entries, rotated into the fiber frame
-        Om = np.einsum("ijkl,km,ln->ijmn", lc.R, fr.theta, fr.theta)
+        Om = push_slots(lc.R, fr.theta, (2, 3))
         P = complex_connection_matrix(Om.reshape(4, 4, 16)).reshape(2, 2, 4, 4)
         tau3 = _matrix_two_form(_mobius12(P, zeta))
 
@@ -394,7 +394,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
             math.sqrt(2.0) * np.real(Vrows[0]), -math.sqrt(2.0) * np.imag(Vrows[0]),
             math.sqrt(2.0) * np.real(Vrows[1]), -math.sqrt(2.0) * np.imag(Vrows[1]),
         ])
-        Om_rot = np.einsum("mi,nj,mnpq->ijpq", Q, Q, Om)
+        Om_rot = push_slots(Om, Q, (0, 1))
         omega_diff = _matrix_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3]))
 
         R_hat = {p: complexify(lc.R, p, Vrows) for p in ("1*222*", "1*211*")}
@@ -404,7 +404,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
             Tm = np.einsum("am,mnr->anr", B[:2, :4], hd.torsion_coord)
             T_hat = [_matrix_two_form(Tm[a]) for a in range(2)]
             V = fr.U @ A      # coordinate components of v_1, v_2
-            T_comp = np.array([np.einsum("nr,n,r->", Tm[a], V[:, 0], V[:, 1]) for a in range(2)])
+            T_comp = push_slots(Tm, V, (1, 2))[:, 0, 1]
         if abs(t - 1.0) < 1e-12:
             dc = direct_curvature(M, x, 1.0)
             Psi_hat = [[None, None], [None, None]]
@@ -468,8 +468,7 @@ def h_lambda_matrix(coframe: TwistorCoframe, lam: Union[float, Sequence[float]])
     l1, l2, l3 = _lambdas(lam)
     w = np.array([l1 ** 2, l2 ** 2, l3 ** 2])
     B = coframe.B
-    G = 2.0 * np.real(np.einsum("a,am,an->mn", w, np.conj(B), B))
-    return G
+    return 2.0 * np.real(np.einsum("am,an->mn", w[:, None] * np.conj(B), B))
 
 
 def _W_coeffs(B: np.ndarray) -> np.ndarray:
@@ -812,7 +811,7 @@ class CoframeSweep:
         K ^ dK = -sum_ab w_a w_b W_a ^ dW_b is the block sum of
         `W_wedge_dW`."""
         w = np.asarray(weights)
-        KdK = -np.einsum("na,nb,...abs->...ns", w, w, self.W_wedge_dW)
+        KdK = -np.einsum("nab,...abs->...ns", w[:, :, None] * w[:, None, :], self.W_wedge_dW)
         return weighted_sum(w, self.dW_coeffs), cut(KdK)
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -1019,8 +1018,8 @@ def projective_bundle_form(M: HermitianSurface, lam: float, z: TwistorPoint) -> 
     # complex Hessian over (z^1, z^2, w) and the induced real 2-form
     H = _hermitian_G(Hr)
     D = np.kron(np.eye(3), [1.0, 1j])       # dz^a over the real coordinates
-    ddbar = 1j * (np.einsum("ab,am,bn->mn", H, D, np.conj(D))
-                  - np.einsum("ab,an,bm->mn", H, D, np.conj(D)))
+    HD = push_slots(push_slots(H, D, (0,)), np.conj(D), (1,))     # H(D[:, m], conj D[:, n])
+    ddbar = 1j * (HD - HD.T)
     out = _real_part(ddbar, z.chart_coordinates(), "the projective-bundle Hessian")
     out[:4, :4] += lam * coordinate_fundamental_matrix(M, x)
     return out
@@ -1209,7 +1208,9 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     scalar entries of `lambdas` form the sorted grid of `rows`; each lambda
     triple among them gets a row per structure in `triple_rows`, in the
     order given, whose formula residual is that of dK alone (the K ^ dK
-    displays are stated for the one-parameter family).
+    displays are stated for the one-parameter family).  A defect or formula
+    residual that is not finite, as from a fiber scale whose fourth power
+    overflows, is a ValueError that names its (i, lambda).
     """
     t, label = normalize_connection(conn)
     grid = tuple(sorted(float(v) for v in lambdas if np.ndim(v) == 0))
@@ -1239,6 +1240,11 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
             bf = _balanced_rows(co, scalar_i, scalar_lam2)
             r[:n_scalar] = np.maximum(r[:n_scalar], norms(cut(bf - b_k[:n_scalar])))
             res = r if res is None else np.maximum(res, r)
+    finite = np.isfinite(sym) & np.isfinite(bal) & (res is None or np.isfinite(res))
+    if not finite.all():
+        i, lam = pairs[int(np.argmin(finite))]
+        raise ValueError(f"defect or formula residual of J_{i} at lambda = {lam} is not finite: "
+                         f"the fiber scale is too large for double precision")
 
     rows = [MetricConditionRow(
         i=i, lam=lam, symplectic_defect=float(sym[n]), symplectic=bool(sym[n] < tol),

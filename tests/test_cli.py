@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import twistorlab
 from twistorlab import __version__
 from twistorlab.cli import dump_json, main, thread_cap
+from twistorlab.manifold import builtin, lee_form
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -698,3 +699,35 @@ def test_every_imported_name_is_used_or_exported():
                     and ast.unparse(node.targets[0]) == "__all__" for elt in node.value.elts}
         unused += [f"{filename}: {name}" for name in sorted(imported - used - exported)]
     assert unused == []
+
+
+def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
+    # numpy runs an einsum of three or more operands as one loop over every
+    # index combination; the frame pushes of the curvature and torsion are
+    # chains of two-operand contractions, and this keeps them so
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+    package = os.path.dirname(twistorlab.__file__)
+    einsum, calls = np.einsum, []
+
+    def recording(*args, **kwargs):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            if os.path.dirname(frame.f_code.co_filename) == package:
+                callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((args[0], len(args) - 1, callers))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    for name in sorted(workloads.TEMPLATES):
+        for argv in next(workloads.ops(name, 0)):
+            assert main(list(argv)) == 0, argv
+    capsys.readouterr()
+    # no workload reads the Lee form; the curvature relations do
+    M = builtin("hopf")
+    lee_form(M, M.chart.interior_points(1, seed=0)[0])
+    guarded = {"torsion_correction", "levi_civita", "_lc_forms", "lee_components"}
+    assert set().union(*(callers for _, _, callers in calls)) >= guarded
+    assert [(subscripts, sorted(callers & guarded)) for subscripts, n, callers in calls if n > 2] == []

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistorlab.connection import (
+    _B_FRAME,
     CONNECTION_T,
+    _lee_fields,
     bismut_curvature_relation,
     chern_curvature_relation,
     christoffel,
@@ -17,12 +19,15 @@ from twistorlab.connection import (
     gauduchon,
     levi_civita,
     mu_from_omega,
+    omega_tilde_coord,
     parse_pattern,
     structure_equation_defect,
     torsion_auxiliary,
+    torsion_correction,
 )
 from twistorlab.exterior import ComplexForm, wedge
-from twistorlab.manifold import adapted_frame, builtin, coordinate_fundamental_matrix, lee_form
+from twistorlab.manifold import (adapted_frame, builtin, coordinate_fundamental_matrix, dF_array,
+                                 lee_components, lee_form)
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -418,3 +423,136 @@ def test_christoffel_symmetry():
     M = builtin("hopf")
     Gm = christoffel(M, RNG_POINTS["hopf"])
     assert np.max(np.abs(Gm - np.transpose(Gm, (0, 2, 1)))) < 1e-12
+
+
+# ======================================================================
+# staged frame contractions against the multi-operand einsums they replaced
+# ======================================================================
+
+BUILTINS = ("flat_c2", "cp2_fs", "ch2", "hopf")
+T_GENERIC = 0.3     # both terms of the D^t correction are nonzero
+
+
+def _reference_torsion_correction(M, x, t):
+    X = np.asarray(x, dtype=float).reshape(-1, 4)
+    Jm, dF3 = M.J(X), dF_array(M, X)
+    return ((1.0 - t) / 4.0 * np.einsum("zabc,zan,zbr,zcl->znrl", dF3, Jm, Jm, Jm)
+            - (1.0 + t) / 4.0 * np.einsum("zabc,zan->znbc", dF3, Jm))
+
+
+def _reference_lc_forms(M, x):
+    g, E, Gm = M.metric(x), adapted_frame(M, x).E, christoffel(M, x)
+    dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
+    nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
+    return np.einsum("zml,zmnj,zli->zijn", g, nabla, E)
+
+
+def _reference_torsion_forms(M, x, t):
+    E = adapted_frame(M, x).E
+    return np.einsum("znrl,zrj,zli->zijn", _reference_torsion_correction(M, x, t), E, E)
+
+
+def _reference_riemann(M, x):
+    g, E, Gm = M.metric(x), adapted_frame(M, x).E, christoffel(M, x)
+    dG = M.backend.partials(lambda p: christoffel(M, p), x)
+    Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
+           + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
+    Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
+    return np.einsum("zmnrs,zmi,znj,zrk,zsl->zijkl", Rdn, E, E, E, E)
+
+
+def _reference_lee_components(M, x, E):
+    dF = np.einsum("...abc,...ai,...bj,...ck->...ijk", dF_array(M, x), E, E, E)
+    b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
+    return np.stack([-b[..., 1], b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
+
+
+def _reference_torsion_auxiliary_pushes(M, x):
+    """alpha_J_wedge_F and grad_alpha_J_wedge_F of torsion_auxiliary."""
+    E, Gm = adapted_frame(M, x).E, christoffel(M, x)
+    fields = lambda p: _lee_fields(M, p)  # noqa: E731
+    B3 = fields(x)[8:].reshape(4, 4, 4)
+    dB3 = M.backend.partials(fields, x)[:, 8:].reshape(4, 4, 4, 4)
+    gradB3 = (dB3 - np.einsum("mna,mbc->nabc", Gm, B3) - np.einsum("mnb,amc->nabc", Gm, B3)
+              - np.einsum("mnc,abm->nabc", Gm, B3))
+    return (np.einsum("abc,ai,bj,ck->ijk", B3, E, E, E),
+            np.einsum("nabc,nd,ai,bj,ck->dijk", gradB3, E, E, E, E))
+
+
+def _reference_torsion_components(data):
+    """(T20, T11, T02) of a HermitianConnectionData."""
+    T, U, eta = data.torsion_coord, data.frame.U, data.frame.eta
+    def tcomp(vb, vc):
+        return np.einsum("am,mbc->abc", eta, np.einsum("mnr,nb,rc->mbc", T, vb, vc))
+    return tcomp(U, U), tcomp(U, np.conj(U)), tcomp(np.conj(U), np.conj(U))
+
+
+def _reference_complexify(tensor, pattern):
+    vecs = [np.conj(_B_FRAME[idx]) if conj else _B_FRAME[idx] for idx, conj in parse_pattern(pattern)]
+    return complex(np.einsum("ijkl,i,j,k,l->", tensor, *vecs))
+
+
+def assert_close_to_reference(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.all(np.abs(new - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def _staged_results(M, x):
+    """Every stacked result a staged contraction feeds, at a stack x (n, 4)."""
+    om_t, om_lc, fr = omega_tilde_coord(M, x, T_GENERIC)
+    return {"torsion_correction": torsion_correction(M, x, T_GENERIC),
+            "levi_civita.R": levi_civita(M, x).R,
+            "omega_tilde_coord": om_t,
+            "omega_lc": om_lc,
+            "lee_components": lee_components(M, x, fr.E)}
+
+
+def _reference_results(M, x):
+    E = adapted_frame(M, x).E
+    return {"torsion_correction": _reference_torsion_correction(M, x, T_GENERIC),
+            "levi_civita.R": _reference_riemann(M, x),
+            "omega_tilde_coord": _reference_lc_forms(M, x) + _reference_torsion_forms(M, x, T_GENERIC),
+            "omega_lc": _reference_lc_forms(M, x),
+            "lee_components": _reference_lee_components(M, x, E)}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_staged_contractions_match_the_multi_operand_einsums(name):
+    points = builtin(name).chart.interior_points(34, seed=7)
+    for n in (1, 2, 34):
+        x = points[:n]
+        M = builtin(name)
+        got, want = _staged_results(M, x), _reference_results(M, x)
+        for key in want:
+            assert_close_to_reference(got[key], want[key])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_staged_contractions_keep_each_points_bits_in_any_stack(name):
+    points = builtin(name).chart.interior_points(34, seed=7)
+    whole = _staged_results(builtin(name), points)      # a fresh memo per stack
+    for n in (1, 2):
+        part = _staged_results(builtin(name), points[:n])
+        for key, value in part.items():
+            assert np.array_equal(value, whole[key][:n]), (n, key)
+    for k in (5, 33):
+        one = _staged_results(builtin(name), points[k:k + 1])
+        for key, value in one.items():
+            assert np.array_equal(value[0], whole[key][k]), (k, key)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_single_point_staged_contractions_match_the_multi_operand_einsums(name):
+    M = builtin(name)
+    for x in M.chart.interior_points(3, seed=8):
+        aux = torsion_auxiliary(M, x)
+        B3_frame, gradB3_frame = _reference_torsion_auxiliary_pushes(M, x)
+        assert_close_to_reference(aux.alpha_J_wedge_F, B3_frame)
+        assert_close_to_reference(aux.grad_alpha_J_wedge_F, gradB3_frame)
+        data = gauduchon(M, x, T_GENERIC)
+        for got, want in zip((data.T20, data.T11, data.T02), _reference_torsion_components(data)):
+            assert_close_to_reference(got, want)
+        R = levi_civita(M, x).R
+        for pattern in ("1*212", "1*21*2", "1*211*", "1*222*", "12*1*2", "1212"):
+            assert_close_to_reference(complexify(R, pattern), _reference_complexify(R, pattern))

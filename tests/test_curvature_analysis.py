@@ -6,6 +6,7 @@ import pytest
 from twistorlab.connection import levi_civita
 from twistorlab.curvature_analysis import (
     ConditionFlags,
+    _basis_arrays,
     condition_flags,
     curvature_operator,
     decompose,
@@ -13,6 +14,7 @@ from twistorlab.curvature_analysis import (
     ricci_tensor,
     trace_free_ricci,
 )
+from twistorlab.exterior import SdAsdBasis
 from twistorlab.manifold import builtin
 
 POINTS = {
@@ -44,6 +46,23 @@ def test_operator_symmetry(name):
     for x in M.chart.interior_points(3, seed=17):
         op = curvature_operator(levi_civita(M, x))
         assert op.symmetry_defect() < 1e-8
+
+
+def _reference_curvature_operator(levi):
+    """The 6x6 operator entry by entry: sum_{i<j,k<l} A_ij R_ijkl B_kl."""
+    arrs = _basis_arrays(SdAsdBasis.standard())
+    return np.array([[0.25 * float(np.einsum("ij,ijkl,kl->", arrs[a], levi.R, arrs[b]))
+                      for b in range(6)] for a in range(6)])
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+def test_operator_matches_the_multi_operand_einsum(name):
+    M = builtin(name)
+    for x in M.chart.interior_points(3, seed=9):
+        lc = levi_civita(M, x)
+        ref = _reference_curvature_operator(lc)
+        got = curvature_operator(lc).matrix
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_cp2_operator_anchor_values():

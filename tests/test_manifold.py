@@ -366,6 +366,33 @@ def test_lee_form_matches_the_exterior_algebra_reference(name):
         assert np.array_equal(stacked[k], mf.lee_components(M, x, E[k]))
 
 
+# the multi-operand einsums push_slots replaced, each with the slots it pushes
+_REFERENCE_PUSHES = [
+    ("...abc,...ai,...bj,...ck->...ijk", (0, 1, 2)),                # dF frame, (alpha o J) ^ F frame
+    ("...mnrs,...mi,...nj,...rk,...sl->...ijkl", (0, 1, 2, 3)),     # Riemann, its covariant derivative
+    ("...abc,...bj,...ck->...ajk", (1, 2)),                         # D^t forms, dF(JX, JY, JZ)
+    ("...ijkl,...km,...ln->...ijmn", (2, 3)),                       # curvature 2-forms Om
+    ("...mnpq,...mi,...nj->...ijpq", (0, 1)),                       # Om rotated into the fiber
+    ("...ab,...am,...bn->...mn", (0, 1)),                           # 6x6 operator, bundle Hessian
+]
+
+
+@pytest.mark.parametrize("subscripts,slots", _REFERENCE_PUSHES)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_push_slots_matches_the_multi_operand_einsum(subscripts, slots, dtype):
+    rng = np.random.default_rng(len(subscripts))
+    k = subscripts.index(",") - 3
+    T = rng.normal(size=(34,) + (4,) * k).astype(dtype)
+    P = rng.normal(size=(34, 4, 3)) * (1.0 + (dtype is complex) * 1j)
+    whole = mf.push_slots(T, P, slots)
+    ref = np.einsum(subscripts, T, *[P] * len(slots))
+    assert whole.shape == ref.shape
+    assert np.all(np.abs(whole - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    for n in (1, 2):      # each point keeps its bits in any stack, and alone
+        assert np.array_equal(mf.push_slots(T[:n], P[:n], slots), whole[:n])
+    assert np.array_equal(mf.push_slots(T[5], P[5], slots), whole[5])
+
+
 def test_hopf_lee_form_homogeneity():
     M = mf.builtin("hopf")
     xa = np.array([0.6, 0.55, 0.62, 0.5])

@@ -1254,3 +1254,91 @@ def test_acs_isotropy_random_fiber(seed):
         J = tw.acs_endomorphism(i, B)
         assert np.max(np.abs(J @ J + np.eye(6))) < 1e-8
         assert np.max(np.abs(J.T @ G @ J - G)) < 1e-10
+
+
+# ======================================================================
+# staged frame contractions against the multi-operand einsums they replaced
+# ======================================================================
+
+def _reference_coframe_structure(M, conn, z):
+    """tau3, omega_diff, R_hat and T_components of twistor_coframe."""
+    t, _ = tw.normalize_connection(conn)
+    lc, A = cn.levi_civita(M, z.x), tw._su2(z.zeta)
+    Om = np.einsum("ijkl,km,ln->ijmn", lc.R, lc.frame.theta, lc.frame.theta)
+    P = cn.complex_connection_matrix(Om.reshape(4, 4, 16)).reshape(2, 2, 4, 4)
+    Vrows = A.T @ np.array([[1.0, -1j, 0.0, 0.0], [0.0, 0.0, 1.0, -1j]]) / SQ2
+    Q = SQ2 * np.column_stack([Vrows[0].real, -Vrows[0].imag, Vrows[1].real, -Vrows[1].imag])
+    Om_rot = np.einsum("mi,nj,mnpq->ijpq", Q, Q, Om)
+    R_hat = {}
+    for pattern in ("1*222*", "1*211*"):
+        vecs = [np.conj(Vrows[idx]) if conj else Vrows[idx] for idx, conj in cn.parse_pattern(pattern)]
+        R_hat[pattern] = complex(np.einsum("ijkl,i,j,k,l->", lc.R, *vecs))
+    T_comp = None
+    if abs(t) > 1e-12:
+        B = tw.coframe_rows(M, t, z.chart_coordinates())
+        Tm = np.einsum("am,mnr->anr", B[:2, :4], cn.gauduchon(M, z.x, t).torsion_coord)
+        V = lc.frame.U @ A
+        T_comp = np.array([np.einsum("nr,n,r->", Tm[a], V[:, 0], V[:, 1]) for a in range(2)])
+    return (tw._matrix_two_form(tw._mobius12(P, z.zeta)).vec,
+            tw._matrix_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3])).vec, R_hat, T_comp)
+
+
+def assert_close_to_reference(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.all(np.abs(new - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern", "bismut"])
+def test_coframe_structure_matches_the_multi_operand_einsums(name, conn):
+    M = surface(name)
+    for z in tw.sample_twistor_points(M, 2, seed=4):
+        co = tw.twistor_coframe(M, conn, z)
+        tau3, omega_diff, R_hat, T_comp = _reference_coframe_structure(M, conn, z)
+        assert_close_to_reference(co.tau3.vec, tau3)
+        assert_close_to_reference(co.omega_diff.vec, omega_diff)
+        for pattern, value in R_hat.items():
+            assert_close_to_reference(co.R_hat[pattern], value)
+        assert (co.T_components is None) is (T_comp is None)
+        if T_comp is not None:
+            assert_close_to_reference(co.T_components, T_comp)
+        w = np.array([1.3 ** 2, 0.7 ** 2, 2.1 ** 2])
+        assert_close_to_reference(tw.h_lambda_matrix(co, (1.3, 0.7, 2.1)),
+                                  2.0 * np.real(np.einsum("a,am,an->mn", w, np.conj(co.B), co.B)))
+
+
+# fiber scales whose fourth power overflows: K ^ dK carries lambda^4 and its
+# norm squares it, so the defects leave double precision; at 1e60 they are
+# finite (about 2.3e107) and the report stands
+_NON_FINITE_DEFECTS = """
+import warnings
+from twistorlab import twistor as tw
+from twistorlab.manifold import builtin
+warnings.simplefilter("ignore")
+M = builtin("flat_c2")
+pts = tw.sample_twistor_points(M, 1, 0)
+print(max(row.balanced_defect for row in tw.condition_report(M, "lichnerowicz", [1e60], pts).rows))
+for lams in ([1e80], [1e100], [1.0, (1.0, 1.0, 1e80)]):
+    try:
+        tw.condition_report(M, "lichnerowicz", lams, pts)
+        print("returned")
+    except ValueError as exc:
+        print(type(exc).__name__ + ":", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_finite_defects_are_value_errors_under_python_O(flags):
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _NON_FINITE_DEFECTS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert 1e107 < float(lines[0]) < 1e108
+    tail = "is not finite: the fiber scale is too large for double precision"
+    assert lines[1:] == [
+        f"ValueError: defect or formula residual of J_1 at lambda = 1e+80 {tail}",
+        f"ValueError: defect or formula residual of J_1 at lambda = 1e+100 {tail}",
+        f"ValueError: defect or formula residual of J_1 at lambda = (1.0, 1.0, 1e+80) {tail}",
+    ]

@@ -23,7 +23,10 @@ hopf/chern, `scan --points 4` on cp2_fs and `verify --suite oracle
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
 JSON path (or line and number index for text), together with the largest
-|new - old| / max(1, |old|).  It exits 1 when an exit status, a bool, a
+|new - old| / max(1, |old|) and the largest |new - old| / |old| over the
+numbers with |old| > 0; the last shows the relative drift of small
+quantities, such as finite-difference residuals, that the first hides.  It
+exits 1 when an exit status, a bool, a
 null, a string or the shape of an output differs, and 0 otherwise.
 Standard library only.
 """
@@ -98,6 +101,7 @@ class Diff:
     def __init__(self):
         self.worst = (0.0, None)        # (|delta|, path)
         self.worst_rel = (0.0, None)    # (|delta| / max(1, |old|), path)
+        self.worst_true_rel = (0.0, None)   # (|delta| / |old|, path), old != 0
         self.mismatches = []
 
     def number(self, old, new, path):
@@ -112,6 +116,8 @@ class Diff:
         rel = delta / max(1.0, abs(old))
         if rel > self.worst_rel[0]:
             self.worst_rel = (rel, path)
+        if old != 0.0 and delta / abs(old) > self.worst_true_rel[0]:
+            self.worst_true_rel = (delta / abs(old), path)
 
     def json(self, old, new, path="$"):
         if isinstance(old, bool) or isinstance(new, bool) or old is None or new is None \
@@ -161,7 +167,7 @@ def main(argv=None):
     news = [run(args.new_src, case) for case in cases]
 
     identical, failed = 0, False
-    worst, worst_rel = (0.0, None), (0.0, None)
+    worst, worst_rel, worst_true_rel = (0.0, None), (0.0, None), (0.0, None)
     for case, (old_code, old_out), (new_code, new_out) in zip(cases, olds, news):
         label = " ".join(case)
         if old_code != new_code:
@@ -179,7 +185,8 @@ def main(argv=None):
             diff.text(old_text, new_text)
         print(f"differs: {label}")
         print(f"  max |delta| {diff.worst[0]:.3g} at {diff.worst[1]}; "
-              f"max |delta|/max(1, |old|) {diff.worst_rel[0]:.3g} at {diff.worst_rel[1]}")
+              f"max |delta|/max(1, |old|) {diff.worst_rel[0]:.3g} at {diff.worst_rel[1]}; "
+              f"max |delta|/|old| {diff.worst_true_rel[0]:.3g} at {diff.worst_true_rel[1]}")
         for m in diff.mismatches:
             print(f"  MISMATCH {m}")
         failed = failed or bool(diff.mismatches)
@@ -187,10 +194,13 @@ def main(argv=None):
             worst = (diff.worst[0], f"{label} :: {diff.worst[1]}")
         if diff.worst_rel[0] > worst_rel[0]:
             worst_rel = (diff.worst_rel[0], f"{label} :: {diff.worst_rel[1]}")
+        if diff.worst_true_rel[0] > worst_true_rel[0]:
+            worst_true_rel = (diff.worst_true_rel[0], f"{label} :: {diff.worst_true_rel[1]}")
 
     print(f"{identical} of {len(cases)} invocations byte-identical")
     print(f"largest |delta|: {worst[0]:.3g} at {worst[1]}")
     print(f"largest |delta|/max(1, |old|): {worst_rel[0]:.3g} at {worst_rel[1]}")
+    print(f"largest |delta|/|old| over |old| > 0: {worst_true_rel[0]:.3g} at {worst_true_rel[1]}")
     return 1 if failed else 0
 
 

@@ -32,10 +32,9 @@ from .flag import (appendix_table, d_matrix, flag_balanced, flag_bidegree_part,
                    structural_ddbar)
 from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, SpecSyntaxError,
                        builtin, parse_surface_spec)
-from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError,
+from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, TwistorCoframe,
                       condition_report, lambda_weights, lambda_zero_crossing,
-                      normalize_connection, sample_twistor_points, twistor_coframe,
-                      weighted_sum)
+                      normalize_connection, sample_twistor_points, weighted_sum)
 
 __all__ = ["main", "build_parser"]
 
@@ -493,9 +492,10 @@ def _suite_appendix() -> List[Dict[str, object]]:
 
 
 def _oracle_job(job) -> List[Dict[str, object]]:
-    """The Lichnerowicz and Chern checks of one built-in surface; both
-    connections use the one surface object, so they share its point memo,
-    and each builds one sweep of all the points."""
+    """The Lichnerowicz and Chern checks of one built-in surface: the
+    closed-form dW of one `TwistorCoframe` stack against the FD dW of one
+    `CoframeSweep` stack, each holding all the points.  Both connections use
+    the one surface object, so they share its point memo."""
     name, surfaces, n_points, seed, tol = job
     M = surfaces.pop(name)
     points = sample_twistor_points(M, n_points, seed=seed)
@@ -503,8 +503,8 @@ def _oracle_job(job) -> List[Dict[str, object]]:
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
     for conn in ("lichnerowicz", "chern"):
         oracle = weighted_sum(weights, CoframeSweep.stack(M, conn, points).dW_coeffs)
-        formula = np.stack([twistor_coframe(M, conn, z, with_structure=True).dW_coeffs for z in points])
-        worst = float(np.max(norms(cut(weighted_sum(weights, formula) - oracle))))
+        formula = weighted_sum(weights, TwistorCoframe.stack(M, conn, points).dW_coeffs)
+        worst = float(np.max(norms(cut(formula - oracle))))
         checks.append(_check(f"oracle:{name}:{conn}", worst, tol,
                              detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
     return checks

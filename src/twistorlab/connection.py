@@ -260,9 +260,10 @@ def complex_connection_matrix(omega_coord: np.ndarray) -> np.ndarray:
 
 
 def mu_from_omega(omega_coord: np.ndarray) -> np.ndarray:
-    """mu = 1/2[(om^2_4 - om^1_3) - i(om^2_3 + om^1_4)] (1-based rows/columns)."""
-    return 0.5 * ((omega_coord[1, 3] - omega_coord[0, 2])
-                  - 1j * (omega_coord[1, 2] + omega_coord[0, 3]))
+    """mu = 1/2[(om^2_4 - om^1_3) - i(om^2_3 + om^1_4)] (1-based rows/columns),
+    for omega (..., 4, 4, m) -> mu (..., m)."""
+    om = omega_coord
+    return 0.5 * ((om[..., 1, 3, :] - om[..., 0, 2, :]) - 1j * (om[..., 1, 2, :] + om[..., 0, 3, :]))
 
 
 def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) -> np.ndarray:
@@ -270,6 +271,14 @@ def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) 
     correction om~^i_j(d_nu) - om^i_j(d_nu)."""
     A = torsion_correction(M, x, t)
     return np.transpose(push_slots(A, E, (1, 2)), (0, 3, 2, 1))
+
+
+def torsion_tensor(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
+    """The torsion T^mu_{nu rho} (..., 4, 4, 4) of D^t at a point or a stack of
+    points x (..., 4): g^{mu la} [A(d_nu, d_rho, d_la) - A(d_rho, d_nu, d_la)]
+    for the dF correction A."""
+    A = torsion_correction(M, x, t)
+    return np.einsum("...ml,...nrl->...mnr", np.linalg.inv(M.metric(x)), A - np.swapaxes(A, -3, -2))
 
 
 @point_memo
@@ -306,12 +315,7 @@ def gauduchon(M: HermitianSurface, x: np.ndarray, t: float) -> HermitianConnecti
     psi = complex_connection_matrix(om_t)
     mu = mu_from_omega(om_lc)
 
-    g = M.metric(x)
-    ginv = np.linalg.inv(g)
-    A = torsion_correction(M, x, t)
-    # T^mu_{nu rho} = g^{mu la} [A(d_nu, d_rho, d_la) - A(d_rho, d_nu, d_la)]
-    T = np.einsum("ml,nrl->mnr", ginv, A - np.transpose(A, (1, 0, 2)))
-
+    T = torsion_tensor(M, x, t)
     U = fr.U
     Ubar = np.conj(U)
     Tu = push_slots(T, fr.eta.T, (0,))      # T^a(X, Y) = eta^a( T(X, Y) )
@@ -389,15 +393,24 @@ class GauduchonCurvature:
         return out
 
 
+def curvature_rows(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
+    """The coefficient rows (..., 2, 2, 6) over dx of the curvature 2-forms
+    Psi^a_b = d psi^a_b + psi^a_c ^ psi^c_b of D^t, at a point or a stack of
+    points x (..., 4); not cut.  d psi comes from one stacked FD pass over
+    the connection-matrix field."""
+    field = psi_field(M, t)
+    psi0 = field(x)
+    dpsi = M.backend.partials(field, x)     # [..., nu, a, b, rho]
+    # pp[..., a, c, b] = psi^a_c ^ psi^c_b
+    pp = wedge_vectors(psi0[..., :, :, None, :], psi0[..., None, :, :, :], 4, 1, 1)
+    return d_rows(np.moveaxis(dpsi, -4, -2), 4, 1) + pp[..., :, 0, :, :] + pp[..., :, 1, :, :]
+
+
 def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float) -> GauduchonCurvature:
     """Curvature of D^t from FD of the connection-matrix field plus psi ^ psi."""
     x = np.asarray(x, dtype=float)
     fr = adapted_frame(M, x)
-    field = psi_field(M, t)
-    psi0 = field(x)
-    dpsi = M.backend.partials(field, x)     # [nu, a, b, rho], one stack for the stencil
-    pp = wedge_vectors(psi0[:, :, None], psi0[None], 4, 1, 1)     # [a, c, b] = psi^a_c ^ psi^c_b
-    rows = d_rows(np.moveaxis(dpsi, 0, 2), 4, 1) + pp[:, 0] + pp[:, 1]
+    rows = curvature_rows(M, x, t)
     Psi = [[ComplexForm(4, 2, rows[a, b]) for b in range(2)] for a in range(2)]
     return GauduchonCurvature(point=x, t=t, frame=fr, Psi=Psi)
 

@@ -105,7 +105,8 @@ def norms(vecs: np.ndarray) -> np.ndarray:
     """Coefficient 2-norms of the rows of a coefficient stack (..., n),
     the moduli squared and summed in slot order."""
     m = _modulus(vecs)
-    return np.sqrt(np.cumsum(m * m, axis=-1)[..., -1])
+    with np.errstate(over="ignore"):        # a coefficient beyond 1e154 has norm inf
+        return np.sqrt(np.cumsum(m * m, axis=-1)[..., -1])
 
 
 def antisymmetric_array(rows: np.ndarray, dim: int, p: int) -> np.ndarray:

@@ -32,12 +32,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, substitute,
-                       wedge, wedge_all, wedge_vectors)
+from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
+                       substitute, wedge, wedge_all, wedge_vectors)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, adapted_frame,
                        coordinate_fundamental_matrix, dF_array, push_slots, stack_field)
-from .connection import (CONNECTION_T, complex_connection_matrix, complexify, direct_curvature,
-                         gauduchon, levi_civita, mu_from_omega, omega_tilde_coord)
+from .connection import (CONNECTION_T, complex_connection_matrix, complexify, curvature_rows,
+                         levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
 from .curvature_analysis import ConditionFlags, condition_flags
 
 __all__ = [
@@ -203,11 +203,14 @@ def _lambdas(lam: Union[float, Sequence[float]]) -> Tuple[float, float, float]:
 # the pulled-back coframe
 # ======================================================================
 
-def _su2(zeta: complex) -> np.ndarray:
+def _su2(zeta) -> np.ndarray:
     """Columns are the coefficients of the rotated (1,0)-frame (v_1, v_2)
-    over (u_1, u_2):  v_1 = (u_1 + zeta u_2)/N,  v_2 = (-conj(zeta) u_1 + u_2)/N."""
-    N = math.sqrt(1.0 + abs(zeta) ** 2)
-    return np.array([[1.0, -np.conj(zeta)], [zeta, 1.0]], dtype=complex) / N
+    over (u_1, u_2):  v_1 = (u_1 + zeta u_2)/N,  v_2 = (-conj(zeta) u_1 + u_2)/N,
+    for a number zeta (2, 2) or each entry of an array zeta (..., 2, 2)."""
+    z = np.asarray(zeta, dtype=complex)
+    A = np.ones(z.shape + (2, 2), dtype=complex)
+    A[..., 0, 1], A[..., 1, 0] = -np.conj(z), z
+    return A / np.sqrt(_norm2(z.reshape(-1))).reshape(z.shape + (1, 1))
 
 
 # 1 + |zeta|^2 and conj(zeta)^2 entry by entry with python's scalar
@@ -253,66 +256,312 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray) -> np.ndarray:
 
 
 def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
-    """Raise DegenerateCoframeError unless the Gram determinant of the
-    coframe rows B and their conjugates is finite and clear of zero."""
-    if not abs(np.linalg.det(np.vstack([B, np.conj(B)]))) > 1e-8:
-        raise DegenerateCoframeError(y, "coframe degenerated (Gram determinant ~ 0)")
+    """Raise DegenerateCoframeError, naming the first failing point of the
+    stack y (..., 6), unless the Gram determinant of the coframe rows B
+    (..., 3, 6) and their conjugates is finite and clear of zero."""
+    ok = np.abs(np.linalg.det(np.concatenate([B, np.conj(B)], axis=-2))) > 1e-8
+    if not np.all(ok):
+        raise DegenerateCoframeError(np.reshape(y, (-1, 6))[np.argmin(np.ravel(ok))],
+                                     "coframe degenerated (Gram determinant ~ 0)")
 
 
 def _row_form(row: np.ndarray) -> ComplexForm:
     return ComplexForm(6, 1, np.asarray(row, dtype=complex))
 
 
-def _lift(form4: ComplexForm) -> ComplexForm:
-    """Reinterpret a base form (over dx) on the six-coordinate chart."""
-    if form4.dim != 4:
-        raise ValueError(f"only a form over the 4-dim base lifts, got dimension {form4.dim}")
-    return ComplexForm(6, form4.degree, form4.terms)
+# the slots of the dim-6 2-forms that hold the dim-4 2-forms over dx
+_BASE_SLOTS = [s for s, key in enumerate(slot_keys(6, 2)) if max(key) < 4]
 
 
-def _matrix_two_form(mat: np.ndarray) -> ComplexForm:
-    """The chart 2-form with coefficients mat[p, q], p < q (mat may be smaller than 6 x 6)."""
-    full = np.zeros((6, 6), dtype=complex)
-    full[:mat.shape[0], :mat.shape[1]] = mat
-    return ComplexForm(6, 2, full[np.triu_indices(6, 1)])
+def _lift_rows(rows4: np.ndarray) -> np.ndarray:
+    """Base 2-form rows (..., 6) over dx as cut rows (..., 15) over the chart."""
+    out = np.zeros(rows4.shape[:-1] + (15,), dtype=complex)
+    out[..., _BASE_SLOTS] = rows4
+    return cut(out)
+
+
+def _two_form_rows(mat: np.ndarray) -> np.ndarray:
+    """The cut rows (..., 15) of the chart 2-forms with coefficients
+    mat[..., p, q], p < q, for base matrices mat (..., 4, 4)."""
+    m, n = np.triu_indices(4, 1)
+    return _lift_rows(mat[..., m, n])
+
+
+def _times(rows: np.ndarray, c) -> np.ndarray:
+    """The rows (..., m) times the numbers c (...), each with the bits of
+    `ComplexForm.__mul__` (the textbook complex product); not cut."""
+    c = np.asarray(c, dtype=complex)[..., None]
+    out = np.empty(np.broadcast_shapes(rows.shape, c.shape), dtype=complex)
+    out.real = c.real * rows.real - c.imag * rows.imag
+    out.imag = c.real * rows.imag + c.imag * rows.real
+    return out
+
+
+def _wedges(pairs, p: int, q: int) -> np.ndarray:
+    """The cut rows of a ^ b for each pair (a, b) of chart row stacks of
+    degrees p and q, from one `wedge_vectors` call: each with the bits of
+    `wedge` on the forms of its rows."""
+    a, b = zip(*pairs)
+    return cut(wedge_vectors(np.stack(a), np.stack(b), 6, p, q))
+
+
+# the frame components of u_1, u_2 over the adapted frame, before the 1/sqrt2
+_U_ROWS = np.array([[1.0, -1j, 0.0, 0.0], [0.0, 0.0, 1.0, -1j]])
 
 
 @dataclass(frozen=True)
 class TwistorCoframe:
-    """The coframe and structure data of one connection at one bundle point.
+    """The coframe and structure data of one connection at a stack of bundle
+    points.
 
-    `B` rows are phi^1..phi^3 over the chart coordinates.  The curvature and
-    torsion entries are stored already rotated into the fiber frame
+    `TwistorCoframe.stack(M, conn, points)` evaluates n bundle points at
+    once: `B` (rows phi^1..phi^3 over the chart coordinates) from one
+    `coframe_rows` call, and the base frames and connection forms from one
+    `omega_tilde_coord` call.  `twistor_coframe(M, conn, z)` is the same
+    build for the one point z.  As in `CoframeSweep`, the arrays carry the
+    point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,)
+    and (3, 6) for one point, and each point's values have the bits of its
+    own one-point coframe.
+
+    The closed-form rows do not depend on i or lambda; each is built on
+    first use, from coefficient rows with `wedge_vectors`, and shared by
+    every `K_form`, `dK_formula` and `balanced_defect_formula`:
+    `W_coeffs` (..., 3, 15) of the building blocks W_a, `dW_coeffs`
+    (..., 3, 20) of their closed-form derivatives, and `balanced_brackets`
+    (..., 2, 6), the lambda-independent 5-forms of the K_i ^ dK_i displays
+    (one for i in {1, 2}, one for i in {3, 4}).  Their inputs are built on
+    first use too: the Levi-Civita curvature entries for t = 0, the torsion
+    for t != 0 and the Chern curvature for t = 1, so dW of a Chern stack
+    needs only the entry Psi^1_2 and no `levi_civita` call.  Callers must
+    not mutate the rows (they are read-only).
+
+    The curvature and torsion entries are rotated into the fiber frame
     (v_1, v_2), which is the frame the derivative formulas are written in;
     `mu` needs no rotation (the fiber rotation acts trivially on that part
-    of the connection and contributes no fiber components).
-
-    The coefficient rows of the building blocks W_a (`W_coeffs`, from
-    `_W_coeffs` as in `CoframeSweep`) and of their closed-form derivatives
-    (`dW_coeffs`) do not depend on i or lambda; each is built once, on first
-    use, and shared by every `K_form` and `dK_formula` of the coframe.
-    Callers must not mutate them; the assembled K and dK are fresh forms.
+    of the connection and contributes no fiber components).  The
+    `ComplexForm` accessors `phi_form`, `mu`, `tau3`, `omega_diff`,
+    `R_hat`, `T_hat`, `T_components` and `Psi_hat` serve one-point
+    coframes, the input of `ddbar_formula`.
     """
 
     surface: HermitianSurface
     label: str
     t: float
-    y: np.ndarray                      # (6,)
-    zeta: complex
-    B: np.ndarray                      # (3, 6) complex
-    mu: ComplexForm                    # dim-6 1-form
-    tau3: Optional[ComplexForm] = None           # dim-6 2-form (Levi-Civita data)
-    omega_diff: Optional[ComplexForm] = None     # i(Om^1_2 - Om^3_4), rotated, dim-6
-    R_hat: Optional[Dict[str, complex]] = None   # rotated curvature components
-    Psi_hat: Optional[List[List[ComplexForm]]] = None   # rotated Chern curvature
-    T_hat: Optional[List[ComplexForm]] = None           # rotated torsion 2-forms
-    T_components: Optional[np.ndarray] = None           # (2,) complex: T^a(v_1, v_2)
+    y: np.ndarray                      # (..., 6)
+    zeta: Union[complex, np.ndarray]   # a number for one point, (n,) for a stack
+    B: np.ndarray                      # (..., 3, 6) complex
 
-    # ------------------------------------------------------------------
+    @classmethod
+    def stack(cls, M: HermitianSurface, conn: Union[str, float],
+              points: Sequence[TwistorPoint]) -> "TwistorCoframe":
+        """One coframe of every point of `points` (at least one).
+
+        Raises ValueError for a fiber coordinate outside the chart (|zeta|
+        < 4; the section degenerates as the line approaches the antipode of
+        the frame's own structure), and DegenerateCoframeError when the Gram
+        determinant of the coframe is near zero or not finite: each names
+        the first failing point in stack order, the error a point-by-point
+        build meets first.
+        """
+        if not len(points):
+            raise ValueError("a twistor coframe needs at least one bundle point")
+        return cls._build(M, conn, list(points), (len(points),))
+
+    @classmethod
+    def _build(cls, M: HermitianSurface, conn: Union[str, float], points: List[TwistorPoint],
+               shape: Tuple[int, ...]) -> "TwistorCoframe":
+        t, label = normalize_connection(conn)
+        try:
+            zeta = np.array([z.zeta for z in points])
+            y = np.array([z.chart_coordinates() for z in points])
+            far = np.abs(zeta) >= _ZETA_MAX
+            if far.any():
+                raise ValueError(f"fiber coordinate out of chart at bundle point "
+                                 f"{y[np.argmax(far)].tolist()}")
+            B = coframe_rows(M, t, y)
+            _check_gram(B, y)
+        except Exception:
+            if len(points) > 1:
+                for z in points:
+                    cls._build(M, conn, [z], ())
+            raise
+        return cls(surface=M, label=label, t=t, y=y.reshape(shape + (6,)),
+                   zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
+                   B=B.reshape(shape + (3, 6)))
+
+    # -- the stack with one point axis -----------------------------------
+
+    def _out(self, rows: np.ndarray) -> np.ndarray:
+        """Read-only rows (n, ...) with the point axes of the input."""
+        return read_only(rows.reshape(np.shape(self.y)[:-1] + rows.shape[1:]))
+
+    @functools.cached_property
+    def _x(self) -> np.ndarray:
+        return np.reshape(self.y, (-1, 6))[:, :4]
+
+    @functools.cached_property
+    def _phi(self) -> np.ndarray:
+        """The rows (n, 3, 6) of phi^1..phi^3, as their forms hold them."""
+        return cut(np.reshape(self.B, (-1, 3, 6)))
+
+    @functools.cached_property
+    def _frames(self):
+        """(omega_tilde, lc_omega, frame) at the base points."""
+        return omega_tilde_coord(self.surface, self._x, self.t)
+
+    @functools.cached_property
+    def _rotation(self) -> np.ndarray:
+        """The fiber rotations A = _su2(zeta) (n, 2, 2)."""
+        return _su2(np.reshape(self.zeta, -1))
+
+    @functools.cached_property
+    def _mu(self) -> np.ndarray:
+        mu = mu_from_omega(self._frames[1])
+        return cut(np.concatenate([mu, np.zeros(mu.shape[:-1] + (2,))], axis=-1))
+
+    # -- Levi-Civita curvature entries, rotated (any t) --------------------
+
+    @functools.cached_property
+    def _Vrows(self) -> np.ndarray:
+        """The adapted-frame components (n, 2, 4) of v_1, v_2."""
+        return np.swapaxes(self._rotation, -1, -2) @ _U_ROWS / math.sqrt(2.0)
+
+    @functools.cached_property
+    def _lc_curvature(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(R, Om): the Levi-Civita curvature in frame components and its
+        forms Om^i_j over dx."""
+        lc = levi_civita(self.surface, self._x)
+        return lc.R, push_slots(lc.R, lc.frame.theta, (2, 3))
+
+    @functools.cached_property
+    def _tau3(self) -> np.ndarray:
+        Om = self._lc_curvature[1]
+        P = complex_connection_matrix(Om.reshape(-1, 4, 4, 16)).reshape(-1, 2, 2, 4, 4)
+        return _two_form_rows(_mobius12(np.moveaxis(P, 0, 2), np.reshape(self.zeta, (-1, 1, 1))))
+
+    @functools.cached_property
+    def _omega_diff(self) -> np.ndarray:
+        """i(Om^1_2 - Om^3_4) in the real rotation of the adapted frame that A induces."""
+        Om, Vrows = self._lc_curvature[1], self._Vrows
+        Q = np.stack([
+            math.sqrt(2.0) * np.real(Vrows[:, 0]), -math.sqrt(2.0) * np.imag(Vrows[:, 0]),
+            math.sqrt(2.0) * np.real(Vrows[:, 1]), -math.sqrt(2.0) * np.imag(Vrows[:, 1]),
+        ], axis=-1)
+        Om_rot = push_slots(Om, Q, (0, 1))
+        return _two_form_rows(1j * (Om_rot[:, 0, 1] - Om_rot[:, 2, 3]))
+
+    @functools.cached_property
+    def _R_hat(self) -> Dict[str, np.ndarray]:
+        R = self._lc_curvature[0]
+        return {p: np.array([complexify(r, p, v) for r, v in zip(R, self._Vrows)])
+                for p in ("1*222*", "1*211*")}
+
+    # -- torsion (t != 0) and Chern curvature (t = 1), rotated -------------
+
+    @functools.cached_property
+    def _torsion(self) -> Optional[np.ndarray]:
+        """T^a over dx (n, 2, 4, 4) for a = 1, 2 of the horizontal rows."""
+        if abs(self.t) <= 1e-12:
+            return None
+        T = torsion_tensor(self.surface, self._x, self.t)
+        return np.einsum("...am,...mnr->...anr", np.reshape(self.B, (-1, 3, 6))[:, :2, :4], T)
+
+    @functools.cached_property
+    def _T_hat(self) -> Optional[np.ndarray]:
+        return None if self._torsion is None else _two_form_rows(self._torsion)
+
+    @functools.cached_property
+    def _chern_curvature(self) -> np.ndarray:
+        """The Chern curvature rows Psi^c_d over the chart (n, 2, 2, 15)."""
+        return _lift_rows(cut(curvature_rows(self.surface, self._x, 1.0)))
+
+    def _psi_hat(self, a: int, b: int) -> np.ndarray:
+        """Psi^a_b rotated into the fiber frame, (n, 15): the weights of the
+        base curvature forms summed in (c, d) order, zero weights skipped."""
+        A = self._rotation
+        acc = np.zeros((len(A), 15), dtype=complex)
+        for c in range(2):
+            for d in range(2):
+                w = _times(A[:, d, b, None], np.conj(A[:, c, a]))[:, 0]
+                step = cut(acc + cut(_times(self._chern_curvature[:, c, d], w)))
+                acc = np.where((w == 0.0)[:, None], acc, step)
+        return acc
+
+    # -- the closed-form rows ---------------------------------------------
+
+    @functools.cached_property
+    def W_coeffs(self) -> np.ndarray:
+        """The coefficient rows (..., 3, 15) of W_1, W_2, W_3 (read-only)."""
+        return _W_coeffs(self.B)
+
+    @functools.cached_property
+    def dW_coeffs(self) -> np.ndarray:
+        """The coefficient rows (..., 3, 20) of dW_1, dW_2, dW_3 from the
+        structure data (read-only)."""
+        return self._out(_structure_dW(self))
+
+    @functools.cached_property
+    def balanced_brackets(self) -> np.ndarray:
+        """The brackets (..., 2, 6) of the K_i ^ dK_i displays, before their
+        lambda scaling: i in {1, 2}, then i in {3, 4} (read-only)."""
+        return self._out(_balanced_brackets(self))
+
+    # -- forms of a one-point coframe ----------------------------------------
+
+    def _one_point(self) -> None:
+        if np.ndim(self.y) != 1:
+            raise ValueError("the forms of a coframe are read at one bundle point; "
+                             "a stack gives coefficient rows")
+
+    def _form(self, rows: np.ndarray, degree: int) -> ComplexForm:
+        """The form of the row (1, m) of a one-point coframe."""
+        self._one_point()
+        return ComplexForm(6, degree, rows[0])
 
     def phi_form(self, a: int) -> ComplexForm:
         """phi^a as a 1-form over the chart coordinates (a = 1..3)."""
-        return _row_form(self.B[a - 1])
+        return self._form(self._phi[:, a - 1], 1)
+
+    @functools.cached_property
+    def mu(self) -> ComplexForm:
+        return self._form(self._mu, 1)
+
+    @functools.cached_property
+    def tau3(self) -> ComplexForm:
+        return self._form(self._tau3, 2)
+
+    @functools.cached_property
+    def omega_diff(self) -> ComplexForm:
+        return self._form(self._omega_diff, 2)
+
+    @functools.cached_property
+    def R_hat(self) -> Dict[str, complex]:
+        """The rotated curvature components R(v_1*, v_2, v_2, v_2*) and
+        R(v_1*, v_2, v_1, v_1*)."""
+        self._one_point()
+        return {p: complex(v[0]) for p, v in self._R_hat.items()}
+
+    @functools.cached_property
+    def T_hat(self) -> Optional[List[ComplexForm]]:
+        """The rotated torsion 2-forms T^1, T^2 (None for t = 0)."""
+        rows = self._T_hat
+        return None if rows is None else [self._form(rows[:, a], 2) for a in range(2)]
+
+    @functools.cached_property
+    def T_components(self) -> Optional[np.ndarray]:
+        """T^a(v_1, v_2) (2,) complex (None for t = 0)."""
+        self._one_point()
+        if self._torsion is None:
+            return None
+        V = self._frames[2].U @ self._rotation     # coordinate components of v_1, v_2
+        return push_slots(self._torsion, V, (1, 2))[0, :, 0, 1]
+
+    @functools.cached_property
+    def Psi_hat(self) -> Optional[List[List[ComplexForm]]]:
+        """The rotated Chern curvature forms Psi^a_b (None unless t = 1)."""
+        if abs(self.t - 1.0) >= 1e-12:
+            return None
+        return [[self._form(self._psi_hat(a, b), 2) for b in range(2)] for a in range(2)]
 
     def full_rows(self) -> np.ndarray:
         """The 6x6 matrix with rows phi^1..phi^3, conj(phi^1)..conj(phi^3)."""
@@ -321,106 +570,17 @@ class TwistorCoframe:
     def gram_determinant(self) -> complex:
         return complex(np.linalg.det(self.full_rows()))
 
-    @functools.cached_property
-    def dW_forms(self) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-        """(dW_1, dW_2, dW_3) from the structure data, built on first use."""
-        return _structure_dW(self)
-
-    @functools.cached_property
-    def W_coeffs(self) -> np.ndarray:
-        """The coefficient rows (3, 15) of W_1, W_2, W_3 (read-only)."""
-        return _W_coeffs(self.B)
-
-    @functools.cached_property
-    def dW_coeffs(self) -> np.ndarray:
-        """The coefficient rows (3, 20) of `dW_forms` (read-only)."""
-        return read_only(np.stack([f.vec for f in self.dW_forms]))
-
-    @functools.cached_property
-    def balanced_forms(self) -> Tuple[ComplexForm, ComplexForm]:
-        """The lambda-independent 5-forms of the K_i ^ dK_i displays, one for
-        i in {1, 2} and one for i in {3, 4}, built on first use."""
-        return _balanced_forms(self)
-
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
                     with_structure: bool = True) -> TwistorCoframe:
-    """Build the pulled-back coframe and its formula inputs at a bundle point.
+    """The coframe of one connection at one bundle point: the one-point case
+    of `TwistorCoframe.stack`, with the arrays of one point.
 
-    B comes from `coframe_rows`, and mu from the Levi-Civita forms of the
-    same memoized D^t evaluation (`omega_tilde_coord`).
-
-    Args:
-        M: the base surface.
-        conn: connection choice (name or family parameter t).
-        z: the twistor point; its fiber coordinate must satisfy |zeta| < 4
-           (the section degenerates as the line approaches the antipode of
-           the frame's own structure).
-        with_structure: also assemble curvature/torsion data for the
-           closed-form derivative expressions.
-
-    Raises:
-        ValueError: for a fiber coordinate outside the chart.
-        DegenerateCoframeError: when the Gram determinant of the coframe is
-           near zero or not finite.
+    `with_structure` is ignored, since every structure entry is built on
+    first use; it is accepted for callers that still pass it.  Raises as
+    `TwistorCoframe.stack` does.
     """
-    t, label = normalize_connection(conn)
-    zeta = z.zeta
-    if abs(zeta) >= _ZETA_MAX:
-        raise ValueError("fiber coordinate out of chart")
-    x = z.x
-    y = z.chart_coordinates()
-
-    lc = levi_civita(M, x)
-    fr = lc.frame
-    B = coframe_rows(M, t, y)
-    _check_gram(B, y)
-
-    mu_coord = mu_from_omega(omega_tilde_coord(M, x, t)[1])
-    mu6 = ComplexForm(6, 1, np.concatenate([mu_coord, [0.0, 0.0]]).astype(complex))
-
-    tau3 = omega_diff = R_hat = Psi_hat = T_hat = T_comp = None
-    if with_structure:
-        # Levi-Civita curvature forms in coordinates, then their u(2)-matrix
-        # entries, rotated into the fiber frame
-        Om = push_slots(lc.R, fr.theta, (2, 3))
-        P = complex_connection_matrix(Om.reshape(4, 4, 16)).reshape(2, 2, 4, 4)
-        tau3 = _matrix_two_form(_mobius12(P, zeta))
-
-        A = _su2(zeta)
-        # real rotation of the adapted frame induced by A
-        Vrows = A.T @ np.array([[1.0, -1j, 0.0, 0.0], [0.0, 0.0, 1.0, -1j]]) / math.sqrt(2.0)
-        Q = np.column_stack([
-            math.sqrt(2.0) * np.real(Vrows[0]), -math.sqrt(2.0) * np.imag(Vrows[0]),
-            math.sqrt(2.0) * np.real(Vrows[1]), -math.sqrt(2.0) * np.imag(Vrows[1]),
-        ])
-        Om_rot = push_slots(Om, Q, (0, 1))
-        omega_diff = _matrix_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3]))
-
-        R_hat = {p: complexify(lc.R, p, Vrows) for p in ("1*222*", "1*211*")}
-
-        if abs(t) > 1e-12:
-            hd = gauduchon(M, x, t)
-            Tm = np.einsum("am,mnr->anr", B[:2, :4], hd.torsion_coord)
-            T_hat = [_matrix_two_form(Tm[a]) for a in range(2)]
-            V = fr.U @ A      # coordinate components of v_1, v_2
-            T_comp = push_slots(Tm, V, (1, 2))[:, 0, 1]
-        if abs(t - 1.0) < 1e-12:
-            dc = direct_curvature(M, x, 1.0)
-            Psi_hat = [[None, None], [None, None]]
-            for a in range(2):
-                for b in range(2):
-                    acc = ComplexForm.zero(6, 2)
-                    for c in range(2):
-                        for d in range(2):
-                            w = np.conj(A[c, a]) * A[d, b]
-                            if w != 0.0:
-                                acc = acc + _lift(dc.Psi[c][d]) * w
-                    Psi_hat[a][b] = acc
-
-    return TwistorCoframe(surface=M, label=label, t=t, y=y, zeta=zeta, B=B, mu=mu6,
-                          tau3=tau3, omega_diff=omega_diff, R_hat=R_hat,
-                          Psi_hat=Psi_hat, T_hat=T_hat, T_components=T_comp)
+    return TwistorCoframe._build(M, conn, [z], ())
 
 
 # ======================================================================
@@ -522,36 +682,38 @@ def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) 
 # closed-form derivative expressions
 # ======================================================================
 
-def _structure_dW(coframe: TwistorCoframe) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
+def _structure_dW(co: TwistorCoframe) -> np.ndarray:
     """d of the three building blocks W_1 = phi^1^conj(phi^1),
-    W_2 = conj(phi^2)^phi^2, W_3 = phi^3^conj(phi^3), from structure data.
+    W_2 = conj(phi^2)^phi^2, W_3 = phi^3^conj(phi^3), from structure data:
+    the rows (n, 3, 20) of the stack.
 
     The cubic part is common to both connection routes; the torsion part (mu
     for the Levi-Civita projection, the (2,0)-torsion for Chern) splits
-    between dW_1 and dW_2, and dW_3 carries the curvature entry.
+    between dW_1 and dW_2, and dW_3 carries the curvature entry.  Each row
+    has the bits of the same sum of form wedges, cut after every step.
     """
-    p1 = coframe.phi_form(1)
-    p2 = coframe.phi_form(2)
-    p3 = coframe.phi_form(3)
-    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
-    cubic = wedge_all(b1, p2, p3) - wedge_all(p1, b2, b3)
-    if abs(coframe.t) < 1e-12:
-        mu, mub = coframe.mu, coframe.mu.conj()
-        torsion1 = wedge_all(mub, p1, p2) - wedge_all(mu, b1, b2)
-        torsion2 = torsion1 * (-1.0)
-        _require_structure(coframe.tau3)
-        dW3 = wedge(coframe.tau3, b3) - wedge(coframe.tau3.conj(), p3)
-    elif abs(coframe.t - 1.0) < 1e-12:
-        _require_structure(coframe.T_hat, coframe.Psi_hat)
-        T1, T2 = coframe.T_hat
-        torsion1 = wedge(T1, b1) - wedge(T1.conj(), p1)
-        torsion2 = wedge(T2.conj(), p2) - wedge(T2, b2)
-        P12 = coframe.Psi_hat[0][1]
-        dW3 = wedge(P12, b3) - wedge(P12.conj(), p3)
+    p1, p2, p3 = np.moveaxis(co._phi, 1, 0)
+    b1, b2, b3 = np.moveaxis(np.conj(co._phi), 1, 0)
+    if abs(co.t) < 1e-12:
+        mu, tau3 = co._mu, co._tau3
+        bp, pb, mp, mb = _wedges([(b1, p2), (p1, b2), (np.conj(mu), p1), (mu, b1)], 1, 1)
+        c1, c2, t1, t2, f1, f2 = _wedges([(bp, p3), (pb, b3), (mp, p2), (mb, b2),
+                                          (tau3, b3), (np.conj(tau3), p3)], 2, 1)
+        torsion1 = cut(t1 - t2)
+        torsion2 = cut(-torsion1)
+    elif abs(co.t - 1.0) < 1e-12:
+        T1, T2 = np.moveaxis(co._T_hat, 1, 0)
+        P12 = co._psi_hat(0, 1)
+        bp, pb = _wedges([(b1, p2), (p1, b2)], 1, 1)
+        c1, c2, t1, t2, t3, t4, f1, f2 = _wedges(
+            [(bp, p3), (pb, b3), (T1, b1), (np.conj(T1), p1), (np.conj(T2), p2), (T2, b2),
+             (P12, b3), (np.conj(P12), p3)], 2, 1)
+        torsion1, torsion2 = cut(t1 - t2), cut(t3 - t4)
     else:
         raise ValueError("no closed-form derivative display for the general "
                          "canonical-family connection; use the finite-difference oracle")
-    return cubic + torsion1, cubic + torsion2, dW3
+    cubic = cut(c1 - c2)
+    return np.stack([cut(cubic + torsion1), cut(cubic + torsion2), cut(f1 - f2)], axis=1)
 
 
 def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:
@@ -563,11 +725,6 @@ def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCofra
     return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], coframe.dW_coeffs))
 
 
-def _require_structure(*fields) -> None:
-    if any(f is None for f in fields):
-        raise ValueError("coframe was built without structure data")
-
-
 def _one_parameter(lam, what: str) -> float:
     """lambda^2 of a one-parameter family member; a lambda triple is refused."""
     (l1, l2, l3) = _lambdas(lam)
@@ -577,56 +734,55 @@ def _one_parameter(lam, what: str) -> float:
 
 
 # signs (i = 1..4) of lambda^2 in K_i ^ dK_i = +-lambda^2 (bracket), the
-# bracket being the first of `balanced_forms` for i in {1, 2} and the second
-# for i in {3, 4}; keyed by the connection parameter t of the display
+# bracket being the first of `balanced_brackets` for i in {1, 2} and the
+# second for i in {3, 4}; keyed by the connection parameter t of the display
 _BALANCED_SIGNS = {0.0: np.array([1.0, -1.0, -1.0, 1.0]), 1.0: np.array([-1.0, 1.0, -1.0, 1.0])}
 
 
 def _balanced_rows(coframe: TwistorCoframe, i: np.ndarray, lam2: np.ndarray) -> np.ndarray:
-    """The coefficients (n, 6) of the K_i ^ dK_i displays for structures
-    i (n,) at lambda^2 = lam2 (n,) of the one-parameter family."""
-    brackets = np.stack([f.vec for f in coframe.balanced_forms])
-    return cut(brackets[(i > 2).astype(int)] * (_BALANCED_SIGNS[coframe.t][i - 1] * lam2)[:, None])
+    """The coefficients (..., n, 6) of the K_i ^ dK_i displays for structures
+    i (n,) at lambda^2 = lam2 (n,) of the one-parameter family, at each
+    point of the coframe."""
+    brackets = coframe.balanced_brackets[..., (i > 2).astype(int), :]
+    return cut(brackets * (_BALANCED_SIGNS[coframe.t][i - 1] * lam2)[:, None])
 
 
 def balanced_defect_formula(i: int, lam: float, coframe: TwistorCoframe) -> ComplexForm:
     """K_i ^ dK_i from the closed-form displays (a 5-form; zero iff balanced),
-    a scaling of one of the coframe's two `balanced_forms`."""
+    a scaling of one of the coframe's two `balanced_brackets`."""
     _check_index(i)
     lam2 = _one_parameter(lam, "the product displays are")
     return ComplexForm(6, 5, _balanced_rows(coframe, np.array([i]), np.array([lam2]))[0])
 
 
-def _balanced_forms(coframe: TwistorCoframe) -> Tuple[ComplexForm, ComplexForm]:
-    """The brackets of the K_i ^ dK_i displays, before their lambda scaling."""
-    p1 = coframe.phi_form(1)
-    p2 = coframe.phi_form(2)
-    p3 = coframe.phi_form(3)
-    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
-    if abs(coframe.t) < 1e-12:
-        _require_structure(coframe.R_hat)
-        r22 = coframe.R_hat["1*222*"]
-        r11 = coframe.R_hat["1*211*"]
-        base = wedge_all(p1, b1, b2, p2)
+def _balanced_brackets(co: TwistorCoframe) -> np.ndarray:
+    """The brackets (n, 2, 6) of the K_i ^ dK_i displays, before their lambda
+    scaling, each with the bits of the same sum of form wedges."""
+    p1, p2, p3 = np.moveaxis(co._phi, 1, 0)
+    b1, b2, b3 = np.moveaxis(np.conj(co._phi), 1, 0)
+    if abs(co.t) < 1e-12:
+        r22, r11 = co._R_hat["1*222*"], co._R_hat["1*211*"]
+        mu = co._mu
+        pb, mp, mb = _wedges([(p1, b1), (np.conj(mu), p1), (mu, b1)], 1, 1)
+        pbb, pbp, mpp, mbb = _wedges([(pb, b2), (pb, p2), (mp, p2), (mb, b2)], 2, 1)
+        base12, base34, mppp, mbbp = _wedges([(pbb, p2), (pbp, b2), (mpp, p3), (mbb, p3)], 3, 1)
+        f1, f2, g1, g2, m1, m2 = _wedges([(base12, b3), (base12, p3), (base34, b3), (base34, p3),
+                                          (mppp, b3), (mbbp, b3)], 4, 1)
         c = r22 - r11
-        f12 = wedge(base, b3) * c + wedge(base, p3) * np.conj(c)
-        base = wedge_all(p1, b1, p2, b2)
+        f12 = cut(cut(_times(f1, c)) + cut(_times(f2, np.conj(c))))
         c = r22 + r11
-        mu, mub = coframe.mu, coframe.mu.conj()
-        mu_term = wedge_all(wedge(mub, p1) , p2, p3, b3) - wedge_all(wedge(mu, b1), b2, p3, b3)
-        return f12, wedge(base, b3) * c + wedge(base, p3) * np.conj(c) + mu_term * 2.0
-    if abs(coframe.t - 1.0) < 1e-12:
-        _require_structure(coframe.T_hat, coframe.Psi_hat)
-        T1, T2 = coframe.T_hat
-        P12 = coframe.Psi_hat[0][1]
-        psi_pair = wedge(P12, b3) - wedge(P12.conj(), p3)
-        W3 = wedge(p3, b3)
-        front = wedge(p1, b1) + wedge(b2, p2)
-        tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2.conj(), p2) - wedge(T2, b2)
-        f12 = wedge(front, psi_pair) + wedge(tor, W3)
-        front = wedge(p1, b1) + wedge(p2, b2)
-        tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2, b2) - wedge(T2.conj(), p2)
-        return f12, wedge(front, psi_pair) + wedge(tor, W3)
+        f34 = cut(cut(_times(g1, c)) + cut(_times(g2, np.conj(c))))
+        return np.stack([f12, cut(f34 + cut(cut(m1 - m2) * 2.0))], axis=1)
+    if abs(co.t - 1.0) < 1e-12:
+        T1, T2 = np.moveaxis(co._T_hat, 1, 0)
+        psi_pair = np.reshape(co.dW_coeffs, (-1, 3, 20))[:, 2]
+        W3, pb1, bp2, pb2 = _wedges([(p3, b3), (p1, b1), (b2, p2), (p2, b2)], 1, 1)
+        t1, t2, t3, t4 = _wedges([(T1, b1), (np.conj(T1), p1), (np.conj(T2), p2), (T2, b2)], 2, 1)
+        torsion1 = cut(t1 - t2)
+        tor12, tor34 = cut(cut(torsion1 + t3) - t4), cut(cut(torsion1 + t4) - t3)
+        fronts = _wedges([(cut(pb1 + bp2), psi_pair), (cut(pb1 + pb2), psi_pair)], 2, 3)
+        tors = _wedges([(tor12, W3), (tor34, W3)], 3, 2)
+        return cut(fronts + tors).swapaxes(0, 1)
     raise ValueError("no closed-form derivative display for the general "
                      "canonical-family connection; use the finite-difference oracle")
 
@@ -649,7 +805,6 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
     if flags is None:
         flags = condition_flags(coframe.surface, coframe.y[:4])
     if abs(coframe.t) < 1e-12:
-        _require_structure(coframe.tau3, coframe.omega_diff)
         fiber = (wedge(coframe.omega_diff, wedge(p3, b3)) - wedge(coframe.tau3, coframe.tau3.conj())) * lam2
         if i == 1:
             if not flags.self_dual:
@@ -672,7 +827,6 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
         if i not in (3, 4):
             raise ValueError("no second-derivative display for i = 1, 2 with the Chern "
                              "connection; use the finite-difference oracle")
-        _require_structure(coframe.Psi_hat, coframe.T_hat)
         P = coframe.Psi_hat
         T1, T2 = coframe.T_hat
         fiber = (wedge(P[0][1], P[0][1].conj())
@@ -811,7 +965,8 @@ class CoframeSweep:
         K ^ dK = -sum_ab w_a w_b W_a ^ dW_b is the block sum of
         `W_wedge_dW`."""
         w = np.asarray(weights)
-        KdK = -np.einsum("nab,...abs->...ns", w[:, :, None] * w[:, None, :], self.W_wedge_dW)
+        with np.errstate(over="ignore", invalid="ignore"):    # a scale whose lambda^4 overflows
+            KdK = -np.einsum("nab,...abs->...ns", w[:, :, None] * w[:, None, :], self.W_wedge_dW)
         return weighted_sum(w, self.dW_coeffs), cut(KdK)
 
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -1029,7 +1184,7 @@ def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint) -> fl
     """Max-norm difference, on the fiber chart, between the projectivised-
     bundle form (pulled back through the coordinate transition) and the
     twistor form K_3 of the Chern connection at the same parameter."""
-    co = twistor_coframe(M, "chern", z, with_structure=False)
+    co = twistor_coframe(M, "chern", z)
     Kmat = np.real(K_form(3, lam, co).to_array())
 
     def transition(y: np.ndarray) -> np.ndarray:    # (x, zeta) -> (x, w) on a stack y (..., 6)
@@ -1218,7 +1373,7 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
     sw = CoframeSweep.stack(M, conn, points)
-    coframes = [twistor_coframe(M, conn, z) if formula_ok else None for z in points]
+    co = TwistorCoframe.stack(M, conn, points) if formula_ok else None
     flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
     nij = {i: max(sw.nijenhuis(i).tolist()) for i in (1, 2, 3, 4)}
     crossings = {i: lambda_zero_crossing(i, M, conn, points, sweep=sw) for i in (1, 2, 3, 4)}
@@ -1234,12 +1389,11 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     dKo, bo = sw.defect_rows(weights)
     sym, bal = norms(dKo).max(axis=0), norms(bo).max(axis=0)
     res: Optional[np.ndarray] = None
-    for dK_k, b_k, co in zip(dKo, bo, coframes):
-        if co is not None:
-            r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dK_k))
-            bf = _balanced_rows(co, scalar_i, scalar_lam2)
-            r[:n_scalar] = np.maximum(r[:n_scalar], norms(cut(bf - b_k[:n_scalar])))
-            res = r if res is None else np.maximum(res, r)
+    if co is not None:
+        r = norms(cut(weighted_sum(weights, co.dW_coeffs) - dKo))
+        bf = _balanced_rows(co, scalar_i, scalar_lam2)
+        r[:, :n_scalar] = np.maximum(r[:, :n_scalar], norms(cut(bf - bo[:, :n_scalar])))
+        res = r.max(axis=0)
     finite = np.isfinite(sym) & np.isfinite(bal) & (res is None or np.isfinite(res))
     if not finite.all():
         i, lam = pairs[int(np.argmin(finite))]

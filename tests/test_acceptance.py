@@ -167,7 +167,7 @@ def test_criterion_3_formula_vs_oracle():
         for conn in ("lichnerowicz", "chern"):
             for z in sample_twistor_points(M, 5, seed=11):
                 sw = CoframeSweep(M, conn, z)
-                co = twistor_coframe(M, conn, z, with_structure=True)
+                co = twistor_coframe(M, conn, z)
                 for i in (1, 2, 3, 4):
                     for lam in (0.5, 1.0, SQ2):
                         worst = max(

@@ -276,23 +276,22 @@ def test_report_triple_parameters(capsys):
 
 
 def test_report_with_lambdas_and_a_triple_builds_one_sweep_and_coframe_per_point(monkeypatch, capsys):
-    # one stacked sweep that holds each bundle point once, and one formula
-    # coframe per point
-    from twistorlab import cli
+    # one stacked sweep and one stacked formula coframe, each holding each
+    # bundle point once
     from twistorlab import twistor as tw
     built = []
-    build, coframe = tw.CoframeSweep._sweep, tw.twistor_coframe
+    build, coframe = tw.CoframeSweep._sweep, tw.TwistorCoframe.__dict__["_build"].__func__
     monkeypatch.setattr(tw.CoframeSweep, "_sweep",
                         lambda self, M, conn, y0: (built.append(("sweep", len(y0))),
                                                    build(self, M, conn, y0))[1])
-    counted = lambda *a, **k: (built.append(("twistor_coframe", 1)), coframe(*a, **k))[1]  # noqa: E731
-    for module in (tw, cli):
-        monkeypatch.setattr(module, "twistor_coframe", counted)
+    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
+        lambda cls, M, conn, points, shape: (built.append(("coframe", len(points))),
+                                             coframe(cls, M, conn, points, shape))[1]))
     code, doc = run_json(["report", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
                           "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
                           "--points", "2"], capsys)
     assert code == 0
-    assert built == [("sweep", 2)] + [("twistor_coframe", 1)] * 2
+    assert built == [("sweep", 2), ("coframe", 2)]
     assert [row["i"] for row in doc["triple_rows"]] == [1, 2, 3, 4]
     assert list(doc)[-2:] == ["triple_rows", "summary"]
 
@@ -731,3 +730,54 @@ def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
     guarded = {"torsion_correction", "levi_civita", "_lc_forms", "lee_components"}
     assert set().union(*(callers for _, _, callers in calls)) >= guarded
     assert [(subscripts, sorted(callers & guarded)) for subscripts, n, callers in calls if n > 2] == []
+
+
+def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_pair(monkeypatch, capsys):
+    # a TwistorCoframe holds the rows of a stack of bundle points and builds
+    # its dW and K ^ dK brackets with wedge_vectors: no workload op builds a
+    # ComplexForm on that path, each (surface, connection) of an op is one
+    # stack, and a Chern stack never needs the Levi-Civita curvature
+    from twistorlab import twistor as tw
+    from twistorlab.exterior import ComplexForm
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+    codes = {tw._structure_dW.__code__, tw._balanced_brackets.__code__}
+    for member in vars(tw.TwistorCoframe).values():
+        member = getattr(member, "func", getattr(member, "__func__", member))
+        if hasattr(member, "__code__"):
+            codes.add(member.__code__)
+
+    def coframe_frames():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code in codes:
+                yield frame
+            frame = frame.f_back
+
+    forms, stacks, lc_connections = [], [], []
+    init, build, levi = ComplexForm.__init__, tw.TwistorCoframe.__dict__["_build"].__func__, tw.levi_civita
+
+    def counted_init(self, *args, **kwargs):
+        forms.extend(f.f_code.co_name for f in coframe_frames())
+        init(self, *args, **kwargs)
+
+    def counted_levi(M, x):
+        lc_connections.extend({(f.f_locals.get("self") or f.f_locals.get("co")).t
+                               for f in coframe_frames()})
+        return levi(M, x)
+
+    monkeypatch.setattr(ComplexForm, "__init__", counted_init)
+    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
+        lambda cls, M, conn, points, shape: stacks.append(len(points)) or build(cls, M, conn, points, shape)))
+    monkeypatch.setattr(tw, "levi_civita", counted_levi)
+    built = {}
+    for name in sorted(workloads.TEMPLATES):
+        stacks.clear()
+        for argv in next(workloads.ops(name, 0)):
+            assert main(list(argv)) == 0, argv
+        built[name] = list(stacks)
+    capsys.readouterr()
+    assert forms == []
+    assert built == {"scan": [], "survey": [2, 2], "verify": [2] * 8}
+    assert lc_connections and set(lc_connections) == {0.0}

@@ -487,12 +487,10 @@ def test_zero_threshold_drops_dust():
 
 _ARGUMENT_ERRORS = """
 import numpy as np
-from twistorlab import twistor as tw
 from twistorlab.exterior import ComplexForm, SdAsdBasis, substitute, wedge_all
 f = ComplexForm.basis(4, (0, 1))
 for call in (lambda: f.evaluate(np.zeros((3, 4))), lambda: wedge_all(),
              lambda: substitute(f, np.eye(3)), lambda: SdAsdBasis([f], [f]),
-             lambda: tw._lift(ComplexForm.basis(6, (0,))),
              lambda: ComplexForm(4, 2, np.zeros(5))):
     try:
         print("returned", call())
@@ -512,6 +510,5 @@ def test_argument_errors_are_value_errors_under_python_O(flags):
         "ValueError: wedge_all needs at least one form",
         "ValueError: need a 4x4 matrix, got (3, 3)",
         "ValueError: need three forms per eigenspace",
-        "ValueError: only a form over the 4-dim base lifts, got dimension 6",
         "ValueError: coefficient vector of shape (5,), expected (6,) for degree 2 over 4",
     ]

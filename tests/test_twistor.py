@@ -8,8 +8,10 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 from twistorlab import connection as cn
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import condition_flags
-from twistorlab.exterior import ComplexForm, wedge
+from twistorlab.exterior import ComplexForm, wedge, wedge_all
 from twistorlab.manifold import (J_STANDARD, ChartSpec, HermitianSurface, builtin,
-                                 coordinate_fundamental_matrix, parse_surface_spec, stack_field)
+                                 coordinate_fundamental_matrix, parse_surface_spec, push_slots,
+                                 stack_field)
 
 BASE_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -142,7 +145,7 @@ def test_lambda_positivity_floor():
 
 def test_flat_coframe_fiber_entry():
     z = tw.TwistorPoint.from_zeta(BASE_POINTS["flat_c2"], 0.0)
-    co = tw.twistor_coframe(surface("flat_c2"), "lichnerowicz", z, with_structure=False)
+    co = tw.twistor_coframe(surface("flat_c2"), "lichnerowicz", z)
     assert np.max(np.abs(co.B[2, :4])) < 1e-12      # no horizontal part at the origin
     assert co.B[2, 4] == pytest.approx(-1.0) and co.B[2, 5] == pytest.approx(1j)
     co2 = coframe("flat_c2", "lichnerowicz")
@@ -334,7 +337,7 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     for z in pts:
         tw.CoframeSweep(M, "lichnerowicz", z)
         tw.nijenhuis_oracle(1, M, "lichnerowicz", z)
-        tw.twistor_coframe(M, "lichnerowicz", z, with_structure=True)
+        tw.twistor_coframe(M, "lichnerowicz", z)
     report(M)
     assert len(seen) == len(set(seen))
 
@@ -512,8 +515,8 @@ def test_formula_results_do_not_alias_the_shared_forms(name, conn):
     co = tw.twistor_coframe(surface(name), conn, zpt(name))
     results = [tw.dK_formula(3, SQ2, co), tw.K_form(3, SQ2, co),
                tw.balanced_defect_formula(3, SQ2, co), tw.balanced_defect_formula(1, SQ2, co)]
-    shared = [f.vec for f in results + list(co.dW_forms)]
-    for vec in shared + [co.W_coeffs, co.dW_coeffs]:
+    shared = [f.vec for f in results]
+    for vec in shared + [co.W_coeffs, co.dW_coeffs, co.balanced_brackets]:
         with pytest.raises(ValueError):
             vec[:] = 0                        # a caller scribbling on its result
     fresh = tw.twistor_coframe(surface(name), conn, zpt(name))
@@ -524,8 +527,8 @@ def test_formula_results_do_not_alias_the_shared_forms(name, conn):
         for lam in (0.5, SQ2):
             assert (tw.balanced_defect_formula(i, lam, co).terms
                     == tw.balanced_defect_formula(i, lam, fresh).terms)
-    assert co.dW_forms is co.dW_forms and co.W_coeffs is co.W_coeffs
-    assert co.balanced_forms is co.balanced_forms
+    assert co.dW_coeffs is co.dW_coeffs and co.W_coeffs is co.W_coeffs
+    assert co.balanced_brackets is co.balanced_brackets
     assert tw.dK_formula(3, SQ2, co).terms == tw.dK_formula(3, SQ2, fresh).terms != {}
 
 
@@ -546,28 +549,30 @@ def test_a_report_without_closed_form_displays_builds_no_coframe(monkeypatch):
     M = surface("hopf")
     pts = tw.sample_twistor_points(M, 2, seed=0)
     calls = []
-    build = tw.twistor_coframe
-    monkeypatch.setattr(tw, "twistor_coframe", lambda *a, **k: calls.append(a) or build(*a, **k))
+    build = tw.TwistorCoframe.__dict__["_build"].__func__
+    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
+        lambda cls, M, conn, points, shape: calls.append(len(points)) or build(cls, M, conn, points, shape)))
     rep = tw.condition_report(M, "bismut", [1.0, SQ2], pts)
     assert calls == [] and all(r.formula_residual is None for r in rep.rows)
     tw.condition_report(M, "chern", [1.0, SQ2], pts)
-    assert len(calls) == len(pts)
+    assert calls == [len(pts)]
 
 
-# a lambda triple, and coframes built without structure data, handed to the
-# closed-form displays: each refusal must survive python -O
+# a lambda triple, and coframes of a general family member (one point and a
+# stack), handed to the closed-form displays: each refusal must survive
+# python -O
 _REFUSALS = """
 from twistorlab import twistor as tw
 from twistorlab.manifold import builtin
 M = builtin("cp2_fs", c=2.0)
-z = tw.sample_twistor_points(M, 1, seed=0)[0]
-co = tw.twistor_coframe(M, "lichnerowicz", z)
-bare = [tw.twistor_coframe(M, conn, z, with_structure=False) for conn in ("lichnerowicz", "chern")]
+pts = tw.sample_twistor_points(M, 2, seed=0)
+co = tw.twistor_coframe(M, "lichnerowicz", pts[0])
+family = [tw.twistor_coframe(M, 0.5, pts[0]), tw.TwistorCoframe.stack(M, 0.5, pts)]
 calls = [lambda: tw.balanced_defect_formula(3, (1.3, 0.7, 2.1), co),
-         lambda: tw.ddbar_formula(3, (1.3, 0.7, 2.1), co)]
-for b in bare:
-    calls += [lambda b=b: tw.dK_formula(3, 1.0, b), lambda b=b: tw.balanced_defect_formula(3, 1.0, b),
-              lambda b=b: tw.ddbar_formula(3, 1.0, b)]
+         lambda: tw.ddbar_formula(3, (1.3, 0.7, 2.1), co),
+         lambda: tw.dK_formula(3, 1.0, family[0]), lambda: tw.balanced_defect_formula(3, 1.0, family[0]),
+         lambda: tw.ddbar_formula(3, 1.0, family[0]), lambda: family[1].dW_coeffs,
+         lambda: family[1].balanced_brackets]
 for call in calls:
     try:
         print("returned", call())
@@ -581,12 +586,13 @@ def test_formula_refusals_hold_under_python_O(flags):
     src = os.path.dirname(os.path.dirname(tw.__file__))
     proc = subprocess.run([sys.executable, *flags, "-c", _REFUSALS], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
-    bare = "ValueError: coframe was built without structure data"
+    family = ("ValueError: no closed-form derivative display for the general canonical-family "
+              "connection; use the finite-difference oracle")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "ValueError: the product displays are stated for the one-parameter family",
         "ValueError: the displays are stated for the one-parameter family",
-    ] + [bare] * 6
+    ] + [family] * 5
 
 
 # a lambda tuple of the wrong length, and a projective-bundle Hessian that is
@@ -598,7 +604,7 @@ import numpy as np
 from twistorlab import twistor as tw
 from twistorlab.manifold import J_STANDARD, ChartSpec, HermitianSurface, builtin
 z = tw.TwistorPoint.from_zeta(np.array([0.9, 0.0, 0.1, 0.0]), 0.3)
-co = tw.twistor_coframe(builtin("flat_c2"), "lichnerowicz", z, with_structure=False)
+co = tw.twistor_coframe(builtin("flat_c2"), "lichnerowicz", z)
 M = HermitianSurface(ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
                      lambda x: np.diag([1.0, 1.0, 1.0, 1.0] if x[0] < 0.9025 else [np.inf, np.inf, 1.0, 1.0]),
                      lambda x: J_STANDARD)
@@ -925,7 +931,7 @@ def test_family_connection_refuses_closed_forms():
 def test_family_connection_oracle_available():
     o = tw.dK_oracle(1, 1.0, surface("hopf"), 0.37, zpt("hopf"))
     assert np.isfinite(o.norm()) and o.norm() > 0.1
-    co = tw.twistor_coframe(surface("hopf"), 0.37, zpt("hopf"), with_structure=False)
+    co = tw.twistor_coframe(surface("hopf"), 0.37, zpt("hopf"))
     J = tw.acs_endomorphism(2, co)
     assert np.max(np.abs(J @ J + np.eye(6))) < 1e-8
 
@@ -1048,7 +1054,7 @@ def test_bundle_chart_compare_matches_the_per_point_reference(name):
         return np.concatenate([y[:4], [w.real, w.imag]])
     y0 = z.chart_coordinates()
     Jac = np.stack([M.backend.partial(transition, y0, p) for p in range(6)], axis=1)
-    K = np.real(tw.K_form(3, 1.0, tw.twistor_coframe(M, "chern", z, with_structure=False)).to_array())
+    K = np.real(tw.K_form(3, 1.0, tw.twistor_coframe(M, "chern", z)).to_array())
     ref = float(np.max(np.abs(Jac.T @ tw.projective_bundle_form(M, 1.0, z) @ Jac - K)))
     assert tw.bundle_chart_compare(M, 1.0, z) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -1260,6 +1266,13 @@ def test_acs_isotropy_random_fiber(seed):
 # staged frame contractions against the multi-operand einsums they replaced
 # ======================================================================
 
+def _reference_two_form(mat):
+    """The chart 2-form with coefficients mat[p, q], p < q, of a 4 x 4 matrix."""
+    full = np.zeros((6, 6), dtype=complex)
+    full[:4, :4] = mat
+    return ComplexForm(6, 2, full[np.triu_indices(6, 1)])
+
+
 def _reference_coframe_structure(M, conn, z):
     """tau3, omega_diff, R_hat and T_components of twistor_coframe."""
     t, _ = tw.normalize_connection(conn)
@@ -1279,8 +1292,8 @@ def _reference_coframe_structure(M, conn, z):
         Tm = np.einsum("am,mnr->anr", B[:2, :4], cn.gauduchon(M, z.x, t).torsion_coord)
         V = lc.frame.U @ A
         T_comp = np.array([np.einsum("nr,n,r->", Tm[a], V[:, 0], V[:, 1]) for a in range(2)])
-    return (tw._matrix_two_form(tw._mobius12(P, z.zeta)).vec,
-            tw._matrix_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3])).vec, R_hat, T_comp)
+    return (_reference_two_form(tw._mobius12(P, z.zeta)).vec,
+            _reference_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3])).vec, R_hat, T_comp)
 
 
 def assert_close_to_reference(new, ref):
@@ -1312,10 +1325,8 @@ def test_coframe_structure_matches_the_multi_operand_einsums(name, conn):
 # norm squares it, so the defects leave double precision; at 1e60 they are
 # finite (about 2.3e107) and the report stands
 _NON_FINITE_DEFECTS = """
-import warnings
 from twistorlab import twistor as tw
 from twistorlab.manifold import builtin
-warnings.simplefilter("ignore")
 M = builtin("flat_c2")
 pts = tw.sample_twistor_points(M, 1, 0)
 print(max(row.balanced_defect for row in tw.condition_report(M, "lichnerowicz", [1e60], pts).rows))
@@ -1342,3 +1353,229 @@ def test_non_finite_defects_are_value_errors_under_python_O(flags):
         f"ValueError: defect or formula residual of J_1 at lambda = 1e+100 {tail}",
         f"ValueError: defect or formula residual of J_1 at lambda = (1.0, 1.0, 1e+80) {tail}",
     ]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_finite_defects_raise_their_value_error_without_a_runtime_warning(flags):
+    # the overflow of lambda^4 and of the squared coefficients is the
+    # ValueError's to report; numpy prints no warning before it
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *flags, "-c",
+                           _NON_FINITE_DEFECTS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and 1e107 < float(lines[0]) < 1e108
+    assert all(line.startswith("ValueError: defect or formula residual of J_1 at lambda = ")
+               for line in lines[1:])
+
+
+# ======================================================================
+# the stacked closed-form path against the per-point forms it replaced
+# ======================================================================
+
+def _reference_su2(zeta):
+    N = math.sqrt(1.0 + abs(zeta) ** 2)
+    return np.array([[1.0, -np.conj(zeta)], [zeta, 1.0]], dtype=complex) / N
+
+
+def _reference_coframe(M, conn, z):
+    """A per-point coframe with every structure entry as a form: the one-point
+    build that `TwistorCoframe.stack` replaced, as a namespace that the
+    closed-form displays read."""
+    t, _ = tw.normalize_connection(conn)
+    zeta, x, y = z.zeta, z.x, z.chart_coordinates()
+    lc = cn.levi_civita(M, x)
+    fr = lc.frame
+    B = tw.coframe_rows(M, t, y)
+    mu = ComplexForm(6, 1, np.concatenate([cn.mu_from_omega(cn.omega_tilde_coord(M, x, t)[1]),
+                                           [0.0, 0.0]]).astype(complex))
+    Om = push_slots(lc.R, fr.theta, (2, 3))
+    P = cn.complex_connection_matrix(Om.reshape(4, 4, 16)).reshape(2, 2, 4, 4)
+    tau3 = _reference_two_form(tw._mobius12(P, zeta))
+    A = _reference_su2(zeta)
+    Vrows = A.T @ np.array([[1.0, -1j, 0.0, 0.0], [0.0, 0.0, 1.0, -1j]]) / math.sqrt(2.0)
+    Q = np.column_stack([
+        math.sqrt(2.0) * np.real(Vrows[0]), -math.sqrt(2.0) * np.imag(Vrows[0]),
+        math.sqrt(2.0) * np.real(Vrows[1]), -math.sqrt(2.0) * np.imag(Vrows[1]),
+    ])
+    Om_rot = push_slots(Om, Q, (0, 1))
+    omega_diff = _reference_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3]))
+    R_hat = {p: cn.complexify(lc.R, p, Vrows) for p in ("1*222*", "1*211*")}
+    T_hat = T_comp = Psi_hat = None
+    if abs(t) > 1e-12:
+        Tm = np.einsum("am,mnr->anr", B[:2, :4], cn.gauduchon(M, x, t).torsion_coord)
+        T_hat = [_reference_two_form(Tm[a]) for a in range(2)]
+        T_comp = push_slots(Tm, fr.U @ A, (1, 2))[:, 0, 1]
+    if abs(t - 1.0) < 1e-12:
+        dc = cn.direct_curvature(M, x, 1.0)
+        Psi_hat = [[None, None], [None, None]]
+        for a in range(2):
+            for b in range(2):
+                acc = ComplexForm.zero(6, 2)
+                for c in range(2):
+                    for d in range(2):
+                        w = np.conj(A[c, a]) * A[d, b]
+                        if w != 0.0:
+                            acc = acc + ComplexForm(6, 2, dc.Psi[c][d].terms) * w
+                Psi_hat[a][b] = acc
+    rows = [ComplexForm(6, 1, np.asarray(r, dtype=complex)) for r in B]
+    co = types.SimpleNamespace(surface=M, t=t, y=y, B=B, mu=mu, tau3=tau3, omega_diff=omega_diff,
+                               R_hat=R_hat, T_hat=T_hat, T_components=T_comp, Psi_hat=Psi_hat,
+                               phi_form=lambda a: rows[a - 1])
+    co.dW_forms = _reference_structure_dW(co)
+    co.brackets = _reference_balanced_forms(co)
+    return co
+
+
+def _reference_structure_dW(co):
+    p1, p2, p3 = (co.phi_form(a) for a in (1, 2, 3))
+    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
+    cubic = wedge_all(b1, p2, p3) - wedge_all(p1, b2, b3)
+    if abs(co.t) < 1e-12:
+        mu, mub = co.mu, co.mu.conj()
+        torsion1 = wedge_all(mub, p1, p2) - wedge_all(mu, b1, b2)
+        torsion2 = torsion1 * (-1.0)
+        dW3 = wedge(co.tau3, b3) - wedge(co.tau3.conj(), p3)
+    elif abs(co.t - 1.0) < 1e-12:
+        T1, T2 = co.T_hat
+        torsion1 = wedge(T1, b1) - wedge(T1.conj(), p1)
+        torsion2 = wedge(T2.conj(), p2) - wedge(T2, b2)
+        P12 = co.Psi_hat[0][1]
+        dW3 = wedge(P12, b3) - wedge(P12.conj(), p3)
+    else:
+        return None
+    return cubic + torsion1, cubic + torsion2, dW3
+
+
+def _reference_balanced_forms(co):
+    p1, p2, p3 = (co.phi_form(a) for a in (1, 2, 3))
+    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
+    if abs(co.t) < 1e-12:
+        r22, r11 = co.R_hat["1*222*"], co.R_hat["1*211*"]
+        base = wedge_all(p1, b1, b2, p2)
+        c = r22 - r11
+        f12 = wedge(base, b3) * c + wedge(base, p3) * np.conj(c)
+        base = wedge_all(p1, b1, p2, b2)
+        c = r22 + r11
+        mu, mub = co.mu, co.mu.conj()
+        mu_term = wedge_all(wedge(mub, p1), p2, p3, b3) - wedge_all(wedge(mu, b1), b2, p3, b3)
+        return f12, wedge(base, b3) * c + wedge(base, p3) * np.conj(c) + mu_term * 2.0
+    if abs(co.t - 1.0) < 1e-12:
+        T1, T2 = co.T_hat
+        P12 = co.Psi_hat[0][1]
+        psi_pair = wedge(P12, b3) - wedge(P12.conj(), p3)
+        W3 = wedge(p3, b3)
+        front = wedge(p1, b1) + wedge(b2, p2)
+        tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2.conj(), p2) - wedge(T2, b2)
+        f12 = wedge(front, psi_pair) + wedge(tor, W3)
+        front = wedge(p1, b1) + wedge(p2, b2)
+        tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2, b2) - wedge(T2.conj(), p2)
+        return f12, wedge(front, psi_pair) + wedge(tor, W3)
+    return None
+
+
+def fresh_surface(name):
+    return builtin(name, c=2.0) if name == "cp2_fs" else builtin(name)
+
+
+STACK_34 = {name: tw.sample_twistor_points(surface(name), 34, seed=3)
+            for name in ("flat_c2", "cp2_fs", "ch2", "hopf")}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_coframes(name, conn):
+    M = fresh_surface(name)
+    return [_reference_coframe(M, conn, z) for z in STACK_34[name]]
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+@pytest.mark.parametrize("n", [1, 2, 34])
+def test_stacked_coframe_rows_have_the_bits_of_the_per_point_forms(name, conn, n):
+    # each stack on a fresh surface, so no stack reads what another stored
+    co = tw.TwistorCoframe.stack(fresh_surface(name), conn, STACK_34[name][:n])
+    assert co.B.shape == (n, 3, 6) and co.y.shape == (n, 6) and co.zeta.shape == (n,)
+    assert co.dW_coeffs.shape == (n, 3, 20) and co.balanced_brackets.shape == (n, 2, 6)
+    for k, ref in enumerate(reference_coframes(name, conn)[:n]):
+        assert np.array_equal(co.B[k], ref.B)
+        assert np.array_equal(co.W_coeffs[k], tw._W_coeffs(ref.B))
+        assert np.array_equal(co.dW_coeffs[k], np.stack([f.vec for f in ref.dW_forms]))
+        assert np.array_equal(co.balanced_brackets[k], np.stack([f.vec for f in ref.brackets]))
+
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+def test_a_point_has_the_same_rows_whatever_its_stack(name, conn):
+    pts = STACK_34[name]
+    big = tw.TwistorCoframe.stack(fresh_surface(name), conn, pts)
+    for k in (0, 1, 17, 33):
+        for one in (tw.TwistorCoframe.stack(fresh_surface(name), conn, [pts[k]]),
+                    tw.TwistorCoframe.stack(fresh_surface(name), conn, pts[k:k + 2])):
+            for attr in ("B", "W_coeffs", "dW_coeffs", "balanced_brackets"):
+                assert np.array_equal(getattr(one, attr)[0], getattr(big, attr)[k]), attr
+
+
+@pytest.mark.parametrize("name,conn", [("flat_c2", "lichnerowicz"), ("cp2_fs", "lichnerowicz"),
+                                       ("cp2_fs", "chern"), ("ch2", "chern"),
+                                       ("hopf", "lichnerowicz"), ("hopf", "chern")])
+def test_one_point_displays_are_those_of_the_per_point_forms(name, conn):
+    M = surface(name)
+    for z, ref in zip(STACK_34[name][:2], reference_coframes(name, conn)):
+        co = tw.twistor_coframe(M, conn, z)
+        assert co.y.shape == (6,) and co.B.shape == (3, 6) and isinstance(co.zeta, complex)
+        signs = tw._BALANCED_SIGNS[co.t]
+        for i in (1, 2, 3, 4):
+            for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
+                w = tw.lambda_weights([(i, lam)])[0]
+                want = ((ref.dW_forms[0] * w[0] + ref.dW_forms[1] * w[1]) + ref.dW_forms[2] * w[2]) * 1j
+                assert np.array_equal(tw.dK_formula(i, lam, co).vec, want.vec)
+            for lam in (0.5, SQ2):
+                want = ref.brackets[int(i > 2)] * (signs[i - 1] * lam ** 2)
+                assert np.array_equal(tw.balanced_defect_formula(i, lam, co).vec, want.vec)
+        flags = condition_flags(M, z.x)
+        for i in (1, 2, 3, 4):
+            try:
+                want = tw.ddbar_formula(i, 1.1, ref, flags)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    tw.ddbar_formula(i, 1.1, co, flags)
+                continue
+            assert np.array_equal(tw.ddbar_formula(i, 1.1, co, flags).vec, want.vec)
+
+
+def test_a_stack_gives_rows_and_a_point_gives_forms():
+    M, pts = surface("hopf"), STACK_34["hopf"][:2]
+    stacked, one = tw.TwistorCoframe.stack(M, "chern", pts), tw.twistor_coframe(M, "chern", pts[0])
+    for read in (lambda co: co.phi_form(1), lambda co: co.mu, lambda co: co.Psi_hat,
+                 lambda co: co.T_hat, lambda co: co.R_hat, lambda co: co.T_components):
+        with pytest.raises(ValueError, match="read at one bundle point"):
+            read(stacked)
+        assert read(one) is not None
+    with pytest.raises(ValueError, match="at least one bundle point"):
+        tw.TwistorCoframe.stack(M, "chern", [])
+    lich = tw.twistor_coframe(M, "lichnerowicz", pts[0])
+    assert lich.T_hat is None and lich.T_components is None and lich.Psi_hat is None
+
+
+@pytest.mark.parametrize("bad", [
+    # the second point degenerate (Gram determinant 0 at x1 = 0), the third too
+    [[0.0, 0.3, 0.1, 0.2], [0.0, 0.5, 0.1, 0.2]],
+    # the second point outside the fiber chart, the third degenerate
+    [[0.5, 0.3, 0.1, 0.2, 5.0], [0.0, 0.5, 0.1, 0.2]],
+    # the second point degenerate, the third outside the fiber chart
+    [[0.0, 0.3, 0.1, 0.2], [0.5, 0.5, 0.1, 0.2, 4.5]],
+])
+def test_a_stacked_coframe_names_the_first_failing_point(bad):
+    pts = [tw.TwistorPoint.from_zeta([0.5, 0.2, 0.1, 0.2], 0.2)]
+    pts += [tw.TwistorPoint.from_zeta(p[:4], p[4] if len(p) > 4 else 0.3) for p in bad]
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as per_point:
+            M = parse_surface_spec(_DEGENERATE_AT_X1_0)
+            for z in pts:
+                tw.twistor_coframe(M, "lichnerowicz", z)
+        with pytest.raises(ValueError) as stacked:
+            tw.TwistorCoframe.stack(parse_surface_spec(_DEGENERATE_AT_X1_0), "lichnerowicz", pts)
+    assert stacked.type is per_point.type
+    assert str(stacked.value) == str(per_point.value)
+    assert str(pts[1].chart_coordinates().tolist()) in str(stacked.value)

@@ -15,10 +15,11 @@ text), where the roundoff of the K ^ dK oracle is weighted by powers of
 lambda, `appendix` at the default scales, at lambda = 1.2 and at a scale
 triple, a text `verify --suite appendix`, a text `scan`, a json `scan` of
 the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, a text
-`verify --suite algebra`, and invocations whose coframe sweeps stack more
-than two bundle points: `report --points 5` on cp2_fs (c=2) and on
-hopf/chern, `scan --points 4` on cp2_fs and `verify --suite oracle
---points 3`.
+`verify --suite algebra`, invocations whose coframe sweeps and formula
+coframes stack more than two bundle points: `report --points 5` on cp2_fs
+(c=2), on hopf/chern and on ch2/chern, `scan --points 4` on cp2_fs and
+`verify --suite oracle --points 3`, and `verify --suite oracle --points 1`,
+whose stacks hold one point each.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -84,6 +85,8 @@ def argv_list():
         ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "0.5:2.5",
          "--grid", "9", "--points", "4", "--format", "json"],
         ["verify", "--suite", "oracle", "--points", "3", "--format", "json"],
+        ["verify", "--suite", "oracle", "--points", "1", "--format", "json"],
+        ["report", "--surface", "ch2", "--connection", "chern", "--points", "5", "--format", "json"],
     ]
     return out
 

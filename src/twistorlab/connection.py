@@ -8,6 +8,9 @@ correction built from dF:
                                    - (1+t)/4 * dF(JX, Y, Z)
 
 which is affine in t; on Kahler input every D^t collapses to Levi-Civita.
+The point memo holds the t-independent pieces once per point, omega^LC
+(`_lc_forms`) and the two J-pushed dF terms (`_J_pushed_dF`), and every
+member of the family is assembled from them.
 
 Curvature conventions (fixed for the whole package):
     R(X1, X2, X3, X4) = h(R(X3, X4) X2, X1),
@@ -146,10 +149,13 @@ class LeviCivitaData:
         }
 
 
-def _lc_forms(M: HermitianSurface, x: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+@point_memo
+def _lc_forms(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """omega[z, i, j, nu] = h(grad_{d_nu} e_j, e_i) at an (n, 4) stack of points
-    x with metrics g and frames E (n, 4, 4), against the canonical frame field."""
-    Gm = christoffel(M, x)
+    x, against the canonical frame field: omega^LC in coordinates, the
+    t-independent base of every D^t; `point_memo` serves one point or any
+    stack."""
+    g, E, Gm = M.metric(x), adapted_frame(M, x).E, christoffel(M, x)
     # dE[z, nu, mu, j] = d_nu E[mu, j], one frame call for every stencil
     dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
     # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
@@ -172,7 +178,7 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
     E = fr.E
     g = M.metric(x)
     Gm = christoffel(M, x)
-    omega_coord = _lc_forms(M, x, g, E)
+    omega_coord = _lc_forms(M, x)
     omega_frame = np.einsum("zijn,znk->zijk", omega_coord, E)
 
     # coordinate Riemann from the Christoffel field:
@@ -191,19 +197,29 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
 # the Gauduchon family D^t
 # ======================================================================
 
+@point_memo
+def _J_pushed_dF(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(JdF_first, JdF_all) at an (n, 4) stack of points: dF(JX, Y, Z) and
+    dF(JX, JY, JZ), dF pushed through J in slot 0, then in slots 1 and 2.
+    The t-independent terms of every D^t correction; `point_memo` serves
+    one point or any stack."""
+    Jm = M.J(x)
+    JdF_first = push_slots(dF_array(M, x), Jm, (0,))
+    return JdF_first, push_slots(JdF_first, Jm, (1, 2))
+
+
 def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
     """A[..., nu, rho, la] = h(D^t - grad)(d_nu, d_rho, d_la) from the dF
-    correction, at a point or a stack of points x (..., 4)."""
-    x = np.asarray(x, dtype=float)
-    X = x.reshape(-1, 4)
-    Jm = M.J(X)
+    correction, at a point or a stack of points x (..., 4).
+
+    A_t = c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z) with c1 = (1-t)/4 and
+    c2 = (1+t)/4 is affine in t: both terms come from the memoized
+    `_J_pushed_dF` tables, so a new t at visited points evaluates nothing.
+    """
     c1 = (1.0 - t) / 4.0
     c2 = (1.0 + t) / 4.0
-    # c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z), the first term being the second
-    # pushed through J in its last two slots
-    JdF_first = push_slots(dF_array(M, X), Jm, (0,))
-    JdF_all = push_slots(JdF_first, Jm, (1, 2))
-    return (c1 * JdF_all - c2 * JdF_first).reshape(x.shape[:-1] + (4, 4, 4))
+    JdF_first, JdF_all = _J_pushed_dF(M, x)
+    return c1 * JdF_all - c2 * JdF_first
 
 
 @dataclass(frozen=True)
@@ -285,11 +301,15 @@ def torsion_tensor(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
 def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
     """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates
     at an (n, 4) stack of points; `point_memo` serves one point or any stack
-    (..., 4), each field with the point axes in front.  The stack's frames,
-    Christoffels and frame and dF stencils are each evaluated in one call,
-    through the surface's point memo."""
+    (..., 4), each field with the point axes in front.
+
+    omega^t = omega^LC + A_t is assembled from the t-independent tables of
+    the surface's point memo, `_lc_forms` (omega^LC) and `_J_pushed_dF`
+    (the two dF terms of `torsion_correction`), so a second member of the
+    family at visited points evaluates no metric, frame stencil or dF; the
+    sum itself is memoized per (point, t)."""
     fr = adapted_frame(M, x)
-    omega_coord = _lc_forms(M, x, M.metric(x), fr.E)
+    omega_coord = _lc_forms(M, x)
     return omega_coord + _torsion_forms(M, x, t, fr.E), omega_coord, fr
 
 

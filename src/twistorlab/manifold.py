@@ -372,7 +372,8 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report, scan or verify oracle job stores fewer than 900
+# cleared; a two-point report or scan stores fewer than 1 000 per surface, a
+# verify oracle job about 1 150
 POINT_MEMO_LIMIT = 4096
 
 # held while a batch of results is appended to a table of any surface
@@ -595,14 +596,16 @@ class HermitianSurface:
 
     Each surface owns a private point memo (`point_memo`): the metric, the
     adapted frame, the coordinate fundamental matrix, the Christoffel
-    symbols, the Levi-Civita data and the D^t connection forms are computed
-    once per exact point and stored read-only.  This relies on the surface
-    being immutable: its chart, metric and J callables and backend must not
-    be replaced after construction, and the callables must be pure.  The
-    metric stores its own copy, so an array returned by the metric callable
-    is never frozen.  The memo lives and dies with the surface, is cleared
-    whole when it reaches POINT_MEMO_LIMIT points and is safe to share
-    between threads, so sampling in parallel is safe.
+    symbols, the Levi-Civita data, the t-independent tables of the
+    canonical family (omega^LC and the J-pushed dF terms) and the D^t
+    connection forms are computed once per exact point and stored
+    read-only.  This relies on the surface being immutable: its chart,
+    metric and J callables and backend must not be replaced after
+    construction, and the callables must be pure.  The metric stores its
+    own copy, so an array returned by the metric callable is never frozen.
+    The memo lives and dies with the surface, is cleared whole when it
+    reaches POINT_MEMO_LIMIT points and is safe to share between threads,
+    so sampling in parallel is safe.
     """
 
     def __init__(self, chart: ChartSpec,

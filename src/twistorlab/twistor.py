@@ -237,7 +237,10 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray) -> np.ndarray:
     (1,0)-coframe pulled back from the base; phi^3 is the off-diagonal
     connection entry along the rotated frame section, whose pure fiber part
     is -d conj(zeta) / (1 + |zeta|^2).  The base data of the whole stack
-    come from one `omega_tilde_coord` call.
+    come from one `omega_tilde_coord` call, which assembles omega^t from
+    the t-independent tables omega^LC (`_lc_forms`) and the J-pushed dF
+    terms (`_J_pushed_dF`), so a second connection at visited points
+    evaluates no metric.
     """
     y = np.asarray(y, dtype=float)
     Y = y.reshape(-1, 6)
@@ -317,7 +320,11 @@ class TwistorCoframe:
     `TwistorCoframe.stack(M, conn, points)` evaluates n bundle points at
     once: `B` (rows phi^1..phi^3 over the chart coordinates) from one
     `coframe_rows` call, and the base frames and connection forms from one
-    `omega_tilde_coord` call.  `twistor_coframe(M, conn, z)` is the same
+    `omega_tilde_coord` call.  omega^t = omega^LC + A_t is assembled from
+    the t-independent tables of the point memo, omega^LC (`_lc_forms`) and
+    the J-pushed dF terms (`_J_pushed_dF`), which the torsion also reads,
+    so the stacks of a second connection at the same points evaluate no
+    metric, dF or Levi-Civita form.  `twistor_coframe(M, conn, z)` is the same
     build for the one point z.  As in `CoframeSweep`, the arrays carry the
     point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,)
     and (3, 6) for one point, and each point's values have the bits of its

@@ -1,5 +1,7 @@
 """Tests for the Levi-Civita / Hermitian connection layer."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from twistorlab.connection import (
     christoffel,
     complex_connection_matrix,
     complexify,
+    curvature_rows,
     direct_curvature,
     flip_pattern,
     gauduchon,
@@ -24,10 +27,13 @@ from twistorlab.connection import (
     structure_equation_defect,
     torsion_auxiliary,
     torsion_correction,
+    torsion_tensor,
 )
 from twistorlab.exterior import ComplexForm, wedge
-from twistorlab.manifold import (adapted_frame, builtin, coordinate_fundamental_matrix, dF_array,
-                                 lee_components, lee_form)
+from twistorlab import connection as cn
+from twistorlab import twistor as tw
+from twistorlab.manifold import (HermitianSurface, adapted_frame, builtin, coordinate_fundamental_matrix,
+                                 dF_array, lee_components, lee_form, point_memo, push_slots, stack_field)
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -556,3 +562,158 @@ def test_single_point_staged_contractions_match_the_multi_operand_einsums(name):
         R = levi_civita(M, x).R
         for pattern in ("1*212", "1*21*2", "1*211*", "1*222*", "12*1*2", "1212"):
             assert_close_to_reference(complexify(R, pattern), _reference_complexify(R, pattern))
+
+
+# ======================================================================
+# the canonical family as one affine line, against the per-t build
+# ======================================================================
+# `_reference_torsion_correction` above is the multi-operand einsum form;
+# these are the per-t build with today's staged contractions, which the
+# memoized t-independent tables must reproduce bit for bit
+
+FAMILY_T = (0.0, 1.0, -1.0, 0.5, -0.3)
+
+
+def _reference_family_torsion_correction(M, x, t):
+    """dF and both J pushes evaluated afresh for every t."""
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(-1, 4)
+    Jm = M.J(X)
+    c1 = (1.0 - t) / 4.0
+    c2 = (1.0 + t) / 4.0
+    JdF_first = push_slots(dF_array(M, X), Jm, (0,))
+    JdF_all = push_slots(JdF_first, Jm, (1, 2))
+    return (c1 * JdF_all - c2 * JdF_first).reshape(x.shape[:-1] + (4, 4, 4))
+
+
+def _reference_family_lc_forms(M, x, g, E):
+    Gm = christoffel(M, x)
+    dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
+    nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
+    return np.einsum("zmi,zmnj->zijn", push_slots(g, E, (1,)), nabla)
+
+
+@point_memo
+def _reference_omega_tilde_coord(M, x, t):
+    """omega_tilde_coord memoized per (point, t) only: omega^LC and the dF
+    terms are rebuilt for every t."""
+    fr = adapted_frame(M, x)
+    omega_coord = _reference_family_lc_forms(M, x, M.metric(x), fr.E)
+    A = _reference_family_torsion_correction(M, x, t)
+    return omega_coord + np.transpose(push_slots(A, fr.E, (1, 2)), (0, 3, 2, 1)), omega_coord, fr
+
+
+def _family_points(name):
+    return tw.sample_twistor_points(builtin(name), 2, seed=16)
+
+
+def _family_results(M, pts, t):
+    """Every reader of the dF tables at the base points of pts, for D^t: arrays,
+    or the message of the error a closed-form display raises."""
+    x = np.array([z.x for z in pts])
+    sweep = tw.CoframeSweep.stack(M, t, pts)
+    om_t, om_lc, _ = omega_tilde_coord(M, x, t)
+    out = {"omega_tilde_coord": om_t, "omega_lc": om_lc,
+           "torsion_correction": torsion_correction(M, x, t),
+           "torsion_tensor": torsion_tensor(M, x, t),
+           "curvature_rows": curvature_rows(M, x, t),
+           "gauduchon.torsion_coord": gauduchon(M, x[0], t).torsion_coord,
+           "CoframeSweep.dB": sweep.dB, "CoframeSweep.dW_coeffs": sweep.dW_coeffs}
+    try:
+        out["TwistorCoframe.dW_coeffs"] = tw.TwistorCoframe.stack(M, t, pts).dW_coeffs
+    except ValueError as exc:
+        out["TwistorCoframe.dW_coeffs"] = str(exc)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _family_reference(name, t):
+    mp = pytest.MonkeyPatch()
+    try:
+        mp.setattr(cn, "torsion_correction", _reference_family_torsion_correction)
+        mp.setattr(cn, "omega_tilde_coord", _reference_omega_tilde_coord)
+        mp.setattr(tw, "omega_tilde_coord", _reference_omega_tilde_coord)
+        return _family_results(builtin(name), _family_points(name), t)
+    finally:
+        mp.undo()
+
+
+def _assert_family_equal(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        if isinstance(want[key], str):
+            assert got[key] == want[key], key
+        else:
+            assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("t", FAMILY_T)
+@pytest.mark.parametrize("first", ["lichnerowicz", "t"])
+def test_family_members_from_the_memoized_tables_have_the_per_t_bits(name, t, first):
+    M, pts = builtin(name), _family_points(name)
+    for s in ((0.0, t) if first == "lichnerowicz" else (t, 0.0)):
+        _assert_family_equal(_family_results(M, pts, s), _family_reference(name, s))
+
+
+def _counting_cp2():
+    """A fresh cp2_fs (c=2) whose compiled metric records the size of every
+    stack it evaluates."""
+    base = builtin("cp2_fs", c=2.0)
+    seen = []
+    compiled = base._metric
+    M = HermitianSurface(base.chart, stack_field(lambda x: (seen.append(len(np.reshape(x, (-1, 4)))),
+                                                            compiled(x))[1]),
+                         base.J, name=base.name, params=base.params, backend=base.backend)
+    return M, seen
+
+
+def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monkeypatch):
+    calls = {"dF_array": 0, "_lc_forms": 0}
+    lc_forms = cn._lc_forms.__wrapped__
+    dF = cn.dF_array
+
+    def counted_lc(M, x):
+        calls["_lc_forms"] += 1
+        return lc_forms(M, x)
+
+    def counted_dF(M, x):
+        calls["dF_array"] += 1
+        return dF(M, x)
+
+    monkeypatch.setattr(cn, "dF_array", counted_dF)
+    monkeypatch.setattr(cn, "_lc_forms", point_memo(counted_lc))
+    M, seen = _counting_cp2()
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    seen.clear()
+    tw.CoframeSweep.stack(M, "lichnerowicz", pts).dW_coeffs
+    tw.TwistorCoframe.stack(M, "lichnerowicz", pts).dW_coeffs
+    assert sum(seen) > 0 and calls["dF_array"] > 0 and calls["_lc_forms"] > 0
+    for conn in ("chern", "bismut", 0.5):
+        seen.clear()
+        calls.update(dF_array=0, _lc_forms=0)
+        tw.CoframeSweep.stack(M, conn, pts).dW_coeffs
+        co = tw.TwistorCoframe.stack(M, conn, pts)
+        if conn == "chern":
+            co.dW_coeffs
+        assert (sum(seen), calls) == (0, {"dF_array": 0, "_lc_forms": 0}), conn
+
+
+@pytest.mark.parametrize("layer,evals,calls", [
+    ("levi_civita", 129, 3),
+    ("CoframeSweep", 129, 2),
+    ("condition_report", 387, 2),
+    ("ddbar_oracle", 1225, 4),
+])
+def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, evals, calls):
+    # the t-independent tables count toward POINT_MEMO_LIMIT: these counts
+    # (the ddbar oracle's memo is cleared during the call) show that no
+    # clear has moved
+    M, seen = _counting_cp2()
+    pts = tw.sample_twistor_points(M, 3, seed=0)
+    seen.clear()
+    {"levi_civita": lambda: levi_civita(M, pts[0].x),
+     "CoframeSweep": lambda: tw.CoframeSweep(M, "lichnerowicz", pts[0]),
+     "condition_report": lambda: tw.condition_report(M, "lichnerowicz", [1.0, 2 ** 0.5, 2.0], pts),
+     "ddbar_oracle": lambda: tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])}[layer]()
+    assert (sum(seen), len(seen)) == (evals, calls)

@@ -492,11 +492,13 @@ def _memo_results(M, x, zeta=0.3 + 0.2j):
     """Arrays from every memoized layer and from the stacks built on them."""
     fr = mf.adapted_frame(M, x)
     om_t, om_lc, fr_t = cn.omega_tilde_coord(M, x, 1.0)
+    family = [cn.omega_tilde_coord(M, x, t)[0] for t in (-1.0, 0.5)]
     z = tw.TwistorPoint.from_zeta(x, zeta)
     sw = tw.CoframeSweep(M, "chern", z)
     co = tw.twistor_coframe(M, "chern", z)
     return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
-            fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta,
+            fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
+            cn._lc_forms(M, x), *cn._J_pushed_dF(M, x),
             cn.levi_civita(M, x).R, cn.levi_civita(M, x).Gamma, cn.levi_civita(M, x).omega_frame,
             cn.levi_civita(M, np.stack([x, x + 0.01])).R, sw.B0, sw.dB, co.B,
             tw.dK_formula(3, 1.5, co).to_array(), sw.dK(3, 1.5).to_array()]
@@ -521,7 +523,8 @@ def test_stored_arrays_are_read_only_and_inputs_stay_writable():
     x = np.array([0.1, 0.2, -0.3, 0.4])
     fr = mf.adapted_frame(M, x)
     stored = [M.metric(x), cn.christoffel(M, x), mf.coordinate_fundamental_matrix(M, x),
-              fr.point, fr.E, fr.theta, fr.U, fr.eta, *cn.omega_tilde_coord(M, x, 0.0)[:2]]
+              fr.point, fr.E, fr.theta, fr.U, fr.eta, *cn.omega_tilde_coord(M, x, 0.0)[:2],
+              cn._lc_forms(M, x), *cn._J_pushed_dF(M, x)]
     for arr in stored:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -604,6 +607,8 @@ def test_duplicates_within_a_stack_reach_fn_once():
     mf.adapted_frame,
     lambda M, x: cn.omega_tilde_coord(M, x, 1.0),
     cn.levi_civita,
+    cn._lc_forms,
+    cn._J_pushed_dF,
 ])
 def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(layer):
     memoized, recomputed = mf.builtin("hopf"), mf.builtin("hopf")

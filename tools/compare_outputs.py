@@ -18,8 +18,10 @@ the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, a text
 `verify --suite algebra`, invocations whose coframe sweeps and formula
 coframes stack more than two bundle points: `report --points 5` on cp2_fs
 (c=2), on hopf/chern and on ch2/chern, `scan --points 4` on cp2_fs and
-`verify --suite oracle --points 3`, and `verify --suite oracle --points 1`,
-whose stacks hold one point each.
+`verify --suite oracle --points 3`, `verify --suite oracle --points 1`,
+whose stacks hold one point each, and two reports that assemble a family
+member from the t-independent tables of the point memo: the negative
+general member t = -0.3 on hopf and a five-point bismut stack on ch2.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -87,6 +89,8 @@ def argv_list():
         ["verify", "--suite", "oracle", "--points", "3", "--format", "json"],
         ["verify", "--suite", "oracle", "--points", "1", "--format", "json"],
         ["report", "--surface", "ch2", "--connection", "chern", "--points", "5", "--format", "json"],
+        ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "-0.3", "--format", "json"],
+        ["report", "--surface", "ch2", "--connection", "bismut", "--points", "5", "--format", "json"],
     ]
     return out
 

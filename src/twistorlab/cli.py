@@ -378,9 +378,9 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
 
     u_lo, u_hi = grid[0] ** 2, grid[-1] ** 2
     crossings: Dict[str, object] = {}
-    for i in structures:
+    for i, roots in zip(structures, lambda_zero_crossing(structures, M, conn, points, sweep=sw)):
         per_point = []
-        for root, resid in lambda_zero_crossing(i, M, conn, points, sweep=sw):
+        for root, resid in roots:
             if root is None or not u_lo <= root <= u_hi:
                 per_point.append(None)
                 continue

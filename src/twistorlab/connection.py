@@ -198,14 +198,16 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
 # ======================================================================
 
 @point_memo
-def _J_pushed_dF(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(JdF_first, JdF_all) at an (n, 4) stack of points: dF(JX, Y, Z) and
-    dF(JX, JY, JZ), dF pushed through J in slot 0, then in slots 1 and 2.
-    The t-independent terms of every D^t correction; `point_memo` serves
-    one point or any stack."""
+def _J_pushed_dF(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dF, JdF_first, JdF_all) at an (n, 4) stack of points: `dF_array`,
+    then dF(JX, Y, Z) and dF(JX, JY, JZ), dF pushed through J in slot 0,
+    then in slots 1 and 2.  The pushed terms are the t-independent terms of
+    every D^t correction, and dF itself gives the Kahler defect of
+    `condition_flags`; `point_memo` serves one point or any stack."""
+    dF = dF_array(M, x)
     Jm = M.J(x)
-    JdF_first = push_slots(dF_array(M, x), Jm, (0,))
-    return JdF_first, push_slots(JdF_first, Jm, (1, 2))
+    JdF_first = push_slots(dF, Jm, (0,))
+    return dF, JdF_first, push_slots(JdF_first, Jm, (1, 2))
 
 
 def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
@@ -218,7 +220,7 @@ def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarr
     """
     c1 = (1.0 - t) / 4.0
     c2 = (1.0 + t) / 4.0
-    JdF_first, JdF_all = _J_pushed_dF(M, x)
+    _, JdF_first, JdF_all = _J_pushed_dF(M, x)
     return c1 * JdF_all - c2 * JdF_first
 
 

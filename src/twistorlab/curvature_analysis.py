@@ -20,12 +20,13 @@ a report can never silently hide how close the call was.
 """
 
 from dataclasses import dataclass
+from typing import List, Union
 
 import numpy as np
 
-from twistorlab.connection import LeviCivitaData, levi_civita
-from twistorlab.exterior import SdAsdBasis, antisymmetric_array
-from twistorlab.manifold import HermitianSurface, J_STANDARD, dF_form, push_slots
+from twistorlab.connection import LeviCivitaData, _J_pushed_dF, levi_civita
+from twistorlab.exterior import SdAsdBasis, antisymmetric_array, norms, read_only, slot_keys
+from twistorlab.manifold import HermitianSurface, J_STANDARD, push_slots
 
 DEFAULT_PREDICATE_TOL = 1e-6
 
@@ -39,18 +40,24 @@ def _basis_arrays(basis: SdAsdBasis) -> np.ndarray:
     return antisymmetric_array(np.stack([f.vec for f in basis.all_forms()]), 4, 2).real
 
 
+# the standard basis forms as the columns (16, 6) of their component arrays
+# over the index pairs (ij), built once
+_BASIS_COLUMNS = read_only(_basis_arrays(SdAsdBasis.standard()).reshape(6, 16).T)
+
+
 @dataclass(frozen=True)
 class CurvatureOperator6:
     """R-hat over (alpha+_1, alpha+_2, alpha+_3, alpha-_1, alpha-_2, alpha-_3)."""
     point: np.ndarray
-    matrix: np.ndarray   # (6, 6) real symmetric
+    matrix: np.ndarray   # (6, 6) real symmetric, (n, 6, 6) for a stack
 
     def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
+        return float(np.max(np.abs(self.matrix - np.swapaxes(self.matrix, -1, -2))))
 
 
 def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
-    """The curvature operator matrix in the unit-norm SD/ASD basis.
+    """The curvature operator matrix in the unit-norm SD/ASD basis, at the
+    point of `levi` or at each point of a stack.
 
     Entry (a, b) is the ordered-pair contraction of R_ijkl against basis
     forms a and b; because the basis is orthonormal these are the operator
@@ -58,14 +65,15 @@ def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
     """
     # sum over ordered index pairs: sum_{i<j,k<l} A_ij R_ijkl B_kl, with R
     # as a matrix over the index pairs (ij), (kl)
-    arrs = _basis_arrays(SdAsdBasis.standard()).reshape(6, 16)
-    M = 0.25 * push_slots(levi.R.reshape(16, 16), arrs.T, (0, 1))
+    R = levi.R.reshape(levi.R.shape[:-4] + (16, 16))
+    M = 0.25 * push_slots(R, _BASIS_COLUMNS, (R.ndim - 2, R.ndim - 1))
     return CurvatureOperator6(point=levi.point, matrix=M)
 
 
 @dataclass(frozen=True)
 class WeylDecomposition:
-    """Blocks of the 6x6 operator: trace-free Weyl halves, Ricci coupling, scalars."""
+    """Blocks of the 6x6 operator: trace-free Weyl halves, Ricci coupling,
+    scalars; for a stack of n points every field gains a leading axis n."""
     point: np.ndarray
     Wplus: np.ndarray    # (3, 3) trace-free symmetric
     Wminus: np.ndarray   # (3, 3) trace-free symmetric
@@ -74,25 +82,24 @@ class WeylDecomposition:
     sstar: float
 
     def reassemble(self) -> np.ndarray:
-        eye = np.eye(3)
-        top = np.hstack([self.Wplus + self.s / 12.0 * eye, self.Ric0])
-        bot = np.hstack([self.Ric0.T, self.Wminus + self.s / 12.0 * eye])
-        return np.vstack([top, bot])
+        shift = np.multiply.outer(np.divide(self.s, 12.0), np.eye(3))
+        return np.block([[self.Wplus + shift, self.Ric0],
+                         [np.swapaxes(self.Ric0, -1, -2), self.Wminus + shift]])
 
 
 def decompose(op: CurvatureOperator6) -> WeylDecomposition:
     M = op.matrix
-    Ms = 0.5 * (M + M.T)
-    s = 2.0 * float(np.trace(Ms))
-    eye = np.eye(3)
+    Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
+    s = 2.0 * np.trace(Ms, axis1=-2, axis2=-1)
+    shift = np.multiply.outer(s / 12.0, np.eye(3))
     # s* = 2 <R-hat F, F> with F = alpha+_1 unnormalized: each slot carries
     # an extra sqrt(2) against the unit-norm entries, so this is 4 M[0, 0].
-    sstar = 4.0 * float(Ms[0, 0])
+    sstar = 4.0 * Ms[..., 0, 0]
     return WeylDecomposition(
         point=op.point,
-        Wplus=Ms[:3, :3] - s / 12.0 * eye,
-        Wminus=Ms[3:, 3:] - s / 12.0 * eye,
-        Ric0=Ms[:3, 3:],
+        Wplus=Ms[..., :3, :3] - shift,
+        Wminus=Ms[..., 3:, 3:] - shift,
+        Ric0=Ms[..., :3, 3:],
         s=s,
         sstar=sstar,
     )
@@ -103,12 +110,13 @@ def decompose(op: CurvatureOperator6) -> WeylDecomposition:
 # ======================================================================
 
 def ricci_tensor(levi: LeviCivitaData) -> np.ndarray:
-    """Ric[j, l] = sum_i R[i, j, i, l] in adapted-frame components."""
-    return np.einsum("ijil->jl", levi.R)
+    """Ric[j, l] = sum_i R[i, j, i, l] in adapted-frame components, (4, 4) or
+    (n, 4, 4) for a stack."""
+    return np.einsum("...ijil->...jl", levi.R)
 
 
 def trace_free_ricci(ric: np.ndarray) -> np.ndarray:
-    return ric - np.trace(ric) / 4.0 * np.eye(4)
+    return ric - np.multiply.outer(np.trace(ric, axis1=-2, axis2=-1) / 4.0, np.eye(4))
 
 
 @dataclass(frozen=True)
@@ -145,35 +153,59 @@ class ConditionFlags:
 
 
 def predicates(dec: WeylDecomposition, ricci: np.ndarray, kahler_defect: float,
-               tol: float = DEFAULT_PREDICATE_TOL) -> ConditionFlags:
-    """Assemble flags from a decomposition, the Ricci tensor, and a Kahler defect.
+               tol: float = DEFAULT_PREDICATE_TOL) -> Union[ConditionFlags, List[ConditionFlags]]:
+    """Assemble flags from a decomposition, the Ricci tensor, and a Kahler defect:
+    one ConditionFlags, or a list of one per point for a stack (`ricci`
+    (n, 4, 4) and `kahler_defect` (n,)).
 
     The Einstein defect is the Frobenius norm of the trace-free Ricci tensor
     (contracted independently of the 6x6 block, which is cross-checked in the
     test suite); Ricci J-invariance measures the commutator with the standard
-    frame J.
+    frame J.  Each norm is `np.linalg.norm` of one point's block, a BLAS
+    sum whose order a norm over a stack axis would not keep.
     """
-    r0 = trace_free_ricci(ricci)
-    einstein_defect = float(np.linalg.norm(r0))
-    ricJ_defect = float(np.linalg.norm(ricci @ J_STANDARD - J_STANDARD @ ricci))
-    sd_defect = float(np.linalg.norm(dec.Wminus))
-    asd_defect = float(np.linalg.norm(dec.Wplus))
-    return ConditionFlags(
-        point=dec.point, tol=tol,
-        self_dual=sd_defect < tol, self_dual_defect=sd_defect,
-        anti_self_dual=asd_defect < tol, anti_self_dual_defect=asd_defect,
-        einstein=einstein_defect < tol, einstein_defect=einstein_defect,
-        kahler=kahler_defect < tol, kahler_defect=float(kahler_defect),
-        ricci_J_invariant=ricJ_defect < tol, ricci_J_invariant_defect=ricJ_defect,
-        s=dec.s, sstar=dec.sstar,
-    )
+    blocks = [np.reshape(a, (-1,) + a.shape[-2:]) for a in (
+        trace_free_ricci(ricci), ricci @ J_STANDARD - J_STANDARD @ ricci, dec.Wminus, dec.Wplus)]
+    scalars = zip(*(np.ravel(v).tolist() for v in (kahler_defect, dec.s, dec.sstar)))
+    flags = []
+    for point, (kdef, s, sstar), *mats in zip(np.reshape(dec.point, (-1, 4)), scalars, *blocks):
+        einstein_defect, ricJ_defect, sd_defect, asd_defect = (float(np.linalg.norm(m)) for m in mats)
+        flags.append(ConditionFlags(
+            point=point, tol=tol,
+            self_dual=sd_defect < tol, self_dual_defect=sd_defect,
+            anti_self_dual=asd_defect < tol, anti_self_dual_defect=asd_defect,
+            einstein=einstein_defect < tol, einstein_defect=einstein_defect,
+            kahler=kdef < tol, kahler_defect=kdef,
+            ricci_J_invariant=ricJ_defect < tol, ricci_J_invariant_defect=ricJ_defect,
+            s=s, sstar=sstar,
+        ))
+    return flags[0] if np.ndim(dec.s) == 0 else flags
 
 
-def condition_flags(M: HermitianSurface, x: np.ndarray, tol: float = DEFAULT_PREDICATE_TOL) -> ConditionFlags:
-    """One-call predicate evaluation at a chart point."""
+# the slots (a < b < c) of a 3-form in dimension 4, as index arrays into dF
+_DF_SLOTS = tuple(np.array(slot_keys(4, 3)).T)
+
+
+def condition_flags(M: HermitianSurface, x: np.ndarray,
+                    tol: float = DEFAULT_PREDICATE_TOL) -> Union[ConditionFlags, List[ConditionFlags]]:
+    """The predicates at a chart point x (4,), or a list of them for every
+    point of a stack x (n, 4), each with the bits of its own one-point call.
+
+    A stack makes one `levi_civita` call and one pass of the curvature
+    algebra; the Kahler defect |dF| reads dF from the point memo
+    (`_J_pushed_dF`, filled at the base points by a coframe sweep of any
+    connection), so it runs no FD pass there.  When a point fails, the
+    points are replayed one at a time, so the error is the one a
+    point-by-point loop meets first.
+    """
     x = np.asarray(x, dtype=float)
-    lc = levi_civita(M, x)
-    dec = decompose(curvature_operator(lc))
-    ric = ricci_tensor(lc)
-    kdef = dF_form(M, x).norm()
-    return predicates(dec, ric, kdef, tol=tol)
+    try:
+        lc = levi_civita(M, x)
+        dF = _J_pushed_dF(M, x)[0]
+    except Exception:
+        if x.ndim > 1:
+            for p in x.reshape(-1, 4):
+                condition_flags(M, p, tol)
+        raise
+    kdef = norms(dF[(...,) + _DF_SLOTS])
+    return predicates(decompose(curvature_operator(lc)), ricci_tensor(lc), kdef, tol=tol)

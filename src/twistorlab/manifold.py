@@ -123,10 +123,10 @@ class _Program:
     point as for a single point.
     """
 
-    def __init__(self, coords: Sequence[str]):
-        self.coords = {name: i for i, name in enumerate(coords)}
+    def __init__(self):
         self.names: Dict[str, str] = {}     # statement source -> its temporary
         self.lines: List[str] = []
+        self.emitted: Dict[int, tuple] = {}     # id of a tree -> (the tree, its temporary)
 
     def let(self, src: str) -> str:
         name = self.names.get(src)
@@ -135,12 +135,17 @@ class _Program:
             self.lines.append(f"    {name} = {src}")
         return name
 
-    def add(self, text: str, line_no: int, col_offset: int) -> str:
-        """Parse one expression; returns the temporary (or literal) holding it."""
-        tokens = _tokenize_expr(text, line_no, col_offset)
-        if not tokens:
-            raise SpecSyntaxError("empty expression", line_no, col_offset + 1)
-        return _ExprParser(tokens, self, line_no).parse()
+    def emit(self, tree) -> str:
+        """The temporary (or literal) holding a parsed expression tree
+        (`_ExprParser`): one statement per node, its children first, left to
+        right, in the order the parser read them.  A tree emitted before,
+        such as the entry of a mirrored slot, is not walked again."""
+        if isinstance(tree, str):
+            return tree
+        if id(tree) not in self.emitted:
+            template, *children = tree
+            self.emitted[id(tree)] = (tree, self.let(template.format(*map(self.emit, children))))
+        return self.emitted[id(tree)][1]
 
     def compile(self, outputs: Sequence[str]) -> Callable[[np.ndarray], tuple]:
         """x -> the tuple of the values of `outputs`."""
@@ -152,18 +157,22 @@ class _Program:
 
 
 class _ExprParser:
-    """Recursive-descent parser that emits one `_Program` statement per node.
+    """Recursive-descent parser of one expression, whose text starts after
+    column `col_offset` of line `line_no`, into a tree for `_Program.emit`.
 
-    Each method returns the temporary (or numeric literal) holding its
-    value.  Evaluating a whole stack of points in one call keeps the cost
+    A tree is a numeric literal (a str) or a tuple (template, *children):
+    the statement of one `_Program` node, with a `{}` for the value of each
+    child.  Evaluating a whole stack of points in one call keeps the cost
     per point far below a python call per point, which matters because the
     FD oracles evaluate metrics at hundreds of points per bundle point.
     """
 
-    def __init__(self, tokens: List[Tuple[str, str, int]], program: _Program, line_no: int):
-        self.toks = tokens
+    def __init__(self, text: str, coords: Sequence[str], line_no: int, col_offset: int):
+        self.toks = _tokenize_expr(text, line_no, col_offset)
+        if not self.toks:
+            raise SpecSyntaxError("empty expression", line_no, col_offset + 1)
         self.pos = 0
-        self.program = program
+        self.coords = {name: i for i, name in enumerate(coords)}
         self.line_no = line_no
 
     def _peek(self):
@@ -182,29 +191,29 @@ class _ExprParser:
         if tok[0] != "op" or tok[1] != op:
             raise SpecSyntaxError(f"expected {op!r}, got {tok[1]!r}", self.line_no, tok[2])
 
-    def parse(self) -> str:
-        src = self.expr()
+    def parse(self):
+        tree = self.expr()
         if self._peek() is not None:
             tok = self._peek()
             raise SpecSyntaxError(f"trailing input {tok[1]!r}", self.line_no, tok[2])
-        return src
+        return tree
 
-    def expr(self) -> str:
-        src = self.term()
+    def expr(self):
+        tree = self.term()
         while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
             self._next()
-            src = self.program.let(f"{src} {tok[1]} {self.term()}")
-        return src
+            tree = (f"{{}} {tok[1]} {{}}", tree, self.term())
+        return tree
 
-    def term(self) -> str:
-        src = self.factor()
+    def term(self):
+        tree = self.factor()
         while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
             self._next()
-            src = self.program.let(f"{src} {tok[1]} {self.factor()}")
-        return src
+            tree = (f"{{}} {tok[1]} {{}}", tree, self.factor())
+        return tree
 
-    def factor(self) -> str:
-        src = self.base()
+    def factor(self):
+        tree = self.base()
         if (tok := self._peek()) is not None and tok[1] == "^":
             self._next()
             sign = ""
@@ -214,36 +223,36 @@ class _ExprParser:
                 nxt = self._next()
             if nxt[0] != "num" or any(ch in nxt[1] for ch in ".eE"):
                 raise SpecSyntaxError("exponent must be an integer", self.line_no, nxt[2])
-            src = self.program.let(f"_f_pow({src}, {sign}{nxt[1]})")
-        return src
+            tree = (f"_f_pow({{}}, {sign}{nxt[1]})", tree)
+        return tree
 
-    def base(self) -> str:
+    def base(self):
         tok = self._next()
         kind, value, col = tok
         if kind == "num":
             return value
         if kind == "op" and value == "-":
-            return self.program.let(f"-{self.base()}")
+            return ("-{}", self.base())
         if kind == "op" and value == "(":
-            src = self.expr()
+            tree = self.expr()
             self._expect_op(")")
-            return src
+            return tree
         if kind == "name":
             if value in _FUNCS:
                 self._expect_op("(")
-                src = self.expr()
+                tree = self.expr()
                 self._expect_op(")")
-                return self.program.let(f"_f_{value}({src})")
-            if value in self.program.coords:
-                return self.program.let(f"x[..., {self.program.coords[value]}]")
+                return (f"_f_{value}({{}})", tree)
+            if value in self.coords:
+                return (f"x[..., {self.coords[value]}]",)
             raise SpecSyntaxError(f"unknown name {value!r}", self.line_no, col)
         raise SpecSyntaxError(f"unexpected token {value!r}", self.line_no, col)
 
 
 def _compile_expr(text: str, coords: Sequence[str], line_no: int, col_offset: int) -> Callable[[np.ndarray], object]:
     """One expression as a function of a point or of a stack of points (..., 4)."""
-    program = _Program(coords)
-    run = program.compile([program.add(text, line_no, col_offset)])
+    program = _Program()
+    run = program.compile([program.emit(_ExprParser(text, coords, line_no, col_offset).parse())])
     return lambda x: run(x)[0]
 
 
@@ -668,15 +677,15 @@ _INVARIANTS = ("metric not finite", "metric not symmetric", "metric not positive
 # parsing surface descriptions
 # ======================================================================
 
-def _matrix_field(coords: Sequence[str], entries: Dict[Tuple[int, int], tuple],
+def _matrix_field(entries: Dict[Tuple[int, int], object],
                   fill: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The stack field x (..., 4) -> (..., 4, 4): `fill` with each 1-based
-    slot of `entries` set to its expression, given as (text, line, column).
+    slot of `entries` set to its expression, given as its parsed tree.
     The expressions enter one program in the order of `entries`, so where
     two of them fail at one point the error is that of the first, as when
     each entry is evaluated in turn."""
-    program = _Program(coords)
-    names = [program.add(*expr) for expr in entries.values()]
+    program = _Program()
+    names = [program.emit(tree) for tree in entries.values()]
     run = program.compile(names)
     slots = [(i - 1, j - 1) for i, j in entries]
 
@@ -708,9 +717,11 @@ def parse_surface_spec(text: str, name: str = "custom",
     """
     coords: Optional[Tuple[str, ...]] = None
     domains: Dict[str, Tuple[float, float]] = {}
-    # each entry is its expression as (text, line, column)
-    g_exprs: Dict[Tuple[int, int], tuple] = {}
-    j_exprs: Dict[Tuple[int, int], tuple] = {}
+    # each entry is the tree of its expression; each distinct text is parsed
+    # once, at its first line, where a syntax error surfaces
+    g_exprs: Dict[Tuple[int, int], object] = {}
+    j_exprs: Dict[Tuple[int, int], object] = {}
+    trees: Dict[str, object] = {}
     j_standard = False
 
     lines = text.splitlines()
@@ -766,12 +777,13 @@ def parse_surface_spec(text: str, name: str = "custom",
                 raise SpecSyntaxError("matrix indices must be integers", line_no, indent + 1) from None
             if not (1 <= i <= 4 and 1 <= j <= 4):
                 raise SpecSyntaxError("matrix indices must be in 1..4", line_no, indent + 1)
-            expr = (line[eq + 1:], line_no, eq + 1)
-            _Program(coords).add(*expr)     # a syntax error surfaces at its line
+            expr = line[eq + 1:]
+            if expr not in trees:
+                trees[expr] = _ExprParser(expr, coords, line_no, eq + 1).parse()
             target = g_exprs if head == "g" else j_exprs
             if (i, j) in target:
                 raise SpecSyntaxError(f"duplicate entry {head} {i} {j}", line_no, indent + 1)
-            target[(i, j)] = expr
+            target[(i, j)] = trees[expr]
             continue
 
         raise SpecSyntaxError(f"unknown directive {head!r}", line_no, indent + 1)
@@ -786,16 +798,16 @@ def parse_surface_spec(text: str, name: str = "custom",
     # written for (i, j), else the one for (j, i); J's in the order written
     metric_entries = {}
     for i, j in itertools.product(range(1, 5), repeat=2):
-        expr = g_exprs.get((i, j)) or g_exprs.get((j, i))
-        if expr is not None:
-            metric_entries[(i, j)] = expr
-    metric_fn = _matrix_field(coords, metric_entries, np.eye(4))
+        tree = g_exprs.get((i, j)) or g_exprs.get((j, i))
+        if tree is not None:
+            metric_entries[(i, j)] = tree
+    metric_fn = _matrix_field(metric_entries, np.eye(4))
 
     if j_exprs and j_standard:
         raise SpecSyntaxError("both 'J standard' and explicit J entries given", len(lines), 1)
 
     if j_exprs:
-        j_fn = _matrix_field(coords, j_exprs, np.zeros((4, 4)))
+        j_fn = _matrix_field(j_exprs, np.zeros((4, 4)))
     else:
         j_fn = stack_field(lambda x: np.broadcast_to(J_STANDARD, np.shape(x)[:-1] + (4, 4)))
 

@@ -594,9 +594,11 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 # almost complex structures and metrics
 # ======================================================================
 
-def _adapted_rows(i: int, B: np.ndarray) -> np.ndarray:
+def _adapted_rows(i: Union[int, Tuple[int, ...]], B: np.ndarray) -> np.ndarray:
     """The 6x6 complex matrices (..., 6, 6) whose first three rows are the
-    J_i-(1,0) coframe, for coframe rows B (..., 3, 6)."""
+    J_i-(1,0) coframe, for coframe rows B (..., 3, 6) (a leading axis for a tuple i)."""
+    if isinstance(i, tuple):
+        return np.stack([_adapted_rows(k, B) for k in i])
     top = np.concatenate([B, np.conj(B)], axis=-2)[..., list(_J_ROWS[i]), :]
     return np.concatenate([top, np.conj(top)], axis=-2)
 
@@ -612,9 +614,10 @@ def _real_part(A: np.ndarray, y: Optional[np.ndarray], what: str) -> np.ndarray:
     return np.real(A)
 
 
-def _structure(i: int, B: np.ndarray, y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _structure(i: Union[int, Tuple[int, ...]], B: np.ndarray,
+               y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """(C, J_i): the adapted rows of B (..., 3, 6) and the real endomorphisms
-    C^-1 D C (..., 6, 6)."""
+    C^-1 D C (..., 6, 6), with a leading axis (in y too) for a tuple i."""
     C = _adapted_rows(i, B)
     return C, _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
 
@@ -657,13 +660,14 @@ def _check_index(i: int) -> None:
 
 def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -> np.ndarray:
     """The weight table (n, 3): row r holds (l1^2, e2 l2^2, e3 l3^2), the
-    weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda)."""
-    out = np.empty((len(pairs), 3))
-    for r, (i, lam) in enumerate(pairs):
+    weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda),
+    checked in order; the squares are python's `**`, the signs one product."""
+    signs, squares = [], []
+    for i, lam in pairs:
         _check_index(i)
-        l1, l2, l3 = _lambdas(lam)
-        out[r] = np.array(_WEIGHT_SIGNS[i]) * (l1 ** 2, l2 ** 2, l3 ** 2)
-    return out
+        signs.append(_WEIGHT_SIGNS[i])
+        squares.append([v ** 2 for v in _lambdas(lam)])
+    return np.array(signs).reshape(-1, 3) * np.array(squares).reshape(-1, 3)
 
 
 def weighted_sum(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -873,8 +877,11 @@ class CoframeSweep:
     depend on i or lambda; each is built once, on first use, and shared by
     every K, dK, K ^ dK and zero crossing of the sweep.  A whole (i, lambda)
     grid of every point is one weighted sum of those rows and one weighted
-    sum of the blocks (`defect_rows`).  `K`, `dK` and `K_wedge_dK` give the
-    forms of a one-point sweep.
+    sum of the blocks (`defect_rows`), and the zero crossings of every
+    structure one more (`lambda_zero_crossing`).  The Nijenhuis values of
+    all four structures (`nijenhuis_values`, (4, n)) are one stacked solve,
+    also built on first use; `nijenhuis(i)` reads row i - 1.  `K`, `dK` and
+    `K_wedge_dK` give the forms of a one-point sweep.
 
     Raises DegenerateCoframeError, naming the first failing point in stack
     order as a point-by-point sweep does, when the Gram determinant of B at
@@ -979,22 +986,49 @@ class CoframeSweep:
     def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return ComplexForm(6, 5, self.defect_rows(lambda_weights([(i, lam)]))[1][0])
 
+    @functools.cached_property
+    def nijenhuis_values(self) -> np.ndarray:
+        """The max Nijenhuis norms of J_1..J_4 at the bundle points, (4,) or
+        (4, n) for a stack, from one stacked solve, each with the bits of
+        its own structure's solve (read-only).  Raises the error of the
+        first failing structure, as a loop over i = 1..4 meets it."""
+        return read_only(self._nijenhuis((1, 2, 3, 4)))
+
     def nijenhuis(self, i: int):
         """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs,
-        at each bundle point: a float for a one-point sweep, (n,) for a stack.
+        at each bundle point: a float for a one-point sweep, (n,) for a
+        stack; row i - 1 of `nijenhuis_values`, or J_i alone when another
+        structure fails."""
+        _check_index(i)
+        try:
+            worst = self.nijenhuis_values[i - 1]
+        except (DegenerateCoframeError, np.linalg.LinAlgError):
+            worst = self._nijenhuis((i,))[0]
+        return float(worst) if worst.ndim == 0 else worst
+
+    def _nijenhuis(self, structures: Tuple[int, ...]) -> np.ndarray:
+        """The Nijenhuis values (len(structures), ...) of the J_i listed.
 
         N(X, Y) = [J X, J Y] - J[J X, Y] - J[X, J Y] - [X, Y] on coordinate
         fields, whose own brackets vanish.  J = C^-1 D C for the adapted rows
-        C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).
+        C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).  On a
+        failure the structures are replayed one at a time, so the error is
+        that of the first failing one, J before dJ.
         """
-        C, J = _structure(i, self.B0, self.y0)
-        dC = _adapted_rows(i, self.dB)
-        dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
-                        self.y0, f"the derivative of J_{i}")
+        y = np.broadcast_to(self.y0, (len(structures),) + self.y0.shape)
+        try:
+            C, J = _structure(structures, self.B0, y)
+            dC = _adapted_rows(structures, self.dB)
+            dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
+                            y, f"the derivative of J_{structures[0]}")
+        except (DegenerateCoframeError, np.linalg.LinAlgError):
+            if len(structures) > 1:
+                for i in structures:
+                    self._nijenhuis((i,))
+            raise
         # S[a, b] = J-contraction terms of N(d_a, d_b); N is its antisymmetric part
         S = np.einsum("...pa,...pmb->...abm", J, dJ) + np.einsum("...mn,...bna->...abm", J, dJ)
-        worst = np.max(np.linalg.norm(S - np.swapaxes(S, -3, -2), axis=-1), axis=(-2, -1))
-        return float(worst) if worst.ndim == 0 else worst
+        return np.max(np.linalg.norm(S - np.swapaxes(S, -3, -2), axis=-1), axis=(-2, -1))
 
 
 def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
@@ -1209,24 +1243,30 @@ def bundle_chart_compare(M: HermitianSurface, lam: float, z: TwistorPoint) -> fl
 # scans, evaluation bundles, reports
 # ======================================================================
 
-def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
+def lambda_zero_crossing(i: Union[int, Sequence[int]], M: HermitianSurface, conn: Union[str, float],
                          z: Union[TwistorPoint, Sequence[TwistorPoint]],
                          sweep: Optional[CoframeSweep] = None):
     """Least-squares root of dK_i(lambda^2) = A + lambda^2 B over the fiber
     parameter: returns (lambda^2_*, residual at the root) for one bundle
     point z, or a list of these pairs for a stack of points, from one
-    stacked sweep (`sweep`, when given, is the sweep of z).
+    stacked sweep (`sweep`, when given, is the sweep of z).  For a sequence
+    of structures i, a list of those answers, one per i, from one weighted
+    sum of the sweep: the one lambda-root solver of `scan` and `report`.
 
     The sweep is linear in lambda^2, so the root is -<A, B>/<B, B> on the
     coefficient vectors; None when the fiber block B vanishes (then the
-    defect is lambda-independent and `residual` reports |A|).
+    defect is lambda-independent and `residual` reports |A|).  Each root
+    reads np.vdot and np.linalg.norm of its own rows: BLAS sums, whose
+    order a reduction over a stack axis would not keep.
     """
+    structures = [i] if np.ndim(i) == 0 else list(i)
     one = isinstance(z, TwistorPoint)
     sw = sweep or (CoframeSweep(M, conn, z) if one else CoframeSweep.stack(M, conn, z))
-    # dK_i at lambda^2 = 0 and the coefficient of lambda^2, at each point
-    rows = weighted_sum(np.array(_WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], sw.dW_coeffs)
+    # dK_i at lambda^2 = 0 and the coefficient of lambda^2, for each i at each point
+    signs = np.array([_WEIGHT_SIGNS[k] for k in structures])[:, None, :]
+    rows = weighted_sum((signs * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).reshape(-1, 3), sw.dW_coeffs)
     out = []
-    for A, Bf in rows.reshape(-1, 2, rows.shape[-1]):
+    for A, Bf in rows.reshape(-1, 2, rows.shape[-1]):       # point by point, i within
         used = (A != 0) | (Bf != 0)
         av, bv = A[used], Bf[used]
         bb = float(np.real(np.vdot(bv, bv)))
@@ -1235,7 +1275,8 @@ def lambda_zero_crossing(i: int, M: HermitianSurface, conn: Union[str, float],
             continue
         root = -float(np.real(np.vdot(bv, av))) / bb
         out.append((root, float(np.linalg.norm(av + root * bv))))
-    return out[0] if one else out
+    out = [out[k] if one else out[k::len(structures)] for k in range(len(structures))]
+    return out[0] if np.ndim(i) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -1381,9 +1422,9 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
 
     sw = CoframeSweep.stack(M, conn, points)
     co = TwistorCoframe.stack(M, conn, points) if formula_ok else None
-    flags = [condition_flags(M, z.x, tol=tol).as_dict() for z in points]
-    nij = {i: max(sw.nijenhuis(i).tolist()) for i in (1, 2, 3, 4)}
-    crossings = {i: lambda_zero_crossing(i, M, conn, points, sweep=sw) for i in (1, 2, 3, 4)}
+    flags = [f.as_dict() for f in condition_flags(M, sw.y0[:, :4], tol=tol)]
+    nij = sw.nijenhuis_values.max(axis=-1).tolist()
+    crossings = dict(zip((1, 2, 3, 4), lambda_zero_crossing((1, 2, 3, 4), M, conn, points, sweep=sw)))
 
     # every (i, lambda) row of every point from one weighted sum of the
     # sweep; the scalar rows come first, and their K ^ dK displays are
@@ -1410,7 +1451,7 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     rows = [MetricConditionRow(
         i=i, lam=lam, symplectic_defect=float(sym[n]), symplectic=bool(sym[n] < tol),
         balanced_defect=float(bal[n]), balanced=bool(bal[n] < tol),
-        nijenhuis_defect=nij[i], integrable=nij[i] < nijenhuis_tol,
+        nijenhuis_defect=nij[i - 1], integrable=nij[i - 1] < nijenhuis_tol,
         formula_residual=None if res is None else float(res[n]))
         for n, (i, lam) in enumerate(pairs)]
     return TwistorConditionReport(

@@ -106,6 +106,30 @@ def test_parse_errors_carry_line_numbers(bad, line, fragment):
     assert fragment in str(exc.value)
 
 
+def test_each_distinct_expression_text_is_parsed_once(monkeypatch):
+    texts = []
+    tokenize = mf._tokenize_expr
+    monkeypatch.setattr(mf, "_tokenize_expr", lambda text, *rest: (texts.append(text), tokenize(text, *rest))[1])
+    mf.builtin("cp2_fs")            # 8 entries, 5 distinct texts, 12 slots with mirrors
+    assert len(texts) == len(set(texts)) == 5
+    texts.clear()
+    mf.builtin("hopf")              # 4 entries of one text
+    assert len(texts) == 1
+
+
+def test_a_bad_expression_repeating_an_earlier_valid_one_raises_at_its_own_line():
+    text = """\
+coords x1 x2 x3 x4
+g 1 1 = 1/(1 + x1^2)
+g 2 2 = 1/(1 + x1^2)
+g 3 3 = 1/(1 + x1^2) * y
+J standard
+"""
+    with pytest.raises(mf.SpecSyntaxError, match="unknown name 'y'") as exc:
+        mf.parse_surface_spec(text)
+    assert (exc.value.line, exc.value.col) == (4, text.splitlines()[3].index("y") + 1)
+
+
 def test_parse_rejects_nonsymmetric_completion():
     text = """\
 coords x1 x2 x3 x4

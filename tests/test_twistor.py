@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistorlab import connection as cn
+from twistorlab import manifold as mf
 from twistorlab import twistor as tw
-from twistorlab.curvature_analysis import condition_flags
-from twistorlab.exterior import ComplexForm, wedge, wedge_all
+from twistorlab.curvature_analysis import (DEFAULT_PREDICATE_TOL, ConditionFlags, _basis_arrays,
+                                           condition_flags)
+from twistorlab.exterior import ComplexForm, SdAsdBasis, wedge, wedge_all
 from twistorlab.manifold import (J_STANDARD, ChartSpec, HermitianSurface, builtin,
                                  coordinate_fundamental_matrix, parse_surface_spec, push_slots,
                                  stack_field)
@@ -1151,7 +1153,7 @@ def test_condition_report_runs_the_levi_civita_body_once_per_point(monkeypatch):
     data = cn.LeviCivitaData
     monkeypatch.setattr(cn, "LeviCivitaData", lambda **kw: (sizes.append(len(kw["point"])), data(**kw))[1])
     tw.condition_report(M, "lichnerowicz", [1.0, 1.5], pts)
-    assert sizes == [1, 1, 1]
+    assert sizes == [3]         # one body for the stack of base points
 
 
 def test_condition_report_rows_for_a_lambda_triple():
@@ -1579,3 +1581,239 @@ def test_a_stacked_coframe_names_the_first_failing_point(bad):
     assert stacked.type is per_point.type
     assert str(stacked.value) == str(per_point.value)
     assert str(pts[1].chart_coordinates().tolist()) in str(stacked.value)
+
+
+# ======================================================================
+# the report's base flags, Nijenhuis values and zero crossings, stacked
+# ======================================================================
+# today's per-point condition_flags, per-structure nijenhuis and
+# lambda_zero_crossing and per-pair lambda_weights, which the stacked passes
+# must reproduce bit for bit, errors included
+
+def _reference_condition_flags(M, x, tol=DEFAULT_PREDICATE_TOL):
+    """One point: its own levi_civita call, the operator and its blocks one
+    point at a time, and |dF| from a fresh `dF_form` FD pass."""
+    x = np.asarray(x, dtype=float)
+    lc = cn.levi_civita(M, x)
+    arrs = _basis_arrays(SdAsdBasis.standard()).reshape(6, 16)
+    op = 0.25 * push_slots(lc.R.reshape(16, 16), arrs.T, (0, 1))
+    Ms = 0.5 * (op + op.T)
+    s = 2.0 * float(np.trace(Ms))
+    sstar = 4.0 * float(Ms[0, 0])
+    eye = np.eye(3)
+    ric = np.einsum("ijil->jl", lc.R)
+    einstein = float(np.linalg.norm(ric - np.trace(ric) / 4.0 * np.eye(4)))
+    ricJ = float(np.linalg.norm(ric @ J_STANDARD - J_STANDARD @ ric))
+    sd = float(np.linalg.norm(Ms[3:, 3:] - s / 12.0 * eye))
+    asd = float(np.linalg.norm(Ms[:3, :3] - s / 12.0 * eye))
+    kahler = mf.dF_form(M, x).norm()
+    return ConditionFlags(point=lc.point, tol=tol, self_dual=sd < tol, self_dual_defect=sd,
+                          anti_self_dual=asd < tol, anti_self_dual_defect=asd,
+                          einstein=einstein < tol, einstein_defect=einstein,
+                          kahler=kahler < tol, kahler_defect=float(kahler),
+                          ricci_J_invariant=ricJ < tol, ricci_J_invariant_defect=ricJ,
+                          s=s, sstar=sstar)
+
+
+def _reference_nijenhuis(sw, i):
+    """The Nijenhuis values of J_i alone: two solves of its own."""
+    C, J = tw._structure(i, sw.B0, sw.y0)
+    dC = tw._adapted_rows(i, sw.dB)
+    dJ = tw._real_part(np.linalg.solve(C[..., None, :, :], tw._D @ dC - dC @ J[..., None, :, :]),
+                       sw.y0, f"the derivative of J_{i}")
+    S = np.einsum("...pa,...pmb->...abm", J, dJ) + np.einsum("...mn,...bna->...abm", J, dJ)
+    worst = np.max(np.linalg.norm(S - np.swapaxes(S, -3, -2), axis=-1), axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
+
+
+def _reference_lambda_zero_crossing(i, sw):
+    """The roots of J_i alone, from a weighted sum of its own, at each point
+    of the stacked sweep sw."""
+    rows = tw.weighted_sum(np.array(tw._WEIGHT_SIGNS[i]) * [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                           sw.dW_coeffs)
+    out = []
+    for A, Bf in rows.reshape(-1, 2, rows.shape[-1]):
+        used = (A != 0) | (Bf != 0)
+        av, bv = A[used], Bf[used]
+        bb = float(np.real(np.vdot(bv, bv)))
+        if bb < 1e-18:
+            out.append((None, float(np.linalg.norm(av))))
+            continue
+        root = -float(np.real(np.vdot(bv, av))) / bb
+        out.append((root, float(np.linalg.norm(av + root * bv))))
+    return out
+
+
+def _reference_lambda_weights(pairs):
+    out = np.empty((len(pairs), 3))
+    for r, (i, lam) in enumerate(pairs):
+        tw._check_index(i)
+        l1, l2, l3 = tw._lambdas(lam)
+        out[r] = np.array(tw._WEIGHT_SIGNS[i]) * (l1 ** 2, l2 ** 2, l3 ** 2)
+    return out
+
+
+def _assert_same_flags(got, want):
+    for field in dataclasses.fields(ConditionFlags):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+_REPORT_SURFACES = ("flat_c2", "cp2_fs", "ch2", "hopf", "conformal")
+
+
+def _fresh(name):
+    if name == "conformal":
+        return tw.conformal_rescale(builtin("cp2_fs", c=2.0), "0.1*x1*x2 + 0.05*x3^2")
+    return builtin(name, c=2.0) if name == "cp2_fs" else builtin(name)
+
+
+@pytest.mark.parametrize("name", _REPORT_SURFACES)
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern", "bismut"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_report_passes_have_the_bits_of_the_per_point_and_per_structure_calls(name, conn, n):
+    # each side on a fresh surface, so neither reads what the other stored
+    M_ref, M = _fresh(name), _fresh(name)
+    pts = tw.sample_twistor_points(M, 5, seed=18)[:n]
+    X = np.array([z.x for z in pts])
+    ref = tw.CoframeSweep.stack(M_ref, conn, pts)
+    want_flags = [_reference_condition_flags(M_ref, x) for x in X]
+    want_nij = [_reference_nijenhuis(ref, i) for i in (1, 2, 3, 4)]
+    want_roots = [_reference_lambda_zero_crossing(i, ref) for i in (1, 2, 3, 4)]
+
+    sw = tw.CoframeSweep.stack(M, conn, pts)
+    flags = condition_flags(M, X)
+    assert isinstance(flags, list) and len(flags) == n
+    for got, want in zip(flags, want_flags):
+        _assert_same_flags(got, want)
+    _assert_same_flags(condition_flags(_fresh(name), X[0]), want_flags[0])
+    assert sw.nijenhuis_values.shape == (4, n) and not sw.nijenhuis_values.flags.writeable
+    for i, want in zip((1, 2, 3, 4), want_nij):
+        assert np.array_equal(sw.nijenhuis_values[i - 1], want)
+        assert np.array_equal(sw.nijenhuis(i), want)
+    assert tw.lambda_zero_crossing((1, 2, 3, 4), M, conn, pts, sweep=sw) == want_roots
+    assert tw.lambda_zero_crossing([3, 1], M, conn, pts, sweep=sw) == [want_roots[2], want_roots[0]]
+    assert tw.lambda_zero_crossing(2, M, conn, pts, sweep=sw) == want_roots[1]
+    one = tw.CoframeSweep(M, conn, pts[0])
+    assert tw.lambda_zero_crossing((1, 2, 3, 4), M, conn, pts[0], sweep=one) == \
+        [roots[0] for roots in want_roots]
+    assert np.array_equal(one.nijenhuis_values, [nij[0] for nij in want_nij])
+
+    report = tw.condition_report(M, conn, [1.0, SQ2], pts)
+    assert report.base_flags == [f.as_dict() for f in want_flags]
+    assert report.zero_crossings == dict(zip((1, 2, 3, 4), want_roots))
+    assert [r.nijenhuis_defect for r in report.rows] == \
+        [max(want_nij[r.i - 1].tolist()) for r in report.rows]
+
+
+_DEGENERATE_FRAME_AT_X1_0 = "coords x1 x2 x3 x4\ng 1 1 = x1^2\ng 2 2 = x1^2\nJ standard\n"
+
+
+@pytest.mark.parametrize("stack", [
+    # the second point has no adapted frame, so no Levi-Civita data
+    [[0.5, 0.2, 0.1, 0.2], [0.0, 0.3, 0.1, 0.2], [0.4, 0.5, 0.1, 0.2]],
+    # the second point too close to the boundary for dF, the third without a frame
+    [[0.5, 0.2, 0.1, 0.2], [0.5, 0.9995, 0.1, 0.2], [0.0, 0.3, 0.1, 0.2]],
+    # the second point without a frame, the third too close to the boundary
+    [[0.5, 0.2, 0.1, 0.2], [0.0, 0.3, 0.1, 0.2], [0.5, 0.9995, 0.1, 0.2]],
+])
+def test_stacked_flags_raise_the_error_the_point_by_point_loop_meets_first(stack):
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as per_point:
+            M = parse_surface_spec(_DEGENERATE_FRAME_AT_X1_0)
+            for x in stack:
+                _reference_condition_flags(M, x)
+        with pytest.raises(ValueError) as stacked:
+            condition_flags(parse_surface_spec(_DEGENERATE_FRAME_AT_X1_0), np.array(stack))
+    assert stacked.type is per_point.type
+    assert str(stacked.value) == str(per_point.value)
+    assert str(stack[1]) in str(stacked.value)          # the second point is named
+
+
+def _altered_sweep(sw, alter):
+    """sw with copies of its coframe rows B0 and partials dB changed in place
+    by alter(B0, dB)."""
+    out = tw.CoframeSweep.__new__(tw.CoframeSweep)
+    out.M, out.t, out.label, out.y0 = sw.M, sw.t, sw.label, sw.y0
+    out.B0, out.dB = sw.B0.copy(), sw.dB.copy()
+    alter(out.B0, out.dB)
+    return out
+
+
+def _dJ_residue(B0, dB):
+    """dJ of J_1 and J_2 not real at the third point; J_3 and J_4 fine."""
+    dB[2] *= 1e12
+
+
+def _J_residue(B0, dB):
+    """phi^2 nearly phi^1 at the fourth point: J itself not real for most i."""
+    B0[3, 1] = B0[3, 0] + 1e-8 * B0[3, 2]
+
+
+def _singular(B0, dB):
+    """phi^2 = phi^1 at the second point: the adapted rows are singular."""
+    B0[1, 1] = B0[1, 0]
+
+
+def _dJ_residue_then_J_residue(B0, dB):
+    """dJ of J_1 not real at the third point, and phi^1 near a multiple of
+    phi^3 at the fourth, where J_1 stays real but J_2 does not: a pass that
+    checks every J before any dJ would meet J_2 first."""
+    _dJ_residue(B0, dB)
+    B0[3, 0] = B0[3, 2] * np.exp(1j) + 7.62939453125e-08 * np.array([1, 1j, -1, 0.5, 0.3j, 0.2])
+
+
+@pytest.mark.parametrize("alter", [_dJ_residue, _J_residue, _singular, _dJ_residue_then_J_residue])
+def test_stacked_nijenhuis_raises_the_error_of_the_per_structure_loop(alter):
+    sw = tw.CoframeSweep.stack(surface("hopf"), "chern", STACK_POINTS["hopf"])
+    sw = _altered_sweep(sw, alter)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except (tw.DegenerateCoframeError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+
+    with pytest.raises((tw.DegenerateCoframeError, np.linalg.LinAlgError)) as stacked:
+        sw.nijenhuis_values
+    first = next(o for o in (outcome(lambda: _reference_nijenhuis(sw, i)) for i in (1, 2, 3, 4))
+                 if isinstance(o, tuple))
+    assert (stacked.type, str(stacked.value)) == first
+    for i in (1, 2, 3, 4):
+        got, want = outcome(lambda: sw.nijenhuis(i)), outcome(lambda: _reference_nijenhuis(sw, i))
+        assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+
+
+def test_a_report_after_the_sweep_runs_no_dF_pass_and_one_levi_civita_body(monkeypatch):
+    M = builtin("hopf")         # a fresh memo
+    pts = tw.sample_twistor_points(M, 3, seed=0)
+    tw.CoframeSweep.stack(M, "chern", pts)
+    dF_calls, sizes = [0], []
+    dF = mf.dF_array
+
+    def counted(*args):
+        dF_calls[0] += 1
+        return dF(*args)
+
+    data = cn.LeviCivitaData
+    monkeypatch.setattr(mf, "dF_array", counted)
+    monkeypatch.setattr(cn, "dF_array", counted)
+    monkeypatch.setattr(cn, "LeviCivitaData", lambda **kw: (sizes.append(len(kw["point"])), data(**kw))[1])
+    tw.condition_report(M, "chern", [1.0, SQ2, 2.0], pts)
+    assert (dF_calls[0], sizes) == (0, [3])
+
+
+def test_lambda_weights_have_the_bits_and_errors_of_the_per_pair_rows():
+    pairs = [(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, SQ2, 1.3e154, (1.3, 0.7, 2.1), [2.0, 1.0, 0.3])]
+    got = tw.lambda_weights(pairs)
+    assert got.shape == (24, 3) and np.array_equal(got, _reference_lambda_weights(pairs))
+    assert tw.lambda_weights([]).shape == (0, 3)
+    for bad in ([(1, 1.0), (2, 1e200), (7, 1.0)], [(1, 1.0), (0, 1.0), (2, 1e-9)],
+                [(3, (1.0, 2.0)), (1, float("nan"))], [(2, 0.5), (4, (1.0, float("inf"), 1.0))]):
+        with pytest.raises(ValueError) as want:
+            _reference_lambda_weights(bad)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            tw.lambda_weights(bad)

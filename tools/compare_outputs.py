@@ -19,9 +19,12 @@ the hopf/chern pair whose grid holds lambda = 1 and sqrt 2, a text
 coframes stack more than two bundle points: `report --points 5` on cp2_fs
 (c=2), on hopf/chern and on ch2/chern, `scan --points 4` on cp2_fs and
 `verify --suite oracle --points 3`, `verify --suite oracle --points 1`,
-whose stacks hold one point each, and two reports that assemble a family
+whose stacks hold one point each, two reports that assemble a family
 member from the t-independent tables of the point memo: the negative
-general member t = -0.3 on hopf and a five-point bismut stack on ch2.
+general member t = -0.3 on hopf and a five-point bismut stack on ch2, a
+json `report` on a surface description file (written to a temporary
+directory) that repeats expression texts and gives J entry by entry, and
+a text `report --points 5` on hopf/chern.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -41,6 +44,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -48,8 +52,24 @@ import workloads  # noqa: E402  (stdlib-only module of the benchmark)
 
 BUILTINS = ("flat_c2", "cp2_fs", "ch2", "hopf")
 
+# a non-Kahler surface whose g entries repeat their texts in pairs and whose
+# J is given entry by entry (the standard one)
+DESCRIPTION = """\
+coords a b c d
+g 1 1 = 2 + sin(a)^2
+g 2 2 = 2 + sin(a)^2
+g 3 3 = exp(-b*c) + 1
+g 4 4 = exp(-b*c) + 1
+g 1 3 = 0.1*a*b
+g 2 4 = 0.1*a*b
+J 1 2 = -1
+J 2 1 = 1
+J 3 4 = -1
+J 4 3 = 1
+"""
 
-def argv_list():
+
+def argv_list(description):
     out = []
     for name in sorted(workloads.TEMPLATES):
         stream = workloads.ops(name, 0)
@@ -91,6 +111,9 @@ def argv_list():
         ["report", "--surface", "ch2", "--connection", "chern", "--points", "5", "--format", "json"],
         ["report", "--surface", "hopf", "--connection", "gauduchon", "--t", "-0.3", "--format", "json"],
         ["report", "--surface", "ch2", "--connection", "bismut", "--points", "5", "--format", "json"],
+        ["report", "--surface", description, "--connection", "chern", "--lambda", "1.2",
+         "--points", "3", "--format", "json"],
+        ["report", "--surface", "hopf", "--connection", "chern", "--points", "5", "--format", "text"],
     ]
     return out
 
@@ -169,9 +192,13 @@ def main(argv=None):
     ap.add_argument("new_src", help="src directory of the tree under test")
     args = ap.parse_args(argv)
 
-    cases = argv_list()
-    olds = [run(args.old_src, case) for case in cases]
-    news = [run(args.new_src, case) for case in cases]
+    with tempfile.TemporaryDirectory() as tmp:
+        description = os.path.join(tmp, "repeated.surface")
+        with open(description, "w") as fh:
+            fh.write(DESCRIPTION)
+        cases = argv_list(description)
+        olds = [run(args.old_src, case) for case in cases]
+        news = [run(args.new_src, case) for case in cases]
 
     identical, failed = 0, False
     worst, worst_rel, worst_true_rel = (0.0, None), (0.0, None), (0.0, None)

@@ -47,12 +47,13 @@ _BASIS_COLUMNS = read_only(_basis_arrays(SdAsdBasis.standard()).reshape(6, 16).T
 
 @dataclass(frozen=True)
 class CurvatureOperator6:
-    """R-hat over (alpha+_1, alpha+_2, alpha+_3, alpha-_1, alpha-_2, alpha-_3)."""
+    """R-hat over (alpha+_1, alpha+_2, alpha+_3, alpha-_1, alpha-_2, alpha-_3);
+    `symmetry_defect` is of one point's matrix."""
     point: np.ndarray
     matrix: np.ndarray   # (6, 6) real symmetric, (n, 6, 6) for a stack
 
     def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - np.swapaxes(self.matrix, -1, -2))))
+        return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
 
 def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
@@ -73,7 +74,8 @@ def curvature_operator(levi: LeviCivitaData) -> CurvatureOperator6:
 @dataclass(frozen=True)
 class WeylDecomposition:
     """Blocks of the 6x6 operator: trace-free Weyl halves, Ricci coupling,
-    scalars; for a stack of n points every field gains a leading axis n."""
+    scalars; for a stack of n points every field gains a leading axis n
+    (`reassemble` takes one point)."""
     point: np.ndarray
     Wplus: np.ndarray    # (3, 3) trace-free symmetric
     Wminus: np.ndarray   # (3, 3) trace-free symmetric
@@ -82,9 +84,10 @@ class WeylDecomposition:
     sstar: float
 
     def reassemble(self) -> np.ndarray:
-        shift = np.multiply.outer(np.divide(self.s, 12.0), np.eye(3))
-        return np.block([[self.Wplus + shift, self.Ric0],
-                         [np.swapaxes(self.Ric0, -1, -2), self.Wminus + shift]])
+        eye = np.eye(3)
+        top = np.hstack([self.Wplus + self.s / 12.0 * eye, self.Ric0])
+        bot = np.hstack([self.Ric0.T, self.Wminus + self.s / 12.0 * eye])
+        return np.vstack([top, bot])
 
 
 def decompose(op: CurvatureOperator6) -> WeylDecomposition:

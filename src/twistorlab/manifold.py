@@ -126,7 +126,6 @@ class _Program:
     def __init__(self):
         self.names: Dict[str, str] = {}     # statement source -> its temporary
         self.lines: List[str] = []
-        self.emitted: Dict[int, tuple] = {}     # id of a tree -> (the tree, its temporary)
 
     def let(self, src: str) -> str:
         name = self.names.get(src)
@@ -138,14 +137,12 @@ class _Program:
     def emit(self, tree) -> str:
         """The temporary (or literal) holding a parsed expression tree
         (`_ExprParser`): one statement per node, its children first, left to
-        right, in the order the parser read them.  A tree emitted before,
-        such as the entry of a mirrored slot, is not walked again."""
+        right, in the order the parser read them; a tree emitted before, such
+        as the entry of a mirrored slot, adds no statement (`let`)."""
         if isinstance(tree, str):
             return tree
-        if id(tree) not in self.emitted:
-            template, *children = tree
-            self.emitted[id(tree)] = (tree, self.let(template.format(*map(self.emit, children))))
-        return self.emitted[id(tree)][1]
+        template, *children = tree
+        return self.let(template.format(*map(self.emit, children)))
 
     def compile(self, outputs: Sequence[str]) -> Callable[[np.ndarray], tuple]:
         """x -> the tuple of the values of `outputs`."""

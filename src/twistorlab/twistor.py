@@ -594,11 +594,9 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
 # almost complex structures and metrics
 # ======================================================================
 
-def _adapted_rows(i: Union[int, Tuple[int, ...]], B: np.ndarray) -> np.ndarray:
+def _adapted_rows(i: int, B: np.ndarray) -> np.ndarray:
     """The 6x6 complex matrices (..., 6, 6) whose first three rows are the
-    J_i-(1,0) coframe, for coframe rows B (..., 3, 6) (a leading axis for a tuple i)."""
-    if isinstance(i, tuple):
-        return np.stack([_adapted_rows(k, B) for k in i])
+    J_i-(1,0) coframe, for coframe rows B (..., 3, 6)."""
     top = np.concatenate([B, np.conj(B)], axis=-2)[..., list(_J_ROWS[i]), :]
     return np.concatenate([top, np.conj(top)], axis=-2)
 
@@ -614,10 +612,9 @@ def _real_part(A: np.ndarray, y: Optional[np.ndarray], what: str) -> np.ndarray:
     return np.real(A)
 
 
-def _structure(i: Union[int, Tuple[int, ...]], B: np.ndarray,
-               y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _structure(i: int, B: np.ndarray, y: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """(C, J_i): the adapted rows of B (..., 3, 6) and the real endomorphisms
-    C^-1 D C (..., 6, 6), with a leading axis (in y too) for a tuple i."""
+    C^-1 D C (..., 6, 6)."""
     C = _adapted_rows(i, B)
     return C, _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
 
@@ -880,7 +877,7 @@ class CoframeSweep:
     sum of the blocks (`defect_rows`), and the zero crossings of every
     structure one more (`lambda_zero_crossing`).  The Nijenhuis values of
     all four structures (`nijenhuis_values`, (4, n)) are one stacked solve,
-    also built on first use; `nijenhuis(i)` reads row i - 1.  `K`, `dK` and
+    also built on first use; `nijenhuis(i)` solves J_i alone.  `K`, `dK` and
     `K_wedge_dK` give the forms of a one-point sweep.
 
     Raises DegenerateCoframeError, naming the first failing point in stack
@@ -997,13 +994,9 @@ class CoframeSweep:
     def nijenhuis(self, i: int):
         """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs,
         at each bundle point: a float for a one-point sweep, (n,) for a
-        stack; row i - 1 of `nijenhuis_values`, or J_i alone when another
-        structure fails."""
+        stack; J_i alone, with the bits of its row of `nijenhuis_values`."""
         _check_index(i)
-        try:
-            worst = self.nijenhuis_values[i - 1]
-        except (DegenerateCoframeError, np.linalg.LinAlgError):
-            worst = self._nijenhuis((i,))[0]
+        worst = self._nijenhuis((i,))[0]
         return float(worst) if worst.ndim == 0 else worst
 
     def _nijenhuis(self, structures: Tuple[int, ...]) -> np.ndarray:
@@ -1017,8 +1010,9 @@ class CoframeSweep:
         """
         y = np.broadcast_to(self.y0, (len(structures),) + self.y0.shape)
         try:
-            C, J = _structure(structures, self.B0, y)
-            dC = _adapted_rows(structures, self.dB)
+            C = np.stack([_adapted_rows(i, self.B0) for i in structures])
+            J = _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
+            dC = np.stack([_adapted_rows(i, self.dB) for i in structures])
             dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
                             y, f"the derivative of J_{structures[0]}")
         except (DegenerateCoframeError, np.linalg.LinAlgError):

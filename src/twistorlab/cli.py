@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -358,7 +358,7 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--lambda-range bounds must satisfy LO < HI")
         if args.grid < 2:
             parser.error("--grid must be at least 2")
-        grid.extend(np.linspace(lo, hi, args.grid))
+        grid.extend(np.linspace(lo, hi, args.grid).tolist())
     if not grid:
         parser.error("empty grid: give --lambda values and/or --lambda-range")
     grid = sorted(set(grid))
@@ -567,13 +567,12 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], seed: int) -> List[Dic
 
     herm = 0.0
     for M in surfaces.values():
-        for x in M.chart.interior_points(6, seed=seed):
-            g = M.metric(x)
-            Jm = M.J(x)
-            herm = max(herm, float(np.max(np.abs(g - g.T))))
-            herm = max(herm, float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))))
-            herm = max(herm, float(np.max(np.abs(Jm @ Jm + np.eye(4)))))
-            herm = max(herm, float(np.max(np.abs(Jm.T @ g @ Jm - g))))
+        x = M.chart.interior_points(6, seed=seed)
+        g, Jm = M.metric(x), M.J(x)
+        herm = max(herm, float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))))
+        herm = max(herm, float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))))
+        herm = max(herm, float(np.max(np.abs(Jm @ Jm + np.eye(4)))))
+        herm = max(herm, float(np.max(np.abs(np.swapaxes(Jm, -1, -2) @ g @ Jm - g))))
     checks.append(_check("algebra:hermitian-invariants", herm, 1e-9))
     return checks
 
@@ -681,24 +680,7 @@ def _add_lambda_options(sp: argparse.ArgumentParser) -> None:
                         help=f"component {n} of a three-parameter scale triple")
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line."""
-
-    def error(self, message: str):
-        self.exit(2, f"twistorlab: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="twistorlab",
-        description="Condition reports, verification suites, and parameter scans "
-                    "for almost-Hermitian twistor structures.")
-    parser.add_argument("--version", action="version",
-                        version=f"twistorlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    rp = sub.add_parser("report", help="survey symplectic/balanced/integrability "
-                                       "conditions on a surface")
+def _report_options(rp: argparse.ArgumentParser) -> None:
     _add_surface_options(rp)
     _add_lambda_options(rp)
     rp.add_argument("--points", type=int, default=3, help="sample points (default: 3)")
@@ -709,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="integrability tolerance (default: 1e-4)")
     _add_io_options(rp)
 
-    vp = sub.add_parser("verify", help="run the invariant battery, exit 0 iff clean")
+
+def _verify_options(vp: argparse.ArgumentParser) -> None:
     vp.add_argument("--suite", choices=("appendix", "oracle", "algebra", "all"),
                     default="all", help="which battery to run (default: all)")
     vp.add_argument("--points", type=int, default=2,
@@ -719,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="formula-vs-oracle tolerance (default: 1e-4)")
     _add_io_options(vp)
 
-    sp = sub.add_parser("scan", help="sweep the fiber scale and locate "
-                                     "symplectic zero crossings")
+
+def _scan_options(sp: argparse.ArgumentParser) -> None:
     _add_surface_options(sp)
     sp.add_argument("--i", type=int, choices=(1, 2, 3, 4), default=None,
                     help="restrict to one structure (default: all four)")
@@ -737,10 +720,62 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max defect at an accepted crossing (default: 1e-6)")
     _add_io_options(sp)
 
-    ap = sub.add_parser("appendix", help="print the exact flag-manifold table")
+
+def _appendix_options(ap: argparse.ArgumentParser) -> None:
     _add_lambda_options(ap)
     _add_io_options(ap)
 
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line.
+
+    A subcommand's parser gets `options`, the function that adds its
+    options, and calls it the first time it parses or formats help or
+    usage, so an invocation builds the options of its own command only.
+    """
+
+    def __init__(self, *args, options: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self._options = options
+
+    def _add_options(self) -> None:
+        options, self._options = self._options, None
+        if options is not None:
+            options(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_options()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._add_options()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._add_options()
+        return super().format_help()
+
+    def error(self, message: str):
+        self.exit(2, f"twistorlab: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="twistorlab",
+        description="Condition reports, verification suites, and parameter scans "
+                    "for almost-Hermitian twistor structures.")
+    parser.add_argument("--version", action="version",
+                        version=f"twistorlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub.add_parser("report", help="survey symplectic/balanced/integrability "
+                                  "conditions on a surface", options=_report_options)
+    sub.add_parser("verify", help="run the invariant battery, exit 0 iff clean",
+                   options=_verify_options)
+    sub.add_parser("scan", help="sweep the fiber scale and locate "
+                                "symplectic zero crossings", options=_scan_options)
+    sub.add_parser("appendix", help="print the exact flag-manifold table",
+                   options=_appendix_options)
     return parser
 
 

@@ -31,6 +31,7 @@ from twistorlab.exterior import ComplexForm, d_rows, wedge_vectors
 from twistorlab.manifold import (
     HermitianSurface,
     UnitaryFrame,
+    adapted_basis,
     adapted_frame,
     coordinate_fundamental_matrix,
     dF_array,
@@ -155,9 +156,9 @@ def _lc_forms(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     x, against the canonical frame field: omega^LC in coordinates, the
     t-independent base of every D^t; `point_memo` serves one point or any
     stack."""
-    g, E, Gm = M.metric(x), adapted_frame(M, x).E, christoffel(M, x)
-    # dE[z, nu, mu, j] = d_nu E[mu, j], one frame call for every stencil
-    dE = M.backend.partials(lambda p: adapted_frame(M, p).E, x)
+    g, E, Gm = M.metric(x), adapted_basis(M, x), christoffel(M, x)
+    # dE[z, nu, mu, j] = d_nu E[mu, j], one E lookup for every stencil
+    dE = M.backend.partials(lambda p: adapted_basis(M, p), x)
     # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
     nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
     # h(grad_{d_nu} e_j, e_i) = (g E)[mu, i] (grad_{d_nu} e_j)^mu

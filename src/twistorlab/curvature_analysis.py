@@ -197,12 +197,16 @@ def condition_flags(M: HermitianSurface, x: np.ndarray,
     A stack makes one `levi_civita` call and one pass of the curvature
     algebra; the Kahler defect |dF| reads dF from the point memo
     (`_J_pushed_dF`, filled at the base points by a coframe sweep of any
-    connection), so it runs no FD pass there.  When a point fails, the
-    points are replayed one at a time, so the error is the one a
-    point-by-point loop meets first.
+    connection), so it runs no FD pass there.  A point where the metric is
+    not finite raises ValueError, where its defects would be NaN with "no"
+    verdicts.  When a point fails, the points are replayed one at a time,
+    so the error is the one a point-by-point loop meets first.
     """
     x = np.asarray(x, dtype=float)
     try:
+        finite = np.isfinite(M.metric(x)).reshape(-1, 16).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"metric not finite at point {x.reshape(-1, 4)[np.argmin(finite)].tolist()}")
         lc = levi_civita(M, x)
         dF = _J_pushed_dF(M, x)[0]
     except Exception:

@@ -956,17 +956,19 @@ class DegenerateFrameError(ValueError):
 
 
 @point_memo
-def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
-    """Modified Gram-Schmidt construction of a J-adapted orthonormal frame.
+def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt construction of a J-adapted orthonormal frame:
+    the matrix E (n, 4, 4) whose columns e_1..e_4 are its vectors at each
+    point of an (n, 4) stack x.
 
     e1 = normalize(seed1), e2 = J e1,
     e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3,
     with (seed1, seed2) = DEFAULT_SEEDS; this defines a smooth frame field
-    wherever the construction stays nondegenerate.
+    wherever the construction stays nondegenerate.  The FD passes that
+    differentiate the frame field read this table alone.
 
-    x is an (n, 4) stack of points; `point_memo` serves one point or any
-    stack.  Each degeneracy check raises DegenerateFrameError for the first
-    failing point.
+    `point_memo` serves one point or any stack.  Each degeneracy check
+    raises DegenerateFrameError for the first failing point.
     """
     s1, s2 = DEFAULT_SEEDS
     g = M.metric(x)
@@ -987,8 +989,18 @@ def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
     _raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, DegenerateFrameError)
     e3 = r / np.sqrt(rn)[:, None]
     e4 = (Jm @ e3[:, :, None])[:, :, 0]
+    return np.stack([e1, e2, e3, e4], axis=-1)
 
-    E = np.stack([e1, e2, e3, e4], axis=-1)
+
+@point_memo
+def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
+    """The J-adapted orthonormal frame E of `adapted_basis` with its duals:
+    theta = E^{-1}, U and eta, at an (n, 4) stack of points x; `point_memo`
+    serves one point or any stack, and a point without frame raises the
+    DegenerateFrameError of `adapted_basis`.
+    """
+    E = adapted_basis(M, x)
+    e1, e2, e3, e4 = np.moveaxis(E, -1, 0)
     theta = np.linalg.inv(E)
     U = np.stack([(e1 - 1j * e2) / math.sqrt(2.0), (e3 - 1j * e4) / math.sqrt(2.0)], axis=-1)
     eta = np.stack([(theta[:, 0] + 1j * theta[:, 1]) / math.sqrt(2.0),

@@ -658,12 +658,16 @@ def _check_index(i: int) -> None:
 def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -> np.ndarray:
     """The weight table (n, 3): row r holds (l1^2, e2 l2^2, e3 l3^2), the
     weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda),
-    checked in order; the squares are python's `**`, the signs one product."""
-    signs, squares = [], []
+    checked in order; each distinct lambda is checked and squared once, with
+    python's `**`, and the signs are one product."""
+    signs, squares, seen = [], [], {}
     for i, lam in pairs:
         _check_index(i)
         signs.append(_WEIGHT_SIGNS[i])
-        squares.append([v ** 2 for v in _lambdas(lam)])
+        key = lam if np.isscalar(lam) else tuple(lam)
+        if key not in seen:
+            seen[key] = [v ** 2 for v in _lambdas(lam)]
+        squares.append(seen[key])
     return np.array(signs).reshape(-1, 3) * np.array(squares).reshape(-1, 3)
 
 

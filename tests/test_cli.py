@@ -1,5 +1,6 @@
 """Tests for the command-line front end: flags, exit codes, serialization."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import twistorlab
 from twistorlab import __version__
+from twistorlab import cli
 from twistorlab.cli import dump_json, main, thread_cap
-from twistorlab.manifold import builtin, lee_form
+from twistorlab.manifold import J_STANDARD, HermitianSurface, builtin, lee_form
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -381,6 +383,55 @@ def test_scan_takes_one_weighted_sum_per_point(monkeypatch, capsys):
     assert calls[0] == 0
 
 
+def test_scan_hands_its_grid_on_as_python_floats(monkeypatch, capsys):
+    seen = []
+    weights = cli.lambda_weights
+
+    def recorded(pairs):
+        seen.extend(pairs)
+        return weights(pairs)
+
+    monkeypatch.setattr(cli, "lambda_weights", recorded)
+    code, doc = run_json(["scan", "--surface", "hopf", "--lambda", "0.7", "--lambda-range", "0.5:2",
+                          "--grid", "5", "--points", "1"], capsys)
+    assert code == 0 and len(seen) == 4 * 6
+    assert {type(lam) for _, lam in seen} == {float} and len(doc["grid"]) == 6
+
+
+def _reference_hermitian_invariants(surfaces, seed):
+    herm = 0.0
+    for M in surfaces.values():
+        for x in M.chart.interior_points(6, seed=seed):
+            g = M.metric(x)
+            Jm = M.J(x)
+            herm = max(herm, float(np.max(np.abs(g - g.T))))
+            herm = max(herm, float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))))
+            herm = max(herm, float(np.max(np.abs(Jm @ Jm + np.eye(4)))))
+            herm = max(herm, float(np.max(np.abs(Jm.T @ g @ Jm - g))))
+    return herm
+
+
+def _invariant_surfaces(rotated):
+    """The built-ins, which hold every invariant exactly, or surfaces on
+    their charts whose J is a rotated standard J, R J0 R^T, so that J J + 1
+    and J^T g J - g carry roundoff and the worst value is not 0."""
+    if not rotated:
+        return {name: builtin(name) for name in cli._SURFACE_POINTS}
+    R = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 0.5 + np.eye(4))[0]
+    J = R @ J_STANDARD @ R.T
+    return {name: HermitianSurface(builtin(name).chart, lambda x: (1.5 + np.sin(x[0]) ** 2) * np.eye(4),
+                                   lambda x: J) for name in cli._SURFACE_POINTS}
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 5, 17, 600])
+def test_stacked_hermitian_invariants_have_the_bits_of_the_per_point_check(seed, rotated):
+    checks = cli._suite_algebra(_invariant_surfaces(rotated), seed)
+    got = next(c["worst"] for c in checks if c["name"] == "algebra:hermitian-invariants")
+    assert got == _reference_hermitian_invariants(_invariant_surfaces(rotated), seed)
+    assert (got > 0.0) == rotated
+
+
 def test_scan_rows_agree_with_the_per_row_forms(capsys):
     from twistorlab.exterior import wedge
     from twistorlab.manifold import builtin
@@ -661,6 +712,121 @@ def test_version_flag(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.exit(2, f"twistorlab: error: {message}\n")
+
+
+def _reference_build_parser() -> argparse.ArgumentParser:
+    """The parser with every command's options added up front."""
+    parser = _ReferenceParser(
+        prog="twistorlab",
+        description="Condition reports, verification suites, and parameter scans "
+                    "for almost-Hermitian twistor structures.")
+    parser.add_argument("--version", action="version",
+                        version=f"twistorlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ReferenceParser)
+
+    rp = sub.add_parser("report", help="survey symplectic/balanced/integrability "
+                                       "conditions on a surface")
+    cli._add_surface_options(rp)
+    cli._add_lambda_options(rp)
+    rp.add_argument("--points", type=int, default=3, help="sample points (default: 3)")
+    rp.add_argument("--seed", type=int, default=0, help="sample seed (default: 0)")
+    rp.add_argument("--tol", type=float, default=1e-3,
+                    help="defect tolerance for the yes/no verdicts (default: 1e-3)")
+    rp.add_argument("--nijenhuis-tol", type=float, default=1e-4,
+                    help="integrability tolerance (default: 1e-4)")
+    cli._add_io_options(rp)
+
+    vp = sub.add_parser("verify", help="run the invariant battery, exit 0 iff clean")
+    vp.add_argument("--suite", choices=("appendix", "oracle", "algebra", "all"),
+                    default="all", help="which battery to run (default: all)")
+    vp.add_argument("--points", type=int, default=2,
+                    help="twistor points per oracle job (default: 2)")
+    vp.add_argument("--seed", type=int, default=0, help="sample seed (default: 0)")
+    vp.add_argument("--tol", type=float, default=1e-4,
+                    help="formula-vs-oracle tolerance (default: 1e-4)")
+    cli._add_io_options(vp)
+
+    sp = sub.add_parser("scan", help="sweep the fiber scale and locate "
+                                     "symplectic zero crossings")
+    cli._add_surface_options(sp)
+    sp.add_argument("--i", type=int, choices=(1, 2, 3, 4), default=None,
+                    help="restrict to one structure (default: all four)")
+    sp.add_argument("--lambda", dest="lam", metavar="L", type=float,
+                    action="append", default=None,
+                    help="explicit grid value; may be repeated")
+    sp.add_argument("--lambda-range", metavar="LO:HI", default=None,
+                    help="inclusive lambda range, gridded with --grid")
+    sp.add_argument("--grid", type=int, default=9,
+                    help="grid size for --lambda-range (default: 9)")
+    sp.add_argument("--points", type=int, default=2, help="sample points (default: 2)")
+    sp.add_argument("--seed", type=int, default=0, help="sample seed (default: 0)")
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="max defect at an accepted crossing (default: 1e-6)")
+    cli._add_io_options(sp)
+
+    ap = sub.add_parser("appendix", help="print the exact flag-manifold table")
+    cli._add_lambda_options(ap)
+    cli._add_io_options(ap)
+
+    return parser
+
+
+COMMANDS = ("report", "verify", "scan", "appendix")
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("columns", ["80", "52", "140"])
+def test_help_and_usage_have_the_bytes_of_the_eager_parser(columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    new, old = cli.build_parser(), _reference_build_parser()
+    assert new.format_usage() == old.format_usage()
+    assert new.format_help() == old.format_help()
+    for command in COMMANDS:
+        # usage first, on a parser whose options are not added yet
+        assert _subparsers(new)[command].format_usage() == _subparsers(old)[command].format_usage()
+    for command in COMMANDS:
+        new = cli.build_parser()
+        assert _subparsers(new)[command].format_help() == _subparsers(old)[command].format_help()
+
+
+BAD_ARGVS = [
+    [], ["frobnicate"], ["--bogus"], ["report"], ["scan", "--i", "5"], ["report", "--bogus"],
+    ["verify", "--suite", "everything"], ["verify", "--points"], ["appendix", "--lambda", "x"],
+    ["scan", "--surface", "cp2_fs", "--grid", "two"], ["report", "--surface", "cp2_fs", "--connection", "levi"],
+    ["appendix", "--format", "xml"], ["report", "--surface", "cp2_fs", "extra"],
+    ["--help"], *([command, "--help"] for command in COMMANDS), ["appendix", "-h"], ["--version"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS)
+def test_bad_argvs_and_help_exit_with_the_bytes_of_the_eager_parser(argv, capsys):
+    results = []
+    for build in (cli.build_parser, _reference_build_parser):
+        with pytest.raises(SystemExit) as err:
+            build().parse_args(argv)
+        captured = capsys.readouterr()
+        results.append((err.value.code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 2) and (results[0][1] or results[0][2])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_invocation_adds_the_options_of_its_own_command_only(command):
+    parser = cli.build_parser()
+    argv = {"report": ["report", "--surface", "hopf"], "scan": ["scan", "--surface", "hopf"]}
+    args = parser.parse_args(argv.get(command, [command]))
+    assert vars(args) == vars(_reference_build_parser().parse_args(argv.get(command, [command])))
+    added = {name: len(sp._actions) > 1 for name, sp in _subparsers(parser).items()}
+    assert added == {name: name == command for name in COMMANDS}
 
 
 def test_every_traced_benchmark_boundary_resolves():

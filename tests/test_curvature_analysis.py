@@ -1,7 +1,15 @@
 """Tests for the 6x6 curvature operator, its blocks, and the predicates."""
 
+import os
+import re
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+
+import twistorlab
 
 from twistorlab.connection import levi_civita
 from twistorlab.curvature_analysis import (
@@ -15,7 +23,7 @@ from twistorlab.curvature_analysis import (
     trace_free_ricci,
 )
 from twistorlab.exterior import SdAsdBasis
-from twistorlab.manifold import builtin
+from twistorlab.manifold import builtin, parse_surface_spec
 
 POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -218,3 +226,38 @@ def test_predicates_from_parts():
     fl = predicates(dec, ricci_tensor(lc), kahler_defect=0.0, tol=1e-6)
     assert isinstance(fl, ConditionFlags)
     assert fl.kahler and fl.einstein and fl.self_dual
+
+
+# passes the 16-point validation, but its metric is infinite on x1 = 0
+NON_FINITE_SPEC = "coords x1 x2 x3 x4\ng 1 1 = 1/x1^2\ng 2 2 = 1/x1^2\nJ standard\n"
+NON_FINITE_POINT = [0.0, 0.3, 0.1, 0.2]
+
+
+@pytest.mark.parametrize("rows,named", [([0], 0), ([1, 0], 0), ([0, 2], 0), ([1, 2, 0], 2), ([2, 0], 2)])
+def test_a_non_finite_metric_is_a_value_error_naming_the_first_such_point(rows, named):
+    M = parse_surface_spec(NON_FINITE_SPEC)
+    pts = np.array([NON_FINITE_POINT, [0.2, 0.3, 0.1, 0.2], [0.0, -0.1, 0.1, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        x = pts[rows] if len(rows) > 1 else pts[rows[0]]
+        with pytest.raises(ValueError, match=re.escape(f"metric not finite at point {pts[named].tolist()}")):
+            condition_flags(M, x)
+        flags = condition_flags(M, pts[1])
+    assert np.isfinite(flags.s) and np.isfinite(flags.kahler_defect)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_non_finite_metric_is_refused_in_a_fresh_interpreter(flags):
+    src = os.path.dirname(os.path.dirname(twistorlab.__file__))
+    code = ("import warnings; warnings.simplefilter('ignore')\n"
+            "from twistorlab.curvature_analysis import condition_flags\n"
+            "from twistorlab.manifold import parse_surface_spec\n"
+            f"M = parse_surface_spec({NON_FINITE_SPEC!r})\n"
+            "try:\n"
+            f"    print(condition_flags(M, {NON_FINITE_POINT!r}))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+    assert proc.stdout == f"ValueError: metric not finite at point {NON_FINITE_POINT}\n"

@@ -267,6 +267,99 @@ def test_adapted_frame_is_deterministic():
                                   mf.adapted_frame(mf.builtin("cp2_fs"), x).E)
 
 
+def _reference_adapted_frame(M, x):
+    """The frame of an (n, 4) stack as one function computed it, E, theta,
+    U and eta together, from the unmemoized metric and J fields."""
+    s1, s2 = mf.DEFAULT_SEEDS
+    g = mf._field(M._metric, x)
+    Jm = mf._field(M._J, x)
+
+    def dot(a, b):
+        a = np.broadcast_to(a, x.shape)[:, None, :]
+        b = np.broadcast_to(b, x.shape)[:, :, None]
+        return (a @ g @ b)[:, 0, 0]
+
+    n1 = dot(s1, s1)
+    mf._raise_at_first(n1 < 1e-16, x, mf.DegenerateFrameError)
+    e1 = s1 / np.sqrt(n1)[:, None]
+    e2 = (Jm @ e1[:, :, None])[:, :, 0]
+    r = s2 - dot(s2, e1)[:, None] * e1 - dot(s2, e2)[:, None] * e2
+    rn = dot(r, r)
+    small = rn < 1e-16
+    mf._raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, mf.DegenerateFrameError)
+    e3 = r / np.sqrt(rn)[:, None]
+    e4 = (Jm @ e3[:, :, None])[:, :, 0]
+
+    E = np.stack([e1, e2, e3, e4], axis=-1)
+    theta = np.linalg.inv(E)
+    U = np.stack([(e1 - 1j * e2) / np.sqrt(2.0), (e3 - 1j * e4) / np.sqrt(2.0)], axis=-1)
+    eta = np.stack([(theta[:, 0] + 1j * theta[:, 1]) / np.sqrt(2.0),
+                    (theta[:, 2] + 1j * theta[:, 3]) / np.sqrt(2.0)], axis=1)
+    return mf.UnitaryFrame(point=x, E=E, theta=theta, U=U, eta=eta)
+
+
+def _frame_surface(name):
+    if name == "cp2_fs+conformal":
+        return tw.conformal_rescale(mf.builtin("cp2_fs"), "0.1*x1 - 0.05*x3*x4")
+    return mf.builtin(name)
+
+
+@pytest.mark.parametrize("name", [*mf.BUILTIN_NAMES, "cp2_fs+conformal"])
+@pytest.mark.parametrize("n", [1, 2, 34])
+def test_adapted_frame_has_the_bits_of_the_one_function_frame(name, n):
+    x = _frame_surface(name).chart.interior_points(34, seed=3)[:n]
+    want = _reference_adapted_frame(_frame_surface(name), x)
+    fresh, after_basis = _frame_surface(name), _frame_surface(name)
+    E = mf.adapted_basis(after_basis, x)         # the frame then reads a stored E
+    assert np.array_equal(E, want.E)
+    for M in (fresh, after_basis):
+        got = mf.adapted_frame(M, x)
+        for field in dataclasses.fields(mf.UnitaryFrame):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        one = mf.adapted_frame(_frame_surface(name), x[-1])
+        for field in dataclasses.fields(mf.UnitaryFrame):
+            assert np.array_equal(getattr(one, field.name), getattr(want, field.name)[-1]), field.name
+
+
+def _mixed_degenerate_surface():
+    """Degenerate at a = 0.1 (second seed check) and a = 0.5 (first check)."""
+    swapped = mf.parse_surface_spec(SWAPPED_J_SPEC).J(np.zeros(4))
+
+    def metric(x):
+        return np.diag([1e-20, 1.0, 1.0, 1.0]) if x[0] == 0.5 else np.eye(4)
+    return mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                               metric, lambda x: swapped if x[0] == 0.1 else mf.J_STANDARD)
+
+
+@pytest.mark.parametrize("rows", [[0], [1], [2, 0], [0, 1], [1, 0], [2, 1, 0]])
+def test_a_degenerate_frame_raises_the_error_of_the_one_function_frame(rows):
+    x = np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.3, 0.2, 0.0, 0.0]])[rows]
+    with pytest.raises(mf.DegenerateFrameError) as want:
+        for p in x:         # the error a point-by-point loop meets first
+            _reference_adapted_frame(_mixed_degenerate_surface(), p[None])
+    for fn in (mf.adapted_frame, mf.adapted_basis):
+        with pytest.raises(mf.DegenerateFrameError) as got:
+            fn(_mixed_degenerate_surface(), x)
+        assert str(got.value) == str(want.value)
+
+
+def test_a_fresh_sweep_stores_full_frames_at_its_base_points_only():
+    # the FD stencils of omega^LC read E alone; theta, U and eta are built
+    # at the 34 base points (2 points and their first-order stencils)
+    M = mf.builtin("cp2_fs")
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    tw.CoframeSweep.stack(M, "lichnerowicz", pts)
+    sizes = {fn.__name__: table.size for (fn, params), table in M._point_memo.items() if not params}
+    assert (sizes["adapted_frame"], sizes["adapted_basis"]) == (34, 258)
+    # a frame at any point of the E table evaluates no metric: one
+    # Gram-Schmidt built every frame
+    stored = np.array([np.frombuffer(key) for key in
+                       M._point_memo[(mf.adapted_basis.__wrapped__, ())].index])
+    metric = M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size
+    mf.adapted_frame(M, stored)
+    assert M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size == metric
+
+
 def _first_failure_point_by_point(chart, metric, J, tol=1e-10):
     """The invariant checks at one sample point at a time, in order: the
     first failing (point, check), or None."""
@@ -521,7 +614,7 @@ def _memo_results(M, x, zeta=0.3 + 0.2j):
     sw = tw.CoframeSweep(M, "chern", z)
     co = tw.twistor_coframe(M, "chern", z)
     return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
-            fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
+            mf.adapted_basis(M, x), fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
             cn._lc_forms(M, x), *cn._J_pushed_dF(M, x),
             cn.levi_civita(M, x).R, cn.levi_civita(M, x).Gamma, cn.levi_civita(M, x).omega_frame,
             cn.levi_civita(M, np.stack([x, x + 0.01])).R, sw.B0, sw.dB, co.B,

@@ -1817,3 +1817,21 @@ def test_lambda_weights_have_the_bits_and_errors_of_the_per_pair_rows():
             _reference_lambda_weights(bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             tw.lambda_weights(bad)
+
+
+def test_lambda_weights_check_and_square_each_distinct_lambda_once(monkeypatch):
+    # scan's table: 4 structures x 48 grid values
+    grid = np.linspace(0.5, 2.5, 48).tolist()
+    pairs = [(i, lam) for i in (1, 2, 3, 4) for lam in grid] + [(2, (1.3, 0.7, 2.1)), (3, [1.3, 0.7, 2.1])]
+    want = _reference_lambda_weights(pairs)
+    calls = []
+    lambdas = tw._lambdas
+    monkeypatch.setattr(tw, "_lambdas", lambda lam: (calls.append(lam), lambdas(lam))[1])
+    assert np.array_equal(tw.lambda_weights(pairs), want)
+    assert len(calls) == 48 + 1
+    for bad in ([(1, 2.0), (2, 2.0), (5, 2.0)], [(1, (1.0, 2.0, 3.0)), (4, [1.0, 2.0, 3.0]), (2, 1e200)],
+                [(1, float("nan")), (2, float("nan"))], [(3, 0.5), (1, 1), (2, 1.0), (4, -0.0)]):
+        with pytest.raises(ValueError) as want:
+            _reference_lambda_weights(bad)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            tw.lambda_weights(bad)

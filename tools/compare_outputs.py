@@ -23,8 +23,9 @@ whose stacks hold one point each, two reports that assemble a family
 member from the t-independent tables of the point memo: the negative
 general member t = -0.3 on hopf and a five-point bismut stack on ch2, a
 json `report` on a surface description file (written to a temporary
-directory) that repeats expression texts and gives J entry by entry, and
-a text `report --points 5` on hopf/chern.
+directory) that repeats expression texts and gives J entry by entry, a
+text `report --points 5` on hopf/chern, and the help text: `--help` and
+`<command> --help` for each of the four commands.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -114,6 +115,8 @@ def argv_list(description):
         ["report", "--surface", description, "--connection", "chern", "--lambda", "1.2",
          "--points", "3", "--format", "json"],
         ["report", "--surface", "hopf", "--connection", "chern", "--points", "5", "--format", "text"],
+        ["--help"],
+        *([command, "--help"] for command in ("report", "verify", "scan", "appendix")),
     ]
     return out
 

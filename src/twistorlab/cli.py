@@ -7,13 +7,14 @@ input; 3 surface invariant violation (the offending check is named).
 Reports are emitted as versioned JSON (``schema: 1``) with every float
 printed to 17 significant digits, or as aligned text tables.  File output is
 written to a temporary file and renamed, so a crashed run never leaves a
-truncated report behind.  ``TWISTORLAB_THREADS`` sets the worker pool used
-for the independent per-surface jobs; it defaults to 1, because the jobs
-hold the interpreter lock and a pool only adds overhead.
+truncated report behind.  ``TWISTORLAB_THREADS`` is checked (a positive
+integer, else exit 2) but starts no pool: ``verify`` runs its oracle suite
+as one stacked pass per connection over the four built-in surfaces, each
+surface a segment of one coframe sweep and one formula coframe, and reads
+the (i, lambda) displays of its appendix suite from stacked weight rows.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -26,15 +27,14 @@ import numpy as np
 
 from . import __version__
 from .connection import levi_civita
-from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge
-from .flag import (appendix_table, d_matrix, flag_balanced, flag_bidegree_part,
-                   flag_d, flag_dK, flag_ddbar, flag_K, integrability_obstruction,
-                   structural_ddbar)
+from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge, weighted_sum
+from .flag import (FlagDisplays, appendix_table, d_matrix, flag_bidegree_part, flag_dK,
+                   flag_ddbar, integrability_obstruction)
 from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, SpecSyntaxError,
                        builtin, parse_surface_spec)
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, TwistorCoframe,
                       condition_report, lambda_weights, lambda_zero_crossing,
-                      normalize_connection, sample_twistor_points, weighted_sum)
+                      normalize_connection, sample_twistor_points)
 
 __all__ = ["main", "build_parser"]
 
@@ -148,14 +148,6 @@ def thread_cap() -> int:
               file=sys.stderr)
         raise SystemExit(2)
     return cap
-
-
-def _parallel_map(fn, items: Sequence):
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_params(raw: Optional[str], parser: argparse.ArgumentParser) -> Dict[str, float]:
@@ -450,17 +442,14 @@ def _suite_appendix() -> List[Dict[str, object]]:
     d2 = max(np.max(np.abs(d_matrix(k + 1) @ d_matrix(k))) for k in range(7))
     checks.append(_check("appendix:d-squared", d2, exact))
 
-    worst = 0.0
-    for i in (1, 2, 3, 4):
-        for lam in (1.0, (1.3, 0.7, 2.1)):
-            worst = max(worst, (flag_d(flag_K(i, lam)) - flag_dK(i, lam)).norm())
-    checks.append(_check("appendix:derivative-displays", worst, exact))
+    # each loop over (i, lambda) pairs reads the rows of one stacked pass
+    displays = FlagDisplays([(i, lam) for i in (1, 2, 3, 4) for lam in (1.0, (1.3, 0.7, 2.1))])
+    checks.append(_check("appendix:derivative-displays", np.max(displays.dK_residual), exact))
 
     root2 = math.sqrt(2.0)
-    roots = max(flag_dK(1, (1.0, 1.0, root2)).norm(), flag_dK(1, root2).norm(),
-                flag_dK(3, (math.sqrt(5.0), 1.0, 2.0)).norm(),
-                flag_dK(4, (1.0, math.sqrt(10.0), 3.0)).norm())
-    checks.append(_check("appendix:symplectic-roots", roots, exact))
+    roots = FlagDisplays([(1, (1.0, 1.0, root2)), (1, root2), (3, (math.sqrt(5.0), 1.0, 2.0)),
+                          (4, (1.0, math.sqrt(10.0), 3.0))])
+    checks.append(_check("appendix:symplectic-roots", np.max(roots.dK_norm), exact))
 
     dk2 = flag_dK(2, (1.1, 0.8, 1.7))
     mixed = flag_bidegree_part(dk2, 2, 1).norm() + flag_bidegree_part(dk2, 2, 2).norm()
@@ -468,12 +457,10 @@ def _suite_appendix() -> List[Dict[str, object]]:
     checks.append(_check("appendix:pluriclosed-second-structure",
                          mixed + never, exact))
 
-    bal = max(flag_balanced(i, lam).norm()
-              for i in (1, 2, 3, 4) for lam in (1.0, (1.0, 2.0, 3.0)))
-    checks.append(_check("appendix:balanced", bal, exact))
+    bal = FlagDisplays([(i, lam) for i in (1, 2, 3, 4) for lam in (1.0, (1.0, 2.0, 3.0))]).balanced
+    checks.append(_check("appendix:balanced", np.max(bal), exact))
 
-    ddb = max((flag_ddbar(i, lam) - structural_ddbar(i, lam)).norm()
-              for i in (1, 3, 4) for lam in (1.0, (1.3, 0.7, 2.1)))
+    ddb = np.nanmax(displays.ddbar_residual)        # i in {1, 3, 4}
     try:
         flag_ddbar(2, 1.0)
         ddb = max(ddb, 1.0)           # the refusal must fire
@@ -491,31 +478,39 @@ def _suite_appendix() -> List[Dict[str, object]]:
     return checks
 
 
-def _oracle_job(job) -> List[Dict[str, object]]:
-    """The Lichnerowicz and Chern checks of one built-in surface: the
-    closed-form dW of one `TwistorCoframe` stack against the FD dW of one
-    `CoframeSweep` stack, each holding all the points.  Both connections use
-    the one surface object, so they share its point memo."""
-    name, surfaces, n_points, seed, tol = job
-    M = surfaces.pop(name)
-    points = sample_twistor_points(M, n_points, seed=seed)
-    checks = []
-    weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
-    for conn in ("lichnerowicz", "chern"):
-        oracle = weighted_sum(weights, CoframeSweep.stack(M, conn, points).dW_coeffs)
-        formula = weighted_sum(weights, TwistorCoframe.stack(M, conn, points).dW_coeffs)
-        worst = float(np.max(norms(cut(formula - oracle))))
-        checks.append(_check(f"oracle:{name}:{conn}", worst, tol,
-                             detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
-    return checks
+_ORACLE_CONNECTIONS = ("lichnerowicz", "chern")
 
 
 def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: int,
                   tol: float) -> List[Dict[str, object]]:
-    # each job takes its surface out of `surfaces`, so that the surface and
-    # its point memo are released when the job ends
-    jobs = [(name, surfaces, n_points, seed, tol) for name in list(surfaces)]
-    return [check for checks in _parallel_map(_oracle_job, jobs) for check in checks]
+    """The Lichnerowicz and Chern checks of the built-in surfaces: per
+    connection, the closed-form dW of one `TwistorCoframe` stack against the
+    FD dW of one `CoframeSweep` stack, each holding the points of every
+    surface as one segment per surface, so each surface's values come from
+    its own point memo, shared by both connections.  A check's worst value
+    is the max over its surface's points.  When anything raises, the
+    surfaces are replayed one at a time in the order of a loop over them
+    (per surface: the Lichnerowicz sweep and formula, then the Chern ones),
+    so the error is the one that loop meets first."""
+    weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
+    try:
+        segments = [(M, sample_twistor_points(M, n_points, seed=seed)) for M in surfaces.values()]
+        worst = {}
+        for conn in _ORACLE_CONNECTIONS:
+            oracle = weighted_sum(weights, CoframeSweep.stack(segments, conn).dW_coeffs)
+            formula = weighted_sum(weights, TwistorCoframe.stack(segments, conn).dW_coeffs)
+            per_point = norms(cut(formula - oracle)).reshape(len(segments), n_points, -1)
+            worst[conn] = np.max(per_point, axis=(1, 2))
+    except Exception:
+        for M in surfaces.values():
+            points = sample_twistor_points(M, n_points, seed=seed)
+            for conn in _ORACLE_CONNECTIONS:
+                CoframeSweep.stack(M, conn, points).dW_coeffs
+                TwistorCoframe.stack(M, conn, points).dW_coeffs
+        raise
+    detail = f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"
+    return [_check(f"oracle:{name}:{conn}", float(worst[conn][k]), tol, detail=detail)
+            for k, name in enumerate(surfaces) for conn in _ORACLE_CONNECTIONS]
 
 
 def _random_form(rng: np.random.Generator, dim: int, degree: int) -> ComplexForm:

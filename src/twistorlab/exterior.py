@@ -101,6 +101,21 @@ def _scale(v: np.ndarray, c: complex) -> np.ndarray:
     return out
 
 
+def weighted_sum(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """i (w_1 C_1 + w_2 C_2 + w_3 C_3) for the building-block coefficient rows
+    C (..., 3, m) and each row of a weight table (n, 3), or one row (3,),
+    with the shape of weights @ coeffs: the one weighted sum behind every
+    K_i and dK_i of the twistor coframes and every K_i of the flag model.
+    Each step is cut as form arithmetic cuts it, so a row has the bits of
+    ((C1 * w1 + C2 * w2) + C3 * w3) * 1j on forms (the factor 1j keeps every
+    modulus, so its cut is a no-op)."""
+    w = np.asarray(weights)[..., None]
+    c = np.asarray(coeffs)
+    c = c[..., None, :, :] if w.ndim == 3 else c
+    total = cut(cut(c[..., 0, :] * w[..., 0, :]) + cut(c[..., 1, :] * w[..., 1, :]))
+    return cut(total + cut(c[..., 2, :] * w[..., 2, :])) * 1j
+
+
 def norms(vecs: np.ndarray) -> np.ndarray:
     """Coefficient 2-norms of the rows of a coefficient stack (..., n),
     the moduli squared and summed in slot order."""

@@ -21,19 +21,22 @@ with the diagonal generators mapped to their own negatives.
 
 import functools
 import math
+import types
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import ComplexForm, norms, read_only, slot_keys, substitute, wedge, wedge_all
+from .exterior import (ComplexForm, _scale, cut, norms, read_only, slot_keys, substitute, wedge,
+                       wedge_all, weighted_sum)
 
 __all__ = [
     "SU3_BASIS", "GENERATOR_NAMES", "SU3Element", "MaurerCartanEval",
     "maurer_cartan", "maurer_cartan_eval", "structure_equation_residual",
     "generator_form", "flag_conj", "d_matrix", "flag_d", "flag_bidegree_part",
-    "flag_acs", "integrability_obstruction", "flag_K", "flag_dK",
-    "flag_balanced", "flag_ddbar", "structural_ddbar", "nearly_kahler_check",
+    "flag_acs", "integrability_obstruction", "flag_rows", "flag_K", "flag_dK",
+    "flag_balanced", "flag_ddbar", "structural_ddbar", "FlagDisplays",
+    "nearly_kahler_check",
     "normalization_crosscheck", "appendix_table",
 ]
 
@@ -246,12 +249,23 @@ def d_matrix(k: int) -> np.ndarray:
     return read_only(D)
 
 
+def _d_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """d of each degree-k row of a stack (n, C(8, k)), cut: one product
+    with D_k per row, so each row has the bits of its own product."""
+    D = d_matrix(k)
+    return cut(np.array([D @ v for v in rows], dtype=complex).reshape(len(rows), D.shape[0]))
+
+
+def _check_invariant(form: ComplexForm) -> None:
+    if form.dim != 8:
+        raise ValueError(f"an invariant form lives over the 8 generators, got dimension {form.dim}")
+
+
 def flag_d(form: ComplexForm) -> ComplexForm:
     """Exterior derivative of an invariant form: one product with the
     integer matrix D_k of its degree; exact, no differencing."""
-    if form.dim != 8:
-        raise ValueError(f"an invariant form lives over the 8 generators, got dimension {form.dim}")
-    return ComplexForm(8, form.degree + 1, d_matrix(form.degree) @ form.vec)
+    _check_invariant(form)
+    return ComplexForm(8, form.degree + 1, _d_rows(form.vec[None], form.degree)[0])
 
 
 # (1,0)-generator sets of the four distinguished structures; the conjugate
@@ -276,14 +290,22 @@ def _holo_counts(i: int, degree: int) -> np.ndarray:
                      for key in slot_keys(8, degree)])
 
 
+def _bidegree_rows(rows: np.ndarray, structures: Sequence[int], degree: int,
+                   p_holo: int) -> np.ndarray:
+    """The bidegree part of each row (n, C(8, degree)) for the structure of
+    its pair, cut; a row with a diagonal component is refused."""
+    count = np.array([_holo_counts(i, degree) for i in structures]).reshape(rows.shape)
+    if np.any(rows[count < 0] != 0):
+        raise ValueError("form has diagonal components; no quotient bidegree")
+    return cut(np.where(count == p_holo, rows, 0j))
+
+
 def flag_bidegree_part(form: ComplexForm, i: int, p_holo: int) -> ComplexForm:
     """Keep the monomials with exactly `p_holo` holomorphic generators with
     respect to structure i.  The diagonal generators carry no bidegree, so
     forms that do not descend to the quotient are rejected."""
-    count = _holo_counts(i, form.degree)
-    if np.any(form.vec[count < 0] != 0):
-        raise ValueError("form has diagonal components; no quotient bidegree")
-    return ComplexForm(8, form.degree, np.where(count == p_holo, form.vec, 0j))
+    _check_invariant(form)
+    return ComplexForm(8, form.degree, _bidegree_rows(form.vec[None], [i], form.degree, p_holo)[0])
 
 
 _SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -303,12 +325,13 @@ def flag_acs(i: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def integrability_obstruction(i: int) -> float:
     """Norm of the (0,2)-components of the derivatives of the (1,0)-coframe.
 
     Zero exactly when the (0,1)-distribution is closed under bracket; the
     value is assembled from structure constants, so the six integrable
-    structures give literal zero.
+    structures give literal zero.  Computed once per structure.
     """
     holo, _ = _holo_antiholo(i)
     zero_two = d_matrix(1)[_holo_counts(i, 2) == 0]
@@ -351,29 +374,19 @@ def _three_forms() -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
             (rho + flag_conj(rho)) * 0.5, (rho - flag_conj(rho)) * (1.0 / 2j))
 
 
-@functools.lru_cache(maxsize=None)
-def _ddbar_monomials(i: int) -> Tuple[ComplexForm, ComplexForm, ComplexForm]:
-    """The three 4-forms of the second-derivative display of i in {1, 3, 4}."""
-    a, b, c, ab, bb, cb = _coframe_forms()
-    if i == 1:
-        return wedge_all(a, ab, bb, b), wedge_all(bb, b, cb, c), wedge_all(cb, c, a, ab)
-    if i == 3:
-        return wedge_all(a, ab, b, bb), wedge_all(b, bb, cb, c), wedge_all(cb, c, a, ab)
-    return wedge_all(a, ab, b, bb), wedge_all(b, bb, c, cb), wedge_all(c, cb, a, ab)
+# signs (1, e2, e3) of the blocks w12 ^ conj(w12), conj(w13) ^ w13 and
+# conj(w23) ^ w23 in K_i: the w13 block is + for i in {1, 2}, the w23 block
+# + for i in {1, 3}.  flag's own table: its fiber block is conj(w23) ^ w23,
+# the opposite of twistor's phi^3 ^ conj(phi^3)
+_K_SIGNS = {1: (1.0, 1.0, 1.0), 2: (1.0, 1.0, -1.0), 3: (1.0, -1.0, 1.0), 4: (1.0, -1.0, -1.0)}
 
 
-def flag_K(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-    """The fundamental 2-form of structure i at scales (l1, l2, l3)."""
-    l1, l2, l3 = _params(lam)
+@functools.lru_cache(maxsize=1)
+def _K_rows() -> np.ndarray:
+    """The lambda-independent rows (3, 28) of the blocks of every K_i:
+    w12 ^ conj(w12), conj(w13) ^ w13 and conj(w23) ^ w23 (read-only)."""
     a, b, c, ab, bb, cb = _coframe_forms()
-    second = wedge(bb, b) if i in (1, 2) else wedge(b, bb)
-    if i in (1, 3):
-        third = wedge(cb, c)
-    elif i in (2, 4):
-        third = wedge(c, cb)
-    else:
-        raise ValueError("structure index must lie in 1..4")
-    return (wedge(a, ab) * l1 ** 2 + second * l2 ** 2 + third * l3 ** 2) * 1j
+    return read_only(np.array([wedge(a, ab).vec, wedge(bb, b).vec, wedge(cb, c).vec]))
 
 
 _DK_SIGNS = {1: (1.0, 1.0, -1.0), 2: (1.0, 1.0, 1.0),
@@ -385,25 +398,73 @@ def _dK_coefficient(i: int, lams: Tuple[float, float, float]) -> float:
     return s1 * lams[0] ** 2 + s2 * lams[1] ** 2 + s3 * lams[2] ** 2
 
 
+def flag_rows(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """(K, dK): the rows (n, 28) of K_i(lambda) and (n, 56) of dK_i(lambda)
+    for the pairs (i, lambda), each pair checked in order.  K is one
+    `weighted_sum` of the block rows with the weights (l1^2, e2 l2^2,
+    e3 l3^2), and dK the cubic coefficient of each pair times the invariant
+    3-form; row r has the bits of flag_K(*pairs[r]).vec and
+    flag_dK(*pairs[r]).vec."""
+    weights, factors = [], []
+    for i, lam in pairs:
+        lams = _params(lam)
+        if i not in _K_SIGNS:
+            raise ValueError("structure index must lie in 1..4")
+        weights.append([e * v ** 2 for e, v in zip(_K_SIGNS[i], lams)])
+        factors.append(1j * _dK_coefficient(i, lams))
+    K = weighted_sum(np.array(weights).reshape(-1, 3), _K_rows())
+    theta = _three_forms()[0].vec
+    dK = np.array([_scale(theta, f) for f in factors], dtype=complex).reshape(-1, 56)
+    return cut(K), cut(dK)
+
+
+def flag_K(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
+    """The fundamental 2-form of structure i at scales (l1, l2, l3)."""
+    return ComplexForm(8, 2, flag_rows([(i, lam)])[0][0])
+
+
 def flag_dK(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
     """First derivative of the fundamental form: a single cubic coefficient
     times the invariant 3-form; vanishes exactly on the displayed parameter
     quadrics (i = 2 has a positive coefficient and never closes)."""
-    lams = _params(lam)
-    if i not in (1, 2, 3, 4):
-        raise ValueError("structure index must lie in 1..4")
-    return _three_forms()[0] * (1j * _dK_coefficient(i, lams))
+    return ComplexForm(8, 3, flag_rows([(i, lam)])[1][0])
 
 
 def flag_balanced(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
     """K ^ dK, assembled by wedge; the product cancels exactly for every
     structure and every parameter choice."""
-    return wedge(flag_K(i, lam), flag_dK(i, lam))
+    K, dK = flag_rows([(i, lam)])
+    return wedge(ComplexForm(8, 2, K[0]), ComplexForm(8, 3, dK[0]))
 
 
 _DDBAR_SIGNS = {1: ((1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)),
                 3: ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0)),
                 4: ((1.0, -1.0, 1.0), (1.0, 1.0, -1.0))}
+
+
+@functools.lru_cache(maxsize=1)
+def _ddbar_rows() -> Mapping[int, np.ndarray]:
+    """The lambda-independent row (70,) of the second-derivative display of
+    each i in {1, 3, 4}: its three 4-form monomials summed with their signs
+    (a read-only mapping of read-only rows)."""
+    a, b, c, ab, bb, cb = _coframe_forms()
+    monomials = {1: (wedge_all(a, ab, bb, b), wedge_all(bb, b, cb, c), wedge_all(cb, c, a, ab)),
+                 3: (wedge_all(a, ab, b, bb), wedge_all(b, bb, cb, c), wedge_all(cb, c, a, ab)),
+                 4: (wedge_all(a, ab, b, bb), wedge_all(b, bb, c, cb), wedge_all(c, cb, a, ab))}
+    out = {}
+    for i, (m1, m2, m3) in monomials.items():
+        t1, t2, t3 = _DDBAR_SIGNS[i][1]
+        out[i] = read_only((m1 * t1 + m2 * t2 + m3 * t3).vec)
+    return types.MappingProxyType(out)
+
+
+def _ddbar_display(i: int, lam: Union[float, Sequence[float]]) -> np.ndarray:
+    """The row of structure i in {1, 3, 4} times i^2 and its coefficient, cut."""
+    lams = _params(lam)
+    c1, c2, c3 = _DDBAR_SIGNS[i][0]
+    coeff = c1 * lams[0] ** 2 + c2 * lams[1] ** 2 + c3 * lams[2] ** 2
+    return cut(_scale(_ddbar_rows()[i], (1j) ** 2 * coeff))
 
 
 def flag_ddbar(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
@@ -413,17 +474,71 @@ def flag_ddbar(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         raise ValueError("no second-derivative display for i = 2")
     if i not in (1, 3, 4):
         raise ValueError("structure index must lie in 1..4")
-    (c1, c2, c3), (t1, t2, t3) = _DDBAR_SIGNS[i]
-    coeff = c1 * lams[0] ** 2 + c2 * lams[1] ** 2 + c3 * lams[2] ** 2
-    m1, m2, m3 = _ddbar_monomials(i)
-    return (m1 * t1 + m2 * t2 + m3 * t3) * ((1j) ** 2 * coeff)
+    return ComplexForm(8, 4, _ddbar_display(i, lams))
+
+
+def _structural_rows(dK_of_K: np.ndarray, structures: Sequence[int]) -> np.ndarray:
+    """i * (2,2)-part of d of the (1,2)-part of each row of dK (n, 56)."""
+    part = _d_rows(_bidegree_rows(dK_of_K, structures, 3, 1), 3)
+    return cut(_scale(_bidegree_rows(part, structures, 4, 2), 1j))
 
 
 def structural_ddbar(i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
     """i * (2,2)-part of d applied to the (1,2)-part of dK, all from
     structure constants; the independent cross-check of `flag_ddbar`."""
-    dk = flag_d(flag_K(i, lam))
-    return flag_bidegree_part(flag_d(flag_bidegree_part(dk, i, 1)), i, 2) * 1j
+    return ComplexForm(8, 4, _structural_rows(_d_rows(flag_rows([(i, lam)])[0], 2), [i])[0])
+
+
+class FlagDisplays:
+    """The displays of the invariant family at the pairs (i, lambda), each
+    pair checked in order on construction: the rows `K` (n, 28) and `dK`
+    (n, 56) of one `flag_rows` pass, and the norms (n,) the appendix
+    reports, each built on first use from the rows, with the bits of the
+    norm of the same forms built pair by pair: `dK_norm` |dK|, `dK_residual`
+    |d K - dK|, `balanced` |K ^ dK|, `dd` |d dK|, `one_two` |the (1,2)-part
+    of dK| and `ddbar_residual` |flag_ddbar - structural_ddbar| (nan for
+    i = 2, which has no display)."""
+
+    def __init__(self, pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]):
+        self.pairs = list(pairs)
+        self.K, self.dK = flag_rows(self.pairs)
+        self.structures = [i for i, _ in self.pairs]
+
+    @functools.cached_property
+    def _dK_of_K(self) -> np.ndarray:
+        return _d_rows(self.K, 2)
+
+    @functools.cached_property
+    def dK_norm(self) -> np.ndarray:
+        return norms(self.dK)
+
+    @functools.cached_property
+    def dK_residual(self) -> np.ndarray:
+        return norms(cut(self._dK_of_K - self.dK))
+
+    @functools.cached_property
+    def balanced(self) -> np.ndarray:
+        # the rows are sparse, so the term loop of `wedge` beats `wedge_vectors`
+        return norms(np.array([wedge(ComplexForm(8, 2, k), ComplexForm(8, 3, d)).vec
+                               for k, d in zip(self.K, self.dK)]).reshape(-1, 56))
+
+    @functools.cached_property
+    def dd(self) -> np.ndarray:
+        return norms(_d_rows(self.dK, 3))
+
+    @functools.cached_property
+    def one_two(self) -> np.ndarray:
+        return norms(_bidegree_rows(self.dK, self.structures, 3, 1))
+
+    @functools.cached_property
+    def ddbar_residual(self) -> np.ndarray:
+        shown = [r for r, i in enumerate(self.structures) if i != 2]
+        out = np.full(len(self.structures), np.nan)
+        if shown:
+            display = np.array([_ddbar_display(*self.pairs[r]) for r in shown])
+            structural = _structural_rows(self._dK_of_K[shown], [self.structures[r] for r in shown])
+            out[shown] = norms(cut(display - structural))
+        return out
 
 
 def nearly_kahler_check() -> Tuple[float, float]:
@@ -487,25 +602,24 @@ def appendix_table(lam: Union[float, Sequence[float]] = (1.0, 1.0, 1.0)) -> Dict
     displayed = _displayed_structure_equations()
     structure_res = max((table[k] - displayed[k]).norm() for k in displayed)
 
+    shown = FlagDisplays([(i, lams) for i in (1, 2, 3, 4)])
     rows = []
-    for i in (1, 2, 3, 4):
-        K = flag_K(i, lams)
-        dk_display = flag_dK(i, lams)
+    for r, i in enumerate((1, 2, 3, 4)):
         row: Dict[str, object] = {
             "i": i,
             "dK_coefficient": _dK_coefficient(i, lams),
-            "dK_residual": (flag_d(K) - dk_display).norm(),
-            "d_closed": dk_display.norm() < 1e-12,
-            "balanced_norm": flag_balanced(i, lams).norm(),
-            "dd_residual": flag_d(dk_display).norm(),
+            "dK_residual": float(shown.dK_residual[r]),
+            "d_closed": bool(shown.dK_norm[r] < 1e-12),
+            "balanced_norm": float(shown.balanced[r]),
+            "dd_residual": float(shown.dd[r]),
             "obstruction": integrability_obstruction(i),
             "integrable": integrability_obstruction(i) == 0.0,
         }
         if i == 2:
             row["ddbar_residual"] = None
-            row["one_two_part_norm"] = flag_bidegree_part(dk_display, 2, 1).norm()
+            row["one_two_part_norm"] = float(shown.one_two[r])
         else:
-            row["ddbar_residual"] = (flag_ddbar(i, lams) - structural_ddbar(i, lams)).norm()
+            row["ddbar_residual"] = float(shown.ddbar_residual[r])
         rows.append(row)
 
     nk1, nk2 = nearly_kahler_check()

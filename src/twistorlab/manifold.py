@@ -378,9 +378,11 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores fewer than 1 000 per surface, a
-# verify oracle job about 1 150
-POINT_MEMO_LIMIT = 4096
+# cleared; a two-point report or scan stores fewer than 1 000 per surface and
+# verify about 1 150 per built-in, while one ddbar_oracle call on cp2_fs
+# stores 4 776 (1.5 MB of rows), which this limit keeps whole.  The largest
+# row is a levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
+POINT_MEMO_LIMIT = 8192
 
 # held while a batch of results is appended to a table of any surface
 _APPEND_LOCK = threading.Lock()

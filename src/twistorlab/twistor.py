@@ -33,9 +33,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
-                       substitute, wedge, wedge_all, wedge_vectors)
-from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, adapted_frame,
-                       coordinate_fundamental_matrix, dF_array, push_slots, stack_field)
+                       substitute, wedge, wedge_all, wedge_vectors, weighted_sum)
+from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _map_arrays,
+                       adapted_frame, coordinate_fundamental_matrix, dF_array, push_slots,
+                       stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, curvature_rows,
                          levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
 from .curvature_analysis import ConditionFlags, condition_flags
@@ -268,6 +269,29 @@ def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
                                      "coframe degenerated (Gram determinant ~ 0)")
 
 
+def _checked_rows(M: HermitianSurface, t: float,
+                  points: List[TwistorPoint]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y (n, 6), zeta (n,), B (n, 3, 6)) of the bundle points on M, from one
+    `coframe_rows` call, each fiber coordinate and Gram determinant checked;
+    when that raises, the points are built one at a time, so the error
+    names the first failing point, as a point-by-point build meets it."""
+    try:
+        zeta = np.array([z.zeta for z in points])
+        y = np.array([z.chart_coordinates() for z in points])
+        far = np.abs(zeta) >= _ZETA_MAX
+        if far.any():
+            raise ValueError(f"fiber coordinate out of chart at bundle point "
+                             f"{y[np.argmax(far)].tolist()}")
+        B = coframe_rows(M, t, y)
+        _check_gram(B, y)
+    except Exception:
+        if len(points) > 1:
+            for z in points:
+                _checked_rows(M, t, [z])
+        raise
+    return y, zeta, B
+
+
 def _row_form(row: np.ndarray) -> ComplexForm:
     return ComplexForm(6, 1, np.asarray(row, dtype=complex))
 
@@ -311,6 +335,31 @@ def _wedges(pairs, p: int, q: int) -> np.ndarray:
 # the frame components of u_1, u_2 over the adapted frame, before the 1/sqrt2
 _U_ROWS = np.array([[1.0, -1j, 0.0, 0.0], [0.0, 0.0, 1.0, -1j]])
 
+# the points of a stack over several surfaces: [(M, points), ...]
+Segments = Sequence[Tuple[HermitianSurface, Sequence[TwistorPoint]]]
+
+
+def _segments(M: Union[HermitianSurface, Segments], points: Optional[Sequence[TwistorPoint]],
+              what: str) -> List[Tuple[HermitianSurface, List[TwistorPoint]]]:
+    """The segments of a stack: the surface M with its points, or M a
+    sequence of (surface, points) segments and no `points`.  Each segment
+    must hold at least one point."""
+    if isinstance(M, HermitianSurface):
+        segments = [(M, points)]
+    elif points is not None:
+        raise TypeError("a stack of segments takes its points inside the segments")
+    else:
+        segments = [(S, p) for S, p in M]
+    if not segments or not all(len(p) for _, p in segments):
+        raise ValueError(f"{what} needs at least one bundle point")
+    return [(S, list(p)) for S, p in segments]
+
+
+def _join(parts: List):
+    """Results of the same structure for consecutive segments, joined along
+    the point axis (the one result of a one-segment stack as it is)."""
+    return parts[0] if len(parts) == 1 else _map_arrays(lambda *a: np.concatenate(a), *parts)
+
 
 @dataclass(frozen=True)
 class TwistorCoframe:
@@ -329,6 +378,14 @@ class TwistorCoframe:
     point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,)
     and (3, 6) for one point, and each point's values have the bits of its
     own one-point coframe.
+
+    `TwistorCoframe.stack(segments, conn)` stacks the points of several
+    surfaces, given as segments [(M, points), ...]; a one-surface stack is
+    the one-segment case.  What reads a surface (`coframe_rows`, the frames,
+    the Levi-Civita curvature, the torsion and the Chern curvature) is
+    evaluated per segment, from that surface's own point memo, and joined
+    along the point axis; everything after that runs once over all the
+    points.  `segments` holds each surface with its number of points.
 
     The closed-form rows do not depend on i or lambda; each is built on
     first use, from coefficient rows with `wedge_vectors`, and shared by
@@ -351,7 +408,7 @@ class TwistorCoframe:
     coframes, the input of `ddbar_formula`.
     """
 
-    surface: HermitianSurface
+    segments: Tuple[Tuple[HermitianSurface, int], ...]
     label: str
     t: float
     y: np.ndarray                      # (..., 6)
@@ -359,42 +416,54 @@ class TwistorCoframe:
     B: np.ndarray                      # (..., 3, 6) complex
 
     @classmethod
-    def stack(cls, M: HermitianSurface, conn: Union[str, float],
-              points: Sequence[TwistorPoint]) -> "TwistorCoframe":
-        """One coframe of every point of `points` (at least one).
+    def stack(cls, M: Union[HermitianSurface, Segments], conn: Union[str, float],
+              points: Optional[Sequence[TwistorPoint]] = None) -> "TwistorCoframe":
+        """One coframe of every point of `points` (at least one) on M, or of
+        every point of the segments M = [(surface, points), ...].
 
         Raises ValueError for a fiber coordinate outside the chart (|zeta|
         < 4; the section degenerates as the line approaches the antipode of
         the frame's own structure), and DegenerateCoframeError when the Gram
         determinant of the coframe is near zero or not finite: each names
         the first failing point in stack order, the error a point-by-point
-        build meets first.
+        build meets first, segment after segment.
         """
-        if not len(points):
-            raise ValueError("a twistor coframe needs at least one bundle point")
-        return cls._build(M, conn, list(points), (len(points),))
+        segments = _segments(M, points, "a twistor coframe")
+        shape = (sum(len(p) for _, p in segments),)
+        if len(segments) == 1:
+            return cls._build(segments[0][0], conn, segments[0][1], shape)
+        return cls._build(segments, conn, None, shape)
 
     @classmethod
-    def _build(cls, M: HermitianSurface, conn: Union[str, float], points: List[TwistorPoint],
+    def _build(cls, M: Union[HermitianSurface, List[Tuple[HermitianSurface, List[TwistorPoint]]]],
+               conn: Union[str, float], points: Optional[List[TwistorPoint]],
                shape: Tuple[int, ...]) -> "TwistorCoframe":
+        """The coframe of the points on M, or, when points is None, of the
+        segments M = [(surface, points), ...], built and checked segment
+        after segment, with the point axes `shape`."""
+        segments = [(M, points)] if points is not None else M
         t, label = normalize_connection(conn)
-        try:
-            zeta = np.array([z.zeta for z in points])
-            y = np.array([z.chart_coordinates() for z in points])
-            far = np.abs(zeta) >= _ZETA_MAX
-            if far.any():
-                raise ValueError(f"fiber coordinate out of chart at bundle point "
-                                 f"{y[np.argmax(far)].tolist()}")
-            B = coframe_rows(M, t, y)
-            _check_gram(B, y)
-        except Exception:
-            if len(points) > 1:
-                for z in points:
-                    cls._build(M, conn, [z], ())
-            raise
-        return cls(surface=M, label=label, t=t, y=y.reshape(shape + (6,)),
+        y, zeta, B = _join([_checked_rows(M, t, points) for M, points in segments])
+        return cls(segments=tuple((M, len(points)) for M, points in segments), label=label,
+                   t=t, y=y.reshape(shape + (6,)),
                    zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
                    B=B.reshape(shape + (3, 6)))
+
+    @property
+    def surface(self) -> HermitianSurface:
+        """The surface of a one-surface coframe."""
+        if len(self.segments) != 1:
+            raise ValueError("a coframe of several surfaces has no one surface")
+        return self.segments[0][0]
+
+    def _per_surface(self, fn: Callable[[HermitianSurface, slice], object]):
+        """fn(M, part) for each segment's surface M and the slice `part` of
+        its points on the point axis, joined along that axis."""
+        parts, start = [], 0
+        for M, n in self.segments:
+            parts.append(fn(M, slice(start, start + n)))
+            start += n
+        return _join(parts)
 
     # -- the stack with one point axis -----------------------------------
 
@@ -414,7 +483,7 @@ class TwistorCoframe:
     @functools.cached_property
     def _frames(self):
         """(omega_tilde, lc_omega, frame) at the base points."""
-        return omega_tilde_coord(self.surface, self._x, self.t)
+        return self._per_surface(lambda M, part: omega_tilde_coord(M, self._x[part], self.t))
 
     @functools.cached_property
     def _rotation(self) -> np.ndarray:
@@ -437,8 +506,10 @@ class TwistorCoframe:
     def _lc_curvature(self) -> Tuple[np.ndarray, np.ndarray]:
         """(R, Om): the Levi-Civita curvature in frame components and its
         forms Om^i_j over dx."""
-        lc = levi_civita(self.surface, self._x)
-        return lc.R, push_slots(lc.R, lc.frame.theta, (2, 3))
+        def entries(M, part):
+            lc = levi_civita(M, self._x[part])
+            return lc.R, push_slots(lc.R, lc.frame.theta, (2, 3))
+        return self._per_surface(entries)
 
     @functools.cached_property
     def _tau3(self) -> np.ndarray:
@@ -470,8 +541,9 @@ class TwistorCoframe:
         """T^a over dx (n, 2, 4, 4) for a = 1, 2 of the horizontal rows."""
         if abs(self.t) <= 1e-12:
             return None
-        T = torsion_tensor(self.surface, self._x, self.t)
-        return np.einsum("...am,...mnr->...anr", np.reshape(self.B, (-1, 3, 6))[:, :2, :4], T)
+        rows = np.reshape(self.B, (-1, 3, 6))[:, :2, :4]
+        return self._per_surface(lambda M, part: np.einsum(
+            "...am,...mnr->...anr", rows[part], torsion_tensor(M, self._x[part], self.t)))
 
     @functools.cached_property
     def _T_hat(self) -> Optional[np.ndarray]:
@@ -480,7 +552,8 @@ class TwistorCoframe:
     @functools.cached_property
     def _chern_curvature(self) -> np.ndarray:
         """The Chern curvature rows Psi^c_d over the chart (n, 2, 2, 15)."""
-        return _lift_rows(cut(curvature_rows(self.surface, self._x, 1.0)))
+        return self._per_surface(
+            lambda M, part: _lift_rows(cut(curvature_rows(M, self._x[part], 1.0))))
 
     def _psi_hat(self, a: int, b: int) -> np.ndarray:
         """Psi^a_b rotated into the fiber frame, (n, 15): the weights of the
@@ -671,20 +744,6 @@ def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -
     return np.array(signs).reshape(-1, 3) * np.array(squares).reshape(-1, 3)
 
 
-def weighted_sum(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """i (w_1 C_1 + w_2 C_2 + w_3 C_3) for the building-block coefficient rows
-    C (..., 3, m) and each row of a weight table (n, 3), or one row (3,),
-    with the shape of weights @ coeffs: the one weighted sum behind every
-    K_i and dK_i.  Each step is cut as form arithmetic cuts it, so a row has
-    the bits of ((W1 * w1 + W2 * w2) + W3 * w3) * 1j on forms (the factor 1j
-    keeps every modulus, so its cut is a no-op)."""
-    w = np.asarray(weights)[..., None]
-    c = np.asarray(coeffs)
-    c = c[..., None, :, :] if w.ndim == 3 else c
-    total = cut(cut(c[..., 0, :] * w[..., 0, :]) + cut(c[..., 1, :] * w[..., 1, :]))
-    return cut(total + cut(c[..., 2, :] * w[..., 2, :])) * 1j
-
-
 def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:
     """The fundamental 2-form K_i(lambda) over the chart coordinates."""
     return ComplexForm(6, 2, weighted_sum(lambda_weights([(i, lam)])[0], coframe.W_coeffs))
@@ -855,6 +914,25 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # finite-difference oracles
 # ======================================================================
 
+def _stencil_rows(M: HermitianSurface, t: float, conn: Union[str, float],
+                  y0: np.ndarray) -> np.ndarray:
+    """B (..., 1 + 6 m, 3, 6) at each chart point of y0 (..., 6) followed by
+    its stencil, from one `coframe_rows` call on M.  When that raises, the
+    error is the one a point-by-point sweep meets first: each point's
+    checks in stack order, B at a point before its stencil."""
+    stencil = np.moveaxis(M.backend.stencil(y0), (0, 1), (-3, -2))   # (..., 6, m, 6)
+    Y = np.concatenate([y0[..., None, :], stencil.reshape(y0.shape[:-1] + (-1, 6))], axis=-2)
+    try:
+        return coframe_rows(M, t, Y)
+    except Exception:
+        if y0.ndim > 1:
+            for y in y0:
+                CoframeSweep.__new__(CoframeSweep)._sweep(M, conn, y)
+        else:
+            _check_gram(coframe_rows(M, t, y0), y0)
+        raise
+
+
 class CoframeSweep:
     """FD sweeps of the coframe field around a stack of bundle points.
 
@@ -872,6 +950,14 @@ class CoframeSweep:
     `coframe_rows` does: `B0` (n, 3, 6) and `dB` (n, 6, 3, 6) for a stack,
     (3, 6) and (6, 3, 6) for one point, and each point's values have the
     bits of its own one-point sweep.
+
+    `CoframeSweep.stack(segments, conn)` sweeps the points of several
+    surfaces, given as segments [(M, points), ...] whose surfaces share one
+    FD rule; a one-surface stack is the one-segment case.  B at the points
+    and their stencils is one `coframe_rows` call per surface, from that
+    surface's own point memo; the FD combine, dB, the checks and every row
+    below run once over all the points.  `M` is the surface of a
+    one-surface sweep (None for several).
 
     The coefficient rows `W_coeffs` (n, 3, 15) and `dW_coeffs` (n, 3, 20) of
     the building blocks, and their blocks `W_wedge_dW` (n, 3, 3, 6), do not
@@ -893,44 +979,52 @@ class CoframeSweep:
         self._sweep(M, conn, z.chart_coordinates())
 
     @classmethod
-    def stack(cls, M: HermitianSurface, conn: Union[str, float],
-              points: Sequence[TwistorPoint]) -> "CoframeSweep":
-        """One sweep of every point of `points` (at least one)."""
-        if not len(points):
-            raise ValueError("a coframe sweep needs at least one bundle point")
+    def stack(cls, M: Union[HermitianSurface, Segments], conn: Union[str, float],
+              points: Optional[Sequence[TwistorPoint]] = None) -> "CoframeSweep":
+        """One sweep of every point of `points` (at least one) on M, or of
+        every point of the segments M = [(surface, points), ...], whose
+        surfaces share one FD rule."""
+        segments = _segments(M, points, "a coframe sweep")
+        ys = [(S, np.array([z.chart_coordinates() for z in pts])) for S, pts in segments]
         sweep = cls.__new__(cls)
-        sweep._sweep(M, conn, np.array([z.chart_coordinates() for z in points]))
+        if len(ys) == 1:
+            sweep._sweep(ys[0][0], conn, ys[0][1])
+        else:
+            sweep._sweep(ys, conn, None)
         return sweep
 
-    def _sweep(self, M: HermitianSurface, conn: Union[str, float], y0: np.ndarray) -> None:
+    def _sweep(self, M: Union[HermitianSurface, List[Tuple[HermitianSurface, np.ndarray]]],
+               conn: Union[str, float], y0: Optional[np.ndarray]) -> None:
+        """The sweep of the chart points y0 (6,) or (k, 6) on M, or, when
+        y0 is None, of the segments M = [(surface, y0 (k, 6)), ...]: B at
+        every point and its stencil from one `coframe_rows` call per
+        surface, then one combine and one set of checks over all points."""
+        segments = [(M, y0)] if y0 is not None else M
         t, label = normalize_connection(conn)
         self.t, self.label = t, label
-        self.M = M
-        self.y0 = y0                             # (..., 6)
-        be = M.backend
-        # each point followed by its stencil, (..., 1 + 6 m, 6)
-        stencil = np.moveaxis(be.stencil(y0), (0, 1), (-3, -2))      # (..., 6, m, 6)
-        Y = np.concatenate([y0[..., None, :], stencil.reshape(y0.shape[:-1] + (-1, 6))], axis=-2)
+        self.M = segments[0][0] if len(segments) == 1 else None
+        be = segments[0][0].backend
+        if any(S.backend.order != be.order or not np.array_equal(S.backend.step, be.step)
+               for S, _ in segments[1:]):
+            raise ValueError("the surfaces of one coframe sweep must share one FD rule")
         try:
-            B = coframe_rows(M, t, Y)
+            y0, B = _join([(y, _stencil_rows(S, t, conn, y)) for S, y in segments])
+            self.y0 = y0                             # (..., 6)
+            self.B0 = B[..., 0, :, :]
+            values = np.moveaxis(B[..., 1:, :, :].reshape(y0.shape[:-1] + (6, -1, 3, 6)),
+                                 (-4, -3), (0, 1))                  # (6, m, ..., 3, 6)
+            self.dB = np.moveaxis(be.combine(values), 0, -3)          # (..., 6, 3, 6)
+            finite = np.all(np.isfinite(self.dB), axis=(-3, -2, -1))
+            for B0, ok, y in zip(self.B0.reshape(-1, 3, 6), finite.ravel(), y0.reshape(-1, 6)):
+                _check_gram(B0, y)
+                if not ok:
+                    raise DegenerateCoframeError(y, "coframe derivative not finite")
         except Exception:
-            # the error a point-by-point sweep meets first: each point's
-            # checks in stack order, B at a point before its stencil
-            if y0.ndim > 1:
-                for y in y0:
-                    CoframeSweep.__new__(CoframeSweep)._sweep(M, conn, y)
-            else:
-                _check_gram(coframe_rows(M, t, y0), y0)
+            # the error a sweep per surface meets first, surface by surface
+            if len(segments) > 1:
+                for S, y in segments:
+                    CoframeSweep.__new__(CoframeSweep)._sweep(S, conn, y)
             raise
-        self.B0 = B[..., 0, :, :]
-        values = np.moveaxis(B[..., 1:, :, :].reshape(stencil.shape[:-1] + (3, 6)),
-                             (-4, -3), (0, 1))                      # (6, m, ..., 3, 6)
-        self.dB = np.moveaxis(be.combine(values), 0, -3)              # (..., 6, 3, 6)
-        finite = np.all(np.isfinite(self.dB), axis=(-3, -2, -1))
-        for B0, ok, y in zip(self.B0.reshape(-1, 3, 6), finite.ravel(), y0.reshape(-1, 6)):
-            _check_gram(B0, y)
-            if not ok:
-                raise DegenerateCoframeError(y, "coframe derivative not finite")
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 

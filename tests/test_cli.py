@@ -501,6 +501,66 @@ def test_verify_oracle_suite(capsys):
     assert all(c["worst"] < 1e-4 for c in doc["checks"])
 
 
+def _reference_suite_oracle(surfaces, n_points, seed, tol):
+    """The oracle suite as a loop over the surfaces, one stack per (surface,
+    connection): the per-surface job loop that the stacked suite replaced."""
+    from twistorlab.exterior import cut, norms, weighted_sum
+    from twistorlab.twistor import CoframeSweep, TwistorCoframe, lambda_weights, sample_twistor_points
+    checks = []
+    weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
+    for name, M in surfaces.items():
+        points = sample_twistor_points(M, n_points, seed=seed)
+        for conn in ("lichnerowicz", "chern"):
+            oracle = weighted_sum(weights, CoframeSweep.stack(M, conn, points).dW_coeffs)
+            formula = weighted_sum(weights, TwistorCoframe.stack(M, conn, points).dW_coeffs)
+            worst = float(np.max(norms(cut(formula - oracle))))
+            checks.append(cli._check(f"oracle:{name}:{conn}", worst, tol,
+                                     detail=f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"))
+    return checks
+
+
+def _builtins():
+    return {name: builtin(name) for name in cli._SURFACE_POINTS}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_the_stacked_oracle_suite_has_the_checks_of_the_loop_over_surfaces(seed, n_points):
+    # each side on fresh surfaces, so neither reads what the other stored
+    want = _reference_suite_oracle(_builtins(), n_points, seed, 1e-4)
+    got = cli._suite_oracle(_builtins(), n_points, seed, 1e-4)
+    assert got == want and len(got) == 8
+
+
+def test_a_failing_oracle_suite_raises_the_error_of_the_loop_over_surfaces(monkeypatch):
+    # cp2_fs fails its Chern formula (the Chern curvature, built on first
+    # use), and the later hopf its Lichnerowicz sweep: a stacked pass meets
+    # the hopf error first, the loop over surfaces the cp2_fs one
+    from twistorlab import twistor as tw
+    surfaces = _builtins()
+    early, late = surfaces["cp2_fs"], surfaces["hopf"]
+    curvature_rows, coframe_rows = tw.curvature_rows, tw.coframe_rows
+
+    def failing_curvature(M, x, t):
+        if M is early:
+            raise tw.DegenerateCoframeError(None, "the Chern formula of an early surface")
+        return curvature_rows(M, x, t)
+
+    def failing_coframe(M, t, y):
+        if M is late and t == 0.0:
+            raise tw.DegenerateCoframeError(None, "the Lichnerowicz sweep of a later surface")
+        return coframe_rows(M, t, y)
+
+    monkeypatch.setattr(tw, "curvature_rows", failing_curvature)
+    monkeypatch.setattr(tw, "coframe_rows", failing_coframe)
+    with pytest.raises(tw.DegenerateCoframeError) as want:
+        _reference_suite_oracle(surfaces, 2, 0, 1e-4)
+    with pytest.raises(tw.DegenerateCoframeError) as got:
+        cli._suite_oracle(surfaces, 2, 0, 1e-4)
+    assert str(got.value) == str(want.value)
+    assert "Chern formula of an early surface" in str(got.value)
+
+
 def test_verify_respects_thread_cap(capsys, monkeypatch):
     monkeypatch.setenv("TWISTORLAB_THREADS", "2")
     code, _, _ = run_cli(["verify", "--suite", "appendix"], capsys)
@@ -898,11 +958,13 @@ def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
     assert [(subscripts, sorted(callers & guarded)) for subscripts, n, callers in calls if n > 2] == []
 
 
-def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_pair(monkeypatch, capsys):
+def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connection(monkeypatch, capsys):
     # a TwistorCoframe holds the rows of a stack of bundle points and builds
     # its dW and K ^ dK brackets with wedge_vectors: no workload op builds a
-    # ComplexForm on that path, each (surface, connection) of an op is one
-    # stack, and a Chern stack never needs the Levi-Civita curvature
+    # ComplexForm on that path, each (surface, connection) of a report is
+    # one stack, verify stacks its four surfaces as four segments of one
+    # stack per connection, and a Chern stack never needs the Levi-Civita
+    # curvature
     from twistorlab import twistor as tw
     from twistorlab.exterior import ComplexForm
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -934,8 +996,13 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_pair(monk
         return levi(M, x)
 
     monkeypatch.setattr(ComplexForm, "__init__", counted_init)
-    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
-        lambda cls, M, conn, points, shape: stacks.append(len(points)) or build(cls, M, conn, points, shape)))
+
+    def recorded_build(cls, M, conn, points, shape):
+        segments = [(M, points)] if points is not None else M
+        stacks.append([len(p) for _, p in segments])
+        return build(cls, M, conn, points, shape)
+
+    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(recorded_build))
     monkeypatch.setattr(tw, "levi_civita", counted_levi)
     built = {}
     for name in sorted(workloads.TEMPLATES):
@@ -945,5 +1012,5 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_pair(monk
         built[name] = list(stacks)
     capsys.readouterr()
     assert forms == []
-    assert built == {"scan": [], "survey": [2, 2], "verify": [2] * 8}
+    assert built == {"scan": [], "survey": [[2], [2]], "verify": [[2, 2, 2, 2]] * 2}
     assert lc_connections and set(lc_connections) == {0.0}

@@ -32,8 +32,9 @@ from twistorlab.connection import (
 from twistorlab.exterior import ComplexForm, wedge
 from twistorlab import connection as cn
 from twistorlab import twistor as tw
-from twistorlab.manifold import (HermitianSurface, adapted_frame, builtin, coordinate_fundamental_matrix,
-                                 dF_array, lee_components, lee_form, point_memo, push_slots, stack_field)
+from twistorlab.manifold import (POINT_MEMO_LIMIT, HermitianSurface, adapted_frame, builtin,
+                                 coordinate_fundamental_matrix, dF_array, lee_components, lee_form,
+                                 point_memo, push_slots, stack_field)
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -707,8 +708,7 @@ def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monke
 ])
 def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, evals, calls):
     # the t-independent tables count toward POINT_MEMO_LIMIT: these counts
-    # (the ddbar oracle's memo is cleared during the call) show that no
-    # clear has moved
+    # show that no clear has moved
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
     seen.clear()
@@ -717,3 +717,17 @@ def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, e
      "condition_report": lambda: tw.condition_report(M, "lichnerowicz", [1.0, 2 ** 0.5, 2.0], pts),
      "ddbar_oracle": lambda: tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])}[layer]()
     assert (sum(seen), len(seen)) == (evals, calls)
+
+
+def test_the_memo_keeps_one_ddbar_oracle_call_whole():
+    # one ddbar_oracle call on cp2_fs stores 4 776 points: the memo holds
+    # them all, so a second call evaluates no metric point
+    M, seen = _counting_cp2()
+    pts = tw.sample_twistor_points(M, 3, seed=0)
+    seen.clear()
+    first = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
+    assert sum(seen) == 1225 and len(M._point_memo) == 4776 <= POINT_MEMO_LIMIT
+    seen.clear()
+    second = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
+    assert sum(seen) == 0 and len(M._point_memo) == 4776
+    assert np.array_equal(first.vec, second.vec)

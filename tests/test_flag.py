@@ -32,7 +32,8 @@ from twistorlab.flag import (
     structure_equation_residual,
     structural_ddbar,
 )
-from twistorlab.exterior import ComplexForm, wedge_all
+from twistorlab import flag as fl
+from twistorlab.exterior import ComplexForm, wedge, wedge_all
 from twistorlab.flag import _d_table, _displayed_structure_equations
 
 SQ2 = math.sqrt(2.0)
@@ -399,3 +400,140 @@ def test_structure_equations_hold_along_random_curves(seed):
     X = random_direction(seed + 1)
     Y = random_direction(seed + 2)
     assert structure_equation_residual(g, X, Y) < 1e-6
+
+
+# ======================================================================
+# the displays as weight rows
+# ======================================================================
+# the per-pair ComplexForm displays that the weight rows replaced, which
+# the rows must reproduce bit for bit, errors included
+
+
+def _reference_flag_K(i, lam):
+    l1, l2, l3 = fl._params(lam)
+    a, b, c, ab, bb, cb = fl._coframe_forms()
+    second = wedge(bb, b) if i in (1, 2) else wedge(b, bb)
+    if i in (1, 3):
+        third = wedge(cb, c)
+    elif i in (2, 4):
+        third = wedge(c, cb)
+    else:
+        raise ValueError("structure index must lie in 1..4")
+    return (wedge(a, ab) * l1 ** 2 + second * l2 ** 2 + third * l3 ** 2) * 1j
+
+
+def _reference_flag_dK(i, lam):
+    lams = fl._params(lam)
+    if i not in (1, 2, 3, 4):
+        raise ValueError("structure index must lie in 1..4")
+    return fl._three_forms()[0] * (1j * fl._dK_coefficient(i, lams))
+
+
+def _reference_flag_balanced(i, lam):
+    return wedge(_reference_flag_K(i, lam), _reference_flag_dK(i, lam))
+
+
+def _reference_flag_ddbar(i, lam):
+    lams = fl._params(lam)
+    if i == 2:
+        raise ValueError("no second-derivative display for i = 2")
+    if i not in (1, 3, 4):
+        raise ValueError("structure index must lie in 1..4")
+    (c1, c2, c3), (t1, t2, t3) = fl._DDBAR_SIGNS[i]
+    coeff = c1 * lams[0] ** 2 + c2 * lams[1] ** 2 + c3 * lams[2] ** 2
+    a, b, c, ab, bb, cb = fl._coframe_forms()
+    if i == 1:
+        m1, m2, m3 = wedge_all(a, ab, bb, b), wedge_all(bb, b, cb, c), wedge_all(cb, c, a, ab)
+    elif i == 3:
+        m1, m2, m3 = wedge_all(a, ab, b, bb), wedge_all(b, bb, cb, c), wedge_all(cb, c, a, ab)
+    else:
+        m1, m2, m3 = wedge_all(a, ab, b, bb), wedge_all(b, bb, c, cb), wedge_all(c, cb, a, ab)
+    return (m1 * t1 + m2 * t2 + m3 * t3) * ((1j) ** 2 * coeff)
+
+
+def _reference_structural_ddbar(i, lam):
+    dk = flag_d(_reference_flag_K(i, lam))
+    return flag_bidegree_part(flag_d(flag_bidegree_part(dk, i, 1)), i, 2) * 1j
+
+
+def _reference_integrability_obstruction(i):
+    holo, _ = fl._holo_antiholo(i)
+    zero_two = d_matrix(1)[fl._holo_counts(i, 2) == 0]
+    return float(np.max(np.linalg.norm(zero_two[:, list(holo)].T.astype(float), axis=-1)))
+
+
+# the scales of the appendix suite and of the appendix table
+SUITE_LAMBDAS = [1.0, TRIPLE, (1.0, 2.0, 3.0), (1.0, 1.0, SQ2), SQ2, (math.sqrt(5.0), 1.0, 2.0),
+                 (1.0, math.sqrt(10.0), 3.0), (1.1, 0.8, 1.7), (1.0, 1.0, 1.0), 1.2]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).vec
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(got, want):
+    """The same bytes (a scale whose square sums overflow gives nan rows on
+    both sides), or the same error message."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return isinstance(got, str) and got == want
+
+
+@pytest.mark.parametrize("lam", SUITE_LAMBDAS + [1e100, (1e154, 1e154, 1e154), 0.0, math.nan, (1.0, 2.0)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # overflowing scales, on both sides
+def test_flag_rows_have_the_bits_and_errors_of_the_per_pair_forms(lam):
+    for i in (1, 2, 3, 4, 0, 5):
+        for new, old in ((flag_K, _reference_flag_K), (flag_dK, _reference_flag_dK),
+                         (flag_balanced, _reference_flag_balanced),
+                         (flag_ddbar, _reference_flag_ddbar),
+                         (structural_ddbar, _reference_structural_ddbar)):
+            assert _same(_outcome(new, i, lam), _outcome(old, i, lam)), (new.__name__, i, lam)
+
+
+def test_flag_displays_have_the_norms_of_the_per_pair_forms():
+    pairs = [(i, lam) for lam in SUITE_LAMBDAS for i in (1, 2, 3, 4)]
+    shown = fl.FlagDisplays(pairs)
+    for r, (i, lam) in enumerate(pairs):
+        K, dK = _reference_flag_K(i, lam), _reference_flag_dK(i, lam)
+        assert np.array_equal(shown.K[r], K.vec) and np.array_equal(shown.dK[r], dK.vec)
+        assert shown.dK_norm[r] == dK.norm()
+        assert shown.dK_residual[r] == (flag_d(K) - dK).norm()
+        assert shown.balanced[r] == _reference_flag_balanced(i, lam).norm()
+        assert shown.dd[r] == flag_d(dK).norm()
+        assert shown.one_two[r] == flag_bidegree_part(dK, i, 1).norm()
+        if i == 2:
+            assert math.isnan(shown.ddbar_residual[r])
+        else:
+            want = (_reference_flag_ddbar(i, lam) - _reference_structural_ddbar(i, lam)).norm()
+            assert shown.ddbar_residual[r] == want
+
+
+def test_flag_rows_check_each_pair_in_order():
+    for pairs, message in (([(1, 1.0), (5, 1.0), (1, -1.0)], "structure index"),
+                           ([(1, 1.0), (1, -1.0), (5, 1.0)], "positive and finite")):
+        with pytest.raises(ValueError, match=message):
+            fl.flag_rows(pairs)
+    K, dK = fl.flag_rows([])
+    assert K.shape == (0, 28) and dK.shape == (0, 56)
+
+
+def test_the_obstruction_is_computed_once_per_structure():
+    for i in range(1, 9):
+        assert integrability_obstruction(i) == _reference_integrability_obstruction(i)
+    integrability_obstruction.cache_clear()
+    appendix_table()
+    appendix_table(TRIPLE)
+    assert integrability_obstruction.cache_info().misses == 8
+    with pytest.raises(ValueError, match="1..8"):
+        integrability_obstruction(9)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_d_and_bidegree_parts_refuse_a_form_that_is_not_invariant(dim):
+    form = ComplexForm(dim, 2, {(0, 1): 1.0})
+    for fn in (flag_d, lambda f: flag_bidegree_part(f, 1, 1)):
+        with pytest.raises(ValueError, match="8 generators, got dimension"):
+            fn(form)

@@ -1835,3 +1835,83 @@ def test_lambda_weights_check_and_square_each_distinct_lambda_once(monkeypatch):
             _reference_lambda_weights(bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             tw.lambda_weights(bad)
+
+
+# ======================================================================
+# stacks over several surfaces: one segment per surface
+# ======================================================================
+
+SEGMENT_SIZES = {"flat_c2": 1, "cp2_fs": 2, "ch2": 3, "hopf": 2}
+
+
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+def test_a_stack_of_segments_has_the_bits_of_its_one_surface_stacks(conn):
+    # each side on fresh surfaces, so neither reads what the other stored
+    segments = [(fresh_surface(name), STACK_34[name][:n]) for name, n in SEGMENT_SIZES.items()]
+    sweep, co = tw.CoframeSweep.stack(segments, conn), tw.TwistorCoframe.stack(segments, conn)
+    total = sum(SEGMENT_SIZES.values())
+    assert sweep.dW_coeffs.shape == (total, 3, 20) and co.dW_coeffs.shape == (total, 3, 20)
+    assert co.segments == tuple((M, len(pts)) for M, pts in segments)
+    with pytest.raises(ValueError, match="no one surface"):
+        co.surface
+    start = 0
+    for name, n in SEGMENT_SIZES.items():
+        part = slice(start, start + n)
+        M = fresh_surface(name)
+        one_sweep = tw.CoframeSweep.stack(M, conn, STACK_34[name][:n])
+        one_co = tw.TwistorCoframe.stack(M, conn, STACK_34[name][:n])
+        for attr in ("y0", "B0", "dB", "W_coeffs", "dW_coeffs", "W_wedge_dW"):
+            assert np.array_equal(getattr(sweep, attr)[part], getattr(one_sweep, attr)), attr
+        assert np.array_equal(sweep.nijenhuis_values[:, part], one_sweep.nijenhuis_values)
+        for attr in ("y", "zeta", "B", "W_coeffs", "dW_coeffs", "balanced_brackets"):
+            assert np.array_equal(getattr(co, attr)[part], getattr(one_co, attr)), attr
+        assert one_co.surface is M and one_sweep.M is M
+        start += n
+
+
+def test_a_one_segment_stack_is_the_one_surface_stack():
+    M, pts = surface("hopf"), STACK_34["hopf"][:3]
+    for cls in (tw.CoframeSweep, tw.TwistorCoframe):
+        a, b = cls.stack(M, "chern", pts), cls.stack([(M, pts)], "chern")
+        assert np.array_equal(a.dW_coeffs, b.dW_coeffs)
+    assert tw.TwistorCoframe.stack([(M, pts)], "chern").surface is M
+    with pytest.raises(TypeError, match="inside the segments"):
+        tw.CoframeSweep.stack([(M, pts)], "chern", pts)
+    for segments in ([], [(M, pts), (M, [])]):
+        for cls in (tw.CoframeSweep, tw.TwistorCoframe):
+            with pytest.raises(ValueError, match="at least one bundle point"):
+                cls.stack(segments, "chern")
+
+
+def test_the_surfaces_of_one_sweep_share_one_fd_rule():
+    M = surface("hopf")
+    coarse = HermitianSurface(M.chart, M.metric, M.J, name="coarse", backend=mf.DiffBackend(step=2e-3))
+    with pytest.raises(ValueError, match="one FD rule"):
+        tw.CoframeSweep.stack([(M, STACK_34["hopf"][:1]), (coarse, STACK_34["hopf"][:1])], "chern")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("kind", ["sweep", "coframe"])
+def test_a_stack_of_segments_raises_the_error_of_the_loop_over_surfaces(order, kind):
+    # two surfaces, each failing at its second point, with different errors
+    good = [tw.TwistorPoint.from_zeta([0.5, 0.2, 0.1, 0.2], 0.2)]
+    degenerate = good + [tw.TwistorPoint.from_zeta([0.0, 0.3, 0.1, 0.2], 0.2)]    # Gram 0 at x1 = 0
+    near_edge = good + [tw.TwistorPoint.from_zeta([0.0, 0.9995, 0.1, 0.2], 0.2)]  # off the FD reach
+    far = good + [tw.TwistorPoint.from_zeta([0.5, 0.3, 0.1, 0.2], 5.0)]           # out of the fiber chart
+    pts = [degenerate, near_edge if kind == "sweep" else far]
+    pts = [pts[k] for k in order]
+    cls = tw.CoframeSweep if kind == "sweep" else tw.TwistorCoframe
+
+    def error(build):
+        with np.errstate(all="ignore"), pytest.raises(Exception) as info:
+            build([(parse_surface_spec(_DEGENERATE_AT_X1_0), p) for p in pts])
+        return info.type, str(info.value)
+
+    def per_surface(segments):
+        for M, p in segments:
+            cls.stack(M, "lichnerowicz", p)
+
+    stacked = error(lambda segments: cls.stack(segments, "lichnerowicz"))
+    assert stacked == error(per_surface)
+    assert stacked == error(lambda segments: per_surface(segments[:1]))
+    assert stacked != error(lambda segments: per_surface(segments[1:]))

@@ -24,8 +24,11 @@ member from the t-independent tables of the point memo: the negative
 general member t = -0.3 on hopf and a five-point bismut stack on ch2, a
 json `report` on a surface description file (written to a temporary
 directory) that repeats expression texts and gives J entry by entry, a
-text `report --points 5` on hopf/chern, and the help text: `--help` and
-`<command> --help` for each of the four commands.
+text `report --points 5` on hopf/chern, a json `verify --suite all
+--points 3 --seed 11` and a text `verify --suite oracle`, whose oracle
+suites stack the four built-ins as segments of one stack per connection,
+and the help text: `--help` and `<command> --help` for each of the four
+commands.
 
 It prints each invocation whose stdout is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
@@ -115,6 +118,8 @@ def argv_list(description):
         ["report", "--surface", description, "--connection", "chern", "--lambda", "1.2",
          "--points", "3", "--format", "json"],
         ["report", "--surface", "hopf", "--connection", "chern", "--points", "5", "--format", "text"],
+        ["verify", "--suite", "all", "--points", "3", "--seed", "11", "--format", "json"],
+        ["verify", "--suite", "oracle", "--format", "text"],
         ["--help"],
         *([command, "--help"] for command in ("report", "verify", "scan", "appendix")),
     ]

@@ -31,7 +31,7 @@ from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge
 from .flag import (FlagDisplays, appendix_table, d_matrix, flag_bidegree_part, flag_dK,
                    flag_ddbar, integrability_obstruction)
 from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, SpecSyntaxError,
-                       builtin, parse_surface_spec)
+                       builtin, parse_surface_spec, replay)
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, TwistorCoframe,
                       condition_report, lambda_weights, lambda_zero_crossing,
                       normalize_connection, sample_twistor_points)
@@ -488,26 +488,22 @@ def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: in
     FD dW of one `CoframeSweep` stack, each holding the points of every
     surface as one segment per surface, so each surface's values come from
     its own point memo, shared by both connections.  A check's worst value
-    is the max over its surface's points.  When anything raises, the
-    surfaces are replayed one at a time in the order of a loop over them
-    (per surface: the Lichnerowicz sweep and formula, then the Chern ones),
-    so the error is the one that loop meets first."""
+    is the max over its surface's points.  One pass over the surfaces
+    (`replay`): per surface, its sampling, the Lichnerowicz sweep and
+    formula, then the Chern ones."""
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
-    try:
-        segments = [(M, sample_twistor_points(M, n_points, seed=seed)) for M in surfaces.values()]
+
+    def suite(part):
+        segments = [(M, sample_twistor_points(M, n_points, seed=seed)) for M in part]
         worst = {}
         for conn in _ORACLE_CONNECTIONS:
             oracle = weighted_sum(weights, CoframeSweep.stack(segments, conn).dW_coeffs)
             formula = weighted_sum(weights, TwistorCoframe.stack(segments, conn).dW_coeffs)
             per_point = norms(cut(formula - oracle)).reshape(len(segments), n_points, -1)
             worst[conn] = np.max(per_point, axis=(1, 2))
-    except Exception:
-        for M in surfaces.values():
-            points = sample_twistor_points(M, n_points, seed=seed)
-            for conn in _ORACLE_CONNECTIONS:
-                CoframeSweep.stack(M, conn, points).dW_coeffs
-                TwistorCoframe.stack(M, conn, points).dW_coeffs
-        raise
+        return worst
+
+    worst = replay(suite, list(surfaces.values()))
     detail = f"{n_points} points, i in 1..4, lambda in {{0.5, 1, sqrt2}}"
     return [_check(f"oracle:{name}:{conn}", float(worst[conn][k]), tol, detail=detail)
             for k, name in enumerate(surfaces) for conn in _ORACLE_CONNECTIONS]

@@ -26,7 +26,7 @@ import numpy as np
 
 from twistorlab.connection import LeviCivitaData, _J_pushed_dF, levi_civita
 from twistorlab.exterior import SdAsdBasis, antisymmetric_array, norms, read_only, slot_keys
-from twistorlab.manifold import HermitianSurface, J_STANDARD, push_slots
+from twistorlab.manifold import HermitianSurface, J_STANDARD, push_slots, replay
 
 DEFAULT_PREDICATE_TOL = 1e-6
 
@@ -199,20 +199,15 @@ def condition_flags(M: HermitianSurface, x: np.ndarray,
     (`_J_pushed_dF`, filled at the base points by a coframe sweep of any
     connection), so it runs no FD pass there.  A point where the metric is
     not finite raises ValueError, where its defects would be NaN with "no"
-    verdicts.  When a point fails, the points are replayed one at a time,
-    so the error is the one a point-by-point loop meets first.
+    verdicts; a stack raises the error of its first failing point.
     """
-    x = np.asarray(x, dtype=float)
-    try:
+    def data(x):
         finite = np.isfinite(M.metric(x)).reshape(-1, 16).all(axis=1)
         if not finite.all():
             raise ValueError(f"metric not finite at point {x.reshape(-1, 4)[np.argmin(finite)].tolist()}")
-        lc = levi_civita(M, x)
-        dF = _J_pushed_dF(M, x)[0]
-    except Exception:
-        if x.ndim > 1:
-            for p in x.reshape(-1, 4):
-                condition_flags(M, p, tol)
-        raise
+        return levi_civita(M, x), _J_pushed_dF(M, x)[0]
+
+    x = np.asarray(x, dtype=float)
+    lc, dF = replay(data, x) if x.ndim > 1 else data(x)
     kdef = norms(dF[(...,) + _DF_SLOTS])
     return predicates(decompose(curvature_operator(lc)), ricci_tensor(lc), kdef, tol=tol)

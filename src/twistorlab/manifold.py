@@ -459,15 +459,19 @@ class PointMemo(dict):
         return _stored(self)
 
 
-def _evaluate_rows(fn, params: tuple, M, rows: np.ndarray):
-    """fn on a stack of points; when that raises, fn on one point at a time,
-    so the error is the one a point-by-point evaluation meets first."""
+def replay(run, parts):
+    """run(parts), a stacked pass over parts (array rows, a list or a tuple).
+    When it raises and there are several parts, run(parts[k:k + 1]) runs for
+    each k in order before the error is raised again: the error is that of
+    the first part that fails alone, which a loop over the parts meets
+    first, or the stacked one when none does.  This is the one error rule
+    of every stacked pass in the package."""
     try:
-        return fn(M, rows, *params)
+        return run(parts)
     except Exception:
-        if len(rows) > 1:
-            for r in range(len(rows)):
-                fn(M, rows[r:r + 1], *params)
+        if len(parts) > 1:
+            for k in range(len(parts)):
+                run(parts[k:k + 1])
         raise
 
 
@@ -515,7 +519,8 @@ def _lookup(M, memo: dict, name: tuple, table: _Table, points: np.ndarray,
         fresh = dict.fromkeys(missed)
         every = len(fresh) == n
         misses = points if every else np.frombuffer(b"".join(fresh)).reshape(-1, 4).copy()
-        batch = _freeze(_evaluate_rows(*name, M, misses))
+        fn, params = name
+        batch = _freeze(replay(lambda rows: fn(M, rows, *params), misses))
         store, base = _append(memo, name, table, fresh, batch)
         if every:
             return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
@@ -544,11 +549,11 @@ def point_memo(fn):
     not depend on the other points of its stack.  A point looked up on its
     own gets the same result object every time.  Exceptions are not
     stored: every check runs until a point has been evaluated
-    successfully, and when a stack fails, its points are evaluated one at
-    a time so the error is that of the first failing point.  The memo is
-    cleared whole when an append would take it past POINT_MEMO_LIMIT
-    points.  Threads may share a surface: lookups take no lock, appends
-    take `_APPEND_LOCK`, and stores only grow.
+    successfully, and a failing stack raises the error of its first
+    failing point (`replay`).  The memo is cleared whole when an append
+    would take it past POINT_MEMO_LIMIT points.  Threads may share a
+    surface: lookups take no lock, appends take `_APPEND_LOCK`, and stores
+    only grow.
     """
     @functools.wraps(fn)
     def memoized(M, x, *params):

@@ -26,6 +26,7 @@ agreement is a genuine cross-check of the structure data.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -35,7 +36,7 @@ import numpy as np
 from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
                        substitute, wedge, wedge_all, wedge_vectors, weighted_sum)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _map_arrays,
-                       adapted_frame, coordinate_fundamental_matrix, dF_array, push_slots,
+                       adapted_frame, coordinate_fundamental_matrix, dF_array, push_slots, replay,
                        stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, curvature_rows,
                          levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
@@ -46,8 +47,8 @@ __all__ = [
     "TwistorMetricEval", "MetricConditionRow", "TwistorConditionReport",
     "normalize_connection", "coframe_rows", "twistor_coframe",
     "acs_endomorphism", "h_lambda_matrix", "K_form", "dK_formula",
-    "balanced_defect_formula", "ddbar_formula", "CoframeSweep", "dK_oracle",
-    "nijenhuis_oracle", "ddbar_oracle",
+    "balanced_defect_formula", "ddbar_formula", "CoframeSweep", "nijenhuis_oracle",
+    "ddbar_oracle",
     "conformal_rescale", "conformal_compare", "principal_angles",
     "fiber_coordinate_on_bundle", "projective_bundle_form",
     "bundle_chart_compare", "lambda_zero_crossing", "evaluate_metric",
@@ -272,23 +273,15 @@ def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
 def _checked_rows(M: HermitianSurface, t: float,
                   points: List[TwistorPoint]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y (n, 6), zeta (n,), B (n, 3, 6)) of the bundle points on M, from one
-    `coframe_rows` call, each fiber coordinate and Gram determinant checked;
-    when that raises, the points are built one at a time, so the error
-    names the first failing point, as a point-by-point build meets it."""
-    try:
-        zeta = np.array([z.zeta for z in points])
-        y = np.array([z.chart_coordinates() for z in points])
-        far = np.abs(zeta) >= _ZETA_MAX
-        if far.any():
-            raise ValueError(f"fiber coordinate out of chart at bundle point "
-                             f"{y[np.argmax(far)].tolist()}")
-        B = coframe_rows(M, t, y)
-        _check_gram(B, y)
-    except Exception:
-        if len(points) > 1:
-            for z in points:
-                _checked_rows(M, t, [z])
-        raise
+    `coframe_rows` call, each fiber coordinate and Gram determinant checked."""
+    zeta = np.array([z.zeta for z in points])
+    y = np.array([z.chart_coordinates() for z in points])
+    far = np.abs(zeta) >= _ZETA_MAX
+    if far.any():
+        raise ValueError(f"fiber coordinate out of chart at bundle point "
+                         f"{y[np.argmax(far)].tolist()}")
+    B = coframe_rows(M, t, y)
+    _check_gram(B, y)
     return y, zeta, B
 
 
@@ -373,19 +366,18 @@ class TwistorCoframe:
     the t-independent tables of the point memo, omega^LC (`_lc_forms`) and
     the J-pushed dF terms (`_J_pushed_dF`), which the torsion also reads,
     so the stacks of a second connection at the same points evaluate no
-    metric, dF or Levi-Civita form.  `twistor_coframe(M, conn, z)` is the same
-    build for the one point z.  As in `CoframeSweep`, the arrays carry the
-    point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,)
-    and (3, 6) for one point, and each point's values have the bits of its
-    own one-point coframe.
+    metric, dF or Levi-Civita form.  As in `CoframeSweep`, the arrays carry
+    the point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack,
+    (6,) and (3, 6) for one point, and each point's values have the bits of
+    its own one-point coframe.
 
-    `TwistorCoframe.stack(segments, conn)` stacks the points of several
-    surfaces, given as segments [(M, points), ...]; a one-surface stack is
-    the one-segment case.  What reads a surface (`coframe_rows`, the frames,
-    the Levi-Civita curvature, the torsion and the Chern curvature) is
-    evaluated per segment, from that surface's own point memo, and joined
-    along the point axis; everything after that runs once over all the
-    points.  `segments` holds each surface with its number of points.
+    Segments [(M, points), ...] are the one internal form: `stack(segments,
+    conn)` stacks the points of several surfaces, and `stack(M, conn,
+    points)` and `twistor_coframe` are its one-segment cases.  What reads a
+    surface (`coframe_rows`, the frames, the Levi-Civita curvature, the
+    torsion and the Chern curvature) is evaluated per segment, from that
+    surface's own point memo, and joined along the point axis; the rest runs
+    once over all the points.  `segments` holds each surface's point count.
 
     The closed-form rows do not depend on i or lambda; each is built on
     first use, from coefficient rows with `wedge_vectors`, and shared by
@@ -424,26 +416,20 @@ class TwistorCoframe:
         Raises ValueError for a fiber coordinate outside the chart (|zeta|
         < 4; the section degenerates as the line approaches the antipode of
         the frame's own structure), and DegenerateCoframeError when the Gram
-        determinant of the coframe is near zero or not finite: each names
-        the first failing point in stack order, the error a point-by-point
-        build meets first, segment after segment.
+        determinant of the coframe is near zero or not finite, naming the
+        first failing point in stack order.
         """
         segments = _segments(M, points, "a twistor coframe")
-        shape = (sum(len(p) for _, p in segments),)
-        if len(segments) == 1:
-            return cls._build(segments[0][0], conn, segments[0][1], shape)
-        return cls._build(segments, conn, None, shape)
+        return cls._build(segments, conn, (sum(len(p) for _, p in segments),))
 
     @classmethod
-    def _build(cls, M: Union[HermitianSurface, List[Tuple[HermitianSurface, List[TwistorPoint]]]],
-               conn: Union[str, float], points: Optional[List[TwistorPoint]],
-               shape: Tuple[int, ...]) -> "TwistorCoframe":
-        """The coframe of the points on M, or, when points is None, of the
-        segments M = [(surface, points), ...], built and checked segment
-        after segment, with the point axes `shape`."""
-        segments = [(M, points)] if points is not None else M
+    def _build(cls, segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
+               conn: Union[str, float], shape: Tuple[int, ...]) -> "TwistorCoframe":
+        """The coframe of the segments [(surface, points), ...] with the
+        point axes `shape`, one checked pass (`replay`) per segment."""
         t, label = normalize_connection(conn)
-        y, zeta, B = _join([_checked_rows(M, t, points) for M, points in segments])
+        y, zeta, B = _join([replay(functools.partial(_checked_rows, M, t), points)
+                            for M, points in segments])
         return cls(segments=tuple((M, len(points)) for M, points in segments), label=label,
                    t=t, y=y.reshape(shape + (6,)),
                    zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
@@ -660,7 +646,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     first use; it is accepted for callers that still pass it.  Raises as
     `TwistorCoframe.stack` does.
     """
-    return TwistorCoframe._build(M, conn, [z], ())
+    return TwistorCoframe._build([(M, [z])], conn, ())
 
 
 # ======================================================================
@@ -791,7 +777,7 @@ def dK_formula(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCofra
     """dK_i(lambda) assembled from base curvature/torsion data (no FD).
 
     Only available for the t = 0 and t = 1 connections; the general family
-    member has no displayed closed form and is served by `dK_oracle`.
+    member has no displayed closed form and is served by `CoframeSweep.dK`.
     """
     return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], coframe.dW_coeffs))
 
@@ -914,23 +900,36 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # finite-difference oracles
 # ======================================================================
 
-def _stencil_rows(M: HermitianSurface, t: float, conn: Union[str, float],
-                  y0: np.ndarray) -> np.ndarray:
-    """B (..., 1 + 6 m, 3, 6) at each chart point of y0 (..., 6) followed by
-    its stencil, from one `coframe_rows` call on M.  When that raises, the
-    error is the one a point-by-point sweep meets first: each point's
-    checks in stack order, B at a point before its stencil."""
-    stencil = np.moveaxis(M.backend.stencil(y0), (0, 1), (-3, -2))   # (..., 6, m, 6)
-    Y = np.concatenate([y0[..., None, :], stencil.reshape(y0.shape[:-1] + (-1, 6))], axis=-2)
+def _stencil_rows(M: HermitianSurface, t: float, y0: np.ndarray) -> np.ndarray:
+    """B (k, 1 + 6 m, 3, 6) at each chart point of y0 (k, 6) followed by its
+    stencil, from one `coframe_rows` call on M; for one point, B at the
+    point is checked before its stencil."""
+    stencil = np.moveaxis(M.backend.stencil(y0), (0, 1), (-3, -2))   # (k, 6, m, 6)
+    Y = np.concatenate([y0[:, None, :], stencil.reshape(len(y0), -1, 6)], axis=1)
     try:
         return coframe_rows(M, t, Y)
     except Exception:
-        if y0.ndim > 1:
-            for y in y0:
-                CoframeSweep.__new__(CoframeSweep)._sweep(M, conn, y)
-        else:
+        if len(y0) == 1:
             _check_gram(coframe_rows(M, t, y0), y0)
         raise
+
+
+def _swept(t: float, points: List[Tuple[HermitianSurface, np.ndarray]]):
+    """(y0 (n, 6), B0 (n, 3, 6), dB (n, 6, 3, 6)) of the chart points
+    [(surface, y (6,)), ...]: B at every point and its stencil from one
+    `_stencil_rows` call per run of points on one surface, then one FD
+    combine and each point's checks in order, B before dB."""
+    y0 = np.array([y for _, y in points])
+    B = np.concatenate([_stencil_rows(S, t, np.array([y for _, y in run]))
+                        for S, run in itertools.groupby(points, key=lambda p: p[0])])
+    values = np.moveaxis(B[:, 1:].reshape(len(y0), 6, -1, 3, 6), (1, 2), (0, 1))  # (6, m, n, 3, 6)
+    dB = np.moveaxis(points[0][0].backend.combine(values), 0, 1)                 # (n, 6, 3, 6)
+    finite = np.all(np.isfinite(dB), axis=(1, 2, 3))
+    for B0, ok, y in zip(B[:, 0], finite, y0):
+        _check_gram(B0, y)
+        if not ok:
+            raise DegenerateCoframeError(y, "coframe derivative not finite")
+    return y0, B[:, 0], dB
 
 
 class CoframeSweep:
@@ -945,19 +944,18 @@ class CoframeSweep:
     stack of n x 25 chart points, in point order (the fiber-direction
     stencil points sit at the base point bit for bit, so a point adds 17
     distinct base points, and the stencils under them are evaluated as
-    stacks too).  `CoframeSweep(M, conn, z)` is the same build for the one
-    point z.  The arrays carry the point axes of the input, as
+    stacks too).  The arrays carry the point axes of the input, as
     `coframe_rows` does: `B0` (n, 3, 6) and `dB` (n, 6, 3, 6) for a stack,
     (3, 6) and (6, 3, 6) for one point, and each point's values have the
     bits of its own one-point sweep.
 
-    `CoframeSweep.stack(segments, conn)` sweeps the points of several
-    surfaces, given as segments [(M, points), ...] whose surfaces share one
-    FD rule; a one-surface stack is the one-segment case.  B at the points
-    and their stencils is one `coframe_rows` call per surface, from that
-    surface's own point memo; the FD combine, dB, the checks and every row
-    below run once over all the points.  `M` is the surface of a
-    one-surface sweep (None for several).
+    Segments [(M, chart points), ...] are the one internal form:
+    `stack(segments, conn)` sweeps the points of several surfaces that share
+    one FD rule, and `stack(M, conn, points)` and `CoframeSweep(M, conn, z)`
+    are its one-segment cases.  B at the points and their stencils is one
+    `coframe_rows` call per surface, from that surface's own point memo; the
+    FD combine, dB, the checks and every row below run once over all the
+    points.  `M` is the surface of a one-surface sweep (None for several).
 
     The coefficient rows `W_coeffs` (n, 3, 15) and `dW_coeffs` (n, 3, 20) of
     the building blocks, and their blocks `W_wedge_dW` (n, 3, 3, 6), do not
@@ -971,12 +969,12 @@ class CoframeSweep:
     `K_wedge_dK` give the forms of a one-point sweep.
 
     Raises DegenerateCoframeError, naming the first failing point in stack
-    order as a point-by-point sweep does, when the Gram determinant of B at
-    a point is near zero or not finite, or when its dB is not finite.
+    order, when the Gram determinant of B at a point is near zero or not
+    finite, or when its dB is not finite.
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint):
-        self._sweep(M, conn, z.chart_coordinates())
+        self._sweep([(M, z.chart_coordinates())], conn)
 
     @classmethod
     def stack(cls, M: Union[HermitianSurface, Segments], conn: Union[str, float],
@@ -984,47 +982,27 @@ class CoframeSweep:
         """One sweep of every point of `points` (at least one) on M, or of
         every point of the segments M = [(surface, points), ...], whose
         surfaces share one FD rule."""
-        segments = _segments(M, points, "a coframe sweep")
-        ys = [(S, np.array([z.chart_coordinates() for z in pts])) for S, pts in segments]
+        segments = [(S, np.array([z.chart_coordinates() for z in pts]))
+                    for S, pts in _segments(M, points, "a coframe sweep")]
         sweep = cls.__new__(cls)
-        if len(ys) == 1:
-            sweep._sweep(ys[0][0], conn, ys[0][1])
-        else:
-            sweep._sweep(ys, conn, None)
+        sweep._sweep(segments, conn)
         return sweep
 
-    def _sweep(self, M: Union[HermitianSurface, List[Tuple[HermitianSurface, np.ndarray]]],
-               conn: Union[str, float], y0: Optional[np.ndarray]) -> None:
-        """The sweep of the chart points y0 (6,) or (k, 6) on M, or, when
-        y0 is None, of the segments M = [(surface, y0 (k, 6)), ...]: B at
-        every point and its stencil from one `coframe_rows` call per
-        surface, then one combine and one set of checks over all points."""
-        segments = [(M, y0)] if y0 is not None else M
-        t, label = normalize_connection(conn)
-        self.t, self.label = t, label
+    def _sweep(self, segments: List[Tuple[HermitianSurface, np.ndarray]],
+               conn: Union[str, float]) -> None:
+        """The sweep of the segments [(surface, y), ...], y the chart points
+        (k, 6), or (6,) for one point: one pass over every point (`_swept`),
+        replayed point by point in segment order."""
+        self.t, self.label = normalize_connection(conn)
         self.M = segments[0][0] if len(segments) == 1 else None
         be = segments[0][0].backend
         if any(S.backend.order != be.order or not np.array_equal(S.backend.step, be.step)
                for S, _ in segments[1:]):
             raise ValueError("the surfaces of one coframe sweep must share one FD rule")
-        try:
-            y0, B = _join([(y, _stencil_rows(S, t, conn, y)) for S, y in segments])
-            self.y0 = y0                             # (..., 6)
-            self.B0 = B[..., 0, :, :]
-            values = np.moveaxis(B[..., 1:, :, :].reshape(y0.shape[:-1] + (6, -1, 3, 6)),
-                                 (-4, -3), (0, 1))                  # (6, m, ..., 3, 6)
-            self.dB = np.moveaxis(be.combine(values), 0, -3)          # (..., 6, 3, 6)
-            finite = np.all(np.isfinite(self.dB), axis=(-3, -2, -1))
-            for B0, ok, y in zip(self.B0.reshape(-1, 3, 6), finite.ravel(), y0.reshape(-1, 6)):
-                _check_gram(B0, y)
-                if not ok:
-                    raise DegenerateCoframeError(y, "coframe derivative not finite")
-        except Exception:
-            # the error a sweep per surface meets first, surface by surface
-            if len(segments) > 1:
-                for S, y in segments:
-                    CoframeSweep.__new__(CoframeSweep)._sweep(S, conn, y)
-            raise
+        points = [(S, y) for S, ys in segments for y in np.reshape(ys, (-1, 6))]
+        shape = () if np.ndim(segments[0][1]) == 1 else (len(points),)
+        self.y0, self.B0, self.dB = (a.reshape(shape + a.shape[1:])
+                                     for a in replay(functools.partial(_swept, self.t), points))
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
@@ -1087,7 +1065,7 @@ class CoframeSweep:
         (4, n) for a stack, from one stacked solve, each with the bits of
         its own structure's solve (read-only).  Raises the error of the
         first failing structure, as a loop over i = 1..4 meets it."""
-        return read_only(self._nijenhuis((1, 2, 3, 4)))
+        return read_only(replay(self._nijenhuis, (1, 2, 3, 4)))
 
     def nijenhuis(self, i: int):
         """Max norm of the Nijenhuis tensor of J_i over the coordinate pairs,
@@ -1102,31 +1080,17 @@ class CoframeSweep:
 
         N(X, Y) = [J X, J Y] - J[J X, Y] - J[X, J Y] - [X, Y] on coordinate
         fields, whose own brackets vanish.  J = C^-1 D C for the adapted rows
-        C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).  On a
-        failure the structures are replayed one at a time, so the error is
-        that of the first failing one, J before dJ.
+        C, which are real-linear in B, so dJ = C^-1 (D dC - dC J).
         """
         y = np.broadcast_to(self.y0, (len(structures),) + self.y0.shape)
-        try:
-            C = np.stack([_adapted_rows(i, self.B0) for i in structures])
-            J = _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
-            dC = np.stack([_adapted_rows(i, self.dB) for i in structures])
-            dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
-                            y, f"the derivative of J_{structures[0]}")
-        except (DegenerateCoframeError, np.linalg.LinAlgError):
-            if len(structures) > 1:
-                for i in structures:
-                    self._nijenhuis((i,))
-            raise
+        C = np.stack([_adapted_rows(i, self.B0) for i in structures])
+        J = _real_part(np.linalg.solve(C, _D @ C), y, "an almost complex structure")
+        dC = np.stack([_adapted_rows(i, self.dB) for i in structures])
+        dJ = _real_part(np.linalg.solve(C[..., None, :, :], _D @ dC - dC @ J[..., None, :, :]),
+                        y, f"the derivative of J_{structures[0]}")
         # S[a, b] = J-contraction terms of N(d_a, d_b); N is its antisymmetric part
         S = np.einsum("...pa,...pmb->...abm", J, dJ) + np.einsum("...mn,...bna->...abm", J, dJ)
         return np.max(np.linalg.norm(S - np.swapaxes(S, -3, -2), axis=-1), axis=(-2, -1))
-
-
-def dK_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
-              conn: Union[str, float], z: TwistorPoint) -> ComplexForm:
-    """dK_i(lambda) by order-4 finite differences of the coframe field."""
-    return CoframeSweep(M, conn, z).dK(i, lam)
 
 
 def nijenhuis_oracle(i: int, M: HermitianSurface, conn: Union[str, float],

@@ -283,12 +283,13 @@ def test_report_with_lambdas_and_a_triple_builds_one_sweep_and_coframe_per_point
     from twistorlab import twistor as tw
     built = []
     build, coframe = tw.CoframeSweep._sweep, tw.TwistorCoframe.__dict__["_build"].__func__
+    size = lambda segments: sum(len(p) for _, p in segments)  # noqa: E731
     monkeypatch.setattr(tw.CoframeSweep, "_sweep",
-                        lambda self, M, conn, y0: (built.append(("sweep", len(y0))),
-                                                   build(self, M, conn, y0))[1])
+                        lambda self, segments, conn: (built.append(("sweep", size(segments))),
+                                                      build(self, segments, conn))[1])
     monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
-        lambda cls, M, conn, points, shape: (built.append(("coframe", len(points))),
-                                             coframe(cls, M, conn, points, shape))[1]))
+        lambda cls, segments, conn, shape: (built.append(("coframe", size(segments))),
+                                            coframe(cls, segments, conn, shape))[1]))
     code, doc = run_json(["report", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
                           "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
                           "--points", "2"], capsys)
@@ -559,6 +560,36 @@ def test_a_failing_oracle_suite_raises_the_error_of_the_loop_over_surfaces(monke
         cli._suite_oracle(surfaces, 2, 0, 1e-4)
     assert str(got.value) == str(want.value)
     assert "Chern formula of an early surface" in str(got.value)
+
+
+def test_a_later_surface_that_cannot_be_sampled_fails_after_the_earlier_sweeps(monkeypatch):
+    # cp2_fs fails its Lichnerowicz sweep and the later hopf its sampling:
+    # the loop over surfaces meets the sweep first, so the sampling belongs
+    # to the replayed pass
+    from twistorlab import twistor as tw
+    surfaces = _builtins()
+    early, late = surfaces["cp2_fs"], surfaces["hopf"]
+    sample, coframe_rows = tw.sample_twistor_points, tw.coframe_rows
+
+    def failing_sample(M, n, seed):
+        if M is late:
+            raise ValueError("the sampling of a later surface")
+        return sample(M, n, seed=seed)
+
+    def failing_coframe(M, t, y):
+        if M is early and t == 0.0:
+            raise tw.DegenerateCoframeError(None, "the Lichnerowicz sweep of an early surface")
+        return coframe_rows(M, t, y)
+
+    for module in (tw, cli):
+        monkeypatch.setattr(module, "sample_twistor_points", failing_sample)
+    monkeypatch.setattr(tw, "coframe_rows", failing_coframe)
+    with pytest.raises(ValueError) as want:
+        _reference_suite_oracle(surfaces, 2, 0, 1e-4)
+    with pytest.raises(ValueError) as got:
+        cli._suite_oracle(surfaces, 2, 0, 1e-4)
+    assert str(got.value) == str(want.value)
+    assert "Lichnerowicz sweep of an early surface" in str(got.value)
 
 
 def test_verify_respects_thread_cap(capsys, monkeypatch):
@@ -997,10 +1028,9 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connectio
 
     monkeypatch.setattr(ComplexForm, "__init__", counted_init)
 
-    def recorded_build(cls, M, conn, points, shape):
-        segments = [(M, points)] if points is not None else M
+    def recorded_build(cls, segments, conn, shape):
         stacks.append([len(p) for _, p in segments])
-        return build(cls, M, conn, points, shape)
+        return build(cls, segments, conn, shape)
 
     monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(recorded_build))
     monkeypatch.setattr(tw, "levi_civita", counted_levi)

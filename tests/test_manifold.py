@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistorlab import connection as cn
 from twistorlab import manifold as mf
@@ -824,6 +826,51 @@ def test_a_failing_stack_names_the_point_met_first_one_at_a_time():
                             metric, lambda x: swapped if x[0] == 0.1 else mf.J_STANDARD)
     with pytest.raises(mf.DegenerateFrameError, match=r"^seed degenerate at point \[0\.1, 0\.0, 0\.0, 0\.0\]: "):
         mf.adapted_frame(M, np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]))
+
+
+class _RunError(Exception):
+    pass
+
+
+_REPLAY_CASES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)), st.booleans(),
+    st.sampled_from([list, tuple, np.array])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPLAY_CASES)
+def test_replay_raises_the_error_of_the_first_part_that_fails_alone(case):
+    # run fails on a stack holding a failing part, on any stack of several
+    # parts when `stacked` is set, and on a part alone when it is failing
+    n, failing, stacked, kind = case
+    parts = kind(range(n))
+    calls = []
+
+    def run(part):
+        calls.append([int(k) for k in part])
+        bad = sorted(int(k) for k in part if k in failing)
+        if len(part) == 1 and bad:
+            raise _RunError(bad[0])
+        if len(part) > 1 and (bad or stacked):
+            raise _RunError("stack")
+        return "done"
+
+    whole = list(range(n))
+    if not failing and not (stacked and n > 1):
+        assert mf.replay(run, parts) == "done"
+        assert calls == [whole]                 # one call on success
+        return
+    with pytest.raises(_RunError) as info:
+        mf.replay(run, parts)
+    if n == 1:
+        assert calls == [whole] and info.value.args == (0,)     # not re-run
+    elif failing:
+        first = min(failing)                    # no part after it runs
+        assert calls == [whole] + [[k] for k in range(first + 1)]
+        assert info.value.args == (first,)
+    else:
+        assert calls == [whole] + [[k] for k in range(n)]
+        assert info.value.args == ("stack",)
 
 
 def test_entries_written_out_of_order_fail_in_slot_order():

@@ -323,9 +323,10 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     built = []
     build = tw.CoframeSweep._sweep
 
-    def counted(self, M, conn, y0):
+    def counted(self, segments, conn):
+        [(M, y0)] = segments
         built.append(np.array(y0))
-        build(self, M, conn, y0)
+        build(self, segments, conn)
 
     with monkeypatch.context() as mp:
         mp.setattr(tw.CoframeSweep, "_sweep", counted)
@@ -553,7 +554,8 @@ def test_a_report_without_closed_form_displays_builds_no_coframe(monkeypatch):
     calls = []
     build = tw.TwistorCoframe.__dict__["_build"].__func__
     monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
-        lambda cls, M, conn, points, shape: calls.append(len(points)) or build(cls, M, conn, points, shape)))
+        lambda cls, segments, conn, shape: calls.append(sum(len(p) for _, p in segments))
+        or build(cls, segments, conn, shape)))
     rep = tw.condition_report(M, "bismut", [1.0, SQ2], pts)
     assert calls == [] and all(r.formula_residual is None for r in rep.rows)
     tw.condition_report(M, "chern", [1.0, SQ2], pts)
@@ -762,11 +764,6 @@ def test_dK_formula_matches_oracle(name, conn):
             assert res < 1e-7, (i, lam, res)
 
 
-def test_dK_oracle_wrapper_matches_sweep():
-    o = tw.dK_oracle(2, 1.1, surface("flat_c2"), "lichnerowicz", zpt("flat_c2"))
-    assert (o - sweep("flat_c2", "lichnerowicz").dK(2, 1.1)).norm() < 1e-12
-
-
 def test_dK_three_parameter_specializes():
     co = coframe("hopf", "chern")
     for i in (1, 2, 3, 4):
@@ -931,7 +928,7 @@ def test_family_connection_refuses_closed_forms():
 
 
 def test_family_connection_oracle_available():
-    o = tw.dK_oracle(1, 1.0, surface("hopf"), 0.37, zpt("hopf"))
+    o = tw.CoframeSweep(surface("hopf"), 0.37, zpt("hopf")).dK(1, 1.0)
     assert np.isfinite(o.norm()) and o.norm() > 0.1
     co = tw.twistor_coframe(surface("hopf"), 0.37, zpt("hopf"))
     J = tw.acs_endomorphism(2, co)

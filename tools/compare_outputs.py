@@ -27,17 +27,23 @@ directory) that repeats expression texts and gives J entry by entry, a
 text `report --points 5` on hopf/chern, a json `verify --suite all
 --points 3 --seed 11` and a text `verify --suite oracle`, whose oracle
 suites stack the four built-ins as segments of one stack per connection,
-and the help text: `--help` and `<command> --help` for each of the four
-commands.
+the help text: `--help` and `<command> --help` for each of the four
+commands, and two `report --points 5` invocations that exit 3 on surface
+description files (written to the temporary directory) whose metric
+degenerates at a = 0.672: one where g_11 = g_22 = (a - 0.672)^2 vanishes,
+where no adapted frame exists (a degenerate seed), and one where
+g_11 = g_22 = 1 + 1/(a - 0.672)^2 blows up, where the Gram determinant
+of a coframe vanishes.
 
-It prints each invocation whose stdout is not byte-identical, the number of
+It compares stdout, stderr and the exit status.  It prints each invocation
+whose stdout or stderr is not byte-identical, the number of
 byte-identical ones, and the largest |new - old| over all numbers with its
 JSON path (or line and number index for text), together with the largest
 |new - old| / max(1, |old|) and the largest |new - old| / |old| over the
 numbers with |old| > 0; the last shows the relative drift of small
 quantities, such as finite-difference residuals, that the first hides.  It
-exits 1 when an exit status, a bool, a
-null, a string or the shape of an output differs, and 0 otherwise.
+exits 1 when an exit status, stderr, a bool,
+a null, a string or the shape of an output differs, and 0 otherwise.
 Standard library only.
 """
 
@@ -72,8 +78,19 @@ J 3 4 = -1
 J 4 3 = 1
 """
 
+# surfaces whose metric degenerates on the line a = 0.672, by g_11 = g_22
+# of the given texts; each makes `report` exit 3 with a one-line error
+DEGENERATE = {name: f"""\
+coords a b c d
+g 1 1 = {g}
+g 2 2 = {g}
+g 3 3 = 1
+g 4 4 = 1
+J standard
+""" for name, g in (("vanishing", "(a - 0.672)^2"), ("blowing-up", "1 + 1/(a - 0.672)^2"))}
 
-def argv_list(description):
+
+def argv_list(description, degenerate):
     out = []
     for name in sorted(workloads.TEMPLATES):
         stream = workloads.ops(name, 0)
@@ -122,6 +139,7 @@ def argv_list(description):
         ["verify", "--suite", "oracle", "--format", "text"],
         ["--help"],
         *([command, "--help"] for command in ("report", "verify", "scan", "appendix")),
+        *(["report", "--surface", path, "--points", "5"] for path in degenerate),
     ]
     return out
 
@@ -130,7 +148,7 @@ def run(src, argv):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "twistorlab.cli", *argv],
                           capture_output=True, env=env, timeout=900)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class Diff:
@@ -201,19 +219,27 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        description = os.path.join(tmp, "repeated.surface")
-        with open(description, "w") as fh:
-            fh.write(DESCRIPTION)
-        cases = argv_list(description)
+        texts = {"repeated": DESCRIPTION, **DEGENERATE}
+        paths = {name: os.path.join(tmp, f"{name}.surface") for name in texts}
+        for name, text in texts.items():
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        cases = argv_list(paths["repeated"], [paths[name] for name in DEGENERATE])
         olds = [run(args.old_src, case) for case in cases]
         news = [run(args.new_src, case) for case in cases]
 
     identical, failed = 0, False
     worst, worst_rel, worst_true_rel = (0.0, None), (0.0, None), (0.0, None)
-    for case, (old_code, old_out), (new_code, new_out) in zip(cases, olds, news):
+    for case, (old_code, old_out, old_err), (new_code, new_out, new_err) in zip(cases, olds, news):
         label = " ".join(case)
         if old_code != new_code:
             print(f"EXIT {old_code} -> {new_code}: {label}")
+            failed = True
+            continue
+        if old_err != new_err:
+            print(f"stderr differs: {label}")
+            print(f"  old: {old_err.decode(errors='replace')!r}")
+            print(f"  new: {new_err.decode(errors='replace')!r}")
             failed = True
             continue
         if old_out == new_out:

@@ -10,8 +10,10 @@ written to a temporary file and renamed, so a crashed run never leaves a
 truncated report behind.  ``TWISTORLAB_THREADS`` is checked (a positive
 integer, else exit 2) but starts no pool: ``verify`` runs its oracle suite
 as one stacked pass per connection over the four built-in surfaces, each
-surface a segment of one coframe sweep and one formula coframe, and reads
-the (i, lambda) displays of its appendix suite from stacked weight rows.
+surface a segment of one coframe sweep and one formula coframe, checks the
+curvature symmetries of its algebra suite at those same sample points, and
+reads the (i, lambda) displays of its appendix suite from stacked weight
+rows.
 """
 
 import argparse
@@ -44,14 +46,6 @@ _CONNECTION_CHOICES = ("lichnerowicz", "chern", "bismut", "gauduchon")
 # and their norms square them, so lambda^8 = 1e240 leaves the surface's own
 # coefficients 1e68 of double range before a defect overflows to inf or NaN
 _LAMBDA_MAX = 1e30
-
-# verification surfaces with a chart point known to sit well inside each box
-_SURFACE_POINTS = {
-    "flat_c2": (0.1, -0.2, 0.3, 0.05),
-    "cp2_fs": (0.21, -0.13, 0.08, 0.17),
-    "ch2": (0.11, -0.07, 0.09, 0.13),
-    "hopf": (0.62, 0.55, 0.71, 0.68),
-}
 
 
 # ======================================================================
@@ -438,8 +432,11 @@ def _suite_appendix() -> List[Dict[str, object]]:
     checks = [_check("appendix:structure-equations",
                      table["structure_equation_residual"], exact)]
 
-    # d^2 = 0 on every degree, as products of integer matrices
-    d2 = max(np.max(np.abs(d_matrix(k + 1) @ d_matrix(k))) for k in range(7))
+    # d^2 = 0 on every degree, as products of the integer matrices in
+    # float64: the entries are at most 4 in absolute value, so every product
+    # and sum is exact, and the float product runs in BLAS
+    d2 = max(np.max(np.abs(d_matrix(k + 1).astype(float) @ d_matrix(k).astype(float)))
+             for k in range(7))
     checks.append(_check("appendix:d-squared", d2, exact))
 
     # each loop over (i, lambda) pairs reads the rows of one stacked pass
@@ -519,7 +516,15 @@ def _random_form(rng: np.random.Generator, dim: int, degree: int) -> ComplexForm
     return ComplexForm(dim, degree, terms)
 
 
-def _suite_algebra(surfaces: Dict[str, HermitianSurface], seed: int) -> List[Dict[str, object]]:
+def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int,
+                   seed: int) -> List[Dict[str, object]]:
+    """The exterior-algebra laws, and on the built-in surfaces the curvature
+    symmetries and the Hermitian invariants.  The curvature is checked at
+    the base points of the oracle suite's sample (`sample_twistor_points`
+    with the same n_points and seed), one `levi_civita` stack per surface,
+    so under `--suite all` the oracle's Lichnerowicz formula reads those
+    stacks from each surface's point memo.  The Hermitian invariants cost
+    no FD pass and keep their six interior points per chart."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (4, 6):
@@ -549,11 +554,11 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], seed: int) -> List[Dic
     checks.append(_check("algebra:hodge-star", star, 1e-12))
 
     curv = 0.0
-    for name, x in _SURFACE_POINTS.items():
-        defects = levi_civita(surfaces[name], np.array(x)).defects()
-        curv = max(curv, max(defects.values()))
+    for M in surfaces.values():
+        xs = np.array([z.x for z in sample_twistor_points(M, n_points, seed=seed)])
+        curv = max(curv, max(levi_civita(M, xs).defects().values()))
     checks.append(_check("algebra:curvature-symmetries", curv, 1e-6,
-                         detail="omega antisymmetry, pair symmetry, Bianchi on "
+                         detail=f"{n_points} points, omega antisymmetry, pair symmetry, Bianchi on "
                                 + ", ".join(surfaces)))
 
     herm = 0.0
@@ -574,9 +579,9 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         checks.extend(_suite_appendix())
     # the built-ins, with c = 2 for cp2_fs and ch2 (builtin's default),
     # built once for both suites that use them
-    surfaces = {} if args.suite == "appendix" else {name: builtin(name) for name in _SURFACE_POINTS}
+    surfaces = {} if args.suite == "appendix" else {name: builtin(name) for name in BUILTIN_NAMES}
     if args.suite in ("algebra", "all"):
-        checks.extend(_suite_algebra(surfaces, args.seed))
+        checks.extend(_suite_algebra(surfaces, args.points, args.seed))
     if args.suite in ("oracle", "all"):
         checks.extend(_suite_oracle(surfaces, args.points, args.seed, args.tol))
 
@@ -687,7 +692,8 @@ def _verify_options(vp: argparse.ArgumentParser) -> None:
     vp.add_argument("--suite", choices=("appendix", "oracle", "algebra", "all"),
                     default="all", help="which battery to run (default: all)")
     vp.add_argument("--points", type=int, default=2,
-                    help="twistor points per oracle job (default: 2)")
+                    help="sample points per built-in, for the oracle and algebra suites "
+                         "(default: 2)")
     vp.add_argument("--seed", type=int, default=0, help="sample seed (default: 0)")
     vp.add_argument("--tol", type=float, default=1e-4,
                     help="formula-vs-oracle tolerance (default: 1e-4)")

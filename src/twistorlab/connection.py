@@ -134,13 +134,16 @@ class LeviCivitaData:
         return complexify(self.R, pattern)
 
     def defects(self) -> Dict[str, float]:
-        """Max violations of the structural invariants (for tests/validation)."""
-        R = self.R
-        anti_dir = float(np.max(np.abs(self.omega_frame + np.transpose(self.omega_frame, (1, 0, 2)))))
-        sym_pairs = float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1)))))
-        anti_12 = float(np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3)))))
-        anti_34 = float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))))
-        bianchi = float(np.max(np.abs(R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2)))))
+        """Max violations of the structural invariants (for tests/validation),
+        over every point of a stack."""
+        R = np.reshape(self.R, (-1, 4, 4, 4, 4))      # axis 0: the points
+        om = np.reshape(self.omega_frame, (-1, 4, 4, 4))
+        anti_dir = float(np.max(np.abs(om + np.transpose(om, (0, 2, 1, 3)))))
+        sym_pairs = float(np.max(np.abs(R - np.transpose(R, (0, 3, 4, 1, 2)))))
+        anti_12 = float(np.max(np.abs(R + np.transpose(R, (0, 2, 1, 3, 4)))))
+        anti_34 = float(np.max(np.abs(R + np.transpose(R, (0, 1, 2, 4, 3)))))
+        bianchi = float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 4, 2))
+                                      + np.transpose(R, (0, 1, 4, 2, 3)))))
         return {
             "omega_antisymmetry": anti_dir,
             "pair_symmetry": sym_pairs,

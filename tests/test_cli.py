@@ -18,7 +18,8 @@ import twistorlab
 from twistorlab import __version__
 from twistorlab import cli
 from twistorlab.cli import dump_json, main, thread_cap
-from twistorlab.manifold import J_STANDARD, HermitianSurface, builtin, lee_form
+from twistorlab.manifold import (BUILTIN_NAMES, J_STANDARD, HermitianSurface, builtin, lee_form,
+                                 stack_field)
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -417,17 +418,17 @@ def _invariant_surfaces(rotated):
     their charts whose J is a rotated standard J, R J0 R^T, so that J J + 1
     and J^T g J - g carry roundoff and the worst value is not 0."""
     if not rotated:
-        return {name: builtin(name) for name in cli._SURFACE_POINTS}
+        return {name: builtin(name) for name in BUILTIN_NAMES}
     R = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 0.5 + np.eye(4))[0]
     J = R @ J_STANDARD @ R.T
     return {name: HermitianSurface(builtin(name).chart, lambda x: (1.5 + np.sin(x[0]) ** 2) * np.eye(4),
-                                   lambda x: J) for name in cli._SURFACE_POINTS}
+                                   lambda x: J) for name in BUILTIN_NAMES}
 
 
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 5, 17, 600])
 def test_stacked_hermitian_invariants_have_the_bits_of_the_per_point_check(seed, rotated):
-    checks = cli._suite_algebra(_invariant_surfaces(rotated), seed)
+    checks = cli._suite_algebra(_invariant_surfaces(rotated), 2, seed)
     got = next(c["worst"] for c in checks if c["name"] == "algebra:hermitian-invariants")
     assert got == _reference_hermitian_invariants(_invariant_surfaces(rotated), seed)
     assert (got > 0.0) == rotated
@@ -521,7 +522,7 @@ def _reference_suite_oracle(surfaces, n_points, seed, tol):
 
 
 def _builtins():
-    return {name: builtin(name) for name in cli._SURFACE_POINTS}
+    return {name: builtin(name) for name in BUILTIN_NAMES}
 
 
 @pytest.mark.parametrize("seed", [0, 5, 17])
@@ -590,6 +591,75 @@ def test_a_later_surface_that_cannot_be_sampled_fails_after_the_earlier_sweeps(m
         cli._suite_oracle(surfaces, 2, 0, 1e-4)
     assert str(got.value) == str(want.value)
     assert "Lichnerowicz sweep of an early surface" in str(got.value)
+
+
+def _counting_builtin(seen):
+    """`builtin`, whose surfaces' compiled metrics record the size of every
+    stack they evaluate, as test_connection's `_counting_cp2` does."""
+    def build(name, **params):
+        base = builtin(name, **params)
+        compiled = base._metric
+        return HermitianSurface(base.chart,
+                                stack_field(lambda x: (seen.append(len(np.reshape(x, (-1, 4)))),
+                                                       compiled(x))[1]),
+                                base.J, name=base.name, params=base.params, backend=base.backend)
+    return build
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_verify_op_evaluates_the_compiled_metrics_once_per_sampled_curvature(
+        seed, monkeypatch, capsys):
+    # the curvature check reads levi_civita at the oracle's sample points,
+    # which the oracle's Lichnerowicz formula then finds in the memo: 1 120
+    # points in 20 stacked calls, against 1 636 in 28 while the check had
+    # four points of its own
+    seen = []
+    monkeypatch.setattr(cli, "builtin", _counting_builtin(seen))
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert (sum(seen), len(seen)) == (1120, 20)
+
+
+def _verify_checks(argv, capsys):
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    return doc["checks"]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_the_suites_of_verify_all_have_the_checks_of_each_suite_alone(seed, n_points, capsys):
+    # under --suite all the oracle reads what the algebra suite stored
+    common = ["--seed", str(seed), "--points", str(n_points)]
+    every = _verify_checks(["verify", "--suite", "all", *common], capsys)
+    for suite in ("oracle", "algebra"):
+        alone = _verify_checks(["verify", "--suite", suite, *common], capsys)
+        assert [c for c in every if c["name"].startswith(suite + ":")] == alone
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n_points", [1, 2, 3])
+def test_the_curvature_check_is_the_worst_one_point_defect_at_the_oracle_points(seed, n_points):
+    from twistorlab.connection import levi_civita
+    from twistorlab.twistor import sample_twistor_points
+    checks = cli._suite_algebra(_builtins(), n_points, seed)
+    got = next(c for c in checks if c["name"] == "algebra:curvature-symmetries")
+    want = max(max(levi_civita(M, z.x).defects().values())
+               for M in _builtins().values() for z in sample_twistor_points(M, n_points, seed=seed))
+    assert got["worst"] == want
+    assert got["detail"].startswith(f"{n_points} points, ")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_float_d_squared_product_is_the_integer_product(k):
+    # every entry of D_k is at most 4 in absolute value, so the float64
+    # product is exact: so is the product of the absolute values, which
+    # bounds every partial sum
+    from twistorlab.flag import d_matrix
+    upper, lower = d_matrix(k + 1), d_matrix(k)
+    assert np.array_equal(upper.astype(float) @ lower.astype(float), upper @ lower)
+    assert np.array_equal(np.abs(upper).astype(float) @ np.abs(lower).astype(float),
+                          np.abs(upper) @ np.abs(lower))
 
 
 def test_verify_respects_thread_cap(capsys, monkeypatch):
@@ -836,7 +906,8 @@ def _reference_build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--suite", choices=("appendix", "oracle", "algebra", "all"),
                     default="all", help="which battery to run (default: all)")
     vp.add_argument("--points", type=int, default=2,
-                    help="twistor points per oracle job (default: 2)")
+                    help="sample points per built-in, for the oracle and algebra suites "
+                         "(default: 2)")
     vp.add_argument("--seed", type=int, default=0, help="sample seed (default: 0)")
     vp.add_argument("--tol", type=float, default=1e-4,
                     help="formula-vs-oracle tolerance (default: 1e-4)")

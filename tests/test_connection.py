@@ -137,6 +137,16 @@ def test_levi_civita_invariants(name):
         assert d["first_bianchi"] < 1e-6
 
 
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_levi_civita_defects_are_the_max_of_the_one_point_defects(name, n):
+    xs = builtin(name).chart.interior_points(n, seed=3)
+    stacked = levi_civita(builtin(name), xs).defects()
+    M = builtin(name)
+    per_point = [levi_civita(M, x).defects() for x in xs]
+    assert stacked == {key: max(d[key] for d in per_point) for key in stacked}
+
+
 def test_first_structure_equation_levi_civita():
     # d theta^i = -omega^i_j ^ theta^j for the torsion-free connection
     M = builtin("cp2_fs", c=2.0)

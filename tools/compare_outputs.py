@@ -28,7 +28,9 @@ text `report --points 5` on hopf/chern, a json `verify --suite all
 --points 3 --seed 11` and a text `verify --suite oracle`, whose oracle
 suites stack the four built-ins as segments of one stack per connection,
 the help text: `--help` and `<command> --help` for each of the four
-commands, and two `report --points 5` invocations that exit 3 on surface
+commands, two json `verify --suite algebra` invocations, `--points 1` and
+`--points 3 --seed 5`, whose curvature check samples the oracle suite's
+points, and two `report --points 5` invocations that exit 3 on surface
 description files (written to the temporary directory) whose metric
 degenerates at a = 0.672: one where g_11 = g_22 = (a - 0.672)^2 vanishes,
 where no adapted frame exists (a degenerate seed), and one where
@@ -139,6 +141,8 @@ def argv_list(description, degenerate):
         ["verify", "--suite", "oracle", "--format", "text"],
         ["--help"],
         *([command, "--help"] for command in ("report", "verify", "scan", "appendix")),
+        ["verify", "--suite", "algebra", "--points", "1", "--format", "json"],
+        ["verify", "--suite", "algebra", "--points", "3", "--seed", "5", "--format", "json"],
         *(["report", "--surface", path, "--points", "5"] for path in degenerate),
     ]
     return out

@@ -61,6 +61,27 @@ def _format_float(v: float) -> str:
 _quote = json.encoder.encode_basestring_ascii     # the bytes of json.dumps(str)
 
 
+def _bulk_text(items: list, pad: str) -> Optional[str]:
+    """A list of plain floats, or of dicts with the same str keys and a plain
+    int or float column under each key (scan's rows), printed with one
+    %-format, as format(v, ".17g") and str(v) would print each; or None."""
+    kinds = set(map(type, items))
+    keys = tuple(items[0]) if kinds == {dict} else ()
+    if kinds != {float} and not (keys and set(map(tuple, items)) == {keys}):
+        return None
+    values = [v for row in items for v in row.values()] if keys else items
+    columns = [values[k::len(keys) or 1] for k in range(len(keys) or 1)]
+    types = [set(map(type, column)) for column in columns]
+    if not set(map(type, keys)) <= {str} or any(t != {int} and t != {float} for t in types):
+        return None
+    if not all(all(map(math.isfinite, column)) for column, t in zip(columns, types) if t == {float}):
+        raise ValueError("non-finite number in report")
+    item = ",\n".join(pad + "    " + _quote(key).replace("%", "%%") + ": " + ("%d" if t == {int} else "%.17g")
+                      for key, t in zip(keys, types))
+    item = "{\n" + item + "\n" + pad + "  }" if keys else "%.17g"
+    return ("[\n" + ",\n".join([pad + "  " + item] * len(items)) + "\n" + pad + "]") % tuple(values)
+
+
 def _json_text(obj, pad: str) -> str:
     # hand-rolled so floats carry 17 significant digits; the stdlib encoder
     # always uses shortest-roundtrip repr and offers no hook to change it.
@@ -86,6 +107,9 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        bulk = _bulk_text(obj, pad)
+        if bulk is not None:
+            return bulk
         items = [_json_text(item, inner) for item in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
@@ -359,8 +383,8 @@ def cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     pairs = [(i, lam) for i in structures for lam in grid]
     dK, KdK = sw.defect_rows(lambda_weights(pairs))
     sym, bal = norms(dK).max(axis=0), norms(KdK).max(axis=0)
-    rows = [{"i": i, "lambda": lam, "symplectic_defect": float(s), "balanced_defect": float(b)}
-            for (i, lam), s, b in zip(pairs, sym, bal)]
+    rows = [{"i": i, "lambda": lam, "symplectic_defect": s, "balanced_defect": b}
+            for (i, lam), s, b in zip(pairs, sym.tolist(), bal.tolist())]
 
     u_lo, u_hi = grid[0] ** 2, grid[-1] ** 2
     crossings: Dict[str, object] = {}
@@ -479,19 +503,20 @@ _ORACLE_CONNECTIONS = ("lichnerowicz", "chern")
 
 
 def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: int,
-                  tol: float) -> List[Dict[str, object]]:
+                  tol: float, samples: Optional[Dict[HermitianSurface, list]] = None) -> List[Dict[str, object]]:
     """The Lichnerowicz and Chern checks of the built-in surfaces: per
     connection, the closed-form dW of one `TwistorCoframe` stack against the
     FD dW of one `CoframeSweep` stack, each holding the points of every
     surface as one segment per surface, so each surface's values come from
     its own point memo, shared by both connections.  A check's worst value
     is the max over its surface's points.  One pass over the surfaces
-    (`replay`): per surface, its sampling, the Lichnerowicz sweep and
-    formula, then the Chern ones."""
+    (`replay`): per surface, its sampling (unless the algebra suite drew it
+    into `samples`), the Lichnerowicz sweep and formula, then the Chern ones."""
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
 
     def suite(part):
-        segments = [(M, sample_twistor_points(M, n_points, seed=seed)) for M in part]
+        segments = [(M, (samples or {}).get(M) or sample_twistor_points(M, n_points, seed=seed))
+                    for M in part]
         worst = {}
         for conn in _ORACLE_CONNECTIONS:
             oracle = weighted_sum(weights, CoframeSweep.stack(segments, conn).dW_coeffs)
@@ -516,15 +541,16 @@ def _random_form(rng: np.random.Generator, dim: int, degree: int) -> ComplexForm
     return ComplexForm(dim, degree, terms)
 
 
-def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int,
-                   seed: int) -> List[Dict[str, object]]:
+def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int, seed: int,
+                   samples: Optional[Dict[HermitianSurface, list]] = None) -> List[Dict[str, object]]:
     """The exterior-algebra laws, and on the built-in surfaces the curvature
     symmetries and the Hermitian invariants.  The curvature is checked at
-    the base points of the oracle suite's sample (`sample_twistor_points`
-    with the same n_points and seed), one `levi_civita` stack per surface,
-    so under `--suite all` the oracle's Lichnerowicz formula reads those
-    stacks from each surface's point memo.  The Hermitian invariants cost
-    no FD pass and keep their six interior points per chart."""
+    the base points of the oracle suite's sample, drawn into `samples` for
+    it, one `levi_civita` stack per surface, so under `--suite all` the
+    oracle's Lichnerowicz formula reads those stacks from each surface's
+    point memo.  The Hermitian invariants cost no FD pass and keep their six
+    interior points per chart."""
+    samples = {} if samples is None else samples
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (4, 6):
@@ -555,7 +581,8 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int,
 
     curv = 0.0
     for M in surfaces.values():
-        xs = np.array([z.x for z in sample_twistor_points(M, n_points, seed=seed)])
+        samples[M] = sample_twistor_points(M, n_points, seed=seed)
+        xs = np.array([z.x for z in samples[M]])
         curv = max(curv, max(levi_civita(M, xs).defects().values()))
     checks.append(_check("algebra:curvature-symmetries", curv, 1e-6,
                          detail=f"{n_points} points, omega antisymmetry, pair symmetry, Bianchi on "
@@ -578,12 +605,13 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.suite in ("appendix", "all"):
         checks.extend(_suite_appendix())
     # the built-ins, with c = 2 for cp2_fs and ch2 (builtin's default),
-    # built once for both suites that use them
+    # built once for both suites that use them, which share one sample of each
     surfaces = {} if args.suite == "appendix" else {name: builtin(name) for name in BUILTIN_NAMES}
+    samples: Dict[HermitianSurface, list] = {}
     if args.suite in ("algebra", "all"):
-        checks.extend(_suite_algebra(surfaces, args.points, args.seed))
+        checks.extend(_suite_algebra(surfaces, args.points, args.seed, samples))
     if args.suite in ("oracle", "all"):
-        checks.extend(_suite_oracle(surfaces, args.points, args.seed, args.tol))
+        checks.extend(_suite_oracle(surfaces, args.points, args.seed, args.tol, samples))
 
     passed = all(c["passed"] for c in checks)
     doc = _envelope("verify", {"suite": args.suite, "seed": args.seed,

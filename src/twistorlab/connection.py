@@ -31,6 +31,7 @@ from twistorlab.exterior import ComplexForm, d_rows, wedge_vectors
 from twistorlab.manifold import (
     HermitianSurface,
     UnitaryFrame,
+    _frame_partials,
     adapted_basis,
     adapted_frame,
     coordinate_fundamental_matrix,
@@ -160,8 +161,10 @@ def _lc_forms(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     t-independent base of every D^t; `point_memo` serves one point or any
     stack."""
     g, E, Gm = M.metric(x), adapted_basis(M, x), christoffel(M, x)
-    # dE[z, nu, mu, j] = d_nu E[mu, j], one E lookup for every stencil
-    dE = M.backend.partials(lambda p: adapted_basis(M, p), x)
+    # dE[z, nu, mu, j] = d_nu E[mu, j], from the one FD pass that dF reads too
+    dE = _frame_partials(M, x)[:, :, 0]
+    if np.isnan(dE).any():      # raise for a stencil point without a frame, if any
+        adapted_basis(M, M.backend.stencil(x))
     # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
     nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
     # h(grad_{d_nu} e_j, e_i) = (g E)[mu, i] (grad_{d_nu} e_j)^mu

@@ -124,25 +124,23 @@ class _Program:
     """
 
     def __init__(self):
-        self.names: Dict[str, str] = {}     # statement source -> its temporary
+        self.names: Dict[tuple, str] = {}   # parsed tree -> its temporary
         self.lines: List[str] = []
-
-    def let(self, src: str) -> str:
-        name = self.names.get(src)
-        if name is None:
-            name = self.names[src] = f"_v{len(self.names)}"
-            self.lines.append(f"    {name} = {src}")
-        return name
 
     def emit(self, tree) -> str:
         """The temporary (or literal) holding a parsed expression tree
         (`_ExprParser`): one statement per node, its children first, left to
         right, in the order the parser read them; a tree emitted before, such
-        as the entry of a mirrored slot, adds no statement (`let`)."""
+        as the entry of a mirrored slot, adds no statement and is not walked."""
         if isinstance(tree, str):
             return tree
-        template, *children = tree
-        return self.let(template.format(*map(self.emit, children)))
+        name = self.names.get(tree)
+        if name is None:
+            template, *children = tree
+            src = template.format(*map(self.emit, children))
+            name = self.names[tree] = f"_v{len(self.names)}"
+            self.lines.append(f"    {name} = {src}")
+        return name
 
     def compile(self, outputs: Sequence[str]) -> Callable[[np.ndarray], tuple]:
         """x -> the tuple of the values of `outputs`."""
@@ -378,9 +376,9 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores fewer than 1 000 per surface and
-# verify about 1 150 per built-in, while one ddbar_oracle call on cp2_fs
-# stores 4 776 (1.5 MB of rows), which this limit keeps whole.  The largest
+# cleared; a two-point report or scan stores about 740 per surface and verify
+# about 780 per built-in, while one ddbar_oracle call on cp2_fs
+# stores 3 768 (1.7 MB of rows), which this limit keeps whole.  The largest
 # row is a levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
 POINT_MEMO_LIMIT = 8192
 
@@ -584,9 +582,10 @@ def stack_field(fn):
 
 
 def _field(fn, x: np.ndarray) -> np.ndarray:
-    """A (4, 4) field at every point of x (..., 4), as a fresh float array."""
+    """A (4, 4) field at every point of x (..., 4), as a fresh C-ordered float
+    array, so a point's bits do not depend on the size of its stack."""
     if getattr(fn, "stacks", False):
-        return np.array(fn(x), dtype=float)
+        return np.array(fn(x), dtype=float, order="C")
     values = [np.asarray(fn(p), dtype=float) for p in x.reshape(-1, 4)]
     return np.array(values).reshape(x.shape[:-1] + (4, 4))
 
@@ -696,7 +695,7 @@ def _matrix_field(entries: Dict[Tuple[int, int], object],
     @stack_field
     def field(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.array(np.broadcast_to(fill, x.shape[:-1] + (4, 4)))
+        out = np.array(np.broadcast_to(fill, x.shape[:-1] + (4, 4)), order="C")
         for (i, j), value in zip(slots, run(x)):
             out[..., i, j] = value
         return out
@@ -963,20 +962,12 @@ class DegenerateFrameError(ValueError):
 
 
 @point_memo
-def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt construction of a J-adapted orthonormal frame:
-    the matrix E (n, 4, 4) whose columns e_1..e_4 are its vectors at each
-    point of an (n, 4) stack x.
-
-    e1 = normalize(seed1), e2 = J e1,
-    e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3,
-    with (seed1, seed2) = DEFAULT_SEEDS; this defines a smooth frame field
-    wherever the construction stays nondegenerate.  The FD passes that
-    differentiate the frame field read this table alone.
-
-    `point_memo` serves one point or any stack.  Each degeneracy check
-    raises DegenerateFrameError for the first failing point.
-    """
+def _frame_fields(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, F, degenerate) at an (n, 4) stack x from one read of the metric and J:
+    the J-adapted orthonormal frame E by modified Gram-Schmidt, e1 = normalize(seed1),
+    e2 = J e1, e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3 with
+    (seed1, seed2) = DEFAULT_SEEDS; F = J^T g; and where the seeds give no frame,
+    at which E is NaN and F is kept, so that F and dF need no frame."""
     s1, s2 = DEFAULT_SEEDS
     g = M.metric(x)
     Jm = M.J(x)
@@ -987,16 +978,30 @@ def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
         return (a @ g @ b)[:, 0, 0]
 
     n1 = dot(s1, s1)
-    _raise_at_first(n1 < 1e-16, x, DegenerateFrameError)
-    e1 = s1 / np.sqrt(n1)[:, None]
+    degenerate = n1 < 1e-16
+    e1 = s1 / np.sqrt(np.where(degenerate, 1.0, n1))[:, None]
     e2 = (Jm @ e1[:, :, None])[:, :, 0]
     r = s2 - dot(s2, e1)[:, None] * e1 - dot(s2, e2)[:, None] * e2
     rn = dot(r, r)
     small = rn < 1e-16
-    _raise_at_first(small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8), x, DegenerateFrameError)
-    e3 = r / np.sqrt(rn)[:, None]
+    degenerate |= small | (np.sqrt(np.where(small, 1.0, rn)) < 1e-8)
+    e3 = r / np.sqrt(np.where(degenerate, 1.0, rn))[:, None]
     e4 = (Jm @ e3[:, :, None])[:, :, 0]
-    return np.stack([e1, e2, e3, e4], axis=-1)
+    E = np.stack([e1, e2, e3, e4], axis=-1)
+    E[degenerate] = np.nan
+    return E, np.swapaxes(Jm, 1, 2) @ g, degenerate
+
+
+def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """The frame E (..., 4, 4) of `_frame_fields` at a point or a stack of
+    points x (..., 4).  Raises DegenerateFrameError at the first point without
+    a frame, or the metric's error where a loop over the points meets it first."""
+    def basis(p):
+        E, _, degenerate = _frame_fields(M, p)
+        _raise_at_first(degenerate, p, DegenerateFrameError)
+        return E
+    x = np.asarray(x, dtype=float)
+    return replay(basis, x.reshape(-1, 4)).reshape(x.shape[:-1] + (4, 4))
 
 
 @point_memo
@@ -1048,13 +1053,17 @@ def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) ->
     return ComplexForm(4, 2, {(0, 1): 1.0, (2, 3): 1.0})
 
 
-@point_memo
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates,
-    at an (n, 4) stack of points."""
-    g = M.metric(x)
-    Jm = M.J(x)
-    return np.swapaxes(Jm, 1, 2) @ g
+    at a point or a stack of points x (..., 4), from the `_frame_fields` table."""
+    return _frame_fields(M, x)[1]
+
+
+@point_memo
+def _frame_partials(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """d[z, k] = d_k (E, F) at an (n, 4) stack x: the one FD pass over `_frame_fields`,
+    for dE of omega^LC and for dF; a stencil point without a frame makes dE NaN."""
+    return M.backend.partials(lambda p: np.stack(_frame_fields(M, p)[:2], axis=-3), x)
 
 
 def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
@@ -1071,7 +1080,7 @@ def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _check_stencil_inside(M, x)
-    dF = M.backend.partials(lambda p: coordinate_fundamental_matrix(M, p), x)   # [..., k] = d_k F
+    dF = _frame_partials(M, x)[..., 1, :, :]       # [..., k] = d_k F
     v = d_rows(dF[(...,) + np.triu_indices(4, 1)], 4, 2).real
     return antisymmetric_array(np.where(np.abs(v) < ZERO_EPS, 0.0, v), 4, 3)
 

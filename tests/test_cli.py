@@ -159,6 +159,114 @@ def test_dump_json_refuses_what_the_reference_emitter_refuses(bad, error):
             emitter(bad)
 
 
+def _reference_json_text(obj, pad: str) -> str:
+    """The writer the bulk %-formats replaced: one format call per number."""
+    kind = type(obj)
+    if kind is float:
+        return cli._format_float(obj)
+    if kind is str:
+        return cli._quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return cli._format_float(float(obj))
+    if isinstance(obj, str):
+        return cli._quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_reference_json_text(item, inner) for item in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [cli._quote(str(key)) + ": " + _reference_json_text(value, inner)
+                 for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1]))
+_INTS = st.integers() | st.integers(-3, 3)
+# values that must leave the bulk path: a bool is an int, np.float64 a float
+_OFF_PATH = (st.booleans() | st.none() | st.text(max_size=3) | _FINITE.map(np.float64)
+             | st.integers(-5, 5).map(np.int64) | st.lists(_FINITE, max_size=2))
+
+
+@st.composite
+def _float_lists(draw):
+    """A list of 0-300 plain floats, drawn from a small pool."""
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=6))
+    n, start = draw(st.integers(0, 300)), draw(st.integers(0, 5))
+    return [pool[(start + 7 * k) % len(pool)] for k in range(n)]
+
+
+@st.composite
+def _row_lists(draw):
+    """0-300 dicts with the same keys (unicode text, or an int 0 or 1), each
+    key's values plain ints or plain floats from a small pool; sometimes one
+    row breaks the pattern with another value type, key order or key set,
+    or with the key False or True in place of an equal int key."""
+    keys = draw(st.lists(st.text(max_size=4) | st.integers(0, 1), min_size=1, max_size=4, unique=True))
+    pools = [draw(st.lists(_INTS if draw(st.booleans()) else _FINITE, min_size=1, max_size=4))
+             for _ in keys]
+    n, start = draw(st.integers(0, 300)), draw(st.integers(0, 5))
+    rows = [{key: pool[(start + 3 * k) % len(pool)] for key, pool in zip(keys, pools)}
+            for k in range(n)]
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        row = rows[k]
+        change = draw(st.sampled_from(["value", "order", "missing", "extra", "alias"]))
+        if change == "alias":
+            rows[k] = {bool(key) if type(key) is int else key: value for key, value in row.items()}
+        elif change == "value":
+            row[draw(st.sampled_from(keys))] = draw(_OFF_PATH | _INTS | _FINITE)
+        elif change == "order":
+            row.update((key, row.pop(key)) for key in list(row)[:1])
+        elif change == "missing":
+            del row[draw(st.sampled_from(keys))]
+        else:
+            row[draw(st.text(max_size=4))] = draw(_FINITE)
+    return rows
+
+
+_BULK_DOCUMENTS = st.recursive(_SCALARS | _float_lists() | _row_lists(), lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.integers(), inner, max_size=4)), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BULK_DOCUMENTS)
+def test_the_bulk_writer_has_the_bytes_of_the_one_call_per_number_writer(doc):
+    got, want = dump_json(doc), _reference_json_text(doc, "") + "\n"
+    assert got.splitlines() == want.splitlines() and got == want     # a list diff is quick to print
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_float_lists(), _row_lists()).filter(bool), st.data(),
+       st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_a_non_finite_number_in_a_bulk_list_raises_the_reference_error(items, data, bad):
+    k = data.draw(st.integers(0, len(items) - 1))
+    if isinstance(items[k], dict):
+        items[k][data.draw(st.sampled_from(list(items[k]) or ["k"]))] = bad
+    else:
+        items[k] = bad
+    doc = {"before": [1.5, 2], "items": items}
+    with pytest.raises(ValueError) as want:
+        _reference_json_text(doc, "")
+    with pytest.raises(ValueError) as got:
+        dump_json(doc)
+    assert str(got.value) == str(want.value) == "non-finite number in report"
+
+
 def test_json_handles_the_document_vocabulary():
     doc = {"a": None, "b": True, "c": [1, 2.5], "d": {"e": "s"}, "f": (),
            "g": np.float64(0.5), "h": np.int64(3)}
@@ -618,6 +726,17 @@ def test_one_verify_op_evaluates_the_compiled_metrics_once_per_sampled_curvature
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert (sum(seen), len(seen)) == (1120, 20)
+
+
+@pytest.mark.parametrize("suite", ["all", "oracle", "algebra"])
+def test_one_verify_op_samples_each_built_in_once(suite, monkeypatch, capsys):
+    # under --suite all the oracle suite reuses the algebra suite's sample
+    sample, drawn = cli.sample_twistor_points, []
+    monkeypatch.setattr(cli, "sample_twistor_points",
+                        lambda M, n, seed: (drawn.append((M.name, n, seed)), sample(M, n, seed=seed))[1])
+    assert main(["verify", "--suite", suite, "--seed", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert drawn == [(name, 2, 3) for name in BUILTIN_NAMES]
 
 
 def _verify_checks(argv, capsys):

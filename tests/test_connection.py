@@ -729,15 +729,30 @@ def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, e
     assert (sum(seen), len(seen)) == (evals, calls)
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkeypatch):
+    # dg is one pass over the metric; dE for omega^LC and dF for the torsion
+    # correction are one pass over the E/F table
+    from twistorlab import manifold as mf
+    calls = []
+    partials = mf.DiffBackend.partials
+    monkeypatch.setattr(mf.DiffBackend, "partials",
+                        lambda self, f, x: (calls.append(f.__qualname__), partials(self, f, x))[1])
+    M = builtin(name)
+    omega_tilde_coord(M, M.chart.interior_points(5, seed=1), 1.0)
+    assert calls == ["HermitianSurface.metric", "_frame_partials.<locals>.<lambda>"]
+
+
 def test_the_memo_keeps_one_ddbar_oracle_call_whole():
-    # one ddbar_oracle call on cp2_fs stores 4 776 points: the memo holds
+    # one ddbar_oracle call on cp2_fs stores 3 768 points (one E/F table
+    # in place of the frame and fundamental-matrix tables): the memo holds
     # them all, so a second call evaluates no metric point
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
     seen.clear()
     first = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 1225 and len(M._point_memo) == 4776 <= POINT_MEMO_LIMIT
+    assert sum(seen) == 1225 and len(M._point_memo) == 3768 <= POINT_MEMO_LIMIT
     seen.clear()
     second = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 0 and len(M._point_memo) == 4776
+    assert sum(seen) == 0 and len(M._point_memo) == 3768
     assert np.array_equal(first.vec, second.vec)

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistorlab import connection as cn
@@ -323,6 +323,57 @@ def test_adapted_frame_has_the_bits_of_the_one_function_frame(name, n):
             assert np.array_equal(getattr(one, field.name), getattr(want, field.name)[-1]), field.name
 
 
+# cp2_fs with J given entry by entry; two entries are expressions equal to
+# +-1 up to rounding, so J is a compiled field evaluated on every stack
+ENTRY_J_SPEC = mf._builtin_cp2_fs(2.0).replace("J standard\n", (
+    "J 1 2 = -(cos(x1)^2 + sin(x1)^2)\nJ 2 1 = cos(x1)^2 + sin(x1)^2\nJ 3 4 = -1\nJ 4 3 = 1\n"))
+_BATCH_SURFACES = (*mf.BUILTIN_NAMES, "cp2_fs+conformal", "entry_J")
+_ONE_POINT = {}         # (surface, index into _batch_pool) -> its one-point results
+
+
+def _batch_surface(name):
+    if name == "entry_J":
+        return mf.parse_surface_spec(ENTRY_J_SPEC)
+    return _frame_surface(name)
+
+
+def _batch_pool(name):
+    return _batch_surface(name).chart.interior_points(400, seed=7)
+
+
+def _frame_layers(M, x):
+    fr = mf.adapted_frame(M, x)
+    return [mf.adapted_basis(M, x), fr.E, fr.theta, fr.U, fr.eta,
+            mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x)]
+
+
+def _one_point_layers(name, k):
+    if (name, k) not in _ONE_POINT:
+        _ONE_POINT[name, k] = _frame_layers(_batch_surface(name), _batch_pool(name)[k])
+    return _ONE_POINT[name, k]
+
+
+# the examples are points whose E had other last bits in a two-point stack
+# while a fresh stack put its point axis fastest
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_BATCH_SURFACES), rows=st.lists(st.integers(0, 399), min_size=1, max_size=40),
+       filled=st.booleans())
+@example(name="ch2", rows=[170, 171], filled=False)
+@example(name="cp2_fs", rows=[266, 267], filled=False)
+@example(name="cp2_fs+conformal", rows=[206, 207, 198], filled=True)
+def test_a_points_frame_bits_do_not_depend_on_its_batch(name, rows, filled):
+    # every point of a stack of 1-40 points gets the bits of its one-point
+    # frame, fundamental matrix and Christoffels on a fresh surface, whether
+    # the stack is the surface's first or christoffel filled the memo first
+    M = _batch_surface(name)
+    x = _batch_pool(name)[rows]
+    if filled:
+        cn.christoffel(M, x[::-1])
+    for got, k in zip(zip(*_frame_layers(M, x)), rows):
+        for a, b in zip(got, _one_point_layers(name, k)):
+            assert np.array_equal(a, b), (name, k)
+
+
 def _mixed_degenerate_surface():
     """Degenerate at a = 0.1 (second seed check) and a = 0.5 (first check)."""
     swapped = mf.parse_surface_spec(SWAPPED_J_SPEC).J(np.zeros(4))
@@ -345,18 +396,66 @@ def test_a_degenerate_frame_raises_the_error_of_the_one_function_frame(rows):
         assert str(got.value) == str(want.value)
 
 
+def _undefined_metric_surface():
+    """Identity metric, undefined (a ValueError) at a = 0.7; no frame at a = 0.1."""
+    swapped = mf.parse_surface_spec(SWAPPED_J_SPEC).J(np.zeros(4))
+
+    def metric(x):
+        if x[0] == 0.7:
+            raise ValueError("metric undefined at a = 0.7")
+        return np.eye(4)
+    return mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4),
+                               metric, lambda x: swapped if x[0] == 0.1 else mf.J_STANDARD)
+
+
+@pytest.mark.parametrize("rows", [[0, 1], [1, 0], [2, 1, 0]])
+def test_a_stack_raises_a_missing_frame_or_a_metric_error_in_point_order(rows):
+    # the E/F table keeps a point without a frame, so its frame is refused
+    # after the metric of the whole stack: the first point still decides
+    x = np.array([[0.1, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0], [0.3, 0.2, 0.0, 0.0]])[rows]
+    with pytest.raises(ValueError) as want:
+        for p in x:
+            mf.adapted_frame(_undefined_metric_surface(), p)
+    for fn in (mf.adapted_frame, mf.adapted_basis):
+        with pytest.raises(ValueError) as got:
+            fn(_undefined_metric_surface(), x)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_a_frame_missing_inside_a_stencil_fails_omega_lc_and_not_dF():
+    # J takes the swapped structure on 0.5 < a < 0.5015, which the x + 2h
+    # stencil point of a = 0.499 reaches and the point itself does not
+    swapped = mf.parse_surface_spec(SWAPPED_J_SPEC).J(np.zeros(4))
+
+    def surface():
+        return mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4), lambda x: np.eye(4),
+                                   lambda x: swapped if 0.5 < x[0] < 0.5015 else mf.J_STANDARD)
+    x = np.array([[0.3, 0.1, 0.2, 0.3], [0.499, 0.1, 0.2, 0.3]])
+    with pytest.raises(mf.DegenerateFrameError) as want:     # the frame stencil, point by point
+        for p in surface().backend.stencil(x).reshape(-1, 4):
+            mf.adapted_basis(surface(), p)
+    for layer in (cn.levi_civita, lambda M, x: cn.omega_tilde_coord(M, x, 1.0)):
+        with pytest.raises(mf.DegenerateFrameError) as got:
+            layer(surface(), x)
+        assert str(got.value) == str(want.value)
+    M = surface()
+    assert np.all(np.isfinite(mf.dF_array(M, x))) and np.all(np.isfinite(mf.lee_form(M, x[1]).to_array()))
+    assert np.all(np.isfinite(mf.adapted_frame(M, x).E))
+
+
 def test_a_fresh_sweep_stores_full_frames_at_its_base_points_only():
-    # the FD stencils of omega^LC read E alone; theta, U and eta are built
-    # at the 34 base points (2 points and their first-order stencils)
+    # the FD stencils of omega^LC and dF read E and F alone, from one table
+    # and one pass; theta, U and eta are built at the 34 base points (2
+    # points and their first-order stencils)
     M = mf.builtin("cp2_fs")
     pts = tw.sample_twistor_points(M, 2, seed=0)
     tw.CoframeSweep.stack(M, "lichnerowicz", pts)
     sizes = {fn.__name__: table.size for (fn, params), table in M._point_memo.items() if not params}
-    assert (sizes["adapted_frame"], sizes["adapted_basis"]) == (34, 258)
+    assert (sizes["adapted_frame"], sizes["_frame_fields"], sizes["_frame_partials"]) == (34, 258, 34)
     # a frame at any point of the E table evaluates no metric: one
     # Gram-Schmidt built every frame
     stored = np.array([np.frombuffer(key) for key in
-                       M._point_memo[(mf.adapted_basis.__wrapped__, ())].index])
+                       M._point_memo[(mf._frame_fields.__wrapped__, ())].index])
     metric = M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size
     mf.adapted_frame(M, stored)
     assert M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size == metric
@@ -750,7 +849,8 @@ def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_store
     M.metric(pts)
     mf.coordinate_fundamental_matrix(M, pts)
     assert len(M._point_memo) == 36 == sum(table.size for table in M._point_memo.values())
-    stores = [weakref.ref(table.store) for table in M._point_memo.values()]
+    # the E/F table stores a tuple of arrays, which cannot be weakly referenced
+    stores = [weakref.ref(a) for table in M._point_memo.values() for a in _arrays(table.store)]
     mf.adapted_frame(M, pts)                 # 46 points would pass the limit: cleared
     assert len(M._point_memo) == (46 - 1) % 40 + 1 == 6
     assert [table.size for table in M._point_memo.values() if table.size] == [6]
@@ -774,6 +874,52 @@ g 3 3 = sqrt(4) + sin(c)*cos(c) - tanh(exp(0 - d^2))
 g 4 4 = sqrt(4) + sin(c)*cos(c) - tanh(exp(0 - d^2))
 J standard
 """
+
+
+def _reference_program(trees):
+    """(statements, outputs) of the emission that walked every tree in full,
+    a mirrored slot's entry included, and kept one statement per distinct
+    source text."""
+    names, lines = {}, []
+
+    def emit(tree):
+        if isinstance(tree, str):
+            return tree
+        template, *children = tree
+        src = template.format(*map(emit, children))
+        if src not in names:
+            names[src] = f"_v{len(names)}"
+            lines.append(f"    {names[src]} = {src}")
+        return names[src]
+    outputs = [emit(tree) for tree in trees]
+    return lines, outputs
+
+
+def _subtrees(tree, seen):
+    if not isinstance(tree, str) and tree not in seen:
+        seen.add(tree)
+        for child in tree[1:]:
+            _subtrees(child, seen)
+    return seen
+
+
+@pytest.mark.parametrize("text", [mf._builtin_flat_c2(), mf._builtin_cp2_fs(2.0), mf._builtin_ch2(2.0),
+                                  mf._builtin_hopf(), FUNCTIONS_SPEC, ENTRY_J_SPEC],
+                         ids=[*mf.BUILTIN_NAMES, "functions", "entry_J"])
+def test_each_tree_is_emitted_once_into_the_statements_of_the_full_walk(text, monkeypatch):
+    programs, emits = [], []
+    compile_, emit, matrix_field = mf._Program.compile, mf._Program.emit, mf._matrix_field
+    monkeypatch.setattr(mf, "_matrix_field", lambda entries, fill: (
+        programs.append([list(entries.values())]), matrix_field(entries, fill))[1])
+    monkeypatch.setattr(mf._Program, "emit", lambda self, tree: (emits.append(tree), emit(self, tree))[1])
+    monkeypatch.setattr(mf._Program, "compile", lambda self, outputs: (
+        programs[-1].append((self.lines, list(outputs))), compile_(self, outputs))[1])
+    mf.parse_surface_spec(text)
+    for trees, *compiled in programs:       # g, and J where given entry by entry
+        assert compiled == [_reference_program(trees)]
+    # the entries, then the children of each distinct tree, once
+    distinct = set().union(*(_subtrees(tree, set()) for trees, *_ in programs for tree in trees))
+    assert len(emits) == sum(len(trees) for trees, *_ in programs) + sum(len(t) - 1 for t in distinct)
 
 
 def stack_surface(name):

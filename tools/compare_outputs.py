@@ -30,7 +30,11 @@ suites stack the four built-ins as segments of one stack per connection,
 the help text: `--help` and `<command> --help` for each of the four
 commands, two json `verify --suite algebra` invocations, `--points 1` and
 `--points 3 --seed 5`, whose curvature check samples the oracle suite's
-points, and two `report --points 5` invocations that exit 3 on surface
+points, two json `report --points 1` invocations, on ch2 (lichnerowicz)
+and on hopf/chern, whose one-point batches had another memory layout than
+larger stacks before stack fields were C-ordered, a json `scan --grid 300
+--i 3` on cp2_fs, which puts a 300-row table through the bulk number
+format of the JSON writer, and two `report --points 5` invocations that exit 3 on surface
 description files (written to the temporary directory) whose metric
 degenerates at a = 0.672: one where g_11 = g_22 = (a - 0.672)^2 vanishes,
 where no adapted frame exists (a degenerate seed), and one where
@@ -143,6 +147,10 @@ def argv_list(description, degenerate):
         *([command, "--help"] for command in ("report", "verify", "scan", "appendix")),
         ["verify", "--suite", "algebra", "--points", "1", "--format", "json"],
         ["verify", "--suite", "algebra", "--points", "3", "--seed", "5", "--format", "json"],
+        ["report", "--surface", "ch2", "--points", "1", "--format", "json"],
+        ["report", "--surface", "hopf", "--connection", "chern", "--points", "1", "--format", "json"],
+        ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "0.5:2.5",
+         "--grid", "300", "--i", "3", "--format", "json"],
         *(["report", "--surface", path, "--points", "5"] for path in degenerate),
     ]
     return out

@@ -8,9 +8,9 @@ correction built from dF:
                                    - (1+t)/4 * dF(JX, Y, Z)
 
 which is affine in t; on Kahler input every D^t collapses to Levi-Civita.
-The point memo holds the t-independent pieces once per point, omega^LC
-(`_lc_forms`) and the two J-pushed dF terms (`_J_pushed_dF`), and every
-member of the family is assembled from them.
+One point-memo table, `_base_table`, holds each point's first-order data:
+g, Gamma, omega^LC, dF with its two J-pushed terms and the adapted frame;
+the Levi-Civita data, dF, the Lee form and every D^t are read from it.
 
 Curvature conventions (fixed for the whole package):
     R(X1, X2, X3, X4) = h(R(X3, X4) X2, X1),
@@ -22,24 +22,16 @@ conjugates into the real tensor slots; patterns are strings like "1*212*"
 parsed one slot at a time (digit, optional '*' for conjugation).
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ComplexForm, d_rows, wedge_vectors
-from twistorlab.manifold import (
-    HermitianSurface,
-    UnitaryFrame,
-    _frame_partials,
-    adapted_basis,
-    adapted_frame,
-    coordinate_fundamental_matrix,
-    dF_array,
-    lee_components,
-    point_memo,
-    push_slots,
-)
+from twistorlab.exterior import ZERO_EPS, ComplexForm, antisymmetric_array, d_rows, wedge_vectors
+from twistorlab.manifold import (J_STANDARD, HermitianSurface, UnitaryFrame, _frame_fields,
+                                 _raise_at_first, _unitary_frame, adapted_basis, adapted_frame,
+                                 coordinate_fundamental_matrix, point_memo, push_slots)
 
 CONNECTION_T = {"lichnerowicz": 0.0, "chern": 1.0, "bismut": -1.0}
 
@@ -100,16 +92,71 @@ def complexify(tensor: np.ndarray, pattern: str, rows: np.ndarray = _B_FRAME) ->
 # Levi-Civita connection
 # ======================================================================
 
+@dataclass(frozen=True)
+class _BaseData:
+    """First-order data at a point (a stack: point axes in front)."""
+    g: np.ndarray            # (4, 4) the metric
+    Gamma: np.ndarray        # (4, 4, 4) Gamma^mu_{nu rho}
+    omega: np.ndarray        # (4, 4, 4) omega^LC[i, j, nu] = h(grad_{d_nu} e_j, e_i)
+    dF: np.ndarray           # (4, 4, 4) dF(d_a, d_b, d_c)
+    JdF_first: np.ndarray    # (4, 4, 4) dF(JX, Y, Z)
+    JdF_all: np.ndarray      # (4, 4, 4) dF(JX, JY, JZ)
+    frame: UnitaryFrame      # NaN where the point has no frame
+    frameless: np.ndarray    # bool: no frame at the point or at a point of its stencil
+
+
 @point_memo
-def christoffel(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[mu, nu, rho] = Gamma^mu_{nu rho} (FD of the metric)
-    at an (n, 4) stack of points; `point_memo` serves one point or any stack."""
-    g = M.metric(x)
-    ginv = np.linalg.inv(g)
-    dg = M.backend.partials(M.metric, x)    # dg[:, k] = d_k g, one metric call for every stencil
+def _base_table(M: HermitianSurface, x: np.ndarray) -> _BaseData:
+    """The first-order data at an (n, 4) stack of points x from one
+    `_frame_fields` lookup of x and its stencil and one FD combine of
+    (g, E, F) there; `point_memo` serves one point or any stack.  A point
+    without a frame at itself or a stencil point is flagged `frameless`
+    (its frame or omega^LC is NaN) and raises nothing here, so Gamma and dF
+    need no frame; `_framed` raises for the readers of the frame."""
+    n = len(x)
+    stencil = M.backend.stencil(x)                       # (4, m, n, 4)
+    g, E, F, degenerate = _frame_fields(M, np.concatenate([x, stencil.reshape(-1, 4)]))
+    fields = np.stack([g[n:], E[n:], F[n:]], axis=-3).reshape(stencil.shape[:-1] + (3, 4, 4))
+    # dg[z, k] = d_k g at x[z], and the same for E and F
+    dg, dE, dF = np.moveaxis(M.backend.combine(fields), (2, 1), (0, 1))
+    g, E = g[:n], E[:n]
     # Gamma^mu_{nu rho} = 1/2 g^{mu la} (d_nu g_{la rho} + d_rho g_{la nu} - d_la g_{nu rho})
-    return 0.5 * np.einsum("zml,znlr->zmnr", ginv, dg + np.transpose(dg, (0, 3, 2, 1))
-                           - np.transpose(dg, (0, 2, 1, 3)))
+    Gm = 0.5 * np.einsum("zml,znlr->zmnr", np.linalg.inv(g), dg + np.transpose(dg, (0, 3, 2, 1))
+                         - np.transpose(dg, (0, 2, 1, 3)))
+    # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j], and
+    # h(grad_{d_nu} e_j, e_i) = (g E)[mu, i] (grad_{d_nu} e_j)^mu
+    nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
+    omega = np.einsum("zmi,zmnj->zijn", push_slots(g, E, (1,)), nabla)
+    # dF's slot coefficients below ZERO_EPS are 0, as in a ComplexForm
+    v = d_rows(dF[(...,) + np.triu_indices(4, 1)], 4, 2).real
+    dF = antisymmetric_array(np.where(np.abs(v) < ZERO_EPS, 0.0, v), 4, 3)
+    Jm = M.J(x)
+    JdF_first = push_slots(dF, Jm, (0,))
+    return _BaseData(g=g, Gamma=Gm, omega=omega, dF=dF, JdF_first=JdF_first,
+                     JdF_all=push_slots(JdF_first, Jm, (1, 2)), frame=_unitary_frame(x, E),
+                     frameless=degenerate[:n] | degenerate[n:].reshape(-1, n).any(axis=0))
+
+
+def _framed(M: HermitianSurface, x: np.ndarray) -> _BaseData:
+    """`_base_table` at an (n, 4) stack x for a memoized reader of the frame,
+    whose memo replays a failing stack point by point: the metric's error or
+    DegenerateFrameError at a point comes before any other error of its row,
+    then DegenerateFrameError at its first stencil point without a frame."""
+    try:
+        base = _base_table(M, x)
+    except Exception:
+        adapted_basis(M, x)
+        raise
+    if base.frameless.any():
+        adapted_basis(M, x)
+        adapted_basis(M, M.backend.stencil(x))
+    return base
+
+
+def christoffel(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[..., mu, nu, rho] = Gamma^mu_{nu rho} (FD of the
+    metric) at a point or a stack of points x (..., 4), from `_base_table`."""
+    return _base_table(M, x).Gamma
 
 
 @dataclass(frozen=True)
@@ -145,30 +192,8 @@ class LeviCivitaData:
         anti_34 = float(np.max(np.abs(R + np.transpose(R, (0, 1, 2, 4, 3)))))
         bianchi = float(np.max(np.abs(R + np.transpose(R, (0, 1, 3, 4, 2))
                                       + np.transpose(R, (0, 1, 4, 2, 3)))))
-        return {
-            "omega_antisymmetry": anti_dir,
-            "pair_symmetry": sym_pairs,
-            "antisymmetry_12": anti_12,
-            "antisymmetry_34": anti_34,
-            "first_bianchi": bianchi,
-        }
-
-
-@point_memo
-def _lc_forms(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """omega[z, i, j, nu] = h(grad_{d_nu} e_j, e_i) at an (n, 4) stack of points
-    x, against the canonical frame field: omega^LC in coordinates, the
-    t-independent base of every D^t; `point_memo` serves one point or any
-    stack."""
-    g, E, Gm = M.metric(x), adapted_basis(M, x), christoffel(M, x)
-    # dE[z, nu, mu, j] = d_nu E[mu, j], from the one FD pass that dF reads too
-    dE = _frame_partials(M, x)[:, :, 0]
-    if np.isnan(dE).any():      # raise for a stencil point without a frame, if any
-        adapted_basis(M, M.backend.stencil(x))
-    # (grad_{d_nu} e_j)^mu = d_nu E[mu, j] + Gamma^mu_{nu rho} E[rho, j]
-    nabla = np.einsum("znmj->zmnj", dE) + np.einsum("zmnr,zrj->zmnj", Gm, E)
-    # h(grad_{d_nu} e_j, e_i) = (g E)[mu, i] (grad_{d_nu} e_j)^mu
-    return np.einsum("zmi,zmnj->zijn", push_slots(g, E, (1,)), nabla)
+        return {"omega_antisymmetry": anti_dir, "pair_symmetry": sym_pairs, "antisymmetry_12": anti_12,
+                "antisymmetry_34": anti_34, "first_bianchi": bianchi}
 
 
 @point_memo
@@ -176,17 +201,14 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
     """Levi-Civita connection forms and curvature at an (n, 4) stack of points;
     `point_memo` serves one point or any stack.
 
-    Christoffels come from one FD pass over the metric; the curvature comes
-    from a second FD pass over the Christoffel field; frame components are
-    produced against the canonical Gram-Schmidt frame field.  Both passes
-    evaluate their whole stencil as one stack.
+    Gamma, omega^LC and the frame come from `_base_table`; the curvature
+    comes from a second FD pass over the Christoffel field, which reads the
+    table at the stencil points as one stack; frame components are produced
+    against the canonical Gram-Schmidt frame field.
     """
-    fr = adapted_frame(M, x)
-    E = fr.E
-    g = M.metric(x)
-    Gm = christoffel(M, x)
-    omega_coord = _lc_forms(M, x)
-    omega_frame = np.einsum("zijn,znk->zijk", omega_coord, E)
+    base = _framed(M, x)
+    fr, Gm = base.frame, base.Gamma
+    omega_frame = np.einsum("zijn,znk->zijk", base.omega, fr.E)
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
@@ -194,27 +216,68 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
     Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
-    Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
-    Rfr = push_slots(Rdn, E, (0, 1, 2, 3))
-    return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=omega_coord,
+    Rdn = np.einsum("zml,zlnrs->zmnrs", base.g, Rup)
+    Rfr = push_slots(Rdn, fr.E, (0, 1, 2, 3))
+    return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=base.omega,
                           omega_frame=omega_frame, R=Rfr)
+
+
+# ======================================================================
+# dF and the Lee form
+# ======================================================================
+
+def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
+    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < M.backend.reach()), x,
+                    lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
+
+
+def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """dF at a point or a stack of points x (..., 4), by FD of F's components:
+    the full antisymmetric array dF[..., a, b, c] = dF(d_a, d_b, d_c), from
+    `_base_table` once every stencil is checked to lie inside the chart."""
+    _check_stencil_inside(M, x)
+    return _base_table(M, x).dF
+
+
+def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
+    """dF as a 3-form over the coordinate coframe, by FD of F's components."""
+    A = dF_array(M, x)
+    return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
+
+
+def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The Lee form's components over the adapted coframe, at a point or a
+    stack of points x (..., 4) with frames E (..., 4, 4): (..., 4).
+
+    Uses delta = -*d* on 2-forms and *F = F, so the Lee form is the J-image of
+    -*dF with no nested differentiation; dF of the whole stack comes from one
+    `dF_array`.
+    """
+    # dF over the adapted coframe: dx^mu = sum_i E[mu, i] theta^i
+    dF = push_slots(dF_array(M, x), E, (0, 1, 2))
+    # -*dF, with *(theta^a ^ theta^b ^ theta^c) = sign(a, b, c, d) theta^d
+    b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
+    # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4
+    return np.stack([-b[..., 1], b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
+
+
+def lee_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
+    """The Lee form of (M, J, h) at x, over the adapted coframe: the 1-form
+    (theta basis) of `lee_components`."""
+    x = np.asarray(x, dtype=float)
+    alpha = lee_components(M, x, adapted_frame(M, x).E)
+    return ComplexForm(4, 1, {(i,): alpha[i] for i in range(4)})
 
 
 # ======================================================================
 # the Gauduchon family D^t
 # ======================================================================
 
-@point_memo
-def _J_pushed_dF(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dF, JdF_first, JdF_all) at an (n, 4) stack of points: `dF_array`,
-    then dF(JX, Y, Z) and dF(JX, JY, JZ), dF pushed through J in slot 0,
-    then in slots 1 and 2.  The pushed terms are the t-independent terms of
-    every D^t correction, and dF itself gives the Kahler defect of
-    `condition_flags`; `point_memo` serves one point or any stack."""
-    dF = dF_array(M, x)
-    Jm = M.J(x)
-    JdF_first = push_slots(dF, Jm, (0,))
-    return dF, JdF_first, push_slots(JdF_first, Jm, (1, 2))
+def _correction(base: _BaseData, t: float) -> np.ndarray:
+    """A_t = c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z) from base table rows."""
+    c1 = (1.0 - t) / 4.0
+    c2 = (1.0 + t) / 4.0
+    return c1 * base.JdF_all - c2 * base.JdF_first
 
 
 def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
@@ -222,13 +285,11 @@ def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarr
     correction, at a point or a stack of points x (..., 4).
 
     A_t = c1 * dF(JX, JY, JZ) - c2 * dF(JX, Y, Z) with c1 = (1-t)/4 and
-    c2 = (1+t)/4 is affine in t: both terms come from the memoized
-    `_J_pushed_dF` tables, so a new t at visited points evaluates nothing.
+    c2 = (1+t)/4 is affine in t: both terms come from `_base_table`, read
+    as `dF_array` reads it, so a new t at visited points evaluates nothing.
     """
-    c1 = (1.0 - t) / 4.0
-    c2 = (1.0 + t) / 4.0
-    _, JdF_first, JdF_all = _J_pushed_dF(M, x)
-    return c1 * JdF_all - c2 * JdF_first
+    _check_stencil_inside(M, x)
+    return _correction(_base_table(M, x), t)
 
 
 @dataclass(frozen=True)
@@ -261,13 +322,11 @@ class HermitianConnectionData:
         Zero (to FD accuracy) for every member of the family; the analogous
         quantity for raw Levi-Civita is the mu 1-form.
         """
-        from twistorlab.manifold import J_STANDARD
         # row/column indices are frame labels, so J acts as the standard block matrix
-        J0 = J_STANDARD
         out = 0.0
         for nu in range(4):
             A = self.omega_tilde_coord[:, :, nu]
-            out = max(out, float(np.max(np.abs(0.5 * (A + J0 @ A @ J0)))))
+            out = max(out, float(np.max(np.abs(0.5 * (A + J_STANDARD @ A @ J_STANDARD)))))
         return out
 
 
@@ -291,13 +350,6 @@ def mu_from_omega(omega_coord: np.ndarray) -> np.ndarray:
     return 0.5 * ((om[..., 1, 3, :] - om[..., 0, 2, :]) - 1j * (om[..., 1, 2, :] + om[..., 0, 3, :]))
 
 
-def _torsion_forms(M: HermitianSurface, x: np.ndarray, t: float, E: np.ndarray) -> np.ndarray:
-    """A(d_nu, e_j, e_i) at an (n, 4) stack of points x with frames E: the D^t
-    correction om~^i_j(d_nu) - om^i_j(d_nu)."""
-    A = torsion_correction(M, x, t)
-    return np.transpose(push_slots(A, E, (1, 2)), (0, 3, 2, 1))
-
-
 def torsion_tensor(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
     """The torsion T^mu_{nu rho} (..., 4, 4, 4) of D^t at a point or a stack of
     points x (..., 4): g^{mu la} [A(d_nu, d_rho, d_la) - A(d_rho, d_nu, d_la)]
@@ -312,14 +364,14 @@ def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float) -> Tuple[np.
     at an (n, 4) stack of points; `point_memo` serves one point or any stack
     (..., 4), each field with the point axes in front.
 
-    omega^t = omega^LC + A_t is assembled from the t-independent tables of
-    the surface's point memo, `_lc_forms` (omega^LC) and `_J_pushed_dF`
-    (the two dF terms of `torsion_correction`), so a second member of the
-    family at visited points evaluates no metric, frame stencil or dF; the
-    sum itself is memoized per (point, t)."""
-    fr = adapted_frame(M, x)
-    omega_coord = _lc_forms(M, x)
-    return omega_coord + _torsion_forms(M, x, t, fr.E), omega_coord, fr
+    omega^t = omega^LC + A_t is assembled from one `_base_table` lookup, so
+    a second member of the family at visited points evaluates no metric,
+    frame or dF; the sum itself is memoized per (point, t)."""
+    base = _framed(M, x)
+    _check_stencil_inside(M, x)
+    # A(d_nu, e_j, e_i): the D^t correction om~^i_j(d_nu) - om^i_j(d_nu)
+    A = np.transpose(push_slots(_correction(base, t), base.frame.E, (1, 2)), (0, 3, 2, 1))
+    return base.omega + A, base.omega, base.frame
 
 
 def psi_field(M: HermitianSurface, t: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -351,12 +403,9 @@ def gauduchon(M: HermitianSurface, x: np.ndarray, t: float) -> HermitianConnecti
 
     def tcomp(vb, vc):
         return push_slots(push_slots(Tu, vb, (1,)), vc, (2,))
-    return HermitianConnectionData(
-        point=x, t=t, frame=fr,
-        omega_tilde_coord=om_t, psi_coord=psi, mu_coord=mu,
-        torsion_coord=T,
-        T20=tcomp(U, U), T11=tcomp(U, Ubar), T02=tcomp(Ubar, Ubar),
-    )
+    return HermitianConnectionData(point=x, t=t, frame=fr, omega_tilde_coord=om_t, psi_coord=psi,
+                                   mu_coord=mu, torsion_coord=T,
+                                   T20=tcomp(U, U), T11=tcomp(U, Ubar), T02=tcomp(Ubar, Ubar))
 
 
 def structure_equation_defect(M: HermitianSurface, data: HermitianConnectionData) -> float:

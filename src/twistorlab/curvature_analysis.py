@@ -24,7 +24,7 @@ from typing import List, Union
 
 import numpy as np
 
-from twistorlab.connection import LeviCivitaData, _J_pushed_dF, levi_civita
+from twistorlab.connection import LeviCivitaData, dF_array, levi_civita
 from twistorlab.exterior import SdAsdBasis, antisymmetric_array, norms, read_only, slot_keys
 from twistorlab.manifold import HermitianSurface, J_STANDARD, push_slots, replay
 
@@ -195,8 +195,8 @@ def condition_flags(M: HermitianSurface, x: np.ndarray,
     point of a stack x (n, 4), each with the bits of its own one-point call.
 
     A stack makes one `levi_civita` call and one pass of the curvature
-    algebra; the Kahler defect |dF| reads dF from the point memo
-    (`_J_pushed_dF`, filled at the base points by a coframe sweep of any
+    algebra; the Kahler defect |dF| reads dF from the point memo's base
+    table (`dF_array`; filled at the base points by a coframe sweep of any
     connection), so it runs no FD pass there.  A point where the metric is
     not finite raises ValueError, where its defects would be NaN with "no"
     verdicts; a stack raises the error of its first failing point.
@@ -205,7 +205,7 @@ def condition_flags(M: HermitianSurface, x: np.ndarray,
         finite = np.isfinite(M.metric(x)).reshape(-1, 16).all(axis=1)
         if not finite.all():
             raise ValueError(f"metric not finite at point {x.reshape(-1, 4)[np.argmin(finite)].tolist()}")
-        return levi_civita(M, x), _J_pushed_dF(M, x)[0]
+        return levi_civita(M, x), dF_array(M, x)
 
     x = np.asarray(x, dtype=float)
     lc, dF = replay(data, x) if x.ndim > 1 else data(x)

@@ -1,4 +1,4 @@
-"""Chart-level Hermitian surfaces: metric DSL, built-ins, frames, Lee form.
+"""Chart-level Hermitian surfaces: metric DSL, built-ins, frames.
 
 A surface lives on a single coordinate chart (a closed box in R^4) and is
 described by two fields: a Riemannian metric h (symmetric 4x4) and a
@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ZERO_EPS, ComplexForm, antisymmetric_array, d_rows
+from twistorlab.exterior import ComplexForm
 
 # standard complex structure J0:  J(d1)=d2, J(d2)=-d1, J(d3)=d4, J(d4)=-d3
 J_STANDARD = np.array([
@@ -109,7 +109,10 @@ def _tokenize_expr(text: str, line_no: int, col_offset: int) -> List[Tuple[str, 
             continue
         if kind == "bad":
             raise SpecSyntaxError(f"unexpected character {m.group()!r}", line_no, col)
-        out.append((kind, m.group(), col))
+        text = m.group()
+        if kind == "num" and text.isdigit():
+            text = str(int(text))       # 01 is 1; python's grammar refuses the leading zero
+        out.append((kind, text, col))
     return out
 
 
@@ -307,14 +310,13 @@ class DiffBackend:
     differentiates a function that evaluates stacks with one call on the
     whole stencil; it is the one FD entry point of the package, nested
     derivatives included (`partials` of a field that itself calls
-    `partials`), and only `CoframeSweep` calls its two halves directly, to
-    put its bundle points in their stencils' stack.  The partials of a form's
-    coefficients become its exterior derivative in one place,
-    `exterior.d_rows`.  `partial` is the
-    one-direction case for a function of one point, evaluated point by
-    point; the package does not call it, and it stays as the independent
-    per-point reference that tests hold `partials` and the coframe sweeps
-    against.
+    `partials`); `CoframeSweep` and the base table of `connection` call its
+    halves directly, to stack their points with their stencils.  The
+    partials of a form's coefficients become its exterior derivative in one
+    place, `exterior.d_rows`.  `partial` is the one-direction case for a
+    function of one point, evaluated point by point; the package does not
+    call it, and it stays as the independent per-point reference that tests
+    hold `partials` and the coframe sweeps against.
     """
     order: int = 4
     step: float = 1e-3
@@ -376,9 +378,9 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores about 740 per surface and verify
-# about 780 per built-in, while one ddbar_oracle call on cp2_fs
-# stores 3 768 (1.7 MB of rows), which this limit keeps whole.  The largest
+# cleared; a two-point report or scan stores about 600 per surface and verify
+# about 640 per built-in, while one ddbar_oracle call on cp2_fs
+# stores 2 900 (1.7 MB of rows), which this limit keeps whole.  The largest
 # row is a levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
 POINT_MEMO_LIMIT = 8192
 
@@ -607,9 +609,9 @@ class HermitianSurface:
     offending point and check on failure.
 
     Each surface owns a private point memo (`point_memo`): the metric, the
-    adapted frame, the coordinate fundamental matrix, the Christoffel
-    symbols, the Levi-Civita data, the t-independent tables of the
-    canonical family (omega^LC and the J-pushed dF terms) and the D^t
+    frame fields (g, E and F), the adapted frame, the first-order base data
+    of `connection._base_table` (the Christoffel symbols, omega^LC, dF and
+    its J-pushed terms, the frame), the Levi-Civita data and the D^t
     connection forms are computed once per exact point and stored
     read-only.  This relies on the surface being immutable: its chart,
     metric and J callables and backend must not be replaced after
@@ -962,12 +964,12 @@ class DegenerateFrameError(ValueError):
 
 
 @point_memo
-def _frame_fields(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, F, degenerate) at an (n, 4) stack x from one read of the metric and J:
+def _frame_fields(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, E, F, degenerate) at an (n, 4) stack x from one read of the metric g and J:
     the J-adapted orthonormal frame E by modified Gram-Schmidt, e1 = normalize(seed1),
     e2 = J e1, e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3 with
     (seed1, seed2) = DEFAULT_SEEDS; F = J^T g; and where the seeds give no frame,
-    at which E is NaN and F is kept, so that F and dF need no frame."""
+    at which E is NaN and g and F are kept, so that F and dF need no frame."""
     s1, s2 = DEFAULT_SEEDS
     g = M.metric(x)
     Jm = M.J(x)
@@ -989,7 +991,7 @@ def _frame_fields(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.nd
     e4 = (Jm @ e3[:, :, None])[:, :, 0]
     E = np.stack([e1, e2, e3, e4], axis=-1)
     E[degenerate] = np.nan
-    return E, np.swapaxes(Jm, 1, 2) @ g, degenerate
+    return g, E, np.swapaxes(Jm, 1, 2) @ g, degenerate
 
 
 def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
@@ -997,27 +999,30 @@ def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     points x (..., 4).  Raises DegenerateFrameError at the first point without
     a frame, or the metric's error where a loop over the points meets it first."""
     def basis(p):
-        E, _, degenerate = _frame_fields(M, p)
+        _, E, _, degenerate = _frame_fields(M, p)
         _raise_at_first(degenerate, p, DegenerateFrameError)
         return E
     x = np.asarray(x, dtype=float)
     return replay(basis, x.reshape(-1, 4)).reshape(x.shape[:-1] + (4, 4))
 
 
-@point_memo
-def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
-    """The J-adapted orthonormal frame E of `adapted_basis` with its duals:
-    theta = E^{-1}, U and eta, at an (n, 4) stack of points x; `point_memo`
-    serves one point or any stack, and a point without frame raises the
-    DegenerateFrameError of `adapted_basis`.
-    """
-    E = adapted_basis(M, x)
+def _unitary_frame(x: np.ndarray, E: np.ndarray) -> UnitaryFrame:
+    """The frame E (n, 4, 4) at the points x (n, 4) with its duals theta =
+    E^{-1}, U and eta."""
     e1, e2, e3, e4 = np.moveaxis(E, -1, 0)
     theta = np.linalg.inv(E)
     U = np.stack([(e1 - 1j * e2) / math.sqrt(2.0), (e3 - 1j * e4) / math.sqrt(2.0)], axis=-1)
     eta = np.stack([(theta[:, 0] + 1j * theta[:, 1]) / math.sqrt(2.0),
                     (theta[:, 2] + 1j * theta[:, 3]) / math.sqrt(2.0)], axis=1)
     return UnitaryFrame(point=x, E=E, theta=theta, U=U, eta=eta)
+
+
+@point_memo
+def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
+    """The frame E of `adapted_basis` with its duals (`_unitary_frame`) at an
+    (n, 4) stack of points x; `point_memo` serves one point or any stack, and
+    a point without frame raises the DegenerateFrameError of `adapted_basis`."""
+    return _unitary_frame(x, adapted_basis(M, x))
 
 
 def _raise_at_first(bad: np.ndarray, x: np.ndarray, error: Callable[[list], Exception]) -> None:
@@ -1043,7 +1048,7 @@ def push_slots(T: np.ndarray, P: np.ndarray, slots: Sequence[int]) -> np.ndarray
 
 
 # ======================================================================
-# fundamental form, dF, Lee form
+# fundamental form
 # ======================================================================
 
 def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) -> ComplexForm:
@@ -1056,62 +1061,4 @@ def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) ->
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates,
     at a point or a stack of points x (..., 4), from the `_frame_fields` table."""
-    return _frame_fields(M, x)[1]
-
-
-@point_memo
-def _frame_partials(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """d[z, k] = d_k (E, F) at an (n, 4) stack x: the one FD pass over `_frame_fields`,
-    for dE of omega^LC and for dF; a stencil point without a frame makes dE NaN."""
-    return M.backend.partials(lambda p: np.stack(_frame_fields(M, p)[:2], axis=-3), x)
-
-
-def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
-    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < M.backend.reach()), x,
-                    lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
-
-
-def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """dF at a point or a stack of points x (..., 4), by FD of F's components:
-    the full antisymmetric array dF[..., a, b, c] = dF(d_a, d_b, d_c).
-
-    The slot coefficients come from `d_rows`; those below ZERO_EPS are set
-    to 0, as in a ComplexForm, and one that is not finite stays.
-    """
-    x = np.asarray(x, dtype=float)
-    _check_stencil_inside(M, x)
-    dF = _frame_partials(M, x)[..., 1, :, :]       # [..., k] = d_k F
-    v = d_rows(dF[(...,) + np.triu_indices(4, 1)], 4, 2).real
-    return antisymmetric_array(np.where(np.abs(v) < ZERO_EPS, 0.0, v), 4, 3)
-
-
-def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
-    """dF as a 3-form over the coordinate coframe, by FD of F's components."""
-    A = dF_array(M, x)
-    return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
-
-
-def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The Lee form's components over the adapted coframe, at a point or a
-    stack of points x (..., 4) with frames E (..., 4, 4): (..., 4).
-
-    Uses delta = -*d* on 2-forms and *F = F, so the Lee form is the J-image of
-    -*dF with no nested differentiation; dF of the whole stack comes from one
-    `dF_array`.
-    """
-    # dF over the adapted coframe: dx^mu = sum_i E[mu, i] theta^i
-    dF = push_slots(dF_array(M, x), E, (0, 1, 2))
-    # -*dF, with *(theta^a ^ theta^b ^ theta^c) = sign(a, b, c, d) theta^d
-    b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
-    # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4
-    return np.stack([-b[..., 1], b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
-
-
-def lee_form(M: HermitianSurface, x: np.ndarray, frame: Optional[UnitaryFrame] = None) -> ComplexForm:
-    """The Lee form of (M, J, h) at x, over the adapted coframe of `frame`:
-    the 1-form (theta basis) of `lee_components`."""
-    x = np.asarray(x, dtype=float)
-    if frame is None:
-        frame = adapted_frame(M, x)
-    alpha = lee_components(M, x, frame.E)
-    return ComplexForm(4, 1, {(i,): alpha[i] for i in range(4)})
+    return _frame_fields(M, x)[2]

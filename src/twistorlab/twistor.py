@@ -36,10 +36,10 @@ import numpy as np
 from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
                        substitute, wedge, wedge_all, wedge_vectors, weighted_sum)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _map_arrays,
-                       adapted_frame, coordinate_fundamental_matrix, dF_array, push_slots, replay,
+                       adapted_frame, coordinate_fundamental_matrix, push_slots, replay,
                        stack_field)
 from .connection import (CONNECTION_T, complex_connection_matrix, complexify, curvature_rows,
-                         levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
+                         dF_array, levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
 from .curvature_analysis import ConditionFlags, condition_flags
 
 __all__ = [
@@ -72,6 +72,9 @@ _J_ROWS = {1: (0, 4, 2), 2: (0, 4, 5), 3: (0, 1, 2), 4: (0, 1, 5)}
 # signs (1, e2, e3) of the building blocks in K_i = i(l1^2 W1 + e2 l2^2 W2 + e3 l3^2 W3):
 # the phi^2-type term is + for i in {1,2}, the fiber term + for i in {1,3}
 _WEIGHT_SIGNS = {1: (1.0, 1.0, 1.0), 2: (1.0, 1.0, -1.0), 3: (1.0, -1.0, 1.0), 4: (1.0, -1.0, -1.0)}
+# the same rows as one table, and the row of each structure index
+_SIGN_TABLE = np.array(list(_WEIGHT_SIGNS.values()))
+_SIGN_ROW = {i: row for row, i in enumerate(_WEIGHT_SIGNS)}
 
 # the (1,0) rows of an adapted coframe carry eigenvalue +i, the rest -i
 _D = np.diag([1j, 1j, 1j, -1j, -1j, -1j])
@@ -239,10 +242,8 @@ def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray) -> np.ndarray:
     (1,0)-coframe pulled back from the base; phi^3 is the off-diagonal
     connection entry along the rotated frame section, whose pure fiber part
     is -d conj(zeta) / (1 + |zeta|^2).  The base data of the whole stack
-    come from one `omega_tilde_coord` call, which assembles omega^t from
-    the t-independent tables omega^LC (`_lc_forms`) and the J-pushed dF
-    terms (`_J_pushed_dF`), so a second connection at visited points
-    evaluates no metric.
+    come from one `omega_tilde_coord` call, from the base table, so a second
+    connection at visited points evaluates no metric.
     """
     y = np.asarray(y, dtype=float)
     Y = y.reshape(-1, 6)
@@ -362,12 +363,10 @@ class TwistorCoframe:
     `TwistorCoframe.stack(M, conn, points)` evaluates n bundle points at
     once: `B` (rows phi^1..phi^3 over the chart coordinates) from one
     `coframe_rows` call, and the base frames and connection forms from one
-    `omega_tilde_coord` call.  omega^t = omega^LC + A_t is assembled from
-    the t-independent tables of the point memo, omega^LC (`_lc_forms`) and
-    the J-pushed dF terms (`_J_pushed_dF`), which the torsion also reads,
-    so the stacks of a second connection at the same points evaluate no
-    metric, dF or Levi-Civita form.  As in `CoframeSweep`, the arrays carry
-    the point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack,
+    `omega_tilde_coord` call, from the t-independent base table that the
+    torsion also reads, so a second connection at the same points evaluates
+    no metric, dF or Levi-Civita form.  As in `CoframeSweep`, the arrays
+    carry the point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack,
     (6,) and (3, 6) for one point, and each point's values have the bits of
     its own one-point coframe.
 
@@ -716,18 +715,22 @@ def _check_index(i: int) -> None:
 
 def lambda_weights(pairs: Sequence[Tuple[int, Union[float, Sequence[float]]]]) -> np.ndarray:
     """The weight table (n, 3): row r holds (l1^2, e2 l2^2, e3 l3^2), the
-    weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda),
-    checked in order; each distinct lambda is checked and squared once, with
-    python's `**`, and the signs are one product."""
-    signs, squares, seen = [], [], {}
-    for i, lam in pairs:
-        _check_index(i)
-        signs.append(_WEIGHT_SIGNS[i])
-        key = lam if np.isscalar(lam) else tuple(lam)
-        if key not in seen:
-            seen[key] = [v ** 2 for v in _lambdas(lam)]
-        squares.append(seen[key])
-    return np.array(signs).reshape(-1, 3) * np.array(squares).reshape(-1, 3)
+    weights of W_1, W_2, W_3 in K_i(lambda) for the r-th pair (i, lambda).
+    The first failing pair raises, its i checked before its lambda; each
+    distinct lambda is checked and squared once, with python's `**`, and the
+    signs are one index into `_SIGN_TABLE`."""
+    rows = list(map(_SIGN_ROW.get, [i for i, _ in pairs]))      # None for a bad i
+    stop = rows.index(None) if None in rows else len(rows)
+    # a float is its own key, as is any scalar; a triple is keyed as a tuple
+    keys = [lam if lam.__class__ is float or np.isscalar(lam) else tuple(lam) for _, lam in pairs[:stop]]
+    distinct = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    squares = np.array([v ** 2 for key in distinct for v in _lambdas(key)]).reshape(-1, 3)
+    if stop < len(rows):
+        _check_index(pairs[stop][0])
+    # every signed row of every distinct lambda, then one index into them
+    table = (_SIGN_TABLE[:, None] * squares).reshape(-1, 3)
+    return table[np.array(rows, dtype=np.intp) * len(distinct)
+                 + np.fromiter(map(distinct.__getitem__, keys), np.intp, len(keys))]
 
 
 def K_form(i: int, lam: Union[float, Sequence[float]], coframe: TwistorCoframe) -> ComplexForm:

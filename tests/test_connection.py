@@ -17,9 +17,12 @@ from twistorlab.connection import (
     complex_connection_matrix,
     complexify,
     curvature_rows,
+    dF_array,
     direct_curvature,
     flip_pattern,
     gauduchon,
+    lee_components,
+    lee_form,
     levi_civita,
     mu_from_omega,
     omega_tilde_coord,
@@ -33,8 +36,7 @@ from twistorlab.exterior import ComplexForm, wedge
 from twistorlab import connection as cn
 from twistorlab import twistor as tw
 from twistorlab.manifold import (POINT_MEMO_LIMIT, HermitianSurface, adapted_frame, builtin,
-                                 coordinate_fundamental_matrix, dF_array, lee_components, lee_form,
-                                 point_memo, push_slots, stack_field)
+                                 coordinate_fundamental_matrix, point_memo, push_slots, stack_field)
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -680,49 +682,48 @@ def _counting_cp2():
 
 
 def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monkeypatch):
-    calls = {"dF_array": 0, "_lc_forms": 0}
-    lc_forms = cn._lc_forms.__wrapped__
-    dF = cn.dF_array
+    # every member reads omega^LC and the J-pushed dF terms from the one base
+    # table, whose body runs for the first member only
+    calls = [0]
+    table = cn._base_table.__wrapped__
 
-    def counted_lc(M, x):
-        calls["_lc_forms"] += 1
-        return lc_forms(M, x)
+    def counted(M, x):
+        calls[0] += 1
+        return table(M, x)
 
-    def counted_dF(M, x):
-        calls["dF_array"] += 1
-        return dF(M, x)
-
-    monkeypatch.setattr(cn, "dF_array", counted_dF)
-    monkeypatch.setattr(cn, "_lc_forms", point_memo(counted_lc))
+    monkeypatch.setattr(cn, "_base_table", point_memo(counted))
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 2, seed=0)
     seen.clear()
     tw.CoframeSweep.stack(M, "lichnerowicz", pts).dW_coeffs
     tw.TwistorCoframe.stack(M, "lichnerowicz", pts).dW_coeffs
-    assert sum(seen) > 0 and calls["dF_array"] > 0 and calls["_lc_forms"] > 0
+    assert sum(seen) > 0 and calls[0] > 0
     for conn in ("chern", "bismut", 0.5):
         seen.clear()
-        calls.update(dF_array=0, _lc_forms=0)
+        calls[0] = 0
         tw.CoframeSweep.stack(M, conn, pts).dW_coeffs
         co = tw.TwistorCoframe.stack(M, conn, pts)
         if conn == "chern":
             co.dW_coeffs
-        assert (sum(seen), calls) == (0, {"dF_array": 0, "_lc_forms": 0}), conn
+        assert (sum(seen), calls[0]) == (0, 0), conn
 
 
 @pytest.mark.parametrize("layer,evals,calls", [
-    ("levi_civita", 129, 3),
-    ("CoframeSweep", 129, 2),
-    ("condition_report", 387, 2),
-    ("ddbar_oracle", 1225, 4),
+    ("christoffel", 17, 1),
+    ("levi_civita", 129, 2),
+    ("CoframeSweep", 129, 1),
+    ("condition_report", 387, 1),
+    ("ddbar_oracle", 1225, 2),
 ])
 def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, evals, calls):
-    # the t-independent tables count toward POINT_MEMO_LIMIT: these counts
-    # show that no clear has moved
+    # the base table counts toward POINT_MEMO_LIMIT: these counts show that
+    # no clear has moved; a base stack reads the metric at its points and
+    # their stencils in one call
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
     seen.clear()
-    {"levi_civita": lambda: levi_civita(M, pts[0].x),
+    {"christoffel": lambda: christoffel(M, pts[0].x),
+     "levi_civita": lambda: levi_civita(M, pts[0].x),
      "CoframeSweep": lambda: tw.CoframeSweep(M, "lichnerowicz", pts[0]),
      "condition_report": lambda: tw.condition_report(M, "lichnerowicz", [1.0, 2 ** 0.5, 2.0], pts),
      "ddbar_oracle": lambda: tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])}[layer]()
@@ -731,28 +732,44 @@ def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, e
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkeypatch):
-    # dg is one pass over the metric; dE for omega^LC and dF for the torsion
-    # correction are one pass over the E/F table
+    # dg, dE and dF are one FD combine over the (g, E, F) rows of one
+    # `_frame_fields` lookup of the points and their stencils
     from twistorlab import manifold as mf
     calls = []
-    partials = mf.DiffBackend.partials
+    combine, partials = mf.DiffBackend.combine, mf.DiffBackend.partials
+    monkeypatch.setattr(mf.DiffBackend, "combine",
+                        lambda self, v, dirs=None: (calls.append(np.shape(v)), combine(self, v, dirs))[1])
     monkeypatch.setattr(mf.DiffBackend, "partials",
                         lambda self, f, x: (calls.append(f.__qualname__), partials(self, f, x))[1])
     M = builtin(name)
     omega_tilde_coord(M, M.chart.interior_points(5, seed=1), 1.0)
-    assert calls == ["HermitianSurface.metric", "_frame_partials.<locals>.<lambda>"]
+    assert calls == [(4, 4, 5, 3, 4, 4)]
 
 
 def test_the_memo_keeps_one_ddbar_oracle_call_whole():
-    # one ddbar_oracle call on cp2_fs stores 3 768 points (one E/F table
-    # in place of the frame and fundamental-matrix tables): the memo holds
-    # them all, so a second call evaluates no metric point
+    # one ddbar_oracle call on cp2_fs stores 2 900 points (one base table in
+    # place of the Christoffel, omega^LC, dF and frame tables): the memo
+    # holds them all, so a second call evaluates no metric point
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
     seen.clear()
     first = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 1225 and len(M._point_memo) == 3768 <= POINT_MEMO_LIMIT
+    assert sum(seen) == 1225 and len(M._point_memo) == 2900 <= POINT_MEMO_LIMIT
     seen.clear()
     second = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 0 and len(M._point_memo) == 3768
+    assert sum(seen) == 0 and len(M._point_memo) == 2900
     assert np.array_equal(first.vec, second.vec)
+
+
+def test_a_fresh_two_point_sweep_makes_five_point_memo_lookups(monkeypatch):
+    # validation reads the metric; the sweep's coframe reads omega_tilde,
+    # which reads the base table, which reads (g, E, F) at the points and
+    # their stencils, which reads the metric: one lookup each
+    from twistorlab import manifold as mf
+    looked = []
+    lookup = mf._lookup
+    monkeypatch.setattr(mf, "_lookup", lambda M, memo, name, *rest: (looked.append(name[0].__name__),
+                                                                     lookup(M, memo, name, *rest))[1])
+    M = builtin("cp2_fs")
+    tw.CoframeSweep.stack(M, "lichnerowicz", tw.sample_twistor_points(M, 2, seed=0))
+    assert looked == ["metric", "omega_tilde_coord", "_base_table", "_frame_fields", "metric"]

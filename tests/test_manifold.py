@@ -219,7 +219,7 @@ def test_surface_invariants_50_points(name):
 def test_hopf_is_not_kahler():
     M = mf.builtin("hopf")
     for x in interior_points(M, 5, seed=3):
-        assert mf.dF_form(M, x).norm() > 0.1
+        assert cn.dF_form(M, x).norm() > 0.1
 
 
 # ----------------------------------------------------------------------
@@ -439,19 +439,44 @@ def test_a_frame_missing_inside_a_stencil_fails_omega_lc_and_not_dF():
             layer(surface(), x)
         assert str(got.value) == str(want.value)
     M = surface()
-    assert np.all(np.isfinite(mf.dF_array(M, x))) and np.all(np.isfinite(mf.lee_form(M, x[1]).to_array()))
+    assert np.all(np.isfinite(cn.dF_array(M, x))) and np.all(np.isfinite(cn.lee_form(M, x[1]).to_array()))
     assert np.all(np.isfinite(mf.adapted_frame(M, x).E))
 
 
+def test_a_missing_frame_at_a_point_comes_before_a_metric_error_at_its_stencil():
+    # the base table reads the metric of a point and its stencil in one
+    # call; a reader of the frame still raises the point's own missing
+    # frame first, and the Christoffel symbols, which need no frame, the
+    # metric's error
+    swapped = mf.parse_surface_spec(SWAPPED_J_SPEC).J(np.zeros(4))
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def metric(p):
+        if p[0] == 0.1 + 0.001:             # the stencil point x + h e_1
+            raise ValueError("metric undefined at a = 0.101")
+        return np.eye(4)
+
+    def surface():
+        return mf.HermitianSurface(mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4), metric,
+                                   lambda p: swapped if p[0] == 0.1 else mf.J_STANDARD)
+    for layer in (cn.levi_civita, lambda M, p: cn.omega_tilde_coord(M, p, 1.0)):
+        for stack in (x, np.stack([x + 0.3, x])):
+            with pytest.raises(mf.DegenerateFrameError, match=r"seed degenerate at point \[0\.1, "):
+                layer(surface(), stack)
+    with pytest.raises(ValueError, match="metric undefined at a = 0.101"):
+        cn.christoffel(surface(), x)
+
+
 def test_a_fresh_sweep_stores_full_frames_at_its_base_points_only():
-    # the FD stencils of omega^LC and dF read E and F alone, from one table
-    # and one pass; theta, U and eta are built at the 34 base points (2
-    # points and their first-order stencils)
+    # the FD stencil of the base table reads g, E and F alone, from one
+    # table and one pass; Gamma, omega^LC, dF and the frame with theta, U
+    # and eta are built at the 34 base points (2 points and their
+    # first-order stencils)
     M = mf.builtin("cp2_fs")
     pts = tw.sample_twistor_points(M, 2, seed=0)
     tw.CoframeSweep.stack(M, "lichnerowicz", pts)
     sizes = {fn.__name__: table.size for (fn, params), table in M._point_memo.items() if not params}
-    assert (sizes["adapted_frame"], sizes["_frame_fields"], sizes["_frame_partials"]) == (34, 258, 34)
+    assert sizes == {"metric": 16 + 258, "_base_table": 34, "_frame_fields": 258}
     # a frame at any point of the E table evaluates no metric: one
     # Gram-Schmidt built every frame
     stored = np.array([np.frombuffer(key) for key in
@@ -551,22 +576,22 @@ def test_fundamental_form_in_adapted_coframe():
 def test_flat_dF_and_lee_vanish():
     M = mf.builtin("flat_c2")
     x = np.array([0.2, -0.1, 0.4, 0.3])
-    assert mf.dF_form(M, x).norm() < 1e-13
-    assert mf.lee_form(M, x).norm() < 1e-13
+    assert cn.dF_form(M, x).norm() < 1e-13
+    assert cn.lee_form(M, x).norm() < 1e-13
 
 
 @pytest.mark.parametrize("name", ["cp2_fs", "ch2"])
 def test_kahler_builtins_have_zero_lee_form(name):
     M = mf.builtin(name)
     for x in interior_points(M, 5, seed=21):
-        assert mf.dF_form(M, x).norm() < 1e-8
-        assert mf.lee_form(M, x).norm() < 1e-8
+        assert cn.dF_form(M, x).norm() < 1e-8
+        assert cn.lee_form(M, x).norm() < 1e-8
 
 
 def _lee_form_reference(M, x):
     """The Lee form through the exterior algebra: J(-*dF) over the adapted coframe."""
     frame = mf.adapted_frame(M, x)
-    b = hodge_star_4(substitute(mf.dF_form(M, x), frame.E)) * (-1.0)
+    b = hodge_star_4(substitute(cn.dF_form(M, x), frame.E)) * (-1.0)
     b = [b.terms.get((i,), 0.0) for i in range(4)]
     return ComplexForm(4, 1, {(0,): -b[1], (1,): b[0], (2,): -b[3], (3,): b[2]})
 
@@ -575,13 +600,13 @@ def _lee_form_reference(M, x):
 def test_lee_form_matches_the_exterior_algebra_reference(name):
     M = mf.builtin(name)
     for x in interior_points(M, 3, seed=5):
-        alpha = mf.lee_form(M, x)
+        alpha = cn.lee_form(M, x)
         assert (alpha - _lee_form_reference(M, x)).norm() <= 1e-13 * max(1.0, alpha.norm())
     stack = interior_points(M, 3, seed=5)
     E = mf.adapted_frame(M, stack).E
-    stacked = mf.lee_components(M, stack, E)
+    stacked = cn.lee_components(M, stack, E)
     for k, x in enumerate(stack):
-        assert np.array_equal(stacked[k], mf.lee_components(M, x, E[k]))
+        assert np.array_equal(stacked[k], cn.lee_components(M, x, E[k]))
 
 
 # the multi-operand einsums push_slots replaced, each with the slots it pushes
@@ -615,8 +640,8 @@ def test_hopf_lee_form_homogeneity():
     M = mf.builtin("hopf")
     xa = np.array([0.6, 0.55, 0.62, 0.5])
     xb = np.array([0.5, 0.62, 0.55, 0.6])  # same |z|
-    na = mf.lee_form(M, xa).norm()
-    nb = mf.lee_form(M, xb).norm()
+    na = cn.lee_form(M, xa).norm()
+    nb = cn.lee_form(M, xb).norm()
     assert na > 0.1
     np.testing.assert_allclose(na, nb, rtol=1e-9)
     # conformally flat with factor 1/rho: the Lee form has h-norm exactly 2
@@ -626,7 +651,7 @@ def test_hopf_lee_form_homogeneity():
 def test_boundary_guard():
     M = mf.builtin("flat_c2")
     with pytest.raises(ValueError, match="point too close to boundary"):
-        mf.dF_form(M, np.array([-0.9995, 0.0, 0.0, 0.0]))
+        cn.dF_form(M, np.array([-0.9995, 0.0, 0.0, 0.0]))
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +663,7 @@ def _ddF(M, x):
     keys = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def coeffs(p):
-        f = mf.dF_form(M, p)
+        f = cn.dF_form(M, p)
         return np.array([f.terms.get(k, 0.0) for k in keys])
 
     raw = {}
@@ -674,7 +699,7 @@ def test_order4_halving_improves_truncation_error():
     errs = []
     for step in (8e-2, 4e-2):
         M = mf.builtin("hopf", backend=mf.DiffBackend(step=step))
-        errs.append((mf.dF_form(M, x) - _exact_hopf_dF(x)).norm())
+        errs.append((cn.dF_form(M, x) - _exact_hopf_dF(x)).norm())
     assert errs[0] / errs[1] >= 8.0
 
 
@@ -683,7 +708,7 @@ def test_order2_backend_also_converges():
     errs = []
     for step in (8e-2, 4e-2):
         M = mf.builtin("hopf", backend=mf.DiffBackend(step=step, order=2))
-        errs.append((mf.dF_form(M, x) - _exact_hopf_dF(x)).norm())
+        errs.append((cn.dF_form(M, x) - _exact_hopf_dF(x)).norm())
     assert errs[0] / errs[1] >= 3.5  # second order: ~4x
 
 
@@ -716,7 +741,7 @@ def _memo_results(M, x, zeta=0.3 + 0.2j):
     co = tw.twistor_coframe(M, "chern", z)
     return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
             mf.adapted_basis(M, x), fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
-            cn._lc_forms(M, x), *cn._J_pushed_dF(M, x),
+            *_arrays(cn._base_table(M, x[None])),
             cn.levi_civita(M, x).R, cn.levi_civita(M, x).Gamma, cn.levi_civita(M, x).omega_frame,
             cn.levi_civita(M, np.stack([x, x + 0.01])).R, sw.B0, sw.dB, co.B,
             tw.dK_formula(3, 1.5, co).to_array(), sw.dK(3, 1.5).to_array()]
@@ -742,7 +767,7 @@ def test_stored_arrays_are_read_only_and_inputs_stay_writable():
     fr = mf.adapted_frame(M, x)
     stored = [M.metric(x), cn.christoffel(M, x), mf.coordinate_fundamental_matrix(M, x),
               fr.point, fr.E, fr.theta, fr.U, fr.eta, *cn.omega_tilde_coord(M, x, 0.0)[:2],
-              cn._lc_forms(M, x), *cn._J_pushed_dF(M, x)]
+              *_arrays(cn._base_table(M, x[None]))]
     for arr in stored:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -825,8 +850,8 @@ def test_duplicates_within_a_stack_reach_fn_once():
     mf.adapted_frame,
     lambda M, x: cn.omega_tilde_coord(M, x, 1.0),
     cn.levi_civita,
-    cn._lc_forms,
-    cn._J_pushed_dF,
+    cn._base_table,
+    cn.christoffel,
 ])
 def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(layer):
     memoized, recomputed = mf.builtin("hopf"), mf.builtin("hopf")
@@ -1100,12 +1125,12 @@ def _dF_array_reference(M, x):
 def test_dF_array_matches_the_per_point_reference(name):
     M = mf.builtin(name)
     pts = M.chart.interior_points(4, seed=5)
-    stacked = mf.dF_array(M, pts)
+    stacked = cn.dF_array(M, pts)
     for n, x in enumerate(pts):
         want = _dF_array_reference(M, x)
-        assert np.array_equal(stacked[n], want) and np.array_equal(mf.dF_array(M, x), want)
+        assert np.array_equal(stacked[n], want) and np.array_equal(cn.dF_array(M, x), want)
         assert np.array_equal(np.signbit(stacked[n]), np.signbit(want))
-        assert np.array_equal(mf.dF_form(M, x).to_array(), want)
+        assert np.array_equal(cn.dF_form(M, x).to_array(), want)
 
 
 def test_threads_sharing_a_surface_get_the_serial_results_for_stacks(monkeypatch):

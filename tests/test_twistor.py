@@ -181,15 +181,15 @@ def test_coframe_rows_and_levi_civita_forms_come_from_one_evaluation(monkeypatch
     # B and the Levi-Civita forms share one D^t evaluation at the base point
     from twistorlab import connection as cn
     calls = []
-    real = cn._torsion_forms
+    real = cn._correction
 
-    def counting(M, x, t, E):
-        calls.append(np.shape(x))
-        return real(M, x, t, E)
-    monkeypatch.setattr(cn, "_torsion_forms", counting)
+    def counting(base, t):
+        calls.append(np.shape(base.dF))
+        return real(base, t)
+    monkeypatch.setattr(cn, "_correction", counting)
     M, z = builtin("hopf"), zpt("hopf")
     co = tw.twistor_coframe(M, "lichnerowicz", z)
-    assert calls == [(1, 4)]
+    assert calls == [(1, 4, 4, 4)]
     assert np.array_equal(co.B, tw.coframe_rows(builtin("hopf"), 0.0, z.chart_coordinates()))
 
 
@@ -363,8 +363,9 @@ def test_sweep_evaluates_its_stencils_as_stacks():
     compiled = M._metric
     M._metric = stack_field(lambda x: (calls.append(np.asarray(x).reshape(-1, 4)), compiled(x))[1])
     tw.CoframeSweep(M, "lichnerowicz", tw.sample_twistor_points(M, 1, seed=0)[0])
-    # the 17 base points, then the distinct points of every stencil under them
-    assert [len(c) for c in calls] == [17, 112]
+    # the 17 base points and the distinct points of every stencil under
+    # them, as one stack
+    assert [len(c) for c in calls] == [129]
     assert len({p.tobytes() for c in calls for p in c}) == 129
 
 
@@ -1603,7 +1604,7 @@ def _reference_condition_flags(M, x, tol=DEFAULT_PREDICATE_TOL):
     ricJ = float(np.linalg.norm(ric @ J_STANDARD - J_STANDARD @ ric))
     sd = float(np.linalg.norm(Ms[3:, 3:] - s / 12.0 * eye))
     asd = float(np.linalg.norm(Ms[:3, :3] - s / 12.0 * eye))
-    kahler = mf.dF_form(M, x).norm()
+    kahler = cn.dF_form(M, x).norm()
     return ConditionFlags(point=lc.point, tol=tol, self_dual=sd < tol, self_dual_defect=sd,
                           anti_self_dual=asd < tol, anti_self_dual_defect=asd,
                           einstein=einstein < tol, einstein_defect=einstein,
@@ -1785,22 +1786,21 @@ def test_stacked_nijenhuis_raises_the_error_of_the_per_structure_loop(alter):
 
 
 def test_a_report_after_the_sweep_runs_no_dF_pass_and_one_levi_civita_body(monkeypatch):
+    # the sweep stored the base table at the base points and their
+    # stencils, which the report's dF and its curvature's dGamma pass read
     M = builtin("hopf")         # a fresh memo
     pts = tw.sample_twistor_points(M, 3, seed=0)
     tw.CoframeSweep.stack(M, "chern", pts)
-    dF_calls, sizes = [0], []
-    dF = mf.dF_array
+    sizes = []
 
-    def counted(*args):
-        dF_calls[0] += 1
-        return dF(*args)
-
+    def stored():
+        return {fn.__name__: table.size for (fn, _), table in M._point_memo.items()
+                if fn.__name__ in ("_base_table", "_frame_fields")}
+    before = stored()
     data = cn.LeviCivitaData
-    monkeypatch.setattr(mf, "dF_array", counted)
-    monkeypatch.setattr(cn, "dF_array", counted)
     monkeypatch.setattr(cn, "LeviCivitaData", lambda **kw: (sizes.append(len(kw["point"])), data(**kw))[1])
     tw.condition_report(M, "chern", [1.0, SQ2, 2.0], pts)
-    assert (dF_calls[0], sizes) == (0, [3])
+    assert (stored(), sizes) == (before, [3])
 
 
 def test_lambda_weights_have_the_bits_and_errors_of_the_per_pair_rows():
@@ -1832,6 +1832,34 @@ def test_lambda_weights_check_and_square_each_distinct_lambda_once(monkeypatch):
             _reference_lambda_weights(bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             tw.lambda_weights(bad)
+
+
+_GOOD_LAMBDAS = [0.5, 1.0, 1, SQ2, 2.5, 1.3e154, np.float64(0.7), (1.3, 0.7, 2.1), [1.3, 0.7, 2.1],
+                 np.array([2.0, 1.0, 0.3])]
+_BAD_LAMBDAS = [float("nan"), float("inf"), 1e-9, -1.0, 1e200, (1.0, 2.0), (1.0, float("nan"), 1.0),
+                [2.0, 1e-12, 1.0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(good=st.lists(st.tuples(st.sampled_from([1, 2, 3, 4]), st.sampled_from(_GOOD_LAMBDAS)),
+                     max_size=12),
+       bad=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["i", "lambda", "both"]),
+                              st.sampled_from([0, 5, -1, 2.5, 7]), st.sampled_from(_BAD_LAMBDAS)),
+                    max_size=3))
+def test_lambda_weights_raise_the_first_failing_pair_with_i_before_lambda(good, bad):
+    # a bad i or a bad lambda (or both, in one pair) at any position
+    pairs = list(good)
+    for pos, which, i, lam in bad:
+        pairs.insert(pos, {"i": (i, 1.0), "lambda": (1, lam), "both": (i, lam)}[which])
+    try:
+        want = _reference_lambda_weights(pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            tw.lambda_weights(pairs)
+        assert str(got.value) == str(exc)
+    else:
+        got = tw.lambda_weights(pairs)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ======================================================================

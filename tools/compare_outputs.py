@@ -39,7 +39,10 @@ description files (written to the temporary directory) whose metric
 degenerates at a = 0.672: one where g_11 = g_22 = (a - 0.672)^2 vanishes,
 where no adapted frame exists (a degenerate seed), and one where
 g_11 = g_22 = 1 + 1/(a - 0.672)^2 blows up, where the Gram determinant
-of a coframe vanishes.
+of a coframe vanishes, and a third `report --points 5` that exits 3 on a
+description file where g_11 = g_22 = (a - 0.001)^2 vanishes at a = 0.001:
+the first sample point (a = 0) has a frame, and its FD stencil point
+x + h e_1 has none.
 
 It compares stdout, stderr and the exit status.  It prints each invocation
 whose stdout or stderr is not byte-identical, the number of
@@ -84,8 +87,10 @@ J 3 4 = -1
 J 4 3 = 1
 """
 
-# surfaces whose metric degenerates on the line a = 0.672, by g_11 = g_22
-# of the given texts; each makes `report` exit 3 with a one-line error
+# surfaces whose metric degenerates on the line a = 0.672 (a sample point)
+# or a = 0.001 (a stencil point of the first sample point, a = 0), by
+# g_11 = g_22 of the given texts; each makes `report` exit 3 with a
+# one-line error
 DEGENERATE = {name: f"""\
 coords a b c d
 g 1 1 = {g}
@@ -93,7 +98,8 @@ g 2 2 = {g}
 g 3 3 = 1
 g 4 4 = 1
 J standard
-""" for name, g in (("vanishing", "(a - 0.672)^2"), ("blowing-up", "1 + 1/(a - 0.672)^2"))}
+""" for name, g in (("vanishing", "(a - 0.672)^2"), ("blowing-up", "1 + 1/(a - 0.672)^2"),
+                    ("stencil-vanishing", "(a - 0.001)^2"))}
 
 
 def argv_list(description, degenerate):

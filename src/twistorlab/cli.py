@@ -506,12 +506,12 @@ def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: in
                   tol: float, samples: Optional[Dict[HermitianSurface, list]] = None) -> List[Dict[str, object]]:
     """The Lichnerowicz and Chern checks of the built-in surfaces: per
     connection, the closed-form dW of one `TwistorCoframe` stack against the
-    FD dW of one `CoframeSweep` stack, each holding the points of every
-    surface as one segment per surface, so each surface's values come from
-    its own point memo, shared by both connections.  A check's worst value
-    is the max over its surface's points.  One pass over the surfaces
-    (`replay`): per surface, its sampling (unless the algebra suite drew it
-    into `samples`), the Lichnerowicz sweep and formula, then the Chern ones."""
+    FD dW of one `CoframeSweep` stack, each with one segment per surface, so
+    every FD layer runs once over all the points and each surface's values
+    come from its own point memo.  A check's worst value is the max over its
+    surface's points.  One pass over the surfaces (`replay`): sampling
+    (unless the algebra suite drew it into `samples`), then per connection
+    the sweep and formula."""
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
 
     def suite(part):
@@ -546,10 +546,9 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int, seed: i
     """The exterior-algebra laws, and on the built-in surfaces the curvature
     symmetries and the Hermitian invariants.  The curvature is checked at
     the base points of the oracle suite's sample, drawn into `samples` for
-    it, one `levi_civita` stack per surface, so under `--suite all` the
-    oracle's Lichnerowicz formula reads those stacks from each surface's
-    point memo.  The Hermitian invariants cost no FD pass and keep their six
-    interior points per chart."""
+    it, by one `levi_civita` call over one segment per surface, which the
+    oracle's Lichnerowicz formula reads back from the point memos.  The
+    invariants, at six interior points per chart, are one stack."""
     samples = {} if samples is None else samples
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -579,23 +578,18 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int, seed: i
     star = max(star, (hodge_star_4(minus) + minus).norm())
     checks.append(_check("algebra:hodge-star", star, 1e-12))
 
-    curv = 0.0
-    for M in surfaces.values():
-        samples[M] = sample_twistor_points(M, n_points, seed=seed)
-        xs = np.array([z.x for z in samples[M]])
-        curv = max(curv, max(levi_civita(M, xs).defects().values()))
+    samples.update({M: sample_twistor_points(M, n_points, seed=seed) for M in surfaces.values()})
+    curv = max(levi_civita([(M, [z.x for z in samples[M]]) for M in surfaces.values()]).defects().values())
     checks.append(_check("algebra:curvature-symmetries", curv, 1e-6,
                          detail=f"{n_points} points, omega antisymmetry, pair symmetry, Bianchi on "
                                 + ", ".join(surfaces)))
 
-    herm = 0.0
-    for M in surfaces.values():
-        x = M.chart.interior_points(6, seed=seed)
-        g, Jm = M.metric(x), M.J(x)
-        herm = max(herm, float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))))
-        herm = max(herm, float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))))
-        herm = max(herm, float(np.max(np.abs(Jm @ Jm + np.eye(4)))))
-        herm = max(herm, float(np.max(np.abs(np.swapaxes(Jm, -1, -2) @ g @ Jm - g))))
+    x = [(M, M.chart.interior_points(6, seed=seed)) for M in surfaces.values()]
+    g, Jm = np.concatenate([M.metric(p) for M, p in x]), np.concatenate([M.J(p) for M, p in x])
+    herm = max(float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))),
+               float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))),
+               float(np.max(np.abs(Jm @ Jm + np.eye(4)))),
+               float(np.max(np.abs(np.swapaxes(Jm, -1, -2) @ g @ Jm - g))))
     checks.append(_check("algebra:hermitian-invariants", herm, 1e-9))
     return checks
 

@@ -24,14 +24,15 @@ parsed one slot at a time (digit, optional '*' for conjugation).
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from twistorlab.exterior import ZERO_EPS, ComplexForm, antisymmetric_array, d_rows, wedge_vectors
-from twistorlab.manifold import (J_STANDARD, HermitianSurface, UnitaryFrame, _frame_fields,
+from twistorlab.manifold import (J_STANDARD, HermitianSurface, UnitaryFrame, _frame_fields, _join,
                                  _raise_at_first, _unitary_frame, adapted_basis, adapted_frame,
-                                 coordinate_fundamental_matrix, point_memo, push_slots)
+                                 coordinate_fundamental_matrix, point_memo, push_slots, segments_of,
+                                 with_stencils)
 
 CONNECTION_T = {"lichnerowicz": 0.0, "chern": 1.0, "bismut": -1.0}
 
@@ -106,20 +107,20 @@ class _BaseData:
 
 
 @point_memo
-def _base_table(M: HermitianSurface, x: np.ndarray) -> _BaseData:
-    """The first-order data at an (n, 4) stack of points x from one
-    `_frame_fields` lookup of x and its stencil and one FD combine of
-    (g, E, F) there; `point_memo` serves one point or any stack.  A point
-    without a frame at itself or a stencil point is flagged `frameless`
-    (its frame or omega^LC is NaN) and raises nothing here, so Gamma and dF
-    need no frame; `_framed` raises for the readers of the frame."""
-    n = len(x)
-    stencil = M.backend.stencil(x)                       # (4, m, n, 4)
-    g, E, F, degenerate = _frame_fields(M, np.concatenate([x, stencil.reshape(-1, 4)]))
-    fields = np.stack([g[n:], E[n:], F[n:]], axis=-3).reshape(stencil.shape[:-1] + (3, 4, 4))
+def _base_table(segments) -> _BaseData:
+    """The first-order data at the points x of the segments from one
+    `_frame_fields` lookup of x and its stencil and one FD combine of each
+    of g, E and F there, every segment's at once; `point_memo` serves one point
+    or any stack.  A point without a frame at itself or a stencil point is
+    flagged `frameless` (its frame or omega^LC is NaN) and raises nothing
+    here, so Gamma and dF need no frame; `_framed` raises for the readers
+    of the frame."""
+    stacked, split = with_stencils(segments)
+    (g, g_st), (E, E_st), (_, F_st), (degenerate, frameless) = map(split, _frame_fields(stacked))
     # dg[z, k] = d_k g at x[z], and the same for E and F
-    dg, dE, dF = np.moveaxis(M.backend.combine(fields), (2, 1), (0, 1))
-    g, E = g[:n], E[:n]
+    dg, dE, dF = (np.moveaxis(segments[0][0].backend.combine(f), 0, 1) for f in (g_st, E_st, F_st))
+    del g_st, E_st, F_st        # the stencil fields, freed once combined
+    x = _join([p for _, p in segments])
     # Gamma^mu_{nu rho} = 1/2 g^{mu la} (d_nu g_{la rho} + d_rho g_{la nu} - d_la g_{nu rho})
     Gm = 0.5 * np.einsum("zml,znlr->zmnr", np.linalg.inv(g), dg + np.transpose(dg, (0, 3, 2, 1))
                          - np.transpose(dg, (0, 2, 1, 3)))
@@ -130,26 +131,28 @@ def _base_table(M: HermitianSurface, x: np.ndarray) -> _BaseData:
     # dF's slot coefficients below ZERO_EPS are 0, as in a ComplexForm
     v = d_rows(dF[(...,) + np.triu_indices(4, 1)], 4, 2).real
     dF = antisymmetric_array(np.where(np.abs(v) < ZERO_EPS, 0.0, v), 4, 3)
-    Jm = M.J(x)
+    Jm = _join([M.J(p) for M, p in segments])
     JdF_first = push_slots(dF, Jm, (0,))
     return _BaseData(g=g, Gamma=Gm, omega=omega, dF=dF, JdF_first=JdF_first,
                      JdF_all=push_slots(JdF_first, Jm, (1, 2)), frame=_unitary_frame(x, E),
-                     frameless=degenerate[:n] | degenerate[n:].reshape(-1, n).any(axis=0))
+                     frameless=degenerate | frameless.reshape(-1, len(x)).any(axis=0))
 
 
-def _framed(M: HermitianSurface, x: np.ndarray) -> _BaseData:
-    """`_base_table` at an (n, 4) stack x for a memoized reader of the frame,
-    whose memo replays a failing stack point by point: the metric's error or
+def _framed(segments) -> _BaseData:
+    """`_base_table` at the points of the segments for a memoized reader of
+    the frame, whose memo replays a failing stack point by point: the metric's error or
     DegenerateFrameError at a point comes before any other error of its row,
     then DegenerateFrameError at its first stencil point without a frame."""
     try:
-        base = _base_table(M, x)
+        base = _base_table(segments)
     except Exception:
-        adapted_basis(M, x)
+        for M, x in segments:
+            adapted_basis(M, x)
         raise
     if base.frameless.any():
-        adapted_basis(M, x)
-        adapted_basis(M, M.backend.stencil(x))
+        for M, x in segments:
+            adapted_basis(M, x)
+            adapted_basis(M, M.backend.stencil(x))
     return base
 
 
@@ -197,28 +200,30 @@ class LeviCivitaData:
 
 
 @point_memo
-def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
-    """Levi-Civita connection forms and curvature at an (n, 4) stack of points;
-    `point_memo` serves one point or any stack.
+def levi_civita(segments) -> LeviCivitaData:
+    """Levi-Civita connection forms and curvature at the points of the
+    segments; `point_memo` serves one point or any stack.
 
     Gamma, omega^LC and the frame come from `_base_table`; the curvature
     comes from a second FD pass over the Christoffel field, which reads the
-    table at the stencil points as one stack; frame components are produced
-    against the canonical Gram-Schmidt frame field.
+    table at every segment's points and stencil points as one stack; frame
+    components are produced against the canonical Gram-Schmidt frame field.
     """
-    base = _framed(M, x)
+    base = _framed(segments)
     fr, Gm = base.frame, base.Gamma
     omega_frame = np.einsum("zijn,znk->zijk", base.omega, fr.E)
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
-    dG = M.backend.partials(lambda p: christoffel(M, p), x)     # dG[z, k] = d_k Gamma
+    stacked, split = with_stencils(segments)
+    dG = segments[0][0].backend.combine(split(_base_table(stacked).Gamma)[1])
+    dG = np.ascontiguousarray(np.moveaxis(dG, 0, 1))            # dG[z, k] = d_k Gamma
     Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
     Rdn = np.einsum("zml,zlnrs->zmnrs", base.g, Rup)
     Rfr = push_slots(Rdn, fr.E, (0, 1, 2, 3))
-    return LeviCivitaData(point=x, frame=fr, Gamma=Gm, omega_coord=base.omega,
+    return LeviCivitaData(point=fr.point, frame=fr, Gamma=Gm, omega_coord=base.omega,
                           omega_frame=omega_frame, R=Rfr)
 
 
@@ -226,16 +231,17 @@ def levi_civita(M: HermitianSurface, x: np.ndarray) -> LeviCivitaData:
 # dF and the Lee form
 # ======================================================================
 
-def _check_stencil_inside(M: HermitianSurface, x: np.ndarray):
-    _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < M.backend.reach()), x,
-                    lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
+def _check_stencil_inside(segments):
+    for M, x in segments:
+        _raise_at_first(np.asarray(M.chart.margin_to_boundary(x) < M.backend.reach()), x,
+                        lambda point: ValueError(f"point too close to boundary for FD stencil: {point}"))
 
 
 def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """dF at a point or a stack of points x (..., 4), by FD of F's components:
     the full antisymmetric array dF[..., a, b, c] = dF(d_a, d_b, d_c), from
     `_base_table` once every stencil is checked to lie inside the chart."""
-    _check_stencil_inside(M, x)
+    _check_stencil_inside([(M, x)])
     return _base_table(M, x).dF
 
 
@@ -288,7 +294,7 @@ def torsion_correction(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarr
     c2 = (1+t)/4 is affine in t: both terms come from `_base_table`, read
     as `dF_array` reads it, so a new t at visited points evaluates nothing.
     """
-    _check_stencil_inside(M, x)
+    _check_stencil_inside([(M, x)])
     return _correction(_base_table(M, x), t)
 
 
@@ -350,37 +356,39 @@ def mu_from_omega(omega_coord: np.ndarray) -> np.ndarray:
     return 0.5 * ((om[..., 1, 3, :] - om[..., 0, 2, :]) - 1j * (om[..., 1, 2, :] + om[..., 0, 3, :]))
 
 
-def torsion_tensor(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
+def torsion_tensor(M: HermitianSurface, x: Optional[np.ndarray], t: float) -> np.ndarray:
     """The torsion T^mu_{nu rho} (..., 4, 4, 4) of D^t at a point or a stack of
-    points x (..., 4): g^{mu la} [A(d_nu, d_rho, d_la) - A(d_rho, d_nu, d_la)]
-    for the dF correction A."""
-    A = torsion_correction(M, x, t)
-    return np.einsum("...ml,...nrl->...mnr", np.linalg.inv(M.metric(x)), A - np.swapaxes(A, -3, -2))
+    points x (..., 4), or at segments (x None): g^{mu la} [A(d_nu, d_rho, d_la)
+    - A(d_rho, d_nu, d_la)] for the dF correction A, from one base lookup."""
+    segments, shape = segments_of(M, x)
+    _check_stencil_inside(segments)
+    base = _base_table(segments)
+    A = _correction(base, t)
+    T = np.einsum("...ml,...nrl->...mnr", np.linalg.inv(base.g), A - np.swapaxes(A, -3, -2))
+    return T.reshape(shape + T.shape[1:])
 
 
 @point_memo
-def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
-    """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates
-    at an (n, 4) stack of points; `point_memo` serves one point or any stack
-    (..., 4), each field with the point axes in front.
-
-    omega^t = omega^LC + A_t is assembled from one `_base_table` lookup, so
-    a second member of the family at visited points evaluates no metric,
-    frame or dF; the sum itself is memoized per (point, t)."""
-    base = _framed(M, x)
-    _check_stencil_inside(M, x)
+def _omega_rows(segments, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(omega^t, eta) at the points of the segments: the D^t forms in
+    coordinates, omega^LC + A_t from one `_base_table` lookup, with the
+    (1,0)-coframe `coframe_rows` reads; memoized per (point, t)."""
+    base = _framed(segments)
+    _check_stencil_inside(segments)
     # A(d_nu, e_j, e_i): the D^t correction om~^i_j(d_nu) - om^i_j(d_nu)
     A = np.transpose(push_slots(_correction(base, t), base.frame.E, (1, 2)), (0, 3, 2, 1))
-    return base.omega + A, base.omega, base.frame
+    return base.omega + A, base.frame.eta
 
 
-def psi_field(M: HermitianSurface, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The complex connection-matrix field p -> psi_coord(p) for D^t, at a point
-    or a stack of points."""
-    def field(p: np.ndarray) -> np.ndarray:
-        om_t, _, _ = omega_tilde_coord(M, p, t)
-        return complex_connection_matrix(om_t)
-    return field
+def omega_tilde_coord(M: HermitianSurface, x: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray, UnitaryFrame]:
+    """(omega_tilde, lc_omega, frame): D^t and Levi-Civita forms in coordinates
+    at a point or a stack of points x (..., 4), each field with the point
+    axes in front.  omega_tilde comes from the `_omega_rows` table, and
+    omega^LC and the frame are the base table's own rows, so a second member
+    of the family at visited points evaluates no metric, frame or dF."""
+    om_t, _ = _omega_rows(M, x, t)
+    base = _base_table(M, x)
+    return om_t, base.omega, base.frame
 
 
 def gauduchon(M: HermitianSurface, x: np.ndarray, t: float) -> HermitianConnectionData:
@@ -471,17 +479,19 @@ class GauduchonCurvature:
         return out
 
 
-def curvature_rows(M: HermitianSurface, x: np.ndarray, t: float) -> np.ndarray:
+def curvature_rows(M: HermitianSurface, x: Optional[np.ndarray], t: float) -> np.ndarray:
     """The coefficient rows (..., 2, 2, 6) over dx of the curvature 2-forms
     Psi^a_b = d psi^a_b + psi^a_c ^ psi^c_b of D^t, at a point or a stack of
-    points x (..., 4); not cut.  d psi comes from one stacked FD pass over
-    the connection-matrix field."""
-    field = psi_field(M, t)
-    psi0 = field(x)
-    dpsi = M.backend.partials(field, x)     # [..., nu, a, b, rho]
-    # pp[..., a, c, b] = psi^a_c ^ psi^c_b
-    pp = wedge_vectors(psi0[..., :, :, None, :], psi0[..., None, :, :, :], 4, 1, 1)
-    return d_rows(np.moveaxis(dpsi, -4, -2), 4, 1) + pp[..., :, 0, :, :] + pp[..., :, 1, :, :]
+    points x (..., 4), or at segments (x None); not cut.  psi and d psi come
+    from one `_omega_rows` lookup of every segment's points and stencils."""
+    segments, shape = segments_of(M, x)
+    stacked, split = with_stencils(segments)
+    psi0, psi = split(complex_connection_matrix(_omega_rows(stacked, None, t)[0]))
+    dpsi = np.ascontiguousarray(np.moveaxis(segments[0][0].backend.combine(psi), 0, 1))  # [z, nu, a, b, rho]
+    # pp[z, a, c, b] = psi^a_c ^ psi^c_b
+    pp = wedge_vectors(psi0[:, :, :, None, :], psi0[:, None, :, :, :], 4, 1, 1)
+    rows = d_rows(np.moveaxis(dpsi, 1, 3), 4, 1) + pp[:, :, 0, :, :] + pp[:, :, 1, :, :]
+    return rows.reshape(shape + rows.shape[1:])
 
 
 def direct_curvature(M: HermitianSurface, x: np.ndarray, t: float) -> GauduchonCurvature:

@@ -308,15 +308,13 @@ class DiffBackend:
     function there: (f(x+h) - f(x-h)) / 2h, or (-f(x+2h) + 8 f(x+h)
     - 8 f(x-h) + f(x-2h)) / 12h, in that order of operations.  `partials`
     differentiates a function that evaluates stacks with one call on the
-    whole stencil; it is the one FD entry point of the package, nested
-    derivatives included (`partials` of a field that itself calls
-    `partials`); `CoframeSweep` and the base table of `connection` call its
-    halves directly, to stack their points with their stencils.  The
+    whole stencil, nested derivatives included; the passes over segments
+    (the base table, the curvatures, `CoframeSweep`) read values at the
+    points and stencils of `with_stencils`, one `combine` per field.  The
     partials of a form's coefficients become its exterior derivative in one
-    place, `exterior.d_rows`.  `partial` is the one-direction case for a
-    function of one point, evaluated point by point; the package does not
-    call it, and it stays as the independent per-point reference that tests
-    hold `partials` and the coframe sweeps against.
+    place, `exterior.d_rows`.  `partial`, the one-direction case for a
+    function of one point, is not called by the package: it is the
+    per-point reference that tests hold the stacked passes against.
     """
     order: int = 4
     step: float = 1e-3
@@ -378,10 +376,10 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores about 600 per surface and verify
-# about 640 per built-in, while one ddbar_oracle call on cp2_fs
-# stores 2 900 (1.7 MB of rows), which this limit keeps whole.  The largest
-# row is a levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
+# cleared; a two-point report or scan stores about 600 per surface (0.26 MB)
+# and verify about 640 per built-in (0.29 MB), one ddbar_oracle call on cp2_fs
+# 2 900 (1.5 MB of rows), which this limit keeps whole.  The largest row is a
+# levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
 POINT_MEMO_LIMIT = 8192
 
 # held while a batch of results is appended to a table of any surface
@@ -415,14 +413,16 @@ def _map_arrays(fn, value, *others):
         return fn(value, *others)
     if isinstance(value, tuple):
         return tuple(_map_arrays(fn, *items) for items in zip(value, *others))
-    return type(value)(**{name: _map_arrays(fn, getattr(value, name),
-                                            *(getattr(other, name) for other in others))
-                          for name in _field_names(type(value))})
+    out = object.__new__(type(value))       # a frozen dataclass, its fields set directly
+    out.__dict__.update({name: _map_arrays(fn, getattr(value, name),
+                                           *(getattr(other, name) for other in others))
+                         for name in _field_names(type(value))})
+    return out
 
 
-def _take(a: np.ndarray, rows) -> np.ndarray:
-    """The rows of a stored array, as a read-only array."""
-    out = a[rows]
+def _take(rows: list, *stores: np.ndarray) -> np.ndarray:
+    """The rows rows[k] of each stored array stores[k], joined, read-only."""
+    out = stores[0][rows[0]] if len(stores) == 1 else np.concatenate([a[r] for a, r in zip(stores, rows)])
     out.setflags(write=False)
     return out
 
@@ -475,6 +475,55 @@ def replay(run, parts):
         raise
 
 
+def replay_segments(run, segments):
+    """run(segments) for segments [(M, points), ...], `replay`ed over the
+    segments and over the points of each: a failing pass raises the error
+    of the first point, in segment order, that fails alone."""
+    return replay(lambda part: run(part) if len(part) > 1 else
+                  replay(lambda rows: run([(part[0][0], rows)]), part[0][1]), segments)
+
+
+def segments_of(M, x):
+    """The segments [(surface, points (k, n)), ...] of a call at the points x
+    (..., n) of M, or at segments M (x None), as private float copies, and
+    the point axes of the answer: those of x, or one axis over them all."""
+    segments = [(S, np.array(p, dtype=float)) for S, p in ([(M, x)] if x is not None else M)]
+    flat = [(S, p.reshape(-1, p.shape[-1])) for S, p in segments]
+    return flat, segments[0][1].shape[:-1] if x is not None else (sum(len(p) for _, p in flat),)
+
+
+def _join(parts: List):
+    """Results of one structure for consecutive segments, joined on the point
+    axis (the one result of a one-segment stack as it is)."""
+    return parts[0] if len(parts) == 1 else _map_arrays(lambda *a: np.concatenate(a), *parts)
+
+
+def fd_rule(segments) -> "DiffBackend":
+    """The FD rule that the surfaces of the segments share (ValueError if none)."""
+    be = segments[0][0].backend
+    if any(S.backend.order != be.order or not np.array_equal(S.backend.step, be.step) for S, _ in segments):
+        raise ValueError("the surfaces of one stack must share one FD rule")
+    return be
+
+
+def with_stencils(segments):
+    """The segments [(M, x (k, n)), ...], each x followed by its FD stencil,
+    and `split`: values at their points -> (those at x (N, ...), those at
+    the stencils (n, m, N, ...)), cut out by blocks (views for one segment)."""
+    be, parts, cuts, start = fd_rule(segments), [], [], 0
+    for M, x in segments:
+        s = be.stencil(x)
+        parts.append((M, np.concatenate([x, s.reshape(-1, x.shape[-1])])))
+        cuts.append((start, start + len(x), start + len(parts[-1][1]), s.shape[:-1]))
+        start = cuts[-1][2]
+
+    def split(values):
+        at = [values[a:b] for a, b, _, _ in cuts]
+        around = [values[b:c].reshape(shape + values.shape[1:]) for _, b, c, shape in cuts]
+        return (at[0], around[0]) if len(cuts) == 1 else (np.concatenate(at), np.concatenate(around, axis=2))
+    return parts, split
+
+
 def _append(memo: dict, name: tuple, table: _Table, fresh: Dict[bytes, None], batch):
     """Append batch, the results of the points `fresh`, to `table` of memo.
 
@@ -505,71 +554,78 @@ def _append(memo: dict, name: tuple, table: _Table, fresh: Dict[bytes, None], ba
     return store, base
 
 
-def _lookup(M, memo: dict, name: tuple, table: _Table, points: np.ndarray,
-            shape: Tuple[int, ...]):
-    """The results of fn(M, points, *params), name = (fn, params), over the
-    point axes `shape`: one index pass over the table, one call of fn for
-    the distinct points it lacks, and one fancy index per result array."""
-    keys = points.view("V32").ravel().tolist()     # the 32 bytes of each point
-    n = len(keys)
-    rows = np.fromiter(map(table.index.get, keys, itertools.repeat(-1, n)), np.intp, n)
-    missing = rows < 0
-    if missing.any():
-        missed = list(itertools.compress(keys, missing.tolist()))
+def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
+    """The results of fn(segments, *params), name = (fn, params), over the
+    point axes `shape`: one index pass over each segment's table, one call
+    of fn for the distinct points the tables lack, every segment's at once,
+    and one fancy index per result array."""
+    fn, params = name
+    looked, misses, every = [], [], True
+    for M, points in segments:
+        memo = M._point_memo
+        table = memo.get(name) or memo.setdefault(name, _Table())
+        keys = points.view("V32").ravel().tolist()     # the 32 bytes of each point
+        n = len(keys)
+        rows = np.fromiter(map(table.index.get, keys, itertools.repeat(-1, n)), np.intp, n)
+        missing = rows < 0
+        missed = list(itertools.compress(keys, missing.tolist())) if missing.any() else []
         fresh = dict.fromkeys(missed)
-        every = len(fresh) == n
-        misses = points if every else np.frombuffer(b"".join(fresh)).reshape(-1, 4).copy()
-        fn, params = name
-        batch = _freeze(replay(lambda rows: fn(M, rows, *params), misses))
-        store, base = _append(memo, name, table, fresh, batch)
-        if every:
-            return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
-        new = dict(zip(fresh, range(base, base + len(fresh))))
-        rows[missing] = list(map(new.__getitem__, missed))
-    else:
-        store = table.store
-    rows = rows.reshape(shape)
-    return _map_arrays(lambda a: _take(a, rows), store)
+        every &= len(fresh) == n
+        if fresh:
+            misses.append((M, points if len(fresh) == n else np.frombuffer(b"".join(fresh)).reshape(-1, 4).copy()))
+        looked.append((memo, table, rows, missing, missed, fresh))
+    batch = _freeze(replay_segments(lambda part: fn(part, *params), misses)) if misses else None
+    stores, start, total = [], 0, sum(len(p) for _, p in misses)
+    for memo, table, rows, missing, missed, fresh in looked:
+        store, k = table.store, len(fresh)
+        if fresh:       # each surface's misses, appended to its own table
+            piece = batch if k == total else _map_arrays(lambda a: a[start:start + k], batch)
+            store, base = _append(memo, name, table, fresh, piece)
+            start += k
+            if not every:
+                new = dict(zip(fresh, range(base, base + k)))
+                rows[missing] = list(map(new.__getitem__, missed))
+        stores.append(store)
+    if every:                       # every point a distinct miss: the batch itself
+        return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
+    rows = [rows.reshape(shape) if len(looked) == 1 else rows for _, _, rows, *_ in looked]
+    return _map_arrays(lambda *arrays: _take(rows, *arrays), *stores)
 
 
 def point_memo(fn):
-    """Memoize a pure point function fn(M, x, *params) in the memo of M.
+    """Memoize a pure point function fn(segments, *params) in the memo of
+    each surface.
 
-    fn is written for a stack of points x of shape (n, 4); the memoized
-    function takes one point (4,) or a stack (..., 4) and answers with the
-    same point axes, so a single point is the stack of one.  The memo of
-    M (`PointMemo`) holds one table per (fn, params): a dict from the bytes
-    of a point as float to a row number, and one read-only store with the
-    structure of fn's result whose arrays hold the rows.  A call looks up
-    every point of its stack in one pass; the distinct points not found,
-    duplicates within the stack included, are computed in one call of fn
-    and appended to the store as one batch; the answer is one fancy index
-    per result array, read-only.  A value is therefore computed once per
-    surface and exact point, however many FD stencils reach it, and does
-    not depend on the other points of its stack.  A point looked up on its
-    own gets the same result object every time.  Exceptions are not
-    stored: every check runs until a point has been evaluated
-    successfully, and a failing stack raises the error of its first
-    failing point (`replay`).  The memo is cleared whole when an append
-    would take it past POINT_MEMO_LIMIT points.  Threads may share a
-    surface: lookups take no lock, appends take `_APPEND_LOCK`, and stores
-    only grow.
+    fn takes segments [(M, x), ...], x an (n, 4) stack on the surface M, and
+    answers with every segment's results joined on the point axis.  The
+    memoized function takes M and one point (4,) or a stack (..., 4) and
+    answers with the same point axes, or segments in place of M and x
+    (fn(segments, None, *params)) and answers with one point axis.  The memo
+    of M (`PointMemo`) holds one table per (fn, params): a dict from the
+    bytes of a point to a row, and one read-only store of fn's structure.
+    A call looks up each segment in its surface's table; the distinct
+    points not found are computed in one call of fn over every segment, and
+    each surface's appended to its own store as one batch; the answer is one
+    fancy index per result array, read-only.  A value is therefore computed
+    once per surface and exact point, and does not depend on the other
+    points of its stack.  A point looked up on its own gets the same object
+    every time.  Exceptions are not stored; a failing stack raises the error
+    of its first failing point (`replay_segments`).  The memo is cleared
+    whole when an append would take it past POINT_MEMO_LIMIT points.
+    Threads may share a surface: lookups take no lock, appends take
+    `_APPEND_LOCK`, and stores only grow.
     """
     @functools.wraps(fn)
-    def memoized(M, x, *params):
-        x = np.array(x, dtype=float)        # a private copy
-        shape, points = x.shape[:-1], x.reshape(-1, 4)
-        memo, name = M._point_memo, (fn, params)
-        table = memo.get(name)
-        if table is None:
-            table = memo[name] = _Table()
+    def memoized(M, x=None, *params):
+        segments, shape = segments_of(M, x)
+        name = (fn, params)
         if shape:
-            return _lookup(M, memo, name, table, points, shape)
-        key = points.tobytes()
+            return _lookup(name, segments, shape)
+        table = M._point_memo.get(name) or M._point_memo.setdefault(name, _Table())
+        key = segments[0][1].tobytes()
         value = table.single.get(key)
         if value is None:
-            value = table.single[key] = _map_arrays(lambda a: a[0],
-                                                    _lookup(M, memo, name, table, points, (1,)))
+            value = table.single[key] = _map_arrays(lambda a: a[0], _lookup(name, segments, (1,)))
         return value
     return memoized
 
@@ -609,17 +665,16 @@ class HermitianSurface:
     offending point and check on failure.
 
     Each surface owns a private point memo (`point_memo`): the metric, the
-    frame fields (g, E and F), the adapted frame, the first-order base data
-    of `connection._base_table` (the Christoffel symbols, omega^LC, dF and
-    its J-pushed terms, the frame), the Levi-Civita data and the D^t
-    connection forms are computed once per exact point and stored
-    read-only.  This relies on the surface being immutable: its chart,
-    metric and J callables and backend must not be replaced after
-    construction, and the callables must be pure.  The metric stores its
-    own copy, so an array returned by the metric callable is never frozen.
-    The memo lives and dies with the surface, is cleared whole when it
-    reaches POINT_MEMO_LIMIT points and is safe to share between threads,
-    so sampling in parallel is safe.
+    frame fields (g, E and F), the adapted frame, the base data of
+    `connection._base_table` (Gamma, omega^LC, dF and its J-pushed terms,
+    the frame), the Levi-Civita data and the D^t forms omega^t are computed
+    once per exact point and stored read-only.  This relies on the surface
+    being immutable: its chart, metric and J callables and backend must not
+    be replaced after construction, and the callables must be pure.  The
+    metric stores its own copy, so an array returned by the metric callable
+    is never frozen.  The memo lives and dies with the surface, is cleared
+    whole when it reaches POINT_MEMO_LIMIT points and is safe to share
+    between threads.
     """
 
     def __init__(self, chart: ChartSpec,
@@ -641,8 +696,8 @@ class HermitianSurface:
 
     @stack_field
     @point_memo
-    def metric(self, x: np.ndarray) -> np.ndarray:
-        return _field(self._metric, x)
+    def metric(segments) -> np.ndarray:     # noqa: N805 - a point_memo body takes segments
+        return _join([_field(M._metric, x) for M, x in segments])
 
     @stack_field
     def J(self, x: np.ndarray) -> np.ndarray:
@@ -964,15 +1019,16 @@ class DegenerateFrameError(ValueError):
 
 
 @point_memo
-def _frame_fields(M: HermitianSurface, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g, E, F, degenerate) at an (n, 4) stack x from one read of the metric g and J:
+def _frame_fields(segments) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, E, F, degenerate) at the points x of the segments from one read of each metric g and J:
     the J-adapted orthonormal frame E by modified Gram-Schmidt, e1 = normalize(seed1),
     e2 = J e1, e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3 with
     (seed1, seed2) = DEFAULT_SEEDS; F = J^T g; and where the seeds give no frame,
     at which E is NaN and g and F are kept, so that F and dF need no frame."""
     s1, s2 = DEFAULT_SEEDS
-    g = M.metric(x)
-    Jm = M.J(x)
+    x = _join([p for _, p in segments])
+    g = _join([M.metric(p) for M, p in segments])
+    Jm = _join([M.J(p) for M, p in segments])
 
     def dot(a, b):      # h(a, b) at every point; a and b are (4,) or (n, 4)
         a = np.broadcast_to(a, x.shape)[:, None, :]
@@ -1018,11 +1074,12 @@ def _unitary_frame(x: np.ndarray, E: np.ndarray) -> UnitaryFrame:
 
 
 @point_memo
-def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
-    """The frame E of `adapted_basis` with its duals (`_unitary_frame`) at an
-    (n, 4) stack of points x; `point_memo` serves one point or any stack, and
+def adapted_frame(segments) -> UnitaryFrame:
+    """The frame E of `adapted_basis` with its duals (`_unitary_frame`) at the
+    points of the segments; `point_memo` serves one point or any stack, and
     a point without frame raises the DegenerateFrameError of `adapted_basis`."""
-    return _unitary_frame(x, adapted_basis(M, x))
+    return _unitary_frame(_join([x for _, x in segments]),
+                          _join([adapted_basis(M, x) for M, x in segments]))
 
 
 def _raise_at_first(bad: np.ndarray, x: np.ndarray, error: Callable[[list], Exception]) -> None:

@@ -26,7 +26,6 @@ agreement is a genuine cross-check of the structure data.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -35,11 +34,12 @@ import numpy as np
 
 from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
                        substitute, wedge, wedge_all, wedge_vectors, weighted_sum)
-from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _map_arrays,
-                       adapted_frame, coordinate_fundamental_matrix, push_slots, replay,
-                       stack_field)
-from .connection import (CONNECTION_T, complex_connection_matrix, complexify, curvature_rows,
-                         dF_array, levi_civita, mu_from_omega, omega_tilde_coord, torsion_tensor)
+from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _join,
+                       adapted_frame, coordinate_fundamental_matrix, fd_rule, push_slots,
+                       replay, replay_segments, segments_of, stack_field, with_stencils)
+from .connection import (CONNECTION_T, _base_table, _omega_rows, complex_connection_matrix,
+                         complexify, curvature_rows, dF_array, levi_civita, mu_from_omega,
+                         torsion_tensor)
 from .curvature_analysis import ConditionFlags, condition_flags
 
 __all__ = [
@@ -233,32 +233,32 @@ def _mobius12(P: np.ndarray, zeta) -> np.ndarray:
     return (P[0, 1] + zb * (P[1, 1] - P[0, 0]) - _square(zb) * P[1, 0]) / _norm2(zeta)
 
 
-def coframe_rows(M: HermitianSurface, t: float, y: np.ndarray) -> np.ndarray:
+def coframe_rows(M: HermitianSurface, t: float, y: Optional[np.ndarray] = None) -> np.ndarray:
     """The complex coframe matrix B at chart point y = (x, Re zeta, Im zeta),
-    or at every point of a stack y (..., 6), giving (..., 3, 6).
+    or at every point of a stack y (..., 6), giving (..., 3, 6), or of the
+    segments M = [(surface, y (k, 6)), ...] (y None), giving (n, 3, 6).
 
     Rows hold the coordinate components of phi^1, phi^2, phi^3 over
     (dx^1..dx^4, d zeta_re, d zeta_im).  phi^1 and phi^2 are the rotated
     (1,0)-coframe pulled back from the base; phi^3 is the off-diagonal
     connection entry along the rotated frame section, whose pure fiber part
-    is -d conj(zeta) / (1 + |zeta|^2).  The base data of the whole stack
-    come from one `omega_tilde_coord` call, from the base table, so a second
+    is -d conj(zeta) / (1 + |zeta|^2).  The base data of every segment come
+    from one `_omega_rows` lookup, from the base table, so a second
     connection at visited points evaluates no metric.
     """
-    y = np.asarray(y, dtype=float)
-    Y = y.reshape(-1, 6)
-    om_t, _, fr = omega_tilde_coord(M, Y[:, :4], t)
-    eta, psi = fr.eta, complex_connection_matrix(om_t)
+    segments, shape = segments_of(M, y)
+    Y = _join([p for _, p in segments])
+    om_t, eta = _omega_rows([(S, p[:, :4]) for S, p in segments], None, t)
     zeta = np.ascontiguousarray(Y[:, 4:]).view(complex)[:, 0]
     N2 = _norm2(zeta)[:, None]
     N = np.sqrt(N2)
     B = np.zeros(zeta.shape + (3, 6), dtype=complex)
     B[:, 0, :4] = (eta[:, 0] + np.conj(zeta)[:, None] * eta[:, 1]) / N
     B[:, 1, :4] = (-zeta[:, None] * eta[:, 0] + eta[:, 1]) / N
-    B[:, 2, :4] = _mobius12(np.moveaxis(psi, 0, 2), zeta[:, None])
+    B[:, 2, :4] = _mobius12(np.moveaxis(complex_connection_matrix(om_t), 0, 2), zeta[:, None])
     B[:, 2, 4:5] = -1.0 / N2
     B[:, 2, 5:6] = 1j / N2
-    return B.reshape(y.shape[:-1] + (3, 6))
+    return B.reshape(shape + (3, 6))
 
 
 def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
@@ -271,17 +271,19 @@ def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
                                      "coframe degenerated (Gram determinant ~ 0)")
 
 
-def _checked_rows(M: HermitianSurface, t: float,
-                  points: List[TwistorPoint]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y (n, 6), zeta (n,), B (n, 3, 6)) of the bundle points on M, from one
-    `coframe_rows` call, each fiber coordinate and Gram determinant checked."""
-    zeta = np.array([z.zeta for z in points])
-    y = np.array([z.chart_coordinates() for z in points])
+def _checked_rows(segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
+                  t: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y (n, 6), zeta (n,), B (n, 3, 6)) of the bundle points of the segments
+    [(surface, points), ...], from one `coframe_rows` call, each fiber
+    coordinate and Gram determinant checked."""
+    zeta = np.array([z.zeta for _, pts in segments for z in pts])
+    ys = [(M, np.array([z.chart_coordinates() for z in pts])) for M, pts in segments]
+    y = _join([p for _, p in ys])
     far = np.abs(zeta) >= _ZETA_MAX
     if far.any():
         raise ValueError(f"fiber coordinate out of chart at bundle point "
                          f"{y[np.argmax(far)].tolist()}")
-    B = coframe_rows(M, t, y)
+    B = coframe_rows(ys, t)
     _check_gram(B, y)
     return y, zeta, B
 
@@ -349,12 +351,6 @@ def _segments(M: Union[HermitianSurface, Segments], points: Optional[Sequence[Tw
     return [(S, list(p)) for S, p in segments]
 
 
-def _join(parts: List):
-    """Results of the same structure for consecutive segments, joined along
-    the point axis (the one result of a one-segment stack as it is)."""
-    return parts[0] if len(parts) == 1 else _map_arrays(lambda *a: np.concatenate(a), *parts)
-
-
 @dataclass(frozen=True)
 class TwistorCoframe:
     """The coframe and structure data of one connection at a stack of bundle
@@ -362,21 +358,20 @@ class TwistorCoframe:
 
     `TwistorCoframe.stack(M, conn, points)` evaluates n bundle points at
     once: `B` (rows phi^1..phi^3 over the chart coordinates) from one
-    `coframe_rows` call, and the base frames and connection forms from one
-    `omega_tilde_coord` call, from the t-independent base table that the
-    torsion also reads, so a second connection at the same points evaluates
-    no metric, dF or Levi-Civita form.  As in `CoframeSweep`, the arrays
-    carry the point axes of the input, `y` (n, 6) and `B` (n, 3, 6) for a stack,
-    (6,) and (3, 6) for one point, and each point's values have the bits of
-    its own one-point coframe.
+    `coframe_rows` call, and the base frames and Levi-Civita forms from the
+    t-independent base table that the torsion also reads, so a second
+    connection at the same points evaluates no metric, dF or Levi-Civita
+    form.  As in `CoframeSweep`, the arrays carry the point axes of the
+    input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,) and (3, 6) for one
+    point, and each point's values have the bits of its own one-point coframe.
 
     Segments [(M, points), ...] are the one internal form: `stack(segments,
     conn)` stacks the points of several surfaces, and `stack(M, conn,
-    points)` and `twistor_coframe` are its one-segment cases.  What reads a
-    surface (`coframe_rows`, the frames, the Levi-Civita curvature, the
-    torsion and the Chern curvature) is evaluated per segment, from that
-    surface's own point memo, and joined along the point axis; the rest runs
-    once over all the points.  `segments` holds each surface's point count.
+    points)` and `twistor_coframe` are its one-segment cases.  Every layer
+    (`coframe_rows`, the base table, the Levi-Civita curvature, the torsion
+    and the Chern curvature) is one call over all the segments; only each
+    surface's memo lookup and its own metric and J run per segment (see
+    `point_memo`).  `segments` holds each surface's point count.
 
     The closed-form rows do not depend on i or lambda; each is built on
     first use, from coefficient rows with `wedge_vectors`, and shared by
@@ -425,10 +420,9 @@ class TwistorCoframe:
     def _build(cls, segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
                conn: Union[str, float], shape: Tuple[int, ...]) -> "TwistorCoframe":
         """The coframe of the segments [(surface, points), ...] with the
-        point axes `shape`, one checked pass (`replay`) per segment."""
+        point axes `shape`: one checked pass over all (`replay_segments`)."""
         t, label = normalize_connection(conn)
-        y, zeta, B = _join([replay(functools.partial(_checked_rows, M, t), points)
-                            for M, points in segments])
+        y, zeta, B = replay_segments(lambda part: _checked_rows(part, t), segments)
         return cls(segments=tuple((M, len(points)) for M, points in segments), label=label,
                    t=t, y=y.reshape(shape + (6,)),
                    zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
@@ -441,15 +435,6 @@ class TwistorCoframe:
             raise ValueError("a coframe of several surfaces has no one surface")
         return self.segments[0][0]
 
-    def _per_surface(self, fn: Callable[[HermitianSurface, slice], object]):
-        """fn(M, part) for each segment's surface M and the slice `part` of
-        its points on the point axis, joined along that axis."""
-        parts, start = [], 0
-        for M, n in self.segments:
-            parts.append(fn(M, slice(start, start + n)))
-            start += n
-        return _join(parts)
-
     # -- the stack with one point axis -----------------------------------
 
     def _out(self, rows: np.ndarray) -> np.ndarray:
@@ -457,8 +442,10 @@ class TwistorCoframe:
         return read_only(rows.reshape(np.shape(self.y)[:-1] + rows.shape[1:]))
 
     @functools.cached_property
-    def _x(self) -> np.ndarray:
-        return np.reshape(self.y, (-1, 6))[:, :4]
+    def _base_points(self) -> list:
+        """The segments [(surface, base points (k, 4)), ...] of the stack."""
+        ends = np.cumsum([n for _, n in self.segments])[:-1]
+        return [(M, x) for (M, _), x in zip(self.segments, np.split(np.reshape(self.y, (-1, 6))[:, :4], ends))]
 
     @functools.cached_property
     def _phi(self) -> np.ndarray:
@@ -466,9 +453,9 @@ class TwistorCoframe:
         return cut(np.reshape(self.B, (-1, 3, 6)))
 
     @functools.cached_property
-    def _frames(self):
-        """(omega_tilde, lc_omega, frame) at the base points."""
-        return self._per_surface(lambda M, part: omega_tilde_coord(M, self._x[part], self.t))
+    def _base(self):
+        """The base table rows (omega^LC, the frame) at the base points."""
+        return _base_table(self._base_points)
 
     @functools.cached_property
     def _rotation(self) -> np.ndarray:
@@ -477,7 +464,7 @@ class TwistorCoframe:
 
     @functools.cached_property
     def _mu(self) -> np.ndarray:
-        mu = mu_from_omega(self._frames[1])
+        mu = mu_from_omega(self._base.omega)
         return cut(np.concatenate([mu, np.zeros(mu.shape[:-1] + (2,))], axis=-1))
 
     # -- Levi-Civita curvature entries, rotated (any t) --------------------
@@ -491,10 +478,8 @@ class TwistorCoframe:
     def _lc_curvature(self) -> Tuple[np.ndarray, np.ndarray]:
         """(R, Om): the Levi-Civita curvature in frame components and its
         forms Om^i_j over dx."""
-        def entries(M, part):
-            lc = levi_civita(M, self._x[part])
-            return lc.R, push_slots(lc.R, lc.frame.theta, (2, 3))
-        return self._per_surface(entries)
+        lc = levi_civita(self._base_points)
+        return lc.R, push_slots(lc.R, lc.frame.theta, (2, 3))
 
     @functools.cached_property
     def _tau3(self) -> np.ndarray:
@@ -527,8 +512,7 @@ class TwistorCoframe:
         if abs(self.t) <= 1e-12:
             return None
         rows = np.reshape(self.B, (-1, 3, 6))[:, :2, :4]
-        return self._per_surface(lambda M, part: np.einsum(
-            "...am,...mnr->...anr", rows[part], torsion_tensor(M, self._x[part], self.t)))
+        return np.einsum("...am,...mnr->...anr", rows, torsion_tensor(self._base_points, None, self.t))
 
     @functools.cached_property
     def _T_hat(self) -> Optional[np.ndarray]:
@@ -537,8 +521,7 @@ class TwistorCoframe:
     @functools.cached_property
     def _chern_curvature(self) -> np.ndarray:
         """The Chern curvature rows Psi^c_d over the chart (n, 2, 2, 15)."""
-        return self._per_surface(
-            lambda M, part: _lift_rows(cut(curvature_rows(M, self._x[part], 1.0))))
+        return _lift_rows(cut(curvature_rows(self._base_points, None, 1.0)))
 
     def _psi_hat(self, a: int, b: int) -> np.ndarray:
         """Psi^a_b rotated into the fiber frame, (n, 15): the weights of the
@@ -618,7 +601,7 @@ class TwistorCoframe:
         self._one_point()
         if self._torsion is None:
             return None
-        V = self._frames[2].U @ self._rotation     # coordinate components of v_1, v_2
+        V = self._base.frame.U @ self._rotation     # coordinate components of v_1, v_2
         return push_slots(self._torsion, V, (1, 2))[0, :, 0, 1]
 
     @functools.cached_property
@@ -903,36 +886,26 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # finite-difference oracles
 # ======================================================================
 
-def _stencil_rows(M: HermitianSurface, t: float, y0: np.ndarray) -> np.ndarray:
-    """B (k, 1 + 6 m, 3, 6) at each chart point of y0 (k, 6) followed by its
-    stencil, from one `coframe_rows` call on M; for one point, B at the
-    point is checked before its stencil."""
-    stencil = np.moveaxis(M.backend.stencil(y0), (0, 1), (-3, -2))   # (k, 6, m, 6)
-    Y = np.concatenate([y0[:, None, :], stencil.reshape(len(y0), -1, 6)], axis=1)
+def _swept(t: float, segments: List[Tuple[HermitianSurface, np.ndarray]]):
+    """(y0 (n, 6), B0 (n, 3, 6), dB (n, 6, 3, 6)) of the chart points of the
+    segments [(surface, y (k, 6)), ...]: B at every point and its stencil
+    (`with_stencils`) from one `coframe_rows` call, then one FD combine and
+    each point's checks in order, B before dB (B at a lone point first)."""
+    y0 = _join([y for _, y in segments])
+    stacked, split = with_stencils(segments)
     try:
-        return coframe_rows(M, t, Y)
+        B0, B = split(coframe_rows(stacked, t))
     except Exception:
         if len(y0) == 1:
-            _check_gram(coframe_rows(M, t, y0), y0)
+            _check_gram(coframe_rows(segments, t), y0)
         raise
-
-
-def _swept(t: float, points: List[Tuple[HermitianSurface, np.ndarray]]):
-    """(y0 (n, 6), B0 (n, 3, 6), dB (n, 6, 3, 6)) of the chart points
-    [(surface, y (6,)), ...]: B at every point and its stencil from one
-    `_stencil_rows` call per run of points on one surface, then one FD
-    combine and each point's checks in order, B before dB."""
-    y0 = np.array([y for _, y in points])
-    B = np.concatenate([_stencil_rows(S, t, np.array([y for _, y in run]))
-                        for S, run in itertools.groupby(points, key=lambda p: p[0])])
-    values = np.moveaxis(B[:, 1:].reshape(len(y0), 6, -1, 3, 6), (1, 2), (0, 1))  # (6, m, n, 3, 6)
-    dB = np.moveaxis(points[0][0].backend.combine(values), 0, 1)                 # (n, 6, 3, 6)
+    dB = np.ascontiguousarray(np.moveaxis(fd_rule(segments).combine(B), 0, 1))  # (n, 6, 3, 6)
     finite = np.all(np.isfinite(dB), axis=(1, 2, 3))
-    for B0, ok, y in zip(B[:, 0], finite, y0):
-        _check_gram(B0, y)
+    for b, ok, y in zip(B0, finite, y0):
+        _check_gram(b, y)
         if not ok:
             raise DegenerateCoframeError(y, "coframe derivative not finite")
-    return y0, B[:, 0], dB
+    return y0, B0, dB
 
 
 class CoframeSweep:
@@ -944,10 +917,10 @@ class CoframeSweep:
     crossing and Nijenhuis value is then algebraic in one sweep.
     `CoframeSweep.stack(M, conn, points)` sweeps n bundle points at once:
     B at every point and at its 24 stencil points is one `coframe_rows`
-    stack of n x 25 chart points, in point order (the fiber-direction
-    stencil points sit at the base point bit for bit, so a point adds 17
-    distinct base points, and the stencils under them are evaluated as
-    stacks too).  The arrays carry the point axes of the input, as
+    stack of n x 25 chart points, the points before their stencils
+    (`with_stencils`; the fiber-direction stencil points sit at the base
+    point bit for bit, so a point adds 17 distinct base points, and the
+    stencils under them are evaluated as stacks too).  The arrays carry the point axes of the input, as
     `coframe_rows` does: `B0` (n, 3, 6) and `dB` (n, 6, 3, 6) for a stack,
     (3, 6) and (6, 3, 6) for one point, and each point's values have the
     bits of its own one-point sweep.
@@ -956,9 +929,9 @@ class CoframeSweep:
     `stack(segments, conn)` sweeps the points of several surfaces that share
     one FD rule, and `stack(M, conn, points)` and `CoframeSweep(M, conn, z)`
     are its one-segment cases.  B at the points and their stencils is one
-    `coframe_rows` call per surface, from that surface's own point memo; the
-    FD combine, dB, the checks and every row below run once over all the
-    points.  `M` is the surface of a one-surface sweep (None for several).
+    `coframe_rows` call over every segment, each surface reading its own
+    point memo; the FD combine, dB, the checks and every row below run once
+    over all the points.  `M` is the surface of a one-surface sweep.
 
     The coefficient rows `W_coeffs` (n, 3, 15) and `dW_coeffs` (n, 3, 20) of
     the building blocks, and their blocks `W_wedge_dW` (n, 3, 3, 6), do not
@@ -998,14 +971,11 @@ class CoframeSweep:
         replayed point by point in segment order."""
         self.t, self.label = normalize_connection(conn)
         self.M = segments[0][0] if len(segments) == 1 else None
-        be = segments[0][0].backend
-        if any(S.backend.order != be.order or not np.array_equal(S.backend.step, be.step)
-               for S, _ in segments[1:]):
-            raise ValueError("the surfaces of one coframe sweep must share one FD rule")
-        points = [(S, y) for S, ys in segments for y in np.reshape(ys, (-1, 6))]
-        shape = () if np.ndim(segments[0][1]) == 1 else (len(points),)
-        self.y0, self.B0, self.dB = (a.reshape(shape + a.shape[1:])
-                                     for a in replay(functools.partial(_swept, self.t), points))
+        fd_rule(segments)
+        one = np.ndim(segments[0][1]) == 1
+        segments, shape = segments_of(segments, None)
+        self.y0, self.B0, self.dB = (a.reshape((() if one else shape) + a.shape[1:]) for a in
+                                     replay_segments(functools.partial(_swept, self.t), segments))
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 

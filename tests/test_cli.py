@@ -642,6 +642,12 @@ def test_the_stacked_oracle_suite_has_the_checks_of_the_loop_over_surfaces(seed,
     assert got == want and len(got) == 8
 
 
+def _surfaces_of(M, x):
+    """The surfaces of a call on the surface M at the points x, or on the
+    segments M (x None)."""
+    return [M] if x is not None else [S for S, _ in M]
+
+
 def test_a_failing_oracle_suite_raises_the_error_of_the_loop_over_surfaces(monkeypatch):
     # cp2_fs fails its Chern formula (the Chern curvature, built on first
     # use), and the later hopf its Lichnerowicz sweep: a stacked pass meets
@@ -652,12 +658,12 @@ def test_a_failing_oracle_suite_raises_the_error_of_the_loop_over_surfaces(monke
     curvature_rows, coframe_rows = tw.curvature_rows, tw.coframe_rows
 
     def failing_curvature(M, x, t):
-        if M is early:
+        if early in _surfaces_of(M, x):
             raise tw.DegenerateCoframeError(None, "the Chern formula of an early surface")
         return curvature_rows(M, x, t)
 
-    def failing_coframe(M, t, y):
-        if M is late and t == 0.0:
+    def failing_coframe(M, t, y=None):
+        if late in _surfaces_of(M, y) and t == 0.0:
             raise tw.DegenerateCoframeError(None, "the Lichnerowicz sweep of a later surface")
         return coframe_rows(M, t, y)
 
@@ -685,8 +691,8 @@ def test_a_later_surface_that_cannot_be_sampled_fails_after_the_earlier_sweeps(m
             raise ValueError("the sampling of a later surface")
         return sample(M, n, seed=seed)
 
-    def failing_coframe(M, t, y):
-        if M is early and t == 0.0:
+    def failing_coframe(M, t, y=None):
+        if early in _surfaces_of(M, y) and t == 0.0:
             raise tw.DegenerateCoframeError(None, "the Lichnerowicz sweep of an early surface")
         return coframe_rows(M, t, y)
 
@@ -727,6 +733,35 @@ def test_one_verify_op_evaluates_the_compiled_metrics_once_per_sampled_curvature
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert (sum(seen), len(seen)) == (1120, 16)
+
+
+def _count_bodies(monkeypatch, memoized, label, counts):
+    """Count the runs of the body of a `point_memo` function: its closure
+    holds the body, which the memo calls once per stacked pass."""
+    cell = next(c for c in memoized.__closure__ if c.cell_contents is memoized.__wrapped__)
+    body = cell.cell_contents
+    monkeypatch.setattr(cell, "cell_contents", lambda *a: (counts.append(label), body(*a))[1])
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed, monkeypatch, capsys):
+    # every layer takes the four built-ins as segments of one stack: the
+    # frame fields and base table run once for the curvature's points and
+    # once for its dGamma stencils, omega^t once per connection, and each
+    # coframe stack (sweep and formula per connection) is one coframe_rows
+    from twistorlab import connection as cn, manifold as mf, twistor as tw
+    counts = []
+    for memoized, label in [(mf._frame_fields, "_frame_fields"), (cn._base_table, "_base_table"),
+                            (cn.levi_civita, "levi_civita"), (cn._omega_rows, "_omega_rows")]:
+        _count_bodies(monkeypatch, memoized, label, counts)
+    for name in ("coframe_rows", "curvature_rows"):
+        fn = getattr(tw, name)
+        monkeypatch.setattr(tw, name, lambda *a, _fn=fn, _name=name: (counts.append(_name), _fn(*a))[1])
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert {label: counts.count(label) for label in sorted(set(counts))} == {
+        "_base_table": 2, "_frame_fields": 2, "_omega_rows": 2, "coframe_rows": 4,
+        "curvature_rows": 1, "levi_civita": 1}
 
 
 @pytest.mark.parametrize("suite", ["all", "oracle", "algebra"])
@@ -1190,7 +1225,7 @@ def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
     # no workload reads the Lee form; the curvature relations do
     M = builtin("hopf")
     lee_form(M, M.chart.interior_points(1, seed=0)[0])
-    guarded = {"omega_tilde_coord", "levi_civita", "_base_table", "lee_components"}
+    guarded = {"_omega_rows", "levi_civita", "_base_table", "lee_components"}
     assert set().union(*(callers for _, _, callers in calls)) >= guarded
     assert [(subscripts, sorted(callers & guarded)) for subscripts, n, callers in calls if n > 2] == []
 
@@ -1227,7 +1262,7 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connectio
         forms.extend(f.f_code.co_name for f in coframe_frames())
         init(self, *args, **kwargs)
 
-    def counted_levi(M, x):
+    def counted_levi(M, x=None):
         lc_connections.extend({(f.f_locals.get("self") or f.f_locals.get("co")).t
                                for f in coframe_frames()})
         return levi(M, x)

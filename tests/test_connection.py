@@ -1,5 +1,6 @@
 """Tests for the Levi-Civita / Hermitian connection layer."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -35,8 +36,9 @@ from twistorlab.connection import (
 from twistorlab.exterior import ComplexForm, wedge
 from twistorlab import connection as cn
 from twistorlab import twistor as tw
-from twistorlab.manifold import (POINT_MEMO_LIMIT, HermitianSurface, adapted_frame, builtin,
-                                 coordinate_fundamental_matrix, point_memo, push_slots, stack_field)
+from twistorlab.manifold import (POINT_MEMO_LIMIT, HermitianSurface, _frame_fields, adapted_frame, builtin,
+                                 coordinate_fundamental_matrix, parse_surface_spec, point_memo, push_slots,
+                                 stack_field)
 
 RNG_POINTS = {
     "flat_c2": np.array([0.1, -0.2, 0.3, 0.05]),
@@ -607,13 +609,20 @@ def _reference_family_lc_forms(M, x, g, E):
 
 
 @point_memo
-def _reference_omega_tilde_coord(M, x, t):
+def _reference_omega_tilde_coord(segments, t):
     """omega_tilde_coord memoized per (point, t) only: omega^LC and the dF
-    terms are rebuilt for every t."""
+    terms are rebuilt for every t (one surface)."""
+    [(M, x)] = segments
     fr = adapted_frame(M, x)
     omega_coord = _reference_family_lc_forms(M, x, M.metric(x), fr.E)
     A = _reference_family_torsion_correction(M, x, t)
     return omega_coord + np.transpose(push_slots(A, fr.E, (1, 2)), (0, 3, 2, 1)), omega_coord, fr
+
+
+def _reference_omega_rows(M, x=None, *params):
+    """The (omega^t, eta) rows of `_reference_omega_tilde_coord`."""
+    om_t, _, fr = _reference_omega_tilde_coord(M, x, *params)
+    return om_t, fr.eta
 
 
 def _family_points(name):
@@ -645,7 +654,8 @@ def _family_reference(name, t):
     try:
         mp.setattr(cn, "torsion_correction", _reference_family_torsion_correction)
         mp.setattr(cn, "omega_tilde_coord", _reference_omega_tilde_coord)
-        mp.setattr(tw, "omega_tilde_coord", _reference_omega_tilde_coord)
+        mp.setattr(cn, "_omega_rows", _reference_omega_rows)
+        mp.setattr(tw, "_omega_rows", _reference_omega_rows)
         return _family_results(builtin(name), _family_points(name), t)
     finally:
         mp.undo()
@@ -687,9 +697,9 @@ def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monke
     calls = [0]
     table = cn._base_table.__wrapped__
 
-    def counted(M, x):
+    def counted(segments):
         calls[0] += 1
-        return table(M, x)
+        return table(segments)
 
     monkeypatch.setattr(cn, "_base_table", point_memo(counted))
     M, seen = _counting_cp2()
@@ -732,8 +742,9 @@ def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, e
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkeypatch):
-    # dg, dE and dF are one FD combine over the (g, E, F) rows of one
-    # `_frame_fields` lookup of the points and their stencils
+    # dg, dE and dF are one FD combine each over the g, E and F rows of one
+    # `_frame_fields` lookup of the points and their stencils, which are
+    # not copied into one stack first
     from twistorlab import manifold as mf
     calls = []
     combine, partials = mf.DiffBackend.combine, mf.DiffBackend.partials
@@ -743,7 +754,7 @@ def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkey
                         lambda self, f, x: (calls.append(f.__qualname__), partials(self, f, x))[1])
     M = builtin(name)
     omega_tilde_coord(M, M.chart.interior_points(5, seed=1), 1.0)
-    assert calls == [(4, 4, 5, 3, 4, 4)]
+    assert calls == [(4, 4, 5, 4, 4)] * 3
 
 
 def test_the_memo_keeps_one_ddbar_oracle_call_whole():
@@ -768,8 +779,90 @@ def test_a_fresh_two_point_sweep_makes_five_point_memo_lookups(monkeypatch):
     from twistorlab import manifold as mf
     looked = []
     lookup = mf._lookup
-    monkeypatch.setattr(mf, "_lookup", lambda M, memo, name, *rest: (looked.append(name[0].__name__),
-                                                                     lookup(M, memo, name, *rest))[1])
+    monkeypatch.setattr(mf, "_lookup", lambda name, *rest: (looked.append(name[0].__name__),
+                                                            lookup(name, *rest))[1])
     M = builtin("cp2_fs")
     tw.CoframeSweep.stack(M, "lichnerowicz", tw.sample_twistor_points(M, 2, seed=0))
-    assert looked == ["metric", "omega_tilde_coord", "_base_table", "_frame_fields", "metric"]
+    assert looked == ["metric", "_omega_rows", "_base_table", "_frame_fields", "metric"]
+
+
+# ======================================================================
+# segments [(surface, points), ...] through the point-memo layers
+# ======================================================================
+
+# a non-Kahler description whose J is given entry by entry (the standard one)
+_J_BY_ENTRY = """\
+coords a b c d
+g 1 1 = 2 + sin(a)^2
+g 2 2 = 2 + sin(a)^2
+g 3 3 = exp(-b*c) + 1
+g 4 4 = exp(-b*c) + 1
+g 1 3 = 0.1*a*b
+g 2 4 = 0.1*a*b
+J 1 2 = -1
+J 2 1 = 1
+J 3 4 = -1
+J 4 3 = 1
+"""
+
+SEGMENT_SURFACES = (*BUILTINS, "cp2_fs+conformal", "J by entry")
+
+# every layer that takes segments: the memoized tables, and the readers
+# that stack their FD passes over the segments
+SEGMENT_LAYERS = {
+    "metric": HermitianSurface.metric,
+    "_frame_fields": _frame_fields,
+    "adapted_frame": adapted_frame,
+    "_base_table": cn._base_table,
+    "levi_civita": levi_civita,
+    "_omega_rows": lambda M, x=None: cn._omega_rows(M, x, 1.0),
+    "torsion_tensor": lambda M, x=None: torsion_tensor(M, x, 1.0),
+    "curvature_rows": lambda M, x=None: curvature_rows(M, x, 1.0),
+}
+
+
+def _segment_surface(name):
+    """A fresh surface, so that its memo holds nothing but its validation."""
+    if name == "cp2_fs+conformal":
+        return tw.conformal_rescale(builtin("cp2_fs"), "0.1*x1*x2 - 0.05*x3")
+    if name == "J by entry":
+        return parse_surface_spec(_J_BY_ENTRY, name=name)
+    return builtin(name)
+
+
+def _result_arrays(value):
+    """Every array of a result, in field order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _result_arrays(item)]
+    return [a for field in dataclasses.fields(value) for a in _result_arrays(getattr(value, field.name))]
+
+
+def _stored_points(M):
+    """The points each table of M's memo holds, by (function, params)."""
+    return {(fn.__name__, params): set(table.index) for (fn, params), table in M._point_memo.items()}
+
+
+@pytest.mark.parametrize("layer", SEGMENT_LAYERS)
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(SEGMENT_SURFACES), sizes=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+       count=st.integers(1, len(SEGMENT_SURFACES)))
+def test_a_call_over_segments_has_the_bits_and_tables_of_its_one_surface_calls(layer, order, sizes, count):
+    fn = SEGMENT_LAYERS[layer]
+    names = order[:count]
+    segments = [(_segment_surface(name), _segment_surface(name).chart.interior_points(3, seed=7)[:n])
+                for name, n in zip(names, sizes)]
+    joined = _result_arrays(fn(segments))
+    for a, b in zip(joined, _result_arrays(fn(segments))):     # the second call reads the stores
+        assert np.array_equal(a, b, equal_nan=True)
+    start = 0
+    for name, (M, x) in zip(names, segments):
+        fresh = _segment_surface(name)
+        alone = _result_arrays(fn(fresh, x))
+        assert len(joined) == len(alone)
+        for a, b in zip(joined, alone):
+            assert a.shape[0] == sum(len(p) for _, p in segments)
+            assert np.array_equal(a[start:start + len(x)], b, equal_nan=True)
+        assert _stored_points(M) == _stored_points(fresh)
+        start += len(x)

@@ -1915,28 +1915,46 @@ def test_the_surfaces_of_one_sweep_share_one_fd_rule():
         tw.CoframeSweep.stack([(M, STACK_34["hopf"][:1]), (coarse, STACK_34["hopf"][:1])], "chern")
 
 
+def _undefined_at(label, bad):
+    """A flat surface whose metric, evaluated point by point, raises an error
+    naming `label` at the point `bad` and nowhere else."""
+    def metric(p):
+        if np.array_equal(p, bad):
+            raise ValueError(f"the metric of {label} is undefined at {p.tolist()}")
+        return np.eye(4)
+    return HermitianSurface(ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4), metric, lambda p: J_STANDARD)
+
+
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-@pytest.mark.parametrize("kind", ["sweep", "coframe"])
+@pytest.mark.parametrize("kind", ["sweep", "coframe", "levi_civita", "_base_table"])
 def test_a_stack_of_segments_raises_the_error_of_the_loop_over_surfaces(order, kind):
-    # two surfaces, each failing at its second point, with different errors
+    # two surfaces, each failing at its second point, with different errors;
+    # the point-memo layers read surfaces whose metric fails there
     good = [tw.TwistorPoint.from_zeta([0.5, 0.2, 0.1, 0.2], 0.2)]
     degenerate = good + [tw.TwistorPoint.from_zeta([0.0, 0.3, 0.1, 0.2], 0.2)]    # Gram 0 at x1 = 0
     near_edge = good + [tw.TwistorPoint.from_zeta([0.0, 0.9995, 0.1, 0.2], 0.2)]  # off the FD reach
     far = good + [tw.TwistorPoint.from_zeta([0.5, 0.3, 0.1, 0.2], 5.0)]           # out of the fiber chart
-    pts = [degenerate, near_edge if kind == "sweep" else far]
-    pts = [pts[k] for k in order]
-    cls = tw.CoframeSweep if kind == "sweep" else tw.TwistorCoframe
+    if kind in ("sweep", "coframe"):
+        pts = [degenerate, near_edge if kind == "sweep" else far]
+        cls = tw.CoframeSweep if kind == "sweep" else tw.TwistorCoframe
+        make = lambda k: parse_surface_spec(_DEGENERATE_AT_X1_0)               # noqa: E731
+        run = lambda M, p=None: cls.stack(M, "lichnerowicz", p)               # noqa: E731
+    else:
+        bad = [[0.1, 0.3, 0.1, 0.2], [-0.2, 0.3, 0.1, 0.2]]
+        pts = [[[0.5, 0.2, 0.1, 0.2], b] for b in bad]
+        make = lambda k: _undefined_at(f"surface {k}", np.array(bad[k]))    # noqa: E731
+        run = cn.levi_civita if kind == "levi_civita" else cn._base_table
 
     def error(build):
         with np.errstate(all="ignore"), pytest.raises(Exception) as info:
-            build([(parse_surface_spec(_DEGENERATE_AT_X1_0), p) for p in pts])
+            build([(make(k), pts[k]) for k in order])
         return info.type, str(info.value)
 
     def per_surface(segments):
         for M, p in segments:
-            cls.stack(M, "lichnerowicz", p)
+            run(M, p)
 
-    stacked = error(lambda segments: cls.stack(segments, "lichnerowicz"))
+    stacked = error(lambda segments: run(segments))
     assert stacked == error(per_surface)
     assert stacked == error(lambda segments: per_surface(segments[:1]))
     assert stacked != error(lambda segments: per_surface(segments[1:]))

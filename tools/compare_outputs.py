@@ -39,10 +39,14 @@ description files (written to the temporary directory) whose metric
 degenerates at a = 0.672: one where g_11 = g_22 = (a - 0.672)^2 vanishes,
 where no adapted frame exists (a degenerate seed), and one where
 g_11 = g_22 = 1 + 1/(a - 0.672)^2 blows up, where the Gram determinant
-of a coframe vanishes, and a third `report --points 5` that exits 3 on a
+of a coframe vanishes, a third `report --points 5` that exits 3 on a
 description file where g_11 = g_22 = (a - 0.001)^2 vanishes at a = 0.001:
 the first sample point (a = 0) has a frame, and its FD stencil point
-x + h e_1 has none.
+x + h e_1 has none, and two `verify --suite all` invocations whose every
+point-memo layer takes the four built-ins as segments of one stack: a json
+one with `--points 1 --seed 2`, where each segment holds one point, and a
+text one with `--points 6 --seed 21`, whose long segments go through the
+algebra suite's curvature stack before the oracle reads them.
 
 It compares stdout, stderr and the exit status.  It prints each invocation
 whose stdout or stderr is not byte-identical, the number of
@@ -158,6 +162,8 @@ def argv_list(description, degenerate):
         ["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda-range", "0.5:2.5",
          "--grid", "300", "--i", "3", "--format", "json"],
         *(["report", "--surface", path, "--points", "5"] for path in degenerate),
+        ["verify", "--suite", "all", "--points", "1", "--seed", "2", "--format", "json"],
+        ["verify", "--suite", "all", "--points", "6", "--seed", "21", "--format", "text"],
     ]
     return out
 

@@ -18,7 +18,6 @@ from twistorlab.curvature_analysis import condition_flags, curvature_operator, d
 from twistorlab.twistor import (
     TwistorPoint,
     condition_report,
-    evaluate_metric,
     sample_twistor_points,
     twistor_coframe,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "decompose",
     "TwistorPoint",
     "condition_report",
-    "evaluate_metric",
     "sample_twistor_points",
     "twistor_coframe",
     "appendix_table",

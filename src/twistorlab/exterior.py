@@ -28,8 +28,7 @@ Conventions
 import functools
 import itertools
 import math
-import warnings
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -513,33 +512,25 @@ class SdAsdBasis:
 
 
 # ======================================================================
-# bidegree (p, q) projection in a complex coframe
+# bidegree (p, q) parts in a complex coframe
 # ======================================================================
 
-def bidegree_project(a: ComplexForm, complex_pairing: Iterable[Tuple[int, int]],
-                     p: int, q: int) -> ComplexForm:
-    """Project onto the (p, q) part with respect to a complex basis pairing.
+@functools.lru_cache(maxsize=None)
+def slot_counts(dim: int, degree: int, indices: Tuple[int, ...]) -> np.ndarray:
+    """How many of `indices` each slot key of the degree holds, in slot
+    order (read-only)."""
+    return read_only(np.array([sum(k in indices for k in key) for key in slot_keys(dim, degree)]))
 
-    Args:
-        a: a form whose basis indices split into holomorphic/antiholomorphic
-            partners.
-        complex_pairing: (holo index, antiholo index) pairs covering all
-            basis indices.
-        p, q: target bidegree with p + q = a.degree.
 
-    Returns:
-        The sub-sum of terms with exactly p holomorphic and q antiholomorphic
-        indices.  If p + q != a.degree the result is the empty form and a
-        warning is emitted.
-    """
-    pairs = list(complex_pairing)
-    holo = {h for h, _ in pairs}
-    anti = {ab for _, ab in pairs}
-    covered = holo | anti
-    if covered != set(range(a.dim)) or len(holo) + len(anti) != a.dim:
-        raise ValueError(f"complex pairing {pairs} does not partition 0..{a.dim - 1}")
-    if p + q != a.degree:
-        warnings.warn(f"bidegree ({p},{q}) does not sum to form degree {a.degree}; returning empty form")
-        return ComplexForm.zero(a.dim, a.degree)
-    keep = np.array([sum(1 for i in key if i in holo) == p for key in slot_keys(a.dim, a.degree)])
-    return ComplexForm(a.dim, a.degree, np.where(keep, a.vec, 0j))
+def bidegree_rows(rows: np.ndarray, dim: int, degree: int, holo: Sequence, p: int) -> np.ndarray:
+    """The (p, degree - p) part of each row of a stack (..., C(dim, degree))
+    over a coframe whose (1,0) covectors are the indices `holo` and the rest
+    (0,1): the slots with exactly p indices in `holo` kept, the others 0;
+    cut.  `holo` is one index tuple for every row, or a list of index
+    tuples, one per row of a stack (n, C(dim, degree)).  The one bidegree
+    projection; the slot counts are cached per dim, degree and index tuple."""
+    if len(holo) and np.ndim(holo[0]):
+        counts = np.array([slot_counts(dim, degree, tuple(h)) for h in holo])
+    else:
+        counts = slot_counts(dim, degree, tuple(holo))
+    return cut(np.where(counts == p, rows, 0j))

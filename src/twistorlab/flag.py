@@ -27,8 +27,8 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import (ComplexForm, _scale, cut, norms, read_only, slot_keys, substitute, wedge,
-                       wedge_all, weighted_sum)
+from .exterior import (ComplexForm, _scale, bidegree_rows, cut, norms, read_only, slot_counts,
+                       slot_keys, substitute, wedge, wedge_all, weighted_sum)
 
 __all__ = [
     "SU3_BASIS", "GENERATOR_NAMES", "SU3Element", "MaurerCartanEval",
@@ -273,6 +273,7 @@ def flag_d(form: ComplexForm) -> ComplexForm:
 _HOLO_SET = {1: (0, 4, 5), 2: (0, 4, 2), 3: (0, 1, 5), 4: (0, 1, 2)}
 
 
+@functools.lru_cache(maxsize=None)
 def _holo_antiholo(i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     if i not in range(1, 9):
         raise ValueError("structure index must lie in 1..8")
@@ -281,23 +282,18 @@ def _holo_antiholo(i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return (base, anti) if i <= 4 else (anti, base)
 
 
-@functools.lru_cache(maxsize=None)
-def _holo_counts(i: int, degree: int) -> np.ndarray:
-    """The number of holomorphic generators of structure i in each slot of
-    the degree, or -1 where a diagonal generator occurs."""
-    holo, _ = _holo_antiholo(i)
-    return np.array([-1 if max(key, default=0) >= 6 else sum(g in holo for g in key)
-                     for key in slot_keys(8, degree)])
+# the diagonal generators w11, w22, which carry no bidegree
+_DIAGONAL = (6, 7)
 
 
 def _bidegree_rows(rows: np.ndarray, structures: Sequence[int], degree: int,
                    p_holo: int) -> np.ndarray:
     """The bidegree part of each row (n, C(8, degree)) for the structure of
-    its pair, cut; a row with a diagonal component is refused."""
-    count = np.array([_holo_counts(i, degree) for i in structures]).reshape(rows.shape)
-    if np.any(rows[count < 0] != 0):
+    its pair (`exterior.bidegree_rows`), cut; a row with a diagonal
+    component is refused."""
+    if np.any(rows[:, slot_counts(8, degree, _DIAGONAL) > 0] != 0):
         raise ValueError("form has diagonal components; no quotient bidegree")
-    return cut(np.where(count == p_holo, rows, 0j))
+    return bidegree_rows(rows, 8, degree, [_holo_antiholo(i)[0] for i in structures], p_holo)
 
 
 def flag_bidegree_part(form: ComplexForm, i: int, p_holo: int) -> ComplexForm:
@@ -334,8 +330,7 @@ def integrability_obstruction(i: int) -> float:
     structures give literal zero.  Computed once per structure.
     """
     holo, _ = _holo_antiholo(i)
-    zero_two = d_matrix(1)[_holo_counts(i, 2) == 0]
-    return float(np.max(norms(zero_two[:, list(holo)].T.astype(float))))
+    return float(np.max(norms(bidegree_rows(d_matrix(1)[:, list(holo)].T, 8, 2, holo, 0))))
 
 
 # ======================================================================

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exterior import (ComplexForm, bidegree_project, cut, d_rows, norms, read_only, slot_keys,
-                       substitute, wedge, wedge_all, wedge_vectors, weighted_sum)
+from .exterior import (ComplexForm, bidegree_rows, cut, d_rows, norms, read_only, slot_keys,
+                       substitute, wedge_vectors, weighted_sum)
 from .manifold import (J_STANDARD, HermitianSurface, _compile_expr, _elementwise, _join,
                        adapted_frame, coordinate_fundamental_matrix, fd_rule, push_slots,
                        replay, replay_segments, segments_of, stack_field, with_stencils)
@@ -44,14 +44,14 @@ from .curvature_analysis import ConditionFlags, condition_flags
 
 __all__ = [
     "LAMBDA_MIN", "TwistorPoint", "TwistorChart", "TwistorCoframe",
-    "TwistorMetricEval", "MetricConditionRow", "TwistorConditionReport",
+    "MetricConditionRow", "TwistorConditionReport",
     "normalize_connection", "coframe_rows", "twistor_coframe",
     "acs_endomorphism", "h_lambda_matrix", "K_form", "dK_formula",
     "balanced_defect_formula", "ddbar_formula", "CoframeSweep", "nijenhuis_oracle",
     "ddbar_oracle",
     "conformal_rescale", "conformal_compare", "principal_angles",
     "fiber_coordinate_on_bundle", "projective_bundle_form",
-    "bundle_chart_compare", "lambda_zero_crossing", "evaluate_metric",
+    "bundle_chart_compare", "lambda_zero_crossing",
     "condition_report", "sample_twistor_points", "DegenerateCoframeError",
 ]
 
@@ -288,10 +288,6 @@ def _checked_rows(segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
     return y, zeta, B
 
 
-def _row_form(row: np.ndarray) -> ComplexForm:
-    return ComplexForm(6, 1, np.asarray(row, dtype=complex))
-
-
 # the slots of the dim-6 2-forms that hold the dim-4 2-forms over dx
 _BASE_SLOTS = [s for s, key in enumerate(slot_keys(6, 2)) if max(key) < 4]
 
@@ -375,7 +371,8 @@ class TwistorCoframe:
 
     The closed-form rows do not depend on i or lambda; each is built on
     first use, from coefficient rows with `wedge_vectors`, and shared by
-    every `K_form`, `dK_formula` and `balanced_defect_formula`:
+    every `K_form`, `dK_formula`, `balanced_defect_formula` and
+    `ddbar_formula`:
     `W_coeffs` (..., 3, 15) of the building blocks W_a, `dW_coeffs`
     (..., 3, 20) of their closed-form derivatives, and `balanced_brackets`
     (..., 2, 6), the lambda-independent 5-forms of the K_i ^ dK_i displays
@@ -388,10 +385,11 @@ class TwistorCoframe:
     The curvature and torsion entries are rotated into the fiber frame
     (v_1, v_2), which is the frame the derivative formulas are written in;
     `mu` needs no rotation (the fiber rotation acts trivially on that part
-    of the connection and contributes no fiber components).  The
-    `ComplexForm` accessors `phi_form`, `mu`, `tau3`, `omega_diff`,
-    `R_hat`, `T_hat`, `T_components` and `Psi_hat` serve one-point
-    coframes, the input of `ddbar_formula`.
+    of the connection and contributes no fiber components).  Every entry
+    (`_phi`, `_mu`, `_tau3`, `_omega_diff`, `_R_hat`, `_T_hat`, `_psi_hat`)
+    holds one slot row or number per point, (n, ...), for one point and a
+    stack alike; the displays read them, and only their results take the
+    point axes of the input.
     """
 
     segments: Tuple[Tuple[HermitianSurface, int], ...]
@@ -553,63 +551,6 @@ class TwistorCoframe:
         """The brackets (..., 2, 6) of the K_i ^ dK_i displays, before their
         lambda scaling: i in {1, 2}, then i in {3, 4} (read-only)."""
         return self._out(_balanced_brackets(self))
-
-    # -- forms of a one-point coframe ----------------------------------------
-
-    def _one_point(self) -> None:
-        if np.ndim(self.y) != 1:
-            raise ValueError("the forms of a coframe are read at one bundle point; "
-                             "a stack gives coefficient rows")
-
-    def _form(self, rows: np.ndarray, degree: int) -> ComplexForm:
-        """The form of the row (1, m) of a one-point coframe."""
-        self._one_point()
-        return ComplexForm(6, degree, rows[0])
-
-    def phi_form(self, a: int) -> ComplexForm:
-        """phi^a as a 1-form over the chart coordinates (a = 1..3)."""
-        return self._form(self._phi[:, a - 1], 1)
-
-    @functools.cached_property
-    def mu(self) -> ComplexForm:
-        return self._form(self._mu, 1)
-
-    @functools.cached_property
-    def tau3(self) -> ComplexForm:
-        return self._form(self._tau3, 2)
-
-    @functools.cached_property
-    def omega_diff(self) -> ComplexForm:
-        return self._form(self._omega_diff, 2)
-
-    @functools.cached_property
-    def R_hat(self) -> Dict[str, complex]:
-        """The rotated curvature components R(v_1*, v_2, v_2, v_2*) and
-        R(v_1*, v_2, v_1, v_1*)."""
-        self._one_point()
-        return {p: complex(v[0]) for p, v in self._R_hat.items()}
-
-    @functools.cached_property
-    def T_hat(self) -> Optional[List[ComplexForm]]:
-        """The rotated torsion 2-forms T^1, T^2 (None for t = 0)."""
-        rows = self._T_hat
-        return None if rows is None else [self._form(rows[:, a], 2) for a in range(2)]
-
-    @functools.cached_property
-    def T_components(self) -> Optional[np.ndarray]:
-        """T^a(v_1, v_2) (2,) complex (None for t = 0)."""
-        self._one_point()
-        if self._torsion is None:
-            return None
-        V = self._base.frame.U @ self._rotation     # coordinate components of v_1, v_2
-        return push_slots(self._torsion, V, (1, 2))[0, :, 0, 1]
-
-    @functools.cached_property
-    def Psi_hat(self) -> Optional[List[List[ComplexForm]]]:
-        """The rotated Chern curvature forms Psi^a_b (None unless t = 1)."""
-        if abs(self.t - 1.0) >= 1e-12:
-            return None
-        return [[self._form(self._psi_hat(a, b), 2) for b in range(2)] for a in range(2)]
 
     def full_rows(self) -> np.ndarray:
         """The 6x6 matrix with rows phi^1..phi^3, conj(phi^1)..conj(phi^3)."""
@@ -831,55 +772,72 @@ def _balanced_brackets(co: TwistorCoframe) -> np.ndarray:
 
 
 def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
-                  flags: Optional[ConditionFlags] = None) -> ComplexForm:
-    """i del dbar K_i from the closed-form displays (a 4-form).
+                  flags: Union[None, ConditionFlags, Sequence[ConditionFlags]] = None
+                  ) -> Union[ComplexForm, np.ndarray]:
+    """i del dbar K_i from the closed-form displays: the 4-form of a one-point
+    coframe, or the rows (n, 15) of a stack (read-only).
 
     Availability: (i = 1, t = 0) on a self-dual base with constant scalar
     curvature (constancy is the caller's assertion; self-duality is checked
     against `flags`); (i in {3, 4}, t = 0) on a base with J-invariant Ricci
-    tensor; (i in {3, 4}, t = 1) unconditionally.  Everything else is served
-    by the finite-difference oracle.
+    tensor; (i in {3, 4}, t = 1) unconditionally.  `flags` holds one
+    `ConditionFlags` per point (one for a one-point coframe, a list for a
+    stack); by default those of `condition_flags` at the base points.  A
+    stack is refused when the predicate fails at any of its points.
+    Everything else is served by the finite-difference oracle.
+
+    The rows come from the coframe's stacked structure rows through grouped
+    `_wedges` calls, as `_structure_dW` builds dW, and each has the bits of
+    the same sum of form wedges on its own point, cut after every step.
     """
     lam2 = _one_parameter(lam, "the displays are")
-    p1 = coframe.phi_form(1)
-    p2 = coframe.phi_form(2)
-    p3 = coframe.phi_form(3)
-    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
-    if flags is None:
-        flags = condition_flags(coframe.surface, coframe.y[:4])
-    if abs(coframe.t) < 1e-12:
-        fiber = (wedge(coframe.omega_diff, wedge(p3, b3)) - wedge(coframe.tau3, coframe.tau3.conj())) * lam2
+    co = coframe
+    p1, p2, p3 = np.moveaxis(co._phi, 1, 0)
+    b1, b2, b3 = np.moveaxis(np.conj(co._phi), 1, 0)
+    if abs(co.t) < 1e-12:
+        if i not in (1, 3, 4):
+            raise ValueError("no second-derivative display for i = 2; use the finite-difference oracle")
+        if flags is None:
+            flags = [f for M, x in co._base_points for f in condition_flags(M, x)]
+        flags = [flags] if isinstance(flags, ConditionFlags) else list(flags)
+        if i == 1 and not all(f.self_dual for f in flags):
+            raise ValueError("the i = 1 display requires a self-dual base with constant "
+                             "scalar curvature (self-duality predicate failed); use the oracle")
+        if i != 1 and not all(f.ricci_J_invariant for f in flags):
+            raise ValueError("the i = 3, 4 displays require a J-invariant Ricci tensor "
+                             "(predicate failed); use the oracle")
+        s, sstar = np.array([[f.s, f.sstar] for f in flags]).T[:, :, None]
+        tau3, mu = co._tau3, co._mu
+        W3, pb1, bp2, pb2, mm = _wedges([(p3, b3), (p1, b1), (b2, p2), (p2, b2), (mu, np.conj(mu))], 1, 1)
+        f1, f2, mu_term = _wedges([(co._omega_diff, W3), (tau3, np.conj(tau3)),
+                                   (mm, cut(pb1 + pb2))], 2, 2)
+        fiber = cut(cut(f1 - f2) * lam2)
         if i == 1:
-            if not flags.self_dual:
-                raise ValueError("the i = 1 display requires a self-dual base with constant "
-                                 "scalar curvature (self-duality predicate failed); use the oracle")
-            s = flags.s
-            combo = (wedge_all(p1, b1, b2, p2) * (-s / 12.0)
-                     + wedge_all(b2, p2, p3, b3) + wedge_all(p3, b3, p1, b1))
-            return combo * (-(2.0 - lam2 * s / 6.0)) + fiber
-        if i in (3, 4):
-            if not flags.ricci_J_invariant:
-                raise ValueError("the i = 3, 4 displays require a J-invariant Ricci tensor "
-                                 "(predicate failed); use the oracle")
-            mu, mub = coframe.mu, coframe.mu.conj()
-            base = wedge_all(p1, b1, p2, b2) * (0.25 * (flags.s - flags.sstar))
-            mu_term = wedge(wedge(mu, mub), wedge(p1, b1) + wedge(p2, b2)) * (-2.0)
-            return base + mu_term + fiber
-        raise ValueError("no second-derivative display for i = 2; use the finite-difference oracle")
-    if abs(coframe.t - 1.0) < 1e-12:
+            x1, x2, x3 = _wedges([(pb1, b2), (bp2, p3), (W3, p1)], 2, 1)
+            m1, m2, m3 = _wedges([(x1, p2), (x2, b3), (x3, b1)], 3, 1)
+            combo = cut(cut(cut(m1 * (-s / 12.0)) + m2) + m3)
+            rows = cut(cut(combo * -(2.0 - lam2 * s / 6.0)) + fiber)
+        else:
+            (x,) = _wedges([(pb1, p2)], 2, 1)
+            (m,) = _wedges([(x, b2)], 3, 1)
+            rows = cut(cut(cut(m * (0.25 * (s - sstar))) + cut(mu_term * -2.0)) + fiber)
+    elif abs(co.t - 1.0) < 1e-12:
         if i not in (3, 4):
             raise ValueError("no second-derivative display for i = 1, 2 with the Chern "
                              "connection; use the finite-difference oracle")
-        P = coframe.Psi_hat
-        T1, T2 = coframe.T_hat
-        fiber = (wedge(P[0][1], P[0][1].conj())
-                 + wedge(P[0][0] - P[1][1], wedge(p3, b3))) * (-lam2)
-        return (fiber
-                + wedge(P[0][0], wedge(p1, b1)) + wedge(P[1][1], wedge(p2, b2))
-                + wedge(T1, T1.conj()) + wedge(T2, T2.conj())
-                - wedge(P[0][1].conj(), wedge(p1, b2)) - wedge(P[0][1], wedge(b1, p2)))
-    raise ValueError("no closed-form derivative display for the general "
-                     "canonical-family connection; use the finite-difference oracle")
+        P00, P01, P11 = co._psi_hat(0, 0), co._psi_hat(0, 1), co._psi_hat(1, 1)
+        T1, T2 = np.moveaxis(co._T_hat, 1, 0)
+        W3, pb1, pb2, p1b2, b1p2 = _wedges([(p3, b3), (p1, b1), (p2, b2), (p1, b2), (b1, p2)], 1, 1)
+        f1, f2, c1, c2, t1, t2, e1, e2 = _wedges(
+            [(P01, np.conj(P01)), (cut(P00 - P11), W3), (P00, pb1), (P11, pb2),
+             (T1, np.conj(T1)), (T2, np.conj(T2)), (np.conj(P01), p1b2), (P01, b1p2)], 2, 2)
+        fiber = cut(cut(f1 + f2) * -lam2)
+        rows = cut(cut(cut(cut(cut(cut(fiber + c1) + c2) + t1) + t2) - e1) - e2)
+    else:
+        raise ValueError("no closed-form derivative display for the general "
+                         "canonical-family connection; use the finite-difference oracle")
+    rows = co._out(rows)
+    return ComplexForm(6, 4, rows) if rows.ndim == 1 else rows
 
 
 # ======================================================================
@@ -1076,27 +1034,31 @@ def nijenhuis_oracle(i: int, M: HermitianSurface, conn: Union[str, float],
     return CoframeSweep(M, conn, z).nijenhuis(i)
 
 
-def _bidegree_project6(form: ComplexForm, C: np.ndarray, p_holo: int) -> ComplexForm:
-    """Project a chart form onto the terms with `p_holo` factors from the
-    (1,0)-rows of C (rows 0..2) and the rest from their conjugates."""
-    over_phi = substitute(form, np.linalg.inv(C))
-    kept = bidegree_project(over_phi, [(0, 3), (1, 4), (2, 5)], p_holo, form.degree - p_holo)
-    return substitute(kept, C)
+# the step of the outer FD pass of `ddbar_oracle`, over the inner sweeps
+_DDBAR_OUTER_STEP = 2e-3
 
 
 def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface,
-                 conn: Union[str, float], z: TwistorPoint,
-                 outer_step: float = 2e-3) -> ComplexForm:
+                 conn: Union[str, float], z: TwistorPoint) -> ComplexForm:
     """i del dbar K_i by nested finite differences.
 
     The inner pass produces the (1,2)-part of dK at each stencil point (one
     coframe sweep of the whole outer stencil, each point projected with
-    the J_i bidegree of that point); the outer pass differentiates those
-    coefficients and keeps the (2,2)-part.  Only meaningful when J_i is
-    integrable.
+    the J_i bidegree of that point); the outer pass, of step
+    `_DDBAR_OUTER_STEP`, differentiates those coefficients and keeps the
+    (2,2)-part.  A bidegree part is taken in the J_i coframe C of the point
+    (`_adapted_rows`, whose (1,0) rows come first): the form is rewritten
+    over C (`substitute` with C^-1), masked (`bidegree_rows`) and rewritten
+    back.  Only meaningful when J_i is integrable.
     """
     t, _ = normalize_connection(conn)
     y0 = z.chart_coordinates()
+
+    def part(form: ComplexForm, B: np.ndarray, p: int) -> ComplexForm:
+        C = _adapted_rows(i, B)
+        over = substitute(form, np.linalg.inv(C)).vec
+        kept = bidegree_rows(over, 6, form.degree, (0, 1, 2), p)
+        return substitute(ComplexForm(6, form.degree, kept), C)
 
     def dbar_vecs(Y: np.ndarray) -> np.ndarray:
         """The (1,2)-part coefficients at every point of a stack Y (..., 6),
@@ -1104,14 +1066,12 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         sw = CoframeSweep.stack(M, t, [TwistorPoint.from_zeta(y[:4], complex(y[4], y[5]))
                                        for y in Y.reshape(-1, 6)])
         dK = weighted_sum(lambda_weights([(i, lam)])[0], sw.dW_coeffs)
-        out = [_bidegree_project6(ComplexForm(6, 3, v), _adapted_rows(i, B0), 1).vec
-               for v, B0 in zip(dK, sw.B0)]
+        out = [part(ComplexForm(6, 3, v), B0, 1).vec for v, B0 in zip(dK, sw.B0)]
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (-1,))
 
     B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
-    dg = M.backend.with_step(outer_step).partials(dbar_vecs, y0)    # [p, key]
-    dG = ComplexForm(6, 4, d_rows(dg, 6, 3))
-    return _bidegree_project6(dG, _adapted_rows(i, B0), 2) * 1j
+    dg = M.backend.with_step(_DDBAR_OUTER_STEP).partials(dbar_vecs, y0)    # [p, key]
+    return part(ComplexForm(6, 4, d_rows(dg, 6, 3)), B0, 2) * 1j
 
 
 # ======================================================================
@@ -1306,60 +1266,6 @@ def lambda_zero_crossing(i: Union[int, Sequence[int]], M: HermitianSurface, conn
         out.append((root, float(np.linalg.norm(av + root * bv))))
     out = [out[k] if one else out[k::len(structures)] for k in range(len(structures))]
     return out[0] if np.ndim(i) == 0 else out
-
-
-@dataclass(frozen=True)
-class TwistorMetricEval:
-    """Everything measured for one (structure, parameter) pair at one point."""
-
-    i: int
-    lambdas: Tuple[float, float, float]
-    K: ComplexForm
-    reality_defect: float
-    volume_coefficient: float          # K^3/3! over the orientation 6-form
-    dK_formula: Optional[ComplexForm]
-    dK_oracle: ComplexForm
-    dK_residual: Optional[float]
-    symplectic_defect: float
-    balanced_formula: Optional[ComplexForm]
-    balanced_oracle: ComplexForm
-    balanced_residual: Optional[float]
-    balanced_defect: float
-
-
-def evaluate_metric(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
-                    i: int, lam: Union[float, Sequence[float]],
-                    coframe: Optional[TwistorCoframe] = None,
-                    sweep: Optional[CoframeSweep] = None) -> TwistorMetricEval:
-    """Evaluate K_i(lambda) with both the formula and the oracle paths."""
-    lams = _lambdas(lam)
-    co = coframe or twistor_coframe(M, conn, z)
-    sw = sweep or CoframeSweep(M, conn, z)
-    K = K_form(i, lams, co)
-    reality = float(np.max(np.abs(K.vec.imag)))
-    # K^3/3! against the ordered (1,0)-pair volume of J_i
-    vol = wedge_all(K, K, K) * (1.0 / 6.0)
-    rows = _adapted_rows(i, co.B)
-    pair = lambda r: wedge(_row_form(rows[r]), _row_form(rows[r]).conj())  # noqa: E731
-    orient = wedge_all(pair(0), pair(1), pair(2)) * (1j ** 3)
-    vol_c = vol.terms.get((0, 1, 2, 3, 4, 5), 0.0)
-    orient_c = orient.terms.get((0, 1, 2, 3, 4, 5), 0.0)
-    volume_coefficient = float(np.real(vol_c / orient_c)) if abs(orient_c) > 0 else float("nan")
-
-    dKo = sw.dK(i, lams)
-    bo = sw.K_wedge_dK(i, lams)
-    formula_ok = abs(co.t) < 1e-12 or abs(co.t - 1.0) < 1e-12
-    dKf = dK_formula(i, lams, co) if formula_ok else None
-    dK_res = (dKf - dKo).norm() if dKf is not None else None
-    one_param = lams[0] == 1.0 and lams[1] == 1.0
-    bf = balanced_defect_formula(i, lams[2], co) if (formula_ok and one_param) else None
-    b_res = (bf - bo).norm() if bf is not None else None
-    return TwistorMetricEval(i=i, lambdas=lams, K=K, reality_defect=reality,
-                             volume_coefficient=volume_coefficient,
-                             dK_formula=dKf, dK_oracle=dKo, dK_residual=dK_res,
-                             symplectic_defect=dKo.norm(),
-                             balanced_formula=bf, balanced_oracle=bo,
-                             balanced_residual=b_res, balanced_defect=bo.norm())
 
 
 @dataclass(frozen=True)

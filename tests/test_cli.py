@@ -1198,6 +1198,21 @@ def test_every_imported_name_is_used_or_exported():
     assert unused == []
 
 
+def test_every_exported_name_resolves():
+    # a stale name in __all__ would make `from twistorlab.<module> import *` raise
+    package = os.path.dirname(twistorlab.__file__)
+    names = ["twistorlab"] + [f"twistorlab.{filename[:-3]}" for filename in sorted(os.listdir(package))
+                              if filename.endswith(".py") and filename != "__init__.py"]
+    exported = {}
+    for name in names:
+        module = importlib.import_module(name)
+        exported[name] = list(getattr(module, "__all__", ()))
+        assert [attr for attr in exported[name] if not hasattr(module, attr)] == [], name
+        exec(f"from {name} import *", {})
+    assert all(exported[name] for name in ("twistorlab", "twistorlab.twistor", "twistorlab.flag",
+                                           "twistorlab.cli"))
+
+
 def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
     # numpy runs an einsum of three or more operands as one loop over every
     # index combination; the frame pushes of the curvature and torsion are

@@ -13,7 +13,7 @@ from twistorlab.exterior import (
     ComplexForm,
     SdAsdBasis,
     antisymmetric_array,
-    bidegree_project,
+    bidegree_rows,
     cut,
     d_rows,
     hodge_star_4,
@@ -398,52 +398,56 @@ def test_split_requires_two_form():
 # bidegree projection
 # ----------------------------------------------------------------------
 
-PAIRING4 = [(0, 2), (1, 3)]  # basis order: eta1, eta2, conj(eta1), conj(eta2)
+def holo_of(dim):
+    """The (1,0) indices of a coframe eta_1..eta_h, conj(eta_1)..conj(eta_h)."""
+    return tuple(range(dim // 2))
 
 
-def test_bidegree_keeps_one_one():
-    f = ComplexForm.basis(4, (0, 2))  # eta1 ^ conj(eta1)
-    assert bidegree_project(f, PAIRING4, 1, 1).isclose(f, tol=1e-14)
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_bidegree_keeps_one_one(dim):
+    f = ComplexForm.basis(dim, (0, dim // 2))  # eta1 ^ conj(eta1)
+    assert np.array_equal(bidegree_rows(f.vec, dim, 2, holo_of(dim), 1), f.vec)
 
 
-def test_bidegree_kills_two_zero():
-    f = ComplexForm.basis(4, (0, 1))  # eta1 ^ eta2
-    assert bidegree_project(f, PAIRING4, 1, 1).norm() == 0.0
-    assert bidegree_project(f, PAIRING4, 2, 0).isclose(f, tol=1e-14)
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_bidegree_kills_two_zero(dim):
+    f = ComplexForm.basis(dim, (0, 1))  # eta1 ^ eta2
+    assert not bidegree_rows(f.vec, dim, 2, holo_of(dim), 1).any()
+    assert np.array_equal(bidegree_rows(f.vec, dim, 2, holo_of(dim), 2), f.vec)
 
 
-def test_bidegree_on_sd_generator():
-    # (i/sqrt2)(eta1^conj(eta1) + eta2^conj(eta2)) is pure (1,1)
-    r = 1.0j / np.sqrt(2.0)
-    alpha = ComplexForm(4, 2, {(0, 2): r, (1, 3): r})
-    assert bidegree_project(alpha, PAIRING4, 1, 1).isclose(alpha, tol=1e-14)
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_bidegree_on_the_fundamental_form(dim):
+    # (i/sqrt2) sum_a eta_a ^ conj(eta_a) is pure (1,1)
+    h, r = dim // 2, 1.0j / np.sqrt(2.0)
+    alpha = ComplexForm(dim, 2, {(a, a + h): r for a in range(h)})
+    assert np.array_equal(bidegree_rows(alpha.vec, dim, 2, holo_of(dim), 1), alpha.vec)
 
 
-def test_bidegree_partition_of_identity():
+@pytest.mark.parametrize("dim", [4, 6, 8])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_bidegree_partition_of_identity(dim, degree):
     rng = np.random.default_rng(5)
-    f = random_form(rng, 4, 2, nterms=6)
-    total = ComplexForm.zero(4, 2)
-    parts = []
-    for p in range(3):
-        part = bidegree_project(f, PAIRING4, p, 2 - p)
-        parts.append(part)
-        total = total + part
-    assert total.isclose(f, tol=1e-14)
-    # mutually annihilating
-    for p in range(3):
-        for p2 in range(3):
-            again = bidegree_project(parts[p], PAIRING4, p2, 2 - p2)
+    rows = np.stack([random_form(rng, dim, degree, nterms=6).vec for _ in range(3)])
+    parts = [bidegree_rows(rows, dim, degree, holo_of(dim), p) for p in range(degree + 1)]
+    # one (1,0) set per row: here the conjugate coframe's for the middle row
+    anti = tuple(range(dim // 2, dim))
+    for p, part in enumerate(parts):
+        per_row = bidegree_rows(rows, dim, degree, [holo_of(dim), anti, holo_of(dim)], p)
+        assert np.array_equal(per_row[[0, 2]], part[[0, 2]])
+        assert np.array_equal(per_row[1], parts[degree - p][1])
+    total = parts[0]
+    for part in parts[1:]:
+        total = cut(total + part)
+    assert np.array_equal(total, rows)
+    # mutually annihilating, and each part its own part
+    for p in range(degree + 1):
+        for p2 in range(degree + 1):
+            again = bidegree_rows(parts[p], dim, degree, holo_of(dim), p2)
             if p2 == p:
-                assert again.isclose(parts[p], tol=1e-14)
+                assert np.array_equal(again, parts[p])
             else:
-                assert again.norm() == 0.0
-
-
-def test_bidegree_mismatch_warns():
-    f = ComplexForm.basis(4, (0, 2))
-    with pytest.warns(UserWarning):
-        out = bidegree_project(f, PAIRING4, 1, 2)
-    assert out.norm() == 0.0
+                assert not again.any()
 
 
 # ----------------------------------------------------------------------

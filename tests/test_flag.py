@@ -33,7 +33,7 @@ from twistorlab.flag import (
     structural_ddbar,
 )
 from twistorlab import flag as fl
-from twistorlab.exterior import ComplexForm, wedge, wedge_all
+from twistorlab.exterior import ComplexForm, bidegree_rows, cut, slot_keys, wedge, wedge_all
 from twistorlab.flag import _d_table, _displayed_structure_equations
 
 SQ2 = math.sqrt(2.0)
@@ -200,13 +200,18 @@ def test_integrability_census():
     assert sum(1 for v in obstructions.values() if v == 0.0) == 6
 
 
-def test_bidegree_parts_partition_a_derivative():
-    dk = flag_dK(2, TRIPLE)
-    parts = [flag_bidegree_part(dk, 2, p) for p in range(4)]
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_bidegree_parts_partition_a_derivative(i):
+    # the slot masks of exterior's one bidegree projection, read in the
+    # (1,0) generators of structure i, split dK_i into its four parts
+    dk = flag_dK(i, TRIPLE)
+    holo, _ = fl._holo_antiholo(i)
+    parts = [bidegree_rows(dk.vec, 8, 3, holo, p) for p in range(4)]
     total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    assert (total - dk).norm() == 0.0
+    for p, part in enumerate(parts):
+        assert np.array_equal(part, flag_bidegree_part(dk, i, p).vec)
+        total = total if p == 0 else cut(total + part)
+    assert np.array_equal(total, dk.vec) and dk.norm() > 0.0
 
 
 def test_bidegree_rejects_non_quotient_forms():
@@ -458,7 +463,8 @@ def _reference_structural_ddbar(i, lam):
 
 def _reference_integrability_obstruction(i):
     holo, _ = fl._holo_antiholo(i)
-    zero_two = d_matrix(1)[fl._holo_counts(i, 2) == 0]
+    # the quotient slots (no diagonal generator) with no (1,0) generator
+    zero_two = d_matrix(1)[[max(key) < 6 and not set(key) & set(holo) for key in slot_keys(8, 2)]]
     return float(np.max(np.linalg.norm(zero_two[:, list(holo)].T.astype(float), axis=-1)))
 
 

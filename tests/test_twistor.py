@@ -23,7 +23,7 @@ from twistorlab import manifold as mf
 from twistorlab import twistor as tw
 from twistorlab.curvature_analysis import (DEFAULT_PREDICATE_TOL, ConditionFlags, _basis_arrays,
                                            condition_flags)
-from twistorlab.exterior import ComplexForm, SdAsdBasis, wedge, wedge_all
+from twistorlab.exterior import ComplexForm, SdAsdBasis, substitute, wedge, wedge_all
 from twistorlab.manifold import (J_STANDARD, ChartSpec, HermitianSurface, builtin,
                                  coordinate_fundamental_matrix, parse_surface_spec, push_slots,
                                  stack_field)
@@ -204,7 +204,7 @@ def test_coframe_torsion_difference():
     # torsion components against the horizontal (1,0)-rows
     co_l = coframe("hopf", "lichnerowicz")
     co_c = coframe("hopf", "chern")
-    T1, T2 = co_c.T_components
+    T1, T2 = _T_components(co_c)
     expected = -0.5 * (T1 * co_c.B[0, :4] + np.conj(T2) * np.conj(co_c.B[1, :4]))
     assert np.max(np.abs((co_l.B[2, :4] - co_c.B[2, :4]) - expected)) < 1e-9
     assert np.max(np.abs(co_l.B[2, 4:] - co_c.B[2, 4:])) < 1e-12
@@ -741,12 +741,18 @@ def test_K_real_and_compatible():
         assert np.max(np.abs(mat - J.T @ G)) < 1e-12
 
 
-def test_volume_coefficient_scales():
-    ev = tw.evaluate_metric(surface("hopf"), "chern", zpt("hopf"), 1, (0.8, 1.2, 0.6))
-    assert ev.volume_coefficient == pytest.approx((0.8 * 1.2 * 0.6) ** 2, rel=1e-9)
-    assert ev.reality_defect < 1e-12
-    ev2 = tw.evaluate_metric(surface("cp2_fs"), "lichnerowicz", zpt("cp2_fs"), 2, 1.0)
-    assert ev2.volume_coefficient == pytest.approx(1.0, rel=1e-9)
+@pytest.mark.parametrize("name,conn,i,lam", [("hopf", "chern", 1, (0.8, 1.2, 0.6)),
+                                             ("cp2_fs", "lichnerowicz", 2, 1.0)])
+def test_volume_coefficient_scales(name, conn, i, lam):
+    # K^3/3! against the ordered (1,0)-pair volume of J_i is (l1 l2 l3)^2
+    co = coframe(name, conn)
+    K = tw.K_form(i, lam, co)
+    assert np.max(np.abs(K.vec.imag)) < 1e-12
+    rows = [ComplexForm(6, 1, r) for r in tw._adapted_rows(i, co.B)[:3]]
+    orient = wedge_all(*(wedge(r, r.conj()) for r in rows)) * (1j ** 3)
+    vol = wedge_all(K, K, K) * (1.0 / 6.0)
+    l1, l2, l3 = tw._lambdas(lam)
+    assert float(np.real(vol.vec[0] / orient.vec[0])) == pytest.approx((l1 * l2 * l3) ** 2, rel=1e-9)
 
 
 # ======================================================================
@@ -1059,7 +1065,16 @@ def test_bundle_chart_compare_matches_the_per_point_reference(name):
     assert tw.bundle_chart_compare(M, 1.0, z) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-def _ddbar_reference(i, lam, M, conn, z, outer_step=2e-3):
+def _reference_bidegree6(form, C, p_holo):
+    """The part of a chart form with `p_holo` factors from the (1,0)-rows of
+    C (rows 0..2) and the rest from their conjugates: rewritten over C,
+    masked slot by slot, rewritten back."""
+    over = substitute(form, np.linalg.inv(C))
+    keep = {key: c for key, c in over.terms.items() if sum(k < 3 for k in key) == p_holo}
+    return substitute(ComplexForm(6, form.degree, keep), C)
+
+
+def _ddbar_reference(i, lam, M, conn, z):
     """ddbar_oracle with its outer pass by the per-point partial, direction by direction."""
     t, _ = tw.normalize_connection(conn)
     y0 = z.chart_coordinates()
@@ -1067,9 +1082,9 @@ def _ddbar_reference(i, lam, M, conn, z, outer_step=2e-3):
 
     def dbar_vec(y):
         sw = tw.CoframeSweep(M, t, tw.TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
-        proj = tw._bidegree_project6(sw.dK(i, lam), tw._adapted_rows(i, sw.B0), 1)
+        proj = _reference_bidegree6(sw.dK(i, lam), tw._adapted_rows(i, sw.B0), 1)
         return np.array([proj.terms.get(k, 0.0) for k in keys], dtype=complex)
-    be = M.backend.with_step(outer_step)
+    be = M.backend.with_step(tw._DDBAR_OUTER_STEP)
     dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
     coeff = {}
     for key in itertools.combinations(range(6), 4):     # p ascending within each key
@@ -1077,7 +1092,7 @@ def _ddbar_reference(i, lam, M, conn, z, outer_step=2e-3):
             rest = keys.index(key[:pos] + key[pos + 1:])
             coeff[key] = coeff.get(key, 0.0) + (-1.0) ** pos * dg[p][rest]
     B0 = tw.coframe_rows(M, t, y0)
-    return tw._bidegree_project6(ComplexForm(6, 4, coeff), tw._adapted_rows(i, B0), 2) * 1j
+    return _reference_bidegree6(ComplexForm(6, 4, coeff), tw._adapted_rows(i, B0), 2) * 1j
 
 
 @pytest.mark.parametrize("name,conn,i", [("flat_c2", "lichnerowicz", 1), ("hopf", "chern", 3)])
@@ -1096,36 +1111,12 @@ def test_bundle_requires_kahler():
 # evaluation records and condition reports
 # ======================================================================
 
-def test_evaluate_metric_record():
-    ev = tw.evaluate_metric(surface("cp2_fs"), "lichnerowicz", zpt("cp2_fs"), 1, SQ2,
-                            coframe=coframe("cp2_fs", "lichnerowicz"),
-                            sweep=sweep("cp2_fs", "lichnerowicz"))
-    assert ev.lambdas == (1.0, 1.0, SQ2)
-    assert ev.symplectic_defect < 1e-8
-    assert ev.balanced_defect < 1e-8
-    assert ev.dK_residual < 1e-7 and ev.balanced_residual < 1e-7
-    ev3 = tw.evaluate_metric(surface("hopf"), "chern", zpt("hopf"), 1, (0.8, 1.2, 0.6))
-    assert ev3.balanced_formula is None       # product display is one-parameter
-    assert ev3.dK_residual < 1e-7
-
-
-@pytest.mark.parametrize("lam", [1.0, 1000.0, 3000.0])
-def test_evaluate_metric_balanced_defect_has_the_bits_of_condition_report(lam):
-    # both read K ^ dK from the sweep's blocks, without the W_3 ^ dW_3 roundoff
-    M = surface("cp2_fs")
-    z = tw.sample_twistor_points(M, 1, seed=0)[0]
-    ev = tw.evaluate_metric(M, "lichnerowicz", z, 1, lam)
-    row = tw.condition_report(M, "lichnerowicz", [lam], [z]).rows[0]
-    assert row.i == 1 and ev.balanced_defect == row.balanced_defect
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, (1.0, math.nan, 1.0),
                                  (math.inf, 1.0, 1.0), (1.0, 1.0, -math.inf)])
 def test_non_finite_fiber_parameters_are_refused(bad):
     M, z = surface("cp2_fs"), zpt("cp2_fs")
     calls = (lambda: tw.condition_report(M, "lichnerowicz", [bad], [z]),
-             lambda: tw.K_form(1, bad, coframe("cp2_fs", "lichnerowicz")),
-             lambda: tw.evaluate_metric(M, "lichnerowicz", z, 1, bad))
+             lambda: tw.K_form(1, bad, coframe("cp2_fs", "lichnerowicz")))
     for call in calls:
         with pytest.raises(ValueError, match=r"metric parameter -?(nan|inf) (is not finite|below)"):
             call()
@@ -1136,8 +1127,7 @@ def test_fiber_parameters_whose_square_overflows_are_refused(big):
     M, z = surface("cp2_fs"), zpt("cp2_fs")
     calls = (lambda: tw.condition_report(M, "lichnerowicz", [big], [z]),
              lambda: tw.lambda_weights([(1, big)]),
-             lambda: tw.K_form(1, big, coframe("cp2_fs", "lichnerowicz")),
-             lambda: tw.evaluate_metric(M, "lichnerowicz", z, 1, big))
+             lambda: tw.K_form(1, big, coframe("cp2_fs", "lichnerowicz")))
     for call in calls:
         with pytest.raises(ValueError, match=r"metric parameter \S+ is too large: its square overflows"):
             call()
@@ -1274,7 +1264,8 @@ def _reference_two_form(mat):
 
 
 def _reference_coframe_structure(M, conn, z):
-    """tau3, omega_diff, R_hat and T_components of twistor_coframe."""
+    """tau3, omega_diff, R_hat and the torsion components T^a(v_1, v_2) at a
+    bundle point, from multi-operand einsums."""
     t, _ = tw.normalize_connection(conn)
     lc, A = cn.levi_civita(M, z.x), tw._su2(z.zeta)
     Om = np.einsum("ijkl,km,ln->ijmn", lc.R, lc.frame.theta, lc.frame.theta)
@@ -1296,6 +1287,14 @@ def _reference_coframe_structure(M, conn, z):
             _reference_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3])).vec, R_hat, T_comp)
 
 
+def _T_components(co):
+    """T^a(v_1, v_2) (2,) of a one-point coframe's torsion rows, None for t = 0."""
+    if co._torsion is None:
+        return None
+    V = co._base.frame.U @ co._rotation     # coordinate components of v_1, v_2
+    return push_slots(co._torsion, V, (1, 2))[0, :, 0, 1]
+
+
 def assert_close_to_reference(new, ref):
     new, ref = np.asarray(new), np.asarray(ref)
     assert new.shape == ref.shape
@@ -1309,13 +1308,13 @@ def test_coframe_structure_matches_the_multi_operand_einsums(name, conn):
     for z in tw.sample_twistor_points(M, 2, seed=4):
         co = tw.twistor_coframe(M, conn, z)
         tau3, omega_diff, R_hat, T_comp = _reference_coframe_structure(M, conn, z)
-        assert_close_to_reference(co.tau3.vec, tau3)
-        assert_close_to_reference(co.omega_diff.vec, omega_diff)
+        assert_close_to_reference(co._tau3[0], tau3)
+        assert_close_to_reference(co._omega_diff[0], omega_diff)
         for pattern, value in R_hat.items():
-            assert_close_to_reference(co.R_hat[pattern], value)
-        assert (co.T_components is None) is (T_comp is None)
+            assert_close_to_reference(co._R_hat[pattern][0], value)
+        assert (_T_components(co) is None) is (T_comp is None)
         if T_comp is not None:
-            assert_close_to_reference(co.T_components, T_comp)
+            assert_close_to_reference(_T_components(co), T_comp)
         w = np.array([1.3 ** 2, 0.7 ** 2, 2.1 ** 2])
         assert_close_to_reference(tw.h_lambda_matrix(co, (1.3, 0.7, 2.1)),
                                   2.0 * np.real(np.einsum("a,am,an->mn", w, np.conj(co.B), co.B)))
@@ -1402,11 +1401,10 @@ def _reference_coframe(M, conn, z):
     Om_rot = push_slots(Om, Q, (0, 1))
     omega_diff = _reference_two_form(1j * (Om_rot[0, 1] - Om_rot[2, 3]))
     R_hat = {p: cn.complexify(lc.R, p, Vrows) for p in ("1*222*", "1*211*")}
-    T_hat = T_comp = Psi_hat = None
+    T_hat = Psi_hat = None
     if abs(t) > 1e-12:
         Tm = np.einsum("am,mnr->anr", B[:2, :4], cn.gauduchon(M, x, t).torsion_coord)
         T_hat = [_reference_two_form(Tm[a]) for a in range(2)]
-        T_comp = push_slots(Tm, fr.U @ A, (1, 2))[:, 0, 1]
     if abs(t - 1.0) < 1e-12:
         dc = cn.direct_curvature(M, x, 1.0)
         Psi_hat = [[None, None], [None, None]]
@@ -1421,7 +1419,7 @@ def _reference_coframe(M, conn, z):
                 Psi_hat[a][b] = acc
     rows = [ComplexForm(6, 1, np.asarray(r, dtype=complex)) for r in B]
     co = types.SimpleNamespace(surface=M, t=t, y=y, B=B, mu=mu, tau3=tau3, omega_diff=omega_diff,
-                               R_hat=R_hat, T_hat=T_hat, T_components=T_comp, Psi_hat=Psi_hat,
+                               R_hat=R_hat, T_hat=T_hat, Psi_hat=Psi_hat,
                                phi_form=lambda a: rows[a - 1])
     co.dW_forms = _reference_structure_dW(co)
     co.brackets = _reference_balanced_forms(co)
@@ -1473,6 +1471,49 @@ def _reference_balanced_forms(co):
         tor = wedge(T1, b1) - wedge(T1.conj(), p1) + wedge(T2, b2) - wedge(T2.conj(), p2)
         return f12, wedge(front, psi_pair) + wedge(tor, W3)
     return None
+
+
+def _reference_ddbar_formula(i, lam, co, flags=None):
+    """i del dbar K_i of a `_reference_coframe` namespace: the per-point form
+    wedges that the stacked rows of `ddbar_formula` replaced."""
+    lam2 = tw._one_parameter(lam, "the displays are")
+    p1, p2, p3 = (co.phi_form(a) for a in (1, 2, 3))
+    b1, b2, b3 = p1.conj(), p2.conj(), p3.conj()
+    if flags is None:
+        flags = condition_flags(co.surface, co.y[:4])
+    if abs(co.t) < 1e-12:
+        fiber = (wedge(co.omega_diff, wedge(p3, b3)) - wedge(co.tau3, co.tau3.conj())) * lam2
+        if i == 1:
+            if not flags.self_dual:
+                raise ValueError("the i = 1 display requires a self-dual base with constant "
+                                 "scalar curvature (self-duality predicate failed); use the oracle")
+            s = flags.s
+            combo = (wedge_all(p1, b1, b2, p2) * (-s / 12.0)
+                     + wedge_all(b2, p2, p3, b3) + wedge_all(p3, b3, p1, b1))
+            return combo * (-(2.0 - lam2 * s / 6.0)) + fiber
+        if i in (3, 4):
+            if not flags.ricci_J_invariant:
+                raise ValueError("the i = 3, 4 displays require a J-invariant Ricci tensor "
+                                 "(predicate failed); use the oracle")
+            mu, mub = co.mu, co.mu.conj()
+            base = wedge_all(p1, b1, p2, b2) * (0.25 * (flags.s - flags.sstar))
+            mu_term = wedge(wedge(mu, mub), wedge(p1, b1) + wedge(p2, b2)) * (-2.0)
+            return base + mu_term + fiber
+        raise ValueError("no second-derivative display for i = 2; use the finite-difference oracle")
+    if abs(co.t - 1.0) < 1e-12:
+        if i not in (3, 4):
+            raise ValueError("no second-derivative display for i = 1, 2 with the Chern "
+                             "connection; use the finite-difference oracle")
+        P = co.Psi_hat
+        T1, T2 = co.T_hat
+        fiber = (wedge(P[0][1], P[0][1].conj())
+                 + wedge(P[0][0] - P[1][1], wedge(p3, b3))) * (-lam2)
+        return (fiber
+                + wedge(P[0][0], wedge(p1, b1)) + wedge(P[1][1], wedge(p2, b2))
+                + wedge(T1, T1.conj()) + wedge(T2, T2.conj())
+                - wedge(P[0][1].conj(), wedge(p1, b2)) - wedge(P[0][1], wedge(b1, p2)))
+    raise ValueError("no closed-form derivative display for the general "
+                     "canonical-family connection; use the finite-difference oracle")
 
 
 def fresh_surface(name):
@@ -1536,7 +1577,7 @@ def test_one_point_displays_are_those_of_the_per_point_forms(name, conn):
         flags = condition_flags(M, z.x)
         for i in (1, 2, 3, 4):
             try:
-                want = tw.ddbar_formula(i, 1.1, ref, flags)
+                want = _reference_ddbar_formula(i, 1.1, ref, flags)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=re.escape(str(exc))):
                     tw.ddbar_formula(i, 1.1, co, flags)
@@ -1544,18 +1585,30 @@ def test_one_point_displays_are_those_of_the_per_point_forms(name, conn):
             assert np.array_equal(tw.ddbar_formula(i, 1.1, co, flags).vec, want.vec)
 
 
-def test_a_stack_gives_rows_and_a_point_gives_forms():
+@pytest.mark.parametrize("name,conn,i", [("hopf", "chern", 3), ("hopf", "chern", 4),
+                                         ("cp2_fs", "lichnerowicz", 3)])
+def test_each_point_of_a_stacked_ddbar_has_the_bits_of_its_one_point_display(name, conn, i):
+    M, pts = surface(name), STACK_34[name][:3]
+    co = tw.TwistorCoframe.stack(M, conn, pts)
+    rows = tw.ddbar_formula(i, 1.1, co)
+    assert rows.shape == (3, 15) and not rows.flags.writeable
+    for row, z in zip(rows, pts):
+        assert np.array_equal(row, tw.ddbar_formula(i, 1.1, tw.twistor_coframe(M, conn, z)).vec)
+    flags = condition_flags(M, np.array([z.x for z in pts]))
+    assert np.array_equal(tw.ddbar_formula(i, 1.1, co, flags), rows)
+
+
+def test_a_stacked_ddbar_reads_the_flags_of_every_segment_and_refuses_as_one_point_does():
+    segments = [(surface("cp2_fs"), STACK_34["cp2_fs"][:2]), (surface("ch2"), STACK_34["ch2"][:1])]
+    rows = tw.ddbar_formula(3, 1.1, tw.TwistorCoframe.stack(segments, "lichnerowicz"))
+    ones = [tw.ddbar_formula(3, 1.1, tw.twistor_coframe(M, "lichnerowicz", z)).vec
+            for M, pts in segments for z in pts]
+    assert np.array_equal(rows, np.stack(ones))
     M, pts = surface("hopf"), STACK_34["hopf"][:2]
-    stacked, one = tw.TwistorCoframe.stack(M, "chern", pts), tw.twistor_coframe(M, "chern", pts[0])
-    for read in (lambda co: co.phi_form(1), lambda co: co.mu, lambda co: co.Psi_hat,
-                 lambda co: co.T_hat, lambda co: co.R_hat, lambda co: co.T_components):
-        with pytest.raises(ValueError, match="read at one bundle point"):
-            read(stacked)
-        assert read(one) is not None
+    with pytest.raises(ValueError, match="J-invariant Ricci"):
+        tw.ddbar_formula(3, 1.1, tw.TwistorCoframe.stack(M, "lichnerowicz", pts))
     with pytest.raises(ValueError, match="at least one bundle point"):
         tw.TwistorCoframe.stack(M, "chern", [])
-    lich = tw.twistor_coframe(M, "lichnerowicz", pts[0])
-    assert lich.T_hat is None and lich.T_components is None and lich.Psi_hat is None
 
 
 @pytest.mark.parametrize("bad", [

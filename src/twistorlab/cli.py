@@ -746,37 +746,40 @@ def _appendix_options(ap: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line.
-
-    A subcommand's parser gets `options`, the function that adds its
-    options, and calls it the first time it parses or formats help or
-    usage, so an invocation builds the options of its own command only.
-    """
-
-    def __init__(self, *args, options: Optional[Callable[[argparse.ArgumentParser], None]] = None,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self._options = options
-
-    def _add_options(self) -> None:
-        options, self._options = self._options, None
-        if options is not None:
-            options(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_options()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_options()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_options()
-        return super().format_help()
+    """An argument parser whose usage errors are one stderr line."""
 
     def error(self, message: str):
         self.exit(2, f"twistorlab: error: {message}\n")
+
+
+class _Commands(dict):
+    """The subcommands' parsers by name, each held as the function that
+    builds it until it is first read: to parse the command's arguments or to
+    format its help or usage.  An invocation builds its own command's only."""
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        parser = super().__getitem__(name)
+        if not isinstance(parser, argparse.ArgumentParser):
+            parser = self[name] = parser()
+        return parser
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """argparse's subcommands, with each parser built by `_Commands`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.choices = self._name_parser_map = _Commands()
+
+    def add_parser(self, name: str, *, help: str,            # noqa: A002 - argparse's keyword
+                   options: Callable[[argparse.ArgumentParser], None]) -> None:
+        """Add the command `name`, whose parser gets its options from `options`."""
+        def build() -> argparse.ArgumentParser:
+            parser = _Parser(prog=f"{self._prog_prefix} {name}")
+            options(parser)
+            return parser
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -786,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "for almost-Hermitian twistor structures.")
     parser.add_argument("--version", action="version",
                         version=f"twistorlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
     sub.add_parser("report", help="survey symplectic/balanced/integrability "
                                   "conditions on a surface", options=_report_options)
     sub.add_parser("verify", help="run the invariant battery, exit 0 iff clean",

@@ -206,8 +206,11 @@ def levi_civita(segments) -> LeviCivitaData:
 
     Gamma, omega^LC and the frame come from `_base_table`; the curvature
     comes from a second FD pass over the Christoffel field, which reads the
-    table at every segment's points and stencil points as one stack; frame
-    components are produced against the canonical Gram-Schmidt frame field.
+    table at every segment's stencil points alone, as one stack (the points
+    themselves were just read, so a fresh stack misses every point and its
+    lookup answers with the batch, gathering no stored row), and combines
+    the Gamma of all of them at once; frame components are produced against
+    the canonical Gram-Schmidt frame field.
     """
     base = _framed(segments)
     fr, Gm = base.frame, base.Gamma
@@ -215,8 +218,8 @@ def levi_civita(segments) -> LeviCivitaData:
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
-    stacked, split = with_stencils(segments)
-    dG = segments[0][0].backend.combine(split(_base_table(stacked).Gamma)[1])
+    stencils, split = with_stencils(segments, centres=False)
+    dG = segments[0][0].backend.combine(split(_base_table(stencils).Gamma)[1])
     dG = np.ascontiguousarray(np.moveaxis(dG, 0, 1))            # dG[z, k] = d_k Gamma
     Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))

@@ -296,6 +296,10 @@ class ChartSpec:
         return pts
 
 
+# the multiples c of the step in the stencil points x + c h e_k of each FD order
+_OFFSETS = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}
+
+
 @dataclass(frozen=True)
 class DiffBackend:
     """Central finite differences of order 2 or 4: the one FD rule.
@@ -304,13 +308,16 @@ class DiffBackend:
     step (order 2) or 2*step (order 4) from the evaluation point.
 
     The rule has two halves.  `stencil` lays out the points of every
-    partial at every point of a stack, and `combine` weighs the values of a
+    partial at every point of a stack, as one sum of the points and the
+    offsets c h e_k (c in _OFFSETS), and `combine` weighs the values of a
     function there: (f(x+h) - f(x-h)) / 2h, or (-f(x+2h) + 8 f(x+h)
-    - 8 f(x-h) + f(x-2h)) / 12h, in that order of operations.  `partials`
+    - 8 f(x-h) + f(x-2h)) / 12h, in that order of operations; both read the
+    steps as one array, with no loop over the directions.  `partials`
     differentiates a function that evaluates stacks with one call on the
     whole stencil, nested derivatives included; the passes over segments
     (the base table, the curvatures, `CoframeSweep`) read values at the
-    points and stencils of `with_stencils`, one `combine` per field.  The
+    points and stencils of `with_stencils`, whose stencils of every segment
+    are one `stencil` call, and make one `combine` per field.  The
     partials of a form's coefficients become its exterior derivative in one
     place, `exterior.d_rows`.  `partial`, the one-direction case for a
     function of one point, is not called by the package: it is the
@@ -325,30 +332,29 @@ class DiffBackend:
         if np.any(np.asarray(self.step) <= 0):
             raise ValueError("FD step must be positive")
 
-    def step_for(self, k: int) -> float:
-        s = np.asarray(self.step)
-        return float(s if s.ndim == 0 else s[k])
-
     def reach(self) -> float:
         s = float(np.max(np.asarray(self.step)))
         return 2.0 * s if self.order == 4 else s
 
     def _steps(self, dirs: Sequence[int], ndim: int) -> np.ndarray:
-        return np.array([self.step_for(k) for k in dirs]).reshape((-1,) + (1,) * ndim)
+        """The step of each direction of `dirs` on axis 0 of ndim + 1 axes
+        (one step for all of them when the step is a scalar)."""
+        s = np.asarray(self.step, dtype=float)
+        return (s if s.ndim == 0 else s[list(dirs)]).reshape((-1,) + (1,) * ndim)
 
     def stencil(self, x: np.ndarray, dirs: Optional[Sequence[int]] = None) -> np.ndarray:
         """The stencil points of the partials along `dirs` (default: every
         coordinate) at every point of x (..., n): shape (len(dirs), m, ..., n)
         with m = order offsets, ordered x + 2h, x + h, x - h, x - 2h (order 4)
-        or x + h, x - h (order 2)."""
+        or x + h, x - h (order 2), from one sum of x and the offsets
+        (c h) e_k, which has the bits of x + c h e_k and x - |c| h e_k."""
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         dirs = range(n) if dirs is None else dirs
-        e = np.eye(n)[list(dirs)].reshape((-1,) + (1,) * (x.ndim - 1) + (n,))
-        h = self._steps(dirs, x.ndim)
-        if self.order == 2:
-            return np.stack([x + h * e, x - h * e], axis=1)
-        return np.stack([x + 2 * h * e, x + h * e, x - h * e, x - 2 * h * e], axis=1)
+        e = np.eye(n)[list(dirs)][:, None, :]
+        c = np.array(_OFFSETS[self.order])[None, :, None]
+        offsets = (c * self._steps(dirs, 2)) * e                   # (len(dirs), m, n)
+        return x + offsets.reshape(offsets.shape[:2] + (1,) * (x.ndim - 1) + (n,))
 
     def combine(self, values: np.ndarray, dirs: Optional[Sequence[int]] = None) -> np.ndarray:
         """The partials from values[d, j] = f(stencil[d, j]): shape (len(dirs), ...)."""
@@ -420,9 +426,15 @@ def _map_arrays(fn, value, *others):
     return out
 
 
-def _take(rows: list, *stores: np.ndarray) -> np.ndarray:
-    """The rows rows[k] of each stored array stores[k], joined, read-only."""
-    out = stores[0][rows[0]] if len(stores) == 1 else np.concatenate([a[r] for a, r in zip(stores, rows)])
+def _take(rows: list, spans: list, *stores: np.ndarray) -> np.ndarray:
+    """The rows rows[k] of each stored array stores[k], taken into the span
+    spans[k] of one read-only array (the one store's rows as they are shaped)."""
+    if len(stores) == 1:
+        out = stores[0].take(rows[0], axis=0)
+    else:
+        out = np.empty((spans[-1].stop,) + stores[0].shape[1:], np.result_type(*stores))
+        for a, r, span in zip(stores, rows, spans):
+            a.take(r, 0, out[span], "clip")        # every row is valid: no checked copy
     out.setflags(write=False)
     return out
 
@@ -506,21 +518,30 @@ def fd_rule(segments) -> "DiffBackend":
     return be
 
 
-def with_stencils(segments):
-    """The segments [(M, x (k, n)), ...], each x followed by its FD stencil,
-    and `split`: values at their points -> (those at x (N, ...), those at
-    the stencils (n, m, N, ...)), cut out by blocks (views for one segment)."""
-    be, parts, cuts, start = fd_rule(segments), [], [], 0
+def with_stencils(segments, centres: bool = True):
+    """The segments [(M, x (k, n)), ...], each x followed by its FD stencil
+    (the stencil alone when `centres` is False), and `split`: values at
+    their points -> (those at x (N, ...), or None without the centres, and
+    those at the stencils (d, m, N, ...)), cut out by blocks (views for one
+    segment).  The stencils of all the segments come from one
+    `DiffBackend.stencil` call over their joined points, and each segment's
+    has the bits of its own `stencil` call."""
+    s = fd_rule(segments).stencil(_join([x for _, x in segments]))      # (d, m, N, n)
+    d, m, _, n = s.shape
+    parts, cuts, start, offset = [], [], 0, 0
     for M, x in segments:
-        s = be.stencil(x)
-        parts.append((M, np.concatenate([x, s.reshape(-1, x.shape[-1])])))
-        cuts.append((start, start + len(x), start + len(parts[-1][1]), s.shape[:-1]))
-        start = cuts[-1][2]
+        k = len(x)
+        around = s[:, :, offset:offset + k].reshape(-1, n)
+        parts.append((M, np.concatenate([x, around]) if centres else around))
+        cuts.append((start, start + (k if centres else 0), start + len(parts[-1][1]), k))
+        start, offset = cuts[-1][2], offset + k
+
+    def joined(blocks, axis):           # one segment's block as it is, a view
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis)
 
     def split(values):
-        at = [values[a:b] for a, b, _, _ in cuts]
-        around = [values[b:c].reshape(shape + values.shape[1:]) for _, b, c, shape in cuts]
-        return (at[0], around[0]) if len(cuts) == 1 else (np.concatenate(at), np.concatenate(around, axis=2))
+        at = joined([values[a:b] for a, b, _, _ in cuts], 0) if centres else None
+        return at, joined([values[b:c].reshape((d, m, k) + values.shape[1:]) for _, b, c, k in cuts], 2)
     return parts, split
 
 
@@ -556,40 +577,46 @@ def _append(memo: dict, name: tuple, table: _Table, fresh: Dict[bytes, None], ba
 
 def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
     """The results of fn(segments, *params), name = (fn, params), over the
-    point axes `shape`: one index pass over each segment's table, one call
-    of fn for the distinct points the tables lack, every segment's at once,
-    and one fancy index per result array."""
+    point axes `shape`: one index pass over every segment's points, each in
+    its own surface's table, one call of fn for the distinct points the
+    tables lack, every segment's at once, and, unless every point is a
+    distinct miss (the batch is the answer), each result array's rows taken
+    from the segments' stores into one array."""
     fn, params = name
-    looked, misses, every = [], [], True
-    for M, points in segments:
-        memo = M._point_memo
-        table = memo.get(name) or memo.setdefault(name, _Table())
-        keys = points.view("V32").ravel().tolist()     # the 32 bytes of each point
-        n = len(keys)
-        rows = np.fromiter(map(table.index.get, keys, itertools.repeat(-1, n)), np.intp, n)
-        missing = rows < 0
-        missed = list(itertools.compress(keys, missing.tolist())) if missing.any() else []
-        fresh = dict.fromkeys(missed)
-        every &= len(fresh) == n
-        if fresh:
-            misses.append((M, points if len(fresh) == n else np.frombuffer(b"".join(fresh)).reshape(-1, 4).copy()))
-        looked.append((memo, table, rows, missing, missed, fresh))
-    batch = _freeze(replay_segments(lambda part: fn(part, *params), misses)) if misses else None
-    stores, start, total = [], 0, sum(len(p) for _, p in misses)
-    for memo, table, rows, missing, missed, fresh in looked:
-        store, k = table.store, len(fresh)
-        if fresh:       # each surface's misses, appended to its own table
-            piece = batch if k == total else _map_arrays(lambda a: a[start:start + k], batch)
-            store, base = _append(memo, name, table, fresh, piece)
-            start += k
-            if not every:
-                new = dict(zip(fresh, range(base, base + k)))
-                rows[missing] = list(map(new.__getitem__, missed))
-        stores.append(store)
-    if every:                       # every point a distinct miss: the batch itself
-        return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
-    rows = [rows.reshape(shape) if len(looked) == 1 else rows for _, _, rows, *_ in looked]
-    return _map_arrays(lambda *arrays: _take(rows, *arrays), *stores)
+    tables = [M._point_memo.get(name) or M._point_memo.setdefault(name, _Table()) for M, _ in segments]
+    keys = [points.view("V32").ravel().tolist() for _, points in segments]    # the 32 bytes of each point
+    ends = list(itertools.accumulate(map(len, keys)))
+    spans = [slice(end - len(k), end) for k, end in zip(keys, ends)]
+    rows = np.fromiter(itertools.chain.from_iterable(map(table.index.get, k, itertools.repeat(-1))
+                                                     for table, k in zip(tables, keys)), np.intp, ends[-1])
+    stores = [table.store for table in tables]
+    missing = rows < 0
+    if missing.any():
+        flags = missing.tolist()
+        missed = [list(itertools.compress(k, flags[span])) for k, span in zip(keys, spans)]
+        fresh = [dict.fromkeys(m) for m in missed]
+        total = sum(map(len, fresh))
+        every = total == len(rows)      # every point a distinct miss: the batch is the answer
+        misses = [(M, p if len(f) == len(p) else np.frombuffer(b"".join(f)).reshape(-1, 4).copy())
+                  for (M, p), f in zip(segments, fresh) if f]
+        batch = _freeze(replay_segments(lambda part: fn(part, *params), misses))
+        start = 0
+        for i, (M, _) in enumerate(segments):
+            k = len(fresh[i])
+            if k:       # each surface's misses, appended to its own table
+                piece = batch if k == total else _map_arrays(lambda a: a[start:start + k], batch)
+                stores[i], base = _append(M._point_memo, name, tables[i], fresh[i], piece)
+                start += k
+                if not every:       # the new rows, in order unless a point repeats
+                    rows[spans[i]][missing[spans[i]]] = (
+                        np.arange(base, base + k) if k == len(missed[i]) else
+                        list(map(dict(zip(fresh[i], range(base, base + k))).__getitem__, missed[i])))
+        if every:
+            return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
+    if len(stores) == 1:
+        return _map_arrays(lambda a: _take([rows.reshape(shape)], None, a), stores[0])
+    rows = [rows[span] for span in spans]
+    return _map_arrays(lambda *arrays: _take(rows, spans, *arrays), *stores)
 
 
 def point_memo(fn):
@@ -605,8 +632,10 @@ def point_memo(fn):
     bytes of a point to a row, and one read-only store of fn's structure.
     A call looks up each segment in its surface's table; the distinct
     points not found are computed in one call of fn over every segment, and
-    each surface's appended to its own store as one batch; the answer is one
-    fancy index per result array, read-only.  A value is therefore computed
+    each surface's appended to its own store as one batch.  When every point
+    is a distinct miss the answer is that batch; else each result array's
+    rows are taken from the stores straight into one read-only array
+    (`_take`).  A value is therefore computed
     once per surface and exact point, and does not depend on the other
     points of its stack.  A point looked up on its own gets the same object
     every time.  Exceptions are not stored; a failing stack raises the error

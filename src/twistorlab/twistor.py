@@ -261,14 +261,29 @@ def coframe_rows(M: HermitianSurface, t: float, y: Optional[np.ndarray] = None) 
     return B.reshape(shape + (3, 6))
 
 
+# a coframe whose Gram determinant is at most this (or NaN) is degenerate
+_GRAM_MIN = 1e-8
+_GRAM_REASON = "coframe degenerated (Gram determinant ~ 0)"
+
+
+def _full_rows(B: np.ndarray) -> np.ndarray:
+    """The (..., 6, 6) matrices of the coframe rows B (..., 3, 6) over their conjugates."""
+    return np.concatenate([B, np.conj(B)], axis=-2)
+
+
+def _gram_determinant(B: np.ndarray) -> np.ndarray:
+    """The Gram determinant of the coframe rows B (..., 3, 6) and their
+    conjugates at every point: (...)."""
+    return np.linalg.det(_full_rows(B))
+
+
 def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
     """Raise DegenerateCoframeError, naming the first failing point of the
     stack y (..., 6), unless the Gram determinant of the coframe rows B
-    (..., 3, 6) and their conjugates is finite and clear of zero."""
-    ok = np.abs(np.linalg.det(np.concatenate([B, np.conj(B)], axis=-2))) > 1e-8
-    if not np.all(ok):
-        raise DegenerateCoframeError(np.reshape(y, (-1, 6))[np.argmin(np.ravel(ok))],
-                                     "coframe degenerated (Gram determinant ~ 0)")
+    (..., 3, 6) is clear of zero (and not NaN)."""
+    ok = np.ravel(np.abs(_gram_determinant(B)) > _GRAM_MIN)
+    if not ok.all():
+        raise DegenerateCoframeError(np.reshape(y, (-1, 6))[np.argmin(ok)], _GRAM_REASON)
 
 
 def _checked_rows(segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
@@ -553,11 +568,14 @@ class TwistorCoframe:
         return self._out(_balanced_brackets(self))
 
     def full_rows(self) -> np.ndarray:
-        """The 6x6 matrix with rows phi^1..phi^3, conj(phi^1)..conj(phi^3)."""
-        return np.vstack([self.B, np.conj(self.B)])
+        """The 6x6 matrix with rows phi^1..phi^3, conj(phi^1)..conj(phi^3):
+        (6, 6) for one point, (n, 6, 6) for a stack."""
+        return _full_rows(self.B)
 
-    def gram_determinant(self) -> complex:
-        return complex(np.linalg.det(self.full_rows()))
+    def gram_determinant(self) -> Union[complex, np.ndarray]:
+        """The determinant of `full_rows`: a complex for one point, (n,) for a stack."""
+        det = _gram_determinant(self.B)
+        return complex(det) if det.ndim == 0 else det
 
 
 def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoint,
@@ -848,7 +866,8 @@ def _swept(t: float, segments: List[Tuple[HermitianSurface, np.ndarray]]):
     """(y0 (n, 6), B0 (n, 3, 6), dB (n, 6, 3, 6)) of the chart points of the
     segments [(surface, y (k, 6)), ...]: B at every point and its stencil
     (`with_stencils`) from one `coframe_rows` call, then one FD combine and
-    each point's checks in order, B before dB (B at a lone point first)."""
+    one check of every point, raising for the first failing point its Gram
+    determinant before its dB (B at a lone point first)."""
     y0 = _join([y for _, y in segments])
     stacked, split = with_stencils(segments)
     try:
@@ -858,11 +877,11 @@ def _swept(t: float, segments: List[Tuple[HermitianSurface, np.ndarray]]):
             _check_gram(coframe_rows(segments, t), y0)
         raise
     dB = np.ascontiguousarray(np.moveaxis(fd_rule(segments).combine(B), 0, 1))  # (n, 6, 3, 6)
-    finite = np.all(np.isfinite(dB), axis=(1, 2, 3))
-    for b, ok, y in zip(B0, finite, y0):
-        _check_gram(b, y)
-        if not ok:
-            raise DegenerateCoframeError(y, "coframe derivative not finite")
+    gram = np.abs(_gram_determinant(B0)) > _GRAM_MIN
+    bad = ~gram | ~np.all(np.isfinite(dB), axis=(1, 2, 3))
+    if bad.any():       # the first failing point, its Gram determinant before its dB
+        k = int(np.argmax(bad))
+        raise DegenerateCoframeError(y0[k], _GRAM_REASON if not gram[k] else "coframe derivative not finite")
     return y0, B0, dB
 
 

@@ -786,6 +786,35 @@ def test_a_fresh_two_point_sweep_makes_five_point_memo_lookups(monkeypatch):
     assert looked == ["metric", "_omega_rows", "_base_table", "_frame_fields", "metric"]
 
 
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
+    # the dGamma pass looks the base table up at the stencil points alone,
+    # which no pass has read: its lookup, like that of the points before it,
+    # misses every point and answers with the batch, so no stored row is
+    # gathered; the nested (g, E, F) lookup of the stencil points, read by the
+    # first pass, does gather
+    from twistorlab import manifold as mf
+    looking, looked, taken = [], [], []
+    lookup, take = mf._lookup, mf._take
+
+    def counted_lookup(name, *rest):
+        looking.append(name[0].__name__)
+        looked.append(looking[-1])
+        try:
+            return lookup(name, *rest)
+        finally:
+            looking.pop()
+    monkeypatch.setattr(mf, "_lookup", counted_lookup)
+    monkeypatch.setattr(mf, "_take", lambda *args: (taken.append(looking[-1]), take(*args))[1])
+    segments = [(builtin(name), builtin(name).chart.interior_points(2, seed=3)) for name in BUILTINS[:count]]
+    looked.clear()
+    levi_civita(segments)
+    metric = ["metric"] * count         # one metric lookup per segment
+    assert looked == ["levi_civita", "_base_table", "_frame_fields", *metric,
+                      "_base_table", "_frame_fields", *metric]
+    assert "_base_table" not in taken and "_frame_fields" in taken
+
+
 # ======================================================================
 # segments [(surface, points), ...] through the point-memo layers
 # ======================================================================

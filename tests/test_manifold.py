@@ -1106,6 +1106,64 @@ def test_partials_match_partial_direction_by_direction():
                 assert np.array_equal(d[n, k], be.partial(M.metric, p, k))
 
 
+def _reference_stencil(be, x, dirs=None):
+    """The stencil as four (or two) sums of x and h e_k, stacked."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    dirs = range(n) if dirs is None else dirs
+    e = np.eye(n)[list(dirs)].reshape((-1,) + (1,) * (x.ndim - 1) + (n,))
+    s = np.asarray(be.step)
+    h = np.array([float(s if s.ndim == 0 else s[k]) for k in dirs]).reshape((-1,) + (1,) * x.ndim)
+    if be.order == 2:
+        return np.stack([x + h * e, x - h * e], axis=1)
+    return np.stack([x + 2 * h * e, x + h * e, x - h * e, x - 2 * h * e], axis=1)
+
+
+@pytest.mark.parametrize("be", [mf.DiffBackend(), mf.DiffBackend(order=2, step=0.37),
+                                mf.DiffBackend(step=[1e-3, 2e-3, 3e-4, 0.1]),
+                                mf.DiffBackend(order=2, step=[1e-3, 2e-3, 3e-4, 0.1])])
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 5, 4)])
+def test_the_stencil_has_the_bits_of_the_sums_of_the_point_and_its_steps(be, shape):
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    x.flat[:3] = (-0.0, 0.0, -0.0)      # signed zeros keep their sign where the step is 0
+    for dirs in (None, [2], [3, 0]):
+        got, want = be.stencil(x, dirs), _reference_stencil(be, x, dirs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# one surface per segment, and the twistor chart's six coordinates
+_STENCIL_SURFACES = ("hopf", "cp2_fs", "flat_c2", "ch2")
+
+
+@pytest.mark.parametrize("centres", [True, False])
+@pytest.mark.parametrize("sizes", [(1,), (2,), (5,), (1, 2, 5), (5, 1, 2, 2), "chart"])
+def test_with_stencils_lays_out_each_segment_with_its_own_stencil(sizes, centres):
+    # every segment's stencil comes from one stencil call over the joined
+    # points, with the bits of the segment's own; split cuts the values back
+    if sizes == "chart":
+        M = mf.builtin("hopf")
+        segments = [(M, np.array([z.chart_coordinates() for z in tw.sample_twistor_points(M, 3, seed=2)]))]
+    else:
+        segments = [(mf.builtin(_STENCIL_SURFACES[k % 4]),
+                     mf.builtin(_STENCIL_SURFACES[k % 4]).chart.interior_points(n, seed=k))
+                    for k, n in enumerate(sizes)]
+    be = segments[0][0].backend
+    parts, split = mf.with_stencils(segments, centres=centres)
+    for (M, x), (S, p) in zip(segments, parts):
+        own = be.stencil(x).reshape(-1, x.shape[-1])
+        assert S is M and p.tobytes() == (np.concatenate([x, own]) if centres else own).tobytes()
+    values = np.concatenate([p for _, p in parts])[:, :, None] * np.array([1.0, -2.0])   # (P, n, 2)
+    at, around = split(values)
+    want = np.concatenate([be.stencil(x)[..., None] * np.array([1.0, -2.0]) for _, x in segments], axis=2)
+    assert around.shape == want.shape and around.tobytes() == want.tobytes()
+    if centres:
+        assert at.tobytes() == np.concatenate([x[..., None] * np.array([1.0, -2.0]) for _, x in segments]).tobytes()
+    else:
+        assert at is None
+    if len(segments) == 1:          # one segment's values are cut out as views
+        assert np.shares_memory(around, values) and (at is None or np.shares_memory(at, values))
+
+
 def _dF_array_reference(M, x):
     """dF at one point by the per-point partial of F's components, each
     coefficient (d_a F_bc - d_b F_ac) + d_c F_ab written to its six orderings."""

@@ -162,6 +162,64 @@ def test_gram_determinant():
     for name in ("cp2_fs", "ch2", "hopf"):
         for conn in ("lichnerowicz", "chern"):
             assert abs(coframe(name, conn).gram_determinant()) > 1e-8
+    # a stack gives a 6x6 matrix and a determinant per point, each the one-point one
+    M = surface("hopf")
+    pts = tw.sample_twistor_points(M, 2, seed=0)
+    co = tw.TwistorCoframe.stack(M, "chern", pts)
+    rows, det = co.full_rows(), co.gram_determinant()
+    assert rows.shape == (2, 6, 6) and det.shape == (2,)
+    for k, z in enumerate(pts):
+        one = tw.twistor_coframe(M, "chern", z)
+        assert np.array_equal(rows[k], one.full_rows()) and det[k] == one.gram_determinant()
+
+
+def _marked_coframe_rows(gram_at, nan_at):
+    """A stand-in for `coframe_rows` over segments: a coframe of Gram
+    determinant 8 at every chart point, except zero rows at the point
+    `gram_at` and NaN rows at the stencil points of `nan_at` (not the point)."""
+    good = np.zeros((3, 6), dtype=complex)
+    good[[0, 1, 2], [0, 2, 4]], good[[0, 1, 2], [1, 3, 5]] = 1.0, 1j
+
+    def rows(segments, t):
+        y = np.concatenate([p for _, p in segments])
+        B = np.broadcast_to(good, (len(y), 3, 6)).copy()
+        if gram_at is not None:
+            B[np.all(y == gram_at, axis=1)] = 0.0
+        if nan_at is not None:
+            reach = np.max(np.abs(y - nan_at), axis=1)
+            B[(reach > 0) & (reach < 0.01)] = np.nan
+        return B
+    return rows
+
+
+@pytest.mark.parametrize("gram, nan", [(1, 1), (1, 0), (0, 1), (2, 1), (None, 2), (2, None), (None, None)])
+def test_a_sweep_raises_for_its_first_failing_point_the_gram_check_before_db(gram, nan, monkeypatch):
+    # the stacked check of a sweep raises what the loop over its points
+    # raised: the first point that fails, and at it a Gram determinant near
+    # zero before a dB that is not finite
+    M = surface("hopf")
+    y = np.array([z.chart_coordinates() for z in tw.sample_twistor_points(M, 3, seed=1)])
+    stand_in = _marked_coframe_rows(None if gram is None else y[gram], None if nan is None else y[nan])
+    monkeypatch.setattr(tw, "coframe_rows", stand_in)
+
+    def loop():
+        stacked, split = mf.with_stencils([(M, y)])
+        B0, B = split(stand_in(stacked, 0.0))
+        finite = np.all(np.isfinite(M.backend.combine(B)), axis=(0, 2, 3))
+        for b, ok, point in zip(B0, finite, y):
+            tw._check_gram(b, point)
+            if not ok:
+                raise tw.DegenerateCoframeError(point, "coframe derivative not finite")
+    if gram is None and nan is None:
+        loop()
+        assert np.array_equal(tw._swept(0.0, [(M, y)])[1], stand_in([(M, y)], 0.0))
+        return
+    with pytest.raises(tw.DegenerateCoframeError) as want:
+        loop()
+    with pytest.raises(tw.DegenerateCoframeError) as got:
+        tw._swept(0.0, [(M, y)])
+    assert str(got.value) == str(want.value)
+    assert ("Gram" in str(got.value)) == (gram is not None and (nan is None or gram <= nan))
 
 
 def test_kahler_coframe_connection_independent():

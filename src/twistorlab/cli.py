@@ -2,7 +2,9 @@
 scans, and the exact flag-manifold table.
 
 Exit codes: 0 success; 1 verification failures; 2 bad flags or unreadable
-input; 3 surface invariant violation (the offending check is named).
+input; 3 surface invariant violation (the offending check is named), or a
+degenerate frame or coframe or an undefined metric at an evaluated point
+(the point is named).
 
 Reports are emitted as versioned JSON (``schema: 1``) with every float
 printed to 17 significant digits, or as aligned text tables.  File output is
@@ -32,8 +34,8 @@ from .connection import levi_civita
 from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge, weighted_sum
 from .flag import (FlagDisplays, appendix_table, d_matrix, flag_bidegree_part, flag_dK,
                    flag_ddbar, integrability_obstruction)
-from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, SpecSyntaxError,
-                       builtin, parse_surface_spec, replay)
+from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, MetricEvaluationError,
+                       SpecSyntaxError, _frame_fields, builtin, parse_surface_spec, replay)
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, TwistorCoframe,
                       condition_report, lambda_weights, lambda_zero_crossing,
                       normalize_connection, sample_twistor_points)
@@ -585,7 +587,8 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int, seed: i
                                 + ", ".join(surfaces)))
 
     x = [(M, M.chart.interior_points(6, seed=seed)) for M in surfaces.values()]
-    g, Jm = np.concatenate([M.metric(p) for M, p in x]), np.concatenate([M.J(p) for M, p in x])
+    g = _frame_fields(x)[0]         # the g of every surface from one stacked read
+    Jm = np.concatenate([M.J(p) for M, p in x])
     herm = max(float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))),
                float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))),
                float(np.max(np.abs(Jm @ Jm + np.eye(4)))),
@@ -812,7 +815,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as held:
             return handlers[args.command](args, parser)
-    except (DegenerateCoframeError, DegenerateFrameError) as exc:
+    except (DegenerateCoframeError, DegenerateFrameError, MetricEvaluationError) as exc:
         held = []       # the numerical warnings leading up to a breakdown are noise
         print(f"twistorlab: {exc}", file=sys.stderr)
         raise SystemExit(3)

@@ -23,12 +23,18 @@ Expression grammar:
     factor := base ('^' integer)?
     base   := number | coord | func '(' expr ')' | '(' expr ')' | '-' base
     func   := sin | cos | exp | log | sqrt | tanh
+
+The entries of a description become one list of steps (`_Program`), one
+per distinct subexpression, evaluated over a whole stack of points in one
+call with python's operators and the scalar `math` functions, each of which
+runs once per distinct value of its operand; no source text is generated.
 """
 
 import dataclasses
 import functools
 import itertools
 import math
+import operator
 import re
 import threading
 from dataclasses import dataclass
@@ -74,14 +80,35 @@ _FUNCS: Dict[str, Callable[[float], float]] = {
 }
 
 
+def _each(fn: Callable, a) -> np.ndarray:
+    """fn at every entry of the array a, with the bits and the first error
+    of `[fn(v) for v in a.tolist()]`.  A float64 array calls fn once per
+    distinct bit pattern (so -0.0 and 0.0, and NaNs with other payloads,
+    stay apart) and scatters the results back; where a call fails, the
+    entries are run in order to raise the error of the first that fails.
+    The distinct patterns are those of np.unique of the uint64 view, from a
+    sort and a searchsorted, which cost a third of np.unique's inverse."""
+    flat = np.ravel(a)
+    if flat.dtype != np.float64:
+        return np.array([fn(v) for v in flat.tolist()]).reshape(np.shape(a))
+    bits = flat.view(np.uint64)
+    s = np.sort(bits)
+    distinct = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+    try:
+        values = [fn(v) for v in distinct.view(np.float64).tolist()]
+    except Exception:
+        for v in flat.tolist():
+            fn(v)
+        raise
+    return np.array(values)[distinct.searchsorted(bits)].reshape(np.shape(a))
+
+
 def _elementwise(fn: Callable[[float], float]) -> Callable:
     """Apply a `math` function to every entry of an array (or to a scalar),
     so a stack of points keeps math's bits and its errors, such as
     "math domain error"; numpy's exp, log and tanh round differently."""
     def apply(a):
-        if np.ndim(a) == 0:
-            return fn(a)
-        return np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+        return fn(a) if np.ndim(a) == 0 else _each(fn, a)
     return apply
 
 
@@ -91,12 +118,10 @@ def _power(a, n: int):
     and overflow give inf with a warning, as for a numpy scalar."""
     if np.ndim(a) == 0:
         return a ** n
-    flat = np.ravel(a).tolist()
     try:
-        out = [v ** n for v in flat]
+        return _each(lambda v: v ** n, a)
     except (ZeroDivisionError, OverflowError):
-        out = [np.float64(v) ** n for v in flat]
-    return np.array(out).reshape(np.shape(a))
+        return np.array([np.float64(v) ** n for v in np.ravel(a).tolist()]).reshape(np.shape(a))
 
 
 def _tokenize_expr(text: str, line_no: int, col_offset: int) -> List[Tuple[str, str, int]]:
@@ -116,53 +141,77 @@ def _tokenize_expr(text: str, line_no: int, col_offset: int) -> List[Tuple[str, 
     return out
 
 
-class _Program:
-    """Straight-line python for a set of expressions over a stack of points.
+# the leaf of a tree that stands for the stack of points x (..., 4)
+_POINTS = object()
 
-    Every distinct subexpression becomes one statement, so entries that
-    share a subexpression (the denominator of cp2_fs, say) evaluate it once.
-    Coordinates read `x[..., i]`, so one call evaluates a whole stack of
-    points x (..., 4), with the same floating-point operations on every
-    point as for a single point.
+# the operation of each node kind of a tree: x[..., i], a binary operator,
+# and a function of _FUNCS entry by entry
+_COLUMNS = tuple(operator.itemgetter((Ellipsis, i)) for i in range(4))
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_STEPS = {name: _elementwise(fn) for name, fn in _FUNCS.items()}
+
+
+class _Program:
+    """The steps that evaluate a set of expressions over a stack of points.
+
+    Every distinct subexpression is one step, an operation on the values
+    of earlier steps, so entries that share a subexpression (the
+    denominator of cp2_fs, say) evaluate it once.  Coordinates read
+    `x[..., i]`, so one call evaluates a whole stack of points x (..., 4),
+    with the same floating-point operations on every point as for a single
+    point.  The steps run in the order they were emitted, each on the
+    operands python's own evaluation of the expression would give it, and
+    the first that fails raises its error.
     """
 
     def __init__(self):
-        self.names: Dict[tuple, str] = {}   # parsed tree -> its temporary
-        self.lines: List[str] = []
+        self.slots: Dict[object, int] = {_POINTS: 0}    # a tree -> the slot of its value
+        self.values: List[object] = [None]     # each literal's value; slot 0 takes x
+        self.steps: List[tuple] = []           # (slot, operation, operand slot, operand slot or None)
 
-    def emit(self, tree) -> str:
-        """The temporary (or literal) holding a parsed expression tree
-        (`_ExprParser`): one statement per node, its children first, left to
-        right, in the order the parser read them; a tree emitted before, such
-        as the entry of a mirrored slot, adds no statement and is not walked."""
-        if isinstance(tree, str):
-            return tree
-        name = self.names.get(tree)
-        if name is None:
-            template, *children = tree
-            src = template.format(*map(self.emit, children))
-            name = self.names[tree] = f"_v{len(self.names)}"
-            self.lines.append(f"    {name} = {src}")
-        return name
+    def emit(self, tree) -> int:
+        """The slot of a parsed expression tree (`_ExprParser`): one step per
+        node, its children first, left to right, in the order the parser
+        read them; a tree emitted before, such as the entry of a mirrored
+        slot, adds no step and is not walked."""
+        slot = self.slots.get(tree)
+        if slot is None:
+            if isinstance(tree, tuple):
+                op, *children = tree
+                args = [self.emit(child) for child in children]
+                self.steps.append((len(self.values), op, args[0], args[1] if len(args) > 1 else None))
+                value = None
+            else:       # a literal: python's parse of its text, or an exponent
+                value = tree if isinstance(tree, int) else int(tree) if tree.isdigit() else float(tree)
+            slot = self.slots[tree] = len(self.values)
+            self.values.append(value)
+        return slot
 
-    def compile(self, outputs: Sequence[str]) -> Callable[[np.ndarray], tuple]:
-        """x -> the tuple of the values of `outputs`."""
-        body = self.lines + [f"    return ({''.join(out + ', ' for out in outputs)})"]
-        env = {f"_f_{name}": _elementwise(fn) for name, fn in _FUNCS.items()}
-        env["_f_pow"] = _power
-        exec("def program(x):\n" + "\n".join(body), env)  # noqa: S102 - source is built by our own parser
-        return env["program"]
+    def compile(self, outputs: Sequence[int]) -> Callable[[np.ndarray], list]:
+        """x -> the list of the values of the slots `outputs`."""
+        initial, steps = list(self.values), list(self.steps)
+
+        def program(x):
+            values = initial.copy()
+            values[0] = x
+            for slot, op, a, b in steps:
+                values[slot] = op(values[a]) if b is None else op(values[a], values[b])
+            return [values[k] for k in outputs]
+        return program
 
 
 class _ExprParser:
     """Recursive-descent parser of one expression, whose text starts after
     column `col_offset` of line `line_no`, into a tree for `_Program.emit`.
 
-    A tree is a numeric literal (a str) or a tuple (template, *children):
-    the statement of one `_Program` node, with a `{}` for the value of each
-    child.  Evaluating a whole stack of points in one call keeps the cost
-    per point far below a python call per point, which matters because the
-    FD oracles evaluate metrics at hundreds of points per bundle point.
+    A tree is a leaf or a tuple (operation, *children).  A leaf is the text
+    of a numeric literal (a str), an integer exponent, or `_POINTS`; the
+    operation is x[..., i] (`_COLUMNS`, on `_POINTS`), a binary operator,
+    unary minus, a function of `_FUNCS` entry by entry (`_STEPS`) or
+    `_power` with its exponent.  Evaluating a whole stack of points in one
+    call keeps the cost per point far below a python call per point, which
+    matters because the FD oracles evaluate metrics at hundreds of points
+    per bundle point.
     """
 
     def __init__(self, text: str, coords: Sequence[str], line_no: int, col_offset: int):
@@ -200,14 +249,14 @@ class _ExprParser:
         tree = self.term()
         while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
             self._next()
-            tree = (f"{{}} {tok[1]} {{}}", tree, self.term())
+            tree = (_OPERATORS[tok[1]], tree, self.term())
         return tree
 
     def term(self):
         tree = self.factor()
         while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
             self._next()
-            tree = (f"{{}} {tok[1]} {{}}", tree, self.factor())
+            tree = (_OPERATORS[tok[1]], tree, self.factor())
         return tree
 
     def factor(self):
@@ -221,7 +270,7 @@ class _ExprParser:
                 nxt = self._next()
             if nxt[0] != "num" or any(ch in nxt[1] for ch in ".eE"):
                 raise SpecSyntaxError("exponent must be an integer", self.line_no, nxt[2])
-            tree = (f"_f_pow({{}}, {sign}{nxt[1]})", tree)
+            tree = (_power, tree, int(sign + nxt[1]))
         return tree
 
     def base(self):
@@ -230,7 +279,7 @@ class _ExprParser:
         if kind == "num":
             return value
         if kind == "op" and value == "-":
-            return ("-{}", self.base())
+            return (operator.neg, self.base())
         if kind == "op" and value == "(":
             tree = self.expr()
             self._expect_op(")")
@@ -240,9 +289,9 @@ class _ExprParser:
                 self._expect_op("(")
                 tree = self.expr()
                 self._expect_op(")")
-                return (f"_f_{value}({{}})", tree)
+                return (_STEPS[value], tree)
             if value in self.coords:
-                return (f"x[..., {self.coords[value]}]",)
+                return (_COLUMNS[self.coords[value]], _POINTS)
             raise SpecSyntaxError(f"unknown name {value!r}", self.line_no, col)
         raise SpecSyntaxError(f"unexpected token {value!r}", self.line_no, col)
 
@@ -382,9 +431,9 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores about 600 per surface (0.26 MB)
-# and verify about 640 per built-in (0.29 MB), one ddbar_oracle call on cp2_fs
-# 2 900 (1.5 MB of rows), which this limit keeps whole.  The largest row is a
+# cleared; a two-point report or scan stores about 340 per surface (0.24 MB)
+# and verify about 380 per built-in (0.27 MB), one ddbar_oracle call on cp2_fs
+# 1 675 (1.3 MB of rows), which this limit keeps whole.  The largest row is a
 # levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
 POINT_MEMO_LIMIT = 8192
 
@@ -693,17 +742,19 @@ class HermitianSurface:
     deterministic 16-point Latin-hypercube sample and raises with the
     offending point and check on failure.
 
-    Each surface owns a private point memo (`point_memo`): the metric, the
-    frame fields (g, E and F), the adapted frame, the base data of
+    Each surface owns a private point memo (`point_memo`): the frame fields
+    (g, E and F), the adapted frame, the base data of
     `connection._base_table` (Gamma, omega^LC, dF and its J-pushed terms,
     the frame), the Levi-Civita data and the D^t forms omega^t are computed
-    once per exact point and stored read-only.  This relies on the surface
-    being immutable: its chart, metric and J callables and backend must not
-    be replaced after construction, and the callables must be pure.  The
-    metric stores its own copy, so an array returned by the metric callable
-    is never frozen.  The memo lives and dies with the surface, is cleared
-    whole when it reaches POINT_MEMO_LIMIT points and is safe to share
-    between threads.
+    once per exact point and stored read-only.  The metric callable is
+    evaluated only on the misses of the frame-field table, and `metric`
+    reads g from it, so it has no table of its own.  This relies on the
+    surface being immutable: its chart, metric and J callables and backend
+    must not be replaced after construction, and the callables must be
+    pure.  The table stores its own copy of g, so an array returned by the
+    metric callable is never frozen.  The memo lives and dies with the
+    surface, is cleared whole when it reaches POINT_MEMO_LIMIT points and is
+    safe to share between threads.
     """
 
     def __init__(self, chart: ChartSpec,
@@ -724,9 +775,10 @@ class HermitianSurface:
         self._validate_samples()
 
     @stack_field
-    @point_memo
-    def metric(segments) -> np.ndarray:     # noqa: N805 - a point_memo body takes segments
-        return _join([_field(M._metric, x) for M, x in segments])
+    def metric(self, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """g at a point or a stack of points, read from the `_frame_fields`
+        table (or at segments in place of the surface, x None)."""
+        return _frame_fields(self, x)[0]
 
     @stack_field
     def J(self, x: np.ndarray) -> np.ndarray:
@@ -734,27 +786,42 @@ class HermitianSurface:
 
     def _validate_samples(self):
         """Check the invariants at 16 sample points, evaluated as one stack,
-        and raise for the first failing point with its first failing check."""
+        and raise for the first failing point with its first failing check.
+        The three closeness checks (g against g^T, J*J against -Id, J^T g J
+        against g) are np.isclose(a, b, atol=1e-10) at every entry, written
+        out as numpy evaluates it for a finite b, |a - b| <= 1e-10 + 1e-5 |b|,
+        in one pass over the three pairs.  A metric that fails at a sample
+        point raises its own error (construction names no point for it)."""
         pts = self.chart.interior_points(16, seed=2024)
-        g = self.metric(pts)
+        try:
+            g = self.metric(pts)
+        except MetricEvaluationError as exc:
+            raise exc.__cause__ from None
         Jm = self.J(pts)
-        gT = np.swapaxes(g, 1, 2)
-
-        def close(a, b):    # np.allclose at each point
-            return np.all(np.isclose(a, b, atol=1e-10), axis=(1, 2))
+        gT = g.transpose(0, 2, 1)
         # a metric that is not finite at a point fails the first check and is
         # kept from eigvalsh, which may fail to converge on it for the whole stack
-        finite = np.all(np.isfinite(g), axis=(1, 2))
-        h = np.where(finite[:, None, None], 0.5 * (g + gT), np.eye(4))
-        bad = np.stack([~finite,
-                        ~close(g, gT),
-                        np.min(np.linalg.eigvalsh(h), axis=1) <= 1e-10,
-                        ~close(Jm @ Jm, -np.eye(4)),
-                        ~close(np.swapaxes(Jm, 1, 2) @ g @ Jm, g)], axis=1)
+        finite = np.isfinite(g).reshape(16, 16).all(axis=1)
+        h = np.where(finite[:, None, None], 0.5 * (g + gT), _EYE)
+        a, b = np.empty((2, 3, 16, 4, 4))
+        a[0], b[0] = g, gT
+        np.matmul(Jm, Jm, out=a[1])
+        b[1] = -_EYE
+        np.matmul(Jm.transpose(0, 2, 1) @ g, Jm, out=a[2])
+        b[2] = g
+        with np.errstate(invalid="ignore"):     # as np.isclose: inf - inf is not close
+            near = (abs(a - b) <= 1e-10 + 1e-5 * abs(b)).reshape(3, 16, 16).all(axis=2)
+        bad = np.empty((5, 16), dtype=bool)
+        bad[0] = ~finite
+        bad[1], bad[3], bad[4] = ~near
+        bad[2] = np.linalg.eigvalsh(h).min(axis=1) <= 1e-10
         if bad.any():
-            k = int(np.argmax(bad.any(axis=1)))
+            k = int(np.argmax(bad.any(axis=0)))
             raise ValueError(f"surface invariant violation at sample point {pts[k].tolist()}: "
-                             f"{_INVARIANTS[int(np.argmax(bad[k]))]}")
+                             f"{_INVARIANTS[int(np.argmax(bad[:, k]))]}")
+
+
+_EYE = np.eye(4)
 
 
 # the checks of HermitianSurface._validate_samples, in the order they are made
@@ -774,8 +841,7 @@ def _matrix_field(entries: Dict[Tuple[int, int], object],
     two of them fail at one point the error is that of the first, as when
     each entry is evaluated in turn."""
     program = _Program()
-    names = [program.emit(tree) for tree in entries.values()]
-    run = program.compile(names)
+    run = program.compile([program.emit(tree) for tree in entries.values()])
     slots = [(i - 1, j - 1) for i, j in entries]
 
     @stack_field
@@ -1047,16 +1113,39 @@ class DegenerateFrameError(ValueError):
                          f"start vectors give no J-adapted frame for this metric and J")
 
 
+class MetricEvaluationError(ValueError):
+    """The metric callable of a surface failed at a point (a math domain or
+    range error of a description, say); the callable's error is the cause."""
+
+    def __init__(self, point, error: Exception):
+        super().__init__(f"metric undefined at point {point}: {error}")
+
+
+def _metric_field(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
+    """The metric callable of M at the points x (k, 4); its error at a
+    point alone is a MetricEvaluationError naming the point, and a stack's
+    is raised as it is, for `replay_segments` to find the point."""
+    try:
+        return _field(M._metric, x)
+    except MetricEvaluationError:
+        raise
+    except Exception as exc:
+        if len(x) != 1:
+            raise
+        raise MetricEvaluationError(x[0].tolist(), exc) from exc
+
+
 @point_memo
 def _frame_fields(segments) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g, E, F, degenerate) at the points x of the segments from one read of each metric g and J:
+    """(g, E, F, degenerate) at the points x of the segments from one call of each metric
+    callable (`_metric_field`) and J, the surface's one table of g:
     the J-adapted orthonormal frame E by modified Gram-Schmidt, e1 = normalize(seed1),
     e2 = J e1, e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3 with
     (seed1, seed2) = DEFAULT_SEEDS; F = J^T g; and where the seeds give no frame,
     at which E is NaN and g and F are kept, so that F and dF need no frame."""
     s1, s2 = DEFAULT_SEEDS
     x = _join([p for _, p in segments])
-    g = _join([M.metric(p) for M, p in segments])
+    g = _join([_metric_field(M, p) for M, p in segments])
     Jm = _join([M.J(p) for M, p in segments])
 
     def dot(a, b):      # h(a, b) at every point; a and b are (4,) or (n, 4)

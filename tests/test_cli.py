@@ -19,7 +19,8 @@ from twistorlab import __version__
 from twistorlab import cli
 from twistorlab.cli import dump_json, main, thread_cap
 from twistorlab.connection import lee_form
-from twistorlab.manifold import BUILTIN_NAMES, J_STANDARD, HermitianSurface, builtin, stack_field
+from twistorlab.manifold import (BUILTIN_NAMES, J_STANDARD, HermitianSurface, MetricEvaluationError, builtin,
+                                 parse_surface_spec, stack_field)
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -748,7 +749,9 @@ def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed,
     # every layer takes the four built-ins as segments of one stack: the
     # frame fields and base table run once for the curvature's points and
     # once for its dGamma stencils, omega^t once per connection, and each
-    # coframe stack (sweep and formula per connection) is one coframe_rows
+    # coframe stack (sweep and formula per connection) is one coframe_rows;
+    # the frame fields also run once per built-in for its validation and
+    # once for the algebra suite's Hermitian invariants, which read g there
     from twistorlab import connection as cn, manifold as mf, twistor as tw
     counts = []
     for memoized, label in [(mf._frame_fields, "_frame_fields"), (cn._base_table, "_base_table"),
@@ -760,7 +763,7 @@ def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed,
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert {label: counts.count(label) for label in sorted(set(counts))} == {
-        "_base_table": 2, "_frame_fields": 2, "_omega_rows": 2, "coframe_rows": 4,
+        "_base_table": 2, "_frame_fields": 2 + 4 + 1, "_omega_rows": 2, "coframe_rows": 4,
         "curvature_rows": 1, "levi_civita": 1}
 
 
@@ -902,6 +905,33 @@ def assert_singular_surface_exits_three(tmp_path, flags, argv):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_degenerate_coframe_exits_three_with_one_line(tmp_path, flags):
     assert_singular_surface_exits_three(tmp_path, flags, ["report", "--points", "5"])
+
+
+# a metric that passes validation, whose 16 sample points miss the slab
+# |a - 0.2| < 0.01 where the square root's argument is negative
+HOLE_SURFACE = """\
+coords a b c d
+g 1 1 = exp(sqrt((a - 0.2)^2 - 0.0001))
+g 2 2 = exp(sqrt((a - 0.2)^2 - 0.0001))
+J standard
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("argv", [["report", "--points", "120", "--seed", "0"],
+                                  ["scan", "--lambda-range", "0.5:2", "--points", "120", "--seed", "0"]])
+def test_a_metric_undefined_at_an_evaluated_point_exits_three_naming_it(tmp_path, flags, argv):
+    line = exit_three_line(tmp_path, flags, HOLE_SURFACE, argv)
+    prefix, suffix = "twistorlab: metric undefined at point [", "]: math domain error"
+    assert line.startswith(prefix) and line.endswith(suffix)
+    point = [float(v) for v in line[len(prefix):-len(suffix)].split(", ")]
+    assert len(point) == 4 and (point[0] - 0.2) ** 2 - 0.0001 < 0       # a point in the slab
+    # the first point of the coframe sweep's stack that fails alone
+    from twistorlab import twistor as tw
+    M = parse_surface_spec(HOLE_SURFACE)
+    with pytest.raises(MetricEvaluationError) as info:
+        tw.CoframeSweep.stack(M, "lichnerowicz", tw.sample_twistor_points(M, 120, seed=0))
+    assert line == f"twistorlab: {info.value}"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

@@ -758,24 +758,25 @@ def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkey
 
 
 def test_the_memo_keeps_one_ddbar_oracle_call_whole():
-    # one ddbar_oracle call on cp2_fs stores 2 900 points (one base table in
-    # place of the Christoffel, omega^LC, dF and frame tables): the memo
-    # holds them all, so a second call evaluates no metric point
+    # one ddbar_oracle call on cp2_fs stores 1 675 points (one base table in
+    # place of the Christoffel, omega^LC, dF and frame tables, and g in the
+    # frame-field table, validation's 16 points among them): the memo holds
+    # them all, so a second call evaluates no metric point
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
     seen.clear()
     first = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 1225 and len(M._point_memo) == 2900 <= POINT_MEMO_LIMIT
+    assert sum(seen) == 1225 and len(M._point_memo) == 1675 <= POINT_MEMO_LIMIT
     seen.clear()
     second = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 0 and len(M._point_memo) == 2900
+    assert sum(seen) == 0 and len(M._point_memo) == 1675
     assert np.array_equal(first.vec, second.vec)
 
 
-def test_a_fresh_two_point_sweep_makes_five_point_memo_lookups(monkeypatch):
-    # validation reads the metric; the sweep's coframe reads omega_tilde,
-    # which reads the base table, which reads (g, E, F) at the points and
-    # their stencils, which reads the metric: one lookup each
+def test_a_fresh_two_point_sweep_makes_four_point_memo_lookups(monkeypatch):
+    # validation reads g from the (g, E, F) table; the sweep's coframe reads
+    # omega_tilde, which reads the base table, which reads (g, E, F) at the
+    # points and their stencils, which evaluates the metric: one lookup each
     from twistorlab import manifold as mf
     looked = []
     lookup = mf._lookup
@@ -783,7 +784,7 @@ def test_a_fresh_two_point_sweep_makes_five_point_memo_lookups(monkeypatch):
                                                             lookup(name, *rest))[1])
     M = builtin("cp2_fs")
     tw.CoframeSweep.stack(M, "lichnerowicz", tw.sample_twistor_points(M, 2, seed=0))
-    assert looked == ["metric", "_omega_rows", "_base_table", "_frame_fields", "metric"]
+    assert looked == ["_frame_fields", "_omega_rows", "_base_table", "_frame_fields"]
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
@@ -809,9 +810,7 @@ def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
     segments = [(builtin(name), builtin(name).chart.interior_points(2, seed=3)) for name in BUILTINS[:count]]
     looked.clear()
     levi_civita(segments)
-    metric = ["metric"] * count         # one metric lookup per segment
-    assert looked == ["levi_civita", "_base_table", "_frame_fields", *metric,
-                      "_base_table", "_frame_fields", *metric]
+    assert looked == ["levi_civita", "_base_table", "_frame_fields", "_base_table", "_frame_fields"]
     assert "_base_table" not in taken and "_frame_fields" in taken
 
 

@@ -1,8 +1,12 @@
 import dataclasses
 import gc
 import itertools
+import math
+import operator
+import struct
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -476,14 +480,15 @@ def test_a_fresh_sweep_stores_full_frames_at_its_base_points_only():
     pts = tw.sample_twistor_points(M, 2, seed=0)
     tw.CoframeSweep.stack(M, "lichnerowicz", pts)
     sizes = {fn.__name__: table.size for (fn, params), table in M._point_memo.items() if not params}
-    assert sizes == {"metric": 16 + 258, "_base_table": 34, "_frame_fields": 258}
+    assert sizes == {"_base_table": 34, "_frame_fields": 16 + 258}     # g is read from the E table
     # a frame at any point of the E table evaluates no metric: one
     # Gram-Schmidt built every frame
-    stored = np.array([np.frombuffer(key) for key in
-                       M._point_memo[(mf._frame_fields.__wrapped__, ())].index])
-    metric = M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size
+    table = M._point_memo[(mf._frame_fields.__wrapped__, ())]
+    stored = np.array([np.frombuffer(key) for key in table.index])
+    evaluated, metric = [], M._metric
+    M._metric = mf.stack_field(lambda x: (evaluated.append(len(x)), metric(x))[1])
     mf.adapted_frame(M, stored)
-    assert M._point_memo[(mf.HermitianSurface.metric.__wrapped__, ())].size == metric
+    assert evaluated == [] and table.size == 16 + 258
 
 
 def _first_failure_point_by_point(chart, metric, J, tol=1e-10):
@@ -869,14 +874,14 @@ def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(la
 def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_stores(monkeypatch):
     monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 40)
     M = mf.builtin("cp2_fs")
-    assert len(M._point_memo) == 16          # the metric at the 16 validation points
-    pts = M.chart.interior_points(10, seed=9)
+    assert len(M._point_memo) == 16          # g, E and F at the 16 validation points
+    pts = M.chart.interior_points(15, seed=9)
     M.metric(pts)
-    mf.coordinate_fundamental_matrix(M, pts)
-    assert len(M._point_memo) == 36 == sum(table.size for table in M._point_memo.values())
+    mf.coordinate_fundamental_matrix(M, pts)     # the same table: no new point
+    assert len(M._point_memo) == 31 == sum(table.size for table in M._point_memo.values())
     # the E/F table stores a tuple of arrays, which cannot be weakly referenced
     stores = [weakref.ref(a) for table in M._point_memo.values() for a in _arrays(table.store)]
-    mf.adapted_frame(M, pts)                 # 46 points would pass the limit: cleared
+    mf.adapted_frame(M, pts)                 # 31 + 15 = 46 points would pass the limit: cleared
     assert len(M._point_memo) == (46 - 1) % 40 + 1 == 6
     assert [table.size for table in M._point_memo.values() if table.size] == [6]
     gc.collect()
@@ -901,27 +906,95 @@ J standard
 """
 
 
+# the statement template of each operation of a parsed tree, in the
+# straight-line program that `_Program` emitted and exec'd before it
+# evaluated its steps itself
+_TEMPLATES = {operator.add: "{} + {}", operator.sub: "{} - {}", operator.mul: "{} * {}",
+              operator.truediv: "{} / {}", operator.neg: "-{}",
+              **{step: f"_f_{name}({{}})" for name, step in mf._STEPS.items()}}
+
+
+def _statement_tree(tree):
+    """A parsed tree in the straight-line program's form: a literal's text,
+    or (template, *children), the template holding a `{}` per child."""
+    if not isinstance(tree, tuple):
+        return tree
+    op, *children = tree
+    if op in mf._COLUMNS:
+        return (f"x[..., {mf._COLUMNS.index(op)}]",)
+    if op is mf._power:
+        return (f"_f_pow({{}}, {children[1]})", _statement_tree(children[0]))
+    return (_TEMPLATES[op], *map(_statement_tree, children))
+
+
+def _reference_elementwise(fn):
+    """`_elementwise` as it was: fn called at every entry."""
+    def apply(a):
+        if np.ndim(a) == 0:
+            return fn(a)
+        return np.array([fn(v) for v in np.ravel(a).tolist()]).reshape(np.shape(a))
+    return apply
+
+
+def _reference_power(a, n):
+    """`_power` as it was: v ** n at every entry."""
+    if np.ndim(a) == 0:
+        return a ** n
+    flat = np.ravel(a).tolist()
+    try:
+        out = [v ** n for v in flat]
+    except (ZeroDivisionError, OverflowError):
+        out = [np.float64(v) ** n for v in flat]
+    return np.array(out).reshape(np.shape(a))
+
+
 def _reference_program(trees):
-    """(statements, outputs) of the emission that walked every tree in full,
-    a mirrored slot's entry included, and kept one statement per distinct
-    source text."""
+    """(statements, outputs, run) of the straight-line python that
+    `_Program` emitted and exec'd for the parsed trees: one statement per
+    distinct tree, its children first, and run(x) -> the tuple of the
+    trees' values, with `math` and pow called at every entry."""
     names, lines = {}, []
 
     def emit(tree):
         if isinstance(tree, str):
             return tree
-        template, *children = tree
-        src = template.format(*map(emit, children))
-        if src not in names:
-            names[src] = f"_v{len(names)}"
-            lines.append(f"    {names[src]} = {src}")
-        return names[src]
-    outputs = [emit(tree) for tree in trees]
-    return lines, outputs
+        name = names.get(tree)
+        if name is None:
+            template, *children = tree
+            src = template.format(*map(emit, children))
+            name = names[tree] = f"_v{len(names)}"
+            lines.append(f"    {name} = {src}")
+        return name
+    outputs = [emit(_statement_tree(tree)) for tree in trees]
+    env = {f"_f_{name}": _reference_elementwise(fn) for name, fn in mf._FUNCS.items()}
+    env["_f_pow"] = _reference_power
+    exec("def program(x):\n" + "\n".join(lines + [f"    return ({''.join(o + ', ' for o in outputs)})"]), env)
+    return lines, outputs, env["program"]
+
+
+def _statements(program, outputs):
+    """The steps of a `_Program` written as the statements of the straight-line
+    program (the step of slot k named _v0, _v1, ... in order), and the names
+    of the slots `outputs`."""
+    trees = {slot: tree for tree, slot in program.slots.items()}
+    names, lines = {}, []
+
+    def name(slot):         # a step's temporary, or a literal's text
+        return names.get(slot, str(trees[slot]))
+    for slot, op, a, b in program.steps:
+        if op in mf._COLUMNS:
+            src = f"x[..., {mf._COLUMNS.index(op)}]"
+        elif op is mf._power:
+            src = f"_f_pow({name(a)}, {name(b)})"
+        else:
+            src = _TEMPLATES[op].format(*map(name, [a] if b is None else [a, b]))
+        names[slot] = f"_v{len(names)}"
+        lines.append(f"    {names[slot]} = {src}")
+    return lines, [name(k) for k in outputs]
 
 
 def _subtrees(tree, seen):
-    if not isinstance(tree, str) and tree not in seen:
+    if isinstance(tree, tuple) and tree not in seen:
         seen.add(tree)
         for child in tree[1:]:
             _subtrees(child, seen)
@@ -932,19 +1005,194 @@ def _subtrees(tree, seen):
                                   mf._builtin_hopf(), FUNCTIONS_SPEC, ENTRY_J_SPEC],
                          ids=[*mf.BUILTIN_NAMES, "functions", "entry_J"])
 def test_each_tree_is_emitted_once_into_the_statements_of_the_full_walk(text, monkeypatch):
+    # the program's steps are the statements of the straight-line program,
+    # in its order, and no two of them have one source text
     programs, emits = [], []
     compile_, emit, matrix_field = mf._Program.compile, mf._Program.emit, mf._matrix_field
     monkeypatch.setattr(mf, "_matrix_field", lambda entries, fill: (
         programs.append([list(entries.values())]), matrix_field(entries, fill))[1])
     monkeypatch.setattr(mf._Program, "emit", lambda self, tree: (emits.append(tree), emit(self, tree))[1])
     monkeypatch.setattr(mf._Program, "compile", lambda self, outputs: (
-        programs[-1].append((self.lines, list(outputs))), compile_(self, outputs))[1])
+        programs[-1].append(_statements(self, outputs)), compile_(self, outputs))[1])
     mf.parse_surface_spec(text)
     for trees, *compiled in programs:       # g, and J where given entry by entry
-        assert compiled == [_reference_program(trees)]
-    # the entries, then the children of each distinct tree, once
-    distinct = set().union(*(_subtrees(tree, set()) for trees, *_ in programs for tree in trees))
-    assert len(emits) == sum(len(trees) for trees, *_ in programs) + sum(len(t) - 1 for t in distinct)
+        lines, outputs, _ = _reference_program(trees)
+        assert compiled == [(lines, outputs)]
+        assert len({line.split(" = ", 1)[1] for line in lines}) == len(lines)
+    # the entries, then the children of each distinct tree of a program, once
+    distinct = [set().union(*(_subtrees(tree, set()) for tree in trees)) for trees, *_ in programs]
+    assert len(emits) == sum(len(trees) + sum(len(t) - 1 for t in d) for (trees, *_), d in zip(programs, distinct))
+
+
+# expression texts over the whole grammar: every function and operator,
+# negative and leading-zero exponents, unary minus, literals of each form,
+# and subexpressions that occur twice
+_LITERAL_TEXTS = st.sampled_from(["0", "1", "2", "007", "10", "0.5", "1e-1", "3.", ".25", "2E2", "1e308", "0.0"])
+_EXPONENT_TEXTS = st.sampled_from(["2", "3", "1", "0", "02", "-1", "-2", "-03"])
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(sorted(mf._FUNCS)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, _EXPONENT_TEXTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"{e} / (1 + ({e})^2)"),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.one_of(_LITERAL_TEXTS, st.sampled_from(["a", "b", "c", "d"])), _grow, max_leaves=10)
+
+# stack entries: signed zeros, NaNs of two payloads, infinities, values
+# outside the domains of log, sqrt and exp, and ordinary ones
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000123], np.uint64).view(np.float64)[0])
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, _NAN_PAYLOAD, math.inf, -math.inf,
+                                      -1.0, -2.5, 1e3, -1e3, 1e200, 1e-300, 0.5, 2.0]),
+                     st.floats(-10, 10))
+_ROWS = st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=3)
+_STACKS = st.tuples(_ROWS, st.lists(st.integers(0, 2), min_size=1, max_size=8)).map(
+    lambda t: np.array([t[0][k % len(t[0])] for k in t[1]]))      # rows that repeat
+
+
+def _bits(value):
+    """The type and the bits of a value: an array's dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return type(value).__name__, struct.pack("<d", value)
+    return type(value).__name__, repr(value)
+
+
+def _outcome(run, x):
+    """The bits of run(x)'s values, or the type and message of its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return [_bits(v) for v in run(x)]
+        except Exception as exc:    # noqa: BLE001 - compared below
+            return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(_EXPRESSIONS, min_size=1, max_size=4), x=_STACKS)
+def test_the_evaluator_has_the_bits_and_errors_of_the_straight_line_program(texts, x):
+    trees = [mf._ExprParser(text, "abcd", 1, 0).parse() for text in texts + texts[:1]]
+    program = mf._Program()
+    run = program.compile([program.emit(tree) for tree in trees])
+    *_, reference = _reference_program(trees)
+    for points in (x, x[0], x[None]):
+        assert _outcome(run, points) == _outcome(reference, points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_STACKS)
+def test_each_calls_fn_once_per_distinct_bit_pattern_and_raises_the_first_failing_entry(x):
+    def fn(v):
+        seen.append(struct.pack("<d", v))
+        if v < -2.0:
+            raise ValueError(f"refused {v!r}")
+        return v * 3.0 + 1.0
+    seen = []
+    want = _outcome(lambda a: [_reference_elementwise(fn)(a)], x)
+    seen = []
+    got = _outcome(lambda a: [mf._each(fn, a)], x)
+    assert got == want
+    if isinstance(got, list):
+        assert sorted(seen) == sorted({v.tobytes() for v in x.ravel()})
+
+
+def test_power_and_math_functions_run_once_per_distinct_bit_pattern(monkeypatch):
+    calls = []
+    each = mf._each
+    monkeypatch.setattr(mf, "_each", lambda fn, a: each(lambda v: (calls.append(v), fn(v))[1], a))
+    a = np.array([[0.5, -0.0, 0.0, 0.5], [math.nan, _NAN_PAYLOAD, -0.0, 2.0]])
+    positive = np.array([0.5, 2.0, 0.5, math.nan, 3.0, 2.0])
+    for name, step in [*mf._STEPS.items(), ("^2", lambda v: mf._power(v, 2)), ("^-3", lambda v: mf._power(v, -3))]:
+        x = positive if name == "log" else a
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = step(x)
+            want = (_reference_power(x, int(name[1:])) if name.startswith("^")
+                    else _reference_elementwise(mf._FUNCS[name])(x))
+        assert got.tobytes() == want.tobytes() and got.shape == x.shape, name
+        if name != "^-3":       # 0.0 ** -3 takes numpy's scalar power at every entry
+            assert len(calls) == len({v.tobytes() for v in x.ravel()}), name
+    for name in ("sqrt", "sin", "tanh"):
+        assert np.signbit(mf._STEPS[name](a)[0, 1]) and not np.signbit(mf._STEPS[name](a)[0, 2])
+
+
+def _reference_validation(pts, g, Jm):
+    """The message of `_validate_samples` with np.isclose, or None."""
+    gT = np.swapaxes(g, 1, 2)
+
+    def close(a, b):
+        return np.all(np.isclose(a, b, atol=1e-10), axis=(1, 2))
+    finite = np.all(np.isfinite(g), axis=(1, 2))
+    h = np.where(finite[:, None, None], 0.5 * (g + gT), np.eye(4))
+    bad = np.stack([~finite, ~close(g, gT), np.min(np.linalg.eigvalsh(h), axis=1) <= 1e-10,
+                    ~close(Jm @ Jm, -np.eye(4)), ~close(np.swapaxes(Jm, 1, 2) @ g @ Jm, g)], axis=1)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        return f"surface invariant violation at sample point {pts[k].tolist()}: {mf._INVARIANTS[int(np.argmax(bad[k]))]}"
+    return None
+
+
+_DEFECT_SCALES = st.sampled_from([1e-12, 5e-11, 1e-10, 1.5e-10, 1e-6, 1e-5, 2e-5, 1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _sample_fields(draw):
+    """A J-invariant metric diag(a, a, b, b) and the standard J at a point,
+    each with at most one entry moved by a drawn amount (up to a NaN or an
+    infinity), or with a diagonal entry below zero."""
+    a, b = draw(st.floats(0.25, 4.0)), draw(st.floats(1e-3, 4.0))
+    g, J = np.diag([a, a, b, b]), mf.J_STANDARD.copy()
+    kind = draw(st.sampled_from(["none", "g", "g symmetric", "J", "negative"]))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    delta = draw(_DEFECT_SCALES) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "g":
+        g[i, j] += delta * (1.0 + abs(g[i, j]))
+    elif kind == "g symmetric":
+        g[i, j] += delta
+        g[j, i] = g[i, j]
+    elif kind == "J":
+        J[i, j] += delta
+    elif kind == "negative":
+        g[i, i] = -abs(delta)
+    return g, J
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(st.sampled_from([None]) | _sample_fields(), min_size=16, max_size=16))
+def test_validation_names_the_point_and_check_of_the_isclose_version(fields):
+    good = (np.diag([1.0, 1.0, 2.0, 2.0]), mf.J_STANDARD)
+    g = np.array([(f or good)[0] for f in fields])
+    Jm = np.array([(f or good)[1] for f in fields])
+    chart = mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _reference_validation(chart.interior_points(16, seed=2024), g, Jm)
+        try:
+            mf.HermitianSurface(chart, mf.stack_field(lambda x: g), mf.stack_field(lambda x: Jm))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", [["scan", "--surface", "cp2_fs", "--lambda-range", "1:2", "--grid", "3"],
+                                  ["report", "--surface", "hopf", "--connection", "chern", "--points", "2"]])
+def test_a_fresh_invocation_makes_no_point_memo_lookup_under_the_metrics_name(argv, monkeypatch, capsys):
+    # every read of g goes to the frame-field table; the metric has no table
+    from twistorlab.cli import main
+    looked = []
+    lookup = mf._lookup
+    monkeypatch.setattr(mf, "_lookup", lambda name, *rest: (looked.append(name[0].__name__), lookup(name, *rest))[1])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert "_frame_fields" in looked and "metric" not in looked
+    assert not hasattr(mf.HermitianSurface.metric, "__wrapped__")
 
 
 def stack_surface(name):
@@ -1045,7 +1293,9 @@ def test_replay_raises_the_error_of_the_first_part_that_fails_alone(case):
 
 
 def test_entries_written_out_of_order_fail_in_slot_order():
-    # at x1 = -1 both kinds of entry fail; g 1 1 comes first in slot order
+    # at x1 = -1 both kinds of entry fail; g 1 1 comes first in slot order.
+    # The metric's error names the first failing point, and the error of
+    # the compiled entries there is its cause
     M = mf.parse_surface_spec("coords x1 x2 x3 x4\ndomain x1 0.5 1\n"
                               "g 3 3 = 2 + log(x1)^2\ng 4 4 = 2 + log(x1)^2\n"
                               "g 1 1 = 1 + exp(-1000*x1)\ng 2 2 = 1 + exp(-1000*x1)\nJ standard\n")
@@ -1054,8 +1304,12 @@ def test_entries_written_out_of_order_fail_in_slot_order():
                               ([both, log_only], OverflowError, "math range error"),
                               ([log_only, both], ValueError, "math domain error")]:
         for stack in (np.array(x), np.array(x)[None]):
-            with pytest.raises(error, match=f"^{message}$"):
+            with pytest.raises(mf.MetricEvaluationError) as info:
                 M.metric(stack)
+            assert str(info.value) == f"metric undefined at point {x[0]}: {message}"
+            assert type(info.value.__cause__) is error and str(info.value.__cause__) == message
+        with pytest.raises(error, match=f"^{message}$"):
+            M._metric(np.array(x[0]))
 
 
 def test_duplicates_in_a_stack_reach_a_pointwise_metric_once():

@@ -46,7 +46,11 @@ x + h e_1 has none, and two `verify --suite all` invocations whose every
 point-memo layer takes the four built-ins as segments of one stack: a json
 one with `--points 1 --seed 2`, where each segment holds one point, and a
 text one with `--points 6 --seed 21`, whose long segments go through the
-algebra suite's curvature stack before the oracle reads them.
+algebra suite's curvature stack before the oracle reads them, and a json
+`report` on a description file (written to the temporary directory) that
+uses every function and operator of the expression grammar, a negative
+exponent, unary minus, an exponent-form literal and integers with leading
+zeros, so that every kind of step of the compiled metric is evaluated.
 
 It compares stdout, stderr and the exit status.  It prints each invocation
 whose stdout or stderr is not byte-identical, the number of
@@ -106,7 +110,22 @@ J standard
                     ("stencil-vanishing", "(a - 0.001)^2"))}
 
 
-def argv_list(description, degenerate):
+# every function and operator of the expression grammar, with a negative
+# exponent, unary minus, an exponent-form literal and leading-zero integers
+GRAMMAR = """\
+coords a b c d
+domain a 0.5 1.5
+g 1 1 = 2 + sin(a)*cos(b) - tanh(c)/4 + 1e-1*exp(-d^2)
+g 2 2 = 2 + sin(a)*cos(b) - tanh(c)/4 + 1e-1*exp(-d^2)
+g 3 3 = 1 + log(a)^2 + sqrt(02 + b^2)*a^-2
+g 4 4 = 1 + log(a)^2 + sqrt(02 + b^2)*a^-2
+g 1 3 = 0.1*sin(a*b)^007
+g 2 4 = 0.1*sin(a*b)^007
+J standard
+"""
+
+
+def argv_list(description, degenerate, grammar):
     out = []
     for name in sorted(workloads.TEMPLATES):
         stream = workloads.ops(name, 0)
@@ -164,6 +183,7 @@ def argv_list(description, degenerate):
         *(["report", "--surface", path, "--points", "5"] for path in degenerate),
         ["verify", "--suite", "all", "--points", "1", "--seed", "2", "--format", "json"],
         ["verify", "--suite", "all", "--points", "6", "--seed", "21", "--format", "text"],
+        ["report", "--surface", grammar, "--connection", "chern", "--points", "2", "--format", "json"],
     ]
     return out
 
@@ -243,12 +263,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        texts = {"repeated": DESCRIPTION, **DEGENERATE}
+        texts = {"repeated": DESCRIPTION, "grammar": GRAMMAR, **DEGENERATE}
         paths = {name: os.path.join(tmp, f"{name}.surface") for name in texts}
         for name, text in texts.items():
             with open(paths[name], "w") as fh:
                 fh.write(text)
-        cases = argv_list(paths["repeated"], [paths[name] for name in DEGENERATE])
+        cases = argv_list(paths["repeated"], [paths[name] for name in DEGENERATE], paths["grammar"])
         olds = [run(args.old_src, case) for case in cases]
         news = [run(args.new_src, case) for case in cases]
 

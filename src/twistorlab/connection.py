@@ -138,22 +138,27 @@ def _base_table(segments) -> _BaseData:
                      frameless=degenerate | frameless.reshape(-1, len(x)).any(axis=0))
 
 
-def _framed(segments) -> _BaseData:
-    """`_base_table` at the points of the segments for a memoized reader of
-    the frame, whose memo replays a failing stack point by point: the metric's error or
-    DegenerateFrameError at a point comes before any other error of its row,
-    then DegenerateFrameError at its first stencil point without a frame."""
+def _framed(segments, stencils: bool = False):
+    """(`_base_table` at the points of the segments, with `stencils` at their
+    stencils too, and the split of `with_stencils` or None) for a memoized
+    reader of the frame at the points, whose memo replays a failing stack
+    point by point: the metric's error or DegenerateFrameError at a point
+    comes before any other error of its row, then DegenerateFrameError at
+    its first stencil point without a frame."""
+    stacked, split = with_stencils(segments) if stencils else (segments, None)
     try:
-        base = _base_table(segments)
+        base = _base_table(stacked)
     except Exception:
+        if stencils:
+            _framed(segments)       # the errors of the points' own rows come first
         for M, x in segments:
             adapted_basis(M, x)
         raise
-    if base.frameless.any():
+    if (split(base.frameless, False)[0] if stencils else base.frameless).any():
         for M, x in segments:
             adapted_basis(M, x)
             adapted_basis(M, M.backend.stencil(x))
-    return base
+    return base, split
 
 
 def christoffel(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
@@ -204,29 +209,30 @@ def levi_civita(segments) -> LeviCivitaData:
     """Levi-Civita connection forms and curvature at the points of the
     segments; `point_memo` serves one point or any stack.
 
-    Gamma, omega^LC and the frame come from `_base_table`; the curvature
-    comes from a second FD pass over the Christoffel field, which reads the
-    table at every segment's stencil points alone, as one stack (the points
-    themselves were just read, so a fresh stack misses every point and its
-    lookup answers with the batch, gathering no stored row), and combines
-    the Gamma of all of them at once; frame components are produced against
-    the canonical Gram-Schmidt frame field.
+    One `_base_table` lookup at the points and their stencils (`_framed`,
+    which checks the points' own rows for a frame) gives the points' rows,
+    copied so that the answer keeps no stencil row alive, and the Gamma of
+    every stencil point, which the curvature's FD pass over the Christoffel
+    field combines at once; frame components are produced against the
+    canonical Gram-Schmidt frame field.
     """
-    base = _framed(segments)
-    fr, Gm = base.frame, base.Gamma
-    omega_frame = np.einsum("zijn,znk->zijk", base.omega, fr.E)
+    both, split = _framed(segments, stencils=True)
+    Gm, g, omega, point, E, theta, U, eta = (split(a, False)[0].copy() for a in (
+        both.Gamma, both.g, both.omega, both.frame.point, both.frame.E, both.frame.theta, both.frame.U, both.frame.eta))
+    fr = UnitaryFrame(point=point, E=E, theta=theta, U=U, eta=eta)
+    dG = split(both.Gamma)[1]
+    omega_frame = np.einsum("zijn,znk->zijk", omega, fr.E)
 
     # coordinate Riemann from the Christoffel field:
     # R^mu_{nu rho si} = d_rho Gm^mu_{si nu} - d_si Gm^mu_{rho nu} + Gm Gm - Gm Gm
-    stencils, split = with_stencils(segments, centres=False)
-    dG = segments[0][0].backend.combine(split(_base_table(stencils).Gamma)[1])
+    dG = segments[0][0].backend.combine(dG)
     dG = np.ascontiguousarray(np.moveaxis(dG, 0, 1))            # dG[z, k] = d_k Gamma
     Rup = (np.einsum("zrmsn->zmnrs", dG) - np.einsum("zsmrn->zmnrs", dG)
            + np.einsum("zmrl,zlsn->zmnrs", Gm, Gm) - np.einsum("zmsl,zlrn->zmnrs", Gm, Gm))
     # lower the first slot and push through the frame, pairing h(R(X3,X4)X2, X1)
-    Rdn = np.einsum("zml,zlnrs->zmnrs", base.g, Rup)
+    Rdn = np.einsum("zml,zlnrs->zmnrs", g, Rup)
     Rfr = push_slots(Rdn, fr.E, (0, 1, 2, 3))
-    return LeviCivitaData(point=fr.point, frame=fr, Gamma=Gm, omega_coord=base.omega,
+    return LeviCivitaData(point=fr.point, frame=fr, Gamma=Gm, omega_coord=omega,
                           omega_frame=omega_frame, R=Rfr)
 
 
@@ -376,7 +382,7 @@ def _omega_rows(segments, t: float) -> Tuple[np.ndarray, np.ndarray]:
     """(omega^t, eta) at the points of the segments: the D^t forms in
     coordinates, omega^LC + A_t from one `_base_table` lookup, with the
     (1,0)-coframe `coframe_rows` reads; memoized per (point, t)."""
-    base = _framed(segments)
+    base, _ = _framed(segments)
     _check_stencil_inside(segments)
     # A(d_nu, e_j, e_i): the D^t correction om~^i_j(d_nu) - om^i_j(d_nu)
     A = np.transpose(push_slots(_correction(base, t), base.frame.E, (1, 2)), (0, 3, 2, 1))

@@ -441,43 +441,32 @@ POINT_MEMO_LIMIT = 8192
 _APPEND_LOCK = threading.Lock()
 
 
-def _freeze(value):
-    """Make every array in a result read-only: arrays, tuples and frozen
-    dataclasses of them."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _freeze(item)
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            _freeze(getattr(value, field.name))
-    return value
+def _recipe(value):
+    """(leaves, build) for the results of value's structure: an array, or
+    tuples and frozen dataclasses (of two or more fields) of them.
+    leaves(result) is the list of a result's arrays in field order, and
+    build(arrays), arrays an iterator over such a list, makes a result."""
+    def plan(v):        # (leaves, build) of v's structure, leaves None for an array
+        if isinstance(v, np.ndarray):
+            return None, next
+        kind = tuple if isinstance(v, tuple) else type(v)
+        items = tuple if kind is tuple else operator.attrgetter(*(f.name for f in dataclasses.fields(v)))
+        subs, makes = zip(*map(plan, items(v)))
 
+        def leaves(r):
+            return [a for sub, item in zip(subs, items(r)) for a in (sub(item) if sub else (item,))]
 
-@functools.lru_cache(maxsize=None)
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(cls))
-
-
-def _map_arrays(fn, value, *others):
-    """fn applied to every array of a result, and to the arrays in the same
-    place of `others` (results of the same structure), rebuilding its tuples
-    and dataclasses."""
-    if isinstance(value, np.ndarray):
-        return fn(value, *others)
-    if isinstance(value, tuple):
-        return tuple(_map_arrays(fn, *items) for items in zip(value, *others))
-    out = object.__new__(type(value))       # a frozen dataclass, its fields set directly
-    out.__dict__.update({name: _map_arrays(fn, getattr(value, name),
-                                           *(getattr(other, name) for other in others))
-                         for name in _field_names(type(value))})
-    return out
+        def build(arrays):
+            parts = [make(arrays) for make in makes]
+            return tuple(parts) if kind is tuple else kind(*parts)
+        return leaves, build
+    leaves, build = plan(value)
+    return leaves or (lambda a: [a]), build
 
 
 def _take(rows: list, spans: list, *stores: np.ndarray) -> np.ndarray:
-    """The rows rows[k] of each stored array stores[k], taken into the span
-    spans[k] of one read-only array (the one store's rows as they are shaped)."""
+    """The rows rows[k] of each table's array stores[k] of one leaf, taken into
+    the span spans[k] of one read-only array (one array's rows as they are shaped)."""
     if len(stores) == 1:
         out = stores[0].take(rows[0], axis=0)
     else:
@@ -489,35 +478,33 @@ def _take(rows: list, spans: list, *stores: np.ndarray) -> np.ndarray:
 
 
 class _Table:
-    """The stored results of one memoized function with one tuple of params.
-
-    `store` is a read-only result of the function's own structure whose
-    arrays hold `size` rows, one per stored point, in the order they were
-    computed; `index` maps the 32 bytes of a point to its row; `single`
-    keeps the result of each point looked up on its own.  Rows are only
-    ever appended, so a row read from `index` is valid in every `store`
-    from then on.
-    """
-    __slots__ = ("index", "store", "size", "single")
+    """The stored results of one memoized function with one tuple of params:
+    `leaves`, their arrays in field order with `size` rows each, one per
+    point in the order computed; `recipe`, the `_recipe` of the first batch;
+    `index`, from the 32 bytes of a point to its row; `single`, the result
+    of each point looked up on its own.  Rows are only appended and a new
+    list replaces `leaves` whole, so a row read from `index` stays valid."""
+    __slots__ = ("index", "leaves", "recipe", "size", "single")
 
     def __init__(self):
         self.index: Dict[bytes, int] = {}
-        self.store = None
+        self.leaves: List[np.ndarray] = []
+        self.recipe = None
         self.size = 0
         self.single: Dict[bytes, object] = {}
 
 
-def _stored(memo: dict) -> int:
-    """The number of points stored in a memo, over all its tables."""
-    return sum(table.size for table in list(memo.values()))
-
-
 class PointMemo(dict):
-    """The point memo of a surface: one `_Table` per (fn, params).  Its
-    length is the number of points stored, over all tables."""
+    """The point memo of a surface, one `_Table` per (fn, params), whose
+    length is `points`, the points stored over all tables, kept by `_append`."""
+    points = 0
 
     def __len__(self):
-        return _stored(self)
+        return self.points
+
+    def clear(self):
+        super().clear()
+        self.points = 0
 
 
 def replay(run, parts):
@@ -554,9 +541,9 @@ def segments_of(M, x):
 
 
 def _join(parts: List):
-    """Results of one structure for consecutive segments, joined on the point
-    axis (the one result of a one-segment stack as it is)."""
-    return parts[0] if len(parts) == 1 else _map_arrays(lambda *a: np.concatenate(a), *parts)
+    """Arrays of consecutive segments, joined on the point axis (the one
+    array of a one-segment stack as it is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def fd_rule(segments) -> "DiffBackend":
@@ -567,70 +554,68 @@ def fd_rule(segments) -> "DiffBackend":
     return be
 
 
-def with_stencils(segments, centres: bool = True):
-    """The segments [(M, x (k, n)), ...], each x followed by its FD stencil
-    (the stencil alone when `centres` is False), and `split`: values at
-    their points -> (those at x (N, ...), or None without the centres, and
-    those at the stencils (d, m, N, ...)), cut out by blocks (views for one
-    segment).  The stencils of all the segments come from one
-    `DiffBackend.stencil` call over their joined points, and each segment's
-    has the bits of its own `stencil` call."""
+def with_stencils(segments):
+    """The segments [(M, x (k, n)), ...], each x followed by its FD stencil,
+    and `split`: values at their points -> (those at x (N, ...), and those
+    at the stencils (d, m, N, ...), or None for split(values, False)), cut
+    out by blocks (views for one segment).  The stencils of all the
+    segments come from one `DiffBackend.stencil` call over their joined
+    points, and each segment's has the bits of its own `stencil` call."""
     s = fd_rule(segments).stencil(_join([x for _, x in segments]))      # (d, m, N, n)
     d, m, _, n = s.shape
     parts, cuts, start, offset = [], [], 0, 0
     for M, x in segments:
         k = len(x)
-        around = s[:, :, offset:offset + k].reshape(-1, n)
-        parts.append((M, np.concatenate([x, around]) if centres else around))
-        cuts.append((start, start + (k if centres else 0), start + len(parts[-1][1]), k))
+        parts.append((M, np.concatenate([x, s[:, :, offset:offset + k].reshape(-1, n)])))
+        cuts.append((start, start + k, start + len(parts[-1][1]), k))
         start, offset = cuts[-1][2], offset + k
 
     def joined(blocks, axis):           # one segment's block as it is, a view
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis)
 
-    def split(values):
-        at = joined([values[a:b] for a, b, _, _ in cuts], 0) if centres else None
-        return at, joined([values[b:c].reshape((d, m, k) + values.shape[1:]) for _, b, c, k in cuts], 2)
+    def split(values, stencils=True):
+        return joined([values[a:b] for a, b, _, _ in cuts], 0), joined(
+            [values[b:c].reshape((d, m, k) + values.shape[1:]) for _, b, c, k in cuts], 2) if stencils else None
     return parts, split
 
 
-def _append(memo: dict, name: tuple, table: _Table, fresh: Dict[bytes, None], batch):
-    """Append batch, the results of the points `fresh`, to `table` of memo.
+def _append(memo: PointMemo, name: tuple, table: _Table, fresh: Dict[bytes, None], batch: list, recipe):
+    """Append batch, the leaves of the results of the points `fresh`, to
+    `table` of memo, whose results have the structure of `recipe`.
 
-    Returns the table's store with the batch appended and the row of the
-    batch's first point in it, which answer the caller whatever is kept.
-    The points are stored as if one at a time, the memo being cleared
-    whole whenever it holds POINT_MEMO_LIMIT points: when the batch does
-    not fit, the memo is cleared and a new table keeps the batch's last
-    points.  The store is replaced before the index entries of its new
-    rows are published, so a reader that finds a row finds it in the
-    store it reads next.
-    """
+    Returns the table's leaves with the batch appended and the row of the
+    batch's first point in them, which answer the caller whatever is kept.
+    The points are stored as if one at a time, the memo being cleared whole
+    whenever it holds POINT_MEMO_LIMIT points: when the batch does not fit,
+    a new table keeps its last points.  The leaves are replaced before the
+    index entries of their new rows are published, so a reader that finds a
+    row finds it in the leaves it reads next."""
     n = len(fresh)
     with _APPEND_LOCK:
         base = table.size
-        store = batch if base == 0 else _map_arrays(lambda a, b: np.concatenate((a, b)),
-                                                    table.store, batch)
-        total = _stored(memo) + n
+        leaves = batch if base == 0 else [np.concatenate((a, b)) for a, b in zip(table.leaves, batch)]
+        total = memo.points + n
         if total <= POINT_MEMO_LIMIT:
-            table.store, table.size = store, base + n
+            table.leaves, table.recipe, table.size = leaves, recipe, base + n
+            memo.points = total
             table.index.update(zip(fresh, range(base, base + n)))
         else:
             memo.clear()
-            kept = (total - 1) % POINT_MEMO_LIMIT + 1
+            kept = memo.points = (total - 1) % POINT_MEMO_LIMIT + 1
             tail = memo[name] = _Table()
-            tail.store, tail.size = _map_arrays(lambda a: a[n - kept:], batch), kept
+            tail.leaves, tail.recipe, tail.size = [a[n - kept:] for a in batch], recipe, kept
             tail.index.update(zip(itertools.islice(fresh, n - kept, None), range(kept)))
-    return store, base
+    return leaves, base
 
 
 def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
     """The results of fn(segments, *params), name = (fn, params), over the
-    point axes `shape`: one index pass over every segment's points, each in
-    its own surface's table, one call of fn for the distinct points the
-    tables lack, every segment's at once, and, unless every point is a
-    distinct miss (the batch is the answer), each result array's rows taken
-    from the segments' stores into one array."""
+    point axes `shape` (() for one point): one index pass over every
+    segment's points, each in its own surface's table, one call of fn for
+    the distinct points the tables lack, every segment's at once, and,
+    unless every point is a distinct miss (the batch is the answer), each
+    leaf's rows taken from the segments' tables into one array.  Past fn,
+    every step is a loop over the flat list of leaves."""
     fn, params = name
     tables = [M._point_memo.get(name) or M._point_memo.setdefault(name, _Table()) for M, _ in segments]
     keys = [points.view("V32").ravel().tolist() for _, points in segments]    # the 32 bytes of each point
@@ -638,7 +623,8 @@ def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
     spans = [slice(end - len(k), end) for k, end in zip(keys, ends)]
     rows = np.fromiter(itertools.chain.from_iterable(map(table.index.get, k, itertools.repeat(-1))
                                                      for table, k in zip(tables, keys)), np.intp, ends[-1])
-    stores = [table.store for table in tables]
+    stores = [table.leaves for table in tables]      # read after the index: every row found is in them
+    recipe = tables[0].recipe
     missing = rows < 0
     if missing.any():
         flags = missing.tolist()
@@ -648,24 +634,27 @@ def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
         every = total == len(rows)      # every point a distinct miss: the batch is the answer
         misses = [(M, p if len(f) == len(p) else np.frombuffer(b"".join(f)).reshape(-1, 4).copy())
                   for (M, p), f in zip(segments, fresh) if f]
-        batch = _freeze(replay_segments(lambda part: fn(part, *params), misses))
+        batch = replay_segments(lambda part: fn(part, *params), misses)
+        recipe = recipe or _recipe(batch)
+        for a in (leaves := recipe[0](batch)):
+            a.setflags(write=False)
         start = 0
         for i, (M, _) in enumerate(segments):
             k = len(fresh[i])
             if k:       # each surface's misses, appended to its own table
-                piece = batch if k == total else _map_arrays(lambda a: a[start:start + k], batch)
-                stores[i], base = _append(M._point_memo, name, tables[i], fresh[i], piece)
+                piece = leaves if k == total else [a[start:start + k] for a in leaves]
+                stores[i], base = _append(M._point_memo, name, tables[i], fresh[i], piece, recipe)
                 start += k
                 if not every:       # the new rows, in order unless a point repeats
                     rows[spans[i]][missing[spans[i]]] = (
                         np.arange(base, base + k) if k == len(missed[i]) else
                         list(map(dict(zip(fresh[i], range(base, base + k))).__getitem__, missed[i])))
         if every:
-            return _map_arrays(lambda a: a.reshape(shape + a.shape[1:]), batch)
-    if len(stores) == 1:
-        return _map_arrays(lambda a: _take([rows.reshape(shape)], None, a), stores[0])
-    rows = [rows[span] for span in spans]
-    return _map_arrays(lambda *arrays: _take(rows, spans, *arrays), *stores)
+            return batch if len(shape) == 1 else recipe[1](
+                iter([a.reshape(shape + a.shape[1:]) if shape else a[0] for a in leaves]))
+    r = [rows.reshape(shape or (1,))] if len(stores) == 1 else [rows[span] for span in spans]
+    out = [_take(r, spans, *arrays) for arrays in zip(*stores)]
+    return recipe[1](iter(out if shape else [a[0] for a in out]))
 
 
 def point_memo(fn):
@@ -678,20 +667,20 @@ def point_memo(fn):
     answers with the same point axes, or segments in place of M and x
     (fn(segments, None, *params)) and answers with one point axis.  The memo
     of M (`PointMemo`) holds one table per (fn, params): a dict from the
-    bytes of a point to a row, and one read-only store of fn's structure.
-    A call looks up each segment in its surface's table; the distinct
-    points not found are computed in one call of fn over every segment, and
-    each surface's appended to its own store as one batch.  When every point
-    is a distinct miss the answer is that batch; else each result array's
-    rows are taken from the stores straight into one read-only array
-    (`_take`).  A value is therefore computed
-    once per surface and exact point, and does not depend on the other
-    points of its stack.  A point looked up on its own gets the same object
-    every time.  Exceptions are not stored; a failing stack raises the error
-    of its first failing point (`replay_segments`).  The memo is cleared
-    whole when an append would take it past POINT_MEMO_LIMIT points.
-    Threads may share a surface: lookups take no lock, appends take
-    `_APPEND_LOCK`, and stores only grow.
+    bytes of a point to a row, and the flat list of fn's result arrays.  A
+    call looks up each segment in its surface's table; the distinct points
+    not found are computed in one call of fn over every segment, and each
+    surface's arrays appended to its own table as one batch.  When every
+    point is a distinct miss the answer is that batch; else each array's
+    rows are taken from the tables straight into one read-only array
+    (`_take`), and the table's `_recipe` builds the answer from them.  A
+    value is therefore computed once per surface and exact point, and does
+    not depend on the other points of its stack.  A point looked up on its
+    own gets the same object every time.  Exceptions are not stored; a
+    failing stack raises the error of its first failing point
+    (`replay_segments`).  The memo is cleared whole when an append would
+    take it past POINT_MEMO_LIMIT points.  Threads may share a surface:
+    lookups take no lock, appends take `_APPEND_LOCK`, and tables only grow.
     """
     @functools.wraps(fn)
     def memoized(M, x=None, *params):
@@ -703,7 +692,7 @@ def point_memo(fn):
         key = segments[0][1].tobytes()
         value = table.single.get(key)
         if value is None:
-            value = table.single[key] = _map_arrays(lambda a: a[0], _lookup(name, segments, (1,)))
+            value = table.single[key] = _lookup(name, segments, shape)
         return value
     return memoized
 

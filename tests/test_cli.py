@@ -726,14 +726,16 @@ def test_one_verify_op_evaluates_the_compiled_metrics_once_per_sampled_curvature
         seed, monkeypatch, capsys):
     # the curvature check reads levi_civita at the oracle's sample points,
     # which the oracle's Lichnerowicz formula then finds in the memo: 1 120
-    # points in 16 stacked calls (20 while the Christoffel symbols read the
-    # metric at their stencils apart from the frame fields), against 1 636
-    # in 28 while the check had four points of its own
+    # points in 12 stacked calls (16 while the curvature read the base table
+    # at its points and at their stencils in two passes, 20 while the
+    # Christoffel symbols read the metric at their stencils apart from the
+    # frame fields), against 1 636 in 28 while the check had four points of
+    # its own
     seen = []
     monkeypatch.setattr(cli, "builtin", _counting_builtin(seen))
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    assert (sum(seen), len(seen)) == (1120, 16)
+    assert (sum(seen), len(seen)) == (1120, 12)
 
 
 def _count_bodies(monkeypatch, memoized, label, counts):
@@ -748,7 +750,7 @@ def _count_bodies(monkeypatch, memoized, label, counts):
 def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed, monkeypatch, capsys):
     # every layer takes the four built-ins as segments of one stack: the
     # frame fields and base table run once for the curvature's points and
-    # once for its dGamma stencils, omega^t once per connection, and each
+    # their dGamma stencils together, omega^t once per connection, and each
     # coframe stack (sweep and formula per connection) is one coframe_rows;
     # the frame fields also run once per built-in for its validation and
     # once for the algebra suite's Hermitian invariants, which read g there
@@ -763,7 +765,7 @@ def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed,
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert {label: counts.count(label) for label in sorted(set(counts))} == {
-        "_base_table": 2, "_frame_fields": 2 + 4 + 1, "_omega_rows": 2, "coframe_rows": 4,
+        "_base_table": 1, "_frame_fields": 1 + 4 + 1, "_omega_rows": 2, "coframe_rows": 4,
         "curvature_rows": 1, "levi_civita": 1}
 
 

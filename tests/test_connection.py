@@ -720,7 +720,7 @@ def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monke
 
 @pytest.mark.parametrize("layer,evals,calls", [
     ("christoffel", 17, 1),
-    ("levi_civita", 129, 2),
+    ("levi_civita", 129, 1),
     ("CoframeSweep", 129, 1),
     ("condition_report", 387, 1),
     ("ddbar_oracle", 1225, 2),
@@ -789,11 +789,10 @@ def test_a_fresh_two_point_sweep_makes_four_point_memo_lookups(monkeypatch):
 
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
-    # the dGamma pass looks the base table up at the stencil points alone,
-    # which no pass has read: its lookup, like that of the points before it,
-    # misses every point and answers with the batch, so no stored row is
-    # gathered; the nested (g, E, F) lookup of the stencil points, read by the
-    # first pass, does gather
+    # one base-table lookup at the points and their stencils, which no pass
+    # has read: it misses every point and answers with the batch, so no
+    # stored row is gathered; the nested (g, E, F) lookup, at those points
+    # and their stencils, meets the points' stencils twice and does gather
     from twistorlab import manifold as mf
     looking, looked, taken = [], [], []
     lookup, take = mf._lookup, mf._take
@@ -810,8 +809,48 @@ def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
     segments = [(builtin(name), builtin(name).chart.interior_points(2, seed=3)) for name in BUILTINS[:count]]
     looked.clear()
     levi_civita(segments)
-    assert looked == ["levi_civita", "_base_table", "_frame_fields", "_base_table", "_frame_fields"]
+    assert looked == ["levi_civita", "_base_table", "_frame_fields"]
     assert "_base_table" not in taken and "_frame_fields" in taken
+
+
+def _vanishing_on(a0, floor=""):
+    """A surface whose g_11 = g_22 = (a - a0)^2 (plus `floor`) vanishes on the
+    line a = a0, where no adapted frame exists."""
+    g = f"(a - {a0})^2{floor}"
+    return parse_surface_spec(f"coords a b c d\ng 1 1 = {g}\ng 2 2 = {g}\ng 3 3 = 1\ng 4 4 = 1\nJ standard\n",
+                              name="vanishing")
+
+
+@pytest.mark.parametrize("floor", ["", " + 1e-20"])
+def test_levi_civita_raises_at_a_stencil_point_of_its_point_without_a_frame(floor):
+    # the point a = 0 has a frame and its stencil point a = h = 0.001 has
+    # none: the one pass raises the DegenerateFrameError of that stencil
+    # point, as the frame check of the point's own row (`_framed`) does,
+    # both where g is singular there (the pass itself fails) and where a
+    # floor keeps it invertible (the pass succeeds and flags the point)
+    from twistorlab.manifold import DegenerateFrameError, adapted_basis
+    M = _vanishing_on(0.001, floor)
+    x = np.array([0.0, 0.1, -0.2, 0.3])
+    adapted_basis(M, x)
+    with pytest.raises(DegenerateFrameError) as want:
+        adapted_basis(M, M.backend.stencil(x))
+    for points in (x, np.stack([x, x + 0.25])):
+        with pytest.raises(DegenerateFrameError) as got:
+            levi_civita(_vanishing_on(0.001, floor), points)
+        assert str(got.value) == str(want.value)
+        assert "0.001" in str(got.value)
+
+
+def test_levi_civita_needs_no_frame_at_the_stencils_of_its_stencil_points():
+    # a = 3h = 0.003 is a stencil point of the stencil points a = 2h and h of
+    # a = 0, not of a = 0 itself: Gamma there reads g, which exists, and no
+    # frame, so nothing is raised and the curvature is finite
+    M = _vanishing_on(0.003)
+    x = np.array([0.0, 0.1, -0.2, 0.3])
+    _, _, _, degenerate = _frame_fields(M, M.backend.stencil(M.backend.stencil(x)))
+    assert degenerate.any() and not _frame_fields(M, M.backend.stencil(x))[3].any()
+    lc = levi_civita(M, x)
+    assert np.isfinite(lc.R).all() and np.isfinite(lc.omega_frame).all()
 
 
 # ======================================================================

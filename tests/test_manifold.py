@@ -728,7 +728,7 @@ def test_backend_validation():
 # the per-surface point memo
 # ----------------------------------------------------------------------
 
-class ForgetfulMemo(dict):
+class ForgetfulMemo(mf.PointMemo):
     """A memo cleared before every lookup: every call recomputes."""
 
     def get(self, key, default=None):
@@ -788,12 +788,13 @@ def test_overflowing_the_memo_clears_it_and_results_stay_correct(monkeypatch):
     expected = cn.levi_civita(mf.builtin("cp2_fs"), x).R
     monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 8)
     M = mf.builtin("cp2_fs")
-    sizes = []
-    metric = M._metric
+    sizes, clears = [], []
+    metric, clear = M._metric, M._point_memo.clear
     M._metric = lambda p: (sizes.append(len(M._point_memo)), metric(p))[1]
+    M._point_memo.clear = lambda: (clears.append(len(M._point_memo)), clear())[1]
     assert np.array_equal(cn.levi_civita(M, x).R, expected)
     assert max(sizes) == 8 and len(M._point_memo) <= 8
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))   # cleared
+    assert clears and max(clears) <= 8      # cleared by the appends of the one pass
 
 
 def test_threads_sharing_a_surface_get_the_serial_results(monkeypatch):
@@ -871,6 +872,89 @@ def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(la
         assert a.shape[:2] == (2, 3) and np.array_equal(a, b) and not a.flags.writeable
 
 
+# the five memoized functions, each with the params of its table
+MEMOIZED = {
+    "_frame_fields": (mf._frame_fields, ()),
+    "adapted_frame": (mf.adapted_frame, ()),
+    "_base_table": (cn._base_table, ()),
+    "levi_civita": (cn.levi_civita, ()),
+    "_omega_rows": (cn._omega_rows, (0.5,)),
+}
+
+# g_11 = g_22 vanish on a = 0.001, where no frame exists and E is NaN
+_NO_FRAME_ON_A_LINE = "coords a b c d\ng 1 1 = (a - 0.001)^2\ng 2 2 = (a - 0.001)^2\nJ standard\n"
+
+
+def _memo_surface(name):
+    if name == "no frame":
+        return mf.parse_surface_spec(_NO_FRAME_ON_A_LINE, name=name)
+    return mf.builtin(name)
+
+
+def _row(value, k):
+    """The result of point k of a stacked result, its arrays indexed as a[k]."""
+    if isinstance(value, np.ndarray):
+        return value[k]
+    if isinstance(value, tuple):
+        return tuple(_row(item, k) for item in value)
+    return type(value)(*(_row(getattr(value, f.name), k) for f in dataclasses.fields(value)))
+
+
+def _assert_same_result(got, want, leaves):
+    """got has want's structure, and leaf by leaf its type, dtype, shape and
+    bytes (so -0.0 and NaN payloads too), and is read-only; the leaves are
+    collected on the list `leaves`."""
+    assert type(got) is type(want)
+    if isinstance(want, (np.ndarray, np.generic)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        leaves.append(got)
+        return
+    pairs = zip(got, want) if isinstance(want, tuple) else (
+        (getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(want))
+    for a, b in pairs:
+        _assert_same_result(a, b, leaves)
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_memoized_answers_have_the_types_dtypes_and_bits_of_a_recompute(name):
+    # a table keeps its results as one flat list of arrays and rebuilds each
+    # answer from it: a fresh lookup (the batch), a warm one (rows taken from
+    # the table), a mixed one over segments (stored rows, new misses, a
+    # repeated point, two surfaces) and one point alone must all answer as
+    # the body does on fresh surfaces, where no table holds a row
+    fn, params = MEMOIZED[name]
+    framed = name in ("_frame_fields", "_base_table")        # readers of no frame
+    names = ("hopf", "cp2_fs", "no frame") if framed else ("hopf", "cp2_fs")
+    surfaces = {S: _memo_surface(S) for S in names}
+    pts = {S: surfaces[S].chart.interior_points(4, seed=5) for S in names}
+    if framed:      # a point without a frame (E NaN), or with a stencil point without (omega^LC NaN)
+        pts["no frame"][1, 0] = 0.001 if name == "_frame_fields" else 0.0
+
+    def recompute(*segments):
+        return fn.__wrapped__([(_memo_surface(S), x) for S, x in segments], *params)
+
+    M, x = surfaces["hopf"], pts["hopf"]
+    leaves = []
+    for _ in range(2):                      # fresh, then warm
+        _assert_same_result(fn(M, x[:2], *params), recompute(("hopf", x[:2])), leaves)
+    segments = [("hopf", x[[1, 2, 2, 0]]), *((S, pts[S]) for S in names[1:])]
+    mixed = fn([(surfaces[S], p) for S, p in segments], None, *params)
+    _assert_same_result(mixed, recompute(*segments), leaves)
+    one = fn(M, x[3], *params)
+    assert fn(M, x[3], *params) is one and fn(M, x[3].copy(), *params) is one
+    _assert_same_result(one, _row(recompute(("hopf", x[3:])), 0), leaves)
+    kinds = {a.dtype.kind for a in leaves}
+    assert "f" in kinds and kinds <= {"f", "c", "b"}
+    if name in ("_frame_fields", "_base_table"):
+        assert "b" in kinds                 # the frame flags
+    if name in ("adapted_frame", "_base_table", "levi_civita", "_omega_rows"):
+        assert "c" in kinds                 # U and eta
+    if framed:      # NaN where no frame exists, and -0.0 in cp2_fs's g
+        floats = [a for a in leaves if a.dtype.kind == "f"]
+        assert any(np.isnan(a).any() for a in floats) and any((np.signbit(a) & (a == 0)).any() for a in floats)
+
+
 def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_stores(monkeypatch):
     monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 40)
     M = mf.builtin("cp2_fs")
@@ -879,11 +963,15 @@ def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_store
     M.metric(pts)
     mf.coordinate_fundamental_matrix(M, pts)     # the same table: no new point
     assert len(M._point_memo) == 31 == sum(table.size for table in M._point_memo.values())
-    # the E/F table stores a tuple of arrays, which cannot be weakly referenced
-    stores = [weakref.ref(a) for table in M._point_memo.values() for a in _arrays(table.store)]
+    # each table keeps its results as one flat list of arrays (its leaves),
+    # every one holding a row per stored point
+    assert [len(table.leaves) for table in M._point_memo.values()] == [4]      # g, E, F, degenerate
+    assert all(len(a) == 31 for table in M._point_memo.values() for a in table.leaves)
+    stores = [weakref.ref(a) for table in M._point_memo.values() for a in table.leaves]
     mf.adapted_frame(M, pts)                 # 31 + 15 = 46 points would pass the limit: cleared
     assert len(M._point_memo) == (46 - 1) % 40 + 1 == 6
-    assert [table.size for table in M._point_memo.values() if table.size] == [6]
+    assert [(table.size, len(table.leaves)) for table in M._point_memo.values() if table.size] == [(6, 5)]
+    assert all(len(a) == 6 for table in M._point_memo.values() for a in table.leaves)
     gc.collect()
     assert all(ref() is None for ref in stores)
     frame = mf.adapted_frame(mf.builtin("cp2_fs"), pts)
@@ -1389,11 +1477,12 @@ def test_the_stencil_has_the_bits_of_the_sums_of_the_point_and_its_steps(be, sha
 _STENCIL_SURFACES = ("hopf", "cp2_fs", "flat_c2", "ch2")
 
 
-@pytest.mark.parametrize("centres", [True, False])
+@pytest.mark.parametrize("stencils", [True, False])
 @pytest.mark.parametrize("sizes", [(1,), (2,), (5,), (1, 2, 5), (5, 1, 2, 2), "chart"])
-def test_with_stencils_lays_out_each_segment_with_its_own_stencil(sizes, centres):
+def test_with_stencils_lays_out_each_segment_with_its_own_stencil(sizes, stencils):
     # every segment's stencil comes from one stencil call over the joined
-    # points, with the bits of the segment's own; split cuts the values back
+    # points, with the bits of the segment's own; split cuts the values back,
+    # the values at the stencils only when asked for
     if sizes == "chart":
         M = mf.builtin("hopf")
         segments = [(M, np.array([z.chart_coordinates() for z in tw.sample_twistor_points(M, 3, seed=2)]))]
@@ -1402,20 +1491,20 @@ def test_with_stencils_lays_out_each_segment_with_its_own_stencil(sizes, centres
                      mf.builtin(_STENCIL_SURFACES[k % 4]).chart.interior_points(n, seed=k))
                     for k, n in enumerate(sizes)]
     be = segments[0][0].backend
-    parts, split = mf.with_stencils(segments, centres=centres)
+    parts, split = mf.with_stencils(segments)
     for (M, x), (S, p) in zip(segments, parts):
         own = be.stencil(x).reshape(-1, x.shape[-1])
-        assert S is M and p.tobytes() == (np.concatenate([x, own]) if centres else own).tobytes()
+        assert S is M and p.tobytes() == np.concatenate([x, own]).tobytes()
     values = np.concatenate([p for _, p in parts])[:, :, None] * np.array([1.0, -2.0])   # (P, n, 2)
-    at, around = split(values)
+    at, around = split(values, stencils)
     want = np.concatenate([be.stencil(x)[..., None] * np.array([1.0, -2.0]) for _, x in segments], axis=2)
-    assert around.shape == want.shape and around.tobytes() == want.tobytes()
-    if centres:
-        assert at.tobytes() == np.concatenate([x[..., None] * np.array([1.0, -2.0]) for _, x in segments]).tobytes()
+    if stencils:
+        assert around.shape == want.shape and around.tobytes() == want.tobytes()
     else:
-        assert at is None
+        assert around is None
+    assert at.tobytes() == np.concatenate([x[..., None] * np.array([1.0, -2.0]) for _, x in segments]).tobytes()
     if len(segments) == 1:          # one segment's values are cut out as views
-        assert np.shares_memory(around, values) and (at is None or np.shares_memory(at, values))
+        assert np.shares_memory(at, values) and (around is None or np.shares_memory(around, values))
 
 
 def _dF_array_reference(M, x):

@@ -50,7 +50,13 @@ algebra suite's curvature stack before the oracle reads them, and a json
 `report` on a description file (written to the temporary directory) that
 uses every function and operator of the expression grammar, a negative
 exponent, unary minus, an exponent-form literal and integers with leading
-zeros, so that every kind of step of the compiled metric is evaluated.
+zeros, so that every kind of step of the compiled metric is evaluated, and
+three large stacks, where the point memo may be cleared (at
+POINT_MEMO_LIMIT stored points) in the middle of a stacked pass, so that
+the clearing path of its appends is compared: a json `report --points 64`
+on hopf/chern (3 clears) and two json `verify --suite all` invocations,
+`--points 32` (no clear since g has no table of its own) and `--points 48`
+(4 clears).
 
 It compares stdout, stderr and the exit status.  It prints each invocation
 whose stdout or stderr is not byte-identical, the number of
@@ -184,6 +190,9 @@ def argv_list(description, degenerate, grammar):
         ["verify", "--suite", "all", "--points", "1", "--seed", "2", "--format", "json"],
         ["verify", "--suite", "all", "--points", "6", "--seed", "21", "--format", "text"],
         ["report", "--surface", grammar, "--connection", "chern", "--points", "2", "--format", "json"],
+        ["report", "--format", "json", "--points", "64", "--surface", "hopf", "--connection", "chern"],
+        ["verify", "--suite", "all", "--format", "json", "--points", "32"],
+        ["verify", "--suite", "all", "--format", "json", "--points", "48"],
     ]
     return out
 

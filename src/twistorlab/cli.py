@@ -36,9 +36,8 @@ from .flag import (FlagDisplays, appendix_table, d_matrix, flag_bidegree_part, f
                    flag_ddbar, integrability_obstruction, scale_free_residuals)
 from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, MetricEvaluationError,
                        SpecSyntaxError, _frame_fields, builtin, parse_surface_spec, replay)
-from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, TwistorCoframe,
-                      condition_report, lambda_weights, lambda_zero_crossing,
-                      normalize_connection, sample_twistor_points)
+from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, condition_report,
+                      lambda_weights, lambda_zero_crossing, normalize_connection, sample_twistor_points)
 
 __all__ = ["main", "build_parser"]
 
@@ -506,13 +505,13 @@ _ORACLE_CONNECTIONS = ("lichnerowicz", "chern")
 def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: int,
                   tol: float, samples: Optional[Dict[HermitianSurface, list]] = None) -> List[Dict[str, object]]:
     """The Lichnerowicz and Chern checks of the built-in surfaces: per
-    connection, the closed-form dW of one `TwistorCoframe` stack against the
-    FD dW of one `CoframeSweep` stack, each with one segment per surface, so
-    every FD layer runs once over all the points and each surface's values
-    come from its own point memo.  A check's worst value is the max over its
-    surface's points.  One pass over the surfaces (`replay`): sampling
-    (unless the algebra suite drew it into `samples`), then per connection
-    the sweep and formula."""
+    connection, one `CoframeSweep` stack with one segment per surface, its
+    FD dW against the closed-form dW of the coframe it holds
+    (`sweep.coframe`), so one coframe pass and every FD layer run once over
+    all the points and each surface's values come from its own point memo.
+    A check's worst value is the max over its surface's points.  One pass
+    over the surfaces (`replay`): sampling (unless the algebra suite drew it
+    into `samples`), then per connection the sweep and formula."""
     weights = lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (0.5, 1.0, math.sqrt(2.0))])
 
     def suite(part):
@@ -520,8 +519,9 @@ def _suite_oracle(surfaces: Dict[str, HermitianSurface], n_points: int, seed: in
                     for M in part]
         worst = {}
         for conn in _ORACLE_CONNECTIONS:
-            oracle = weighted_sum(weights, CoframeSweep.stack(segments, conn).dW_coeffs)
-            formula = weighted_sum(weights, TwistorCoframe.stack(segments, conn).dW_coeffs)
+            sweep = CoframeSweep.stack(segments, conn)
+            oracle = weighted_sum(weights, sweep.dW_coeffs)
+            formula = weighted_sum(weights, sweep.coframe.dW_coeffs)
             per_point = norms(cut(formula - oracle)).reshape(len(segments), n_points, -1)
             worst[conn] = np.max(per_point, axis=(1, 2))
         return worst

@@ -22,7 +22,6 @@ conjugates into the real tensor slots; patterns are strings like "1*212*"
 parsed one slot at a time (digit, optional '*' for conjugation).
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -254,12 +253,6 @@ def dF_array(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     return _base_table(M, x).dF
 
 
-def dF_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
-    """dF as a 3-form over the coordinate coframe, by FD of F's components."""
-    A = dF_array(M, x)
-    return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
-
-
 def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndarray:
     """The Lee form's components over the adapted coframe, at a point or a
     stack of points x (..., 4) with frames E (..., 4, 4): (..., 4).
@@ -274,14 +267,6 @@ def lee_components(M: HermitianSurface, x: np.ndarray, E: np.ndarray) -> np.ndar
     b = np.stack([dF[..., 1, 2, 3], -dF[..., 0, 2, 3], dF[..., 0, 1, 3], -dF[..., 0, 1, 2]], axis=-1)
     # (J beta)(X) = -beta(JX); in the adapted frame J maps e1->e2, e3->e4
     return np.stack([-b[..., 1], b[..., 0], -b[..., 3], b[..., 2]], axis=-1)
-
-
-def lee_form(M: HermitianSurface, x: np.ndarray) -> ComplexForm:
-    """The Lee form of (M, J, h) at x, over the adapted coframe: the 1-form
-    (theta basis) of `lee_components`."""
-    x = np.asarray(x, dtype=float)
-    alpha = lee_components(M, x, adapted_frame(M, x).E)
-    return ComplexForm(4, 1, {(i,): alpha[i] for i in range(4)})
 
 
 # ======================================================================

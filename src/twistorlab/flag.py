@@ -34,7 +34,7 @@ __all__ = [
     "SU3_BASIS", "GENERATOR_NAMES", "SU3Element", "MaurerCartanEval",
     "maurer_cartan", "maurer_cartan_eval", "structure_equation_residual",
     "generator_form", "flag_conj", "d_matrix", "flag_d", "flag_bidegree_part",
-    "flag_acs", "integrability_obstruction", "flag_rows", "flag_K", "flag_dK",
+    "integrability_obstruction", "flag_rows", "flag_K", "flag_dK",
     "flag_balanced", "flag_ddbar", "structural_ddbar", "FlagDisplays",
     "nearly_kahler_check", "scale_free_residuals",
     "normalization_crosscheck", "appendix_table",
@@ -302,23 +302,6 @@ def flag_bidegree_part(form: ComplexForm, i: int, p_holo: int) -> ComplexForm:
     forms that do not descend to the quotient are rejected."""
     _check_invariant(form)
     return ComplexForm(8, form.degree, _bidegree_rows(form.vec[None], [i], form.degree, p_holo)[0])
-
-
-_SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def flag_acs(i: int) -> np.ndarray:
-    """The invariant almost complex structure on the six quotient directions
-    (real/imaginary parts of the three complex coframe entries)."""
-    holo, _ = _holo_antiholo(i)
-    blocks = []
-    for pair_lead in (0, 1, 2):            # w12, w13, w23 in order
-        sign = 1.0 if pair_lead in holo else -1.0
-        blocks.append(sign * _SIGMA)
-    out = np.zeros((6, 6))
-    for b, blk in enumerate(blocks):
-        out[2 * b: 2 * b + 2, 2 * b: 2 * b + 2] = blk
-    return out
 
 
 @functools.lru_cache(maxsize=None)

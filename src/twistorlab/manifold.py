@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from twistorlab.exterior import ComplexForm
 
 # standard complex structure J0:  J(d1)=d2, J(d2)=-d1, J(d3)=d4, J(d4)=-d3
 J_STANDARD = np.array([
@@ -425,9 +424,6 @@ class DiffBackend:
         """d f / d x_k at x, for scalar- or array-valued f of one point."""
         points = self.stencil(x, [k])[0]
         return self.combine(np.array([f(p) for p in points])[None], [k])[0]
-
-    def with_step(self, step: float) -> "DiffBackend":
-        return DiffBackend(order=self.order, step=step)
 
 
 # points a surface's point memo stores, over all its functions, before it is
@@ -1209,17 +1205,6 @@ def push_slots(T: np.ndarray, P: np.ndarray, slots: Sequence[int]) -> np.ndarray
     for s in slots:
         T = np.einsum(f"...{idx},...{idx[s]}z->...{idx[:s]}z{idx[s + 1:]}", T, P)
     return T
-
-
-# ======================================================================
-# fundamental form
-# ======================================================================
-
-def fundamental_form(M: HermitianSurface, x: np.ndarray, frame: UnitaryFrame) -> ComplexForm:
-    """F = h(J., .) expressed in the adapted coframe: theta^1^theta^2 + theta^3^theta^4."""
-    if not np.allclose(frame.point, np.asarray(x, dtype=float)):
-        raise ValueError("frame was built at a different point")
-    return ComplexForm(4, 2, {(0, 1): 1.0, (2, 3): 1.0})
 
 
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:

@@ -21,13 +21,14 @@ of the coframe come
     Nijenhuis-tensor oracle for integrability.
 
 Everything is evaluated pointwise; no symbolic algebra is involved.  The
-formula paths and the oracle paths share only the coframe itself, so their
-agreement is a genuine cross-check of the structure data.
+formula paths and the oracle paths share only the coframe itself, which one
+checked pass builds for both, so their agreement is a genuine cross-check of
+the structure data.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -277,30 +278,36 @@ def _gram_determinant(B: np.ndarray) -> np.ndarray:
     return np.linalg.det(_full_rows(B))
 
 
-def _check_gram(B: np.ndarray, y: np.ndarray) -> None:
-    """Raise DegenerateCoframeError, naming the first failing point of the
-    stack y (..., 6), unless the Gram determinant of the coframe rows B
-    (..., 3, 6) is clear of zero (and not NaN)."""
-    ok = np.ravel(np.abs(_gram_determinant(B)) > _GRAM_MIN)
-    if not ok.all():
-        raise DegenerateCoframeError(np.reshape(y, (-1, 6))[np.argmin(ok)], _GRAM_REASON)
-
-
-def _checked_rows(segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
-                  t: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y (n, 6), zeta (n,), B (n, 3, 6)) of the bundle points of the segments
-    [(surface, points), ...], from one `coframe_rows` call, each fiber
-    coordinate and Gram determinant checked."""
-    zeta = np.array([z.zeta for _, pts in segments for z in pts])
-    ys = [(M, np.array([z.chart_coordinates() for z in pts])) for M, pts in segments]
-    y = _join([p for _, p in ys])
+def _coframe_pass(t: float, stencils: bool, segments: List[Tuple[HermitianSurface, np.ndarray]]):
+    """(y (n, 6), zeta (n,), B (n, 3, 6), dB (n, 6, 3, 6) or None) of the chart
+    points of the segments [(surface, y (k, 6)), ...]: B at the points, and
+    with `stencils` at their FD stencils too (`with_stencils`), from one
+    `coframe_rows` call, then one FD combine for dB.  The first failing point
+    raises a fiber coordinate outside the chart, then a Gram determinant near
+    zero or not finite (B at a lone point checked first when its stencils
+    fail), then a dB that is not finite: the one check of every coframe."""
+    y = _join([p for _, p in segments])
+    zeta = np.ascontiguousarray(y[:, 4:]).view(complex)[:, 0]
     far = np.abs(zeta) >= _ZETA_MAX
     if far.any():
-        raise ValueError(f"fiber coordinate out of chart at bundle point "
-                         f"{y[np.argmax(far)].tolist()}")
-    B = coframe_rows(ys, t)
-    _check_gram(B, y)
-    return y, zeta, B
+        raise ValueError(f"fiber coordinate out of chart at bundle point {y[np.argmax(far)].tolist()}")
+    if not stencils:
+        B, dB = coframe_rows(segments, t), None
+    else:
+        stacked, split = with_stencils(segments)
+        try:
+            B, around = split(coframe_rows(stacked, t))
+        except Exception:
+            if len(y) == 1:
+                _coframe_pass(t, False, segments)
+            raise
+        dB = np.ascontiguousarray(np.moveaxis(fd_rule(segments).combine(around), 0, 1))
+    gram = np.abs(_gram_determinant(B)) > _GRAM_MIN
+    bad = ~gram if dB is None else ~gram | ~np.all(np.isfinite(dB), axis=(1, 2, 3))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DegenerateCoframeError(y[k], _GRAM_REASON if not gram[k] else "coframe derivative not finite")
+    return y, zeta, B, dB
 
 
 # the slots of the dim-6 2-forms that hold the dim-4 2-forms over dx
@@ -347,8 +354,9 @@ Segments = Sequence[Tuple[HermitianSurface, Sequence[TwistorPoint]]]
 
 
 def _segments(M: Union[HermitianSurface, Segments], points: Optional[Sequence[TwistorPoint]],
-              what: str) -> List[Tuple[HermitianSurface, List[TwistorPoint]]]:
-    """The segments of a stack: the surface M with its points, or M a
+              what: str) -> Tuple[List[Tuple[HermitianSurface, np.ndarray]], Tuple[int]]:
+    """The chart-point segments [(surface, y (k, 6)), ...] of a stack and its
+    one point axis (`segments_of`): the surface M with its points, or M a
     sequence of (surface, points) segments and no `points`.  Each segment
     must hold at least one point."""
     if isinstance(M, HermitianSurface):
@@ -359,7 +367,22 @@ def _segments(M: Union[HermitianSurface, Segments], points: Optional[Sequence[Tw
         segments = [(S, p) for S, p in M]
     if not segments or not all(len(p) for _, p in segments):
         raise ValueError(f"{what} needs at least one bundle point")
-    return [(S, list(p)) for S, p in segments]
+    return segments_of([(S, [z.chart_coordinates() for z in p]) for S, p in segments], None)
+
+
+def _coframes(segments: List[Tuple[HermitianSurface, np.ndarray]], shape: Tuple[int, ...],
+              conn: Union[str, float], stencils: bool = False):
+    """The `TwistorCoframe` of the chart-point segments [(surface, y (k, 6)),
+    ...] with the point axes `shape` (() for one point), and the partials dB
+    (shape + (6, 3, 6)) of its B with `stencils`, else None: one checked pass
+    over every point (`_coframe_pass`), replayed point by point in segment
+    order."""
+    t, label = normalize_connection(conn)
+    y, zeta, B, dB = replay_segments(functools.partial(_coframe_pass, t, stencils), segments)
+    co = TwistorCoframe(segments=tuple((M, len(p)) for M, p in segments), label=label, t=t,
+                        y=y.reshape(shape + (6,)), zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
+                        B=B.reshape(shape + (3, 6)))
+    return co, None if dB is None else dB.reshape(shape + (6, 3, 6))
 
 
 @dataclass(frozen=True)
@@ -372,11 +395,15 @@ class TwistorCoframe:
     `coframe_rows` call, and the base frames and Levi-Civita forms from the
     t-independent base table that the torsion also reads, so a second
     connection at the same points evaluates no metric, dF or Levi-Civita
-    form.  As in `CoframeSweep`, the arrays carry the point axes of the
-    input, `y` (n, 6) and `B` (n, 3, 6) for a stack, (6,) and (3, 6) for one
-    point, and each point's values have the bits of its own one-point coframe.
+    form.  The arrays carry the point axes of the input, `y` (n, 6) and `B`
+    (n, 3, 6) for a stack, (6,) and (3, 6) for one point, and each point's
+    values have the bits of its own one-point coframe.
 
-    Segments [(M, points), ...] are the one internal form: `stack(segments,
+    One checked pass builds every coframe (`_coframe_pass`, over chart-point
+    segments): `stack` and `twistor_coframe` run it without stencils, and a
+    `CoframeSweep` runs it once over its points and their stencils and keeps
+    the coframe of its points as `sweep.coframe`, which the closed-form
+    displays of `condition_report` and of verify read.  `stack(segments,
     conn)` stacks the points of several surfaces, and `stack(M, conn,
     points)` and `twistor_coframe` are its one-segment cases.  Every layer
     (`coframe_rows`, the base table, the Levi-Civita curvature, the torsion
@@ -426,20 +453,7 @@ class TwistorCoframe:
         determinant of the coframe is near zero or not finite, naming the
         first failing point in stack order.
         """
-        segments = _segments(M, points, "a twistor coframe")
-        return cls._build(segments, conn, (sum(len(p) for _, p in segments),))
-
-    @classmethod
-    def _build(cls, segments: List[Tuple[HermitianSurface, List[TwistorPoint]]],
-               conn: Union[str, float], shape: Tuple[int, ...]) -> "TwistorCoframe":
-        """The coframe of the segments [(surface, points), ...] with the
-        point axes `shape`: one checked pass over all (`replay_segments`)."""
-        t, label = normalize_connection(conn)
-        y, zeta, B = replay_segments(lambda part: _checked_rows(part, t), segments)
-        return cls(segments=tuple((M, len(points)) for M, points in segments), label=label,
-                   t=t, y=y.reshape(shape + (6,)),
-                   zeta=zeta.reshape(shape) if shape else complex(zeta[0]),
-                   B=B.reshape(shape + (3, 6)))
+        return _coframes(*_segments(M, points, "a twistor coframe"), conn)[0]
 
     @property
     def surface(self) -> HermitianSurface:
@@ -552,8 +566,13 @@ class TwistorCoframe:
 
     @functools.cached_property
     def W_coeffs(self) -> np.ndarray:
-        """The coefficient rows (..., 3, 15) of W_1, W_2, W_3 (read-only)."""
-        return _W_coeffs(self.B)
+        """The coefficient rows (..., 3, 15) of W_1 = phi^1 ^ conj(phi^1),
+        W_2 = conj(phi^2) ^ phi^2 and W_3 = phi^3 ^ conj(phi^3) (read-only)."""
+        out = np.einsum("...am,...an->...amn", self.B, np.conj(self.B))
+        out = out - np.swapaxes(out, -1, -2)
+        out[..., 1, :, :] = -out[..., 1, :, :]
+        m, n = np.triu_indices(6, 1)
+        return read_only(cut(out[..., m, n]))
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
@@ -587,7 +606,7 @@ def twistor_coframe(M: HermitianSurface, conn: Union[str, float], z: TwistorPoin
     first use; it is accepted for callers that still pass it.  Raises as
     `TwistorCoframe.stack` does.
     """
-    return TwistorCoframe._build([(M, [z])], conn, ())
+    return _coframes(*segments_of(M, z.chart_coordinates()), conn)[0]
 
 
 # ======================================================================
@@ -636,18 +655,6 @@ def h_lambda_matrix(coframe: TwistorCoframe, lam: Union[float, Sequence[float]])
     w = np.array([l1 ** 2, l2 ** 2, l3 ** 2])
     B = coframe.B
     return 2.0 * np.real(np.einsum("am,an->mn", w[:, None] * np.conj(B), B))
-
-
-def _W_coeffs(B: np.ndarray) -> np.ndarray:
-    """The coefficient rows (..., 3, 15) of W_1 = phi^1 ^ conj(phi^1),
-    W_2 = conj(phi^2) ^ phi^2 and W_3 = phi^3 ^ conj(phi^3) for the coframe
-    rows B (..., 3, 6) (read-only): the one source of both coframes'
-    `W_coeffs`."""
-    out = np.einsum("...am,...an->...amn", B, np.conj(B))
-    out = out - np.swapaxes(out, -1, -2)
-    out[..., 1, :, :] = -out[..., 1, :, :]
-    m, n = np.triu_indices(6, 1)
-    return read_only(cut(out[..., m, n]))
 
 
 def _check_index(i: int) -> None:
@@ -862,29 +869,6 @@ def ddbar_formula(i: int, lam: float, coframe: TwistorCoframe,
 # finite-difference oracles
 # ======================================================================
 
-def _swept(t: float, segments: List[Tuple[HermitianSurface, np.ndarray]]):
-    """(y0 (n, 6), B0 (n, 3, 6), dB (n, 6, 3, 6)) of the chart points of the
-    segments [(surface, y (k, 6)), ...]: B at every point and its stencil
-    (`with_stencils`) from one `coframe_rows` call, then one FD combine and
-    one check of every point, raising for the first failing point its Gram
-    determinant before its dB (B at a lone point first)."""
-    y0 = _join([y for _, y in segments])
-    stacked, split = with_stencils(segments)
-    try:
-        B0, B = split(coframe_rows(stacked, t))
-    except Exception:
-        if len(y0) == 1:
-            _check_gram(coframe_rows(segments, t), y0)
-        raise
-    dB = np.ascontiguousarray(np.moveaxis(fd_rule(segments).combine(B), 0, 1))  # (n, 6, 3, 6)
-    gram = np.abs(_gram_determinant(B0)) > _GRAM_MIN
-    bad = ~gram | ~np.all(np.isfinite(dB), axis=(1, 2, 3))
-    if bad.any():       # the first failing point, its Gram determinant before its dB
-        k = int(np.argmax(bad))
-        raise DegenerateCoframeError(y0[k], _GRAM_REASON if not gram[k] else "coframe derivative not finite")
-    return y0, B0, dB
-
-
 class CoframeSweep:
     """FD sweeps of the coframe field around a stack of bundle points.
 
@@ -897,18 +881,21 @@ class CoframeSweep:
     stack of n x 25 chart points, the points before their stencils
     (`with_stencils`; the fiber-direction stencil points sit at the base
     point bit for bit, so a point adds 17 distinct base points, and the
-    stencils under them are evaluated as stacks too).  The arrays carry the point axes of the input, as
-    `coframe_rows` does: `B0` (n, 3, 6) and `dB` (n, 6, 3, 6) for a stack,
-    (3, 6) and (6, 3, 6) for one point, and each point's values have the
-    bits of its own one-point sweep.
+    stencils under them are evaluated as stacks too).  `dB` is (n, 6, 3, 6)
+    for a stack and (6, 3, 6) for one point, and each point's values have
+    the bits of its own one-point sweep.
 
-    Segments [(M, chart points), ...] are the one internal form:
-    `stack(segments, conn)` sweeps the points of several surfaces that share
-    one FD rule, and `stack(M, conn, points)` and `CoframeSweep(M, conn, z)`
-    are its one-segment cases.  B at the points and their stencils is one
-    `coframe_rows` call over every segment, each surface reading its own
-    point memo; the FD combine, dB, the checks and every row below run once
-    over all the points.  `M` is the surface of a one-surface sweep.
+    The sweep holds the `TwistorCoframe` of its own points as `coframe`,
+    from the same pass (`_coframe_pass`), with no second `coframe_rows`
+    call: `t`, `label`, `y0`, `B0` and `W_coeffs` are the coframe's, and the
+    closed-form displays read `coframe` where a caller checks them against
+    the sweep.  `stack(segments, conn)` sweeps the points of several
+    surfaces that share one FD rule, and `stack(M, conn, points)` and
+    `CoframeSweep(M, conn, z)` are its one-segment cases.  B at the points
+    and their stencils is one `coframe_rows` call over every segment, each
+    surface reading its own point memo; the FD combine, dB, the checks and
+    every row below run once over all the points.  `M` is the surface of a
+    one-surface sweep.
 
     The coefficient rows `W_coeffs` (n, 3, 15) and `dW_coeffs` (n, 3, 20) of
     the building blocks, and their blocks `W_wedge_dW` (n, 3, 3, 6), do not
@@ -918,16 +905,17 @@ class CoframeSweep:
     sum of the blocks (`defect_rows`), and the zero crossings of every
     structure one more (`lambda_zero_crossing`).  The Nijenhuis values of
     all four structures (`nijenhuis_values`, (4, n)) are one stacked solve,
-    also built on first use; `nijenhuis(i)` solves J_i alone.  `K`, `dK` and
-    `K_wedge_dK` give the forms of a one-point sweep.
+    also built on first use; `nijenhuis(i)` solves J_i alone.  `dK` gives
+    the form of a one-point sweep.
 
-    Raises DegenerateCoframeError, naming the first failing point in stack
-    order, when the Gram determinant of B at a point is near zero or not
-    finite, or when its dB is not finite.
+    Raises, for the first failing point in stack order, ValueError for a
+    fiber coordinate outside the chart (|zeta| >= 4), and
+    DegenerateCoframeError when the Gram determinant of B is near zero or
+    not finite, or when dB is not finite.
     """
 
     def __init__(self, M: HermitianSurface, conn: Union[str, float], z: TwistorPoint):
-        self._sweep([(M, z.chart_coordinates())], conn)
+        self._sweep(*segments_of(M, z.chart_coordinates()), conn)
 
     @classmethod
     def stack(cls, M: Union[HermitianSurface, Segments], conn: Union[str, float],
@@ -935,32 +923,33 @@ class CoframeSweep:
         """One sweep of every point of `points` (at least one) on M, or of
         every point of the segments M = [(surface, points), ...], whose
         surfaces share one FD rule."""
-        segments = [(S, np.array([z.chart_coordinates() for z in pts]))
-                    for S, pts in _segments(M, points, "a coframe sweep")]
+        return cls._at(*_segments(M, points, "a coframe sweep"), conn)
+
+    @classmethod
+    def _at(cls, segments: List[Tuple[HermitianSurface, np.ndarray]], shape: Tuple[int, ...],
+            conn: Union[str, float]) -> "CoframeSweep":
+        """The sweep of the chart-point segments [(surface, y (k, 6)), ...]
+        with the point axes `shape`."""
         sweep = cls.__new__(cls)
-        sweep._sweep(segments, conn)
+        sweep._sweep(segments, shape, conn)
         return sweep
 
-    def _sweep(self, segments: List[Tuple[HermitianSurface, np.ndarray]],
+    def _sweep(self, segments: List[Tuple[HermitianSurface, np.ndarray]], shape: Tuple[int, ...],
                conn: Union[str, float]) -> None:
-        """The sweep of the segments [(surface, y), ...], y the chart points
-        (k, 6), or (6,) for one point: one pass over every point (`_swept`),
-        replayed point by point in segment order."""
-        self.t, self.label = normalize_connection(conn)
-        self.M = segments[0][0] if len(segments) == 1 else None
+        """One checked pass over the points and their stencils (`_coframes`)."""
         fd_rule(segments)
-        one = np.ndim(segments[0][1]) == 1
-        segments, shape = segments_of(segments, None)
-        self.y0, self.B0, self.dB = (a.reshape((() if one else shape) + a.shape[1:]) for a in
-                                     replay_segments(functools.partial(_swept, self.t), segments))
+        self.coframe, self.dB = _coframes(segments, shape, conn, stencils=True)
+        co = self.coframe
+        self.t, self.label, self.y0, self.B0 = co.t, co.label, co.y, co.B
+        self.M = segments[0][0] if len(segments) == 1 else None
 
     # -- coefficient matrices of the W-blocks and their partials ----------
 
-    @functools.cached_property
+    @property
     def W_coeffs(self) -> np.ndarray:
         """The coefficients (..., 3, 15) of W_1, W_2, W_3 at the bundle
-        points (read-only)."""
-        return _W_coeffs(self.B0)
+        points: the coframe's (read-only)."""
+        return self.coframe.W_coeffs
 
     @functools.cached_property
     def dW_coeffs(self) -> np.ndarray:
@@ -978,9 +967,6 @@ class CoframeSweep:
         return read_only(cut(d_rows(P, 6, 2)))
 
     # -- assembled oracle values ------------------------------------------
-
-    def K(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-        return ComplexForm(6, 2, weighted_sum(lambda_weights([(i, lam)])[0], self.W_coeffs))
 
     def dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
         return ComplexForm(6, 3, weighted_sum(lambda_weights([(i, lam)])[0], self.dW_coeffs))
@@ -1005,9 +991,6 @@ class CoframeSweep:
         with np.errstate(over="ignore", invalid="ignore"):    # a scale whose lambda^4 overflows
             KdK = -np.einsum("nab,...abs->...ns", w[:, :, None] * w[:, None, :], self.W_wedge_dW)
         return weighted_sum(w, self.dW_coeffs), cut(KdK)
-
-    def K_wedge_dK(self, i: int, lam: Union[float, Sequence[float]]) -> ComplexForm:
-        return ComplexForm(6, 5, self.defect_rows(lambda_weights([(i, lam)]))[1][0])
 
     @functools.cached_property
     def nijenhuis_values(self) -> np.ndarray:
@@ -1082,14 +1065,13 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
     def dbar_vecs(Y: np.ndarray) -> np.ndarray:
         """The (1,2)-part coefficients at every point of a stack Y (..., 6),
         from one stacked coframe sweep."""
-        sw = CoframeSweep.stack(M, t, [TwistorPoint.from_zeta(y[:4], complex(y[4], y[5]))
-                                       for y in Y.reshape(-1, 6)])
+        sw = CoframeSweep._at(*segments_of(M, Y.reshape(-1, 6)), t)
         dK = weighted_sum(lambda_weights([(i, lam)])[0], sw.dW_coeffs)
         out = [part(ComplexForm(6, 3, v), B0, 1).vec for v, B0 in zip(dK, sw.B0)]
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (-1,))
 
     B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
-    dg = M.backend.with_step(_DDBAR_OUTER_STEP).partials(dbar_vecs, y0)    # [p, key]
+    dg = replace(M.backend, step=_DDBAR_OUTER_STEP).partials(dbar_vecs, y0)    # [p, key]
     return part(ComplexForm(6, 4, d_rows(dg, 6, 3)), B0, 2) * 1j
 
 
@@ -1365,9 +1347,12 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     scalar entries of `lambdas` form the sorted grid of `rows`; each lambda
     triple among them gets a row per structure in `triple_rows`, in the
     order given, whose formula residual is that of dK alone (the K ^ dK
-    displays are stated for the one-parameter family).  A defect or formula
-    residual that is not finite, as from a fiber scale whose fourth power
-    overflows, is a ValueError that names its (i, lambda).
+    displays are stated for the one-parameter family).  One `CoframeSweep`
+    stack of the points serves every row: the FD defects come from its rows,
+    and the formula residuals (t = 0 and t = 1 only) from the closed-form
+    displays of its `coframe`, so the report builds one coframe.  A defect or
+    formula residual that is not finite, as from a fiber scale whose fourth
+    power overflows, is a ValueError that names its (i, lambda).
     """
     t, label = normalize_connection(conn)
     grid = tuple(sorted(float(v) for v in lambdas if np.ndim(v) == 0))
@@ -1375,7 +1360,7 @@ def condition_report(M: HermitianSurface, conn: Union[str, float],
     formula_ok = abs(t) < 1e-12 or abs(t - 1.0) < 1e-12
 
     sw = CoframeSweep.stack(M, conn, points)
-    co = TwistorCoframe.stack(M, conn, points) if formula_ok else None
+    co = sw.coframe if formula_ok else None
     flags = [f.as_dict() for f in condition_flags(M, sw.y0[:, :4], tol=tol)]
     nij = sw.nijenhuis_values.max(axis=-1).tolist()
     crossings = dict(zip((1, 2, 3, 4), lambda_zero_crossing((1, 2, 3, 4), M, conn, points, sweep=sw)))

@@ -21,7 +21,7 @@ from twistorlab.connection import (
     torsion_auxiliary,
 )
 from twistorlab.curvature_analysis import condition_flags
-from twistorlab.exterior import ComplexForm, hodge_star_4, sd_asd_split, wedge, wedge_all
+from twistorlab.exterior import ComplexForm, hodge_star_4, norms, sd_asd_split, wedge, wedge_all
 from twistorlab.flag import (
     flag_balanced,
     flag_bidegree_part,
@@ -40,6 +40,7 @@ from twistorlab.twistor import (
     conformal_compare,
     conformal_rescale,
     dK_formula,
+    lambda_weights,
     lambda_zero_crossing,
     nijenhuis_oracle,
     sample_twistor_points,
@@ -138,9 +139,8 @@ def test_criterion_2_fubini_study_pipeline():
             root, _ = lambda_zero_crossing(1, M, conn, z, sweep=sw)
             assert root is not None
             worst_root = max(worst_root, abs(root - 2.0))
-            for i in (1, 2, 3, 4):
-                for lam in (1.0, SQ2):
-                    worst_bal = max(worst_bal, sw.K_wedge_dK(i, lam).norm())
+            _, KdK = sw.defect_rows(lambda_weights([(i, lam) for i in (1, 2, 3, 4) for lam in (1.0, SQ2)]))
+            worst_bal = max(worst_bal, float(norms(KdK).max()))
             if conn == "chern":
                 worst_ch = max(worst_ch, sw.dK(1, SQ2).norm())
     assert worst_root < 1e-5

@@ -18,9 +18,9 @@ import twistorlab
 from twistorlab import __version__
 from twistorlab import cli
 from twistorlab.cli import dump_json, main, thread_cap
-from twistorlab.connection import lee_form
-from twistorlab.manifold import (BUILTIN_NAMES, J_STANDARD, HermitianSurface, MetricEvaluationError, builtin,
-                                 parse_surface_spec, stack_field)
+from twistorlab.connection import lee_components
+from twistorlab.manifold import (BUILTIN_NAMES, J_STANDARD, HermitianSurface, MetricEvaluationError,
+                                 adapted_frame, builtin, parse_surface_spec, stack_field)
 
 GOOD_SURFACE = """\
 coords x1 x2 x3 x4
@@ -388,23 +388,18 @@ def test_report_triple_parameters(capsys):
 
 
 def test_report_with_lambdas_and_a_triple_builds_one_sweep_and_coframe_per_point(monkeypatch, capsys):
-    # one stacked sweep and one stacked formula coframe, each holding each
-    # bundle point once
+    # one stacked sweep, whose coframe the formula rows read: one
+    # coframe_rows call, over each bundle point once and its 24 stencil points
     from twistorlab import twistor as tw
     built = []
-    build, coframe = tw.CoframeSweep._sweep, tw.TwistorCoframe.__dict__["_build"].__func__
-    size = lambda segments: sum(len(p) for _, p in segments)  # noqa: E731
-    monkeypatch.setattr(tw.CoframeSweep, "_sweep",
-                        lambda self, segments, conn: (built.append(("sweep", size(segments))),
-                                                      build(self, segments, conn))[1])
-    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
-        lambda cls, segments, conn, shape: (built.append(("coframe", size(segments))),
-                                            coframe(cls, segments, conn, shape))[1]))
+    rows = tw.coframe_rows
+    monkeypatch.setattr(tw, "coframe_rows", lambda M, t, y=None: (built.append([len(p) for _, p in M]),
+                                                                   rows(M, t, y))[1])
     code, doc = run_json(["report", "--surface", "hopf", "--connection", "chern", "--lambda", "1",
                           "--lambda1", "1.3", "--lambda2", "0.7", "--lambda3", "2.1",
                           "--points", "2"], capsys)
     assert code == 0
-    assert built == [("sweep", 2), ("coframe", 2)]
+    assert built == [[2 * 25]]
     assert [row["i"] for row in doc["triple_rows"]] == [1, 2, 3, 4]
     assert list(doc)[-2:] == ["triple_rows", "summary"]
 
@@ -546,7 +541,7 @@ def test_stacked_hermitian_invariants_have_the_bits_of_the_per_point_check(seed,
 def test_scan_rows_agree_with_the_per_row_forms(capsys):
     from twistorlab.exterior import wedge
     from twistorlab.manifold import builtin
-    from twistorlab.twistor import CoframeSweep, sample_twistor_points
+    from twistorlab.twistor import CoframeSweep, K_form, sample_twistor_points
     code, doc = run_json(["scan", "--surface", "cp2_fs", "--params", "c=2", "--lambda", "1.4142135623730951",
                           "--lambda-range", "0.5:2.5", "--grid", "7", "--points", "2"], capsys)
     assert code == 0
@@ -556,7 +551,7 @@ def test_scan_rows_agree_with_the_per_row_forms(capsys):
     for row in doc["rows"]:
         i, lam = row["i"], row["lambda"]
         sym = max(sw.dK(i, lam).norm() for sw in sweeps)
-        bal = max(wedge(sw.K(i, lam), sw.dK(i, lam)).norm() for sw in sweeps)
+        bal = max(wedge(K_form(i, lam, sw.coframe), sw.dK(i, lam)).norm() for sw in sweeps)
         assert abs(row["symplectic_defect"] - sym) <= 1e-13
         assert abs(row["balanced_defect"] - bal) <= 1e-13
 
@@ -751,7 +746,7 @@ def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed,
     # every layer takes the four built-ins as segments of one stack: the
     # frame fields and base table run once for the curvature's points and
     # their dGamma stencils together, omega^t once per connection, and each
-    # coframe stack (sweep and formula per connection) is one coframe_rows;
+    # connection's sweep, whose coframe the formula reads, is one coframe_rows;
     # the frame fields also run once per built-in for its validation and
     # once for the algebra suite's Hermitian invariants, which read g there
     from twistorlab import connection as cn, manifold as mf, twistor as tw
@@ -765,7 +760,7 @@ def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed,
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert {label: counts.count(label) for label in sorted(set(counts))} == {
-        "_base_table": 1, "_frame_fields": 1 + 4 + 1, "_omega_rows": 2, "coframe_rows": 4,
+        "_base_table": 1, "_frame_fields": 1 + 4 + 1, "_omega_rows": 2, "coframe_rows": 2,
         "curvature_rows": 1, "levi_civita": 1}
 
 
@@ -1273,7 +1268,8 @@ def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
     capsys.readouterr()
     # no workload reads the Lee form; the curvature relations do
     M = builtin("hopf")
-    lee_form(M, M.chart.interior_points(1, seed=0)[0])
+    x = M.chart.interior_points(1, seed=0)[0]
+    lee_components(M, x, adapted_frame(M, x).E)
     guarded = {"_omega_rows", "levi_civita", "_base_table", "lee_components"}
     assert set().union(*(callers for _, _, callers in calls)) >= guarded
     assert [(subscripts, sorted(callers & guarded)) for subscripts, n, callers in calls if n > 2] == []
@@ -1282,10 +1278,11 @@ def test_no_workload_op_runs_a_multi_operand_einsum(monkeypatch, capsys):
 def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connection(monkeypatch, capsys):
     # a TwistorCoframe holds the rows of a stack of bundle points and builds
     # its dW and K ^ dK brackets with wedge_vectors: no workload op builds a
-    # ComplexForm on that path, each (surface, connection) of a report is
-    # one stack, verify stacks its four surfaces as four segments of one
-    # stack per connection, and a Chern stack never needs the Levi-Civita
-    # curvature
+    # ComplexForm on that path, each (surface, connection) of a report or
+    # scan is one coframe_rows call over the points and their stencils, which
+    # the sweep and the formula share, verify stacks its four surfaces as four
+    # segments of one such call per connection, and a Chern stack never needs
+    # the Levi-Civita curvature
     from twistorlab import twistor as tw
     from twistorlab.exterior import ComplexForm
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1305,7 +1302,7 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connectio
             frame = frame.f_back
 
     forms, stacks, lc_connections = [], [], []
-    init, build, levi = ComplexForm.__init__, tw.TwistorCoframe.__dict__["_build"].__func__, tw.levi_civita
+    init, rows, levi = ComplexForm.__init__, tw.coframe_rows, tw.levi_civita
 
     def counted_init(self, *args, **kwargs):
         forms.extend(f.f_code.co_name for f in coframe_frames())
@@ -1318,11 +1315,11 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connectio
 
     monkeypatch.setattr(ComplexForm, "__init__", counted_init)
 
-    def recorded_build(cls, segments, conn, shape):
-        stacks.append([len(p) for _, p in segments])
-        return build(cls, segments, conn, shape)
+    def recorded_rows(M, t, y=None):
+        stacks.append([len(p) for _, p in M])
+        return rows(M, t, y)
 
-    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(recorded_build))
+    monkeypatch.setattr(tw, "coframe_rows", recorded_rows)
     monkeypatch.setattr(tw, "levi_civita", counted_levi)
     built = {}
     for name in sorted(workloads.TEMPLATES):
@@ -1332,5 +1329,33 @@ def test_the_closed_form_path_builds_no_form_and_one_coframe_stack_per_connectio
         built[name] = list(stacks)
     capsys.readouterr()
     assert forms == []
-    assert built == {"scan": [], "survey": [[2], [2]], "verify": [[2, 2, 2, 2]] * 2}
+    # two points and their 24 stencil points each, per surface
+    assert built == {"scan": [[50], [50]], "survey": [[50], [50]], "verify": [[50, 50, 50, 50]] * 2}
     assert lc_connections and set(lc_connections) == {0.0}
+
+
+def test_every_benchmark_hook_resolves_in_the_package(monkeypatch):
+    # the benchmark's tracer wraps these names from outside the package, as
+    # Tracer.install resolves them: a module attribute (a class traces its own
+    # __init__), or a method in its class __dict__; its counters read
+    # CoframeSweep(M, conn, z) and nijenhuis_oracle(i, M, conn, z), its
+    # selftest passes twistor_coframe a with_structure keyword, and its run
+    # reads cli.thread_cap
+    import inspect
+    from twistorlab import twistor as tw
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import tracer
+    for mod, path in tracer.TRACED:
+        home = importlib.import_module(f"twistorlab.{mod}")
+        owner, _, attr = path.rpartition(".")
+        if owner:
+            assert attr in vars(getattr(home, owner)), path
+        elif isinstance(getattr(home, attr), type):
+            assert "__init__" in vars(getattr(home, attr)), path
+        else:
+            assert callable(getattr(home, attr)), path
+    assert callable(cli.thread_cap)
+    assert list(inspect.signature(tw.CoframeSweep.__init__).parameters) == ["self", "M", "conn", "z"]
+    assert list(inspect.signature(tw.nijenhuis_oracle).parameters) == ["i", "M", "conn", "z"]
+    assert "with_structure" in inspect.signature(tw.twistor_coframe).parameters

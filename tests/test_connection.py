@@ -23,7 +23,6 @@ from twistorlab.connection import (
     flip_pattern,
     gauduchon,
     lee_components,
-    lee_form,
     levi_civita,
     mu_from_omega,
     omega_tilde_coord,
@@ -345,8 +344,8 @@ def _torsion_auxiliary_reference(M, x):
     fr, Gm, be = adapted_frame(M, x), christoffel(M, x), M.backend
 
     def alpha(p):
-        a = lee_form(M, p)
-        return np.array([a.terms.get((i,), 0.0) for i in range(4)]).real @ adapted_frame(M, p).theta
+        fr = adapted_frame(M, p)
+        return lee_components(M, p, fr.E) @ fr.theta
 
     def B3(p):
         aJ = alpha(p) @ M.J(p)

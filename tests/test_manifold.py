@@ -223,7 +223,7 @@ def test_surface_invariants_50_points(name):
 def test_hopf_is_not_kahler():
     M = mf.builtin("hopf")
     for x in interior_points(M, 5, seed=3):
-        assert cn.dF_form(M, x).norm() > 0.1
+        assert _dF_form(M, x).norm() > 0.1
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +443,7 @@ def test_a_frame_missing_inside_a_stencil_fails_omega_lc_and_not_dF():
             layer(surface(), x)
         assert str(got.value) == str(want.value)
     M = surface()
-    assert np.all(np.isfinite(cn.dF_array(M, x))) and np.all(np.isfinite(cn.lee_form(M, x[1]).to_array()))
+    assert np.all(np.isfinite(cn.dF_array(M, x))) and np.all(np.isfinite(_lee(M, x[1]).to_array()))
     assert np.all(np.isfinite(mf.adapted_frame(M, x).E))
 
 
@@ -570,33 +570,48 @@ def test_validation_refuses_an_infinite_metric_with_a_J_without_zero_entries(bad
 # fundamental form and Lee form
 # ----------------------------------------------------------------------
 
+def _dF_form(M, x):
+    """dF at x as a 3-form over the coordinate coframe, from `dF_array`."""
+    A = cn.dF_array(M, x)
+    return ComplexForm(4, 3, {key: A[key] for key in itertools.combinations(range(4), 3)})
+
+
+def _lee(M, x):
+    """The Lee form at x as a 1-form over the adapted coframe, from `lee_components`."""
+    x = np.asarray(x, dtype=float)
+    alpha = cn.lee_components(M, x, mf.adapted_frame(M, x).E)
+    return ComplexForm(4, 1, {(i,): alpha[i] for i in range(4)})
+
+
 def test_fundamental_form_in_adapted_coframe():
+    # F = theta^1 ^ theta^2 + theta^3 ^ theta^4 over the adapted coframe
     M = mf.builtin("hopf")
     x = np.array([0.6, 0.55, 0.62, 0.5])
-    fr = mf.adapted_frame(M, x)
-    F = mf.fundamental_form(M, x, fr)
-    assert F.isclose(ComplexForm(4, 2, {(0, 1): 1.0, (2, 3): 1.0}), tol=1e-15)
+    F = mf.push_slots(mf.coordinate_fundamental_matrix(M, x), mf.adapted_frame(M, x).E, (0, 1))
+    want = np.zeros((4, 4))
+    want[0, 1] = want[2, 3] = 1.0
+    assert np.max(np.abs(F - (want - want.T))) <= 1e-15
 
 
 def test_flat_dF_and_lee_vanish():
     M = mf.builtin("flat_c2")
     x = np.array([0.2, -0.1, 0.4, 0.3])
-    assert cn.dF_form(M, x).norm() < 1e-13
-    assert cn.lee_form(M, x).norm() < 1e-13
+    assert _dF_form(M, x).norm() < 1e-13
+    assert _lee(M, x).norm() < 1e-13
 
 
 @pytest.mark.parametrize("name", ["cp2_fs", "ch2"])
 def test_kahler_builtins_have_zero_lee_form(name):
     M = mf.builtin(name)
     for x in interior_points(M, 5, seed=21):
-        assert cn.dF_form(M, x).norm() < 1e-8
-        assert cn.lee_form(M, x).norm() < 1e-8
+        assert _dF_form(M, x).norm() < 1e-8
+        assert _lee(M, x).norm() < 1e-8
 
 
 def _lee_form_reference(M, x):
     """The Lee form through the exterior algebra: J(-*dF) over the adapted coframe."""
     frame = mf.adapted_frame(M, x)
-    b = hodge_star_4(substitute(cn.dF_form(M, x), frame.E)) * (-1.0)
+    b = hodge_star_4(substitute(_dF_form(M, x), frame.E)) * (-1.0)
     b = [b.terms.get((i,), 0.0) for i in range(4)]
     return ComplexForm(4, 1, {(0,): -b[1], (1,): b[0], (2,): -b[3], (3,): b[2]})
 
@@ -605,7 +620,7 @@ def _lee_form_reference(M, x):
 def test_lee_form_matches_the_exterior_algebra_reference(name):
     M = mf.builtin(name)
     for x in interior_points(M, 3, seed=5):
-        alpha = cn.lee_form(M, x)
+        alpha = _lee(M, x)
         assert (alpha - _lee_form_reference(M, x)).norm() <= 1e-13 * max(1.0, alpha.norm())
     stack = interior_points(M, 3, seed=5)
     E = mf.adapted_frame(M, stack).E
@@ -645,8 +660,8 @@ def test_hopf_lee_form_homogeneity():
     M = mf.builtin("hopf")
     xa = np.array([0.6, 0.55, 0.62, 0.5])
     xb = np.array([0.5, 0.62, 0.55, 0.6])  # same |z|
-    na = cn.lee_form(M, xa).norm()
-    nb = cn.lee_form(M, xb).norm()
+    na = _lee(M, xa).norm()
+    nb = _lee(M, xb).norm()
     assert na > 0.1
     np.testing.assert_allclose(na, nb, rtol=1e-9)
     # conformally flat with factor 1/rho: the Lee form has h-norm exactly 2
@@ -656,7 +671,7 @@ def test_hopf_lee_form_homogeneity():
 def test_boundary_guard():
     M = mf.builtin("flat_c2")
     with pytest.raises(ValueError, match="point too close to boundary"):
-        cn.dF_form(M, np.array([-0.9995, 0.0, 0.0, 0.0]))
+        _dF_form(M, np.array([-0.9995, 0.0, 0.0, 0.0]))
 
 
 # ----------------------------------------------------------------------
@@ -668,7 +683,7 @@ def _ddF(M, x):
     keys = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def coeffs(p):
-        f = cn.dF_form(M, p)
+        f = _dF_form(M, p)
         return np.array([f.terms.get(k, 0.0) for k in keys])
 
     raw = {}
@@ -704,7 +719,7 @@ def test_order4_halving_improves_truncation_error():
     errs = []
     for step in (8e-2, 4e-2):
         M = mf.builtin("hopf", backend=mf.DiffBackend(step=step))
-        errs.append((cn.dF_form(M, x) - _exact_hopf_dF(x)).norm())
+        errs.append((_dF_form(M, x) - _exact_hopf_dF(x)).norm())
     assert errs[0] / errs[1] >= 8.0
 
 
@@ -713,7 +728,7 @@ def test_order2_backend_also_converges():
     errs = []
     for step in (8e-2, 4e-2):
         M = mf.builtin("hopf", backend=mf.DiffBackend(step=step, order=2))
-        errs.append((cn.dF_form(M, x) - _exact_hopf_dF(x)).norm())
+        errs.append((_dF_form(M, x) - _exact_hopf_dF(x)).norm())
     assert errs[0] / errs[1] >= 3.5  # second order: ~4x
 
 
@@ -1531,7 +1546,6 @@ def test_dF_array_matches_the_per_point_reference(name):
         want = _dF_array_reference(M, x)
         assert np.array_equal(stacked[n], want) and np.array_equal(cn.dF_array(M, x), want)
         assert np.array_equal(np.signbit(stacked[n]), np.signbit(want))
-        assert np.array_equal(cn.dF_form(M, x).to_array(), want)
 
 
 def test_threads_sharing_a_surface_get_the_serial_results_for_stacks(monkeypatch):

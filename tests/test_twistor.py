@@ -72,6 +72,11 @@ def sweep(name, conn):
     return tw.CoframeSweep(surface(name), conn, zpt(name))
 
 
+def _K_wedge_dK(sw, i, lam):
+    """K_i ^ dK_i(lambda) of a one-point sweep: its row of `defect_rows`."""
+    return ComplexForm(6, 5, sw.defect_rows(tw.lambda_weights([(i, lam)]))[1][0])
+
+
 # ======================================================================
 # points and charts
 # ======================================================================
@@ -196,28 +201,34 @@ def _marked_coframe_rows(gram_at, nan_at):
 def test_a_sweep_raises_for_its_first_failing_point_the_gram_check_before_db(gram, nan, monkeypatch):
     # the stacked check of a sweep raises what the loop over its points
     # raised: the first point that fails, and at it a Gram determinant near
-    # zero before a dB that is not finite
+    # zero before a dB that is not finite; B at the points and at their
+    # stencils is one coframe_rows call
     M = surface("hopf")
     y = np.array([z.chart_coordinates() for z in tw.sample_twistor_points(M, 3, seed=1)])
     stand_in = _marked_coframe_rows(None if gram is None else y[gram], None if nan is None else y[nan])
-    monkeypatch.setattr(tw, "coframe_rows", stand_in)
+    calls = []
+    monkeypatch.setattr(tw, "coframe_rows", lambda segments, t: (calls.append(len(segments[0][1])),
+                                                                 stand_in(segments, t))[1])
 
     def loop():
         stacked, split = mf.with_stencils([(M, y)])
         B0, B = split(stand_in(stacked, 0.0))
         finite = np.all(np.isfinite(M.backend.combine(B)), axis=(0, 2, 3))
         for b, ok, point in zip(B0, finite, y):
-            tw._check_gram(b, point)
+            if not abs(tw._gram_determinant(b)) > tw._GRAM_MIN:
+                raise tw.DegenerateCoframeError(point, tw._GRAM_REASON)
             if not ok:
                 raise tw.DegenerateCoframeError(point, "coframe derivative not finite")
     if gram is None and nan is None:
         loop()
-        assert np.array_equal(tw._swept(0.0, [(M, y)])[1], stand_in([(M, y)], 0.0))
+        assert np.array_equal(tw._coframe_pass(0.0, True, [(M, y)])[2], stand_in([(M, y)], 0.0))
+        assert calls == [3 * 25]
         return
     with pytest.raises(tw.DegenerateCoframeError) as want:
         loop()
     with pytest.raises(tw.DegenerateCoframeError) as got:
-        tw._swept(0.0, [(M, y)])
+        tw._coframe_pass(0.0, True, [(M, y)])
+    assert calls == [3 * 25]
     assert str(got.value) == str(want.value)
     assert ("Gram" in str(got.value)) == (gram is not None and (nan is None or gram <= nan))
 
@@ -377,20 +388,22 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     pts = tw.sample_twistor_points(surface("cp2_fs"), 2, seed=0)
     report = lambda M: tw.condition_report(M, "lichnerowicz", [1.0, SQ2], pts)  # noqa: E731
 
-    # (a) the report builds one stacked sweep that holds each bundle point once
+    # (a) the report makes one coframe_rows call, its sweep's, which holds
+    # each bundle point once, followed by its stencils; the formula rows read
+    # the sweep's coframe
     built = []
-    build = tw.CoframeSweep._sweep
+    rows = tw.coframe_rows
 
-    def counted(self, segments, conn):
-        [(M, y0)] = segments
-        built.append(np.array(y0))
-        build(self, segments, conn)
+    def counted(segments, t):
+        [(M, y)] = segments
+        built.append(np.array(y))
+        return rows(segments, t)
 
     with monkeypatch.context() as mp:
-        mp.setattr(tw.CoframeSweep, "_sweep", counted)
+        mp.setattr(tw, "coframe_rows", counted)
         report(counting_surface("cp2_fs")[0])
-    assert len(built) == 1
-    assert np.array_equal(built[0], [z.chart_coordinates() for z in pts])
+    assert len(built) == 1 and len(built[0]) == 25 * len(pts)
+    assert np.array_equal(built[0][:len(pts)], [z.chart_coordinates() for z in pts])
 
     # (b) no point reaches the metric callable twice, whichever layer asks
     M, seen = counting_surface("cp2_fs")
@@ -517,9 +530,9 @@ def test_sweep_builds_each_building_block_once(monkeypatch):
     sw = tw.CoframeSweep(surface("hopf"), "chern", zpt("hopf"))
     for i in (1, 2, 3, 4):
         for lam in (0.5, 1.0, (1.3, 0.7, 2.1)):
-            sw.K(i, lam)
+            tw.K_form(i, lam, sw.coframe)
             sw.dK(i, lam)
-            sw.K_wedge_dK(i, lam)
+            _K_wedge_dK(sw, i, lam)
         tw.lambda_zero_crossing(i, sw.M, "chern", zpt("hopf"), sweep=sw)
     assert calls[0] == 1              # one d for the partials of all three blocks
 
@@ -532,9 +545,9 @@ def test_defect_rows_have_the_bits_of_the_per_row_forms(name, conn):
     assert dK.shape == (len(pairs), 20) and KdK.shape == (len(pairs), 6)
     for n, (i, lam) in enumerate(pairs):
         assert np.array_equal(dK[n], sw.dK(i, lam).vec)
-        assert np.array_equal(KdK[n], sw.K_wedge_dK(i, lam).vec)
+        assert np.array_equal(KdK[n], _K_wedge_dK(sw, i, lam).vec)
         # the wedge of the whole forms holds W_3 ^ dW_3 too: roundoff at these lambda
-        assert np.max(np.abs(wedge(sw.K(i, lam), sw.dK(i, lam)).vec - KdK[n])) < 1e-13
+        assert np.max(np.abs(wedge(tw.K_form(i, lam, sw.coframe), sw.dK(i, lam)).vec - KdK[n])) < 1e-13
     for a in range(3):
         for b in range(3):
             block = wedge(ComplexForm(6, 2, sw.W_coeffs[a]), ComplexForm(6, 3, sw.dW_coeffs[b]))
@@ -559,7 +572,7 @@ def test_balanced_verdict_and_formula_residual_hold_at_large_lambda():
 def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
     sw = tw.CoframeSweep(surface(name), conn, zpt(name))
     first = sw.dK(3, SQ2)
-    for shared in (first.vec, sw.K(3, SQ2).vec, sw.W_coeffs, sw.dW_coeffs):
+    for shared in (first.vec, tw.K_form(3, SQ2, sw.coframe).vec, sw.W_coeffs, sw.dW_coeffs):
         with pytest.raises(ValueError):
             shared[:] = 0                     # a caller scribbling on its result
     first.terms.clear()                       # a fresh dict on every read
@@ -568,7 +581,7 @@ def test_sweep_results_do_not_alias_the_shared_forms(name, conn):
     for i in (1, 2, 3, 4):
         for lam in (0.5, SQ2, (1.3, 0.7, 2.1)):
             assert sw.dK(i, lam).terms == fresh.dK(i, lam).terms
-            assert sw.K(i, lam).terms == fresh.K(i, lam).terms
+            assert tw.K_form(i, lam, sw.coframe).terms == tw.K_form(i, lam, fresh.coframe).terms
     assert sw.dK(3, SQ2).terms == fresh.dK(3, SQ2).terms != {}
 
 
@@ -607,18 +620,20 @@ def test_coframe_rows_of_a_stack_are_those_of_its_points(name, t):
         assert np.array_equal(B[k, 0], tw.coframe_rows(single, t, y))
 
 
-def test_a_report_without_closed_form_displays_builds_no_coframe(monkeypatch):
+def test_a_report_without_closed_form_displays_builds_no_closed_form_rows(monkeypatch):
+    # every report reads the coframe of its one sweep (one coframe_rows
+    # call); only a connection with displays builds the closed-form dW
     M = surface("hopf")
     pts = tw.sample_twistor_points(M, 2, seed=0)
     calls = []
-    build = tw.TwistorCoframe.__dict__["_build"].__func__
-    monkeypatch.setattr(tw.TwistorCoframe, "_build", classmethod(
-        lambda cls, segments, conn, shape: calls.append(sum(len(p) for _, p in segments))
-        or build(cls, segments, conn, shape)))
+    rows, structure_dW = tw.coframe_rows, tw._structure_dW
+    monkeypatch.setattr(tw, "coframe_rows", lambda *a: calls.append("coframe_rows") or rows(*a))
+    monkeypatch.setattr(tw, "_structure_dW", lambda co: calls.append(len(co.B)) or structure_dW(co))
     rep = tw.condition_report(M, "bismut", [1.0, SQ2], pts)
-    assert calls == [] and all(r.formula_residual is None for r in rep.rows)
+    assert calls == ["coframe_rows"] and all(r.formula_residual is None for r in rep.rows)
+    calls.clear()
     tw.condition_report(M, "chern", [1.0, SQ2], pts)
-    assert calls == [len(pts)]
+    assert calls == ["coframe_rows", len(pts)]
 
 
 # a lambda triple, and coframes of a general family member (one point and a
@@ -713,7 +728,6 @@ for call in (lambda: tw.TwistorPoint(np.zeros(3), np.array([1.0, 0.0])),
              lambda: tw.lambda_weights([(1, 1e200)]),
              lambda: cn.complexify(np.zeros((4, 4, 4)), "1*212*"),
              lambda: mf.ChartSpec(("a", "b", "c", "d"), [[-1, 1]] * 3),
-             lambda: mf.fundamental_form(M, x, mf.adapted_frame(M, y)),
              lambda: cn.chern_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y)),
              lambda: cn.bismut_curvature_relation(cn.levi_civita(M, x), cn.torsion_auxiliary(M, y)),
              lambda: flag_d(ComplexForm.basis(6, (0,))),
@@ -743,7 +757,6 @@ def test_input_checks_are_value_errors_under_python_O(flags):
         "ValueError: metric parameter 1e+200 is too large: its square overflows",
         "ValueError: need frame components of shape (4,4,4,4), got (4, 4, 4)",
         "ValueError: domain box must be 4x2, got (3, 2)",
-        "ValueError: frame was built at a different point",
     ] + ["ValueError: relation inputs evaluated at different points"] * 2 + [
         "ValueError: an invariant form lives over the 8 generators, got dimension 6",
         "ValueError: form values must have shape (3, 3, 8), got (3, 3, 7)",
@@ -867,7 +880,7 @@ def test_balanced_display_consistent_with_dK():
 def test_balanced_formula_matches_oracle(name, conn):
     co, sw = coframe(name, conn), sweep(name, conn)
     for i in (1, 2, 3, 4):
-        oracle = wedge(sw.K(i, 1.1), sw.dK(i, 1.1))
+        oracle = wedge(tw.K_form(i, 1.1, sw.coframe), sw.dK(i, 1.1))
         assert (tw.balanced_defect_formula(i, 1.1, co) - oracle).norm() < 1e-7
 
 
@@ -915,19 +928,19 @@ def test_flat_reversed_structures_symplectic():
 def test_hopf_balanced_structures():
     sw_l = sweep("hopf", "lichnerowicz")
     for i in (1, 2):
-        assert wedge(sw_l.K(i, 1.2), sw_l.dK(i, 1.2)).norm() < 1e-8
+        assert wedge(tw.K_form(i, 1.2, sw_l.coframe), sw_l.dK(i, 1.2)).norm() < 1e-8
     for i in (3, 4):
-        assert wedge(sw_l.K(i, 1.2), sw_l.dK(i, 1.2)).norm() > 0.1
+        assert wedge(tw.K_form(i, 1.2, sw_l.coframe), sw_l.dK(i, 1.2)).norm() > 0.1
     sw_c = sweep("hopf", "chern")
     for i in (1, 2, 3, 4):
-        assert wedge(sw_c.K(i, 1.2), sw_c.dK(i, 1.2)).norm() > 0.1
+        assert wedge(tw.K_form(i, 1.2, sw_c.coframe), sw_c.dK(i, 1.2)).norm() > 0.1
 
 
 def test_cp2_all_balanced():
     sw = sweep("cp2_fs", "lichnerowicz")
     for i in (1, 2, 3, 4):
         for lam in (1.0, 2.0):
-            assert wedge(sw.K(i, lam), sw.dK(i, lam)).norm() < 1e-8
+            assert wedge(tw.K_form(i, lam, sw.coframe), sw.dK(i, lam)).norm() < 1e-8
 
 
 # ======================================================================
@@ -1139,10 +1152,10 @@ def _ddbar_reference(i, lam, M, conn, z):
     keys = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
 
     def dbar_vec(y):
-        sw = tw.CoframeSweep(M, t, tw.TwistorPoint.from_zeta(y[:4], complex(y[4], y[5])))
+        sw = tw.CoframeSweep._at([(M, y[None])], (), t)
         proj = _reference_bidegree6(sw.dK(i, lam), tw._adapted_rows(i, sw.B0), 1)
         return np.array([proj.terms.get(k, 0.0) for k in keys], dtype=complex)
-    be = M.backend.with_step(tw._DDBAR_OUTER_STEP)
+    be = dataclasses.replace(M.backend, step=tw._DDBAR_OUTER_STEP)
     dg = np.stack([be.partial(dbar_vec, y0, p) for p in range(6)])
     coeff = {}
     for key in itertools.combinations(range(6), 4):     # p ascending within each key
@@ -1255,7 +1268,7 @@ def test_report_checks_every_balanced_display(conn):
     for r in rep.rows:
         assert r.formula_residual >= max(
             (tw.balanced_defect_formula(r.i, r.lam, tw.twistor_coframe(M, conn, z))
-             - tw.CoframeSweep(M, conn, z).K_wedge_dK(r.i, r.lam)).norm() for z in pts)
+             - _K_wedge_dK(tw.CoframeSweep(M, conn, z), r.i, r.lam)).norm() for z in pts)
 
 
 def test_condition_report_flat():
@@ -1598,7 +1611,7 @@ def test_stacked_coframe_rows_have_the_bits_of_the_per_point_forms(name, conn, n
     assert co.dW_coeffs.shape == (n, 3, 20) and co.balanced_brackets.shape == (n, 2, 6)
     for k, ref in enumerate(reference_coframes(name, conn)[:n]):
         assert np.array_equal(co.B[k], ref.B)
-        assert np.array_equal(co.W_coeffs[k], tw._W_coeffs(ref.B))
+        assert np.array_equal(co.W_coeffs[k], dataclasses.replace(co, B=ref.B).W_coeffs)
         assert np.array_equal(co.dW_coeffs[k], np.stack([f.vec for f in ref.dW_forms]))
         assert np.array_equal(co.balanced_brackets[k], np.stack([f.vec for f in ref.brackets]))
 
@@ -1701,7 +1714,7 @@ def test_a_stacked_coframe_names_the_first_failing_point(bad):
 
 def _reference_condition_flags(M, x, tol=DEFAULT_PREDICATE_TOL):
     """One point: its own levi_civita call, the operator and its blocks one
-    point at a time, and |dF| from a fresh `dF_form` FD pass."""
+    point at a time, and |dF| as the norm of the 3-form of `dF_array`."""
     x = np.asarray(x, dtype=float)
     lc = cn.levi_civita(M, x)
     arrs = _basis_arrays(SdAsdBasis.standard()).reshape(6, 16)
@@ -1715,7 +1728,8 @@ def _reference_condition_flags(M, x, tol=DEFAULT_PREDICATE_TOL):
     ricJ = float(np.linalg.norm(ric @ J_STANDARD - J_STANDARD @ ric))
     sd = float(np.linalg.norm(Ms[3:, 3:] - s / 12.0 * eye))
     asd = float(np.linalg.norm(Ms[:3, :3] - s / 12.0 * eye))
-    kahler = cn.dF_form(M, x).norm()
+    dF = cn.dF_array(M, x)
+    kahler = ComplexForm(4, 3, {key: dF[key] for key in itertools.combinations(range(4), 3)}).norm()
     return ConditionFlags(point=lc.point, tol=tol, self_dual=sd < tol, self_dual_defect=sd,
                           anti_self_dual=asd < tol, anti_self_dual_defect=asd,
                           einstein=einstein < tol, einstein_defect=einstein,
@@ -2069,3 +2083,79 @@ def test_a_stack_of_segments_raises_the_error_of_the_loop_over_surfaces(order, k
     assert stacked == error(per_surface)
     assert stacked == error(lambda segments: per_surface(segments[:1]))
     assert stacked != error(lambda segments: per_surface(segments[1:]))
+
+
+# ======================================================================
+# one coframe pass for both paths
+# ======================================================================
+
+@pytest.mark.parametrize("name", ["flat_c2", "cp2_fs", "ch2", "hopf"])
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern", "bismut"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_sweep_holds_the_coframe_of_its_points(name, conn, n):
+    # each side on a fresh surface, so neither reads what the other stored
+    pts = STACK_34[name][:n]
+    sw = tw.CoframeSweep.stack(fresh_surface(name), conn, pts)
+    co = tw.TwistorCoframe.stack(fresh_surface(name), conn, pts)
+    for mine, its in (("t", "t"), ("label", "label"), ("y0", "y"), ("B0", "B"), ("W_coeffs", "W_coeffs")):
+        assert getattr(sw, mine) is getattr(sw.coframe, its), mine
+    for attr in ("y", "zeta", "B", "W_coeffs"):
+        assert np.array_equal(getattr(sw.coframe, attr), getattr(co, attr)), attr
+    if conn == "bismut":            # no closed-form display, on either side
+        for c in (sw.coframe, co):
+            with pytest.raises(ValueError, match="no closed-form derivative display"):
+                c.dW_coeffs
+        return
+    for attr in ("dW_coeffs", "balanced_brackets"):
+        assert np.array_equal(getattr(sw.coframe, attr), getattr(co, attr)), attr
+
+
+@pytest.mark.parametrize("conn", ["lichnerowicz", "chern"])
+def test_a_segment_sweep_holds_the_coframe_of_its_points(conn):
+    segments = [(fresh_surface(name), STACK_34[name][:n]) for name, n in SEGMENT_SIZES.items()]
+    sw = tw.CoframeSweep.stack(segments, conn)
+    co = tw.TwistorCoframe.stack([(fresh_surface(name), STACK_34[name][:n])
+                                  for name, n in SEGMENT_SIZES.items()], conn)
+    assert sw.coframe.segments == tuple((M, len(p)) for M, p in segments)
+    for attr in ("y", "zeta", "B", "dW_coeffs", "balanced_brackets"):
+        assert np.array_equal(getattr(sw.coframe, attr), getattr(co, attr)), attr
+
+
+def test_a_one_point_sweep_holds_a_one_point_coframe():
+    M, z = surface("hopf"), zpt("hopf")
+    sw, co = tw.CoframeSweep(M, "chern", z), tw.twistor_coframe(M, "chern", z)
+    assert sw.coframe.y.shape == (6,) and sw.coframe.B.shape == (3, 6) and sw.dB.shape == (6, 3, 6)
+    assert sw.coframe.zeta == co.zeta and isinstance(sw.coframe.zeta, complex)
+    assert np.array_equal(sw.coframe.dW_coeffs, co.dW_coeffs)
+
+
+# a bundle point on the chart's fiber bound |zeta| = 4, handed to every
+# builder of a coframe: each refuses it with the same ValueError, also under
+# python -O
+_FAR_FIBER = """
+from twistorlab import twistor as tw
+from twistorlab.manifold import builtin
+M = builtin("hopf")
+good = tw.sample_twistor_points(M, 1, seed=0)[0]
+far = tw.TwistorPoint.from_zeta(good.x, 4.0)
+for call in (lambda: tw.TwistorCoframe.stack(M, "chern", [good, far]),
+             lambda: tw.CoframeSweep.stack(M, "chern", [good, far]),
+             lambda: tw.CoframeSweep(M, "chern", far),
+             lambda: tw.nijenhuis_oracle(1, M, "lichnerowicz", far)):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print(type(exc).__name__ + ":", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_every_coframe_refuses_a_fiber_coordinate_outside_the_chart(flags):
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", _FAR_FIBER], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and len(set(lines)) == 1
+    assert lines[0].startswith("ValueError: fiber coordinate out of chart at bundle point [")
+    assert lines[0].endswith(", 4.0, 0.0]")

@@ -35,7 +35,7 @@ from .exterior import ComplexForm, cut, hodge_star_4, norms, sd_asd_split, wedge
 from .flag import (FlagDisplays, appendix_table, d_matrix, flag_bidegree_part, flag_dK,
                    flag_ddbar, integrability_obstruction, scale_free_residuals)
 from .manifold import (BUILTIN_NAMES, DegenerateFrameError, HermitianSurface, MetricEvaluationError,
-                       SpecSyntaxError, _frame_fields, builtin, parse_surface_spec, replay)
+                       SpecSyntaxError, builtin, parse_surface_spec, replay)
 from .twistor import (LAMBDA_MIN, CoframeSweep, DegenerateCoframeError, condition_report,
                       lambda_weights, lambda_zero_crossing, normalize_connection, sample_twistor_points)
 
@@ -586,7 +586,7 @@ def _suite_algebra(surfaces: Dict[str, HermitianSurface], n_points: int, seed: i
                                 + ", ".join(surfaces)))
 
     x = [(M, M.chart.interior_points(6, seed=seed)) for M in surfaces.values()]
-    g = _frame_fields(x)[0]         # the g of every surface from one stacked read
+    g = np.concatenate([M.metric(p) for M, p in x])
     Jm = np.concatenate([M.J(p) for M, p in x])
     herm = max(float(np.max(np.abs(g - np.swapaxes(g, -1, -2)))),
                float(max(0.0, 1e-8 - np.min(np.linalg.eigvalsh(g)))),

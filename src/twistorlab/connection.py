@@ -29,7 +29,7 @@ import numpy as np
 
 from twistorlab.exterior import ZERO_EPS, ComplexForm, antisymmetric_array, d_rows, wedge_vectors
 from twistorlab.manifold import (J_STANDARD, HermitianSurface, UnitaryFrame, _frame_fields, _join,
-                                 _raise_at_first, _unitary_frame, adapted_basis, adapted_frame,
+                                 _raise_at_first, _unitary_frame, adapted_frame,
                                  coordinate_fundamental_matrix, point_memo, push_slots, segments_of,
                                  with_stencils)
 
@@ -108,7 +108,7 @@ class _BaseData:
 @point_memo
 def _base_table(segments) -> _BaseData:
     """The first-order data at the points x of the segments from one
-    `_frame_fields` lookup of x and its stencil and one FD combine of each
+    `_frame_fields` pass over x and its stencil and one FD combine of each
     of g, E and F there, every segment's at once; `point_memo` serves one point
     or any stack.  A point without a frame at itself or a stencil point is
     flagged `frameless` (its frame or omega^LC is NaN) and raises nothing
@@ -151,12 +151,12 @@ def _framed(segments, stencils: bool = False):
         if stencils:
             _framed(segments)       # the errors of the points' own rows come first
         for M, x in segments:
-            adapted_basis(M, x)
+            adapted_frame(M, x)
         raise
     if (split(base.frameless, False)[0] if stencils else base.frameless).any():
         for M, x in segments:
-            adapted_basis(M, x)
-            adapted_basis(M, M.backend.stencil(x))
+            adapted_frame(M, x)
+            adapted_frame(M, M.backend.stencil(x))
     return base, split
 
 

@@ -427,10 +427,10 @@ class DiffBackend:
 
 
 # points a surface's point memo stores, over all its functions, before it is
-# cleared; a two-point report or scan stores about 340 per surface (0.24 MB)
-# and verify about 380 per built-in (0.27 MB), one ddbar_oracle call on cp2_fs
-# 1 675 (1.3 MB of rows), which this limit keeps whole.  The largest row is a
-# levi_civita point of 4 160 bytes, so a memo holds at most 34 MB
+# cleared; a two-point report or scan stores about 70 per surface (0.14 MB),
+# verify about 104 per built-in (0.16 MB) and one ddbar_oracle call on cp2_fs
+# 434 (0.84 MB of rows).  The largest row is a levi_civita point of 4 160
+# bytes, so a memo holds at most 34 MB
 POINT_MEMO_LIMIT = 8192
 
 # held while a batch of results is appended to a table of any surface
@@ -477,17 +477,16 @@ class _Table:
     """The stored results of one memoized function with one tuple of params:
     `leaves`, their arrays in field order with `size` rows each, one per
     point in the order computed; `recipe`, the `_recipe` of the first batch;
-    `index`, from the 32 bytes of a point to its row; `single`, the result
-    of each point looked up on its own.  Rows are only appended and a new
-    list replaces `leaves` whole, so a row read from `index` stays valid."""
-    __slots__ = ("index", "leaves", "recipe", "size", "single")
+    `index`, from the 32 bytes of a point to its row.  Rows are only
+    appended and a new list replaces `leaves` whole, so a row read from
+    `index` stays valid."""
+    __slots__ = ("index", "leaves", "recipe", "size")
 
     def __init__(self):
         self.index: Dict[bytes, int] = {}
         self.leaves: List[np.ndarray] = []
         self.recipe = None
         self.size = 0
-        self.single: Dict[bytes, object] = {}
 
 
 class PointMemo(dict):
@@ -575,6 +574,16 @@ def with_stencils(segments):
     return parts, split
 
 
+def _distinct(keys: list, points: np.ndarray):
+    """The one dedupe of points: for `keys`, the 32 bytes of rows of `points` (k, 4),
+    the dict of the distinct keys in first-occurrence order, their points (`points`
+    when every row is one), and each key's position in it (None when none repeats)."""
+    fresh = dict.fromkeys(keys)
+    k = len(fresh)
+    at = None if k == len(keys) else list(map(dict(zip(fresh, range(k))).__getitem__, keys))
+    return fresh, points if k == len(points) else np.frombuffer(b"".join(fresh)).reshape(k, 4).copy(), at
+
+
 def _append(memo: PointMemo, name: tuple, table: _Table, fresh: Dict[bytes, None], batch: list, recipe):
     """Append batch, the leaves of the results of the points `fresh`, to
     `table` of memo, whose results have the structure of `recipe`.
@@ -608,7 +617,7 @@ def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
     """The results of fn(segments, *params), name = (fn, params), over the
     point axes `shape` (() for one point): one index pass over every
     segment's points, each in its own surface's table, one call of fn for
-    the distinct points the tables lack, every segment's at once, and,
+    the distinct points the tables lack (`_distinct`), every segment's at once, and,
     unless every point is a distinct miss (the batch is the answer), each
     leaf's rows taken from the segments' tables into one array.  Past fn,
     every step is a loop over the flat list of leaves."""
@@ -624,27 +633,24 @@ def _lookup(name: tuple, segments: list, shape: Tuple[int, ...]):
     missing = rows < 0
     if missing.any():
         flags = missing.tolist()
-        missed = [list(itertools.compress(k, flags[span])) for k, span in zip(keys, spans)]
-        fresh = [dict.fromkeys(m) for m in missed]
-        total = sum(map(len, fresh))
+        fresh = [_distinct(list(itertools.compress(k, flags[span])), p)
+                 for k, span, (_, p) in zip(keys, spans, segments)]
+        total = sum(len(f) for f, _, _ in fresh)
         every = total == len(rows)      # every point a distinct miss: the batch is the answer
-        misses = [(M, p if len(f) == len(p) else np.frombuffer(b"".join(f)).reshape(-1, 4).copy())
-                  for (M, p), f in zip(segments, fresh) if f]
-        batch = replay_segments(lambda part: fn(part, *params), misses)
+        batch = replay_segments(lambda part: fn(part, *params),
+                                [(M, q) for (M, _), (f, q, _) in zip(segments, fresh) if f])
         recipe = recipe or _recipe(batch)
         for a in (leaves := recipe[0](batch)):
             a.setflags(write=False)
         start = 0
-        for i, (M, _) in enumerate(segments):
-            k = len(fresh[i])
+        for i, ((M, _), (f, _, at)) in enumerate(zip(segments, fresh)):
+            k = len(f)
             if k:       # each surface's misses, appended to its own table
                 piece = leaves if k == total else [a[start:start + k] for a in leaves]
-                stores[i], base = _append(M._point_memo, name, tables[i], fresh[i], piece, recipe)
+                stores[i], base = _append(M._point_memo, name, tables[i], f, piece, recipe)
                 start += k
                 if not every:       # the new rows, in order unless a point repeats
-                    rows[spans[i]][missing[spans[i]]] = (
-                        np.arange(base, base + k) if k == len(missed[i]) else
-                        list(map(dict(zip(fresh[i], range(base, base + k))).__getitem__, missed[i])))
+                    rows[spans[i]][missing[spans[i]]] = np.arange(base, base + k) if at is None else np.add(at, base)
         if every:
             return batch if len(shape) == 1 else recipe[1](
                 iter([a.reshape(shape + a.shape[1:]) if shape else a[0] for a in leaves]))
@@ -664,32 +670,23 @@ def point_memo(fn):
     (fn(segments, None, *params)) and answers with one point axis.  The memo
     of M (`PointMemo`) holds one table per (fn, params): a dict from the
     bytes of a point to a row, and the flat list of fn's result arrays.  A
-    call looks up each segment in its surface's table; the distinct points
-    not found are computed in one call of fn over every segment, and each
-    surface's arrays appended to its own table as one batch.  When every
-    point is a distinct miss the answer is that batch; else each array's
-    rows are taken from the tables straight into one read-only array
-    (`_take`), and the table's `_recipe` builds the answer from them.  A
-    value is therefore computed once per surface and exact point, and does
-    not depend on the other points of its stack.  A point looked up on its
-    own gets the same object every time.  Exceptions are not stored; a
-    failing stack raises the error of its first failing point
-    (`replay_segments`).  The memo is cleared whole when an append would
-    take it past POINT_MEMO_LIMIT points.  Threads may share a surface:
-    lookups take no lock, appends take `_APPEND_LOCK`, and tables only grow.
+    call looks up each segment in its surface's table (`_lookup`); the
+    distinct points not found are computed in one call of fn over every
+    segment, and each surface's arrays appended to its own table as one
+    batch.  When every point is a distinct miss the answer is that batch;
+    else each array's rows are taken from the tables straight into one
+    read-only array (`_take`), and the table's `_recipe` builds the answer
+    from them.  A value is therefore computed once per surface and exact
+    point, and does not depend on the other points of its stack.
+    Exceptions are not stored; a failing stack raises the error of its
+    first failing point (`replay_segments`).  The memo is cleared whole when
+    an append would take it past POINT_MEMO_LIMIT points.  Threads may share
+    a surface: lookups take no lock, appends take `_APPEND_LOCK`, and tables
+    only grow.
     """
     @functools.wraps(fn)
     def memoized(M, x=None, *params):
-        segments, shape = segments_of(M, x)
-        name = (fn, params)
-        if shape:
-            return _lookup(name, segments, shape)
-        table = M._point_memo.get(name) or M._point_memo.setdefault(name, _Table())
-        key = segments[0][1].tobytes()
-        value = table.single.get(key)
-        if value is None:
-            value = table.single[key] = _lookup(name, segments, shape)
-        return value
+        return _lookup((fn, params), *segments_of(M, x))
     return memoized
 
 
@@ -727,19 +724,17 @@ class HermitianSurface:
     deterministic 16-point Latin-hypercube sample and raises with the
     offending point and check on failure.
 
-    Each surface owns a private point memo (`point_memo`): the frame fields
-    (g, E and F), the adapted frame, the base data of
-    `connection._base_table` (Gamma, omega^LC, dF and its J-pushed terms,
-    the frame), the Levi-Civita data and the D^t forms omega^t are computed
-    once per exact point and stored read-only.  The metric callable is
-    evaluated only on the misses of the frame-field table, and `metric`
-    reads g from it, so it has no table of its own.  This relies on the
-    surface being immutable: its chart, metric and J callables and backend
-    must not be replaced after construction, and the callables must be
-    pure.  The table stores its own copy of g, so an array returned by the
-    metric callable is never frozen.  The memo lives and dies with the
-    surface, is cleared whole when it reaches POINT_MEMO_LIMIT points and is
-    safe to share between threads.
+    Each surface owns a private point memo (`point_memo`) of the three
+    tables that later calls read: the base data of `connection._base_table`
+    (g, Gamma, omega^LC, dF and its J-pushed terms, the frame), the
+    Levi-Civita data and the D^t forms omega^t, each computed once per exact
+    point and stored read-only.  `metric` and the frame fields g, E and F
+    (`_frame_fields`, once per distinct point) keep nothing: each call
+    evaluates the metric callable.  This relies on the surface
+    being immutable: its chart, metric and J callables and backend must not
+    be replaced after construction, and the callables must be pure.  The
+    memo lives and dies with the surface, is cleared whole when it reaches
+    POINT_MEMO_LIMIT points and is safe to share between threads.
     """
 
     def __init__(self, chart: ChartSpec,
@@ -760,10 +755,11 @@ class HermitianSurface:
         self._validate_samples()
 
     @stack_field
-    def metric(self, x: Optional[np.ndarray] = None) -> np.ndarray:
-        """g at a point or a stack of points, read from the `_frame_fields`
-        table (or at segments in place of the surface, x None)."""
-        return _frame_fields(self, x)[0]
+    def metric(self, x: np.ndarray) -> np.ndarray:
+        """g at a point or a stack of points from one call of the metric
+        callable, `replay`ed to name the point where it fails (`_metric_field`)."""
+        x = np.array(x, dtype=float)
+        return replay(lambda p: _metric_field(self, p), x.reshape(-1, 4)).reshape(x.shape[:-1] + (4, 4))
 
     @stack_field
     def J(self, x: np.ndarray) -> np.ndarray:
@@ -778,10 +774,7 @@ class HermitianSurface:
         in one pass over the three pairs.  A metric that fails at a sample
         point raises its own error (construction names no point for it)."""
         pts = self.chart.interior_points(16, seed=2024)
-        try:
-            g = self.metric(pts)
-        except MetricEvaluationError as exc:
-            raise exc.__cause__ from None
+        g = replay(lambda p: _field(self._metric, p), pts)
         Jm = self.J(pts)
         gT = g.transpose(0, 2, 1)
         # a metric that is not finite at a point fails the first check and is
@@ -1120,10 +1113,9 @@ def _metric_field(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
         raise MetricEvaluationError(x[0].tolist(), exc) from exc
 
 
-@point_memo
-def _frame_fields(segments) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _gram_schmidt(segments) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(g, E, F, degenerate) at the points x of the segments from one call of each metric
-    callable (`_metric_field`) and J, the surface's one table of g:
+    callable (`_metric_field`) and J:
     the J-adapted orthonormal frame E by modified Gram-Schmidt, e1 = normalize(seed1),
     e2 = J e1, e3 = normalize(seed2 - h-projections onto e1, e2), e4 = J e3 with
     (seed1, seed2) = DEFAULT_SEEDS; F = J^T g; and where the seeds give no frame,
@@ -1153,36 +1145,40 @@ def _frame_fields(segments) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return g, E, np.swapaxes(Jm, 1, 2) @ g, degenerate
 
 
-def adapted_basis(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
-    """The frame E (..., 4, 4) of `_frame_fields` at a point or a stack of
-    points x (..., 4).  Raises DegenerateFrameError at the first point without
-    a frame, or the metric's error where a loop over the points meets it first."""
-    def basis(p):
-        _, E, _, degenerate = _frame_fields(M, p)
-        _raise_at_first(degenerate, p, DegenerateFrameError)
-        return E
-    x = np.asarray(x, dtype=float)
-    return replay(basis, x.reshape(-1, 4)).reshape(x.shape[:-1] + (4, 4))
+def _frame_fields(M, x: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, E, F, degenerate) at a point or a stack x (..., 4) of M, or at segments
+    (x None), from one `replay_segments`ed `_gram_schmidt` pass over each
+    segment's distinct points (`_distinct`), taken back at every point."""
+    segments, shape = segments_of(M, x)
+    found = [_distinct(p.view("V32").ravel().tolist(), p) for _, p in segments]
+    starts = itertools.accumulate([len(q) for _, q, _ in found], initial=0)
+    rows = np.concatenate([np.add(range(len(q)) if at is None else at, n) for (_, q, at), n in zip(found, starts)])
+    fields = replay_segments(_gram_schmidt, [(S, q) for (S, _), (_, q, _) in zip(segments, found)])
+    return tuple(a[rows].reshape(shape + a.shape[1:]) for a in fields)
 
 
 def _unitary_frame(x: np.ndarray, E: np.ndarray) -> UnitaryFrame:
-    """The frame E (n, 4, 4) at the points x (n, 4) with its duals theta =
+    """The frame E (..., 4, 4) at the points x (..., 4) with its duals theta =
     E^{-1}, U and eta."""
     e1, e2, e3, e4 = np.moveaxis(E, -1, 0)
     theta = np.linalg.inv(E)
     U = np.stack([(e1 - 1j * e2) / math.sqrt(2.0), (e3 - 1j * e4) / math.sqrt(2.0)], axis=-1)
-    eta = np.stack([(theta[:, 0] + 1j * theta[:, 1]) / math.sqrt(2.0),
-                    (theta[:, 2] + 1j * theta[:, 3]) / math.sqrt(2.0)], axis=1)
+    eta = np.stack([(theta[..., 0, :] + 1j * theta[..., 1, :]) / math.sqrt(2.0),
+                    (theta[..., 2, :] + 1j * theta[..., 3, :]) / math.sqrt(2.0)], axis=-2)
     return UnitaryFrame(point=x, E=E, theta=theta, U=U, eta=eta)
 
 
-@point_memo
-def adapted_frame(segments) -> UnitaryFrame:
-    """The frame E of `adapted_basis` with its duals (`_unitary_frame`) at the
-    points of the segments; `point_memo` serves one point or any stack, and
-    a point without frame raises the DegenerateFrameError of `adapted_basis`."""
-    return _unitary_frame(_join([x for _, x in segments]),
-                          _join([adapted_basis(M, x) for M, x in segments]))
+def adapted_frame(M: HermitianSurface, x: np.ndarray) -> UnitaryFrame:
+    """The frame E of `_frame_fields` with its duals (`_unitary_frame`) at a
+    point or a stack of points x (..., 4).  Raises DegenerateFrameError at the
+    first point without a frame, or the metric's error where a loop over the
+    points meets it first (`replay`)."""
+    def basis(p):
+        _, E, _, degenerate = _frame_fields(M, p)
+        _raise_at_first(degenerate, p, DegenerateFrameError)
+        return E
+    x = np.array(x, dtype=float)
+    return _unitary_frame(x, replay(basis, x.reshape(-1, 4)).reshape(x.shape[:-1] + (4, 4)))
 
 
 def _raise_at_first(bad: np.ndarray, x: np.ndarray, error: Callable[[list], Exception]) -> None:
@@ -1209,5 +1205,5 @@ def push_slots(T: np.ndarray, P: np.ndarray, slots: Sequence[int]) -> np.ndarray
 
 def coordinate_fundamental_matrix(M: HermitianSurface, x: np.ndarray) -> np.ndarray:
     """Components F_{mu nu} = F(d_mu, d_nu) = (J^T g)_{mu nu} in chart coordinates,
-    at a point or a stack of points x (..., 4), from the `_frame_fields` table."""
+    at a point or a stack of points x (..., 4), from one `_frame_fields` pass."""
     return _frame_fields(M, x)[2]

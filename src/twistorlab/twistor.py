@@ -1051,7 +1051,8 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
     (2,2)-part.  A bidegree part is taken in the J_i coframe C of the point
     (`_adapted_rows`, whose (1,0) rows come first): the form is rewritten
     over C (`substitute` with C^-1), masked (`bidegree_rows`) and rewritten
-    back.  Only meaningful when J_i is integrable.
+    back; the centre's coframe is read from the sweep's stored rows.  Only
+    meaningful when J_i is integrable.
     """
     t, _ = normalize_connection(conn)
     y0 = z.chart_coordinates()
@@ -1070,9 +1071,12 @@ def ddbar_oracle(i: int, lam: Union[float, Sequence[float]], M: HermitianSurface
         out = [part(ComplexForm(6, 3, v), B0, 1).vec for v, B0 in zip(dK, sw.B0)]
         return np.array(out, dtype=complex).reshape(Y.shape[:-1] + (-1,))
 
-    B0 = coframe_rows(M, t, y0)     # an in-domain evaluation first
-    dg = replace(M.backend, step=_DDBAR_OUTER_STEP).partials(dbar_vecs, y0)    # [p, key]
-    return part(ComplexForm(6, 4, d_rows(dg, 6, 3)), B0, 2) * 1j
+    try:
+        dg = replace(M.backend, step=_DDBAR_OUTER_STEP).partials(dbar_vecs, y0)    # [p, key]
+    except Exception:
+        coframe_rows(M, t, y0)      # the centre's own error comes first
+        raise
+    return part(ComplexForm(6, 4, d_rows(dg, 6, 3)), coframe_rows(M, t, y0), 2) * 1j
 
 
 # ======================================================================

@@ -744,24 +744,42 @@ def _count_bodies(monkeypatch, memoized, label, counts):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_one_verify_op_runs_each_stacked_pass_once_over_the_four_built_ins(seed, monkeypatch, capsys):
     # every layer takes the four built-ins as segments of one stack: the
-    # frame fields and base table run once for the curvature's points and
-    # their dGamma stencils together, omega^t once per connection, and each
-    # connection's sweep, whose coframe the formula reads, is one coframe_rows;
-    # the frame fields also run once per built-in for its validation and
-    # once for the algebra suite's Hermitian invariants, which read g there
+    # Gram-Schmidt of the frame fields and the base table run once for the
+    # curvature's points and their dGamma stencils together, omega^t once
+    # per connection, and each connection's sweep, whose coframe the formula
+    # reads, is one coframe_rows; validation and the algebra suite's
+    # Hermitian invariants evaluate g alone, with no frame-field pass
     from twistorlab import connection as cn, manifold as mf, twistor as tw
     counts = []
-    for memoized, label in [(mf._frame_fields, "_frame_fields"), (cn._base_table, "_base_table"),
-                            (cn.levi_civita, "levi_civita"), (cn._omega_rows, "_omega_rows")]:
+    for memoized, label in [(cn._base_table, "_base_table"), (cn.levi_civita, "levi_civita"),
+                            (cn._omega_rows, "_omega_rows")]:
         _count_bodies(monkeypatch, memoized, label, counts)
-    for name in ("coframe_rows", "curvature_rows"):
-        fn = getattr(tw, name)
-        monkeypatch.setattr(tw, name, lambda *a, _fn=fn, _name=name: (counts.append(_name), _fn(*a))[1])
+    for module, name in ((mf, "_gram_schmidt"), (tw, "coframe_rows"), (tw, "curvature_rows")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name: (counts.append(_name), _fn(*a))[1])
     assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert {label: counts.count(label) for label in sorted(set(counts))} == {
-        "_base_table": 1, "_frame_fields": 1 + 4 + 1, "_omega_rows": 2, "coframe_rows": 2,
+        "_base_table": 1, "_gram_schmidt": 1, "_omega_rows": 2, "coframe_rows": 2,
         "curvature_rows": 1, "levi_civita": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--format", "json", "--points", "64", "--surface", "hopf", "--connection", "chern"],
+    ["verify", "--suite", "all", "--format", "json", "--points", "48"],
+])
+def test_a_large_stack_clears_no_point_memo(argv, monkeypatch, capsys):
+    # the memo keeps the base rows, the Levi-Civita rows and omega^t at a
+    # pass's points, not the frame fields at their stencils: these stacks,
+    # the largest that tools/compare_outputs.py runs, stay under
+    # POINT_MEMO_LIMIT, so no memo is cleared in the middle of a pass
+    from twistorlab import manifold as mf
+    clears = []
+    clear = mf.PointMemo.clear
+    monkeypatch.setattr(mf.PointMemo, "clear", lambda self: (clears.append(len(self)), clear(self))[1])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert clears == []
 
 
 @pytest.mark.parametrize("suite", ["all", "oracle", "algebra"])

@@ -722,7 +722,7 @@ def test_a_second_family_member_evaluates_no_metric_dF_or_levi_civita_form(monke
     ("levi_civita", 129, 1),
     ("CoframeSweep", 129, 1),
     ("condition_report", 387, 1),
-    ("ddbar_oracle", 1225, 2),
+    ("ddbar_oracle", 1225, 1),
 ])
 def test_fresh_surface_metric_counts_are_unchanged_by_the_family_tables(layer, evals, calls):
     # the base table counts toward POINT_MEMO_LIMIT: these counts show that
@@ -757,25 +757,26 @@ def test_a_fresh_omega_tilde_coord_stack_makes_one_frame_field_pass(name, monkey
 
 
 def test_the_memo_keeps_one_ddbar_oracle_call_whole():
-    # one ddbar_oracle call on cp2_fs stores 1 675 points (one base table in
-    # place of the Christoffel, omega^LC, dF and frame tables, and g in the
-    # frame-field table, validation's 16 points among them): the memo holds
-    # them all, so a second call evaluates no metric point
+    # one ddbar_oracle call on cp2_fs stores 434 points, the base table's
+    # and omega^t's rows at the sweep's base points (validation stores
+    # none): the memo holds them all, so a second call evaluates no metric
+    # point
     M, seen = _counting_cp2()
     pts = tw.sample_twistor_points(M, 3, seed=0)
+    assert len(M._point_memo) == 0
     seen.clear()
     first = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 1225 and len(M._point_memo) == 1675 <= POINT_MEMO_LIMIT
+    assert sum(seen) == 1225 and len(M._point_memo) == 434 <= POINT_MEMO_LIMIT
     seen.clear()
     second = tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", pts[0])
-    assert sum(seen) == 0 and len(M._point_memo) == 1675
+    assert sum(seen) == 0 and len(M._point_memo) == 434
     assert np.array_equal(first.vec, second.vec)
 
 
-def test_a_fresh_two_point_sweep_makes_four_point_memo_lookups(monkeypatch):
-    # validation reads g from the (g, E, F) table; the sweep's coframe reads
-    # omega_tilde, which reads the base table, which reads (g, E, F) at the
-    # points and their stencils, which evaluates the metric: one lookup each
+def test_a_fresh_two_point_sweep_makes_two_point_memo_lookups(monkeypatch):
+    # validation evaluates g alone, with no lookup; the sweep's coframe reads
+    # omega_tilde, which reads the base table, whose one (g, E, F) pass at
+    # the points and their stencils evaluates the metric: one lookup each
     from twistorlab import manifold as mf
     looked = []
     lookup = mf._lookup
@@ -783,15 +784,14 @@ def test_a_fresh_two_point_sweep_makes_four_point_memo_lookups(monkeypatch):
                                                             lookup(name, *rest))[1])
     M = builtin("cp2_fs")
     tw.CoframeSweep.stack(M, "lichnerowicz", tw.sample_twistor_points(M, 2, seed=0))
-    assert looked == ["_frame_fields", "_omega_rows", "_base_table", "_frame_fields"]
+    assert looked == ["_omega_rows", "_base_table"]
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
 def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
     # one base-table lookup at the points and their stencils, which no pass
     # has read: it misses every point and answers with the batch, so no
-    # stored row is gathered; the nested (g, E, F) lookup, at those points
-    # and their stencils, meets the points' stencils twice and does gather
+    # stored row is gathered; the nested (g, E, F) pass is no lookup
     from twistorlab import manifold as mf
     looking, looked, taken = [], [], []
     lookup, take = mf._lookup, mf._take
@@ -808,8 +808,7 @@ def test_a_fresh_levi_civita_gathers_no_base_table_row(count, monkeypatch):
     segments = [(builtin(name), builtin(name).chart.interior_points(2, seed=3)) for name in BUILTINS[:count]]
     looked.clear()
     levi_civita(segments)
-    assert looked == ["levi_civita", "_base_table", "_frame_fields"]
-    assert "_base_table" not in taken and "_frame_fields" in taken
+    assert looked == ["levi_civita", "_base_table"] and taken == []
 
 
 def _vanishing_on(a0, floor=""):
@@ -827,12 +826,12 @@ def test_levi_civita_raises_at_a_stencil_point_of_its_point_without_a_frame(floo
     # point, as the frame check of the point's own row (`_framed`) does,
     # both where g is singular there (the pass itself fails) and where a
     # floor keeps it invertible (the pass succeeds and flags the point)
-    from twistorlab.manifold import DegenerateFrameError, adapted_basis
+    from twistorlab.manifold import DegenerateFrameError
     M = _vanishing_on(0.001, floor)
     x = np.array([0.0, 0.1, -0.2, 0.3])
-    adapted_basis(M, x)
+    adapted_frame(M, x)
     with pytest.raises(DegenerateFrameError) as want:
-        adapted_basis(M, M.backend.stencil(x))
+        adapted_frame(M, M.backend.stencil(x))
     for points in (x, np.stack([x, x + 0.25])):
         with pytest.raises(DegenerateFrameError) as got:
             levi_civita(_vanishing_on(0.001, floor), points)
@@ -873,12 +872,10 @@ J 4 3 = 1
 
 SEGMENT_SURFACES = (*BUILTINS, "cp2_fs+conformal", "J by entry")
 
-# every layer that takes segments: the memoized tables, and the readers
-# that stack their FD passes over the segments
+# every layer that takes segments: the frame-field pass, the memoized
+# tables, and the readers that stack their FD passes over the segments
 SEGMENT_LAYERS = {
-    "metric": HermitianSurface.metric,
     "_frame_fields": _frame_fields,
-    "adapted_frame": adapted_frame,
     "_base_table": cn._base_table,
     "levi_civita": levi_civita,
     "_omega_rows": lambda M, x=None: cn._omega_rows(M, x, 1.0),

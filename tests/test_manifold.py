@@ -316,7 +316,7 @@ def test_adapted_frame_has_the_bits_of_the_one_function_frame(name, n):
     x = _frame_surface(name).chart.interior_points(34, seed=3)[:n]
     want = _reference_adapted_frame(_frame_surface(name), x)
     fresh, after_basis = _frame_surface(name), _frame_surface(name)
-    E = mf.adapted_basis(after_basis, x)         # the frame then reads a stored E
+    E = mf._frame_fields(after_basis, x)[1]      # the frame then runs a second pass
     assert np.array_equal(E, want.E)
     for M in (fresh, after_basis):
         got = mf.adapted_frame(M, x)
@@ -347,7 +347,7 @@ def _batch_pool(name):
 
 def _frame_layers(M, x):
     fr = mf.adapted_frame(M, x)
-    return [mf.adapted_basis(M, x), fr.E, fr.theta, fr.U, fr.eta,
+    return [mf._frame_fields(M, x)[1], fr.E, fr.theta, fr.U, fr.eta,
             mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x)]
 
 
@@ -394,10 +394,9 @@ def test_a_degenerate_frame_raises_the_error_of_the_one_function_frame(rows):
     with pytest.raises(mf.DegenerateFrameError) as want:
         for p in x:         # the error a point-by-point loop meets first
             _reference_adapted_frame(_mixed_degenerate_surface(), p[None])
-    for fn in (mf.adapted_frame, mf.adapted_basis):
-        with pytest.raises(mf.DegenerateFrameError) as got:
-            fn(_mixed_degenerate_surface(), x)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(mf.DegenerateFrameError) as got:
+        mf.adapted_frame(_mixed_degenerate_surface(), x)
+    assert str(got.value) == str(want.value)
 
 
 def _undefined_metric_surface():
@@ -414,16 +413,15 @@ def _undefined_metric_surface():
 
 @pytest.mark.parametrize("rows", [[0, 1], [1, 0], [2, 1, 0]])
 def test_a_stack_raises_a_missing_frame_or_a_metric_error_in_point_order(rows):
-    # the E/F table keeps a point without a frame, so its frame is refused
-    # after the metric of the whole stack: the first point still decides
+    # the frame-field pass keeps a point without a frame, so its frame is
+    # refused after the metric of the whole stack: the first point still decides
     x = np.array([[0.1, 0.0, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0], [0.3, 0.2, 0.0, 0.0]])[rows]
     with pytest.raises(ValueError) as want:
         for p in x:
             mf.adapted_frame(_undefined_metric_surface(), p)
-    for fn in (mf.adapted_frame, mf.adapted_basis):
-        with pytest.raises(ValueError) as got:
-            fn(_undefined_metric_surface(), x)
-        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    with pytest.raises(ValueError) as got:
+        mf.adapted_frame(_undefined_metric_surface(), x)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_a_frame_missing_inside_a_stencil_fails_omega_lc_and_not_dF():
@@ -437,7 +435,7 @@ def test_a_frame_missing_inside_a_stencil_fails_omega_lc_and_not_dF():
     x = np.array([[0.3, 0.1, 0.2, 0.3], [0.499, 0.1, 0.2, 0.3]])
     with pytest.raises(mf.DegenerateFrameError) as want:     # the frame stencil, point by point
         for p in surface().backend.stencil(x).reshape(-1, 4):
-            mf.adapted_basis(surface(), p)
+            mf.adapted_frame(surface(), p)
     for layer in (cn.levi_civita, lambda M, x: cn.omega_tilde_coord(M, x, 1.0)):
         with pytest.raises(mf.DegenerateFrameError) as got:
             layer(surface(), x)
@@ -472,23 +470,22 @@ def test_a_missing_frame_at_a_point_comes_before_a_metric_error_at_its_stencil()
 
 
 def test_a_fresh_sweep_stores_full_frames_at_its_base_points_only():
-    # the FD stencil of the base table reads g, E and F alone, from one
-    # table and one pass; Gamma, omega^LC, dF and the frame with theta, U
-    # and eta are built at the 34 base points (2 points and their
-    # first-order stencils)
+    # the FD stencil of the base table reads g, E and F alone, from one pass
+    # that stores nothing; Gamma, omega^LC, dF and the frame with theta, U
+    # and eta are built and stored at the 34 base points (2 points and
+    # their first-order stencils)
     M = mf.builtin("cp2_fs")
     pts = tw.sample_twistor_points(M, 2, seed=0)
     tw.CoframeSweep.stack(M, "lichnerowicz", pts)
     sizes = {fn.__name__: table.size for (fn, params), table in M._point_memo.items() if not params}
-    assert sizes == {"_base_table": 34, "_frame_fields": 16 + 258}     # g is read from the E table
-    # a frame at any point of the E table evaluates no metric: one
-    # Gram-Schmidt built every frame
-    table = M._point_memo[(mf._frame_fields.__wrapped__, ())]
+    assert sizes == {"_base_table": 34}
+    # a frame at any base point is read from the table: no metric evaluation
+    table = M._point_memo[(cn._base_table.__wrapped__, ())]
     stored = np.array([np.frombuffer(key) for key in table.index])
     evaluated, metric = [], M._metric
     M._metric = mf.stack_field(lambda x: (evaluated.append(len(x)), metric(x))[1])
-    mf.adapted_frame(M, stored)
-    assert evaluated == [] and table.size == 16 + 258
+    assert np.isfinite(cn._base_table(M, stored).frame.eta).all()
+    assert evaluated == [] and table.size == 34
 
 
 def _first_failure_point_by_point(chart, metric, J, tol=1e-10):
@@ -760,7 +757,7 @@ def _memo_results(M, x, zeta=0.3 + 0.2j):
     sw = tw.CoframeSweep(M, "chern", z)
     co = tw.twistor_coframe(M, "chern", z)
     return [M.metric(x), mf.coordinate_fundamental_matrix(M, x), cn.christoffel(M, x),
-            mf.adapted_basis(M, x), fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
+            mf._frame_fields(M, x)[1], fr.E, fr.theta, fr.U, fr.eta, om_t, om_lc, fr_t.eta, *family,
             *_arrays(cn._base_table(M, x[None])),
             cn.levi_civita(M, x).R, cn.levi_civita(M, x).Gamma, cn.levi_civita(M, x).omega_frame,
             cn.levi_civita(M, np.stack([x, x + 0.01])).R, sw.B0, sw.dB, co.B,
@@ -785,17 +782,17 @@ def test_stored_arrays_are_read_only_and_inputs_stay_writable():
                             lambda x: G, lambda x: mf.J_STANDARD)
     x = np.array([0.1, 0.2, -0.3, 0.4])
     fr = mf.adapted_frame(M, x)
-    stored = [M.metric(x), cn.christoffel(M, x), mf.coordinate_fundamental_matrix(M, x),
-              fr.point, fr.E, fr.theta, fr.U, fr.eta, *cn.omega_tilde_coord(M, x, 0.0)[:2],
-              *_arrays(cn._base_table(M, x[None]))]
+    stored = [cn.christoffel(M, x), *cn.omega_tilde_coord(M, x, 0.0)[:2],
+              *_arrays(cn.levi_civita(M, x)), *_arrays(cn._base_table(M, x[None]))]
     for arr in stored:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    # g, F and the frame are stored nowhere: each call answers with new arrays
     assert G.flags.writeable and M.metric(x) is not G      # the callable's array
     assert x.flags.writeable and fr.point is not x          # the caller's point
     x[0] = 0.5
-    assert mf.adapted_frame(M, np.array([0.1, 0.2, -0.3, 0.4])) is fr
+    assert fr.point[0] == 0.1 and mf.adapted_frame(M, x) is not fr
 
 
 def test_overflowing_the_memo_clears_it_and_results_stay_correct(monkeypatch):
@@ -803,13 +800,16 @@ def test_overflowing_the_memo_clears_it_and_results_stay_correct(monkeypatch):
     expected = cn.levi_civita(mf.builtin("cp2_fs"), x).R
     monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 8)
     M = mf.builtin("cp2_fs")
-    sizes, clears = [], []
-    metric, clear = M._metric, M._point_memo.clear
-    M._metric = lambda p: (sizes.append(len(M._point_memo)), metric(p))[1]
+    cn._omega_rows(M, M.chart.interior_points(4, seed=1), 1.0)     # 4 base rows and 4 omega^t rows
+    assert len(M._point_memo) == 8 and sum(table.size for table in M._point_memo.values()) == 8
+    clears, clear = [], M._point_memo.clear
     M._point_memo.clear = lambda: (clears.append(len(M._point_memo)), clear())[1]
+    # the base table's 17 rows (x and its stencil) pass the limit: the memo
+    # is cleared and keeps their last (8 + 17 - 1) % 8 + 1 = 1, then
+    # levi_civita's row
     assert np.array_equal(cn.levi_civita(M, x).R, expected)
-    assert max(sizes) == 8 and len(M._point_memo) <= 8
-    assert clears and max(clears) <= 8      # cleared by the appends of the one pass
+    assert clears == [8] and len(M._point_memo) == 2
+    assert np.array_equal(cn.levi_civita(M, x).R, expected) and len(M._point_memo) <= 8
 
 
 def test_threads_sharing_a_surface_get_the_serial_results(monkeypatch):
@@ -852,6 +852,39 @@ def _arrays(value):
     return [a for field in dataclasses.fields(value) for a in _arrays(getattr(value, field.name))]
 
 
+def test_distinct_keeps_first_occurrences_and_tells_apart_every_bit_pattern():
+    # the one dedupe of points: 32-byte keys, so -0.0 and 0.0 stay apart
+    pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.2, 0.3, 0.4], [-0.0, 0.2, 0.3, 0.4]])
+    stack = pts[[1, 0, 1, 2, 0]]
+    keys = stack.view("V32").ravel().tolist()
+    fresh, distinct, at = mf._distinct(keys, stack)
+    assert list(fresh) == [keys[0], keys[1], keys[3]] and at == [0, 1, 0, 2, 1]
+    assert distinct.tobytes() == pts[[1, 0, 2]].tobytes() and distinct.flags.writeable
+    fresh, distinct, at = mf._distinct(keys[:2], stack)     # some rows, none repeated
+    assert list(fresh) == keys[:2] and at is None and distinct.tobytes() == stack[:2].tobytes()
+    every = pts.view("V32").ravel().tolist()                # every row a distinct key: the stack itself
+    assert mf._distinct(every, pts)[1] is pts and mf._distinct(every, pts)[2] is None
+
+
+def test_building_a_surface_runs_no_frame_field_pass(monkeypatch):
+    # validation evaluates g and J alone: the metric callable once, on the
+    # 16 validation points, and no frame-field pass or Gram-Schmidt; the
+    # memo stays empty
+    base = mf.builtin("cp2_fs")
+    calls = []
+    for name in ("_frame_fields", "_gram_schmidt"):
+        fn = getattr(mf, name)
+        monkeypatch.setattr(mf, name, lambda *a, _fn=fn, _name=name: (calls.append(_name), _fn(*a))[1])
+    seen, compiled = [], base._metric
+    M = mf.HermitianSurface(base.chart, mf.stack_field(lambda x: (seen.append(np.array(x)), compiled(x))[1]),
+                            base.J, name=base.name, params=base.params)
+    assert len(seen) == 1 and np.array_equal(seen[0], M.chart.interior_points(16, seed=2024))
+    assert calls == [] and len(M._point_memo) == 0
+    for name in mf.BUILTIN_NAMES:
+        assert len(mf.builtin(name)._point_memo) == 0
+    assert calls == []
+
+
 def test_duplicates_within_a_stack_reach_fn_once():
     G = 2.0 * np.eye(4)
     batches = []
@@ -860,15 +893,18 @@ def test_duplicates_within_a_stack_reach_fn_once():
                                                       np.broadcast_to(G, x.shape[:-1] + (4, 4)))[1]),
                             lambda x: mf.J_STANDARD)
     pts = M.chart.interior_points(6, seed=7)
-    M.metric(pts[:3])
+    mf._frame_fields(M, pts[:3])
     batches.clear()
-    g = M.metric(pts[[1, 4, 4, 5, 1, 5, 0, 4]].reshape(2, 4, 4))
-    assert len(batches) == 1 and np.array_equal(batches[0], pts[[4, 5]])
+    # the distinct points of one pass, in first-occurrence order; an earlier
+    # pass stored nothing
+    g, E, F, degenerate = mf._frame_fields(M, pts[[1, 4, 4, 5, 1, 5, 0, 4]].reshape(2, 4, 4))
+    assert len(batches) == 1 and np.array_equal(batches[0], pts[[1, 4, 5, 0]])
     assert g.shape == (2, 4, 4, 4) and np.array_equal(g, np.broadcast_to(G, g.shape))
+    assert E.shape == F.shape == g.shape and degenerate.shape == (2, 4)
+    assert np.array_equal(E[0, 1], E[1, 3]) and np.array_equal(F[0, 0], F[1, 0])
 
 
 @pytest.mark.parametrize("layer", [
-    mf.adapted_frame,
     lambda M, x: cn.omega_tilde_coord(M, x, 1.0),
     cn.levi_civita,
     cn._base_table,
@@ -887,10 +923,8 @@ def test_a_stack_from_earlier_batches_and_new_misses_matches_a_forgetful_memo(la
         assert a.shape[:2] == (2, 3) and np.array_equal(a, b) and not a.flags.writeable
 
 
-# the five memoized functions, each with the params of its table
+# the three memoized functions, each with the params of its table
 MEMOIZED = {
-    "_frame_fields": (mf._frame_fields, ()),
-    "adapted_frame": (mf.adapted_frame, ()),
     "_base_table": (cn._base_table, ()),
     "levi_civita": (cn.levi_civita, ()),
     "_omega_rows": (cn._omega_rows, (0.5,)),
@@ -939,12 +973,12 @@ def test_memoized_answers_have_the_types_dtypes_and_bits_of_a_recompute(name):
     # repeated point, two surfaces) and one point alone must all answer as
     # the body does on fresh surfaces, where no table holds a row
     fn, params = MEMOIZED[name]
-    framed = name in ("_frame_fields", "_base_table")        # readers of no frame
+    framed = name == "_base_table"        # the reader of no frame
     names = ("hopf", "cp2_fs", "no frame") if framed else ("hopf", "cp2_fs")
     surfaces = {S: _memo_surface(S) for S in names}
     pts = {S: surfaces[S].chart.interior_points(4, seed=5) for S in names}
-    if framed:      # a point without a frame (E NaN), or with a stencil point without (omega^LC NaN)
-        pts["no frame"][1, 0] = 0.001 if name == "_frame_fields" else 0.0
+    if framed:      # a point with a stencil point without a frame (omega^LC NaN)
+        pts["no frame"][1, 0] = 0.0
 
     def recompute(*segments):
         return fn.__wrapped__([(_memo_surface(S), x) for S, x in segments], *params)
@@ -956,41 +990,78 @@ def test_memoized_answers_have_the_types_dtypes_and_bits_of_a_recompute(name):
     segments = [("hopf", x[[1, 2, 2, 0]]), *((S, pts[S]) for S in names[1:])]
     mixed = fn([(surfaces[S], p) for S, p in segments], None, *params)
     _assert_same_result(mixed, recompute(*segments), leaves)
-    one = fn(M, x[3], *params)
-    assert fn(M, x[3], *params) is one and fn(M, x[3].copy(), *params) is one
-    _assert_same_result(one, _row(recompute(("hopf", x[3:])), 0), leaves)
+    for point in (x[3], x[3].copy()):       # a fresh point alone, then a stored one
+        _assert_same_result(fn(M, point, *params), _row(recompute(("hopf", x[3:])), 0), leaves)
     kinds = {a.dtype.kind for a in leaves}
     assert "f" in kinds and kinds <= {"f", "c", "b"}
-    if name in ("_frame_fields", "_base_table"):
+    if name == "_base_table":
         assert "b" in kinds                 # the frame flags
-    if name in ("adapted_frame", "_base_table", "levi_civita", "_omega_rows"):
-        assert "c" in kinds                 # U and eta
+    assert "c" in kinds                     # U and eta
     if framed:      # NaN where no frame exists, and -0.0 in cp2_fs's g
         floats = [a for a in leaves if a.dtype.kind == "f"]
         assert any(np.isnan(a).any() for a in floats) and any((np.signbit(a) & (a == 0)).any() for a in floats)
 
 
+def test_frame_fields_answer_with_the_bits_of_one_gram_schmidt_pass(monkeypatch):
+    # the frame fields keep no table: a stack with a repeated point, segments
+    # over three surfaces and one point alone each answer with the bits of
+    # one Gram-Schmidt pass over the distinct points on fresh surfaces, NaN
+    # where no frame exists and -0.0 in cp2_fs's g included
+    names = ("hopf", "cp2_fs", "no frame")
+    surfaces = {S: _memo_surface(S) for S in names}
+    pts = {S: surfaces[S].chart.interior_points(4, seed=5) for S in names}
+    pts["no frame"][1, 0] = 0.001
+    passes, gram_schmidt = [], mf._gram_schmidt
+    monkeypatch.setattr(mf, "_gram_schmidt", lambda segments: (passes.append(
+        [len(p) for _, p in segments]), gram_schmidt(segments))[1])
+
+    def recompute(*segments):
+        return gram_schmidt([(_memo_surface(S), x) for S, x in segments])
+
+    M, x = surfaces["hopf"], pts["hopf"]
+    leaves = []
+    for _ in range(2):                      # nothing is stored: each call is one pass
+        got = mf._frame_fields(M, x[:2])
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, recompute(("hopf", x[:2]))))
+    segments = [("hopf", x[[1, 2, 2, 0]]), *((S, pts[S]) for S in names[1:])]
+    passes.clear()
+    mixed = mf._frame_fields([(surfaces[S], p) for S, p in segments])
+    assert passes == [[3, 4, 4]]
+    want = recompute(("hopf", x[[1, 2, 0]]), *((S, pts[S]) for S in names[1:]))
+    rows = [0, 1, 1, 2, *range(3, 11)]
+    for a, b in zip(mixed, want):
+        assert a.dtype == b.dtype and a.shape == (12,) + b.shape[1:] and a.tobytes() == b[rows].tobytes()
+        leaves.append(a)
+    for a, b in zip(mf._frame_fields(M, x[3]), recompute(("hopf", x[3:]))):
+        assert a.shape == b.shape[1:] and a.tobytes() == b[0].tobytes()
+    assert {a.dtype.kind for a in leaves} == {"f", "b"}
+    assert np.isnan(mixed[1]).any() and (np.signbit(mixed[0]) & (mixed[0] == 0)).any()
+
+
 def test_the_limit_counts_points_over_all_functions_and_clearing_drops_the_stores(monkeypatch):
     monkeypatch.setattr(mf, "POINT_MEMO_LIMIT", 40)
     M = mf.builtin("cp2_fs")
-    assert len(M._point_memo) == 16          # g, E and F at the 16 validation points
+    assert len(M._point_memo) == 0          # validation stores nothing
     pts = M.chart.interior_points(15, seed=9)
-    M.metric(pts)
-    mf.coordinate_fundamental_matrix(M, pts)     # the same table: no new point
-    assert len(M._point_memo) == 31 == sum(table.size for table in M._point_memo.values())
+    cn._base_table(M, pts)
+    cn.christoffel(M, pts)                  # the same table: no new point
+    mf.coordinate_fundamental_matrix(M, pts)    # no table
+    cn._omega_rows(M, pts, 0.5)             # reads the base rows, stores its own
+    assert len(M._point_memo) == 30 == sum(table.size for table in M._point_memo.values())
     # each table keeps its results as one flat list of arrays (its leaves),
-    # every one holding a row per stored point
-    assert [len(table.leaves) for table in M._point_memo.values()] == [4]      # g, E, F, degenerate
-    assert all(len(a) == 31 for table in M._point_memo.values() for a in table.leaves)
+    # every one holding a row per stored point: the base data with the
+    # frame's five fields, then omega^t and eta
+    assert [len(table.leaves) for table in M._point_memo.values()] == [12, 2]
+    assert all(len(a) == 15 for table in M._point_memo.values() for a in table.leaves)
     stores = [weakref.ref(a) for table in M._point_memo.values() for a in table.leaves]
-    mf.adapted_frame(M, pts)                 # 31 + 15 = 46 points would pass the limit: cleared
-    assert len(M._point_memo) == (46 - 1) % 40 + 1 == 6
-    assert [(table.size, len(table.leaves)) for table in M._point_memo.values() if table.size] == [(6, 5)]
-    assert all(len(a) == 6 for table in M._point_memo.values() for a in table.leaves)
+    cn._omega_rows(M, pts, -0.5)            # 30 + 15 = 45 points would pass the limit: cleared
+    assert len(M._point_memo) == (45 - 1) % 40 + 1 == 5
+    assert [(table.size, len(table.leaves)) for table in M._point_memo.values() if table.size] == [(5, 2)]
+    assert all(len(a) == 5 for table in M._point_memo.values() for a in table.leaves)
     gc.collect()
     assert all(ref() is None for ref in stores)
-    frame = mf.adapted_frame(mf.builtin("cp2_fs"), pts)
-    assert np.array_equal(mf.adapted_frame(M, pts).E, frame.E)
+    fresh = cn._omega_rows(mf.builtin("cp2_fs"), pts, -0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(cn._omega_rows(M, pts, -0.5), fresh))
 
 
 # ----------------------------------------------------------------------
@@ -1287,15 +1358,17 @@ def test_validation_names_the_point_and_check_of_the_isclose_version(fields):
 @pytest.mark.parametrize("argv", [["scan", "--surface", "cp2_fs", "--lambda-range", "1:2", "--grid", "3"],
                                   ["report", "--surface", "hopf", "--connection", "chern", "--points", "2"]])
 def test_a_fresh_invocation_makes_no_point_memo_lookup_under_the_metrics_name(argv, monkeypatch, capsys):
-    # every read of g goes to the frame-field table; the metric has no table
+    # the metric and the frame fields have no table: a lookup reads one of
+    # the three tables that later calls read
     from twistorlab.cli import main
     looked = []
     lookup = mf._lookup
     monkeypatch.setattr(mf, "_lookup", lambda name, *rest: (looked.append(name[0].__name__), lookup(name, *rest))[1])
     assert main(argv) == 0
     capsys.readouterr()
-    assert "_frame_fields" in looked and "metric" not in looked
-    assert not hasattr(mf.HermitianSurface.metric, "__wrapped__")
+    assert "_base_table" in looked and set(looked) <= {"_base_table", "levi_civita", "_omega_rows"}
+    for fn in (mf.HermitianSurface.metric, mf._frame_fields, mf.adapted_frame):
+        assert not hasattr(fn, "__wrapped__")
 
 
 def stack_surface(name):
@@ -1422,9 +1495,11 @@ def test_duplicates_in_a_stack_reach_a_pointwise_metric_once():
                             lambda x: (seen.append(np.shape(x)), G)[1], lambda x: mf.J_STANDARD)
     pts = M.chart.interior_points(5, seed=3)
     seen.clear()
-    g = M.metric(np.concatenate([pts, pts[::-1]]))
-    assert seen == [(4,)] * 5                        # point by point, each point once
+    g = mf._frame_fields(M, np.concatenate([pts, pts[::-1]]))[0]
+    assert seen == [(4,)] * 5                        # point by point, each point once per pass
     assert np.array_equal(g, np.broadcast_to(G, (10, 4, 4)))
+    seen.clear()
+    assert np.array_equal(M.metric(pts[:2]), np.broadcast_to(G, (2, 4, 4))) and seen == [(4,)] * 2
     assert np.array_equal(M.J(pts), np.broadcast_to(mf.J_STANDARD, (5, 4, 4)))
     fr = mf.adapted_frame(M, pts)
     other = mf.HermitianSurface(M.chart, lambda x: G, lambda x: mf.J_STANDARD)

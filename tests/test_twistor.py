@@ -405,15 +405,18 @@ def test_one_coframe_sweep_per_bundle_point(monkeypatch):
     assert len(built) == 1 and len(built[0]) == 25 * len(pts)
     assert np.array_equal(built[0][:len(pts)], [z.chart_coordinates() for z in pts])
 
-    # (b) no point reaches the metric callable twice, whichever layer asks
+    # (b) within one call, whichever layer makes it, no point reaches the
+    # metric callable twice; across calls only the memo's tables share rows
     M, seen = counting_surface("cp2_fs")
-    tw.coframe_rows(M, 0.0, pts[0].chart_coordinates())
+    calls = [lambda: tw.coframe_rows(M, 0.0, pts[0].chart_coordinates()), lambda: report(M)]
     for z in pts:
-        tw.CoframeSweep(M, "lichnerowicz", z)
-        tw.nijenhuis_oracle(1, M, "lichnerowicz", z)
-        tw.twistor_coframe(M, "lichnerowicz", z)
-    report(M)
-    assert len(seen) == len(set(seen))
+        calls[1:1] = [lambda z=z: tw.CoframeSweep(M, "lichnerowicz", z),
+                      lambda z=z: tw.nijenhuis_oracle(1, M, "lichnerowicz", z),
+                      lambda z=z: tw.twistor_coframe(M, "lichnerowicz", z)]
+    for call in calls:
+        seen.clear()
+        call()
+        assert len(seen) == len(set(seen))
 
     # (c) the report evaluates exactly what its parts evaluate together
     M_parts, parts = counting_surface("cp2_fs")
@@ -516,6 +519,17 @@ def test_ddbar_oracle_reaches_the_metric_less_often_than_per_point_sweeps():
     tw.ddbar_oracle(3, 1.1, M, "lichnerowicz", zpt("cp2_fs"))
     assert len(seen) <= 1370
     assert len(seen) == len(set(seen))
+
+
+def test_ddbar_oracle_raises_the_error_of_its_centre_first():
+    # the centre is checked when the outer pass fails: a base point whose own
+    # FD stencil leaves the chart is named, not the outer stencil point
+    # (x4 = 0.9025) that the outer pass meets first
+    x0 = np.array([0.6, 0.6, 0.7, 0.8985])
+    z = tw.TwistorPoint.from_zeta(x0, 0.3 + 0.1j)
+    with pytest.raises(ValueError) as err:
+        tw.ddbar_oracle(3, 1.1, surface("hopf"), "chern", z)
+    assert str(err.value) == f"point too close to boundary for FD stencil: {x0.tolist()}"
 
 
 def test_sweep_builds_each_building_block_once(monkeypatch):

@@ -51,12 +51,12 @@ algebra suite's curvature stack before the oracle reads them, and a json
 uses every function and operator of the expression grammar, a negative
 exponent, unary minus, an exponent-form literal and integers with leading
 zeros, so that every kind of step of the compiled metric is evaluated, and
-three large stacks, where the point memo may be cleared (at
-POINT_MEMO_LIMIT stored points) in the middle of a stacked pass, so that
-the clearing path of its appends is compared: a json `report --points 64`
-on hopf/chern (3 clears) and two json `verify --suite all` invocations,
-`--points 32` (no clear since g has no table of its own) and `--points 48`
-(4 clears).
+three large stacks, the regime where one stacked pass holds thousands of
+points: a json `report --points 64` on hopf/chern and two json `verify
+--suite all` invocations, `--points 32` and `--points 48`.  The point memo
+used to fill up (POINT_MEMO_LIMIT stored points) and be cleared in the
+middle of such a pass, 3, 0 and 4 times; since the frame fields keep no
+table, the largest of them stores 2 496 points per surface and clears none.
 
 It compares stdout, stderr and the exit status.  It prints each invocation
 whose stdout or stderr is not byte-identical, the number of
